@@ -14,28 +14,55 @@ type t = {
   members : (Addr.node_id * int) list;
 }
 
+(* A (parent, child) edge packed into one int, parent above child, so
+   ascending keys are ascending (parent, child) pairs. Node ids are
+   array indices, far below 2^31. *)
+let key_bits = 31
+let child_mask = (1 lsl key_bits) - 1
+
 let capture ~router ~session ~at =
   let layering = Traffic.Session.layering session in
   let layer_count = Traffic.Layering.count layering in
-  (* Overlay: union of the per-layer trees, tagging edges with layers. *)
-  let tbl : (Addr.node_id * Addr.node_id, int list ref) Hashtbl.t =
-    Hashtbl.create 64
+  (* Overlay: union of the per-layer trees, tagging edges with layers.
+     Each layer's edges become a sorted array of packed keys; merging the
+     arrays from the largest key down builds the (parent, child)-sorted
+     edge list front-first, each edge's layers ascending. *)
+  let keys =
+    Array.init layer_count (fun layer ->
+        let group = Traffic.Session.group_for_layer session ~layer in
+        let pairs = Multicast.Router.tree_edges router ~group in
+        let a = Array.make (List.length pairs) 0 in
+        List.iteri
+          (fun i (parent, child) -> a.(i) <- (parent lsl key_bits) lor child)
+          pairs;
+        Array.stable_sort Int.compare a;
+        a)
   in
-  for layer = layer_count - 1 downto 0 do
-    let group = Traffic.Session.group_for_layer session ~layer in
-    List.iter
-      (fun (parent, child) ->
-        match Hashtbl.find_opt tbl (parent, child) with
-        | Some l -> l := layer :: !l
-        | None -> Hashtbl.add tbl (parent, child) (ref [ layer ]))
-      (Multicast.Router.tree_edges router ~group)
-  done;
-  let edges =
-    Hashtbl.fold
-      (fun (parent, child) layers acc -> { parent; child; layers = !layers } :: acc)
-      tbl []
-    |> List.sort (fun a b -> compare (a.parent, a.child) (b.parent, b.child))
+  (* [left.(l)]: keys of layer [l] not merged yet; its largest is the
+     last of them. *)
+  let left = Array.map Array.length keys in
+  let rec merge acc =
+    let top = ref (-1) in
+    for l = 0 to layer_count - 1 do
+      let n = left.(l) in
+      if n > 0 && keys.(l).(n - 1) > !top then top := keys.(l).(n - 1)
+    done;
+    let key = !top in
+    if key < 0 then acc
+    else begin
+      let layers = ref [] in
+      for l = layer_count - 1 downto 0 do
+        while left.(l) > 0 && keys.(l).(left.(l) - 1) = key do
+          layers := l :: !layers;
+          left.(l) <- left.(l) - 1
+        done
+      done;
+      merge
+        ({ parent = key lsr key_bits; child = key land child_mask; layers = !layers }
+        :: acc)
+    end
   in
+  let edges = merge [] in
   let base_group = Traffic.Session.group_for_layer session ~layer:0 in
   let members =
     Multicast.Router.members router ~group:base_group
@@ -98,43 +125,66 @@ let is_tree t =
   reach [ t.source ];
   List.for_all (fun e -> Hashtbl.mem seen e.parent) t.edges
 
+type part =
+  | Outside
+  | Inside of t
+  | Multi_ingress of { session : int; ingresses : Addr.node_id list }
+
+let partition t ~slots ~slot_of =
+  let edges_in = Array.make slots [] in
+  let entered = Array.make slots [] in
+  let members = Array.make slots [] in
+  (* Walk back to front so every slot's lists come out in snapshot
+     order: edges by (parent, child), members by node. *)
+  List.iter
+    (fun e ->
+      let s = slot_of e.child in
+      if s >= 0 then
+        if slot_of e.parent = s then edges_in.(s) <- e :: edges_in.(s)
+        else entered.(s) <- e.child :: entered.(s))
+    (List.rev t.edges);
+  List.iter
+    (fun ((m, _) as member) ->
+      let s = slot_of m in
+      if s >= 0 then members.(s) <- member :: members.(s))
+    (List.rev t.members);
+  let source_slot = slot_of t.source in
+  Array.init slots (fun s ->
+      (* Ingresses: domain nodes entered from outside, plus the source. *)
+      let ingresses =
+        (if s = source_slot then [ t.source ] else []) @ entered.(s)
+        |> List.sort_uniq Int.compare
+      in
+      match ingresses with
+      | [] -> Outside
+      | [ ingress ] ->
+          Inside
+            { t with source = ingress; edges = edges_in.(s); members = members.(s) }
+      | _ :: _ :: _ -> Multi_ingress { session = t.session; ingresses })
+
+let part_view = function
+  | Outside -> None
+  | Inside v -> Some v
+  | Multi_ingress { session; ingresses } ->
+      invalid_arg
+        (Format.asprintf
+           "Snapshot.restrict: session %d enters the domain at %d ingresses \
+            (%a); domains handed to a controller must be subtree-shaped — \
+            regroup the nodes so the tree crosses the boundary once (see \
+            Scenarios.Builders.validate_domains)"
+           session (List.length ingresses)
+           (Format.pp_print_list
+              ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
+              Addr.pp_node)
+           ingresses)
+
 let restrict t ~domain =
-  if domain = [] then None
-  else begin
-    let dom : (Addr.node_id, unit) Hashtbl.t =
-      Hashtbl.create (List.length domain)
-    in
-    List.iter (fun n -> Hashtbl.replace dom n ()) domain;
-    let inside n = Hashtbl.mem dom n in
-    let edges_in = List.filter (fun e -> inside e.child && inside e.parent) t.edges in
-    (* Ingresses: domain nodes entered from outside, plus the source. *)
-    let entered =
-      List.filter_map
-        (fun e -> if inside e.child && not (inside e.parent) then Some e.child else None)
-        t.edges
-    in
-    let ingresses =
-      (if inside t.source then [ t.source ] else []) @ entered
-      |> List.sort_uniq Int.compare
-    in
-    match ingresses with
-    | [] -> None
-    | _ :: _ :: _ ->
-        invalid_arg
-          (Format.asprintf
-             "Snapshot.restrict: session %d enters the domain at %d ingresses \
-              (%a); domains handed to a controller must be subtree-shaped — \
-              regroup the nodes so the tree crosses the boundary once (see \
-              Scenarios.Builders.validate_domains)"
-             t.session (List.length ingresses)
-             (Format.pp_print_list
-                ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-                Addr.pp_node)
-             ingresses)
-    | [ ingress ] ->
-        let members = List.filter (fun (m, _) -> inside m) t.members in
-        Some { t with source = ingress; edges = edges_in; members }
-  end
+  let dom : (Addr.node_id, unit) Hashtbl.t =
+    Hashtbl.create (List.length domain)
+  in
+  List.iter (fun n -> Hashtbl.replace dom n ()) domain;
+  let slot_of n = if Hashtbl.mem dom n then 0 else -1 in
+  part_view (partition t ~slots:1 ~slot_of).(0)
 
 let divergence t ~router ~session =
   let module ES = Set.Make (struct

@@ -48,7 +48,23 @@ val restrict : t -> domain:Net.Addr.node_id list -> t option
     than one ingress (the domain is not subtree-shaped for this
     session); the message names the offending ingress nodes. Validate
     domain assignments up front with
-    [Scenarios.Builders.validate_domains]. *)
+    [Scenarios.Builders.validate_domains]. This is the one-domain case of
+    {!partition}. *)
+
+type part
+(** One domain's share of a snapshot, as cut by {!partition}. *)
+
+val partition :
+  t -> slots:int -> slot_of:(Net.Addr.node_id -> int) -> part array
+(** Cuts the snapshot into [slots] disjoint domains in one
+    O(edges + members) pass. [slot_of n] is the domain holding node [n]
+    (in [0, slots)), or a negative number when [n] is in none. Element
+    [s] of the result is domain [s]'s share; read it with {!part_view}. *)
+
+val part_view : part -> t option
+(** The domain's restricted snapshot, exactly as {!restrict} returns it
+    for that domain's node list, and raising the same [Invalid_argument]
+    when the session enters the domain more than once. *)
 
 val divergence :
   t -> router:Multicast.Router.t -> session:Traffic.Session.t -> int

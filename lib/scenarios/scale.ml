@@ -113,9 +113,10 @@ let prepare_sequential config =
     {
       Toposense.Params.default with
       (* Leaf controllers read the shared once-per-interval oracle
-         capture instead of each taking a private O(edges) snapshot, and
-         only prescribe to receivers they have heard from — both are what
-         keeps control-plane work O(domains + reporters) here. *)
+         capture instead of each taking a private O(edges) snapshot (the
+         service cuts it into per-domain views once for all of them),
+         and only prescribe to receivers they have heard from — both are
+         what keeps control-plane work O(domains + reporters) here. *)
       staleness = Toposense.Params.default.interval;
       prescribe_known_only = true;
     }

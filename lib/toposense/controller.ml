@@ -37,7 +37,7 @@ type t = {
   discovery : Discovery.Service.t;
   params : Params.t;
   node : Net.Addr.node_id;
-  domain : Net.Addr.node_id list option;
+  domain : Discovery.Service.domain option;
   probe : Probe_discovery.t option;
   federation : Federation.leaf option;
   algorithm : Algorithm.t;
@@ -190,6 +190,9 @@ let on_ack t ~session ~receiver ~seq =
 
 let create ~network ~discovery ~params ~node ?domain ?probe ?federation () =
   let sim = Net.Network.sim network in
+  let domain =
+    Option.map (Discovery.Service.register_domain discovery ~owner:node) domain
+  in
   let t =
     {
       network;
@@ -472,11 +475,12 @@ let run_interval t =
         | Some snap -> (
             (* Per-domain control (paper Fig. 3): this controller only
                sees and manages its own administrative domain's part of
-               the session tree. *)
+               the session tree, cut once per snapshot for every domain
+               registered with the service. *)
             let snap =
               match t.domain with
               | None -> Some snap
-              | Some domain -> Discovery.Snapshot.restrict snap ~domain
+              | Some domain -> Discovery.Service.restrict t.discovery domain snap
             in
             match snap with
             | None ->

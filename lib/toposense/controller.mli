@@ -42,11 +42,14 @@ val create :
     session, then {!start}.
 
     With [domain], the controller manages only the given administrative
-    domain (the paper's Fig. 3 model): session trees are restricted to
-    the domain via {!Discovery.Snapshot.restrict}, so congestion control,
-    capacity estimation and suggestions all stay domain-local. Several
-    controllers with disjoint domains coexist without knowing of each
-    other.
+    domain (the paper's Fig. 3 model): the domain is registered with
+    [discovery] ({!Discovery.Service.register_domain}) and session trees
+    are restricted to it via {!Discovery.Service.restrict}, so congestion
+    control, capacity estimation and suggestions all stay domain-local.
+    Several controllers coexist on one service without knowing of each
+    other; their domains must be disjoint (controllers with identical
+    domains share one view). @raise Invalid_argument if [domain]
+    partially overlaps a domain already registered on [discovery].
 
     With [probe], topology comes from in-band {!Probe_discovery} instead
     of the oracle service: the controller feeds it every packet it
