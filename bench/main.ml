@@ -706,15 +706,13 @@ let chaos_storm_row () =
    One run, not best-of-N: VmHWM is a process-wide high-water mark, so
    repeats measure nothing new and these rows must run first (10k before
    100k) for their RSS figures to mean what they say. *)
-let scale_row ~name ~config ?(shards = 1) ?baseline_wall () =
+let scale_row ~name ~config =
   (* Build/run seam ([Scale.prepare]/[execute]): world construction is
      timed into the setup_seconds extra, so wall_seconds — and with it
      events_per_sec and the alloc_per_event gate — covers only the
-     simulation itself. [baseline_wall] (a sequential row's run-phase
-     wall) turns a sharded replay into a speedup record: speedup_pct =
-     100 * baseline / this row's wall, so 100 is parity. *)
+     simulation itself. *)
   let p, setup_w, _ =
-    time_wall (fun () -> Scenarios.Scale.prepare ~config ~shards ())
+    time_wall (fun () -> Scenarios.Scale.prepare ~config ())
   in
   let o, wall, gc = time_wall (fun () -> Scenarios.Scale.execute p) in
   {
@@ -729,12 +727,8 @@ let scale_row ~name ~config ?(shards = 1) ?baseline_wall () =
     major_words = gc.major_w;
     major_cols = gc.major_cols;
     extras =
-      (("setup_seconds", setup_w)
-      :: (match baseline_wall with
-         | Some b -> [ ("speedup_pct", 100.0 *. b /. wall) ]
-         | None -> []))
-      @ [
-        ("shards", float_of_int o.Scenarios.Scale.shards);
+      [
+        ("setup_seconds", setup_w);
         ("receivers", float_of_int o.Scenarios.Scale.receivers);
         ("domains", float_of_int o.Scenarios.Scale.domains);
         ("peak_rss_kb", float_of_int o.Scenarios.Scale.peak_rss_kb);
@@ -785,8 +779,8 @@ let emit_bench_json ~path rows =
         (alloc_per_event r);
       List.iter
         (fun (k, v) ->
-          (* Counters are integral; the timing/ratio extras
-             (setup_seconds, speedup_pct) need their fraction. *)
+          (* Counters are integral; timing extras (setup_seconds)
+             need their fraction. *)
           if Float.is_integer v then Printf.bprintf buf ", \"%s\": %.0f" k v
           else Printf.bprintf buf ", \"%s\": %.3f" k v)
         r.extras;
@@ -912,30 +906,12 @@ let run_trajectory () =
     let r10k =
       scale_row ~name:"scale-10k"
         ~config:(with_duration Scenarios.Scale.config_10k d10)
-        ()
     in
     let r100k =
       scale_row ~name:"scale-100k"
         ~config:(with_duration Scenarios.Scale.config_100k d100)
-        ()
     in
-    (* Sharded replays of the 100k row: the same world partitioned under
-       Engine.Shard's conservative runner, with speedup_pct against the
-       sequential row just measured. On a single-core host the domains
-       time-slice, so speedup_pct reads as parallel overhead (< 100);
-       genuine speedup needs cores >= shards. Their peak_rss_kb extras
-       are process high-water marks already raised by the runs above —
-       only the 10k row's RSS means anything as a gate. *)
-    let shard_rows =
-      List.map
-        (fun shards ->
-          scale_row
-            ~name:(Printf.sprintf "scale-100k-shards%d" shards)
-            ~config:(with_duration Scenarios.Scale.config_100k d100)
-            ~shards ~baseline_wall:r100k.wall_s ())
-        [ 2; 4; 8 ]
-    in
-    [ r10k; r100k ] @ shard_rows
+    [ r10k; r100k ]
   in
   let rows =
     scale_rows

@@ -16,9 +16,20 @@ open Cmdliner
 
 (* ---------- shared options ---------- *)
 
+(* Sizes and durations come from the command line, so a non-positive one
+   is a usage error naming the flag, not a crash inside a builder. *)
+let pos_int_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let duration_term =
   let doc = "Simulated duration in seconds." in
-  Arg.(value & opt int 1200 & info [ "duration" ] ~docv:"SECONDS" ~doc)
+  Arg.(
+    value & opt pos_int_conv 1200 & info [ "duration" ] ~docv:"SECONDS" ~doc)
 
 let seed_term =
   let doc = "PRNG seed; runs are deterministic per seed." in
@@ -62,7 +73,10 @@ let scheme_term =
     & info [ "scheme" ] ~docv:"SCHEME" ~doc)
 
 let sizes_term ~default ~name ~doc =
-  Arg.(value & opt (list int) default & info [ name ] ~docv:"N,N,..." ~doc)
+  Arg.(
+    value
+    & opt (list pos_int_conv) default
+    & info [ name ] ~docv:"N,N,..." ~doc)
 
 (* Every subcommand accepts --scheduler: the backends dispatch in the
    same order, so results are identical and the flag only trades wall
@@ -205,8 +219,11 @@ let fig10_cmd =
       ret
         (const run $ duration_term $ seed_term $ scheduler_term $ jobs_term
         $ runs_term
-        $ sizes_term ~default:[ 2; 6; 10; 14; 18 ] ~name:"staleness"
-            ~doc:"Staleness values in seconds."
+        $ Arg.(
+            value
+            & opt (list int) [ 2; 6; 10; 14; 18 ]
+            & info [ "staleness" ] ~docv:"S,S,..."
+                ~doc:"Staleness values in seconds.")
         $ sizes_term ~default:[ 1; 2; 4 ] ~name:"sizes"
             ~doc:"Receivers per set."))
 
@@ -810,16 +827,9 @@ let chaos_cmd =
              storm) overriding --world/--faults/--storm; still honours \
              --seed and --scheduler.")
   in
-  let run seed scheduler world faults storm smoke shards =
+  let run seed scheduler world faults storm smoke =
     if faults < 0 then `Error (true, "--faults must be >= 0")
     else if storm < 20.0 then `Error (true, "--storm must be >= 20")
-    else if shards > 1 then
-      `Error
-        ( false,
-          "chaos: --shards > 1 is not supported — fault injection mutates \
-           the topology, and sharded runs rely on static region boundaries \
-           and routing (see DESIGN.md, Sharded simulation)" )
-    else if shards < 1 then `Error (true, "--shards must be >= 1")
     else begin
       set_scheduler scheduler;
       let world, faults, storm =
@@ -863,26 +873,17 @@ let chaos_cmd =
     Term.(
       ret
         (const run $ seed_term $ scheduler_term $ world_term $ faults_term
-       $ storm_term $ smoke_term
-       $ Arg.(
-           value & opt int 1
-           & info [ "shards" ] ~docv:"N"
-               ~doc:
-                 "Accepted for CLI symmetry with $(b,scale); only 1 is \
-                  valid — chaos faults mutate the topology, which sharded \
-                  runs forbid.")))
+       $ storm_term $ smoke_term))
 
 let scale_cmd =
-  let run seed scheduler receivers duration shards =
+  let run seed scheduler receivers duration =
     set_scheduler scheduler;
     match
-      if shards < 1 then Error "--shards must be >= 1"
-      else
-        match receivers with
-        | 10_000 -> Ok Scenarios.Scale.config_10k
-        | 100_000 -> Ok Scenarios.Scale.config_100k
-        | 1_000_000 -> Ok Scenarios.Scale.config_1m
-        | _ -> Error "supported --receivers values: 10000, 100000, 1000000"
+      match receivers with
+      | 10_000 -> Ok Scenarios.Scale.config_10k
+      | 100_000 -> Ok Scenarios.Scale.config_100k
+      | 1_000_000 -> Ok Scenarios.Scale.config_1m
+      | _ -> Error "supported --receivers values: 10000, 100000, 1000000"
     with
     | Error msg -> `Error (false, msg)
     | Ok base ->
@@ -892,7 +893,7 @@ let scale_cmd =
           | None -> config
           | Some s -> { config with Scenarios.Scale.duration = Time.of_sec s }
         in
-        let o = Scenarios.Scale.run ~config ~shards () in
+        let o = Scenarios.Scale.run ~config () in
         Format.printf "%a@." Scenarios.Scale.pp o;
         `Ok ()
   in
@@ -905,19 +906,9 @@ let scale_cmd =
   let duration =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some pos_int_conv) None
       & info [ "duration" ] ~docv:"SECONDS"
           ~doc:"Simulated seconds (default: the preset's).")
-  in
-  let shards =
-    Arg.(
-      value & opt int 1
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Partition the run into N regions executed by N domains under \
-             conservative barrier epochs (1 = sequential, the default). \
-             Aggregated protocol counters are identical to the sequential \
-             run.")
   in
   Cmd.v
     (Cmd.info "scale"
@@ -927,7 +918,7 @@ let scale_cmd =
           O(domains) parent. Prints state counters, events/s and peak RSS.")
     Term.(
       ret
-        (const run $ seed_term $ scheduler_term $ receivers $ duration $ shards))
+        (const run $ seed_term $ scheduler_term $ receivers $ duration))
 
 let () =
   let info =

@@ -385,11 +385,6 @@ let run_until t horizon =
      | Q_calendar (q, dummy) -> run_until_calendar t q dummy horizon);
   t.clock <- Time.max t.clock horizon
 
-(* Earliest pending timestamp, tombstones included: a cancelled event at
-   the root yields a bound that is merely conservative (too early), which
-   is exactly what the shard runner's horizon computation needs. *)
-let next_at t = if q_is_empty t then None else Some (q_peek_exn t).at
-
 let pending t = q_length t
 
 let live_pending t = q_length t - t.cancelled_pending

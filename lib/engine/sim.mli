@@ -16,9 +16,7 @@
     in this project are bound by event dispatch, not by per-event
     computation, and determinism is a hard requirement for the
     experiments. Parallelism lives one level up — {!Scenarios.Sweep}
-    fans whole independent simulations across domains, and
-    {!Engine.Shard} runs one partitioned simulation as a set of
-    per-region simulators synchronized by conservative barrier epochs. *)
+    fans whole independent simulations across domains. *)
 
 type t
 
@@ -108,12 +106,6 @@ val batch_runs : t -> bool
 val step : t -> bool
 (** Dispatch the single next event. Returns [false] when the queue is
     empty. *)
-
-val next_at : t -> Time.t option
-(** Timestamp of the earliest queued event, or [None] on an empty queue.
-    Cancelled tombstones are included, so the answer can be earlier than
-    the next event that will actually fire — a conservative bound, which
-    is what the shard runner's lookahead horizon needs. *)
 
 val pending : t -> int
 (** Number of events still queued, {e including} cancelled tombstones

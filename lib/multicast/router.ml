@@ -24,28 +24,6 @@ type tree = {
   mutable edge_count : int;
 }
 
-(* Shard seam (conservative parallel runs): when a graft or prune hop
-   lands on a node this region does not own, the parent-side mutation is
-   posted to the owning region instead of applied here, and a local
-   mirror keeps this replica's recorded tree consistent for snapshots.
-   [delay] is the hop's propagation delay — on a boundary link it is at
-   least the shard lookahead, which is what makes the post admissible. *)
-type bridge = {
-  owns : Addr.node_id -> bool;
-  post_graft :
-    parent:Addr.node_id ->
-    child:Addr.node_id ->
-    group:Addr.group_id ->
-    delay:Time.span ->
-    unit;
-  post_prune :
-    parent:Addr.node_id ->
-    child:Addr.node_id ->
-    group:Addr.group_id ->
-    delay:Time.span ->
-    unit;
-}
-
 type t = {
   network : Network.t;
   arena : Net.Packet.arena;
@@ -85,7 +63,6 @@ type t = {
   (* Local memberships wiped by a node crash, remembered so recovery can
      re-issue the RPF joins that rebuild the node's group state. *)
   crashed_locals : (Addr.node_id, Addr.group_id list) Hashtbl.t;
-  mutable bridge : bridge option;  (* shard seam; None in sequential runs *)
 }
 
 let link_key a b = if a < b then (a, b) else (b, a)
@@ -283,46 +260,32 @@ let rec graft t ~node ~group =
   if node <> src then
     match rpf_parent t ~node ~src with
     | None -> () (* partitioned; the repair pass after reconnection retries *)
-    | Some parent -> (
-        let delay = hop_delay t ~node ~parent in
-        match t.bridge with
-        | Some b when not (b.owns parent) ->
-            (* The hop crosses a shard boundary: the parent's region
-               applies the real mutation (and continues the recursion
-               toward the source there); this replica mirrors the edge
-               so its tree snapshots stay whole. Sharded topologies are
-               static, so the sequential closure's RPF revalidation is
-               vacuous and the mirror can skip it. *)
-            b.post_graft ~parent ~child:node ~group ~delay;
-            ignore
-              (Sim.schedule_after (Network.sim t.network) delay (fun () ->
-                   mirror_graft t ~parent ~node ~group))
-        | _ ->
-            ignore
-              (Sim.schedule_after (Network.sim t.network) delay (fun () ->
-                   if rpf_parent t ~node ~src <> Some parent then begin
-                     let st = state t node group in
-                     if
-                       st.on_tree
-                       && (st.local || not (Bitset.is_empty st.oifs))
-                     then graft t ~node ~group
-                   end
-                   else begin
-                     detach_other_parents t ~group ~node ~keep:parent;
-                     let pst = state t parent group in
-                     let oif =
-                       Network.iface_to t.network ~node:parent ~neighbor:node
-                     in
-                     if not (Bitset.mem pst.oifs oif) then begin
-                       Bitset.add pst.oifs oif;
-                       add_edge t ~group ~parent ~child:node
-                     end;
-                     if not pst.on_tree then begin
-                       pst.on_tree <- true;
-                       if parent <> src then detached_add t ~group ~node:parent;
-                       graft t ~node:parent ~group
-                     end
-                   end)))
+    | Some parent ->
+        ignore
+          (Sim.schedule_after (Network.sim t.network)
+             (hop_delay t ~node ~parent)
+             (fun () ->
+               if rpf_parent t ~node ~src <> Some parent then begin
+                 let st = state t node group in
+                 if st.on_tree && (st.local || not (Bitset.is_empty st.oifs))
+                 then graft t ~node ~group
+               end
+               else begin
+                 detach_other_parents t ~group ~node ~keep:parent;
+                 let pst = state t parent group in
+                 let oif =
+                   Network.iface_to t.network ~node:parent ~neighbor:node
+                 in
+                 if not (Bitset.mem pst.oifs oif) then begin
+                   Bitset.add pst.oifs oif;
+                   add_edge t ~group ~parent ~child:node
+                 end;
+                 if not pst.on_tree then begin
+                   pst.on_tree <- true;
+                   if parent <> src then detached_add t ~group ~node:parent;
+                   graft t ~node:parent ~group
+                 end
+               end))
 
 (* Prune upward: a node with no local member and no downstream interest
    leaves the tree and tells its parent after one hop delay. *)
@@ -335,28 +298,20 @@ and maybe_prune t ~node ~group =
     detached_remove t ~group ~node;
     match rpf_parent t ~node ~src with
     | None -> () (* detached by a partition; repair already cut the edge *)
-    | Some parent -> (
-        let delay = hop_delay t ~node ~parent in
-        match t.bridge with
-        | Some b when not (b.owns parent) ->
-            (* Boundary hop: the owning region runs the real prune (and
-               its upward recursion); mirror the edge removal here. *)
-            b.post_prune ~parent ~child:node ~group ~delay;
-            ignore
-              (Sim.schedule_after (Network.sim t.network) delay (fun () ->
-                   mirror_prune t ~parent ~node ~group))
-        | _ ->
-            ignore
-              (Sim.schedule_after (Network.sim t.network) delay (fun () ->
-                   let pst = state t parent group in
-                   let oif =
-                     Network.iface_to t.network ~node:parent ~neighbor:node
-                   in
-                   if Bitset.mem pst.oifs oif then begin
-                     Bitset.remove pst.oifs oif;
-                     remove_edge t ~group ~parent ~child:node
-                   end;
-                   maybe_prune t ~node:parent ~group)))
+    | Some parent ->
+        ignore
+          (Sim.schedule_after (Network.sim t.network)
+             (hop_delay t ~node ~parent)
+             (fun () ->
+               let pst = state t parent group in
+               let oif =
+                 Network.iface_to t.network ~node:parent ~neighbor:node
+               in
+               if Bitset.mem pst.oifs oif then begin
+                 Bitset.remove pst.oifs oif;
+                 remove_edge t ~group ~parent ~child:node
+               end;
+               maybe_prune t ~node:parent ~group))
   end
 
 (* Detach [node] from any recorded parent other than [keep]: a reroute can
@@ -364,31 +319,6 @@ and maybe_prune t ~node ~group =
    new one. Never fires while routing is static. O(recorded parents of
    [node]) — the child-indexed tree makes this a local lookup instead of
    a scan of every edge in the group. *)
-(* This replica's half of a boundary graft hop, at the hop's landing
-   time: record the edge and the unowned parent's interface bit so local
-   tree snapshots (Discovery captures, [tree_edges]) include the stub's
-   single ingress edge. No recursion — the owning region grafts the
-   parent onward. *)
-and mirror_graft t ~parent ~node ~group =
-  detach_other_parents t ~group ~node ~keep:parent;
-  let pst = state t parent group in
-  let oif = Network.iface_to t.network ~node:parent ~neighbor:node in
-  if not (Bitset.mem pst.oifs oif) then begin
-    Bitset.add pst.oifs oif;
-    add_edge t ~group ~parent ~child:node
-  end;
-  pst.on_tree <- true
-
-(* Likewise for a boundary prune: drop the mirrored edge, leave the
-   parent's own prune decision to its region. *)
-and mirror_prune t ~parent ~node ~group =
-  let pst = state t parent group in
-  let oif = Network.iface_to t.network ~node:parent ~neighbor:node in
-  if Bitset.mem pst.oifs oif then begin
-    Bitset.remove pst.oifs oif;
-    remove_edge t ~group ~parent ~child:node
-  end
-
 and detach_other_parents t ~group ~node ~keep =
   match Hashtbl.find_opt t.edges_by_group group with
   | None -> ()
@@ -405,42 +335,6 @@ and detach_other_parents t ~group ~node ~keep =
               remove_edge t ~group ~parent:p ~child:node;
               maybe_prune t ~node:p ~group)
             others)
-
-let set_shard_bridge t ~owns ~post_graft ~post_prune =
-  t.bridge <- Some { owns; post_graft; post_prune }
-
-(* The owning region's half of a boundary graft hop, called at the hop's
-   stamped landing time: the body of the sequential landing closure,
-   minus the RPF revalidation (sharded topologies are static) — set the
-   parent's interface bit, record the edge, and continue the recursion
-   toward the source if the parent just came on-tree. Idempotent, so a
-   re-graft after a prune replays cleanly. *)
-let admit_graft t ~parent ~child ~group =
-  let src = source t ~group in
-  detach_other_parents t ~group ~node:child ~keep:parent;
-  let pst = state t parent group in
-  let oif = Network.iface_to t.network ~node:parent ~neighbor:child in
-  if not (Bitset.mem pst.oifs oif) then begin
-    Bitset.add pst.oifs oif;
-    add_edge t ~group ~parent ~child
-  end;
-  if not pst.on_tree then begin
-    pst.on_tree <- true;
-    if parent <> src then detached_add t ~group ~node:parent;
-    graft t ~node:parent ~group
-  end
-
-(* The owning region's half of a boundary prune hop: the sequential
-   landing closure verbatim — drop the child's interface and edge, then
-   let the parent reconsider its own membership. *)
-let admit_prune t ~parent ~child ~group =
-  let pst = state t parent group in
-  let oif = Network.iface_to t.network ~node:parent ~neighbor:child in
-  if Bitset.mem pst.oifs oif then begin
-    Bitset.remove pst.oifs oif;
-    remove_edge t ~group ~parent ~child
-  end;
-  maybe_prune t ~node:parent ~group
 
 (* Recorded edges as a sorted (parent, child) snapshot — iteration order
    of the former pair-set, safe to iterate while edges are removed. *)
@@ -604,7 +498,6 @@ let create ~network ?(leave_latency = Time.span_of_sec 1)
       repair_passes = 0;
       edges_repaired = 0;
       crashed_locals = Hashtbl.create 8;
-      bridge = None;
     }
   in
   for n = 0 to Network.node_count network - 1 do

@@ -120,59 +120,3 @@ val repair_passes : t -> int
 
 val edges_repaired : t -> int
 (** Tree edges cut by repair passes since creation. *)
-
-(** {1 Shard bridge} — conservative parallel simulation support.
-
-    In a sharded run ({!Engine.Shard}), every region runs its own router
-    replica over the shared (static) topology; graft and prune hops that
-    land on a node another region owns must mutate {e that} region's
-    state. The bridge reroutes exactly those hops: the posting side
-    buffers a message carrying the hop's propagation delay (at least the
-    shard lookahead on a boundary link) and mirrors the recorded edge
-    locally so its tree snapshots stay whole; the owning side applies
-    the real mutation via {!admit_graft}/{!admit_prune} at the stamped
-    landing time. Requires a static topology — the fault layer must not
-    be driven over a bridged router. *)
-
-val set_shard_bridge :
-  t ->
-  owns:(Net.Addr.node_id -> bool) ->
-  post_graft:
-    (parent:Net.Addr.node_id ->
-    child:Net.Addr.node_id ->
-    group:Net.Addr.group_id ->
-    delay:Engine.Time.span ->
-    unit) ->
-  post_prune:
-    (parent:Net.Addr.node_id ->
-    child:Net.Addr.node_id ->
-    group:Net.Addr.group_id ->
-    delay:Engine.Time.span ->
-    unit) ->
-  unit
-(** Installs the bridge on this region's replica. [owns] must agree with
-    the ownership predicate given to {!Net.Network.set_shard_boundary};
-    the post callbacks run during this region's simulation and must only
-    buffer (the shard runner carries them across). *)
-
-val admit_graft :
-  t ->
-  parent:Net.Addr.node_id ->
-  child:Net.Addr.node_id ->
-  group:Net.Addr.group_id ->
-  unit
-(** Apply a graft hop posted by [child]'s region: set [parent]'s
-    interface toward [child], record the edge, and continue grafting
-    toward the source if [parent] just came on-tree. Call in the region
-    owning [parent], at the hop's stamped landing time. Idempotent. *)
-
-val admit_prune :
-  t ->
-  parent:Net.Addr.node_id ->
-  child:Net.Addr.node_id ->
-  group:Net.Addr.group_id ->
-  unit
-(** Apply a prune hop posted by [child]'s region: drop [parent]'s
-    interface toward [child] and let [parent] reconsider its own
-    membership (recursing upward as needed). Same calling contract as
-    {!admit_graft}. *)

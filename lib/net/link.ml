@@ -31,10 +31,6 @@ type t = {
   prop_delay : Time.span;
   queue : Queue_discipline.t;
   mutable deliver : Packet.t -> unit;
-  (* A boundary link between shard regions: instead of a local
-     propagation leg, the serialized packet is flattened and posted to
-     the destination region, stamped with its arrival time. *)
-  mutable remote : (at:Time.t -> Packet.flat -> unit) option;
   mutable busy : bool;
   mutable up : bool;
   (* Bumped on every failure; in-flight cells hold the epoch at which
@@ -64,7 +60,6 @@ let create ~sim ~arena ~src ~dst ~bandwidth_bps ~prop_delay ~queue =
     prop_delay;
     queue;
     deliver = no_deliver;
-    remote = None;
     busy = false;
     up = true;
     epoch = 0;
@@ -78,7 +73,6 @@ let create ~sim ~arena ~src ~dst ~bandwidth_bps ~prop_delay ~queue =
   }
 
 let set_deliver t f = t.deliver <- f
-let set_remote t f = t.remote <- Some f
 
 let serialization_span t ~size =
   if size <> t.ser_size then begin
@@ -128,25 +122,12 @@ and fire t c =
       else begin
         t.tx_packets <- t.tx_packets + 1;
         t.tx_bytes <- t.tx_bytes + Packet.size t.arena c.pkt;
-        (match t.remote with
-        | Some post ->
-            (* Boundary link: no local propagation leg. The flattened
-               packet travels to the destination region stamped with the
-               same arrival instant the local leg would have produced,
-               and the cell goes straight back to the pool. *)
-            let pkt = c.pkt in
-            post ~at:(Time.add (Sim.now t.sim) t.prop_delay)
-              (Packet.flatten t.arena pkt);
-            Packet.free t.arena pkt;
-            release t c
-        | None ->
-            (* Same cell, same timer: the serialization leg becomes the
-               propagation leg in place. The arm precedes the poll so the
-               arrival keeps a lower [seq] than the next packet's
-               serialization, exactly as the closure pipeline
-               scheduled. *)
-            c.stage <- Prop;
-            Sim.arm_after t.sim c.tmr t.prop_delay);
+        (* Same cell, same timer: the serialization leg becomes the
+           propagation leg in place. The arm precedes the poll so the
+           arrival keeps a lower [seq] than the next packet's
+           serialization, exactly as the closure pipeline scheduled. *)
+        c.stage <- Prop;
+        Sim.arm_after t.sim c.tmr t.prop_delay;
         let next = Queue_discipline.poll t.queue in
         if next <> Packet.none then transmit t next else t.busy <- false
       end

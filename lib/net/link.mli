@@ -26,15 +26,6 @@ val set_deliver : t -> (Packet.t -> unit) -> unit
     the first {!send}. The callback takes ownership of the packet
     handle. *)
 
-val set_remote : t -> (at:Engine.Time.t -> Packet.flat -> unit) -> unit
-(** Marks this link as a shard-boundary link: once serialization
-    completes, the packet is flattened ({!Packet.flatten}), posted to
-    the callback stamped with its arrival time (serialization end +
-    propagation delay), and freed locally — the propagation leg runs in
-    the destination region instead ({!Network.admit_remote}). Queueing,
-    serialization and the tx counters still happen here, so the wire
-    timing is identical to a local link. *)
-
 val send : t -> Packet.t -> unit
 (** Offer a packet to the link; consumes the handle on every path.
     Silently dropped (freed and counted) when the queue is full, or

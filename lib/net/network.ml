@@ -271,32 +271,3 @@ let send_on_iface t ~node ~iface pkt =
 let link_on_iface t ~node ~iface = t.nodes.(node).out_links.(iface)
 
 let packets_created t = t.next_packet_id
-
-(* ---------- shard-boundary wiring (Engine.Shard regions) ---------- *)
-
-(* Every link whose transmit end this region owns and whose far end it
-   does not becomes a boundary link: serialization and queueing stay
-   here (identical wire timing), but the arrival is posted to the
-   destination region instead of delivered locally. Links transmitting
-   from unowned nodes are left untouched — no actor of this region ever
-   originates or forwards there, so they carry no traffic. *)
-let set_shard_boundary t ~owns ~post =
-  Array.iteri
-    (fun src nd ->
-      if owns src then
-        Array.iteri
-          (fun i link ->
-            let dst = nd.neighbors.(i) in
-            if not (owns dst) then
-              Link.set_remote link (fun ~at flat -> post ~src ~dst ~at flat))
-          nd.out_links)
-    t.nodes
-
-(* The receiving half: re-allocate the flattened packet in this region's
-   arena and run the same arrival path the local propagation leg would
-   have — [handle] at the far node, coming in on its interface to the
-   boundary link's transmit end. Must be called at the packet's stamped
-   arrival time (the shard runner's deterministic admission does). *)
-let admit_remote t ~src ~dst flat =
-  let pkt = Packet.unflatten t.arena flat in
-  handle t ~node:dst ~in_iface:(Some (iface_to t ~node:dst ~neighbor:src)) pkt

@@ -143,31 +143,3 @@ val link_on_iface : t -> node:Addr.node_id -> iface:int -> Link.t
 (** The outgoing simplex link on an interface (for tests and metrics). *)
 
 val packets_created : t -> int
-
-(** {1 Shard boundaries} — conservative parallel simulation support.
-
-    In a sharded run ({!Engine.Shard}), every region instantiates its own
-    network over the shared topology but only runs actors at the nodes it
-    owns. The two calls below wire the seam between regions. *)
-
-val set_shard_boundary :
-  t ->
-  owns:(Addr.node_id -> bool) ->
-  post:
-    (src:Addr.node_id ->
-    dst:Addr.node_id ->
-    at:Engine.Time.t ->
-    Packet.flat ->
-    unit) ->
-  unit
-(** Turns every link from an owned node to an unowned one into a
-    boundary link ({!Link.set_remote}): the serialized packet is
-    flattened and handed to [post] stamped with its arrival time, to be
-    carried to the destination region. [post] runs inside this region's
-    domain during its simulation — it must only buffer. *)
-
-val admit_remote : t -> src:Addr.node_id -> dst:Addr.node_id -> Packet.flat -> unit
-(** Deliver a packet posted by another region's boundary link: allocates
-    it in this arena and runs the normal arrival path at [dst] (in-iface
-    = the interface to [src]). Call exactly at the stamped arrival
-    time. *)

@@ -202,54 +202,6 @@ let payload a h =
     Data { session = a.p0.(s); layer = a.p1.(s); seq = a.p2.(s) }
   else a.boxed.(s)
 
-(* Cross-arena marshalling: a [flat] copies every per-packet field out
-   of the arena by value, so a boundary link can hand the packet to
-   another region's arena without sharing slots (the handle is
-   re-allocated on the receiving side). Boxed payloads are immutable
-   variants, safe to share across domains. *)
-type flat = {
-  f_id : int;
-  f_src : int;
-  f_dst : int;  (* packed dst: kind in the low bit, as in [dsts] *)
-  f_size : int;
-  f_sent_at : Engine.Time.t;
-  f_tag : int;
-  f_p0 : int;
-  f_p1 : int;
-  f_p2 : int;
-  f_boxed : payload;
-}
-
-let flatten a h =
-  check a h "flatten";
-  let s = slot h in
-  {
-    f_id = a.ids.(s);
-    f_src = a.srcs.(s);
-    f_dst = a.dsts.(s);
-    f_size = a.sizes.(s);
-    f_sent_at = a.sent_ats.(s);
-    f_tag = a.tag.(s);
-    f_p0 = a.p0.(s);
-    f_p1 = a.p1.(s);
-    f_p2 = a.p2.(s);
-    f_boxed = a.boxed.(s);
-  }
-
-let unflatten a f =
-  let s = alloc_slot a in
-  a.tag.(s) <- f.f_tag;
-  a.ids.(s) <- f.f_id;
-  a.srcs.(s) <- f.f_src;
-  a.dsts.(s) <- f.f_dst;
-  a.sizes.(s) <- f.f_size;
-  a.sent_ats.(s) <- f.f_sent_at;
-  a.p0.(s) <- f.f_p0;
-  a.p1.(s) <- f.f_p1;
-  a.p2.(s) <- f.f_p2;
-  a.boxed.(s) <- f.f_boxed;
-  handle_of a s
-
 let data_size = 1000
 
 let pp a ppf h =

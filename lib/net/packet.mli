@@ -111,20 +111,6 @@ val payload : arena -> t -> payload
     reconstructed [Data] record for media packets (allocates — hot
     paths must branch on {!is_data} first). *)
 
-type flat
-(** A packet's fields copied out of its arena by value — the wire format
-    of a boundary link between shard regions. Contains no slot or
-    generation, so it stays valid after the source handle is freed and
-    can be carried to another domain (boxed payloads are immutable). *)
-
-val flatten : arena -> t -> flat
-(** Copy a live packet's fields out by value (the handle stays live;
-    free it separately). Raises [Invalid_argument] on a stale handle. *)
-
-val unflatten : arena -> flat -> t
-(** Re-allocate the flattened packet in (another) arena, preserving the
-    wire identity ([id], [src], [dst], payload) under a fresh handle. *)
-
 val data_size : int
 (** Size of a media packet in bytes (paper Section IV: 1000). *)
 

@@ -45,7 +45,6 @@ type outcome = {
   links : int;
   receivers : int;
   domains : int;
-  shards : int;  (** regions the run was partitioned into; 1 = sequential *)
   active_agents : int;
   events_dispatched : int;
   events_per_sec : float;  (** dispatched / [run_cpu_s] *)
@@ -62,20 +61,13 @@ type outcome = {
       (** per-receiver entries across all leaf controllers *)
 }
 
-val run : ?config:config -> ?shards:int -> unit -> outcome
-(** [shards = 1] (the default) is the plain sequential scenario.
-    [shards >= 2] partitions the run with {!Engine.Shard}: region 0 is
-    the transit core (source, transit ring, federation parent); stub
-    domain [d] lives whole in region [1 + d mod (shards-1)], each region
-    a full replica of the world running only its own actors, with
-    boundary packets and graft/prune hops carried across under the
-    conservative lookahead (the minimum stub-uplink propagation delay).
-    Aggregated counters (reports, suggestions, summaries, state-table
-    sizes) are deterministic and equal to the sequential run's;
-    [events_dispatched] is higher — each region dispatches its own
-    discovery captures and tree bookkeeping.
-    @raise Invalid_argument on inconsistent active knobs or
-    [shards - 1] exceeding the stub-domain count.
+val run : ?config:config -> unit -> outcome
+(** Build the world for [config] (default {!config_10k}) and simulate it
+    to [config.duration]: [execute (prepare ~config ())]. Deterministic
+    for a given config — every outcome field except the timing and RSS
+    readings ([build_cpu_s], [run_cpu_s], [events_per_sec],
+    [peak_rss_kb]) is a function of the config alone.
+    @raise Invalid_argument on inconsistent active knobs.
     @raise Failure if materialized routing columns exceed the
     config-derived bound (a lazy-routing regression). *)
 
@@ -83,15 +75,14 @@ type prepared
 (** A fully constructed world, ready to simulate — the build/run seam,
     so the bench can time setup separately from the simulation. *)
 
-val prepare : ?config:config -> ?shards:int -> unit -> prepared
+val prepare : ?config:config -> unit -> prepared
 (** World and population construction only: everything up to (not
-    including) the event loop. Same validation and raises as {!run}. *)
+    including) the event loop. @raise Invalid_argument as {!run} does. *)
 
 val execute : prepared -> outcome
 (** Run the prepared world to its configured duration. Single-shot: a
-    [prepared] world is consumed by its first execution. *)
-
-val shards_of_prepared : prepared -> int
+    [prepared] world is consumed by its first execution.
+    @raise Failure as {!run} does, on the column bound. *)
 
 val peak_rss_kb : unit -> int
 (** This process's high-water RSS in kB (VmHWM), 0 off-Linux. *)

@@ -876,95 +876,6 @@ let prop_sim_events_in_time_order =
       List.length f = List.length times
       && List.for_all2 ( = ) f (List.stable_sort Int.compare times))
 
-(* ---------- Shard ---------- *)
-
-(* Three regions under the conservative runner, passing a tick around a
-   ring every 10 ms stamped one lookahead ahead. Pins the whole
-   contract at the API level: every message arrives at its stamped
-   instant, reception order is the deterministic (time, origin, seq)
-   merge order, all clocks end at the horizon, and the run takes
-   multiple barrier epochs. Each log is written only by its own
-   region's domain; Domain.join in [run] publishes them to the test. *)
-let test_shard_ring () =
-  let run_once () =
-    let look = Time.span_of_ms 20 in
-    let sh = Engine.Shard.create ~regions:3 ~lookahead:look in
-    let sims = Array.init 3 (fun _ -> Sim.create ()) in
-    let logs = Array.make 3 [] in
-    Array.iteri
-      (fun r sim ->
-        ignore
-          (Sim.every sim ~period:(Time.span_of_ms 10) (fun () ->
-               let now = Sim.now sim in
-               if Time.to_ns now <= Time.to_ns (Time.of_ms 50) then
-                 Engine.Shard.post sh ~src:r
-                   ~dst:((r + 1) mod 3)
-                   ~at:(Time.add now look)
-                   (r, Time.to_ns now))))
-      sims;
-    Engine.Shard.run sh ~sims
-      ~deliver:(fun w ~at (origin, sent_ns) ->
-        ignore
-          (Sim.schedule_at sims.(w) at (fun () ->
-               logs.(w) <-
-                 (Time.to_ns (Sim.now sims.(w)), origin, sent_ns) :: logs.(w))))
-      ~until:(Time.of_ms 200);
-    (Array.map List.rev logs, Engine.Shard.epochs sh, Array.map Sim.now sims)
-  in
-  let logs, epochs, clocks = run_once () in
-  Array.iteri
-    (fun w log ->
-      let origin = (w + 2) mod 3 in
-      (* Ticks at 10..50 ms, each landing one lookahead later. *)
-      check
-        Alcotest.(list (triple int int int))
-        (Printf.sprintf "region %d receives its ring ticks" w)
-        (List.map
-           (fun ms ->
-             ( Time.to_ns (Time.of_ms (ms + 20)),
-               origin,
-               Time.to_ns (Time.of_ms ms) ))
-           [ 10; 20; 30; 40; 50 ])
-        log)
-    logs;
-  checkb (Printf.sprintf "multiple epochs (%d)" epochs) true (epochs > 1);
-  Array.iter
-    (fun now -> checki "clock at until" (Time.to_ns (Time.of_ms 200)) (Time.to_ns now))
-    clocks;
-  (* Determinism: an identical second run reproduces everything. *)
-  let logs2, epochs2, _ = run_once () in
-  checkb "deterministic logs" true (logs = logs2);
-  checki "deterministic epochs" epochs epochs2
-
-let test_shard_validation () =
-  (match Engine.Shard.create ~regions:0 ~lookahead:(Time.span_of_ms 1) with
-  | _ -> Alcotest.fail "regions=0 must be rejected"
-  | exception Invalid_argument _ -> ());
-  (match Engine.Shard.create ~regions:2 ~lookahead:(Time.span_of_ms 0) with
-  | _ -> Alcotest.fail "zero lookahead must be rejected"
-  | exception Invalid_argument _ -> ());
-  let sh = Engine.Shard.create ~regions:2 ~lookahead:(Time.span_of_ms 1) in
-  match Engine.Shard.post sh ~src:1 ~dst:1 ~at:(Time.of_ms 5) () with
-  | _ -> Alcotest.fail "self-post must be rejected"
-  | exception Invalid_argument _ -> ()
-
-(* An exception in one region's event stops the whole run and surfaces
-   in the caller, instead of deadlocking the barrier. *)
-let test_shard_failure_propagates () =
-  let sh : unit Engine.Shard.t =
-    Engine.Shard.create ~regions:2 ~lookahead:(Time.span_of_ms 1)
-  in
-  let sims = Array.init 2 (fun _ -> Sim.create ()) in
-  ignore
-    (Sim.schedule_at sims.(1) (Time.of_ms 7) (fun () -> failwith "region 1 died"));
-  match
-    Engine.Shard.run sh ~sims
-      ~deliver:(fun _ ~at:_ () -> ())
-      ~until:(Time.of_ms 100)
-  with
-  | () -> Alcotest.fail "expected the region's failure to re-raise"
-  | exception Failure msg -> Alcotest.(check string) "message" "region 1 died" msg
-
 (* ---------- Stats ---------- *)
 
 let test_stats_basic () =
@@ -1118,14 +1029,6 @@ let () =
           prop_batching_invisible;
           prop_timers_equivalent;
         ];
-      ( "shard",
-        [
-          Alcotest.test_case "ring merge order + determinism" `Quick
-            test_shard_ring;
-          Alcotest.test_case "argument validation" `Quick test_shard_validation;
-          Alcotest.test_case "failure propagates" `Quick
-            test_shard_failure_propagates;
-        ] );
       ( "stats",
         [
           Alcotest.test_case "basic" `Quick test_stats_basic;
