@@ -19,10 +19,8 @@ module Figures = Scenarios.Figures
 let full = Sys.getenv_opt "BENCH_FULL" <> None
 let duration = Time.of_sec (if full then 1200 else 600)
 
-(* --scheduler heap|calendar selects the event-queue backend for every
-   simulator the harness creates (TOPOSENSE_SCHEDULER works too; the
-   flag wins). --jobs N / BENCH_JOBS fans the figure sweeps and the
-   trajectory rows across domains, clamped to the machine's cores. *)
+(* --jobs N / BENCH_JOBS fans the figure sweeps and the trajectory rows
+   across domains, clamped to the machine's cores. *)
 let argv_value name =
   let rec find i =
     if i >= Array.length Sys.argv then None
@@ -31,16 +29,6 @@ let argv_value name =
     else find (i + 1)
   in
   find 1
-
-let () =
-  match argv_value "--scheduler" with
-  | None -> ()
-  | Some s -> (
-      match Engine.Event_queue.backend_of_string s with
-      | Some b -> Engine.Event_queue.set_default b
-      | None ->
-          Format.eprintf "unknown --scheduler %S (heap|calendar)@." s;
-          exit 2)
 
 let jobs =
   let requested =
@@ -539,9 +527,9 @@ let fault_partition_row ~sim_s () =
 (* Engine-only: thousands of periodic chains, most cancelled mid-run, on
    top of a standing population of far-future one-shot events that also
    get cancelled — the worst case for event-heap tombstones. *)
-let engine_churn_row ?backend ~name ~sim_s () =
+let engine_churn_row ~name ~sim_s () =
   let run () =
-    let sim = Engine.Sim.create ?backend () in
+    let sim = Engine.Sim.create () in
     let horizon = Time.of_sec_f sim_s in
     let timers =
       Array.init 2_000 (fun i ->
@@ -578,14 +566,7 @@ let engine_churn_row ?backend ~name ~sim_s () =
     minor_words = gc.minor_w;
     major_words = gc.major_w;
     major_cols = gc.major_cols;
-    (* Both 0 on the heap backend; on the calendar they pin the
-       staged-in-scratch resize path — a resize that went back to
-       allocating fresh arrays would show up as words per resize. *)
-    extras =
-      [
-        ("resizes", float_of_int (Engine.Sim.queue_resizes sim));
-        ("recycled", float_of_int (Engine.Sim.queue_recycled sim));
-      ];
+    extras = [];
   }
 
 (* Churn storm at scale (PR 6): sustained link flaps + membership churn
@@ -757,8 +738,6 @@ let emit_bench_json ~path rows =
   Buffer.add_string buf "{\n  \"bench\": \"pr10\",\n";
   Printf.bprintf buf "  \"mode\": \"%s\",\n"
     (if full then "full" else "quick");
-  Printf.bprintf buf "  \"scheduler\": \"%s\",\n"
-    (Engine.Event_queue.backend_to_string (Engine.Event_queue.default ()));
   Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
   Buffer.add_string buf "  \"scenarios\": [\n";
   let n = List.length rows in
@@ -884,12 +863,6 @@ let run_trajectory () =
         fun () ->
           engine_churn_row ~name:"engine-cancel-churn" ~sim_s:(sim_s /. 5.0) ()
       );
-      (* Same workload, calendar backend pinned: the heap/calendar pair in
-         one JSON is the speedup record for this scenario. *)
-      ( "engine-cancel-churn-calendar",
-        fun () ->
-          engine_churn_row ~name:"engine-cancel-churn-calendar"
-            ~backend:Engine.Event_queue.Calendar ~sim_s:(sim_s /. 5.0) () );
     ]
   in
   (* Scale rows run serially, before everything else in this trajectory:

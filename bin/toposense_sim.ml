@@ -78,31 +78,6 @@ let sizes_term ~default ~name ~doc =
     & opt (list pos_int_conv) default
     & info [ name ] ~docv:"N,N,..." ~doc)
 
-(* Every subcommand accepts --scheduler: the backends dispatch in the
-   same order, so results are identical and the flag only trades wall
-   time. It overrides the TOPOSENSE_SCHEDULER environment variable. *)
-let scheduler_term =
-  let backend_conv =
-    Arg.conv
-      ( (fun s ->
-          match Engine.Event_queue.backend_of_string s with
-          | Some b -> Ok b
-          | None -> Error (`Msg "expected heap or calendar")),
-        fun ppf b ->
-          Format.pp_print_string ppf (Engine.Event_queue.backend_to_string b)
-      )
-  in
-  let doc =
-    "Event-queue backend: heap (default) or calendar. Results are \
-     bit-identical either way; only wall time changes."
-  in
-  Arg.(
-    value
-    & opt (some backend_conv) None
-    & info [ "scheduler" ] ~docv:"heap|calendar" ~doc)
-
-let set_scheduler = Option.iter Engine.Event_queue.set_default
-
 (* Figure sweeps fan their independent cells across domains; the count
    is clamped to what the machine can actually run in parallel. *)
 let jobs_term =
@@ -121,8 +96,7 @@ let print_rows pp rows =
 (* ---------- figure commands ---------- *)
 
 let fig6_cmd =
-  let run duration seed scheduler jobs set_sizes =
-    set_scheduler scheduler;
+  let run duration seed jobs set_sizes =
     Figures.fig6 ~duration:(Time.of_sec duration) ~set_sizes
       ~seed:(Int64.of_int seed) ~jobs:(clamp_jobs jobs) ()
     |> print_rows Figures.pp_stability_row
@@ -131,13 +105,12 @@ let fig6_cmd =
     (Cmd.info "fig6" ~doc:"Stability in Topology A (paper Fig. 6).")
     Term.(
       ret
-        (const run $ duration_term $ seed_term $ scheduler_term $ jobs_term
+        (const run $ duration_term $ seed_term $ jobs_term
         $ sizes_term ~default:[ 1; 2; 4; 8; 16 ] ~name:"sizes"
             ~doc:"Receivers per set."))
 
 let fig7_cmd =
-  let run duration seed scheduler jobs session_counts =
-    set_scheduler scheduler;
+  let run duration seed jobs session_counts =
     Figures.fig7 ~duration:(Time.of_sec duration) ~session_counts
       ~seed:(Int64.of_int seed) ~jobs:(clamp_jobs jobs) ()
     |> print_rows Figures.pp_stability_row
@@ -146,7 +119,7 @@ let fig7_cmd =
     (Cmd.info "fig7" ~doc:"Stability in Topology B (paper Fig. 7).")
     Term.(
       ret
-        (const run $ duration_term $ seed_term $ scheduler_term $ jobs_term
+        (const run $ duration_term $ seed_term $ jobs_term
         $ sizes_term ~default:[ 1; 2; 4; 8; 16 ] ~name:"sessions"
             ~doc:"Competing session counts."))
 
@@ -158,8 +131,7 @@ let seeds_of ~seed ~runs =
   List.init (max 1 runs) (fun i -> Int64.of_int (seed + i))
 
 let fig8_cmd =
-  let run duration seed scheduler jobs runs session_counts =
-    set_scheduler scheduler;
+  let run duration seed jobs runs session_counts =
     Figures.fig8 ~duration:(Time.of_sec duration) ~session_counts
       ~seeds:(seeds_of ~seed ~runs) ~jobs:(clamp_jobs jobs) ()
     |> print_rows Figures.pp_fairness_row
@@ -168,14 +140,13 @@ let fig8_cmd =
     (Cmd.info "fig8" ~doc:"Inter-session fairness in Topology B (paper Fig. 8).")
     Term.(
       ret
-        (const run $ duration_term $ seed_term $ scheduler_term $ jobs_term
+        (const run $ duration_term $ seed_term $ jobs_term
         $ runs_term
         $ sizes_term ~default:[ 1; 2; 4; 8; 16 ] ~name:"sessions"
             ~doc:"Competing session counts."))
 
 let fig9_cmd =
-  let run duration seed scheduler lo hi =
-    set_scheduler scheduler;
+  let run duration seed lo hi =
     let series =
       Figures.fig9 ~duration:(Time.of_sec duration)
         ~window:(float_of_int lo, float_of_int hi)
@@ -202,11 +173,10 @@ let fig9_cmd =
        ~doc:
          "Layer subscription and loss history for 4 competing VBR sessions \
           (paper Fig. 9). Gnuplot-friendly: time level loss.")
-    Term.(ret (const run $ duration_term $ seed_term $ scheduler_term $ lo $ hi))
+    Term.(ret (const run $ duration_term $ seed_term $ lo $ hi))
 
 let fig10_cmd =
-  let run duration seed scheduler jobs runs staleness set_sizes =
-    set_scheduler scheduler;
+  let run duration seed jobs runs staleness set_sizes =
     Figures.fig10 ~duration:(Time.of_sec duration)
       ~staleness_seconds:staleness ~set_sizes
       ~seeds:(seeds_of ~seed ~runs) ~jobs:(clamp_jobs jobs) ()
@@ -217,7 +187,7 @@ let fig10_cmd =
        ~doc:"Impact of stale topology information (paper Fig. 10).")
     Term.(
       ret
-        (const run $ duration_term $ seed_term $ scheduler_term $ jobs_term
+        (const run $ duration_term $ seed_term $ jobs_term
         $ runs_term
         $ Arg.(
             value
@@ -264,57 +234,60 @@ let run_cmd =
       value & opt int 0
       & info [ "staleness" ] ~docv:"S" ~doc:"Topology staleness in seconds.")
   in
-  let run duration seed scheduler traffic scheme topology receivers staleness =
-    set_scheduler scheduler;
-    let spec =
-      match topology with
-      | `A -> Scenarios.Builders.topology_a ~receivers_per_set:receivers
-      | `B -> Scenarios.Builders.topology_b ~session_count:receivers
-      | `Fig1 -> Scenarios.Builders.figure1 ()
-    in
-    let params =
-      { Toposense.Params.default with staleness = Time.span_of_sec staleness }
-    in
-    let duration = Time.of_sec duration in
-    let o =
-      Experiment.run ~spec ~traffic ~scheme ~params ~seed:(Int64.of_int seed)
-        ~duration ()
-    in
-    Format.printf
-      "%a on topology %s: %d receivers, %d events, %d reports, %d \
-       suggestions@."
-      Experiment.pp_scheme scheme
-      (match topology with `A -> "A" | `B -> "B" | `Fig1 -> "Fig.1")
-      (List.length o.receivers)
-      o.events_dispatched o.reports_received o.suggestions_sent;
-    List.iter
-      (fun (r : Experiment.receiver_outcome) ->
-        let dev =
-          Metrics.Deviation.relative_deviation ~changes:r.changes
-            ~optimal:r.optimal ~window:(Time.zero, duration)
-        in
-        let st =
-          Metrics.Stability.summarize ~changes:r.changes
-            ~window:(Time.zero, duration)
-        in
-        Format.printf
-          "  session %d receiver n%-3d optimal %d final %d deviation %.3f \
-           changes %d (gap %.0f s)@."
-          r.session r.node r.optimal r.final_level dev st.changes
-          st.mean_gap_s)
-      o.receivers;
-    `Ok ()
+  let run duration seed traffic scheme topology receivers staleness =
+    (* fig1 is a fixed topology that ignores --receivers. *)
+    if receivers < 1 && topology <> `Fig1 then
+      `Error (true, "--receivers must be positive for topologies a and b")
+    else begin
+      let spec =
+        match topology with
+        | `A -> Scenarios.Builders.topology_a ~receivers_per_set:receivers
+        | `B -> Scenarios.Builders.topology_b ~session_count:receivers
+        | `Fig1 -> Scenarios.Builders.figure1 ()
+      in
+      let params =
+        { Toposense.Params.default with staleness = Time.span_of_sec staleness }
+      in
+      let duration = Time.of_sec duration in
+      let o =
+        Experiment.run ~spec ~traffic ~scheme ~params ~seed:(Int64.of_int seed)
+          ~duration ()
+      in
+      Format.printf
+        "%a on topology %s: %d receivers, %d events, %d reports, %d \
+         suggestions@."
+        Experiment.pp_scheme scheme
+        (match topology with `A -> "A" | `B -> "B" | `Fig1 -> "Fig.1")
+        (List.length o.receivers)
+        o.events_dispatched o.reports_received o.suggestions_sent;
+      List.iter
+        (fun (r : Experiment.receiver_outcome) ->
+          let dev =
+            Metrics.Deviation.relative_deviation ~changes:r.changes
+              ~optimal:r.optimal ~window:(Time.zero, duration)
+          in
+          let st =
+            Metrics.Stability.summarize ~changes:r.changes
+              ~window:(Time.zero, duration)
+          in
+          Format.printf
+            "  session %d receiver n%-3d optimal %d final %d deviation %.3f \
+             changes %d (gap %.0f s)@."
+            r.session r.node r.optimal r.final_level dev st.changes
+            st.mean_gap_s)
+        o.receivers;
+      `Ok ()
+    end
   in
   Cmd.v
     (Cmd.info "run" ~doc:"Run one simulation and summarize every receiver.")
     Term.(
       ret
-        (const run $ duration_term $ seed_term $ scheduler_term $ traffic_term
-       $ scheme_term $ topology_term $ receivers_term $ staleness_term))
+        (const run $ duration_term $ seed_term $ traffic_term $ scheme_term
+       $ topology_term $ receivers_term $ staleness_term))
 
 let tiered_cmd =
-  let run duration seed scheduler regions =
-    set_scheduler scheduler;
+  let run duration seed regions =
     let config =
       { Scenarios.Tiered.default_config with regions }
     in
@@ -342,19 +315,19 @@ let tiered_cmd =
     `Ok ()
   in
   let regions =
-    Arg.(value & opt int 3 & info [ "regions" ] ~docv:"N" ~doc:"Regional domains.")
+    Arg.(
+      value & opt pos_int_conv 3
+      & info [ "regions" ] ~docv:"N" ~doc:"Regional domains.")
   in
   Cmd.v
     (Cmd.info "tiered"
        ~doc:
          "Tiered Internet (paper Figs. 2-3): per-domain vs global control on \
           a generated hierarchy.")
-    Term.(
-      ret (const run $ duration_term $ seed_term $ scheduler_term $ regions))
+    Term.(ret (const run $ duration_term $ seed_term $ regions))
 
 let churn_cmd =
-  let run duration seed scheduler receivers gap =
-    set_scheduler scheduler;
+  let run duration seed receivers gap =
     let o =
       Scenarios.Churn.run ~receivers_per_set:receivers
         ~join_gap_s:(float_of_int gap) ~duration:(Time.of_sec duration)
@@ -381,7 +354,9 @@ let churn_cmd =
     `Ok ()
   in
   let receivers =
-    Arg.(value & opt int 4 & info [ "receivers" ] ~docv:"N" ~doc:"Per set.")
+    Arg.(
+      value & opt pos_int_conv 4
+      & info [ "receivers" ] ~docv:"N" ~doc:"Per set.")
   in
   let gap =
     Arg.(value & opt int 20 & info [ "gap" ] ~docv:"S" ~doc:"Join gap (s).")
@@ -389,10 +364,7 @@ let churn_cmd =
   Cmd.v
     (Cmd.info "churn"
        ~doc:"Dynamic joins/departures on Topology A; convergence times.")
-    Term.(
-      ret
-        (const run $ duration_term $ seed_term $ scheduler_term $ receivers
-       $ gap))
+    Term.(ret (const run $ duration_term $ seed_term $ receivers $ gap))
 
 (* ---------- fault scenarios ---------- *)
 
@@ -711,10 +683,9 @@ let faults_cmd =
       & opt (some string) None
       & info [ "json" ] ~docv:"FILE" ~doc:"Write recovery metrics as JSON.")
   in
-  let run duration seed scheduler experiment drop reliable json =
+  let run duration seed experiment drop reliable json =
     if drop < 0.0 || drop > 1.0 then `Error (true, "--drop must be in [0,1]")
     else begin
-      set_scheduler scheduler;
       let seed = Int64.of_int seed in
       let duration_t = Time.of_sec duration in
       let want x = experiment = `All || experiment = x in
@@ -783,8 +754,8 @@ let faults_cmd =
           partition.")
     Term.(
       ret
-        (const run $ duration_term $ seed_term $ scheduler_term
-       $ experiment_term $ drop_term $ reliable_term $ json_term))
+        (const run $ duration_term $ seed_term $ experiment_term $ drop_term
+       $ reliable_term $ json_term))
 
 let chaos_cmd =
   let world_conv =
@@ -825,13 +796,12 @@ let chaos_cmd =
           ~doc:
             "Fixed small CI configuration (kary world, 8 faults, 40 s \
              storm) overriding --world/--faults/--storm; still honours \
-             --seed and --scheduler.")
+             --seed.")
   in
-  let run seed scheduler world faults storm smoke =
+  let run seed world faults storm smoke =
     if faults < 0 then `Error (true, "--faults must be >= 0")
     else if storm < 20.0 then `Error (true, "--storm must be >= 20")
     else begin
-      set_scheduler scheduler;
       let world, faults, storm =
         if smoke then (`Kary, 8, 40.0) else (world, faults, storm)
       in
@@ -872,12 +842,11 @@ let chaos_cmd =
           bounded re-prescription). Non-zero exit on any violation.")
     Term.(
       ret
-        (const run $ seed_term $ scheduler_term $ world_term $ faults_term
-       $ storm_term $ smoke_term))
+        (const run $ seed_term $ world_term $ faults_term $ storm_term
+       $ smoke_term))
 
 let scale_cmd =
-  let run seed scheduler receivers duration =
-    set_scheduler scheduler;
+  let run seed receivers duration =
     match
       match receivers with
       | 10_000 -> Ok Scenarios.Scale.config_10k
@@ -916,9 +885,7 @@ let scale_cmd =
          "Scaled transit-stub world: full population on bitset membership, \
           lazy routing columns, per-stub controllers federated under an \
           O(domains) parent. Prints state counters, events/s and peak RSS.")
-    Term.(
-      ret
-        (const run $ seed_term $ scheduler_term $ receivers $ duration))
+    Term.(ret (const run $ seed_term $ receivers $ duration))
 
 let () =
   let info =

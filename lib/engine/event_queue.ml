@@ -1,95 +1,5 @@
-module type S = sig
-  type 'a t
+type backend = Heap
 
-  val create : cmp:('a -> 'a -> int) -> key:('a -> int) -> dummy:'a -> 'a t
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-  val push : 'a t -> 'a -> unit
-  val peek_min : 'a t -> 'a option
-  val pop_min : 'a t -> 'a option
-  val peek_min_exn : 'a t -> 'a
-  val pop_min_exn : 'a t -> 'a
+let backend_to_string Heap = "heap"
 
-  val pop_if_key : 'a t -> key:int -> none:'a -> 'a
-  (** Pop the minimum iff its bucketing key is exactly [key]; [none]
-      (tested physically by the caller) otherwise. Only sound when [key]
-      lower-bounds every pending key — pass the key of the element just
-      popped. O(1) on the calendar (equal keys head one sorted bucket);
-      a peek on the heap. Backs the simulator's batched dispatch of
-      equal-timestamp runs. *)
-
-  val filter : 'a t -> ('a -> bool) -> unit
-  val capacity : 'a t -> int
-  val to_list : 'a t -> 'a list
-end
-
-module Heap_backend : S = struct
-  (* The heap orders by [cmp] alone, but [pop_if_key] needs the
-     bucketing key, so the backend carries it alongside; the dead-slot
-     sentinel stays calendar-only. *)
-  type 'a t = { h : 'a Heap.t; key : 'a -> int }
-
-  let create ~cmp ~key ~dummy:_ = { h = Heap.create ~cmp; key }
-  let length t = Heap.length t.h
-  let is_empty t = Heap.is_empty t.h
-  let push t x = Heap.push t.h x
-  let peek_min t = Heap.peek t.h
-  let pop_min t = Heap.pop t.h
-  let peek_min_exn t = Heap.peek_exn t.h
-  let pop_min_exn t = Heap.pop_exn t.h
-
-  let pop_if_key t ~key:k ~none =
-    if Heap.is_empty t.h then none
-    else begin
-      let x = Heap.peek_exn t.h in
-      if t.key x = k then begin
-        ignore (Heap.pop_exn t.h);
-        x
-      end
-      else none
-    end
-
-  let filter t keep = Heap.filter t.h keep
-  let capacity t = Heap.capacity t.h
-  let to_list t = Heap.to_list t.h
-end
-
-module Calendar_backend : S with type 'a t = 'a Calendar.t = struct
-  type 'a t = 'a Calendar.t
-
-  let create = Calendar.create
-  let length = Calendar.length
-  let is_empty = Calendar.is_empty
-  let push = Calendar.push
-  let peek_min = Calendar.peek_min
-  let pop_min = Calendar.pop_min
-  let peek_min_exn = Calendar.peek_min_exn
-  let pop_min_exn = Calendar.pop_min_exn
-  let pop_if_key = Calendar.pop_if_key
-  let filter = Calendar.filter
-  let capacity = Calendar.capacity
-  let to_list = Calendar.to_list
-end
-
-type backend = Heap | Calendar
-
-let backend_to_string = function Heap -> "heap" | Calendar -> "calendar"
-
-let backend_of_string s =
-  match String.lowercase_ascii s with
-  | "heap" -> Some Heap
-  | "calendar" -> Some Calendar
-  | _ -> None
-
-(* The process-wide default consulted by [Sim.create] when no explicit
-   backend is given. An [Atomic] so parallel sweep domains spawned after
-   a CLI override read a coherent value; scenario code never mutates it
-   mid-run. *)
-let default_backend =
-  Atomic.make
-    (match Sys.getenv_opt "TOPOSENSE_SCHEDULER" with
-    | Some s -> Option.value ~default:Heap (backend_of_string s)
-    | None -> Heap)
-
-let default () = Atomic.get default_backend
-let set_default b = Atomic.set default_backend b
+let default () = Heap

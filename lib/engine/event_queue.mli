@@ -1,80 +1,16 @@
-(** The event-queue backend contract and the scheduler selection.
+(** The name of the event-queue implementation {!Sim} runs on.
 
-    The simulator only needs a handful of operations from its pending-event
-    store — push, pop/peek of the least element under a total order,
-    lazy-deletion [filter] compaction, [length] and [capacity] — captured
-    here as the module type {!S}. Two structures implement it:
+    {!Sim} has one pending-event store, a binary heap, so there is
+    nothing to select. This stub exists only because the benchmark
+    suite ([bench/suite/suite.ml]) labels each result set with
+    [backend_to_string (default ())], and the suite is the frozen
+    benchmark definition. Delete it together with the suite's
+    ["scheduler"] field. *)
 
-    - {!Heap_backend}: the binary heap ({!Heap}), the default. O(log n)
-      push/pop, allocation-free hot path, best for the moderate queues of
-      the paper's scenarios.
-    - {!Calendar_backend}: the calendar queue ({!Calendar}), as used by the
-      ns simulator. O(1) amortized push/pop once the pending set is large
-      (the ~100k-event cancellation-churn regime).
-
-    Both dispatch in exactly the same order — the caller's total order on
-    [(time, seq)] — so a run's trace is backend-independent; only the wall
-    time changes. *)
-
-module type S = sig
-  type 'a t
-
-  val create : cmp:('a -> 'a -> int) -> key:('a -> int) -> dummy:'a -> 'a t
-  (** [cmp] is the total order popped in; [key] is the non-negative
-      integer priority used for calendar bucketing (monotone w.r.t.
-      [cmp]); [dummy] is a long-lived sentinel for dead backing-store
-      slots. Backends that do not bucket ignore [key] and [dummy]. *)
-
-  val length : 'a t -> int
-  val is_empty : 'a t -> bool
-  val push : 'a t -> 'a -> unit
-  val peek_min : 'a t -> 'a option
-  val pop_min : 'a t -> 'a option
-
-  val peek_min_exn : 'a t -> 'a
-  val pop_min_exn : 'a t -> 'a
-  (** Option-free variants so the per-event hot loop allocates nothing.
-      @raise Invalid_argument when empty. *)
-
-  val pop_if_key : 'a t -> key:int -> none:'a -> 'a
-  (** [pop_if_key q ~key ~none] pops and returns the minimum element iff
-      its bucketing key is exactly [key]; returns [none] (physically —
-      the caller tests with [==]) otherwise. Only sound when [key]
-      lower-bounds every pending key, which holds for the key of the
-      element just popped. O(1) with no day scan on the calendar, a peek
-      on the heap; backs the simulator's batched dispatch of
-      equal-timestamp event runs. *)
-
-  val filter : 'a t -> ('a -> bool) -> unit
-  (** Keeps only elements satisfying the predicate, in O(n); the
-      simulator's tombstone sweep. *)
-
-  val capacity : 'a t -> int
-  (** Backing-store size (heap array slots / calendar buckets); for
-      tests of the resize policies. *)
-
-  val to_list : 'a t -> 'a list
-end
-
-module Heap_backend : S
-(** {!Heap} plus the stored bucketing key that [pop_if_key] consults;
-    the type equation with ['a Heap.t] is gone for that reason. *)
-
-module Calendar_backend : S with type 'a t = 'a Calendar.t
-
-type backend = Heap | Calendar
+type backend = Heap
 
 val backend_to_string : backend -> string
-
-val backend_of_string : string -> backend option
-(** Accepts ["heap"] and ["calendar"], case-insensitively. *)
+(** ["heap"]. *)
 
 val default : unit -> backend
-(** The backend {!Sim.create} uses when none is given explicitly.
-    Initially {!Heap}, or the value of the [TOPOSENSE_SCHEDULER]
-    environment variable ("heap" / "calendar") when set — which is how
-    the test suite runs under both schedulers. *)
-
-val set_default : backend -> unit
-(** Process-wide override (the CLI's [--scheduler] flag). Set it before
-    creating simulators; domains spawned afterwards inherit it. *)
+(** {!Heap}, the only backend. *)

@@ -130,9 +130,3 @@ let filter h keep =
   maybe_shrink h
 
 let capacity h = Array.length h.data
-
-let clear h =
-  h.data <- [||];
-  h.size <- 0
-
-let to_list h = Array.to_list (Array.sub h.data 0 h.size)

@@ -35,8 +35,3 @@ val filter : 'a t -> ('a -> bool) -> unit
 
 val capacity : 'a t -> int
 (** Size of the backing array; for tests of the shrink policy. *)
-
-val clear : 'a t -> unit
-
-val to_list : 'a t -> 'a list
-(** Elements in unspecified order; for tests and diagnostics. *)

@@ -24,103 +24,32 @@ type timer = { mutable cur : event }
    its sweep) tombstones the old record and installs a fresh one, which
    is exactly [cancel] + [schedule_after]. *)
 
-(* The pending-event store, behind the Event_queue.S contract. A direct
-   variant (rather than a packed first-class module) keeps the default
-   heap's hot path free of indirect calls. *)
-type queue =
-  | Q_heap of event Heap.t
-  | Q_calendar of event Calendar.t * event
-      (* the calendar's dummy sentinel rides along: [pop_if_key] returns
-         it (physically) for "no equal-key successor", so the batched
-         run loop tests with [==] instead of allocating an option *)
-
 type t = {
   mutable clock : Time.t;
-  queue : queue;
+  queue : event Heap.t;
   root_rng : Prng.t;
   mutable next_seq : int;
   mutable dispatched : int;
   mutable max_pending : int;
   mutable max_live_pending : int;
   mutable cancelled_pending : int;
-  mutable batch_runs : bool;
-      (* drain equal-timestamp runs with one clock write (default);
-         off = the one-event-at-a-time reference loop. Observably
-         identical either way — the toggle exists so the equivalence
-         property can check exactly that. *)
 }
 
 let cmp_event a b =
   let c = Time.compare a.at b.at in
   if c <> 0 then c else Int.compare a.seq b.seq
 
-let key_event e = Time.to_ns e.at
-
-let create ?(seed = 42L) ?backend () =
-  let backend =
-    match backend with Some b -> b | None -> Event_queue.default ()
-  in
-  let queue =
-    match backend with
-    | Event_queue.Heap -> Q_heap (Heap.create ~cmp:cmp_event)
-    | Event_queue.Calendar ->
-        (* The sentinel never fires; the calendar only uses it to fill
-           dead bucket slots without retaining real events. *)
-        let dummy =
-          { at = Time.zero; seq = -1; thunk = ignore; cancelled = true;
-            queued = false; successor = None }
-        in
-        Q_calendar (Calendar.create ~cmp:cmp_event ~key:key_event ~dummy, dummy)
-  in
+let create ?(seed = 42L) () =
   {
     clock = Time.zero;
-    queue;
+    queue = Heap.create ~cmp:cmp_event;
     root_rng = Prng.create ~seed;
     next_seq = 0;
     dispatched = 0;
     max_pending = 0;
     max_live_pending = 0;
     cancelled_pending = 0;
-    batch_runs = true;
   }
-
-let backend t =
-  match t.queue with
-  | Q_heap _ -> Event_queue.Heap
-  | Q_calendar _ -> Event_queue.Calendar
-
-let set_batch_runs t b = t.batch_runs <- b
-let batch_runs t = t.batch_runs
-
-let q_length t =
-  match t.queue with
-  | Q_heap q -> Heap.length q
-  | Q_calendar (q, _) -> Calendar.length q
-
-let q_is_empty t =
-  match t.queue with
-  | Q_heap q -> Heap.is_empty q
-  | Q_calendar (q, _) -> Calendar.is_empty q
-
-let q_push t ev =
-  match t.queue with
-  | Q_heap q -> Heap.push q ev
-  | Q_calendar (q, _) -> Calendar.push q ev
-
-let q_peek_exn t =
-  match t.queue with
-  | Q_heap q -> Heap.peek_exn q
-  | Q_calendar (q, _) -> Calendar.peek_min_exn q
-
-let q_pop_exn t =
-  match t.queue with
-  | Q_heap q -> Heap.pop_exn q
-  | Q_calendar (q, _) -> Calendar.pop_min_exn q
-
-let q_filter t keep =
-  match t.queue with
-  | Q_heap q -> Heap.filter q keep
-  | Q_calendar (q, _) -> Calendar.filter q keep
 
 let now t = t.clock
 
@@ -128,7 +57,7 @@ let rng t ~label = Prng.split t.root_rng ~label
 
 (* High-water marks, updated after every push. *)
 let note_pushed t =
-  let len = q_length t in
+  let len = Heap.length t.queue in
   if len > t.max_pending then t.max_pending <- len;
   let live = len - t.cancelled_pending in
   if live > t.max_live_pending then t.max_live_pending <- live
@@ -143,7 +72,7 @@ let schedule_event t at thunk =
       successor = None }
   in
   t.next_seq <- t.next_seq + 1;
-  q_push t ev;
+  Heap.push t.queue ev;
   note_pushed t;
   ev
 
@@ -173,9 +102,9 @@ let rec mark_cancelled t ev =
 let maybe_compact t =
   if
     t.cancelled_pending > compact_threshold
-    && 2 * t.cancelled_pending > q_length t
+    && 2 * t.cancelled_pending > Heap.length t.queue
   then begin
-    q_filter t (fun e ->
+    Heap.filter t.queue (fun e ->
         if e.cancelled then begin
           (* The record leaves the backing store here, not at dispatch:
              without this a disarmed reusable timer could never be
@@ -228,7 +157,7 @@ let arm_at t tm at =
     end
   in
   t.next_seq <- t.next_seq + 1;
-  q_push t ev;
+  Heap.push t.queue ev;
   note_pushed t
 
 let arm_after t tm span = arm_at t tm (Time.add t.clock span)
@@ -279,127 +208,41 @@ let every t ?start ?jitter ~period f =
   if cell.cancelled then tombstone t tm.cur;
   H cell
 
-(* Dispatch an event that is NOT the first of its time-run: the clock
-   was already set by the run opener, so only the bookkeeping and the
-   thunk remain. *)
-let dispatch_in_run t ev =
-  ev.queued <- false;
-  if ev.cancelled then t.cancelled_pending <- max 0 (t.cancelled_pending - 1)
-  else begin
-    t.dispatched <- t.dispatched + 1;
-    ev.thunk ()
-  end
-
-let dispatch t ev =
-  t.clock <- ev.at;
-  dispatch_in_run t ev
-
-let step t =
-  if q_is_empty t then false
-  else begin
-    dispatch t (q_pop_exn t);
-    true
-  end
-
-(* The reference loop: one generic pop, one clock write, one horizon
-   check per event. Kept callable (batch_runs = false) as the oracle the
-   batched loops are property-tested against. *)
-let run_until_unbatched t horizon =
+(* Pop while the head is at or before the horizon. A thunk that
+   schedules at the current instant is picked up by the next peek, in
+   (time, seq) order like everything else. The clock is written before
+   the thunk runs: dispatching a reusable timer may re-arm it, which
+   mutates [ev.at] in place to its next firing time. The loop is a
+   tail-recursive function, not a [while]: OCaml 5 runs signal handlers
+   at poll points, and a sample taken at a [while] back-edge poll shows
+   no frame of this module, which costs the benchmark's sampling
+   profiler a few percent of its coverage. *)
+let run_until t horizon =
+  let q = t.queue in
   let rec loop () =
-    if (not (q_is_empty t)) && Time.((q_peek_exn t).at <= horizon) then begin
-      dispatch t (q_pop_exn t);
+    if (not (Heap.is_empty q)) && Time.((Heap.peek_exn q).at <= horizon)
+    then begin
+      let ev = Heap.pop_exn q in
+      t.clock <- ev.at;
+      ev.queued <- false;
+      if ev.cancelled then
+        t.cancelled_pending <- max 0 (t.cancelled_pending - 1)
+      else begin
+        t.dispatched <- t.dispatched + 1;
+        ev.thunk ()
+      end;
       loop ()
     end
   in
-  loop ()
-
-(* Batched loops: events at equal timestamps form a run, and a run is
-   drained with a single clock write and a single horizon check — the
-   rest of the run cannot cross a horizon its opener did not. Each loop
-   is monomorphic in its backend, so the per-event cost also sheds the
-   [queue]-variant dispatch the generic helpers pay. Thunks may schedule
-   new events at the current instant; the per-iteration peek picks them
-   up, exactly as the reference loop would. Dispatch order is (time,
-   seq) in both — batching changes which loop pops, never what. *)
-let run_until_heap t q horizon =
-  let continue = ref true in
-  while !continue do
-    if Heap.is_empty q then continue := false
-    else begin
-      let ev = Heap.peek_exn q in
-      if Time.(ev.at <= horizon) then begin
-        ignore (Heap.pop_exn q : event);
-        (* The run key must be read before the thunk runs: dispatching a
-           reusable timer may re-arm it, which mutates [ev.at] in place
-           to the *next* firing time. *)
-        let at = ev.at in
-        dispatch t ev;
-        let in_run = ref true in
-        while !in_run do
-          if Heap.is_empty q then in_run := false
-          else begin
-            let nxt = Heap.peek_exn q in
-            if Time.equal nxt.at at then begin
-              ignore (Heap.pop_exn q : event);
-              dispatch_in_run t nxt
-            end
-            else in_run := false
-          end
-        done
-      end
-      else continue := false
-    end
-  done
-
-let run_until_calendar t q dummy horizon =
-  let continue = ref true in
-  while !continue do
-    if Calendar.is_empty q then continue := false
-    else begin
-      let ev = Calendar.peek_min_exn q in
-      if Time.(ev.at <= horizon) then begin
-        ignore (Calendar.pop_min_exn q : event);
-        (* Key read before the thunk runs — dispatching a reusable timer
-           re-arms it by mutating [ev.at] in place. The pop set the
-           calendar's lastkey to this run's key, which is exactly the
-           precondition [pop_if_key] needs: each equal-key successor
-           comes off the head of one sorted bucket in O(1), no day
-           scan. *)
-        let k = Time.to_ns ev.at in
-        dispatch t ev;
-        let in_run = ref true in
-        while !in_run do
-          let nxt = Calendar.pop_if_key q ~key:k ~none:dummy in
-          if nxt == dummy then in_run := false else dispatch_in_run t nxt
-        done
-      end
-      else continue := false
-    end
-  done
-
-let run_until t horizon =
-  (if not t.batch_runs then run_until_unbatched t horizon
-   else
-     match t.queue with
-     | Q_heap q -> run_until_heap t q horizon
-     | Q_calendar (q, dummy) -> run_until_calendar t q dummy horizon);
+  loop ();
   t.clock <- Time.max t.clock horizon
 
-let pending t = q_length t
+let pending t = Heap.length t.queue
 
-let live_pending t = q_length t - t.cancelled_pending
+let live_pending t = Heap.length t.queue - t.cancelled_pending
 
 let max_pending t = t.max_pending
 
 let max_live_pending t = t.max_live_pending
 
 let events_dispatched t = t.dispatched
-
-(* Backend telemetry for the bench rows: the calendar's resize traffic
-   is the allocation suspect its scratch-reuse work targets; the heap
-   reports zeros. *)
-let queue_resizes t =
-  match t.queue with Q_heap _ -> 0 | Q_calendar (q, _) -> Calendar.resizes q
-
-let queue_recycled t =
-  match t.queue with Q_heap _ -> 0 | Q_calendar (q, _) -> Calendar.recycled q

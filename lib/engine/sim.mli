@@ -1,16 +1,12 @@
 (** The discrete-event simulation loop.
 
-    A simulator owns a clock, an event queue and the run's root PRNG.
-    Events are thunks scheduled at absolute instants; events at the same
+    A simulator owns a clock, a binary heap of pending events ({!Heap})
+    and the run's root PRNG. Events are thunks scheduled at absolute
+    instants and dispatch in [(time, seq)] order: events at the same
     instant fire in scheduling order (FIFO), which makes runs fully
-    deterministic for a given seed.
-
-    The pending-event store is pluggable behind {!Event_queue.S}: the
-    default binary heap ({!Heap}), or the ns-style calendar queue
-    ({!Calendar}) for workloads whose pending set grows large. Both
-    backends dispatch in exactly the same [(time, seq)] order, so a
-    run's trace — and therefore every figure and metric — is independent
-    of the backend chosen; only wall time changes.
+    deterministic for a given seed. Cancellation is lazy — a cancelled
+    event stays in the heap as a tombstone until it surfaces or until
+    tombstones outnumber live events, when one O(n) sweep drops them.
 
     Each simulator instance is single-threaded by design: the workloads
     in this project are bound by event dispatch, not by per-event
@@ -23,13 +19,8 @@ type t
 type handle
 (** Identifies a scheduled event so it can be cancelled. *)
 
-val create : ?seed:int64 -> ?backend:Event_queue.backend -> unit -> t
-(** A fresh simulator at time {!Time.zero}. Default seed is [42L];
-    default backend is {!Event_queue.default} (the heap, unless
-    overridden by [TOPOSENSE_SCHEDULER] or {!Event_queue.set_default}). *)
-
-val backend : t -> Event_queue.backend
-(** Which event-queue backend this simulator runs on. *)
+val create : ?seed:int64 -> unit -> t
+(** A fresh simulator at time {!Time.zero}. Default seed is [42L]. *)
 
 val now : t -> Time.t
 
@@ -83,29 +74,10 @@ val every :
     stops all future firings. *)
 
 val run_until : t -> Time.t -> unit
-(** Dispatch events in order until the queue is empty or the next event is
-    after the horizon; the clock ends at the horizon.
-
-    Events sharing a timestamp form a {e run}, and by default the loop
-    drains a whole run batched: one clock write and one horizon check
-    for the run, with the remaining events popped on a backend fast path
-    (the calendar's equal-key bucket head in O(1); a heap peek-ahead).
-    Batched and unbatched dispatch are observably identical — same
-    [(time, seq)] order, same clock values seen by thunks, same
-    counters; see {!set_batch_runs}. *)
-
-val set_batch_runs : t -> bool -> unit
-(** Toggle batched run dispatch in {!run_until} (default [true]).
-    [false] selects the one-event-at-a-time reference loop; the
-    equivalence property in the test suite runs both and asserts
-    identical traces, which is the only intended use. *)
-
-val batch_runs : t -> bool
-(** Whether {!run_until} currently batches equal-timestamp runs. *)
-
-val step : t -> bool
-(** Dispatch the single next event. Returns [false] when the queue is
-    empty. *)
+(** Dispatch events in order while the next one is at or before the
+    horizon, then leave the clock at the horizon (or where it was, if
+    that is later). Events a thunk schedules at or before the horizon —
+    including at the current instant — fire in the same call. *)
 
 val pending : t -> int
 (** Number of events still queued, {e including} cancelled tombstones
@@ -127,12 +99,3 @@ val max_live_pending : t -> int
 
 val events_dispatched : t -> int
 (** Total events fired since creation; for tests and reporting. *)
-
-val queue_resizes : t -> int
-(** Calendar-backend bucket-array resizes so far; [0] on the heap. The
-    bench's engine rows record it so the resize-allocation trim stays
-    pinned. *)
-
-val queue_recycled : t -> int
-(** Calendar-backend resizes served from a parked bucket generation;
-    [0] on the heap. *)

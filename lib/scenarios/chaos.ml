@@ -97,8 +97,7 @@ let is_control arena (pkt : Net.Packet.t) =
   | Federation.Domain_summary _ -> true
   | _ -> false
 
-let run ~world ~schedule ?(storm_s = 60.0) ?(quiet_s = 30.0) ?(seed = 42L)
-    ?backend () =
+let run ~world ~schedule ?(storm_s = 60.0) ?(quiet_s = 30.0) ?(seed = 42L) () =
   if storm_s < 20.0 then invalid_arg "Chaos.run: storm_s < 20";
   let params_interval_s =
     Time.span_to_sec_f Toposense.Params.default.Toposense.Params.interval
@@ -107,7 +106,7 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(quiet_s = 30.0) ?(seed = 42L)
      quiet_s - 10; the guard keeps probe < freeze < end *)
   if quiet_s < (3.0 *. params_interval_s) +. 15.0 then
     invalid_arg "Chaos.run: quiet_s too short for the invariant probes";
-  let sim = Sim.create ~seed ?backend () in
+  let sim = Sim.create ~seed () in
   (* ---- build the world ---- *)
   let spec, domains =
     match world with

@@ -115,7 +115,6 @@ val run :
   ?storm_s:float ->
   ?quiet_s:float ->
   ?seed:int64 ->
-  ?backend:Engine.Event_queue.backend ->
   unit ->
   outcome
 (** Builds the world, arms the schedule (times clamped into
@@ -126,7 +125,7 @@ val run :
     re-prescription at [storm_s + 3 intervals + 1 s], freezes agents and
     controllers 10 s before the end so leave latency expires, and
     evaluates the invariants at [storm_s + quiet_s] (defaults 60 and
-    30 s).
+    30 s). The run is deterministic per [seed] (default [42L]).
     @raise Invalid_argument if [storm_s < 20] or [quiet_s] is too short
     for the probe/freeze sequence. *)
 

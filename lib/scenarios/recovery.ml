@@ -841,13 +841,13 @@ type storm_outcome = {
    30 s are quiet, long enough for every in-flight graft (hop delays)
    and leave timer (1 s) to land before the consistency checks. *)
 let churn_storm ?(fanout = 4) ?(depth = 3) ?(flaps = 60) ?(churners = 24)
-    ?(duration = Time.of_sec 600) ?(seed = 7L) ?backend () =
+    ?(duration = Time.of_sec 600) ?(seed = 7L) () =
   if flaps < 0 then invalid_arg "churn_storm: flaps < 0";
   if churners < 0 then invalid_arg "churn_storm: churners < 0";
   let horizon_s = Time.to_sec_f duration in
   if horizon_s < 60.0 then invalid_arg "churn_storm: duration < 60 s";
   let spec = Builders.kary ~fanout ~depth () in
-  let sim = Sim.create ~seed ?backend () in
+  let sim = Sim.create ~seed () in
   let network = Net.Network.create ~sim spec.Builders.topology in
   (* The storm measures incremental table maintenance, which needs the
      tables to exist: with lazy columns, almost nothing would be

@@ -327,7 +327,6 @@ val churn_storm :
   ?churners:int ->
   ?duration:Engine.Time.t ->
   ?seed:int64 ->
-  ?backend:Engine.Event_queue.backend ->
   unit ->
   storm_outcome
 (** Pure control-plane churn stress on {!Builders.kary}: [flaps] random
@@ -336,7 +335,6 @@ val churn_storm :
     grafts and leave timers settle; a restore-all sweep guarantees the
     final graph is pristine before the consistency checks run.
     Defaults: fanout 4, depth 3 (85 nodes), 60 flaps, 24 churners,
-    600 s horizon. Deterministic per seed and identical across event
-    queue [backend]s.
+    600 s horizon. Deterministic per seed.
     @raise Invalid_argument on negative counts or a horizon under
     60 s. *)

@@ -421,22 +421,19 @@ let outcome_or_fail o =
       (Format.pp_print_list Format.pp_print_text)
       o.Chaos.violations
 
-let prop_chaos_kary backend =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "chaos invariants hold on kary (%s)"
-         (Engine.Event_queue.backend_to_string backend))
-    ~count:6 arb_schedule
+let prop_chaos_kary =
+  QCheck.Test.make ~name:"chaos invariants hold on kary (heap)" ~count:6
+    arb_schedule
     (fun schedule ->
       outcome_or_fail
         (Chaos.run
            ~world:(Chaos.Kary { fanout = 3; depth = 2 })
-           ~schedule ~storm_s:60.0 ~seed:13L ~backend ()))
+           ~schedule ~storm_s:60.0 ~seed:13L ()))
 
-(* The 10k-receiver federated world, fixed seeded storm per backend: a
+(* The 10k-receiver federated world, one fixed seeded storm: a
    property-sized schedule would take minutes per case at this scale, so
    the population pin is one deterministic run with every fault class. *)
-let storm_10k backend () =
+let test_storm_10k () =
   let o =
     Chaos.run
       ~world:
@@ -457,7 +454,7 @@ let storm_10k backend () =
             Lossy_burst { at_s = 25.0; dur_s = 7.0; drop = 0.4 };
             Parent_crash { at_s = 35.0; dur_s = 5.0 };
           ]
-      ~storm_s:50.0 ~seed:42L ~backend ()
+      ~storm_s:50.0 ~seed:42L ()
   in
   checkb "invariants hold at 10k" true (Chaos.ok o);
   checki "receivers" 10_000 o.Chaos.receivers;
@@ -497,17 +494,8 @@ let () =
           Alcotest.test_case "leaf-controller crash end to end" `Slow
             test_leaf_controller_crash_e2e;
         ] );
-      ( "chaos-property",
-        List.map QCheck_alcotest.to_alcotest
-          [
-            prop_chaos_kary Engine.Event_queue.Heap;
-            prop_chaos_kary Engine.Event_queue.Calendar;
-          ] );
+      ("chaos-property", [ QCheck_alcotest.to_alcotest prop_chaos_kary ]);
       ( "chaos-10k",
-        [
-          Alcotest.test_case "seeded 10k storm (heap)" `Slow
-            (storm_10k Engine.Event_queue.Heap);
-          Alcotest.test_case "seeded 10k storm (calendar)" `Slow
-            (storm_10k Engine.Event_queue.Calendar);
-        ] );
+        [ Alcotest.test_case "seeded 10k storm (heap)" `Slow test_storm_10k ]
+      );
     ]

@@ -4,8 +4,6 @@
 module Time = Engine.Time
 module Sim = Engine.Sim
 module Heap = Engine.Heap
-module Calendar = Engine.Calendar
-module Event_queue = Engine.Event_queue
 module Prng = Engine.Prng
 module Stats = Engine.Stats
 module Trace = Engine.Trace
@@ -147,177 +145,12 @@ let prop_heap_interleaved =
             | _ -> false)
         ops)
 
-(* ---------- Calendar ---------- *)
+(* ---------- random Sim-API programs ---------- *)
 
-(* Elements are (key, seq) pairs ordered like Sim's events: by key, then
-   by arrival sequence. *)
-let cal_cmp (k1, s1) (k2, s2) =
-  let c = Int.compare k1 k2 in
-  if c <> 0 then c else Int.compare s1 s2
-
-let cal_create () =
-  Calendar.create ~cmp:cal_cmp ~key:fst ~dummy:(0, -1)
-
-let cal_drain q =
-  let rec go acc =
-    match Calendar.pop_min q with None -> List.rev acc | Some x -> go (x :: acc)
-  in
-  go []
-
-let test_calendar_sorted_drain () =
-  let q = cal_create () in
-  let keys = [ 512; 3; 77; 3; 9_000_000; 0; 77; 41; 5 ] in
-  List.iteri (fun s k -> Calendar.push q (k, s)) keys;
-  checki "length" (List.length keys) (Calendar.length q);
-  let expect = List.sort cal_cmp (List.mapi (fun s k -> (k, s)) keys) in
-  checkb "sorted with FIFO ties" true (cal_drain q = expect);
-  checkb "empty after drain" true (Calendar.is_empty q)
-
-let test_calendar_empty () =
-  let q = cal_create () in
-  checkb "empty" true (Calendar.is_empty q);
-  checkb "pop none" true (Calendar.pop_min q = None);
-  checkb "peek none" true (Calendar.peek_min q = None);
-  Alcotest.check_raises "peek_min_exn empty"
-    (Invalid_argument "Calendar.peek_min_exn: empty") (fun () ->
-      ignore (Calendar.peek_min_exn q));
-  Alcotest.check_raises "negative key"
-    (Invalid_argument "Calendar.push: negative key") (fun () ->
-      Calendar.push q (-1, 0))
-
-let test_calendar_year_wrap () =
-  (* All pending events more than a year beyond the last pop: the scan
-     must fall through to the direct search rather than spin or return a
-     later-year element early. *)
-  let q = cal_create () in
-  Calendar.push q (1, 0);
-  ignore (Calendar.pop_min_exn q);
-  List.iter (Calendar.push q) [ (50_000_000, 1); (40_000_000, 2) ];
-  checkb "direct search min" true (Calendar.peek_min_exn q = (40_000_000, 2));
-  checkb "order across years" true
-    (cal_drain q = [ (40_000_000, 2); (50_000_000, 1) ])
-
-let test_calendar_filter () =
-  let q = cal_create () in
-  for s = 0 to 199 do
-    Calendar.push q (s * 10, s)
-  done;
-  Calendar.filter q (fun (_, s) -> s mod 2 = 0);
-  checki "kept" 100 (Calendar.length q);
-  checkb "survivors sorted" true
-    (cal_drain q = List.init 100 (fun i -> (20 * i, 2 * i)));
-  (* Filtering everything away leaves a working queue. *)
-  for s = 0 to 9 do
-    Calendar.push q (s, s)
-  done;
-  Calendar.filter q (fun _ -> false);
-  checkb "all dropped" true (Calendar.is_empty q);
-  Calendar.push q (7, 0);
-  checkb "usable after empty filter" true (Calendar.pop_min q = Some (7, 0))
-
-let test_calendar_resize () =
-  let q = cal_create () in
-  for s = 0 to 999 do
-    Calendar.push q (s * 1000, s)
-  done;
-  checkb "grew" true (Calendar.capacity q >= 512);
-  for _ = 1 to 950 do
-    ignore (Calendar.pop_min_exn q)
-  done;
-  checkb "shrank" true (Calendar.capacity q < 512);
-  checki "length" 50 (Calendar.length q);
-  checkb "remaining in order" true
-    (cal_drain q = List.init 50 (fun i -> ((950 + i) * 1000, 950 + i)))
-
-let test_calendar_interleaved_lower_key () =
-  (* Pushing below the last-popped key must lower the dequeue cursor. *)
-  let q = cal_create () in
-  List.iter (Calendar.push q) [ (100, 0); (200, 1) ];
-  checkb "first" true (Calendar.pop_min_exn q = (100, 0));
-  Calendar.push q (50, 2);
-  checkb "lower key surfaces" true (Calendar.pop_min_exn q = (50, 2));
-  checkb "then the rest" true (Calendar.pop_min_exn q = (200, 1))
-
-let test_calendar_bucket_recycling () =
-  let q = cal_create () in
-  checki "fresh queue has recycled nothing" 0 (Calendar.recycled q);
-  (* Grow/shrink oscillations over the same size range: the first cycle
-     parks the retired bucket generations, later cycles must be served
-     from the parked spare instead of allocating fresh arrays. *)
-  for cycle = 1 to 3 do
-    for s = 0 to 599 do
-      Calendar.push q ((cycle * 10_000) + s, s)
-    done;
-    for _ = 1 to 600 do
-      ignore (Calendar.pop_min_exn q)
-    done
-  done;
-  checkb
-    (Printf.sprintf "later cycles reuse parked generations (%d)"
-       (Calendar.recycled q))
-    true
-    (Calendar.recycled q > 0);
-  (* Recycled buckets must come back scrubbed: the queue behaves
-     exactly as a fresh one afterwards. *)
-  for s = 0 to 99 do
-    Calendar.push q (s * 7, s)
-  done;
-  checkb "drains sorted after recycling" true
-    (cal_drain q = List.init 100 (fun i -> (7 * i, i)))
-
-let test_calendar_pop_if_key () =
-  let q = cal_create () in
-  let none = (-1, -1) in
-  checkb "empty queue declines" true (Calendar.pop_if_key q ~key:0 ~none == none);
-  List.iteri (fun s k -> Calendar.push q (k, s)) [ 100; 100; 100; 200 ];
-  checkb "first of the run" true (Calendar.pop_min_exn q = (100, 0));
-  (* The two remaining key-100 elements drain through the fast path in
-     FIFO order; the key-200 element must not. *)
-  checkb "second of the run" true (Calendar.pop_if_key q ~key:100 ~none = (100, 1));
-  checkb "third of the run" true (Calendar.pop_if_key q ~key:100 ~none = (100, 2));
-  checkb "run exhausted" true (Calendar.pop_if_key q ~key:100 ~none == none);
-  checkb "later key untouched" true (Calendar.pop_min_exn q = (200, 3));
-  (* A refused pop leaves the queue fully intact. *)
-  List.iteri (fun s k -> Calendar.push q (k, s)) [ 300; 400 ];
-  ignore (Calendar.pop_min_exn q);
-  checkb "wrong key refused" true (Calendar.pop_if_key q ~key:300 ~none == none);
-  checki "nothing lost" 1 (Calendar.length q);
-  checkb "normal pop still works" true (Calendar.pop_min_exn q = (400, 1))
-
-let test_calendar_resize_counter () =
-  let q = cal_create () in
-  checki "fresh queue has not resized" 0 (Calendar.resizes q);
-  for s = 0 to 999 do
-    Calendar.push q (s * 1000, s)
-  done;
-  checkb "growth counted" true (Calendar.resizes q > 0);
-  let grown = Calendar.resizes q in
-  ignore (cal_drain q);
-  checkb "shrinks counted too" true (Calendar.resizes q > grown)
-
-let prop_calendar_matches_heap =
-  QCheck.Test.make ~name:"calendar drains exactly like a heap" ~count:200
-    QCheck.(list (int_bound 100_000))
-    (fun keys ->
-      let q = cal_create () in
-      let h = Heap.create ~cmp:cal_cmp in
-      List.iteri
-        (fun s k ->
-          Calendar.push q (k, s);
-          Heap.push h (k, s))
-        keys;
-      let rec hdrain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> hdrain (x :: acc)
-      in
-      cal_drain q = hdrain [])
-
-(* ---------- heap / calendar dispatch equivalence ---------- *)
-
-(* Random interleavings of the whole Sim API, replayed on both backends:
-   the dispatch traces (instant, op id) must match event for event.
-   Driver events apply one op each; Burst + Bulk push the tombstone
-   population past the compaction threshold so the lazy-deletion sweep
-   runs under both backends. *)
+(* Random interleavings of the whole Sim API, checked against a
+   reference model by [prop_sim_events_in_time_order]. Each op runs in
+   its own scheduled event; Burst + Bulk push the tombstone population
+   past the compaction threshold so the lazy-deletion sweep runs. *)
 type sim_op =
   | Sched of int  (* one-shot, ms after the driver fires *)
   | Every of int  (* periodic, period in ms *)
@@ -348,9 +181,12 @@ let sim_op_arb =
     ~print:(Format.asprintf "%a" (Format.pp_print_list pp_sim_op))
     QCheck.Gen.(list_size (1 -- 30) sim_op_gen)
 
-let run_ops ?(batch = true) backend ops =
-  let sim = Sim.create ~backend () in
-  Sim.set_batch_runs sim batch;
+(* Op [i] runs at [i] ms; the run ends 1.5 s after the last op. Marks
+   record (instant in ns, id); Burst ids are 1000 + 100i + j. *)
+let ops_horizon_ms ops = List.length ops + 1500
+
+let run_ops ops =
+  let sim = Sim.create () in
   let trace = ref [] in
   let mark id () = trace := (Time.to_ns (Sim.now sim), id) :: !trace in
   let handles = ref [] in
@@ -376,33 +212,74 @@ let run_ops ?(batch = true) backend ops =
                  done
              | Bulk -> List.iter (Sim.cancel sim) !handles)))
     ops;
-  Sim.run_until sim (Time.of_ms (List.length ops + 1500));
-  ( List.rev !trace,
-    Sim.events_dispatched sim,
-    Sim.live_pending sim,
-    Sim.max_live_pending sim )
+  Sim.run_until sim (Time.of_ms (ops_horizon_ms ops));
+  (List.rev !trace, Sim.events_dispatched sim)
 
-let prop_backends_equivalent =
-  QCheck.Test.make ~name:"heap and calendar dispatch identical traces"
-    ~count:100 sim_op_arb
-    (fun ops ->
-      run_ops Event_queue.Heap ops = run_ops Event_queue.Calendar ops)
+(* The same program on a reference scheduler: pending entries in a
+   stdlib map keyed by (instant, scheduling sequence number), so the
+   least key is the next to fire and equal instants fire in scheduling
+   order. A handle is a flag shared by everything it covers: a
+   cancelled one-shot never fires, and an [every] chain fires at each
+   period until its flag is set. Sequence numbers are drawn in the
+   order Sim draws them — a chain's next firing is scheduled after its
+   callback runs. *)
+module Model_queue = Map.Make (struct
+  type t = int * int
 
-(* Batched run dispatch must be a pure speed change: the one-event
-   reference loop and the batched loop see the same traces — including
-   the clock value each thunk observes — and the same counters, on both
-   backends. The generator's driver events (one per millisecond) plus
-   Burst put several events on equal instants, so runs of length > 1 are
-   exercised, as are thunks that schedule new work at the current
-   instant mid-run. *)
-let prop_batching_invisible =
-  QCheck.Test.make ~name:"batched dispatch matches the reference loop"
-    ~count:100 sim_op_arb
-    (fun ops ->
-      run_ops ~batch:true Event_queue.Heap ops
-      = run_ops ~batch:false Event_queue.Heap ops
-      && run_ops ~batch:true Event_queue.Calendar ops
-         = run_ops ~batch:false Event_queue.Calendar ops)
+  let compare = compare
+end)
+
+let model_ops ops =
+  let pending = ref Model_queue.empty and next_seq = ref 0 in
+  let now = ref 0 and fired = ref 0 and trace = ref [] in
+  let add at cancelled act =
+    pending := Model_queue.add (at, !next_seq) (cancelled, act) !pending;
+    incr next_seq
+  in
+  let mark id () = trace := (!now * 1_000_000, id) :: !trace in
+  let handles = ref [] in
+  let handle () =
+    let cancelled = ref false in
+    handles := cancelled :: !handles;
+    cancelled
+  in
+  let one_shot at id = add at (handle ()) (mark id) in
+  let rec chain cancelled ~period at id =
+    add at cancelled (fun () ->
+        mark id ();
+        if not !cancelled then chain cancelled ~period (at + period) id)
+  in
+  List.iteri
+    (fun i op ->
+      add i (ref false) (fun () ->
+          match op with
+          | Sched ms -> one_shot (i + ms) i
+          | Every p -> chain (handle ()) ~period:p (i + p) i
+          | Cancel k -> (
+              match !handles with
+              | [] -> ()
+              | hs -> List.nth hs (k mod List.length hs) := true)
+          | Burst ->
+              for j = 0 to 79 do
+                one_shot (i + 500 + j) (1000 + (100 * i) + j)
+              done
+          | Bulk -> List.iter (fun c -> c := true) !handles))
+    ops;
+  let horizon = ops_horizon_ms ops in
+  let rec loop () =
+    match Model_queue.min_binding_opt !pending with
+    | Some (((at, _) as key), (cancelled, act)) when at <= horizon ->
+        pending := Model_queue.remove key !pending;
+        now := at;
+        if not !cancelled then begin
+          incr fired;
+          act ()
+        end;
+        loop ()
+    | _ -> ()
+  in
+  loop ();
+  (List.rev !trace, !fired)
 
 (* ---------- reusable timers ---------- *)
 
@@ -441,11 +318,10 @@ let test_sim_timer_disarm () =
 (* Random interleavings of the reusable-timer API, replayed against a
    reference program that expresses each re-arm as cancel + fresh
    schedule_after. The two must be indistinguishable — identical
-   dispatch traces AND identical counters — on both backends. A
-   [T_self] op turns a timer into a self-re-arming loop for a few
-   firings, exercising the fired-then-re-armed (reuse-in-place) path;
-   [T_arm] over a pending arm exercises the supersede (tombstone +
-   fresh record) path. *)
+   dispatch traces AND identical counters. A [T_self] op turns a timer
+   into a self-re-arming loop for a few firings, exercising the
+   fired-then-re-armed (reuse-in-place) path; [T_arm] over a pending
+   arm exercises the supersede (tombstone + fresh record) path. *)
 type timer_op =
   | T_arm of int * int  (* timer index, delay in ms *)
   | T_disarm of int
@@ -478,8 +354,8 @@ let timer_op_arb =
     ~print:(Format.asprintf "%a" (Format.pp_print_list pp_timer_op))
     QCheck.Gen.(list_size (1 -- 30) timer_op_gen)
 
-let run_timer_ops backend ops =
-  let sim = Sim.create ~backend () in
+let run_timer_ops ops =
+  let sim = Sim.create () in
   let trace = ref [] in
   let mark id = trace := (Time.to_ns (Sim.now sim), id) :: !trace in
   let self_n = Array.make n_timers 0 in
@@ -524,8 +400,8 @@ let run_timer_ops backend ops =
    last handle unconditionally — even after it fired — because that is
    what [Sim.disarm] does, and the cancel-after-fire tombstone is
    visible in [live_pending]. *)
-let run_ref_ops backend ops =
-  let sim = Sim.create ~backend () in
+let run_ref_ops ops =
+  let sim = Sim.create () in
   let trace = ref [] in
   let mark id = trace := (Time.to_ns (Sim.now sim), id) :: !trace in
   let self_n = Array.make n_timers 0 in
@@ -572,15 +448,16 @@ let run_ref_ops backend ops =
     Sim.max_live_pending sim )
 
 let prop_timers_equivalent =
-  QCheck.Test.make
-    ~name:"reusable timers match cancel+reschedule on both backends"
+  QCheck.Test.make ~name:"reusable timers match cancel+reschedule"
     ~count:100 timer_op_arb
-    (fun ops ->
-      let a = run_timer_ops Event_queue.Heap ops in
-      let b = run_timer_ops Event_queue.Calendar ops in
-      let c = run_ref_ops Event_queue.Heap ops in
-      let d = run_ref_ops Event_queue.Calendar ops in
-      a = b && a = c && a = d)
+    (fun ops -> run_timer_ops ops = run_ref_ops ops)
+
+(* ---------- Event_queue ---------- *)
+
+(* The benchmark suite labels every result set with this string. *)
+let test_scheduler_label () =
+  check Alcotest.string "label" "heap"
+    (Engine.Event_queue.backend_to_string (Engine.Event_queue.default ()))
 
 (* ---------- Prng ---------- *)
 
@@ -671,16 +548,13 @@ let test_sim_horizon_excludes_later () =
   Sim.run_until sim (Time.of_sec 5);
   checkb "now" true !fired
 
-(* Horizon edge under batched dispatch (the equal-timestamp run
-   optimization): an event at exactly the horizon fires in that
+(* Horizon edge: an event at exactly the horizon fires in that
    [run_until] call; a run of equal instants at the horizon fires whole,
    including same-instant work its own thunks add mid-run; a run
    straddling two [run_until] calls at the same horizon neither drops
-   nor double-fires; and the first event past the horizon stays put.
-   Checked on both backends, batched and reference loop. *)
-let sim_horizon_edge ~batch backend () =
-  let sim = Sim.create ~backend () in
-  Sim.set_batch_runs sim batch;
+   nor double-fires; and the first event past the horizon stays put. *)
+let test_sim_horizon_edge () =
+  let sim = Sim.create () in
   let h = Time.of_sec 5 in
   let log = ref [] in
   let mark tag () = log := (tag, Time.to_ns (Sim.now sim)) :: !log in
@@ -858,11 +732,15 @@ let test_sim_jitter_instants_pinned () =
   check Alcotest.string "instants"
     "796049439,1789207514,2874443051,3891631633,4812392220" actual
 
+(* Two inputs, two models: instants scheduled up front must fire as
+   their stable sort, and a random Sim-API program ([run_ops]) must
+   produce exactly the reference scheduler's trace and dispatch count
+   ([model_ops]). *)
 let prop_sim_events_in_time_order =
   QCheck.Test.make ~name:"events dispatch in nondecreasing time order"
     ~count:100
-    QCheck.(list (int_bound 1000))
-    (fun times ->
+    QCheck.(pair (list (int_bound 1000)) sim_op_arb)
+    (fun (times, ops) ->
       let sim = Sim.create () in
       let fired = ref [] in
       List.iter
@@ -874,7 +752,8 @@ let prop_sim_events_in_time_order =
       Sim.run_until sim (Time.of_sec 10);
       let f = List.rev !fired in
       List.length f = List.length times
-      && List.for_all2 ( = ) f (List.stable_sort Int.compare times))
+      && List.for_all2 ( = ) f (List.stable_sort Int.compare times)
+      && run_ops ops = model_ops ops)
 
 (* ---------- Stats ---------- *)
 
@@ -952,23 +831,6 @@ let () =
           Alcotest.test_case "invalid" `Quick test_time_invalid;
           Alcotest.test_case "compare" `Quick test_time_compare;
         ] );
-      ( "calendar",
-        [
-          Alcotest.test_case "sorted drain" `Quick test_calendar_sorted_drain;
-          Alcotest.test_case "empty and errors" `Quick test_calendar_empty;
-          Alcotest.test_case "year wrap" `Quick test_calendar_year_wrap;
-          Alcotest.test_case "filter" `Quick test_calendar_filter;
-          Alcotest.test_case "resize" `Quick test_calendar_resize;
-          Alcotest.test_case "lower key after pop" `Quick
-            test_calendar_interleaved_lower_key;
-          Alcotest.test_case "bucket recycling" `Quick
-            test_calendar_bucket_recycling;
-          Alcotest.test_case "pop_if_key fast path" `Quick
-            test_calendar_pop_if_key;
-          Alcotest.test_case "resize counter" `Quick
-            test_calendar_resize_counter;
-        ] );
-      qsuite "calendar-props" [ prop_calendar_matches_heap ];
       ( "heap",
         [
           Alcotest.test_case "sorted drain" `Quick test_heap_order;
@@ -980,6 +842,8 @@ let () =
           Alcotest.test_case "filter" `Quick test_heap_filter;
         ] );
       qsuite "heap-props" [ prop_heap_sorted; prop_heap_interleaved ];
+      ( "scheduler-name",
+        [ Alcotest.test_case "benchmark label" `Quick test_scheduler_label ] );
       ( "prng",
         [
           Alcotest.test_case "deterministic" `Quick test_prng_deterministic;
@@ -996,14 +860,7 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_sim_fifo_ties;
           Alcotest.test_case "clock" `Quick test_sim_clock_advances;
           Alcotest.test_case "horizon" `Quick test_sim_horizon_excludes_later;
-          Alcotest.test_case "horizon edge (heap, batched)" `Quick
-            (sim_horizon_edge ~batch:true Event_queue.Heap);
-          Alcotest.test_case "horizon edge (heap, reference)" `Quick
-            (sim_horizon_edge ~batch:false Event_queue.Heap);
-          Alcotest.test_case "horizon edge (calendar, batched)" `Quick
-            (sim_horizon_edge ~batch:true Event_queue.Calendar);
-          Alcotest.test_case "horizon edge (calendar, reference)" `Quick
-            (sim_horizon_edge ~batch:false Event_queue.Calendar);
+          Alcotest.test_case "horizon edge" `Quick test_sim_horizon_edge;
           Alcotest.test_case "cancel" `Quick test_sim_cancel;
           Alcotest.test_case "past rejected" `Quick
             test_sim_schedule_past_rejected;
@@ -1023,12 +880,7 @@ let () =
           Alcotest.test_case "timer disarm" `Quick test_sim_timer_disarm;
         ] );
       qsuite "sim-props"
-        [
-          prop_sim_events_in_time_order;
-          prop_backends_equivalent;
-          prop_batching_invisible;
-          prop_timers_equivalent;
-        ];
+        [ prop_sim_events_in_time_order; prop_timers_equivalent ];
       ( "stats",
         [
           Alcotest.test_case "basic" `Quick test_stats_basic;

@@ -2,8 +2,7 @@
    splice must reproduce from-scratch tables bit-for-bit (tie-breaks
    included), and the bounded repair path must keep every multicast tree
    equal to the reverse-path union a full rescan would produce — across
-   random up/down/join/leave interleavings, on both event-queue
-   backends, and at 500+ node scale. *)
+   random up/down/join/leave interleavings and at 500+ node scale. *)
 
 module Time = Engine.Time
 module Sim = Engine.Sim
@@ -110,11 +109,10 @@ let arbitrary_case =
    (graft hops, the 1 s leave latency and prune propagation all land
    well inside that), and demand exact table and tree equality with the
    from-scratch oracles after every step. *)
-let run_case ~backend ((spec, ops) : (int * int list * (int * int) list) * op list)
-    =
+let run_case ((spec, ops) : (int * int list * (int * int) list) * op list) =
   let topo = build_topo spec in
   let n = Topology.node_count topo in
-  let sim = Sim.create ~seed:1L ~backend () in
+  let sim = Sim.create ~seed:1L () in
   let nw = Network.create ~sim topo in
   let router = Router.create ~network:nw () in
   let group = Router.fresh_group router ~source:0 in
@@ -173,12 +171,9 @@ let run_case ~backend ((spec, ops) : (int * int list * (int * int) list) * op li
     ops;
   !ok
 
-let prop_churn_matches_fresh_compute backend =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "churn == fresh compute (%s backend)"
-         (Engine.Event_queue.backend_to_string backend))
-    ~count:60 arbitrary_case (run_case ~backend)
+let prop_churn_matches_fresh_compute =
+  QCheck.Test.make ~name:"churn == fresh compute (heap backend)" ~count:60
+    arbitrary_case run_case
 
 (* ---------- deterministic large case ---------- *)
 
@@ -208,17 +203,16 @@ let test_kary_storm_consistent () =
     true
     (o.routing_recomputes * 4 < o.full_recompute_equiv * 3)
 
-(* The storm is deterministic per seed and backend-independent. *)
-let test_storm_backend_invariant () =
-  let run backend =
+(* The storm is deterministic per seed: two runs agree exactly. *)
+let test_storm_deterministic () =
+  let run () =
     Recovery.churn_storm ~fanout:3 ~depth:2 ~flaps:12 ~churners:4
-      ~duration:(Time.of_sec 120) ~backend ()
+      ~duration:(Time.of_sec 120) ()
   in
-  let h = run Engine.Event_queue.Heap in
-  let c = run Engine.Event_queue.Calendar in
-  checkb "identical outcomes on both backends" true (h = c);
-  checkb "tables consistent" true h.tables_consistent;
-  checkb "tree consistent" true h.tree_consistent
+  let a = run () in
+  checkb "identical outcomes on repeat" true (a = run ());
+  checkb "tables consistent" true a.tables_consistent;
+  checkb "tree consistent" true a.tree_consistent
 
 (* Flapping a redundant link is nearly free end to end: a leaf-level
    sibling link carries only the two leaves' mutual traffic, so the
@@ -513,17 +507,13 @@ let () =
   Alcotest.run "incremental"
     [
       ( "property",
-        List.map QCheck_alcotest.to_alcotest
-          [
-            prop_churn_matches_fresh_compute Engine.Event_queue.Heap;
-            prop_churn_matches_fresh_compute Engine.Event_queue.Calendar;
-          ] );
+        [ QCheck_alcotest.to_alcotest prop_churn_matches_fresh_compute ] );
       ( "storm",
         [
           Alcotest.test_case "585-node k-ary storm" `Slow
             test_kary_storm_consistent;
-          Alcotest.test_case "backend invariant" `Slow
-            test_storm_backend_invariant;
+          Alcotest.test_case "deterministic per seed" `Slow
+            test_storm_deterministic;
         ] );
       ( "routing-api",
         [
