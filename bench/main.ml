@@ -1,16 +1,13 @@
-(* Benchmark and figure-regeneration harness.
+(* Regenerates every table and figure of the paper's evaluation (Table I,
+   Figs. 6-10) plus the ablations, and prints the same rows/series the
+   paper reports. Durations default to 600 simulated seconds per run so
+   the whole harness finishes in a couple of minutes; set BENCH_FULL=1 for
+   the paper's 1200 s. Speed is measured by bench/suite, not here.
 
-   Two halves:
-
-   1. Regenerates every table and figure of the paper's evaluation
-      (Table I, Figs. 6-10) and prints the same rows/series the paper
-      reports. Durations default to 600 simulated seconds per run so the
-      whole harness finishes in a couple of minutes; set BENCH_FULL=1 for
-      the paper's 1200 s.
-
-   2. Bechamel micro-benchmarks — one Test.make per table/figure driver
-      plus the core algorithm stages — so regressions in the simulator or
-      the TopoSense stages show up as time-per-run changes. *)
+   The only argument is [--jobs N] (N >= 1), which fans the figure sweeps
+   across domains, clamped to the machine's cores. Anything else is a
+   usage error, so a stale invocation fails instead of silently running
+   the whole multi-minute harness. *)
 
 module Time = Engine.Time
 module Experiment = Scenarios.Experiment
@@ -19,43 +16,27 @@ module Figures = Scenarios.Figures
 let full = Sys.getenv_opt "BENCH_FULL" <> None
 let duration = Time.of_sec (if full then 1200 else 600)
 
-(* --jobs N / BENCH_JOBS fans the figure sweeps and the trajectory rows
-   across domains, clamped to the machine's cores. *)
-let argv_value name =
-  let rec find i =
-    if i >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = name && i + 1 < Array.length Sys.argv then
-      Some Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
 let jobs =
-  let requested =
-    match argv_value "--jobs" with
-    | Some s -> ( try int_of_string s with _ -> 1)
-    | None -> (
-        match Sys.getenv_opt "BENCH_JOBS" with
-        | Some s -> ( try int_of_string s with _ -> 1)
-        | None -> 1)
+  let usage_error fmt =
+    Printf.ksprintf
+      (fun msg ->
+        prerr_endline
+          ("bench/main.exe: " ^ msg ^ "; usage: bench/main.exe [--jobs N]");
+        exit 2)
+      fmt
   in
-  max 1 (min requested (Scenarios.Sweep.cores ()))
+  let rec parse jobs = function
+    | [] -> jobs
+    | "--jobs" :: n :: rest -> (
+        match int_of_string_opt n with
+        | Some j when j >= 1 -> parse j rest
+        | _ -> usage_error "--jobs expects a positive integer, got %S" n)
+    | [ "--jobs" ] -> usage_error "--jobs expects a value"
+    | arg :: _ -> usage_error "unknown argument %S" arg
+  in
+  min (parse 1 (List.tl (Array.to_list Sys.argv))) (Scenarios.Sweep.cores ())
 
 let header fmt = Format.printf "@.=== %s ===@." fmt
-
-(* --perf re-runs one named trajectory row (default: the topoB hot
-   path; pick another with --perf-row NAME) under [perf record -g]
-   attached to this process, then renders [perf report --stdio] beside
-   the data file. The capture is a separate run *after* the measured
-   rows so sampling overhead never pollutes the recorded numbers, and
-   it degrades to a note when the perf binary is absent (most
-   containers ship without it). *)
-let perf_requested = Array.exists (fun a -> a = "--perf") Sys.argv
-
-let perf_row_name =
-  Option.value ~default:"topoB-32-sessions-vbr" (argv_value "--perf-row")
-
-(* ---------- figure regeneration ---------- *)
 
 let run_table1 () =
   header "Table I: decision table (node kind x history x BW equality)";
@@ -396,698 +377,17 @@ let run_ablations () =
         changes)
     [ 1; 2; 4; 8 ]
 
-(* ---------- bench trajectory (BENCH_*.json) ---------- *)
-
-(* Macro throughput numbers for the hot path, written to BENCH_pr10.json
-   so successive PRs can compare events/sec and packets/sec on fixed
-   scenarios (diff two files with bench/compare.exe). Runs alone (fast)
-   with BENCH_SMOKE=1 or --trajectory. *)
-
-type bench_row = {
-  bname : string;
-  sim_s : float;
-  wall_s : float;
-  events : int;
-  packets : int;
-  peak_heap : int;  (* backing-store high-water mark, tombstones included *)
-  peak_live : int;  (* high-water mark of genuinely outstanding events *)
-  minor_words : float;
-  major_words : float;
-  major_cols : int;
-  extras : (string * float) list;
-      (* scenario-specific counters appended verbatim to the JSON row
-         (e.g. the churn-storm damage counters the CI gate bounds) *)
-}
-
-(* Allocation pressure of one run, from [Gc.quick_stat] deltas. Minor
-   words are domain-local in OCaml 5, so a row measured on a worker
-   domain still reports its own run; major-heap numbers are shared and
-   get noisy under --jobs > 1. *)
-type gc_delta = { minor_w : float; major_w : float; major_cols : int }
-
-(* Best wall time of [repeat] identical runs: the scenarios are
-   deterministic, so the minimum is the least-noisy estimate of the
-   true cost on a shared machine. *)
-let bench_repeat =
-  match Sys.getenv_opt "BENCH_REPEAT" with
-  | Some s -> (try max 1 (int_of_string s) with _ -> 3)
-  | None -> 3
-
-let time_wall f =
-  let g0 = Gc.quick_stat () in
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  let w = Unix.gettimeofday () -. t0 in
-  let g1 = Gc.quick_stat () in
-  ( r,
-    w,
-    {
-      minor_w = g1.Gc.minor_words -. g0.Gc.minor_words;
-      major_w = g1.Gc.major_words -. g0.Gc.major_words;
-      major_cols = g1.Gc.major_collections - g0.Gc.major_collections;
-    } )
-
-(* GC numbers are reported from the same (best-wall) run, so the row is
-   one coherent measurement rather than a min over mixed runs. *)
-let time_wall_best f =
-  let rec loop ((_, best_w, _) as best) n =
-    if n = 0 then best
-    else
-      let (_, w, _) as run = time_wall f in
-      loop (if w < best_w then run else best) (n - 1)
-  in
-  loop (time_wall f) (bench_repeat - 1)
-
-let experiment_row ~name ~spec ~traffic ~sim_s () =
-  let duration = Time.of_sec_f sim_s in
-  let o, wall, gc =
-    time_wall_best (fun () ->
-        Experiment.run ~spec ~traffic ~scheme:Experiment.Toposense ~duration ())
-  in
-  {
-    bname = name;
-    sim_s;
-    wall_s = wall;
-    events = o.Experiment.events_dispatched;
-    packets = o.Experiment.forwarded_packets;
-    peak_heap = o.Experiment.peak_heap;
-    peak_live = o.Experiment.peak_live;
-    minor_words = gc.minor_w;
-    major_words = gc.major_w;
-    major_cols = gc.major_cols;
-    extras = [];
-  }
-
-(* Failure recovery under load: the link-flap scenario stresses the
-   incremental-routing + tree-repair path alongside normal forwarding. *)
-let fault_flap_row ~sim_s () =
-  let o, wall, gc =
-    time_wall_best (fun () ->
-        Scenarios.Recovery.link_flap ~receivers_per_set:4
-          ~duration:(Time.of_sec_f sim_s) ())
-  in
-  {
-    bname = "fault-link-flap";
-    sim_s;
-    wall_s = wall;
-    events = o.Scenarios.Recovery.events_dispatched;
-    packets = o.Scenarios.Recovery.forwarded_packets;
-    peak_heap = o.Scenarios.Recovery.peak_heap;
-    peak_live = o.Scenarios.Recovery.peak_live;
-    minor_words = gc.minor_w;
-    major_words = gc.major_w;
-    major_cols = gc.major_cols;
-    extras = [];
-  }
-
-(* Reliable control plane under partition: leases, retransmission timers
-   and the receivers' RLM fallback all churn at once while the data
-   plane keeps forwarding. *)
-let fault_partition_row ~sim_s () =
-  let o, wall, gc =
-    time_wall_best (fun () ->
-        Scenarios.Recovery.partition ~receivers_per_set:4
-          ~duration:(Time.of_sec_f (Float.max sim_s 180.0))
-          ())
-  in
-  {
-    bname = "fault-partition";
-    sim_s = Float.max sim_s 180.0;
-    wall_s = wall;
-    events = o.Scenarios.Recovery.events_dispatched;
-    packets = o.Scenarios.Recovery.forwarded_packets;
-    peak_heap = o.Scenarios.Recovery.peak_heap;
-    peak_live = o.Scenarios.Recovery.peak_live;
-    minor_words = gc.minor_w;
-    major_words = gc.major_w;
-    major_cols = gc.major_cols;
-    extras = [];
-  }
-
-(* Engine-only: thousands of periodic chains, most cancelled mid-run, on
-   top of a standing population of far-future one-shot events that also
-   get cancelled — the worst case for event-heap tombstones. *)
-let engine_churn_row ~name ~sim_s () =
-  let run () =
-    let sim = Engine.Sim.create () in
-    let horizon = Time.of_sec_f sim_s in
-    let timers =
-      Array.init 2_000 (fun i ->
-          Engine.Sim.every sim
-            ~period:(Time.span_of_ms (1 + (i mod 50)))
-            ignore)
-    in
-    let far =
-      Array.init 100_000 (fun i ->
-          Engine.Sim.schedule_at sim
-            (Time.add horizon (Time.span_of_ms (i + 1)))
-            ignore)
-    in
-    ignore
-      (Engine.Sim.schedule_at sim
-         (Time.of_sec_f (sim_s /. 2.0))
-         (fun () ->
-           Array.iteri
-             (fun i h -> if i mod 10 <> 0 then Engine.Sim.cancel sim h)
-             timers;
-           Array.iter (fun h -> Engine.Sim.cancel sim h) far));
-    Engine.Sim.run_until sim horizon;
-    sim
-  in
-  let sim, wall, gc = time_wall_best run in
-  {
-    bname = name;
-    sim_s;
-    wall_s = wall;
-    events = Engine.Sim.events_dispatched sim;
-    packets = 0;
-    peak_heap = Engine.Sim.max_pending sim;
-    peak_live = Engine.Sim.max_live_pending sim;
-    minor_words = gc.minor_w;
-    major_words = gc.major_w;
-    major_cols = gc.major_cols;
-    extras = [];
-  }
-
-(* Churn storm at scale (PR 6): sustained link flaps + membership churn
-   on a 259-node 6-ary tree, no data plane — the cost measured is pure
-   incremental route & tree maintenance. The extras pin the
-   damage-proportional counters; the CI gate bounds [recomputes] so the
-   full-recompute-per-event path cannot silently return (it would cost
-   [full_recompute_equiv], an order of magnitude more). The run aborts
-   if the storm ends inconsistent, so the bench doubles as an
-   at-scale correctness check. *)
-let churn_storm_row ~sim_s () =
-  let flaps = int_of_float (sim_s /. 5.0) in
-  let o, wall, gc =
-    time_wall_best (fun () ->
-        let o =
-          Scenarios.Recovery.churn_storm ~fanout:6 ~depth:3 ~flaps
-            ~churners:32 ~duration:(Time.of_sec_f sim_s) ()
-        in
-        if not (o.Scenarios.Recovery.tables_consistent
-               && o.Scenarios.Recovery.tree_consistent)
-        then failwith "churn-storm: inconsistent after the storm";
-        o)
-  in
-  {
-    bname = "churn-storm";
-    sim_s;
-    wall_s = wall;
-    events = o.Scenarios.Recovery.events_dispatched;
-    packets = 0;
-    peak_heap = o.Scenarios.Recovery.peak_heap;
-    peak_live = o.Scenarios.Recovery.peak_live;
-    minor_words = gc.minor_w;
-    major_words = gc.major_w;
-    major_cols = gc.major_cols;
-    extras =
-      [
-        ("recomputes", float_of_int o.Scenarios.Recovery.routing_recomputes);
-        ("topology_events", float_of_int o.Scenarios.Recovery.topology_events);
-        ( "full_recompute_equiv",
-          float_of_int o.Scenarios.Recovery.full_recompute_equiv );
-        ("repair_passes", float_of_int o.Scenarios.Recovery.repair_passes);
-        ("edges_repaired", float_of_int o.Scenarios.Recovery.edges_repaired);
-      ];
-  }
-
-(* Chaos storm (PR 8): a fixed fault schedule — leaf-controller outage
-   long enough to trip the liveness lease, two node crashes, two flaps,
-   a lossy control burst and a parent outage — on the federated
-   transit-stub world. The deterministic schedule pins the failover
-   counters (the CI gate bounds [failovers] so a monitor regression
-   cannot silently mark healthy domains dead), and the run aborts unless
-   every global invariant holds, so the bench doubles as an end-to-end
-   failover correctness check. *)
-let chaos_storm_row () =
-  let storm_s = 60.0 and quiet_s = 30.0 in
-  let schedule =
-    Scenarios.Chaos.
-      [
-        Ctrl_crash { domain = 0; at_s = 10.0; dur_s = 12.0 };
-        Crash { victim = 3; at_s = 15.0; dur_s = 12.0 };
-        Flap { link = 17; at_s = 20.0; dur_s = 6.0 };
-        Flap { link = 41; at_s = 28.0; dur_s = 6.0 };
-        Lossy_burst { at_s = 34.0; dur_s = 8.0; drop = 0.4 };
-        Crash { victim = 29; at_s = 38.0; dur_s = 8.0 };
-        Parent_crash { at_s = 44.0; dur_s = 6.0 };
-      ]
-  in
-  let world =
-    Scenarios.Chaos.Transit_stub
-      {
-        transits = 3;
-        stubs_per_transit = 3;
-        receivers_per_stub = 50;
-        active_domains = 4;
-        active_per_domain = 3;
-      }
-  in
-  let o, wall, gc =
-    time_wall_best (fun () ->
-        let o =
-          Scenarios.Chaos.run ~world ~schedule ~storm_s ~quiet_s ~seed:42L ()
-        in
-        if not (Scenarios.Chaos.ok o) then
-          failwith
-            ("chaos-storm: "
-            ^ String.concat "; " o.Scenarios.Chaos.violations);
-        o)
-  in
-  {
-    bname = "chaos-storm";
-    sim_s = storm_s +. quiet_s;
-    wall_s = wall;
-    events = o.Scenarios.Chaos.events_dispatched;
-    packets = 0;
-    peak_heap = o.Scenarios.Chaos.peak_heap;
-    peak_live = o.Scenarios.Chaos.peak_live;
-    minor_words = gc.minor_w;
-    major_words = gc.major_w;
-    major_cols = gc.major_cols;
-    extras =
-      [
-        ("failovers", float_of_int o.Scenarios.Chaos.failovers);
-        ("rejoins", float_of_int o.Scenarios.Chaos.rejoins);
-        ( "rehomed_prescriptions",
-          float_of_int o.Scenarios.Chaos.rehomed_prescriptions );
-        ("crash_drops", float_of_int o.Scenarios.Chaos.crash_drops);
-        ("evictions", float_of_int o.Scenarios.Chaos.evictions);
-        ("readmissions", float_of_int o.Scenarios.Chaos.readmissions);
-        ("recomputes", float_of_int o.Scenarios.Chaos.routing_recomputes);
-        ("repair_passes", float_of_int o.Scenarios.Chaos.repair_passes);
-        ("edges_repaired", float_of_int o.Scenarios.Chaos.edges_repaired);
-      ];
-  }
-
-(* Scaled transit-stub worlds (PR 7): the row's headline numbers are
-   peak RSS and the materialized-column count, pinning the lazy-routing
-   and O(domains)-federation state claims at 10k and 100k receivers.
-   One run, not best-of-N: VmHWM is a process-wide high-water mark, so
-   repeats measure nothing new and these rows must run first (10k before
-   100k) for their RSS figures to mean what they say. *)
-let scale_row ~name ~config =
-  (* Build/run seam ([Scale.prepare]/[execute]): world construction is
-     timed into the setup_seconds extra, so wall_seconds — and with it
-     events_per_sec and the alloc_per_event gate — covers only the
-     simulation itself. *)
-  let p, setup_w, _ =
-    time_wall (fun () -> Scenarios.Scale.prepare ~config ())
-  in
-  let o, wall, gc = time_wall (fun () -> Scenarios.Scale.execute p) in
-  {
-    bname = name;
-    sim_s = Time.to_sec_f config.Scenarios.Scale.duration;
-    wall_s = wall;
-    events = o.Scenarios.Scale.events_dispatched;
-    packets = 0;
-    peak_heap = 0;
-    peak_live = 0;
-    minor_words = gc.minor_w;
-    major_words = gc.major_w;
-    major_cols = gc.major_cols;
-    extras =
-      [
-        ("setup_seconds", setup_w);
-        ("receivers", float_of_int o.Scenarios.Scale.receivers);
-        ("domains", float_of_int o.Scenarios.Scale.domains);
-        ("peak_rss_kb", float_of_int o.Scenarios.Scale.peak_rss_kb);
-        ( "materialized_columns",
-          float_of_int o.Scenarios.Scale.materialized_columns );
-        ("column_bound", float_of_int o.Scenarios.Scale.column_bound);
-        ( "parent_state_entries",
-          float_of_int o.Scenarios.Scale.parent_state_entries );
-        ( "controller_state_entries",
-          float_of_int o.Scenarios.Scale.controller_state_entries );
-        ( "summaries_received",
-          float_of_int o.Scenarios.Scale.summaries_received );
-      ];
-  }
-
-(* Derived allocation-pressure metric: total words allocated (minor +
-   major-only allocations) per event dispatched. The hot-path work of
-   this PR shows up here: a steady-state event that allocates nothing
-   drives the quotient toward the per-packet floor. *)
-let alloc_per_event r =
-  if r.events = 0 then 0.0
-  else (r.minor_words +. r.major_words) /. float_of_int r.events
-
-let emit_bench_json ~path rows =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"bench\": \"pr10\",\n";
-  Printf.bprintf buf "  \"mode\": \"%s\",\n"
-    (if full then "full" else "quick");
-  Printf.bprintf buf "  \"jobs\": %d,\n" jobs;
-  Buffer.add_string buf "  \"scenarios\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i r ->
-      Printf.bprintf buf
-        "    {\"name\": \"%s\", \"sim_seconds\": %.1f, \"wall_seconds\": \
-         %.3f, \"events\": %d, \"events_per_sec\": %.0f, \
-         \"packets_forwarded\": %d, \"packets_per_sec\": %.0f, \
-         \"peak_heap\": %d, \"peak_live\": %d, \"minor_words\": %.0f, \
-         \"major_words\": %.0f, \"major_collections\": %d, \
-         \"alloc_per_event\": %.2f"
-        r.bname r.sim_s r.wall_s r.events
-        (float_of_int r.events /. r.wall_s)
-        r.packets
-        (float_of_int r.packets /. r.wall_s)
-        r.peak_heap r.peak_live r.minor_words r.major_words r.major_cols
-        (alloc_per_event r);
-      List.iter
-        (fun (k, v) ->
-          (* Counters are integral; timing extras (setup_seconds)
-             need their fraction. *)
-          if Float.is_integer v then Printf.bprintf buf ", \"%s\": %.0f" k v
-          else Printf.bprintf buf ", \"%s\": %.3f" k v)
-        r.extras;
-      Printf.bprintf buf "}%s\n" (if i = n - 1 then "" else ","))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc
-
-(* One extra, unmeasured run of the chosen row with [perf record]
-   attached to this pid. SIGINT (perf's documented stop signal) flushes
-   the ring buffer; the text report lands beside perf.data so CI can
-   archive it without perf installed on the inspecting side. *)
-let run_perf_capture named_thunks =
-  match List.assoc_opt perf_row_name named_thunks with
-  | None ->
-      Format.printf "--perf-row %S: no such trajectory row (have: %s)@."
-        perf_row_name
-        (String.concat ", " (List.map fst named_thunks))
-  | Some thunk ->
-      if Sys.command "perf --version > /dev/null 2>&1" <> 0 then
-        Format.printf
-          "perf binary not found on PATH; skipping profile capture@."
-      else begin
-        header (Printf.sprintf "perf profile: %s" perf_row_name);
-        let perf_pid =
-          Unix.create_process "perf"
-            [|
-              "perf"; "record"; "-g"; "--freq"; "997"; "-o"; "perf.data";
-              "-p"; string_of_int (Unix.getpid ());
-            |]
-            Unix.stdin Unix.stdout Unix.stderr
-        in
-        (* Let perf finish attaching before the measured work starts. *)
-        Unix.sleepf 0.2;
-        ignore (thunk ());
-        Unix.kill perf_pid Sys.sigint;
-        ignore (Unix.waitpid [] perf_pid);
-        if
-          Sys.command
-            "perf report --stdio -i perf.data > perf_report.txt 2> /dev/null"
-          = 0
-        then Format.printf "wrote perf.data and perf_report.txt@."
-        else
-          Format.printf
-            "perf record finished but the report failed; perf.data kept@."
-      end
-
-let run_trajectory () =
-  header "Bench trajectory (events/sec, packets/sec per scenario)";
-  let sim_s = if full then 600.0 else 300.0 in
-  (* Topology specs read Builders.with_discipline's process-wide
-     discipline, so every spec is built here in the main domain; the
-     sweep then only runs self-contained simulations. *)
-  let spec_topo_b = Scenarios.Builders.topology_b ~session_count:32 in
-  let spec_topo_a16 = Scenarios.Builders.topology_a ~receivers_per_set:16 in
-  let spec_priority =
-    Scenarios.Builders.with_discipline
-      (fun ~bandwidth_bps ->
-        match Scenarios.Builders.default_discipline ~bandwidth_bps with
-        | Net.Queue_discipline.Drop_tail { limit } ->
-            Net.Queue_discipline.Priority { limit }
-        | d -> d)
-      (fun () -> Scenarios.Builders.topology_a ~receivers_per_set:4)
-  in
-  let spec_red =
-    Scenarios.Builders.with_discipline
-      (fun ~bandwidth_bps ->
-        match Scenarios.Builders.default_discipline ~bandwidth_bps with
-        | Net.Queue_discipline.Drop_tail { limit } ->
-            Net.Queue_discipline.default_red ~limit
-        | d -> d)
-      (fun () -> Scenarios.Builders.topology_a ~receivers_per_set:4)
-  in
-  (* Named so --perf-row can pick one out; the names double as the JSON
-     row names. *)
-  let row_thunks =
-    [
-      ( "topoB-32-sessions-vbr",
-        fun () ->
-          experiment_row ~name:"topoB-32-sessions-vbr" ~spec:spec_topo_b
-            ~traffic:(Experiment.Vbr 3.0) ~sim_s () );
-      ( "topoA-16-receivers-cbr",
-        fun () ->
-          experiment_row ~name:"topoA-16-receivers-cbr" ~spec:spec_topo_a16
-            ~traffic:Experiment.Cbr ~sim_s () );
-      ( "priority-overload",
-        fun () ->
-          experiment_row ~name:"priority-overload" ~spec:spec_priority
-            ~traffic:(Experiment.Vbr 6.0) ~sim_s () );
-      ( "red-burst",
-        fun () ->
-          experiment_row ~name:"red-burst" ~spec:spec_red
-            ~traffic:(Experiment.Vbr 6.0) ~sim_s () );
-      ("fault-link-flap", fun () -> fault_flap_row ~sim_s ());
-      ("fault-partition", fun () -> fault_partition_row ~sim_s ());
-      ("churn-storm", fun () -> churn_storm_row ~sim_s ());
-      ("chaos-storm", fun () -> chaos_storm_row ());
-      ( "engine-cancel-churn",
-        fun () ->
-          engine_churn_row ~name:"engine-cancel-churn" ~sim_s:(sim_s /. 5.0) ()
-      );
-    ]
-  in
-  (* Scale rows run serially, before everything else in this trajectory:
-     VmHWM only ever grows, so the 10k row's RSS (the CI gate) must be
-     recorded before the 100k world is built. *)
-  let scale_rows =
-    let d10, d100 = if full then (10.0, 5.0) else (5.0, 5.0) in
-    let with_duration config d =
-      { config with Scenarios.Scale.duration = Time.of_sec_f d }
-    in
-    (* Sequenced with lets: list-literal elements evaluate right to
-       left, which would run the 100k world first and pollute the 10k
-       row's VmHWM reading. *)
-    let r10k =
-      scale_row ~name:"scale-10k"
-        ~config:(with_duration Scenarios.Scale.config_10k d10)
-    in
-    let r100k =
-      scale_row ~name:"scale-100k"
-        ~config:(with_duration Scenarios.Scale.config_100k d100)
-    in
-    [ r10k; r100k ]
-  in
-  let rows =
-    scale_rows
-    @ Scenarios.Sweep.run ~jobs (fun (_, thunk) -> thunk ()) row_thunks
-  in
-  List.iter
-    (fun r ->
-      Format.printf
-        "%-28s %6.1f sim-s in %6.2f s — %9.0f events/s, %8.0f packets/s, \
-         peak heap %d, live %d, GC %.1f/%.1f Mw, %d major, %.1f w/event@."
-        r.bname r.sim_s r.wall_s
-        (float_of_int r.events /. r.wall_s)
-        (float_of_int r.packets /. r.wall_s)
-        r.peak_heap r.peak_live
-        (r.minor_words /. 1e6)
-        (r.major_words /. 1e6)
-        r.major_cols (alloc_per_event r))
-    rows;
-  let path =
-    Option.value ~default:"BENCH_pr10.json" (Sys.getenv_opt "BENCH_OUT")
-  in
-  emit_bench_json ~path rows;
-  Format.printf "wrote %s@." path;
-  if perf_requested then run_perf_capture row_thunks
-
-(* ---------- bechamel micro-benchmarks ---------- *)
-
-let small_sim_run () =
-  let spec = Scenarios.Builders.topology_a ~receivers_per_set:1 in
-  ignore
-    (Experiment.run ~spec ~traffic:Experiment.Cbr ~scheme:Experiment.Toposense
-       ~duration:(Time.of_sec 20) ())
-
-let heap_churn () =
-  let h = Engine.Heap.create ~cmp:Int.compare in
-  for i = 0 to 999 do
-    Engine.Heap.push h ((i * 7919) mod 1000)
-  done;
-  while not (Engine.Heap.is_empty h) do
-    ignore (Engine.Heap.pop h)
-  done
-
-let event_dispatch () =
-  let sim = Engine.Sim.create () in
-  for i = 1 to 1000 do
-    ignore (Engine.Sim.schedule_at sim (Time.of_us i) ignore)
-  done;
-  Engine.Sim.run_until sim (Time.of_sec 1)
-
-let routing_compute () =
-  let spec = Scenarios.Builders.topology_a ~receivers_per_set:8 in
-  ignore (Net.Routing.compute spec.topology)
-
-let decision_sweep () =
-  List.iter
-    (fun kind ->
-      List.iter
-        (fun bw ->
-          for h = 0 to 7 do
-            ignore (Toposense.Decision.lookup ~kind ~history:h ~bw)
-          done)
-        [
-          Toposense.Decision.Lesser;
-          Toposense.Decision.Equal;
-          Toposense.Decision.Greater;
-        ])
-    [ Toposense.Decision.Leaf; Toposense.Decision.Internal ]
-
-let congestion_stage =
-  let snap =
-    {
-      Discovery.Snapshot.session = 0;
-      taken_at = Time.zero;
-      source = 0;
-      edges =
-        List.concat_map
-          (fun b ->
-            { Discovery.Snapshot.parent = 0; child = b; layers = [ 0 ] }
-            :: List.map
-                 (fun l ->
-                   {
-                     Discovery.Snapshot.parent = b;
-                     child = (10 * b) + l;
-                     layers = [ 0 ];
-                   })
-                 [ 1; 2; 3; 4 ])
-          [ 1; 2; 3 ];
-      members = [];
-    }
-  in
-  let tree = Toposense.Tree.of_snapshot snap in
-  fun () ->
-    ignore
-      (Toposense.Congestion.compute ~params:Toposense.Params.default ~tree
-         ~measure:(fun node ->
-           Some (float_of_int (node mod 7) /. 20.0, node * 10)))
-
-let algorithm_step =
-  let algo =
-    Toposense.Algorithm.create ~params:Toposense.Params.default
-      ~rng:(Engine.Prng.create ~seed:5L)
-  in
-  let tree =
-    Toposense.Tree.of_snapshot
-      {
-        Discovery.Snapshot.session = 0;
-        taken_at = Time.zero;
-        source = 0;
-        edges =
-          [
-            { Discovery.Snapshot.parent = 0; child = 1; layers = [ 0 ] };
-            { Discovery.Snapshot.parent = 1; child = 2; layers = [ 0 ] };
-            { Discovery.Snapshot.parent = 1; child = 3; layers = [ 0 ] };
-          ];
-        members = [ (2, 2); (3, 3) ];
-      }
-  in
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    ignore
-      (Toposense.Algorithm.step algo
-         ~now:(Time.of_sec (2 * !counter))
-         [
-           {
-             Toposense.Algorithm.id = 0;
-             layering = Traffic.Layering.paper_default;
-             tree;
-             measures = [ (2, (0.0, 24_000)); (3, (0.0, 56_000)) ];
-             levels = [ (2, 2); (3, 3) ];
-             may_add = (fun _ -> true);
-             frozen = (fun _ -> false);
-           };
-         ])
-
-let deviation_metric =
-  let changes =
-    List.init 100 (fun i -> (Time.of_sec (i * 10), 1 + (i mod 5)))
-  in
-  fun () ->
-    ignore
-      (Metrics.Deviation.relative_deviation ~changes ~optimal:4
-         ~window:(Time.zero, Time.of_sec 1000))
-
-let tests =
-  [
-    Bechamel.Test.make ~name:"heap: 1k push+pop" (Bechamel.Staged.stage heap_churn);
-    Bechamel.Test.make ~name:"sim: 1k events" (Bechamel.Staged.stage event_dispatch);
-    Bechamel.Test.make ~name:"routing: topology A (20 nodes)"
-      (Bechamel.Staged.stage routing_compute);
-    Bechamel.Test.make ~name:"table1: full decision sweep" (Bechamel.Staged.stage decision_sweep);
-    Bechamel.Test.make ~name:"stage1: congestion (16-node tree)"
-      (Bechamel.Staged.stage congestion_stage);
-    Bechamel.Test.make ~name:"stages1-5: Algorithm.step" (Bechamel.Staged.stage algorithm_step);
-    Bechamel.Test.make ~name:"metric: relative deviation" (Bechamel.Staged.stage deviation_metric);
-    Bechamel.Test.make ~name:"e2e: 20 s Topology A sim" (Bechamel.Staged.stage small_sim_run);
-  ]
-
-let benchmark () =
-  header "Bechamel micro-benchmarks (time per run)";
-  let instance = Bechamel.Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Bechamel.Benchmark.cfg ~limit:2000 ~quota:(Bechamel.Time.second 0.5)
-      ~stabilize:false ()
-  in
-  let ols =
-    Bechamel.Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Bechamel.Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun tst ->
-          let raw = Bechamel.Benchmark.run cfg [ instance ] tst in
-          let est = Bechamel.Analyze.one ols instance raw in
-          let ns =
-            match Bechamel.Analyze.OLS.estimates est with
-            | Some [ e ] -> e
-            | Some _ | None -> nan
-          in
-          Format.printf "%-36s %12.1f ns/run@." (Bechamel.Test.Elt.name tst) ns)
-        (Bechamel.Test.elements test))
-    tests
-
-let trajectory_only =
-  Sys.getenv_opt "BENCH_SMOKE" <> None
-  || Array.exists (fun a -> a = "--trajectory") Sys.argv
-
 let () =
   Format.printf
     "TopoSense reproduction bench harness (%s mode: %.0f s per simulated \
      run)@."
     (if full then "full" else "quick")
     (Time.to_sec_f duration);
-  if trajectory_only then run_trajectory ()
-  else begin
-    run_table1 ();
-    run_fig6 ();
-    run_fig7 ();
-    run_fig8 ();
-    run_fig9 ();
-    run_fig10 ();
-    run_ablations ();
-    benchmark ();
-    run_trajectory ()
-  end;
+  run_table1 ();
+  run_fig6 ();
+  run_fig7 ();
+  run_fig8 ();
+  run_fig9 ();
+  run_fig10 ();
+  run_ablations ();
   Format.printf "@.done.@."

@@ -48,8 +48,8 @@ val add_transit_observer :
   t -> (Packet.t -> at:Addr.node_id -> in_iface:int option -> unit) -> unit
 (** Observers run for every packet at every node it visits (origination,
     transit and delivery), before forwarding. They model in-network
-    support such as mtrace's per-router hop recording, and power the
-    {!Packet_trace} debugging aid. Multiple observers run in
+    support such as mtrace's per-router hop recording and the probe-based
+    discovery service's hop sightings. Multiple observers run in
     registration order. *)
 
 type topology_event = {

@@ -62,8 +62,8 @@ type outcome = {
 
 let ok o = o.violations = []
 
-(* Uniform random schedule for the CLI and the bench row; tests generate
-   their own via QCheck so they can shrink. *)
+(* Uniform random schedule for the CLI; tests generate their own via
+   QCheck so they can shrink. *)
 let gen ~rng ~faults ~storm_s =
   if faults < 0 then invalid_arg "Chaos.gen: faults < 0";
   List.init faults (fun _ ->

@@ -105,8 +105,8 @@ val ok : outcome -> bool
 
 val gen : rng:Engine.Prng.t -> faults:int -> storm_s:float -> schedule
 (** Uniform random schedule (40% flaps, 30% crashes, 20% controller
-    outages, 10% lossy bursts) for the CLI and the bench row; tests
-    build their own via QCheck so shrinking works.
+    outages, 10% lossy bursts) for the CLI; tests build their own via
+    QCheck so shrinking works.
     @raise Invalid_argument if [faults < 0]. *)
 
 val run :

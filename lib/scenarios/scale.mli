@@ -14,8 +14,8 @@
     - leaf-controller receiver state is O(reporters) thanks to
       [prescribe_known_only].
 
-    Peak RSS is read from [/proc/self/status] (VmHWM) so bench rows can
-    gate on it. *)
+    Peak RSS is read from [/proc/self/status] (VmHWM); the [scale] CLI
+    prints it and CI gates on it. *)
 
 type config = {
   transits : int;

@@ -364,6 +364,45 @@ let test_leaf_controller_crash_e2e () =
     (o.Chaos.rehomed_prescriptions > 0);
   checki "zero lost sessions" 0 o.Chaos.lost_sessions
 
+(* ---------- fixed seven-fault storm ---------- *)
+
+(* One leaf-controller outage, one parent outage, and two node crashes
+   that take down co-located controllers produce exactly 4 failovers on
+   this schedule; a monitor that re-degrades healthy domains (e.g. keeps
+   running against stopped controllers) blows well past the bound of 6. *)
+let test_chaos_storm_failovers_bounded () =
+  let o =
+    Chaos.run
+      ~world:
+        (Chaos.Transit_stub
+           {
+             transits = 3;
+             stubs_per_transit = 3;
+             receivers_per_stub = 50;
+             active_domains = 4;
+             active_per_domain = 3;
+           })
+      ~schedule:
+        Chaos.
+          [
+            Ctrl_crash { domain = 0; at_s = 10.0; dur_s = 12.0 };
+            Crash { victim = 3; at_s = 15.0; dur_s = 12.0 };
+            Flap { link = 17; at_s = 20.0; dur_s = 6.0 };
+            Flap { link = 41; at_s = 28.0; dur_s = 6.0 };
+            Lossy_burst { at_s = 34.0; dur_s = 8.0; drop = 0.4 };
+            Crash { victim = 29; at_s = 38.0; dur_s = 8.0 };
+            Parent_crash { at_s = 44.0; dur_s = 6.0 };
+          ]
+      ~storm_s:60.0 ~quiet_s:30.0 ~seed:42L ()
+  in
+  checkb
+    ("invariants hold: " ^ String.concat "; " o.Chaos.violations)
+    true (Chaos.ok o);
+  checkb
+    (Printf.sprintf "failovers %d <= 6" o.Chaos.failovers)
+    true
+    (o.Chaos.failovers <= 6)
+
 (* ---------- the chaos property ---------- *)
 
 let pp_fault = function
@@ -493,6 +532,11 @@ let () =
             test_aggregate_excludes_degraded_mid_interval;
           Alcotest.test_case "leaf-controller crash end to end" `Slow
             test_leaf_controller_crash_e2e;
+        ] );
+      ( "chaos-storm",
+        [
+          Alcotest.test_case "seven-fault storm failovers bounded" `Slow
+            test_chaos_storm_failovers_bounded;
         ] );
       ("chaos-property", [ QCheck_alcotest.to_alcotest prop_chaos_kary ]);
       ( "chaos-10k",

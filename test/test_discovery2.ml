@@ -58,45 +58,6 @@ let test_observers_stack () =
   checki "both observers fired per hop" !a !b;
   checki "two sightings" 2 !a
 
-(* ---------- packet trace ---------- *)
-
-let test_packet_trace_path () =
-  let sim, nw = line () in
-  let tr = Net.Packet_trace.attach ~network:nw () in
-  Network.originate nw ~src:0 ~dst:(Addr.Unicast 3) ~size:100
-    ~payload:(Probe_pay 1);
-  Sim.run_until sim (Time.of_sec 1);
-  let path = Net.Packet_trace.sightings tr ~packet_id:0 in
-  Alcotest.check (Alcotest.list Alcotest.int) "sighted along the line"
-    [ 0; 1; 2; 3 ]
-    (List.map (fun (e : Net.Packet_trace.event) -> e.node) path);
-  checkb "timestamps increase" true
-    (let rec mono = function
-       | (a : Net.Packet_trace.event) :: (b :: _ as rest) ->
-           Time.(a.at <= b.at) && mono rest
-       | [ _ ] | [] -> true
-     in
-     mono path)
-
-let test_packet_trace_filter_and_cap () =
-  let sim, nw = line () in
-  let tr =
-    Net.Packet_trace.attach ~network:nw ~capacity:5
-      ~filter:(fun pkt ->
-        match Packet.payload (Network.arena nw) pkt with
-        | Probe_pay n -> n mod 2 = 0
-        | _ -> false)
-      ()
-  in
-  for i = 1 to 10 do
-    Network.originate nw ~src:0 ~dst:(Addr.Unicast 1) ~size:100
-      ~payload:(Probe_pay i)
-  done;
-  Sim.run_until sim (Time.of_sec 1);
-  (* 5 even-tagged packets x 2 sightings = 10 recorded, ring keeps 5. *)
-  checki "total recorded" 10 (Net.Packet_trace.count tr);
-  checki "ring capped" 5 (List.length (Net.Packet_trace.events tr))
-
 (* ---------- probe discovery ---------- *)
 
 let probe_world () =
@@ -200,12 +161,6 @@ let () =
           Alcotest.test_case "sees every hop" `Quick
             test_observer_sees_every_hop;
           Alcotest.test_case "observers stack" `Quick test_observers_stack;
-        ] );
-      ( "packet-trace",
-        [
-          Alcotest.test_case "path" `Quick test_packet_trace_path;
-          Alcotest.test_case "filter and cap" `Quick
-            test_packet_trace_filter_and_cap;
         ] );
       ( "probe-discovery",
         [

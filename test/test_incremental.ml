@@ -214,6 +214,24 @@ let test_storm_deterministic () =
   checkb "tables consistent" true a.tables_consistent;
   checkb "tree consistent" true a.tree_consistent
 
+(* The fixed 259-node churn storm (a 6-ary tree of depth 3, 60 flaps, 32
+   churners over 300 s) fires 120 topology events; a full recompute per
+   event would count 31080 table rebuilds and the incremental path counts
+   15530. The bound sits between the two, so the full-recompute path
+   cannot silently return, and the storm must end consistent. *)
+let test_churn_storm_recomputes_bounded () =
+  let o =
+    Recovery.churn_storm ~fanout:6 ~depth:3 ~flaps:60 ~churners:32
+      ~duration:(Time.of_sec 300) ()
+  in
+  checkb "tables equal a fresh compute" true o.tables_consistent;
+  checkb "tree equals the reverse-path union" true o.tree_consistent;
+  checkb
+    (Printf.sprintf "recomputes %d <= 20000 (full recompute: %d)"
+       o.routing_recomputes o.full_recompute_equiv)
+    true
+    (o.routing_recomputes <= 20_000)
+
 (* Flapping a redundant link is nearly free end to end: a leaf-level
    sibling link carries only the two leaves' mutual traffic, so the
    down recomputes two tables, the up splices the same two back, no
@@ -514,6 +532,8 @@ let () =
             test_kary_storm_consistent;
           Alcotest.test_case "deterministic per seed" `Slow
             test_storm_deterministic;
+          Alcotest.test_case "259-node churn storm recomputes bounded" `Slow
+            test_churn_storm_recomputes_bounded;
         ] );
       ( "routing-api",
         [

@@ -1,10 +1,9 @@
 (* Tests for the evaluation metrics: relative deviation, stability
-   summaries, time series. *)
+   summaries, quantiles. *)
 
 module Time = Engine.Time
 module Deviation = Metrics.Deviation
 module Stability = Metrics.Stability
-module Timeseries = Metrics.Timeseries
 
 let checki = Alcotest.check Alcotest.int
 let checkb = Alcotest.check Alcotest.bool
@@ -159,30 +158,6 @@ let prop_quantile_monotone =
       let q v = Metrics.Quantiles.quantile xs ~q:v in
       q 0.0 <= q 0.25 && q 0.25 <= q 0.5 && q 0.5 <= q 0.9 && q 0.9 <= q 1.0)
 
-(* ---------- Timeseries ---------- *)
-
-let test_timeseries_attach () =
-  let sim = Engine.Sim.create () in
-  let ts = Timeseries.create () in
-  let v = ref 0.0 in
-  ignore
-    (Timeseries.attach ts ~sim ~period:(Time.span_of_sec 1)
-       ~probe:(fun () ->
-         v := !v +. 1.0;
-         !v));
-  Engine.Sim.run_until sim (sec 5);
-  checki "five samples" 5 (Timeseries.length ts);
-  let l = Timeseries.to_list ts in
-  checkb "ordered" true
-    (List.for_all2
-       (fun (at, x) i -> Time.to_ns at = Time.to_ns (sec i) && x = float_of_int i)
-       l [ 1; 2; 3; 4; 5 ])
-
-let test_timeseries_between () =
-  let ts = Timeseries.create () in
-  List.iter (fun i -> Timeseries.sample ts ~at:(sec i) (float_of_int i)) [ 1; 2; 3; 4 ];
-  checki "middle" 2 (List.length (Timeseries.between ts (sec 2) (sec 3)))
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -218,9 +193,4 @@ let () =
           Alcotest.test_case "summary" `Quick test_quantile_summary;
         ] );
       qsuite "quantile-props" [ prop_quantile_monotone ];
-      ( "timeseries",
-        [
-          Alcotest.test_case "attach" `Quick test_timeseries_attach;
-          Alcotest.test_case "between" `Quick test_timeseries_between;
-        ] );
     ]
