@@ -1,17 +1,14 @@
 type event = {
-  mutable at : Time.t;
-  mutable seq : int;
   thunk : unit -> unit;
   mutable cancelled : bool;
   mutable queued : bool;
       (* Physically present in the pending queue (live or tombstoned).
-         Cleared at dispatch and by the compaction sweep, so a reusable
-         timer knows whether its record can be re-armed in place. *)
-  mutable successor : event option;
-      (* A periodic chain's handle cell points at its currently armed
-         event, so cancelling the handle marks the in-heap event itself —
-         which lets the compactor drop it. [None] for one-shot events. *)
+         Cleared at dispatch and by the compaction sweep. Only a queued
+         record counts as a tombstone when cancelled, and only an
+         unqueued one is re-armed in place. *)
 }
+(* Four words with the header. The instant and the scheduling sequence
+   number are the queue's keys and live in its flat arrays, not here. *)
 
 type handle = H : event -> handle [@@unboxed]
 
@@ -24,9 +21,17 @@ type timer = { mutable cur : event }
    its sweep) tombstones the old record and installs a fresh one, which
    is exactly [cancel] + [schedule_after]. *)
 
+(* The pending events form a binary min-heap on [(instant, seq)], held
+   in three arrays of one length: slot [i] of [ats], [seqs] and [evs]
+   is one entry. A comparison is then an int load and compare, not a
+   closure call over two boxed records. Arrays of one size also let the
+   allocator reuse the chunks that a resize frees. *)
 type t = {
   mutable clock : Time.t;
-  queue : event Heap.t;
+  mutable ats : int array;
+  mutable seqs : int array;
+  mutable evs : event array;
+  mutable size : int;
   root_rng : Prng.t;
   mutable next_seq : int;
   mutable dispatched : int;
@@ -35,14 +40,17 @@ type t = {
   mutable cancelled_pending : int;
 }
 
-let cmp_event a b =
-  let c = Time.compare a.at b.at in
-  if c <> 0 then c else Int.compare a.seq b.seq
+(* Vacated [evs] slots point here, so the queue never retains the thunk
+   of a dispatched or swept event. *)
+let vacant = { thunk = ignore; cancelled = true; queued = false }
 
 let create ?(seed = 42L) () =
   {
     clock = Time.zero;
-    queue = Heap.create ~cmp:cmp_event;
+    ats = [||];
+    seqs = [||];
+    evs = [||];
+    size = 0;
     root_rng = Prng.create ~seed;
     next_seq = 0;
     dispatched = 0;
@@ -55,28 +63,133 @@ let now t = t.clock
 
 let rng t ~label = Prng.split t.root_rng ~label
 
-(* High-water marks, updated after every push. *)
+(* ---------- the event heap ---------- *)
+
+(* Sifts carry the displaced entry in registers ("hole" technique): one
+   store per array per level instead of a swap. The unsafe accesses are
+   bounds-proven — every index is < size <= capacity. Keys are unique,
+   so the pop order does not depend on the heap's shape. A tie on the
+   instant is rare, so [seqs] is read only then. *)
+let[@inline] set t i at seq ev =
+  Array.unsafe_set t.ats i at;
+  Array.unsafe_set t.seqs i seq;
+  Array.unsafe_set t.evs i ev
+
+let[@inline] move t ~src ~dst =
+  set t dst (Array.unsafe_get t.ats src) (Array.unsafe_get t.seqs src)
+    (Array.unsafe_get t.evs src)
+
+(* Moves parents down one level while the key [(at, seq)] sorts before
+   them, starting from the hole at [i]; returns the key's slot. *)
+let rec hole_up t at seq i =
+  if i = 0 then 0
+  else begin
+    let p = (i - 1) / 2 in
+    let pat = Array.unsafe_get t.ats p in
+    if at < pat || (at = pat && seq < Array.unsafe_get t.seqs p) then begin
+      move t ~src:p ~dst:i;
+      hole_up t at seq p
+    end
+    else i
+  end
+
+let rec sift_down t at seq ev i =
+  let l = (2 * i) + 1 in
+  if l >= t.size then set t i at seq ev
+  else begin
+    let r = l + 1 in
+    let c =
+      if r < t.size then
+        let lat = Array.unsafe_get t.ats l and rat = Array.unsafe_get t.ats r in
+        if
+          rat < lat
+          || (rat = lat
+             && Array.unsafe_get t.seqs r < Array.unsafe_get t.seqs l)
+        then r
+        else l
+      else l
+    in
+    let cat = Array.unsafe_get t.ats c in
+    if cat < at || (cat = at && Array.unsafe_get t.seqs c < seq) then begin
+      move t ~src:c ~dst:i;
+      sift_down t at seq ev c
+    end
+    else set t i at seq ev
+  end
+
+let min_capacity = 16
+
+let resize t cap =
+  let ats = Array.make cap 0 in
+  let seqs = Array.make cap 0 in
+  let evs = Array.make cap vacant in
+  Array.blit t.ats 0 ats 0 t.size;
+  Array.blit t.seqs 0 seqs 0 t.size;
+  Array.blit t.evs 0 evs 0 t.size;
+  t.ats <- ats;
+  t.seqs <- seqs;
+  t.evs <- evs
+
+(* Capacity doubles when full and halves once only a quarter of it is
+   live. *)
+let maybe_shrink t =
+  let cap = Array.length t.ats in
+  if cap > min_capacity && t.size * 4 <= cap then resize t (cap / 2)
+
+(* High-water marks, updated by every push. *)
 let note_pushed t =
-  let len = Heap.length t.queue in
+  let len = t.size in
   if len > t.max_pending then t.max_pending <- len;
   let live = len - t.cancelled_pending in
   if live > t.max_live_pending then t.max_live_pending <- live
 
-let schedule_event t at thunk =
+(* The record is stored before the sift, and again only if the sift
+   moved it. Storing a freshly allocated record into the array is the
+   costliest step of a push (the write barrier remembers it), and
+   [hole_up] polls on entry. OCaml 5 runs signal handlers at poll
+   points, so a sampling profiler's tick that lands in that store is
+   taken here, with this module on the stack, not at the caller's next
+   poll. *)
+let push t at seq ev =
+  let cap = Array.length t.ats in
+  if t.size = cap then resize t (if cap = 0 then min_capacity else 2 * cap);
+  let i = t.size in
+  t.size <- i + 1;
+  note_pushed t;
+  Array.unsafe_set t.evs i ev;
+  let j = hole_up t at seq i in
+  Array.unsafe_set t.ats j at;
+  Array.unsafe_set t.seqs j seq;
+  if j <> i then Array.unsafe_set t.evs j ev
+
+(* Removes the root entry, which the caller has read. *)
+let remove_root t =
+  let n = t.size - 1 in
+  t.size <- n;
+  if n > 0 then
+    sift_down t (Array.unsafe_get t.ats n) (Array.unsafe_get t.seqs n)
+      (Array.unsafe_get t.evs n) 0;
+  Array.unsafe_set t.evs n vacant;
+  maybe_shrink t
+
+(* Queues an unqueued record at [at] under the next sequence number. *)
+let enqueue t at ev =
+  ev.queued <- true;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  push t (at : Time.t :> int) seq ev
+
+let check_not_past t ~what at =
   if Time.(at < t.clock) then
     invalid_arg
-      (Format.asprintf "Sim.schedule_at: %a is before now (%a)" Time.pp at
-         Time.pp t.clock);
-  let ev =
-    { at; seq = t.next_seq; thunk; cancelled = false; queued = true;
-      successor = None }
-  in
-  t.next_seq <- t.next_seq + 1;
-  Heap.push t.queue ev;
-  note_pushed t;
-  ev
+      (Format.asprintf "%s: %a is before now (%a)" what Time.pp at Time.pp
+         t.clock)
 
-let schedule_at t at thunk = H (schedule_event t at thunk)
+let schedule_at t at thunk =
+  check_not_past t ~what:"Sim.schedule_at" at;
+  let ev = { thunk; cancelled = false; queued = false } in
+  enqueue t at ev;
+  H ev
 
 let schedule_after t span thunk = schedule_at t (Time.add t.clock span) thunk
 
@@ -86,95 +199,83 @@ let schedule_after t span thunk = schedule_at t (Time.add t.clock span) thunk
    [every] chains neither grow the queue nor retain the dead closures. *)
 let compact_threshold = 64
 
-(* Tombstone a queued event once. Handle cells of [every] chains carry
-   [seq = -1] and never enter the queue, so they must not count toward
-   the tombstone population. *)
+(* Cancel a record once. It becomes a counted tombstone only if it is
+   queued: one that already fired or was swept just keeps the flag,
+   which is what stops a periodic chain from re-arming. *)
 let tombstone t ev =
   if not ev.cancelled then begin
     ev.cancelled <- true;
-    if ev.seq >= 0 then t.cancelled_pending <- t.cancelled_pending + 1
+    if ev.queued then t.cancelled_pending <- t.cancelled_pending + 1
   end
 
-let rec mark_cancelled t ev =
-  tombstone t ev;
-  match ev.successor with None -> () | Some s -> mark_cancelled t s
+(* The sweep: an in-place filter, then a bottom-up (Floyd) heapify. *)
+let sweep t =
+  let n = t.size in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    let ev = Array.unsafe_get t.evs i in
+    if ev.cancelled then
+      (* The record leaves the queue here, not at dispatch: without
+         this a disarmed reusable timer could never be re-armed in
+         place again. *)
+      ev.queued <- false
+    else begin
+      move t ~src:i ~dst:!kept;
+      incr kept
+    end
+  done;
+  Array.fill t.evs !kept (n - !kept) vacant;
+  t.size <- !kept;
+  for i = (t.size / 2) - 1 downto 0 do
+    sift_down t (Array.unsafe_get t.ats i) (Array.unsafe_get t.seqs i)
+      (Array.unsafe_get t.evs i) i
+  done;
+  t.cancelled_pending <- 0;
+  maybe_shrink t
 
 let maybe_compact t =
   if
     t.cancelled_pending > compact_threshold
-    && 2 * t.cancelled_pending > Heap.length t.queue
-  then begin
-    Heap.filter t.queue (fun e ->
-        if e.cancelled then begin
-          (* The record leaves the backing store here, not at dispatch:
-             without this a disarmed reusable timer could never be
-             re-armed in place again. *)
-          e.queued <- false;
-          false
-        end
-        else true);
-    t.cancelled_pending <- 0
-  end
+    && 2 * t.cancelled_pending > t.size
+  then sweep t
 
 let cancel t (H ev) =
-  mark_cancelled t ev;
+  tombstone t ev;
   maybe_compact t
 
 (* ---------- reusable timers ---------- *)
 
-let timer _t f =
-  {
-    cur =
-      { at = Time.zero; seq = 0; thunk = f; cancelled = true; queued = false;
-        successor = None };
-  }
+let timer _t f = { cur = { thunk = f; cancelled = true; queued = false } }
 
 let arm_at t tm at =
-  if Time.(at < t.clock) then
-    invalid_arg
-      (Format.asprintf "Sim.arm_at: %a is before now (%a)" Time.pp at Time.pp
-         t.clock);
+  check_not_past t ~what:"Sim.arm_at" at;
   let ev = tm.cur in
-  let ev =
-    if ev.queued then begin
-      (* Superseding a pending arm (or a disarm tombstone still awaiting
-         its sweep): behave exactly like [cancel] + a fresh schedule. *)
-      tombstone t ev;
-      maybe_compact t;
-      let e =
-        { at; seq = t.next_seq; thunk = ev.thunk; cancelled = false;
-          queued = true; successor = None }
-      in
-      tm.cur <- e;
-      e
-    end
-    else begin
-      ev.at <- at;
-      ev.seq <- t.next_seq;
-      ev.cancelled <- false;
-      ev.queued <- true;
-      ev
-    end
-  in
-  t.next_seq <- t.next_seq + 1;
-  Heap.push t.queue ev;
-  note_pushed t
+  if ev.queued then begin
+    (* Superseding a pending arm (or a disarm tombstone still awaiting
+       its sweep): behave exactly like [cancel] + a fresh schedule. *)
+    tombstone t ev;
+    maybe_compact t;
+    let e = { thunk = ev.thunk; cancelled = false; queued = false } in
+    tm.cur <- e;
+    enqueue t at e
+  end
+  else begin
+    ev.cancelled <- false;
+    enqueue t at ev
+  end
 
 let arm_after t tm span = arm_at t tm (Time.add t.clock span)
 
 let disarm t tm = cancel t (H tm.cur)
 
-(* A periodic task reuses one timer: the tick closure and the event
-   record are allocated once, and each firing re-arms the record in
-   place. The handle must still outlive the task, so it wraps a
-   forwarding cell whose [successor] points at the timer's record. *)
+(* A periodic task is one event record and one tick closure, allocated
+   once. The tick re-arms the record only after it has been popped, so
+   the re-arm is always in place and the record itself is the handle:
+   cancelling it either tombstones the queued firing or, from inside
+   the callback, stops the re-arm. *)
 let every t ?start ?jitter ~period f =
   if period <= 0 then invalid_arg "Sim.every: period <= 0";
   let first = match start with Some s -> s | None -> Time.add t.clock period in
-  let cell =
-    { at = first; seq = -1; thunk = ignore; cancelled = false; queued = false;
-      successor = None }
-  in
   let displaced base =
     match jitter with
     | None -> base
@@ -187,46 +288,37 @@ let every t ?start ?jitter ~period f =
         Time.of_ns (Stdlib.max (Time.to_ns t.clock) ns)
   in
   let nominal = ref first in
-  let rec tick () =
+  let rec ev = { thunk = tick; cancelled = false; queued = false }
+  and tick () =
     f ();
-    if not cell.cancelled then begin
+    if not ev.cancelled then begin
       nominal := Time.add !nominal period;
-      arm_at t tm (displaced !nominal);
-      cell.successor <- Some tm.cur;
-      (* Forward a cancellation that raced the re-arm. *)
-      if cell.cancelled then tombstone t tm.cur
+      (* Never in the past: [displaced] clamps to now, and without
+         jitter this firing was at the previous nominal instant. *)
+      enqueue t (displaced !nominal) ev
     end
-  and tm =
-    {
-      cur =
-        { at = first; seq = 0; thunk = tick; cancelled = true; queued = false;
-          successor = None };
-    }
   in
-  arm_at t tm (displaced first);
-  cell.successor <- Some tm.cur;
-  if cell.cancelled then tombstone t tm.cur;
-  H cell
+  let at = displaced first in
+  check_not_past t ~what:"Sim.every" at;
+  enqueue t at ev;
+  H ev
 
 (* Pop while the head is at or before the horizon. A thunk that
    schedules at the current instant is picked up by the next peek, in
-   (time, seq) order like everything else. The clock is written before
-   the thunk runs: dispatching a reusable timer may re-arm it, which
-   mutates [ev.at] in place to its next firing time. The loop is a
-   tail-recursive function, not a [while]: OCaml 5 runs signal handlers
-   at poll points, and a sample taken at a [while] back-edge poll shows
-   no frame of this module, which costs the benchmark's sampling
-   profiler a few percent of its coverage. *)
+   (time, seq) order like everything else. The loop is a tail-recursive
+   function, not a [while]: OCaml 5 runs signal handlers at poll
+   points, and a sample taken at a [while] back-edge poll shows no frame
+   of this module, which costs the benchmark's sampling profiler a few
+   percent of its coverage. *)
 let run_until t horizon =
-  let q = t.queue in
+  let horizon_ns = (horizon : Time.t :> int) in
   let rec loop () =
-    if (not (Heap.is_empty q)) && Time.((Heap.peek_exn q).at <= horizon)
-    then begin
-      let ev = Heap.pop_exn q in
-      t.clock <- ev.at;
+    if t.size > 0 && Array.unsafe_get t.ats 0 <= horizon_ns then begin
+      let at = Array.unsafe_get t.ats 0 and ev = Array.unsafe_get t.evs 0 in
+      remove_root t;
+      t.clock <- Time.of_ns at;
       ev.queued <- false;
-      if ev.cancelled then
-        t.cancelled_pending <- max 0 (t.cancelled_pending - 1)
+      if ev.cancelled then t.cancelled_pending <- t.cancelled_pending - 1
       else begin
         t.dispatched <- t.dispatched + 1;
         ev.thunk ()
@@ -237,9 +329,9 @@ let run_until t horizon =
   loop ();
   t.clock <- Time.max t.clock horizon
 
-let pending t = Heap.length t.queue
+let pending t = t.size
 
-let live_pending t = Heap.length t.queue - t.cancelled_pending
+let live_pending t = t.size - t.cancelled_pending
 
 let max_pending t = t.max_pending
 

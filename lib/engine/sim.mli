@@ -1,9 +1,11 @@
 (** The discrete-event simulation loop.
 
-    A simulator owns a clock, a binary heap of pending events ({!Heap})
-    and the run's root PRNG. Events are thunks scheduled at absolute
-    instants and dispatch in [(time, seq)] order: events at the same
-    instant fire in scheduling order (FIFO), which makes runs fully
+    A simulator owns a clock, a binary min-heap of pending events and
+    the run's root PRNG. The heap keeps each entry's instant and
+    scheduling sequence number in flat int arrays beside the events, so
+    ordering reads no event record. Events are thunks scheduled at
+    absolute instants and dispatch in [(time, seq)] order: events at the
+    same instant fire in scheduling order (FIFO), which makes runs fully
     deterministic for a given seed. Cancellation is lazy — a cancelled
     event stays in the heap as a tombstone until it surfaces or until
     tombstones outnumber live events, when one O(n) sweep drops them.

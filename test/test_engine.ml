@@ -53,7 +53,7 @@ let test_heap_order () =
 
 let test_heap_empty () =
   let h = Heap.create ~cmp:Int.compare in
-  checkb "empty" true (Heap.is_empty h);
+  checki "no storage" 0 (Heap.capacity h);
   checkb "pop none" true (Heap.pop h = None);
   checkb "peek none" true (Heap.peek h = None)
 
@@ -62,7 +62,9 @@ let test_heap_peek_stable () =
   Heap.push h 4;
   Heap.push h 2;
   checkb "peek min" true (Heap.peek h = Some 2);
-  checki "len unchanged" 2 (Heap.length h)
+  checkb "peek again" true (Heap.peek h = Some 2);
+  checkb "nothing removed" true
+    (Heap.pop h = Some 2 && Heap.pop h = Some 4 && Heap.pop h = None)
 
 let test_heap_pop_clears_and_shrinks () =
   let h = Heap.create ~cmp:Int.compare in
@@ -74,43 +76,16 @@ let test_heap_pop_clears_and_shrinks () =
   for _ = 1 to 160 do
     ignore (Heap.pop h)
   done;
-  checki "len" 40 (Heap.length h);
+  checkb "next is 161" true (Heap.peek h = Some 161);
   checkb "shrank once quarter full" true (Heap.capacity h < cap_full);
-  checkb "cap >= len" true (Heap.capacity h >= Heap.length h);
-  for _ = 1 to 40 do
-    ignore (Heap.pop h)
+  checkb "cap holds the 40 left" true (Heap.capacity h >= 40);
+  for i = 161 to 200 do
+    checkb "remaining in order" true (Heap.pop h = Some i)
   done;
+  checkb "then empty" true (Heap.pop h = None);
   (* An empty heap holds no backing array at all: the last popped
      element is reclaimable. *)
   checki "empty releases storage" 0 (Heap.capacity h)
-
-let test_heap_exn_accessors () =
-  let h = Heap.create ~cmp:Int.compare in
-  Alcotest.check_raises "peek_exn empty"
-    (Invalid_argument "Heap.peek_exn: empty") (fun () ->
-      ignore (Heap.peek_exn h));
-  Alcotest.check_raises "pop_exn empty"
-    (Invalid_argument "Heap.pop_exn: empty") (fun () ->
-      ignore (Heap.pop_exn h));
-  Heap.push h 3;
-  Heap.push h 1;
-  checki "peek_exn" 1 (Heap.peek_exn h);
-  checki "pop_exn" 1 (Heap.pop_exn h);
-  checki "pop_exn next" 3 (Heap.pop_exn h)
-
-let test_heap_filter () =
-  let h = Heap.create ~cmp:Int.compare in
-  for i = 1 to 50 do
-    Heap.push h i
-  done;
-  Heap.filter h (fun x -> x mod 2 = 0);
-  checki "kept" 25 (Heap.length h);
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  check (Alcotest.list Alcotest.int) "sorted evens"
-    (List.init 25 (fun i -> 2 * (i + 1)))
-    (drain [])
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
@@ -213,7 +188,7 @@ let run_ops ops =
              | Bulk -> List.iter (Sim.cancel sim) !handles)))
     ops;
   Sim.run_until sim (Time.of_ms (ops_horizon_ms ops));
-  (List.rev !trace, Sim.events_dispatched sim)
+  (List.rev !trace, Sim.events_dispatched sim, Sim.live_pending sim)
 
 (* The same program on a reference scheduler: pending entries in a
    stdlib map keyed by (instant, scheduling sequence number), so the
@@ -222,7 +197,8 @@ let run_ops ops =
    cancelled one-shot never fires, and an [every] chain fires at each
    period until its flag is set. Sequence numbers are drawn in the
    order Sim draws them — a chain's next firing is scheduled after its
-   callback runs. *)
+   callback runs. The live count is the number of pending entries whose
+   flag is still clear. *)
 module Model_queue = Map.Make (struct
   type t = int * int
 
@@ -279,7 +255,12 @@ let model_ops ops =
     | _ -> ()
   in
   loop ();
-  (List.rev !trace, !fired)
+  let live =
+    Model_queue.fold
+      (fun _ (cancelled, _) n -> if !cancelled then n else n + 1)
+      !pending 0
+  in
+  (List.rev !trace, !fired, live)
 
 (* ---------- reusable timers ---------- *)
 
@@ -397,9 +378,9 @@ let run_timer_ops ops =
 (* The reference program: a timer is a handle plus a live flag. Arming
    over a pending arm cancels it first; arming a fired timer schedules
    afresh with no cancel (mirroring reuse-in-place); disarm cancels the
-   last handle unconditionally — even after it fired — because that is
-   what [Sim.disarm] does, and the cancel-after-fire tombstone is
-   visible in [live_pending]. *)
+   last handle unconditionally, as [Sim.disarm] does. Once the handle
+   has fired that cancel is a no-op on both sides, so it must leave
+   [live_pending] and [max_live_pending] alone. *)
 let run_ref_ops ops =
   let sim = Sim.create () in
   let trace = ref [] in
@@ -715,6 +696,69 @@ let test_sim_live_pending () =
   checki "fired" 3 (Sim.events_dispatched sim);
   checki "live empty" 0 (Sim.live_pending sim)
 
+(* Cancelling a record that has already left the queue is a no-op: it
+   must not count as a tombstone, or the live count goes negative and
+   later high-water marks read low. *)
+let test_sim_cancel_after_fire () =
+  let sim = Sim.create () in
+  let h = Sim.schedule_at sim (Time.of_sec 1) ignore in
+  Sim.run_until sim (Time.of_sec 2);
+  Sim.cancel sim h;
+  checki "cancel a fired event" 0 (Sim.live_pending sim);
+  let tmr = Sim.timer sim ignore in
+  Sim.arm_at sim tmr (Time.of_sec 3);
+  Sim.run_until sim (Time.of_sec 4);
+  Sim.disarm sim tmr;
+  checki "disarm a fired timer" 0 (Sim.live_pending sim);
+  for i = 5 to 7 do
+    ignore (Sim.schedule_at sim (Time.of_sec i) ignore)
+  done;
+  checki "live" 3 (Sim.live_pending sim);
+  checki "max live" 3 (Sim.max_live_pending sim)
+
+(* A periodic chain re-arms its one record after each firing, so its
+   callback runs while the record is out of the queue: cancelling the
+   handle there stops the chain without leaving a tombstone. *)
+let test_sim_every_cancels_itself () =
+  let sim = Sim.create () in
+  let count = ref 0 in
+  let self = ref None in
+  self :=
+    Some
+      (Sim.every sim ~period:(Time.span_of_sec 1) (fun () ->
+           incr count;
+           if !count = 3 then Option.iter (Sim.cancel sim) !self));
+  Sim.run_until sim (Time.of_sec 10);
+  checki "three firings" 3 !count;
+  checki "live" 0 (Sim.live_pending sim);
+  checki "pending" 0 (Sim.pending sim)
+
+(* A chain cancelled while queued is a tombstone; once the sweep has
+   dropped it, cancelling the handle again changes nothing. *)
+let test_sim_every_cancel_after_sweep () =
+  let sim = Sim.create () in
+  let count = ref 0 in
+  let chain =
+    Sim.every sim ~period:(Time.span_of_sec 1) (fun () -> incr count)
+  in
+  let far =
+    List.init 100 (fun i -> Sim.schedule_at sim (Time.of_sec (100 + i)) ignore)
+  in
+  Sim.cancel sim chain;
+  List.iter (Sim.cancel sim) far;
+  checkb
+    (Printf.sprintf "swept (pending %d)" (Sim.pending sim))
+    true
+    (Sim.pending sim < 101);
+  let counts () = (Sim.pending sim, Sim.live_pending sim) in
+  let before = counts () in
+  Sim.cancel sim chain;
+  check Alcotest.(pair int int) "second cancel is a no-op" before (counts ());
+  checki "live" 0 (Sim.live_pending sim);
+  Sim.run_until sim (Time.of_sec 300);
+  checki "never fired" 0 !count;
+  checki "nothing dispatched" 0 (Sim.events_dispatched sim)
+
 (* Pins the exact firing instants of a jittered timer for the default
    seed: a regression guard on the displacement rounding (round to
    nearest, not truncate toward zero) and on the PRNG stream layout. *)
@@ -734,8 +778,8 @@ let test_sim_jitter_instants_pinned () =
 
 (* Two inputs, two models: instants scheduled up front must fire as
    their stable sort, and a random Sim-API program ([run_ops]) must
-   produce exactly the reference scheduler's trace and dispatch count
-   ([model_ops]). *)
+   produce exactly the reference scheduler's trace, dispatch count and
+   final live count ([model_ops]). *)
 let prop_sim_events_in_time_order =
   QCheck.Test.make ~name:"events dispatch in nondecreasing time order"
     ~count:100
@@ -838,8 +882,6 @@ let () =
           Alcotest.test_case "peek" `Quick test_heap_peek_stable;
           Alcotest.test_case "pop clears and shrinks" `Quick
             test_heap_pop_clears_and_shrinks;
-          Alcotest.test_case "exn accessors" `Quick test_heap_exn_accessors;
-          Alcotest.test_case "filter" `Quick test_heap_filter;
         ] );
       qsuite "heap-props" [ prop_heap_sorted; prop_heap_interleaved ];
       ( "scheduler-name",
@@ -871,6 +913,12 @@ let () =
           Alcotest.test_case "every jitter" `Quick test_sim_every_jitter;
           Alcotest.test_case "cancel compacts" `Quick test_sim_cancel_compacts;
           Alcotest.test_case "live pending" `Quick test_sim_live_pending;
+          Alcotest.test_case "cancel after fire" `Quick
+            test_sim_cancel_after_fire;
+          Alcotest.test_case "every cancels itself" `Quick
+            test_sim_every_cancels_itself;
+          Alcotest.test_case "every cancel after sweep" `Quick
+            test_sim_every_cancel_after_sweep;
           Alcotest.test_case "jitter instants pinned" `Quick
             test_sim_jitter_instants_pinned;
           Alcotest.test_case "dispatch count" `Quick
