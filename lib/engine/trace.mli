@@ -1,8 +1,9 @@
 (** Bounded in-memory event trace.
 
-    A ring buffer of timestamped records, used by tests and by the CLI's
-    [--trace] mode to inspect what a simulation did without paying for
-    unbounded logging. *)
+    A ring buffer of timestamped records: [Discovery.Service] keeps each
+    session's recent snapshots in one, to answer queries for the image as
+    it was a staleness window ago without paying for unbounded
+    history. *)
 
 type 'a t
 

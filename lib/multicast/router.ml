@@ -407,21 +407,7 @@ let group_idle t ~group =
      | Some d -> Bitset.is_empty d
      | None -> true)
 
-(* Full repair of one group against the current routing tables: cut,
-   then walk every allocated node state for sweeps 2–3. *)
-let repair_group t ~group =
-  let src = t.src_of.(group) in
-  if src >= 0 then begin
-    ignore (cut_invalid_edges t ~group ~src : Bitset.t);
-    let row = t.state_rows.(group) in
-    for n = 0 to Array.length row - 1 do
-      match row.(n) with
-      | None -> ()
-      | Some st -> regraft_or_prune t ~group ~src n st
-    done
-  end
-
-(* Event-scoped repair of one group: the same cut, but sweeps 2–3 walk
+(* Event-scoped repair of one group: sweep 1 cuts, then sweeps 2–3 walk
    only the nodes the event can have left inconsistent — the detached
    set (subtree roots the cuts just severed plus any node still waiting
    for a graft) and the parents the cuts stripped of a child (which may
@@ -429,7 +415,7 @@ let repair_group t ~group =
    node row. Any other on-tree node still has a valid parent edge and
    unchanged interest, so it needs neither a graft nor a prune and
    restricting the sweep to this set loses nothing. *)
-let repair_group_scoped t ~group =
+let repair_group t ~group =
   let src = t.src_of.(group) in
   if src >= 0 then begin
     let work = cut_invalid_edges t ~group ~src in
@@ -442,13 +428,6 @@ let repair_group_scoped t ~group =
       (fun n -> regraft_or_prune t ~group ~src n (state t n group))
       work
   end
-
-let repair t =
-  t.repair_passes <- t.repair_passes + 1;
-  for g = 0 to t.next_group - 1 do
-    if t.src_of.(g) >= 0 && not (group_idle t ~group:g) then
-      repair_group t ~group:g
-  done
 
 (* Observer entry point: one pass per topology event, bounded to the
    groups the event can have touched. A group's recorded edges and
@@ -473,7 +452,7 @@ let repair_event t (ev : Network.topology_event) =
   Bitset.iter
     (fun g ->
       if t.src_of.(g) >= 0 && not (group_idle t ~group:g) then
-        repair_group_scoped t ~group:g)
+        repair_group t ~group:g)
     candidates
 
 let create ~network ?(leave_latency = Time.span_of_sec 1)

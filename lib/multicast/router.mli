@@ -16,7 +16,21 @@
 
     Data-plane: a multicast packet is reverse-path-forward checked, copied
     onto every outgoing interface of its group except the arrival
-    interface, and delivered locally where there is local membership. *)
+    interface, and delivered locally where there is local membership.
+
+    Tree repair: every {!Net.Network.set_link_up} reaches the router
+    through a topology observer carrying the changed link and the
+    destinations whose routing tables moved, and the router repairs only
+    the groups that evidence can have touched — those rooted at an
+    affected destination (their reverse paths crossed the link) or with
+    a recorded tree edge on the link. Within such a group, edges whose
+    upstream interface died or moved off the reverse path are cut
+    immediately; the severed subtree roots and graft-pending nodes that
+    still want traffic re-graft along the new reverse path (with hop
+    delays, so recovery takes network time); severed branches with no
+    remaining interest are pruned. Groups with no source, and idle groups
+    (no members, no recorded edges, no node awaiting a graft), are
+    skipped — their sweeps could not do anything. *)
 
 type t
 
@@ -90,33 +104,12 @@ val delivered : t -> group:Net.Addr.group_id -> int
 
 val group_count : t -> int
 
-val repair : t -> unit
-(** Repairs every non-idle group's tree against the current routing
-    tables: edges whose upstream interface died or moved off the reverse
-    path are cut immediately; nodes that still want traffic but lost
-    their parent re-graft along the new reverse path (with hop delays, so
-    recovery takes network time); severed branches with no remaining
-    interest are pruned. Groups with no source, and idle groups (no
-    members, no recorded edges, no node awaiting a graft), are skipped —
-    their sweeps could not do anything.
-
-    Topology changes do NOT go through this full scan: every
-    {!Net.Network.set_link_up} reaches the router through a topology
-    observer carrying the changed link and the destinations whose routing
-    tables moved, and the router repairs only the groups that evidence
-    can have touched — those rooted at an affected destination (their
-    reverse paths crossed the link) or with a recorded tree edge on the
-    link — and, within a group, only the severed subtree roots and
-    graft-pending nodes rather than every node. Call [repair] directly
-    only in tests, to force a full sweep. *)
-
 val repair_passes : t -> int
 (** Repair passes run since creation: one per topology event delivered by
     the network's observer (whether or not any group qualified for
-    repair) plus one per direct {!repair} call. NOT a per-group or
-    per-sweep count — the work done within a pass is bounded by the
-    event's damage and is visible in {!edges_repaired} and
-    {!Net.Routing.recomputes} instead. *)
+    repair). NOT a per-group or per-sweep count — the work done within a
+    pass is bounded by the event's damage and is visible in
+    {!edges_repaired} and {!Net.Routing.recomputes} instead. *)
 
 val edges_repaired : t -> int
 (** Tree edges cut by repair passes since creation. *)

@@ -81,22 +81,6 @@ let gen ~rng ~faults ~storm_s =
           Lossy_burst
             { at_s; dur_s; drop = Engine.Prng.uniform rng ~lo:0.1 ~hi:0.6 })
 
-(* The control plane, including the federation's summaries — the same
-   classifier as [Recovery.is_control] plus [Domain_summary], so a lossy
-   burst can also starve the parent's liveness lease. *)
-let is_control arena (pkt : Net.Packet.t) =
-  (not (Net.Packet.is_data arena pkt))
-  &&
-  match Net.Packet.payload arena pkt with
-  | Reports.Rtcp.Report _ -> true
-  | Toposense.Controller.Suggestion _ -> true
-  | Toposense.Protocol.Ack _ | Toposense.Protocol.Goodbye _ -> true
-  | Toposense.Probe_discovery.Probe_query _
-  | Toposense.Probe_discovery.Probe_response _ ->
-      true
-  | Federation.Domain_summary _ -> true
-  | _ -> false
-
 let run ~world ~schedule ?(storm_s = 60.0) ?(quiet_s = 30.0) ?(seed = 42L) () =
   if storm_s < 20.0 then invalid_arg "Chaos.run: storm_s < 20";
   let params_interval_s =
@@ -367,7 +351,7 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(quiet_s = 30.0) ?(seed = 42L) () =
           schedule_at_s at (fun () ->
               incr burst_depth;
               Net.Faults.set_control_plane faults
-                ~classify:(is_control (Net.Network.arena network))
+                ~classify:(Recovery.is_control (Net.Network.arena network))
                 ~drop_fraction:drop ());
           schedule_at_s end_at (fun () ->
               decr burst_depth;

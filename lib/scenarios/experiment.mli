@@ -65,5 +65,10 @@ val run :
     [probe_discovery] switches the controller to in-band
     {!Toposense.Probe_discovery} (TopoSense scheme only). *)
 
+val forwarded_packets_of : Net.Network.t -> int
+(** Total packet transmissions across every simplex link of the network:
+    each hop a packet takes counts once, so this tracks forwarding work,
+    not originations. *)
+
 val pp_traffic : Format.formatter -> traffic -> unit
 val pp_scheme : Format.formatter -> scheme -> unit

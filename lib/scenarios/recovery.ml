@@ -63,17 +63,6 @@ let make_rig ~spec ~traffic ~params ~seed =
   in
   { sim; network; router; session; source; controller; agents; spec }
 
-let forwarded_packets_of network =
-  let total = ref 0 in
-  for n = 0 to Net.Network.node_count network - 1 do
-    for i = 0 to Net.Network.iface_count network n - 1 do
-      total :=
-        !total
-        + Net.Link.tx_packets (Net.Network.link_on_iface network ~node:n ~iface:i)
-    done
-  done;
-  !total
-
 (* Subscription level in effect at [at], given the agent's change log
    (oldest first, initial subscribe included). *)
 let level_at ~changes ~at =
@@ -272,7 +261,7 @@ let link_flap ?(receivers_per_set = 2) ?(down_at_s = 60.0) ?(up_at_s = 90.0)
     invalid_snapshots = Toposense.Controller.invalid_snapshots rig.controller;
     suggestions_sent = Toposense.Controller.suggestions_sent rig.controller;
     events_dispatched = Sim.events_dispatched rig.sim;
-    forwarded_packets = forwarded_packets_of rig.network;
+    forwarded_packets = Experiment.forwarded_packets_of rig.network;
     peak_heap = Sim.max_pending rig.sim;
     peak_live = Sim.max_live_pending rig.sim;
   }
@@ -582,8 +571,8 @@ type lossy_outcome = {
 }
 
 (* The control plane, as the net layer cannot name it itself: receiver
-   reports, controller suggestions, protocol ACKs/goodbyes and discovery
-   probe traffic. *)
+   reports, controller suggestions, protocol ACKs/goodbyes, discovery
+   probe traffic and the federation's domain summaries. *)
 let is_control arena (pkt : Net.Packet.t) =
   (not (Net.Packet.is_data arena pkt))
   &&
@@ -594,6 +583,7 @@ let is_control arena (pkt : Net.Packet.t) =
   | Toposense.Probe_discovery.Probe_query _
   | Toposense.Probe_discovery.Probe_response _ ->
       true
+  | Toposense.Federation.Domain_summary _ -> true
   | _ -> false
 
 let lossy_control ?(receivers_per_set = 2) ?(drop_fraction = 0.3)
@@ -807,7 +797,7 @@ let partition ?(receivers_per_set = 2) ?(down_at_s = 60.0) ?(up_at_s = 90.0)
           | None -> false)
         receivers;
     events_dispatched = Sim.events_dispatched rig.sim;
-    forwarded_packets = forwarded_packets_of rig.network;
+    forwarded_packets = Experiment.forwarded_packets_of rig.network;
     peak_heap = Sim.max_pending rig.sim;
     peak_live = Sim.max_live_pending rig.sim;
   }

@@ -212,7 +212,10 @@ type lossy_outcome = {
 val is_control : Net.Packet.arena -> Net.Packet.t -> bool
 (** The classifier handed to {!Net.Faults.set_control_plane} (partially
     applied to the network's arena): receiver reports, controller
-    suggestions, protocol ACKs/goodbyes and discovery probe traffic. *)
+    suggestions, protocol ACKs/goodbyes, discovery probe traffic and the
+    federation's {!Toposense.Federation.Domain_summary} packets (so a
+    lossy burst in a federated world can also starve the parent's
+    liveness lease). *)
 
 val lossy_control :
   ?receivers_per_set:int ->

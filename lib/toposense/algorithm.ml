@@ -5,7 +5,6 @@ type t = {
   capacity : Capacity.t;
   backoff : Backoff.t;
   subscription : Subscription.t;
-  last_verdicts : (int * Net.Addr.node_id, Congestion.verdict) Hashtbl.t;
 }
 
 let create ~params ~rng =
@@ -15,7 +14,6 @@ let create ~params ~rng =
     capacity = Capacity.create ~params;
     backoff;
     subscription = Subscription.create ~params ~backoff;
-    last_verdicts = Hashtbl.create 64;
   }
 
 let params t = t.params
@@ -43,12 +41,7 @@ let step t ~now inputs =
     List.map
       (fun input ->
         let measure node = List.assoc_opt node input.measures in
-        let v = Congestion.compute ~params:t.params ~tree:input.tree ~measure in
-        Hashtbl.iter
-          (fun node verdict ->
-            Hashtbl.replace t.last_verdicts (input.id, node) verdict)
-          v;
-        (input, v))
+        (input, Congestion.compute ~params:t.params ~tree:input.tree ~measure))
       inputs
   in
   (* Stage 2: one observation per physical edge, all sessions pooled. *)
@@ -120,19 +113,6 @@ let step t ~now inputs =
 
 let remove_session t ~session =
   Backoff.clear_session t.backoff ~session;
-  Subscription.remove_session t.subscription ~session;
-  Hashtbl.filter_map_inplace
-    (fun (s, _) verdict -> if s = session then None else Some verdict)
-    t.last_verdicts
+  Subscription.remove_session t.subscription ~session
 
 let capacity_estimate t ~edge = Capacity.estimate_bps t.capacity ~edge
-
-let last_verdict t ~session ~node =
-  Hashtbl.find_opt t.last_verdicts (session, node)
-
-let demand_bps t ~session ~node = Subscription.demand_bps t.subscription ~session ~node
-let supply_bps t ~session ~node = Subscription.supply_bps t.subscription ~session ~node
-
-let bottleneck t ~session:_ ~tree =
-  Bottleneck.compute ~tree ~capacity:(fun ~edge ->
-      Capacity.estimate_bps t.capacity ~edge)

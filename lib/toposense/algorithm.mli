@@ -1,12 +1,17 @@
-(** The TopoSense algorithm: composition of the five stages.
+(** The TopoSense algorithm: the per-interval pipeline.
 
     One [step] per interval takes, for every session in the domain, the
     (possibly stale) session tree and the fresh receiver measurements,
-    and produces a subscription-level prescription for every member
-    receiver. All controller-side state that persists across intervals —
-    capacity estimates, congestion/bytes/supply histories, back-off
-    timers — lives here, so the surrounding {!Controller} stays a thin
-    I/O shim and this module is directly unit-testable. *)
+    and runs them through congestion states ({!Congestion}), shared-link
+    capacity ({!Capacity}), fair shares ({!Fair_share}) and demand and
+    supply ({!Subscription}) to a subscription-level prescription for
+    every member receiver. The paper's stage 3, path bottlenecks, has no
+    pass of its own: {!Fair_share}'s top-down headroom pass and
+    {!Subscription}'s top-down supply pass compute it where it is used.
+    All controller-side state that persists across intervals — capacity
+    estimates, congestion/bytes/supply histories, back-off timers — lives
+    here, so the surrounding {!Controller} stays a thin I/O shim and this
+    module is directly unit-testable. *)
 
 type t
 
@@ -43,21 +48,10 @@ val step : t -> now:Engine.Time.t -> session_input list -> prescription list
     receiver). *)
 
 val remove_session : t -> session:int -> unit
-(** Session teardown: prunes the back-off timers, stage-5 per-node
-    histories and cached verdicts of one session. Capacity estimates are
-    per physical edge, shared across sessions, and are kept. *)
+(** Session teardown: prunes the back-off timers and stage-5 per-node
+    histories of one session. Capacity estimates are per physical edge,
+    shared across sessions, and are kept. *)
 
 val capacity_estimate :
   t -> edge:(Net.Addr.node_id * Net.Addr.node_id) -> float
 (** Current stage-2 estimate (diagnostics; [infinity] = unknown). *)
-
-val last_verdict :
-  t -> session:int -> node:Net.Addr.node_id -> Congestion.verdict option
-(** Stage-1 verdict from the most recent step. *)
-
-val demand_bps : t -> session:int -> node:Net.Addr.node_id -> float option
-val supply_bps : t -> session:int -> node:Net.Addr.node_id -> float option
-
-val bottleneck :
-  t -> session:int -> tree:Tree.t -> Bottleneck.result
-(** Stage-3 view under the current capacity estimates (diagnostics). *)

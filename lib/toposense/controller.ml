@@ -374,33 +374,6 @@ let session_input t session tree =
     frozen = (fun node -> Hashtbl.mem settling_tbl (settling_key node));
   }
 
-let debug_enabled = Sys.getenv_opt "TOPOSENSE_DEBUG" <> None
-
-let debug_dump t inputs =
-  let now = Sim.now (Net.Network.sim t.network) in
-  List.iter
-    (fun (input : Algorithm.session_input) ->
-      Format.eprintf "@[<v>[%a] session %d@," Time.pp now input.Algorithm.id;
-      List.iter
-        (fun node ->
-          let v = Algorithm.last_verdict t.algorithm ~session:input.id ~node in
-          let d = Algorithm.demand_bps t.algorithm ~session:input.id ~node in
-          let s = Algorithm.supply_bps t.algorithm ~session:input.id ~node in
-          let fmt_opt ppf = function
-            | Some x -> Format.fprintf ppf "%.0fk" (x /. 1000.0)
-            | None -> Format.pp_print_string ppf "-"
-          in
-          match v with
-          | Some v ->
-              Format.eprintf
-                "  n%d %s loss=%.3f bytes=%d demand=%a supply=%a@," node
-                (if v.Congestion.congested then "CONG" else "ok  ")
-                v.Congestion.loss v.Congestion.max_bytes fmt_opt d fmt_opt s
-          | None -> ())
-        (Tree.top_down input.tree);
-      Format.eprintf "@]@.")
-    inputs
-
 (* Expired leases: a receiver silent for [lease_intervals] TopoSense
    intervals is soft-state-evicted. No event or randomness is involved,
    so the sweep is free in runs where every lease is refreshed on
@@ -499,7 +472,6 @@ let run_interval t =
       (List.rev t.sessions_rev)
   in
   let prescriptions = Algorithm.step t.algorithm ~now inputs in
-  if debug_enabled then debug_dump t inputs;
   List.iter
     (fun (p : Algorithm.prescription) ->
       if

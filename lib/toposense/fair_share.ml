@@ -8,12 +8,8 @@ type session_ctx = {
 
 type edge = Net.Addr.node_id * Net.Addr.node_id
 
-type t = {
-  (* (session, edge) -> allowed bandwidth across that edge *)
-  caps : (int * edge, float) Hashtbl.t;
-  (* (session, edge) -> x_i, the max possible demand used in the rule *)
-  xdem : (int * edge, float) Hashtbl.t;
-}
+(* (session, edge) -> allowed bandwidth across that edge *)
+type t = (int * edge, float) Hashtbl.t
 
 let compute ~sessions ~capacity =
   (* Which sessions cross each physical edge. *)
@@ -74,7 +70,7 @@ let compute ~sessions ~capacity =
         (Tree.bottom_up ctx.tree))
     sessions;
   (* Proportional split on every estimated edge. *)
-  let caps = Hashtbl.create 64 and xdem = Hashtbl.create 64 in
+  let caps = Hashtbl.create 64 in
   Hashtbl.iter
     (fun e ctxs ->
       let cap = capacity ~edge:e in
@@ -93,7 +89,6 @@ let compute ~sessions ~capacity =
         let total = List.fold_left (fun acc (_, x) -> acc +. x) 0.0 xs in
         List.iter
           (fun (ctx, x) ->
-            Hashtbl.replace xdem (ctx.id, e) x;
             let share =
               match ctxs with
               | [ _ ] -> cap
@@ -103,10 +98,7 @@ let compute ~sessions ~capacity =
           xs
       end)
     crossing;
-  { caps; xdem }
+  caps
 
 let cap_bps t ~session ~edge =
-  Option.value ~default:infinity (Hashtbl.find_opt t.caps (session, edge))
-
-let max_possible_demand_bps t ~session ~edge =
-  Option.value ~default:infinity (Hashtbl.find_opt t.xdem (session, edge))
+  Option.value ~default:infinity (Hashtbl.find_opt t (session, edge))

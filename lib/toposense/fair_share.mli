@@ -33,8 +33,3 @@ val cap_bps :
 (** The bandwidth session [session] may push across [edge]: its fair
     share on estimated shared links, the raw estimate on estimated
     unshared links, [infinity] otherwise. *)
-
-val max_possible_demand_bps :
-  t -> session:int -> edge:(Net.Addr.node_id * Net.Addr.node_id) -> float
-(** The x_i entering the proportional rule (for tests/diagnostics);
-    [infinity] when the edge has no finite estimate. *)

@@ -277,13 +277,3 @@ let remove_session t ~session =
   Hashtbl.filter_map_inplace
     (fun (s, _) st -> if s = session then None else Some st)
     t.states
-
-let demand_bps t ~session ~node =
-  Option.map
-    (fun st -> st.demand)
-    (Hashtbl.find_opt t.states (session, node))
-
-let supply_bps t ~session ~node =
-  Option.map
-    (fun st -> st.supply_recent)
-    (Hashtbl.find_opt t.states (session, node))

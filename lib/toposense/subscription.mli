@@ -48,8 +48,3 @@ val step :
 
 val remove_session : t -> session:int -> unit
 (** Drops all per-node state of one session (session teardown). *)
-
-val demand_bps : t -> session:int -> node:Net.Addr.node_id -> float option
-(** Last computed demand at a node (diagnostics and tests). *)
-
-val supply_bps : t -> session:int -> node:Net.Addr.node_id -> float option

@@ -225,6 +225,39 @@ let test_lossy_control_still_converges () =
         (abs (r.final_level - r.optimal) <= 1))
     o.receivers
 
+(* ---------- control-plane classifier ---------- *)
+
+(* The federation's summaries ride the control plane too, so a lossy
+   burst can starve the parent's liveness lease; other unicast payloads
+   and media packets are not control. *)
+let test_domain_summary_is_control () =
+  let arena = Packet.create_arena () in
+  let unicast payload =
+    Packet.alloc arena ~id:0 ~src:0 ~dst:(Net.Addr.Unicast 1) ~size:100
+      ~sent_at:Time.zero ~payload
+  in
+  let summary =
+    unicast
+      (Toposense.Federation.Domain_summary
+         {
+           domain = 0;
+           session = 0;
+           epoch = 0;
+           seq = 0;
+           receivers = 1;
+           mean_level = 1.0;
+           mean_loss = 0.0;
+           congested = 0;
+         })
+  in
+  checkb "domain summary" true (Recovery.is_control arena summary);
+  checkb "other payload" false (Recovery.is_control arena (unicast (Probe 0)));
+  let media =
+    Packet.alloc_data arena ~id:1 ~src:0 ~group:0 ~size:100 ~sent_at:Time.zero
+      ~session:0 ~layer:0 ~seq:0
+  in
+  checkb "media" false (Recovery.is_control arena media)
+
 (* ---------- controller restart ---------- *)
 
 let test_receivers_recover_after_controller_restart () =
@@ -658,6 +691,11 @@ let () =
             test_lossy_control_still_converges;
           Alcotest.test_case "controller restart" `Slow
             test_receivers_recover_after_controller_restart;
+        ] );
+      ( "control-plane",
+        [
+          Alcotest.test_case "domain summary is control" `Quick
+            test_domain_summary_is_control;
         ] );
       ( "reliable-control",
         [

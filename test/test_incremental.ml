@@ -492,35 +492,6 @@ let test_idle_groups_skipped () =
   check edge_list "g1 still empty" [] (Router.tree_edges router ~group:g1);
   check edge_list "g2 still empty" [] (Router.tree_edges router ~group:g2)
 
-(* ---------- quantiles single-sort (satellite) ---------- *)
-
-let test_summarize_bit_identical () =
-  let checkf = check (Alcotest.float 0.0) in
-  List.iter
-    (fun xs ->
-      match Metrics.Quantiles.summarize xs with
-      | None -> Alcotest.fail "summarize returned None on non-empty input"
-      | Some s ->
-          checki "count" (List.length xs) s.Metrics.Quantiles.count;
-          List.iter
-            (fun (name, got, q) ->
-              checkf name (Metrics.Quantiles.quantile xs ~q) got)
-            [
-              ("min", s.Metrics.Quantiles.min, 0.0);
-              ("p25", s.Metrics.Quantiles.p25, 0.25);
-              ("p50", s.Metrics.Quantiles.p50, 0.5);
-              ("p75", s.Metrics.Quantiles.p75, 0.75);
-              ("p90", s.Metrics.Quantiles.p90, 0.9);
-              ("max", s.Metrics.Quantiles.max, 1.0);
-            ])
-    [
-      [ 42.0 ];
-      [ 3.0; 1.0; 2.0 ];
-      [ 5.0; 5.0; 5.0; 5.0 ];
-      [ -3.5; 0.0; -0.0; 2.25; -3.5; 7.125; 1.0 ];
-      List.init 101 (fun i -> float_of_int ((i * 37) mod 101) /. 7.0);
-    ]
-
 let () =
   Alcotest.run "incremental"
     [
@@ -550,10 +521,5 @@ let () =
             test_flap_repairs_two_edges;
           Alcotest.test_case "idle groups skipped" `Quick
             test_idle_groups_skipped;
-        ] );
-      ( "quantiles",
-        [
-          Alcotest.test_case "summarize bit-identical" `Quick
-            test_summarize_bit_identical;
         ] );
     ]

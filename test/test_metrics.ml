@@ -1,5 +1,5 @@
-(* Tests for the evaluation metrics: relative deviation, stability
-   summaries, quantiles. *)
+(* Tests for the evaluation metrics: relative deviation and stability
+   summaries. *)
 
 module Time = Engine.Time
 module Deviation = Metrics.Deviation
@@ -120,44 +120,6 @@ let test_stability_worst () =
   let none = Stability.worst ~logs:[] ~window:(sec 0, sec 10) in
   checki "empty" 0 none.changes
 
-(* ---------- Quantiles ---------- *)
-
-let test_quantile_basics () =
-  let xs = [ 4.0; 1.0; 3.0; 2.0 ] in
-  checkf "min" 1.0 (Metrics.Quantiles.quantile xs ~q:0.0);
-  checkf "max" 4.0 (Metrics.Quantiles.quantile xs ~q:1.0);
-  checkf "median interpolates" 2.5 (Metrics.Quantiles.quantile xs ~q:0.5);
-  checkf "p25" 1.75 (Metrics.Quantiles.quantile xs ~q:0.25);
-  checkf "singleton" 7.0 (Metrics.Quantiles.quantile [ 7.0 ] ~q:0.9)
-
-let test_quantile_invalid () =
-  checkb "empty" true
-    (try
-       ignore (Metrics.Quantiles.quantile [] ~q:0.5);
-       false
-     with Invalid_argument _ -> true);
-  checkb "q out of range" true
-    (try
-       ignore (Metrics.Quantiles.quantile [ 1.0 ] ~q:1.5);
-       false
-     with Invalid_argument _ -> true)
-
-let test_quantile_summary () =
-  match Metrics.Quantiles.summarize (List.init 11 float_of_int) with
-  | None -> Alcotest.fail "summary expected"
-  | Some s ->
-      checki "count" 11 s.count;
-      checkf "p50" 5.0 s.p50;
-      checkf "p90" 9.0 s.p90;
-      checkf "max" 10.0 s.max
-
-let prop_quantile_monotone =
-  QCheck.Test.make ~name:"quantiles are monotone in q" ~count:100
-    QCheck.(list_of_size Gen.(1 -- 40) (float_bound_exclusive 1000.0))
-    (fun xs ->
-      let q v = Metrics.Quantiles.quantile xs ~q:v in
-      q 0.0 <= q 0.25 && q 0.25 <= q 0.5 && q 0.5 <= q 0.9 && q 0.9 <= q 1.0)
-
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -186,11 +148,4 @@ let () =
           Alcotest.test_case "few changes" `Quick test_stability_few_changes_gap;
           Alcotest.test_case "worst" `Quick test_stability_worst;
         ] );
-      ( "quantiles",
-        [
-          Alcotest.test_case "basics" `Quick test_quantile_basics;
-          Alcotest.test_case "invalid" `Quick test_quantile_invalid;
-          Alcotest.test_case "summary" `Quick test_quantile_summary;
-        ] );
-      qsuite "quantile-props" [ prop_quantile_monotone ];
     ]

@@ -5,7 +5,6 @@
 module Time = Engine.Time
 module Tree = Toposense.Tree
 module Congestion = Toposense.Congestion
-module Bottleneck = Toposense.Bottleneck
 module Layering = Traffic.Layering
 
 let params = Toposense.Params.default
@@ -104,48 +103,6 @@ let prop_congestion_clean_tree_quiet =
       Hashtbl.fold
         (fun _ verdict ok -> ok && not verdict.Congestion.congested)
         v true)
-
-let prop_bottleneck_is_path_min =
-  QCheck.Test.make ~name:"bottleneck(v) = min capacity on path" ~count:100
-    QCheck.(pair arbitrary_tree (int_bound 1000))
-    (fun (spec, salt) ->
-      let tree = Tree.of_snapshot (snapshot_of spec) in
-      let cap_of (p, c) =
-        float_of_int (1 + (((p * 31) + c + salt) mod 50)) *. 10_000.0
-      in
-      let r = Bottleneck.compute ~tree ~capacity:(fun ~edge -> cap_of edge) in
-      List.for_all
-        (fun node ->
-          let expected =
-            let rec up n acc =
-              match Tree.parent tree n with
-              | None -> acc
-              | Some p -> up p (Float.min acc (cap_of (p, n)))
-            in
-            up node infinity
-          in
-          Hashtbl.find r.Bottleneck.bottleneck node = expected)
-        (Tree.top_down tree))
-
-let prop_bottleneck_usable_monotone =
-  QCheck.Test.make ~name:"usable(parent) >= max child bottleneck" ~count:50
-    arbitrary_tree
-    (fun spec ->
-      let tree = Tree.of_snapshot (snapshot_of spec) in
-      let r =
-        Bottleneck.compute ~tree ~capacity:(fun ~edge:(p, c) ->
-            float_of_int (1 + ((p + c) mod 9)) *. 50_000.0)
-      in
-      List.for_all
-        (fun node ->
-          match Tree.children tree node with
-          | [] -> true
-          | cs ->
-              let u = Hashtbl.find r.Bottleneck.usable node in
-              List.for_all
-                (fun c -> u >= Hashtbl.find r.Bottleneck.bottleneck c -. 1e-9)
-                cs)
-        (Tree.top_down tree))
 
 (* Algorithm.step output invariants on random trees and measures. *)
 let prop_step_prescriptions_bounded =
@@ -320,8 +277,6 @@ let () =
           [
             prop_congestion_invariants;
             prop_congestion_clean_tree_quiet;
-            prop_bottleneck_is_path_min;
-            prop_bottleneck_usable_monotone;
             prop_step_prescriptions_bounded;
             prop_step_deterministic;
           ] );

@@ -1,7 +1,7 @@
 (* Unit tests for the TopoSense algorithm stages: parameters, the Table I
    decision table, the controller's tree image, back-off timers,
-   congestion states, capacity estimation, bottlenecks, fair sharing and
-   the demand/supply pass. *)
+   congestion states, capacity estimation, fair sharing and the
+   demand/supply pass. *)
 
 module Time = Engine.Time
 module Params = Toposense.Params
@@ -10,7 +10,6 @@ module Tree = Toposense.Tree
 module Backoff = Toposense.Backoff
 module Congestion = Toposense.Congestion
 module Capacity = Toposense.Capacity
-module Bottleneck = Toposense.Bottleneck
 module Fair_share = Toposense.Fair_share
 module Algorithm = Toposense.Algorithm
 module Layering = Traffic.Layering
@@ -546,31 +545,6 @@ let test_capacity_manual_reset () =
   Capacity.reset c ~edge:(0, 1);
   checkb "manual reset" true (Capacity.estimate_bps c ~edge:(0, 1) = infinity)
 
-(* ---------- Bottleneck ---------- *)
-
-let test_bottleneck_propagation () =
-  let tree = Tree.of_snapshot (two_branch ()) in
-  let caps =
-    [ ((0, 1), 1e6); ((1, 2), 5e5); ((1, 3), 1e5); ((2, 4), 1e7); ((2, 5), 2e5) ]
-  in
-  let capacity ~edge =
-    Option.value ~default:infinity (List.assoc_opt edge caps)
-  in
-  let r = Bottleneck.compute ~tree ~capacity in
-  checkf "leaf 4 = min path" 5e5 (Hashtbl.find r.Bottleneck.bottleneck 4);
-  checkf "leaf 5 clipped by own hop" 2e5 (Hashtbl.find r.Bottleneck.bottleneck 5);
-  checkf "leaf 6" 1e5 (Hashtbl.find r.Bottleneck.bottleneck 6);
-  (* usable: max over children *)
-  checkf "usable at 2" 5e5 (Hashtbl.find r.Bottleneck.usable 2);
-  checkf "usable at 1" 5e5 (Hashtbl.find r.Bottleneck.usable 1);
-  checkf "usable at source" 5e5 (Hashtbl.find r.Bottleneck.usable 0)
-
-let test_bottleneck_unknown_is_infinite () =
-  let tree = Tree.of_snapshot (two_branch ()) in
-  let r = Bottleneck.compute ~tree ~capacity:(fun ~edge:_ -> infinity) in
-  checkb "all infinite" true
-    (Float.is_finite (Hashtbl.find r.Bottleneck.bottleneck 4) = false)
-
 (* ---------- Fair share ---------- *)
 
 (* Two chain sessions sharing edge (1,2); session 0 has a 250 Kbps
@@ -741,15 +715,6 @@ let test_algorithm_capacity_estimate_appears () =
   (* best recent observation: 120000 B over 2 s = 480 kbit/s *)
   checkf "value from best recent" 480_000.0 e
 
-let test_algorithm_verdict_exposed () =
-  let algo = mk_algorithm () in
-  ignore
-    (prescriptions_for algo ~now:(Time.of_sec 2)
-       (chain_input ~level:2 ~loss:0.4 ()));
-  match Algorithm.last_verdict algo ~session:0 ~node:2 with
-  | Some v -> checkb "lossy leaf verdict" true v.Congestion.congested
-  | None -> Alcotest.fail "verdict missing"
-
 let () =
   Alcotest.run "toposense"
     [
@@ -816,12 +781,6 @@ let () =
             test_capacity_pin_uses_recent_best;
           Alcotest.test_case "manual reset" `Quick test_capacity_manual_reset;
         ] );
-      ( "bottleneck",
-        [
-          Alcotest.test_case "propagation" `Quick test_bottleneck_propagation;
-          Alcotest.test_case "unknown infinite" `Quick
-            test_bottleneck_unknown_is_infinite;
-        ] );
       ( "fair-share",
         [
           Alcotest.test_case "proportional" `Quick test_fair_share_proportional;
@@ -838,7 +797,5 @@ let () =
           Alcotest.test_case "frozen holds" `Quick test_algorithm_frozen_leaf_holds;
           Alcotest.test_case "capacity estimate" `Quick
             test_algorithm_capacity_estimate_appears;
-          Alcotest.test_case "verdict exposed" `Quick
-            test_algorithm_verdict_exposed;
         ] );
     ]
