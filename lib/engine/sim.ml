@@ -1,14 +1,16 @@
 type event = {
   thunk : unit -> unit;
   mutable cancelled : bool;
-  mutable queued : bool;
-      (* Physically present in the pending queue (live or tombstoned).
-         Cleared at dispatch and by the compaction sweep. Only a queued
-         record counts as a tombstone when cancelled, and only an
-         unqueued one is re-armed in place. *)
+  mutable seq : int;
+      (* The scheduling sequence number while the record is physically
+         present in the pending queue (live or tombstoned), [-1] once it
+         has left it: set by every push, cleared at dispatch and by the
+         compaction sweep. Only a queued record counts as a tombstone
+         when cancelled, and only an unqueued one is re-armed in
+         place. *)
 }
-(* Four words with the header. The instant and the scheduling sequence
-   number are the queue's keys and live in its flat arrays, not here. *)
+(* Four words with the header. The instant is the queue's key and lives
+   in its flat [ats] array, not here. *)
 
 type handle = H : event -> handle [@@unboxed]
 
@@ -21,15 +23,19 @@ type timer = { mutable cur : event }
    its sweep) tombstones the old record and installs a fresh one, which
    is exactly [cancel] + [schedule_after]. *)
 
-(* The pending events form a binary min-heap on [(instant, seq)], held
-   in three arrays of one length: slot [i] of [ats], [seqs] and [evs]
-   is one entry. A comparison is then an int load and compare, not a
-   closure call over two boxed records. Arrays of one size also let the
-   allocator reuse the chunks that a resize frees. *)
+(* The pending events form a binary min-heap on [(instant, seq)] that
+   moves only ints. Entry [i] of the heap is [ats.(i)], its instant, and
+   [ids.(i)], the slot of its record in the slot table [evs]; the
+   record holds the [seq] that breaks ties. A sift therefore stores no
+   pointer and runs no write barrier, and a record is written into
+   [evs] once per push and reset to [vacant] once per pop or sweep.
+   [ids] is always a permutation of [0 .. cap-1]: its tail
+   [ids.(size .. cap-1)] lists the free slots. The three arrays share
+   one length, so the allocator can reuse the chunks a resize frees. *)
 type t = {
   mutable clock : Time.t;
   mutable ats : int array;
-  mutable seqs : int array;
+  mutable ids : int array;
   mutable evs : event array;
   mutable size : int;
   root_rng : Prng.t;
@@ -40,15 +46,15 @@ type t = {
   mutable cancelled_pending : int;
 }
 
-(* Vacated [evs] slots point here, so the queue never retains the thunk
-   of a dispatched or swept event. *)
-let vacant = { thunk = ignore; cancelled = true; queued = false }
+(* Free [evs] slots point here, so the queue never retains the thunk of
+   a dispatched or swept event. *)
+let vacant = { thunk = ignore; cancelled = true; seq = -1 }
 
 let create ?(seed = 42L) () =
   {
     clock = Time.zero;
     ats = [||];
-    seqs = [||];
+    ids = [||];
     evs = [||];
     size = 0;
     root_rng = Prng.create ~seed;
@@ -67,67 +73,86 @@ let rng t ~label = Prng.split t.root_rng ~label
 
 (* Sifts carry the displaced entry in registers ("hole" technique): one
    store per array per level instead of a swap. The unsafe accesses are
-   bounds-proven — every index is < size <= capacity. Keys are unique,
-   so the pop order does not depend on the heap's shape. A tie on the
-   instant is rare, so [seqs] is read only then. *)
-let[@inline] set t i at seq ev =
+   bounds-proven — every heap index is < size <= capacity, and every
+   slot id is < capacity. Keys are unique, so the pop order does not
+   depend on the heap's shape. A tie on the instant is rare, so a
+   record's [seq] is read only then. *)
+let[@inline] seq_at t i =
+  (Array.unsafe_get t.evs (Array.unsafe_get t.ids i)).seq
+
+let[@inline] set t i at id =
   Array.unsafe_set t.ats i at;
-  Array.unsafe_set t.seqs i seq;
-  Array.unsafe_set t.evs i ev
+  Array.unsafe_set t.ids i id
 
 let[@inline] move t ~src ~dst =
-  set t dst (Array.unsafe_get t.ats src) (Array.unsafe_get t.seqs src)
-    (Array.unsafe_get t.evs src)
+  set t dst (Array.unsafe_get t.ats src) (Array.unsafe_get t.ids src)
 
-(* Moves parents down one level while the key [(at, seq)] sorts before
-   them, starting from the hole at [i]; returns the key's slot. *)
-let rec hole_up t at seq i =
-  if i = 0 then 0
-  else begin
-    let p = (i - 1) / 2 in
-    let pat = Array.unsafe_get t.ats p in
-    if at < pat || (at = pat && seq < Array.unsafe_get t.seqs p) then begin
-      move t ~src:p ~dst:i;
-      hole_up t at seq p
-    end
-    else i
+(* Moves parents down one level while the instant [at] sorts before
+   them, from the hole at [i], then stores the entry [(at, id)]. Only a
+   push sifts up, and its sequence number is the largest ever drawn, so
+   on a tied instant the parent always sorts first. *)
+let rec hole_up t at id i =
+  let p = (i - 1) / 2 in
+  if i > 0 && at < Array.unsafe_get t.ats p then begin
+    move t ~src:p ~dst:i;
+    hole_up t at id p
   end
+  else set t i at id
 
-let rec sift_down t at seq ev i =
+(* Sinks the entry [(at, seq)] held in slot [id] from the hole at [i]. *)
+let rec sift_down t at seq id i =
   let l = (2 * i) + 1 in
-  if l >= t.size then set t i at seq ev
-  else begin
-    let r = l + 1 in
-    let c =
-      if r < t.size then
-        let lat = Array.unsafe_get t.ats l and rat = Array.unsafe_get t.ats r in
-        if
-          rat < lat
-          || (rat = lat
-             && Array.unsafe_get t.seqs r < Array.unsafe_get t.seqs l)
-        then r
-        else l
-      else l
-    in
+  let r = l + 1 in
+  let c =
+    if r < t.size then
+      let lat = Array.unsafe_get t.ats l and rat = Array.unsafe_get t.ats r in
+      if rat < lat || (rat = lat && seq_at t r < seq_at t l) then r else l
+    else l
+  in
+  if
+    c < t.size
+    &&
     let cat = Array.unsafe_get t.ats c in
-    if cat < at || (cat = at && Array.unsafe_get t.seqs c < seq) then begin
-      move t ~src:c ~dst:i;
-      sift_down t at seq ev c
-    end
-    else set t i at seq ev
+    cat < at || (cat = at && seq_at t c < seq)
+  then begin
+    move t ~src:c ~dst:i;
+    sift_down t at seq id c
   end
+  else set t i at id
+
+(* Sinks the entry at position [src] from the hole at [i]. *)
+let sink t ~src i =
+  let id = Array.unsafe_get t.ids src in
+  sift_down t (Array.unsafe_get t.ats src)
+    (Array.unsafe_get t.evs id).seq id i
 
 let min_capacity = 16
 
-let resize t cap =
-  let ats = Array.make cap 0 in
-  let seqs = Array.make cap 0 in
-  let evs = Array.make cap vacant in
-  Array.blit t.ats 0 ats 0 t.size;
-  Array.blit t.seqs 0 seqs 0 t.size;
-  Array.blit t.evs 0 evs 0 t.size;
+(* Growing keeps every record in its slot: the new slots [cap, ncap)
+   are the free ones. Shrinking is the one place slots are renumbered:
+   the record of heap entry [i] moves to slot [i], so every slot id fits
+   the smaller table and the free slots are [size, ncap). *)
+let resize t ncap =
+  let cap = Array.length t.ats in
+  let ats = Array.make ncap 0 and ids = Array.make ncap 0 in
+  let evs = Array.make ncap vacant in
+  (* not [Array.init], which makes one closure call per slot *)
+  for i = 1 to ncap - 1 do
+    Array.unsafe_set ids i i
+  done;
+  if ncap > cap then begin
+    Array.blit t.ats 0 ats 0 cap;
+    Array.blit t.ids 0 ids 0 cap;
+    Array.blit t.evs 0 evs 0 cap
+  end
+  else begin
+    Array.blit t.ats 0 ats 0 t.size;
+    for i = 0 to t.size - 1 do
+      Array.unsafe_set evs i (Array.unsafe_get t.evs (Array.unsafe_get t.ids i))
+    done
+  end;
   t.ats <- ats;
-  t.seqs <- seqs;
+  t.ids <- ids;
   t.evs <- evs
 
 (* Capacity doubles when full and halves once only a quarter of it is
@@ -143,41 +168,37 @@ let note_pushed t =
   let live = len - t.cancelled_pending in
   if live > t.max_live_pending then t.max_live_pending <- live
 
-(* The record is stored before the sift, and again only if the sift
-   moved it. Storing a freshly allocated record into the array is the
-   costliest step of a push (the write barrier remembers it), and
-   [hole_up] polls on entry. OCaml 5 runs signal handlers at poll
-   points, so a sampling profiler's tick that lands in that store is
-   taken here, with this module on the stack, not at the caller's next
-   poll. *)
-let push t at seq ev =
+(* The record is stored into its slot before the sift. Storing a freshly
+   allocated record into the table is the costliest step of a push (the
+   write barrier remembers it), and [hole_up] polls on entry. OCaml 5
+   runs signal handlers at poll points, so a sampling profiler's tick
+   that lands in that store is taken here, with this module on the
+   stack, not at the caller's next poll. *)
+let push t at ev =
   let cap = Array.length t.ats in
   if t.size = cap then resize t (if cap = 0 then min_capacity else 2 * cap);
   let i = t.size in
+  let id = Array.unsafe_get t.ids i in
   t.size <- i + 1;
   note_pushed t;
-  Array.unsafe_set t.evs i ev;
-  let j = hole_up t at seq i in
-  Array.unsafe_set t.ats j at;
-  Array.unsafe_set t.seqs j seq;
-  if j <> i then Array.unsafe_set t.evs j ev
+  Array.unsafe_set t.evs id ev;
+  hole_up t at id i
 
-(* Removes the root entry, which the caller has read. *)
-let remove_root t =
+(* Removes the root entry, whose slot [id] the caller has read, and
+   frees the slot. *)
+let remove_root t id =
   let n = t.size - 1 in
   t.size <- n;
-  if n > 0 then
-    sift_down t (Array.unsafe_get t.ats n) (Array.unsafe_get t.seqs n)
-      (Array.unsafe_get t.evs n) 0;
-  Array.unsafe_set t.evs n vacant;
+  if n > 0 then sink t ~src:n 0;
+  Array.unsafe_set t.ids n id;
+  Array.unsafe_set t.evs id vacant;
   maybe_shrink t
 
 (* Queues an unqueued record at [at] under the next sequence number. *)
 let enqueue t at ev =
-  ev.queued <- true;
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  push t (at : Time.t :> int) seq ev
+  ev.seq <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  push t (at : Time.t :> int) ev
 
 let check_not_past t ~what at =
   if Time.(at < t.clock) then
@@ -187,7 +208,7 @@ let check_not_past t ~what at =
 
 let schedule_at t at thunk =
   check_not_past t ~what:"Sim.schedule_at" at;
-  let ev = { thunk; cancelled = false; queued = false } in
+  let ev = { thunk; cancelled = false; seq = -1 } in
   enqueue t at ev;
   H ev
 
@@ -205,30 +226,36 @@ let compact_threshold = 64
 let tombstone t ev =
   if not ev.cancelled then begin
     ev.cancelled <- true;
-    if ev.queued then t.cancelled_pending <- t.cancelled_pending + 1
+    if ev.seq >= 0 then t.cancelled_pending <- t.cancelled_pending + 1
   end
 
-(* The sweep: an in-place filter, then a bottom-up (Floyd) heapify. *)
+(* The sweep: an in-place partition, then a bottom-up (Floyd) heapify.
+   A kept entry swaps places with the first dropped one, so the dropped
+   entries' slots end up in [ids.(kept .. n-1)], beside the free ones. *)
 let sweep t =
   let n = t.size in
   let kept = ref 0 in
   for i = 0 to n - 1 do
-    let ev = Array.unsafe_get t.evs i in
-    if ev.cancelled then
+    let id = Array.unsafe_get t.ids i in
+    let ev = Array.unsafe_get t.evs id in
+    if ev.cancelled then begin
       (* The record leaves the queue here, not at dispatch: without
          this a disarmed reusable timer could never be re-armed in
          place again. *)
-      ev.queued <- false
+      ev.seq <- -1;
+      Array.unsafe_set t.evs id vacant
+    end
     else begin
-      move t ~src:i ~dst:!kept;
-      incr kept
+      let k = !kept in
+      Array.unsafe_set t.ids i (Array.unsafe_get t.ids k);
+      Array.unsafe_set t.ats k (Array.unsafe_get t.ats i);
+      Array.unsafe_set t.ids k id;
+      kept := k + 1
     end
   done;
-  Array.fill t.evs !kept (n - !kept) vacant;
   t.size <- !kept;
   for i = (t.size / 2) - 1 downto 0 do
-    sift_down t (Array.unsafe_get t.ats i) (Array.unsafe_get t.seqs i)
-      (Array.unsafe_get t.evs i) i
+    sink t ~src:i i
   done;
   t.cancelled_pending <- 0;
   maybe_shrink t
@@ -245,17 +272,17 @@ let cancel t (H ev) =
 
 (* ---------- reusable timers ---------- *)
 
-let timer _t f = { cur = { thunk = f; cancelled = true; queued = false } }
+let timer _t f = { cur = { thunk = f; cancelled = true; seq = -1 } }
 
 let arm_at t tm at =
   check_not_past t ~what:"Sim.arm_at" at;
   let ev = tm.cur in
-  if ev.queued then begin
+  if ev.seq >= 0 then begin
     (* Superseding a pending arm (or a disarm tombstone still awaiting
        its sweep): behave exactly like [cancel] + a fresh schedule. *)
     tombstone t ev;
     maybe_compact t;
-    let e = { thunk = ev.thunk; cancelled = false; queued = false } in
+    let e = { thunk = ev.thunk; cancelled = false; seq = -1 } in
     tm.cur <- e;
     enqueue t at e
   end
@@ -288,7 +315,7 @@ let every t ?start ?jitter ~period f =
         Time.of_ns (Stdlib.max (Time.to_ns t.clock) ns)
   in
   let nominal = ref first in
-  let rec ev = { thunk = tick; cancelled = false; queued = false }
+  let rec ev = { thunk = tick; cancelled = false; seq = -1 }
   and tick () =
     f ();
     if not ev.cancelled then begin
@@ -314,10 +341,11 @@ let run_until t horizon =
   let horizon_ns = (horizon : Time.t :> int) in
   let rec loop () =
     if t.size > 0 && Array.unsafe_get t.ats 0 <= horizon_ns then begin
-      let at = Array.unsafe_get t.ats 0 and ev = Array.unsafe_get t.evs 0 in
-      remove_root t;
+      let at = Array.unsafe_get t.ats 0 and id = Array.unsafe_get t.ids 0 in
+      let ev = Array.unsafe_get t.evs id in
+      remove_root t id;
       t.clock <- Time.of_ns at;
-      ev.queued <- false;
+      ev.seq <- -1;
       if ev.cancelled then t.cancelled_pending <- t.cancelled_pending - 1
       else begin
         t.dispatched <- t.dispatched + 1;

@@ -1,9 +1,10 @@
 (** The discrete-event simulation loop.
 
     A simulator owns a clock, a binary min-heap of pending events and
-    the run's root PRNG. The heap keeps each entry's instant and
-    scheduling sequence number in flat int arrays beside the events, so
-    ordering reads no event record. Events are thunks scheduled at
+    the run's root PRNG. The heap moves only ints: an entry is its
+    instant and the slot of its event record in a slot table, and the
+    record carries the scheduling sequence number, so ordering reads a
+    record only when two instants tie. Events are thunks scheduled at
     absolute instants and dispatch in [(time, seq)] order: events at the
     same instant fire in scheduling order (FIFO), which makes runs fully
     deterministic for a given seed. Cancellation is lazy — a cancelled

@@ -10,73 +10,139 @@ type t = {
      toward sources and control-plane endpoints. *)
   next : Addr.node_id array array;
   dist : Time.span array array;
-  (* Retained so tables can be recomputed when links fail or recover. *)
-  adj : (Addr.node_id * int) list array;
-  disabled : (Addr.node_id * Addr.node_id, unit) Hashtbl.t;
+  (* The adjacency in compressed sparse rows, retained so tables can be
+     recomputed when links fail or recover. Node [n]'s directed entries
+     are [first.(n) .. first.(n+1) - 1]; entry [e] reaches neighbor
+     [nbr.(e)] at delay [wt.(e)], and a row lists its neighbors in
+     ascending order, which fixes the relaxation order. [up] holds one
+     byte per entry, ['\000'] while the link is disabled. *)
+  first : int array;
+  nbr : Addr.node_id array;
+  wt : Time.span array;
+  up : Bytes.t;
+  (* The pass heap, reused by every Dijkstra over this table. *)
+  mutable heap_dist : int array;
+  mutable heap_node : Addr.node_id array;
+  mutable heap_size : int;
   mutable recomputes : int;
   mutable materialized : int;
   mutable heap_pushes : int;
 }
 
-let edge_key a b = if a < b then (a, b) else (b, a)
+(* ---------- the pass heap ---------- *)
+
+(* A binary min-heap on [(dist, node)] held in two int arrays, so a push
+   or pop allocates nothing and a comparison is two int loads. A node is
+   pushed again only at a strictly smaller distance, so keys are unique
+   and the pop order does not depend on the heap's shape. Sifts carry
+   the displaced entry in registers ("hole" technique); the unsafe
+   accesses are bounds-proven — every index is < size <= capacity. The
+   [int array] annotations keep the heap monomorphic: a polymorphic one
+   would call [compare] and test every access for a float array. *)
+let[@inline] set (hd : int array) (hn : int array) i d n =
+  Array.unsafe_set hd i d;
+  Array.unsafe_set hn i n
+
+(* Whether entry [i] sorts before the key [(d, n)]. *)
+let[@inline] before (hd : int array) (hn : int array) i d n =
+  let di = Array.unsafe_get hd i in
+  di < d || (di = d && Array.unsafe_get hn i < n)
+
+let[@inline] move hd hn ~src ~dst =
+  set hd hn dst (Array.unsafe_get hd src) (Array.unsafe_get hn src)
+
+let rec hole_up hd hn d n i =
+  let p = (i - 1) / 2 in
+  if i > 0 && not (before hd hn p d n) then begin
+    move hd hn ~src:p ~dst:i;
+    hole_up hd hn d n p
+  end
+  else set hd hn i d n
+
+let rec sift_down hd hn size d n i =
+  let l = (2 * i) + 1 in
+  let c =
+    if l + 1 < size && before hd hn (l + 1) hd.(l) hn.(l) then l + 1 else l
+  in
+  if c < size && before hd hn c d n then begin
+    move hd hn ~src:c ~dst:i;
+    sift_down hd hn size d n c
+  end
+  else set hd hn i d n
+
+let push t d n =
+  let cap = Array.length t.heap_dist in
+  if t.heap_size = cap then begin
+    let ncap = if cap = 0 then 16 else 2 * cap in
+    let hd = Array.make ncap 0 and hn = Array.make ncap 0 in
+    Array.blit t.heap_dist 0 hd 0 cap;
+    Array.blit t.heap_node 0 hn 0 cap;
+    t.heap_dist <- hd;
+    t.heap_node <- hn
+  end;
+  hole_up t.heap_dist t.heap_node d n t.heap_size;
+  t.heap_size <- t.heap_size + 1
+
+(* ---------- Dijkstra passes ---------- *)
+
+let[@inline] is_up t e = Bytes.unsafe_get t.up e <> '\000'
+
+(* Pops the pass heap empty, relaxing each finalized node's live entries
+   into [dst]'s column [dist]/[next], and returns the number of pushes.
+   A strictly shorter path rewrites the entry and pushes the neighbor.
+   An equality-only rewrite (same distance, lower-id neighbor wins the
+   tie-break) updates [next.(m)] without a push: the node's distance is
+   unchanged, its earlier relaxation already offered neighbors the same
+   candidate distances, and a canonical next hop depends on distances
+   alone — re-relaxing the adjacency would redo identical work (the
+   same argument [restore_edge_dst] relies on). *)
+let rec drain t ~dst dist next pushes =
+  if t.heap_size = 0 then pushes
+  else begin
+    let hd = t.heap_dist and hn = t.heap_node and last = t.heap_size - 1 in
+    let d = Array.unsafe_get hd 0 and n = Array.unsafe_get hn 0 in
+    t.heap_size <- last;
+    if last > 0 then sift_down hd hn last hd.(last) hn.(last) 0;
+    let pushes = ref pushes in
+    if d = dist.(n) then
+      for e = t.first.(n) to t.first.(n + 1) - 1 do
+        if is_up t e then begin
+          let m = t.nbr.(e) in
+          let nd = d + t.wt.(e) in
+          if nd < dist.(m) then begin
+            dist.(m) <- nd;
+            next.(m) <- n;
+            push t nd m;
+            incr pushes
+          end
+          else if nd = dist.(m) && next.(m) > n && m <> dst then
+            next.(m) <- n
+        end
+      done;
+    drain t ~dst dist next !pushes
+  end
 
 (* One Dijkstra rooted at [dst] gives, for every node, its next hop toward
-   [dst]: the neighbor through which the node was finalized. Edges in
-   [disabled] are skipped. An equality-only rewrite (same distance,
-   lower-id neighbor wins the tie-break) updates [next.(m)] without a
-   push: the node's distance is unchanged, its earlier relaxation already
-   offered neighbors the same candidate distances, and a canonical next
-   hop depends on distances alone — re-relaxing the adjacency would redo
-   identical work (the same argument [restore_edge_dst] relies on). *)
-let dijkstra t dst =
-  let node_count = t.node_count and adj = t.adj and disabled = t.disabled in
-  let dist = Array.make node_count max_int in
-  let next = Array.make node_count (-1) in
-  let heap =
-    Engine.Heap.create ~cmp:(fun (da, na) (db, nb) ->
-        let c = Int.compare da db in
-        if c <> 0 then c else Int.compare na nb)
-  in
-  let push entry =
-    t.heap_pushes <- t.heap_pushes + 1;
-    Engine.Heap.push heap entry
-  in
+   [dst]: the neighbor through which the node was finalized. Disabled
+   entries are skipped. *)
+let fill_column t dst =
+  let dist = Array.make t.node_count max_int in
+  let next = Array.make t.node_count (-1) in
   dist.(dst) <- 0;
-  push (0, dst);
-  let rec loop () =
-    match Engine.Heap.pop heap with
-    | None -> ()
-    | Some (d, n) ->
-        if d = dist.(n) then
-          List.iter
-            (fun (m, w) ->
-              if not (Hashtbl.mem disabled (edge_key n m)) then begin
-                let nd = d + w in
-                if nd < dist.(m) then begin
-                  dist.(m) <- nd;
-                  next.(m) <- n;
-                  push (nd, m)
-                end
-                else if nd = dist.(m) && next.(m) > n && m <> dst then
-                  next.(m) <- n
-              end)
-            adj.(n);
-        loop ()
-  in
-  loop ();
-  (next, dist)
+  push t 0 dst;
+  t.heap_pushes <- t.heap_pushes + 1 + drain t ~dst dist next 0;
+  t.next.(dst) <- next;
+  t.dist.(dst) <- dist
 
 let is_materialized t d = Array.length t.next.(d) <> 0
 
-(* First query for a destination computes its column against the current
-   [disabled] set — bit-identical to what an eager [compute] plus the
+(* First query for a destination computes its column against the live
+   link set — bit-identical to what an eager [compute] plus the
    incremental updates would have produced, since both leave the unique
    canonical table for the live topology. Not billed to [recomputes]:
    like the eager initial computation, it is creation, not damage. *)
 let materialize_dst t d =
-  let n, ds = dijkstra t d in
-  t.next.(d) <- n;
-  t.dist.(d) <- ds;
+  fill_column t d;
   t.materialized <- t.materialized + 1
 
 let column t d =
@@ -85,14 +151,31 @@ let column t d =
 
 let recompute_dst t d =
   t.recomputes <- t.recomputes + 1;
-  let n, ds = dijkstra t d in
-  t.next.(d) <- n;
-  t.dist.(d) <- ds
+  fill_column t d
+
+(* Offers [m] the path over the restored edge of weight [w] from [n];
+   returns whether [m]'s entry changed. *)
+let splice_seed t ~d dist next ~w n m =
+  if dist.(n) < max_int && m <> d then begin
+    let nd = dist.(n) + w in
+    if nd < dist.(m) then begin
+      dist.(m) <- nd;
+      next.(m) <- n;
+      push t nd m;
+      true
+    end
+    else if nd = dist.(m) && next.(m) > n then begin
+      next.(m) <- n;
+      true
+    end
+    else false
+  end
+  else false
 
 (* Splice the restored edge (a,b) of weight [w] back into destination
-   [d]'s tables, which are exact for the topology without it. [dijkstra]
-   leaves a canonical table — [dist.(m)] is the shortest distance and
-   [next.(m)] the smallest-id neighbor on a shortest path — and that
+   [d]'s tables, which are exact for the topology without it. A Dijkstra
+   pass leaves a canonical table — [dist.(m)] is the shortest distance
+   and [next.(m)] the smallest-id neighbor on a shortest path — and that
    invariant characterizes the tables independently of how they were
    produced. A distance can only improve through the restored edge, so if
    neither endpoint gains a shorter path through the other (nor an
@@ -110,58 +193,12 @@ let recompute_dst t d =
    destination's tables changed. *)
 let restore_edge_dst t ~d ~a ~b ~w =
   let dist = t.dist.(d) and next = t.next.(d) in
-  let touched = ref false in
-  let frontier = ref [] in
-  let seed n m =
-    (* candidate path for [m]: over the restored edge, then [n]'s path *)
-    if dist.(n) < max_int && m <> d then begin
-      let nd = dist.(n) + w in
-      if nd < dist.(m) then begin
-        dist.(m) <- nd;
-        next.(m) <- n;
-        frontier := (nd, m) :: !frontier;
-        touched := true
-      end
-      else if nd = dist.(m) && next.(m) > n then begin
-        next.(m) <- n;
-        touched := true
-      end
-    end
-  in
-  seed a b;
-  seed b a;
-  (match !frontier with
-  | [] -> ()
-  | seeds ->
-      let heap =
-        Engine.Heap.create ~cmp:(fun (da, na) (db, nb) ->
-            let c = Int.compare da db in
-            if c <> 0 then c else Int.compare na nb)
-      in
-      List.iter (fun s -> Engine.Heap.push heap s) seeds;
-      let rec loop () =
-        match Engine.Heap.pop heap with
-        | None -> ()
-        | Some (dn, n) ->
-            if dn = dist.(n) then
-              List.iter
-                (fun (m, w') ->
-                  if not (Hashtbl.mem t.disabled (edge_key n m)) then begin
-                    let nd = dn + w' in
-                    if nd < dist.(m) then begin
-                      dist.(m) <- nd;
-                      next.(m) <- n;
-                      Engine.Heap.push heap (nd, m)
-                    end
-                    else if nd = dist.(m) && next.(m) > n && m <> d then
-                      next.(m) <- n
-                  end)
-                t.adj.(n);
-            loop ()
-      in
-      loop ());
-  if !touched then t.recomputes <- t.recomputes + 1;
-  !touched
+  let touched_b = splice_seed t ~d dist next ~w a b in
+  let touched_a = splice_seed t ~d dist next ~w b a in
+  ignore (drain t ~dst:d dist next 0 : int);
+  let touched = touched_a || touched_b in
+  if touched then t.recomputes <- t.recomputes + 1;
+  touched
 
 let compute topo =
   if not (Topology.is_connected topo) then
@@ -173,16 +210,29 @@ let compute topo =
       adj.(l.a) <- (l.b, l.delay) :: adj.(l.a);
       adj.(l.b) <- (l.a, l.delay) :: adj.(l.b))
     (Topology.links topo);
-  (* Deterministic relaxation order. *)
+  let first = Array.make (node_count + 1) 0 in
+  Array.iteri (fun n ns -> first.(n + 1) <- first.(n) + List.length ns) adj;
+  let entries = first.(node_count) in
+  let nbr = Array.make entries 0 and wt = Array.make entries 0 in
   Array.iteri
-    (fun i ns -> adj.(i) <- List.sort compare ns)
+    (fun n ns ->
+      List.iteri
+        (fun k (m, w) ->
+          nbr.(first.(n) + k) <- m;
+          wt.(first.(n) + k) <- w)
+        (List.sort compare ns))
     adj;
   {
     node_count;
     next = Array.make node_count [||];
     dist = Array.make node_count [||];
-    adj;
-    disabled = Hashtbl.create 8;
+    first;
+    nbr;
+    wt;
+    up = Bytes.make entries '\001';
+    heap_dist = [||];
+    heap_node = [||];
+    heap_size = 0;
     recomputes = 0;
     materialized = 0;
     heap_pushes = 0;
@@ -200,12 +250,19 @@ let check t from dst =
   if from < 0 || from >= t.node_count || dst < 0 || dst >= t.node_count then
     invalid_arg "Routing: unknown node"
 
-let link_enabled t ~a ~b = not (Hashtbl.mem t.disabled (edge_key a b))
+(* The entry of [b] in [a]'s row, or -1 when they are not adjacent. *)
+let entry t a b =
+  let rec find e =
+    if e = t.first.(a + 1) then -1
+    else if t.nbr.(e) = b then e
+    else find (e + 1)
+  in
+  find t.first.(a)
 
 (* Both directions are incremental and bounded to the materialized
    destinations whose tables actually change; a column nobody has queried
    holds no state to maintain, and will be computed against the live
-   [disabled] set if a later query materializes it. Taking a link down
+   link set if a later query materializes it. Taking a link down
    only invalidates destinations whose shortest-path tree crossed it:
    next.(d) is a tree rooted at [d], so the edge (a,b) is in use iff one
    endpoint forwards through the other. An unused equal-cost edge was
@@ -220,29 +277,28 @@ let link_enabled t ~a ~b = not (Hashtbl.mem t.disabled (edge_key a b))
 let set_link_enabled t ~a ~b enabled =
   check t a b;
   if a = b then invalid_arg "Routing.set_link_enabled: a = b";
-  if not (List.mem_assoc b t.adj.(a)) then
-    invalid_arg "Routing.set_link_enabled: not adjacent";
-  let key = edge_key a b in
+  let ab = entry t a b in
+  if ab < 0 then invalid_arg "Routing.set_link_enabled: not adjacent";
   let affected = ref [] in
-  if enabled then begin
-    if Hashtbl.mem t.disabled key then begin
-      Hashtbl.remove t.disabled key;
-      let w = List.assoc b t.adj.(a) in
+  if is_up t ab <> enabled then begin
+    let byte = if enabled then '\001' else '\000' in
+    Bytes.set t.up ab byte;
+    Bytes.set t.up (entry t b a) byte;
+    if enabled then begin
+      let w = t.wt.(ab) in
       for d = t.node_count - 1 downto 0 do
         if is_materialized t d && restore_edge_dst t ~d ~a ~b ~w then
           affected := d :: !affected
       done
     end
-  end
-  else if not (Hashtbl.mem t.disabled key) then begin
-    Hashtbl.add t.disabled key ();
-    for d = t.node_count - 1 downto 0 do
-      if is_materialized t d && (t.next.(d).(a) = b || t.next.(d).(b) = a)
-      then begin
-        recompute_dst t d;
-        affected := d :: !affected
-      end
-    done
+    else
+      for d = t.node_count - 1 downto 0 do
+        if is_materialized t d && (t.next.(d).(a) = b || t.next.(d).(b) = a)
+        then begin
+          recompute_dst t d;
+          affected := d :: !affected
+        end
+      done
   end;
   !affected
 

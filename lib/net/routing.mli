@@ -13,8 +13,13 @@
     for sources and control-plane endpoints, which is what lets 10k–1M
     receiver topologies route at all. Answers are bit-identical to an
     eagerly computed table: a column materialized late is computed
-    against the live disabled-link set, and both leave the unique
-    canonical table for that topology (see DESIGN.md, "Scaling state").
+    against the live link set, and both leave the unique canonical
+    table for that topology (see DESIGN.md, "Scaling state").
+
+    The adjacency is held in compressed sparse rows with one up/down
+    byte per directed entry, and every Dijkstra pass over a table reuses
+    its one [(distance, node)] heap of two int arrays, so a pass
+    allocates only the columns it fills.
 
     Links can be administratively disabled (the fault-injection layer's
     link failures) and re-enabled. Recomputation is incremental in both
@@ -83,9 +88,8 @@ val set_link_enabled :
     Columns not yet materialized are not updated, not reported, and cost
     nothing; a later query computes them against the live link set.
     Idempotent.
-    @raise Invalid_argument if the nodes are not adjacent. *)
-
-val link_enabled : t -> a:Addr.node_id -> b:Addr.node_id -> bool
+    @raise Invalid_argument on an unknown node, on [a = b], or if the
+    nodes are not adjacent. *)
 
 val recomputes : t -> int
 (** Destination tables updated by {!set_link_enabled} since creation: one

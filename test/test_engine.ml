@@ -1,9 +1,8 @@
-(* Tests for the discrete-event engine: heap, time, PRNG, sim loop, stats,
+(* Tests for the discrete-event engine: time, PRNG, sim loop, stats,
    trace. *)
 
 module Time = Engine.Time
 module Sim = Engine.Sim
-module Heap = Engine.Heap
 module Prng = Engine.Prng
 module Stats = Engine.Stats
 module Trace = Engine.Trace
@@ -40,85 +39,6 @@ let test_time_compare () =
   checkb "gt" true Time.(of_sec 3 > of_sec 2);
   checki "min" (Time.to_ns (Time.of_sec 1))
     (Time.to_ns (Time.min (Time.of_sec 1) (Time.of_sec 2)))
-
-(* ---------- Heap ---------- *)
-
-let test_heap_order () =
-  let h = Heap.create ~cmp:Int.compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2; 7 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  check (Alcotest.list Alcotest.int) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (drain [])
-
-let test_heap_empty () =
-  let h = Heap.create ~cmp:Int.compare in
-  checki "no storage" 0 (Heap.capacity h);
-  checkb "pop none" true (Heap.pop h = None);
-  checkb "peek none" true (Heap.peek h = None)
-
-let test_heap_peek_stable () =
-  let h = Heap.create ~cmp:Int.compare in
-  Heap.push h 4;
-  Heap.push h 2;
-  checkb "peek min" true (Heap.peek h = Some 2);
-  checkb "peek again" true (Heap.peek h = Some 2);
-  checkb "nothing removed" true
-    (Heap.pop h = Some 2 && Heap.pop h = Some 4 && Heap.pop h = None)
-
-let test_heap_pop_clears_and_shrinks () =
-  let h = Heap.create ~cmp:Int.compare in
-  for i = 1 to 200 do
-    Heap.push h i
-  done;
-  let cap_full = Heap.capacity h in
-  checkb "grew" true (cap_full >= 200);
-  for _ = 1 to 160 do
-    ignore (Heap.pop h)
-  done;
-  checkb "next is 161" true (Heap.peek h = Some 161);
-  checkb "shrank once quarter full" true (Heap.capacity h < cap_full);
-  checkb "cap holds the 40 left" true (Heap.capacity h >= 40);
-  for i = 161 to 200 do
-    checkb "remaining in order" true (Heap.pop h = Some i)
-  done;
-  checkb "then empty" true (Heap.pop h = None);
-  (* An empty heap holds no backing array at all: the last popped
-     element is reclaimable. *)
-  checki "empty releases storage" 0 (Heap.capacity h)
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list int)
-    (fun xs ->
-      let h = Heap.create ~cmp:Int.compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort Int.compare xs)
-
-let prop_heap_interleaved =
-  QCheck.Test.make ~name:"heap interleaved push/pop keeps min" ~count:200
-    QCheck.(list (pair bool small_int))
-    (fun ops ->
-      let h = Heap.create ~cmp:Int.compare in
-      let model = ref [] in
-      List.for_all
-        (fun (is_push, x) ->
-          if is_push then begin
-            Heap.push h x;
-            model := List.sort Int.compare (x :: !model);
-            true
-          end
-          else
-            match (Heap.pop h, !model) with
-            | None, [] -> true
-            | Some v, m :: rest ->
-                model := rest;
-                v = m
-            | _ -> false)
-        ops)
 
 (* ---------- random Sim-API programs ---------- *)
 
@@ -432,6 +352,136 @@ let prop_timers_equivalent =
   QCheck.Test.make ~name:"reusable timers match cancel+reschedule"
     ~count:100 timer_op_arb
     (fun ops -> run_timer_ops ops = run_ref_ops ops)
+
+(* ---------- the slot table ---------- *)
+
+(* A thunk whose captured value counts its own collection in
+   [collected]. Not inlined, so no caller's frame keeps the value. *)
+let[@inline never] tracked collected =
+  let v = ref 0 in
+  Gc.finalise (fun _ -> incr collected) v;
+  fun () -> incr v
+
+let[@inline never] schedule_tracked sim collected at =
+  ignore (Sim.schedule_at sim at (tracked collected) : Sim.handle)
+
+(* Schedules [k] tracked one-shots and cancels them, keeping no handle. *)
+let[@inline never] cancel_tracked sim collected k at =
+  let hs = List.init k (fun _ -> Sim.schedule_at sim at (tracked collected)) in
+  List.iter (Sim.cancel sim) hs
+
+let collected_after_gc collected =
+  Gc.full_major ();
+  !collected
+
+(* The queue never retains a thunk it is done with, on each of the three
+   paths that free a slot: dispatch, the tombstone sweep, and a shrink
+   that renumbers the live slots. A value captured by a thunk the queue
+   still holds must stay live. Each simulator is used after the last
+   collection, so it is live throughout. *)
+let test_sim_slots_release_thunks () =
+  let sim = Sim.create () in
+  (* dispatch *)
+  let fired = ref 0 in
+  schedule_tracked sim fired (Time.of_ms 1);
+  Sim.run_until sim (Time.of_ms 1);
+  checki "dispatched thunk collected" 1 (collected_after_gc fired);
+  (* sweep: ten tracked tombstones, then 55 more cancels pass the
+     threshold and the sweep drops all 65; the 41 events left fill
+     more than a quarter of the 128 slots, so no shrink follows *)
+  let swept = ref 0 and queued = ref 0 in
+  let far = Time.of_sec 100 in
+  cancel_tracked sim swept 10 far;
+  let others = List.init 55 (fun _ -> Sim.schedule_at sim far ignore) in
+  for _ = 1 to 40 do
+    ignore (Sim.schedule_at sim far ignore : Sim.handle)
+  done;
+  schedule_tracked sim queued (Time.of_sec 50);
+  checki "tombstones held until the sweep" 0 (collected_after_gc swept);
+  List.iter (Sim.cancel sim) others;
+  checki "swept" 41 (Sim.pending sim);
+  checki "swept thunks collected" 10 (collected_after_gc swept);
+  (* shrink: in a fresh simulator the k-th push takes slot k, so the
+     last of 200 one-shots holds slot 199 of 256; dispatching the first
+     190 shrinks the table to 32 slots, renumbering it *)
+  let renumbered = ref 0 in
+  let small = Sim.create () in
+  for i = 1 to 199 do
+    ignore (Sim.schedule_at small (Time.of_ms i) ignore : Sim.handle)
+  done;
+  schedule_tracked small renumbered (Time.of_ms 200);
+  Sim.run_until small (Time.of_ms 190);
+  checki "renumbered thunk kept while queued" 0
+    (collected_after_gc renumbered);
+  Sim.run_until small (Time.of_ms 200);
+  checki "renumbered thunk collected after dispatch" 1
+    (collected_after_gc renumbered);
+  checki "all dispatched" 200 (Sim.events_dispatched small);
+  checki "queued thunk kept" 0 (collected_after_gc queued);
+  checki "41 live events" 41 (Sim.live_pending sim)
+
+(* Slots are recycled across every resize. A run that grows the table,
+   sweeps it, pushes into the slots the sweep freed, shrinks it, grows
+   it again over recycled slots and then re-arms a reusable timer must
+   dispatch exactly what was scheduled, in order, with the counts any
+   queue would report. *)
+let test_sim_slot_recycling () =
+  let sim = Sim.create () in
+  let log = ref [] in
+  let mark tag () =
+    log := (tag, Time.to_ns (Sim.now sim) / 1_000_000) :: !log
+  in
+  let at tag ms =
+    ignore (Sim.schedule_at sim (Time.of_ms ms) (mark tag) : Sim.handle)
+  in
+  let counts () =
+    (Sim.pending sim, Sim.live_pending sim, Sim.max_pending sim)
+  in
+  let counts_t = Alcotest.(triple int int int) in
+  (* grow: 16 -> 128 slots *)
+  let hs =
+    List.init 100 (fun i ->
+        Sim.schedule_at sim (Time.of_ms (i + 1)) (mark "once"))
+  in
+  let tmr = Sim.timer sim (mark "timer") in
+  Sim.arm_at sim tmr (Time.of_ms 75);
+  check counts_t "grown" (101, 101, 101) (counts ());
+  (* sweep: cancel seven of every ten one-shots; the 65th cancel drops
+     65 tombstones from all over the heap, and the last 5 stay queued *)
+  List.iteri (fun i h -> if i mod 10 < 7 then Sim.cancel sim h) hs;
+  check counts_t "swept" (36, 31, 101) (counts ());
+  List.iter (at "late") [ 72; 78; 90; 95 ];
+  check counts_t "pushed into freed slots" (40, 35, 101) (counts ());
+  (* shrink: 27 dispatches (24 one-shots, 2 late, the timer) halve the
+     table at 32 pending and again at 16 *)
+  Sim.run_until sim (Time.of_ms 80);
+  check counts_t "shrunk" (13, 8, 101) (counts ());
+  (* grow again over recycled slots: 32 -> 128 *)
+  for ms = 200 to 289 do
+    at "once" ms
+  done;
+  check counts_t "regrown" (103, 98, 103) (counts ());
+  (* the timer fired, so it re-arms its own record in place *)
+  Sim.arm_at sim tmr (Time.of_ms 150);
+  check counts_t "timer re-armed" (104, 99, 104) (counts ());
+  Sim.run_until sim (Time.of_sec 1);
+  check counts_t "drained" (0, 0, 104) (counts ());
+  let once ms = ("once", ms) and late ms = ("late", ms) in
+  let survivors a b =
+    List.filter_map
+      (fun ms -> if (ms - 1) mod 10 >= 7 then Some (once ms) else None)
+      (List.init (b - a + 1) (fun k -> a + k))
+  in
+  check
+    Alcotest.(list (pair string int))
+    "dispatch order"
+    (survivors 1 70
+    @ [ late 72; ("timer", 75); once 78; late 78; once 79; once 80 ]
+    @ survivors 81 90 @ [ late 90; late 95 ] @ survivors 96 100
+    @ [ ("timer", 150) ]
+    @ List.init 90 (fun k -> once (200 + k)))
+    (List.rev !log);
+  checki "dispatched" 126 (Sim.events_dispatched sim)
 
 (* ---------- Event_queue ---------- *)
 
@@ -875,15 +925,6 @@ let () =
           Alcotest.test_case "invalid" `Quick test_time_invalid;
           Alcotest.test_case "compare" `Quick test_time_compare;
         ] );
-      ( "heap",
-        [
-          Alcotest.test_case "sorted drain" `Quick test_heap_order;
-          Alcotest.test_case "empty" `Quick test_heap_empty;
-          Alcotest.test_case "peek" `Quick test_heap_peek_stable;
-          Alcotest.test_case "pop clears and shrinks" `Quick
-            test_heap_pop_clears_and_shrinks;
-        ] );
-      qsuite "heap-props" [ prop_heap_sorted; prop_heap_interleaved ];
       ( "scheduler-name",
         [ Alcotest.test_case "benchmark label" `Quick test_scheduler_label ] );
       ( "prng",
@@ -926,6 +967,9 @@ let () =
           Alcotest.test_case "timer supersede and reuse" `Quick
             test_sim_timer_supersede_and_reuse;
           Alcotest.test_case "timer disarm" `Quick test_sim_timer_disarm;
+          Alcotest.test_case "slots release thunks" `Quick
+            test_sim_slots_release_thunks;
+          Alcotest.test_case "slot recycling" `Quick test_sim_slot_recycling;
         ] );
       qsuite "sim-props"
         [ prop_sim_events_in_time_order; prop_timers_equivalent ];

@@ -342,6 +342,12 @@ let test_lazy_columns () =
    next-hop rewrite re-pushes the node, re-relaxing its adjacency for
    nothing. The fixed dijkstra must produce identical tables with
    strictly fewer pushes on a tie-heavy topology. *)
+module Pqueue = Set.Make (struct
+  type t = int * int * int (* distance, node, push number *)
+
+  let compare = compare
+end)
+
 let reference_dijkstra topo dst =
   let n = Topology.node_count topo in
   let adj = Array.make n [] in
@@ -354,21 +360,20 @@ let reference_dijkstra topo dst =
   let dist = Array.make n max_int in
   let next = Array.make n (-1) in
   let pushes = ref 0 in
-  let heap =
-    Engine.Heap.create ~cmp:(fun (da, na) (db, nb) ->
-        let c = Int.compare da db in
-        if c <> 0 then c else Int.compare na nb)
-  in
-  let push e =
+  let queue = ref Pqueue.empty in
+  (* The push number keeps a re-pushed (distance, node) pair a distinct
+     entry, so it pops twice, as it would from a heap. *)
+  let push (d, m) =
     incr pushes;
-    Engine.Heap.push heap e
+    queue := Pqueue.add (d, m, !pushes) !queue
   in
   dist.(dst) <- 0;
   push (0, dst);
   let rec loop () =
-    match Engine.Heap.pop heap with
+    match Pqueue.min_elt_opt !queue with
     | None -> ()
-    | Some (d, u) ->
+    | Some ((d, u, _) as entry) ->
+        queue := Pqueue.remove entry !queue;
         if d = dist.(u) then
           List.iter
             (fun (m, w) ->

@@ -106,6 +106,31 @@ let test_routing_disconnected_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* A link is named by two adjacent known nodes; repeating a state is a
+   no-op that reports no changed destination. *)
+let test_routing_set_link_enabled_args () =
+  let r = Routing.compute (line 3) in
+  let rejects what a b =
+    checkb what true
+      (match Routing.set_link_enabled r ~a ~b false with
+      | _ -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "unknown node" 0 7;
+  rejects "negative node" (-1) 0;
+  rejects "a = b" 1 1;
+  rejects "not adjacent" 0 2;
+  (* every column's tree on the line crosses the link *)
+  check (Alcotest.list Alcotest.int) "down" [ 0; 1; 2 ]
+    (Routing.prefetch_all r;
+     Routing.set_link_enabled r ~a:1 ~b:0 false);
+  check (Alcotest.list Alcotest.int) "down again" []
+    (Routing.set_link_enabled r ~a:0 ~b:1 false);
+  check (Alcotest.list Alcotest.int) "up" [ 0; 1; 2 ]
+    (Routing.set_link_enabled r ~a:0 ~b:1 true);
+  check (Alcotest.list Alcotest.int) "up again" []
+    (Routing.set_link_enabled r ~a:1 ~b:0 true)
+
 let prop_routing_paths_valid =
   (* On a random connected graph, every routed path starts and ends right,
      never repeats a node, and walks only existing edges. *)
@@ -172,6 +197,126 @@ let prop_routing_distance_symmetric =
         for b = 0 to n - 1 do
           if a <> b && Routing.distance r ~from:a ~dst:b <> Routing.distance r ~from:b ~dst:a
           then ok := false
+        done
+      done;
+      !ok)
+
+(* Routing against an independent oracle: Floyd-Warshall over the links
+   that are up. Delays of 1-3 ms make equal-length paths common, so the
+   tie-break is exercised: the next hop must be the smallest-id neighbor
+   on a shortest path. Columns named in [early] are materialized before
+   any link goes down, so the link-down recompute and the link-up splice
+   run on them; every other column is computed lazily against the live
+   link set. *)
+type fate = Stays_up | Goes_down | Flaps
+
+let prop_routing_matches_floyd_warshall =
+  let gen =
+    QCheck.Gen.(
+      let* n = 2 -- 12 in
+      let edge a b =
+        map2
+          (fun ms fate -> (a, b, ms, fate))
+          (1 -- 3)
+          (frequencyl [ (5, Stays_up); (2, Goes_down); (1, Flaps) ])
+      in
+      (* a random spanning tree keeps the topology connected *)
+      let* tree =
+        flatten_l (List.init (n - 1) (fun i -> int_bound i >>= edge (i + 1)))
+      in
+      let* extra =
+        list_size (0 -- 12)
+          (pair (int_bound (n - 1)) (int_bound (n - 1)) >>= fun (a, b) ->
+           edge a b)
+      in
+      let* early = list_size (0 -- 4) (int_bound (n - 1)) in
+      return (n, tree @ extra, early))
+  in
+  let print (n, edges, early) =
+    let fate = function
+      | Stays_up -> "up"
+      | Goes_down -> "down"
+      | Flaps -> "flap"
+    in
+    Printf.sprintf "n=%d edges=[%s] early=[%s]" n
+      (String.concat "; "
+         (List.map
+            (fun (a, b, ms, f) ->
+              Printf.sprintf "%d-%d %dms %s" a b ms (fate f))
+            edges))
+      (String.concat "; " (List.map string_of_int early))
+  in
+  QCheck.Test.make ~name:"routing equals Floyd-Warshall with links down"
+    ~count:300 (QCheck.make ~print gen)
+    (fun (n, edges, early) ->
+      let topo = Topology.create () in
+      ignore (Topology.add_nodes topo n);
+      let present = Hashtbl.create 16 in
+      let links =
+        List.filter
+          (fun (a, b, _, _) ->
+            let key = (min a b, max a b) in
+            a <> b
+            && (not (Hashtbl.mem present key))
+            && (Hashtbl.add present key ();
+                true))
+          edges
+      in
+      List.iter
+        (fun (a, b, ms, _) ->
+          Topology.add_duplex topo ~a ~b ~bandwidth_bps:1e6
+            ~delay:(Time.span_of_ms ms) ())
+        links;
+      let r = Routing.compute topo in
+      List.iter (fun d -> ignore (Routing.distance r ~from:d ~dst:d)) early;
+      List.iter
+        (fun (a, b, _, fate) ->
+          if fate <> Stays_up then
+            ignore (Routing.set_link_enabled r ~a ~b false))
+        links;
+      List.iter
+        (fun (a, b, _, fate) ->
+          if fate = Flaps then ignore (Routing.set_link_enabled r ~a ~b true))
+        links;
+      let inf = max_int in
+      let w = Array.make_matrix n n inf in
+      List.iter
+        (fun (a, b, ms, fate) ->
+          if fate <> Goes_down then begin
+            w.(a).(b) <- Time.span_of_ms ms;
+            w.(b).(a) <- Time.span_of_ms ms
+          end)
+        links;
+      let d =
+        Array.init n (fun i ->
+            Array.init n (fun j -> if i = j then 0 else w.(i).(j)))
+      in
+      for k = 0 to n - 1 do
+        for i = 0 to n - 1 do
+          for j = 0 to n - 1 do
+            if
+              d.(i).(k) < inf
+              && d.(k).(j) < inf
+              && d.(i).(k) + d.(k).(j) < d.(i).(j)
+            then d.(i).(j) <- d.(i).(k) + d.(k).(j)
+          done
+        done
+      done;
+      let expected_hop from dst =
+        List.find_opt
+          (fun m ->
+            w.(from).(m) < inf && d.(m).(dst) < inf
+            && w.(from).(m) + d.(m).(dst) = d.(from).(dst))
+          (List.init n Fun.id)
+      in
+      let ok = ref true in
+      for from = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          if from <> dst then
+            ok :=
+              !ok
+              && Routing.distance r ~from ~dst = d.(from).(dst)
+              && Routing.next_hop_opt r ~from ~dst = expected_hop from dst
         done
       done;
       !ok)
@@ -503,9 +648,15 @@ let () =
           Alcotest.test_case "shortcut" `Quick test_routing_shortcut;
           Alcotest.test_case "disconnected" `Quick
             test_routing_disconnected_rejected;
+          Alcotest.test_case "set_link_enabled arguments" `Quick
+            test_routing_set_link_enabled_args;
         ] );
       qsuite "routing-props"
-        [ prop_routing_paths_valid; prop_routing_distance_symmetric ];
+        [
+          prop_routing_paths_valid;
+          prop_routing_distance_symmetric;
+          prop_routing_matches_floyd_warshall;
+        ];
       ( "link",
         [
           Alcotest.test_case "serialization timing" `Quick
