@@ -374,13 +374,7 @@ let fmt_opt_s ppf = function
   | Some s -> Format.fprintf ppf "%.1f s" s
   | None -> Format.pp_print_string ppf "never"
 
-let print_flap (o : Recovery.flap_outcome) =
-  Format.printf
-    "link-flap: down %.0f-%.0f s; %d routing recomputes, %d tree edges \
-     repaired (%d passes), %d packets lost to the dead link, tree %s@."
-    o.down_at_s o.up_at_s o.routing_recomputes o.edges_repaired o.repair_passes
-    o.link_fault_drops
-    (if o.tree_consistent then "consistent" else "INCONSISTENT");
+let print_flap_receivers receivers =
   List.iter
     (fun (r : Recovery.flap_receiver) ->
       Format.printf
@@ -393,7 +387,16 @@ let print_flap (o : Recovery.flap_outcome) =
         (r.goodput_before_bps /. 1000.0)
         (r.goodput_during_bps /. 1000.0)
         r.final_level)
-    o.receivers
+    receivers
+
+let print_flap (o : Recovery.flap_outcome) =
+  Format.printf
+    "link-flap: down %.0f-%.0f s; %d routing recomputes, %d tree edges \
+     repaired (%d passes), %d packets lost to the dead link, tree %s@."
+    o.down_at_s o.up_at_s o.routing_recomputes o.edges_repaired o.repair_passes
+    o.link_fault_drops
+    (if o.tree_consistent then "consistent" else "INCONSISTENT");
+  print_flap_receivers o.receivers
 
 let print_crash (o : Recovery.crash_outcome) =
   Format.printf
@@ -407,19 +410,7 @@ let print_crash (o : Recovery.crash_outcome) =
   List.iter
     (fun ((a, b), d) -> Format.printf "  link %d->%d: %d fault drops@." a b d)
     o.per_link_fault_drops;
-  List.iter
-    (fun (r : Recovery.flap_receiver) ->
-      Format.printf
-        "  n%-3d %-5s optimal %d (during failure %d) level %d->floor %d \
-         recovery %a goodput %.0f -> %.0f kbps final %d@."
-        r.node
-        (if r.fast_branch then "fast" else "slow")
-        r.optimal r.optimal_during r.pre_failure_level r.floor_level fmt_opt_s
-        r.recovery_s
-        (r.goodput_before_bps /. 1000.0)
-        (r.goodput_during_bps /. 1000.0)
-        r.final_level)
-    o.receivers
+  print_flap_receivers o.receivers
 
 let print_outage (o : Recovery.outage_outcome) =
   Format.printf
@@ -485,6 +476,36 @@ let print_partition (o : Recovery.partition_outcome) =
         fmt_opt_s r.reconverge_s r.unilateral_actions r.final_level)
     o.receivers
 
+(* The JSON fields the flap and the crash share: receivers back at their
+   pre-failure level, the slowest of them, and the goodput kept through
+   the fault. *)
+let window_json (receivers : Recovery.flap_receiver list) =
+  let recovered =
+    List.length
+      (List.filter
+         (fun (r : Recovery.flap_receiver) -> r.recovery_s <> None)
+         receivers)
+  in
+  let max_recovery =
+    List.fold_left
+      (fun acc (r : Recovery.flap_receiver) ->
+        match r.recovery_s with Some s -> Float.max acc s | None -> acc)
+      0.0 receivers
+  in
+  let goodput_ratio =
+    let d, b =
+      List.fold_left
+        (fun (d, b) (r : Recovery.flap_receiver) ->
+          (d +. r.goodput_during_bps, b +. r.goodput_before_bps))
+        (0.0, 0.0) receivers
+    in
+    if b > 0.0 then d /. b else 0.0
+  in
+  Printf.sprintf
+    "\"recovered\": %d, \"total\": %d, \"max_recovery_s\": %.1f, \
+     \"goodput_ratio\": %.3f"
+    recovered (List.length receivers) max_recovery goodput_ratio
+
 let recovery_json ~flap ~crash ~outage ~lossy ~partition =
   let buf = Buffer.create 1024 in
   let opt_f = function Some s -> Printf.sprintf "%.1f" s | None -> "null" in
@@ -494,60 +515,15 @@ let recovery_json ~flap ~crash ~outage ~lossy ~partition =
       [
         Option.map
           (fun (o : Recovery.flap_outcome) ->
-            let recovered =
-              List.length
-                (List.filter
-                   (fun (r : Recovery.flap_receiver) -> r.recovery_s <> None)
-                   o.receivers)
-            in
-            let max_recovery =
-              List.fold_left
-                (fun acc (r : Recovery.flap_receiver) ->
-                  match r.recovery_s with Some s -> Float.max acc s | None -> acc)
-                0.0 o.receivers
-            in
-            let goodput_ratio =
-              let d, b =
-                List.fold_left
-                  (fun (d, b) (r : Recovery.flap_receiver) ->
-                    (d +. r.goodput_during_bps, b +. r.goodput_before_bps))
-                  (0.0, 0.0) o.receivers
-              in
-              if b > 0.0 then d /. b else 0.0
-            in
             Printf.sprintf
-              "    {\"name\": \"link-flap\", \"recovered\": %d, \"total\": \
-               %d, \"max_recovery_s\": %.1f, \"goodput_ratio\": %.3f, \
-               \"routing_recomputes\": %d, \"edges_repaired\": %d, \
-               \"link_fault_drops\": %d, \"tree_consistent\": %b}"
-              recovered
-              (List.length o.receivers)
-              max_recovery goodput_ratio o.routing_recomputes o.edges_repaired
+              "    {\"name\": \"link-flap\", %s, \"routing_recomputes\": \
+               %d, \"edges_repaired\": %d, \"link_fault_drops\": %d, \
+               \"tree_consistent\": %b}"
+              (window_json o.receivers) o.routing_recomputes o.edges_repaired
               o.link_fault_drops o.tree_consistent)
           flap;
         Option.map
           (fun (o : Recovery.crash_outcome) ->
-            let recovered =
-              List.length
-                (List.filter
-                   (fun (r : Recovery.flap_receiver) -> r.recovery_s <> None)
-                   o.receivers)
-            in
-            let max_recovery =
-              List.fold_left
-                (fun acc (r : Recovery.flap_receiver) ->
-                  match r.recovery_s with Some s -> Float.max acc s | None -> acc)
-                0.0 o.receivers
-            in
-            let goodput_ratio =
-              let d, b =
-                List.fold_left
-                  (fun (d, b) (r : Recovery.flap_receiver) ->
-                    (d +. r.goodput_during_bps, b +. r.goodput_before_bps))
-                  (0.0, 0.0) o.receivers
-              in
-              if b > 0.0 then d /. b else 0.0
-            in
             let per_link =
               String.concat ", "
                 (List.map
@@ -557,15 +533,12 @@ let recovery_json ~flap ~crash ~outage ~lossy ~partition =
                    o.per_link_fault_drops)
             in
             Printf.sprintf
-              "    {\"name\": \"router-crash\", \"recovered\": %d, \"total\": \
-               %d, \"max_recovery_s\": %.1f, \"goodput_ratio\": %.3f, \
-               \"crash_drops\": %d, \"crash_link_downs\": %d, \
-               \"crash_link_ups\": %d, \"evictions\": %d, \"readmissions\": \
-               %d, \"routing_recomputes\": %d, \"edges_repaired\": %d, \
+              "    {\"name\": \"router-crash\", %s, \"crash_drops\": %d, \
+               \"crash_link_downs\": %d, \"crash_link_ups\": %d, \
+               \"evictions\": %d, \"readmissions\": %d, \
+               \"routing_recomputes\": %d, \"edges_repaired\": %d, \
                \"tree_consistent\": %b, \"per_link_fault_drops\": [%s]}"
-              recovered
-              (List.length o.receivers)
-              max_recovery goodput_ratio o.crash_drops o.crash_link_downs
+              (window_json o.receivers) o.crash_drops o.crash_link_downs
               o.crash_link_ups o.evictions o.readmissions o.routing_recomputes
               o.edges_repaired o.tree_consistent per_link)
           crash;

@@ -601,6 +601,5 @@ let delivered t ~group =
   if group < 0 || group >= Array.length t.delivered_by_group then 0
   else t.delivered_by_group.(group)
 
-let group_count t = t.next_group
 let repair_passes t = t.repair_passes
 let edges_repaired t = t.edges_repaired

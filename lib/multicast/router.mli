@@ -102,8 +102,6 @@ val on_tree : t -> node:Net.Addr.node_id -> group:Net.Addr.group_id -> bool
 val delivered : t -> group:Net.Addr.group_id -> int
 (** Packets delivered to local members of [group] (all nodes), for tests. *)
 
-val group_count : t -> int
-
 val repair_passes : t -> int
 (** Repair passes run since creation: one per topology event delivered by
     the network's observer (whether or not any group qualified for

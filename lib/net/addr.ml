@@ -11,9 +11,3 @@ let pp_group ppf g = Format.fprintf ppf "g%d" g
 let pp_dest ppf = function
   | Unicast n -> pp_node ppf n
   | Multicast g -> pp_group ppf g
-
-let equal_dest a b =
-  match (a, b) with
-  | Unicast x, Unicast y -> Int.equal x y
-  | Multicast x, Multicast y -> Int.equal x y
-  | Unicast _, Multicast _ | Multicast _, Unicast _ -> false

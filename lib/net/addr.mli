@@ -15,6 +15,4 @@ type dest =
   | Multicast of group_id
 
 val pp_node : Format.formatter -> node_id -> unit
-val pp_group : Format.formatter -> group_id -> unit
 val pp_dest : Format.formatter -> dest -> unit
-val equal_dest : dest -> dest -> bool

@@ -148,6 +148,8 @@ let set_control_plane t ~classify ?(drop_fraction = 0.0) ?(delay_fraction = 0.0)
     invalid_arg "Faults.set_control_plane: drop_fraction outside [0,1]";
   if delay_fraction < 0.0 || delay_fraction > 1.0 then
     invalid_arg "Faults.set_control_plane: delay_fraction outside [0,1]";
+  if drop_fraction +. delay_fraction > 1.0 then
+    invalid_arg "Faults.set_control_plane: drop_fraction + delay_fraction > 1";
   if delay < 0 then invalid_arg "Faults.set_control_plane: negative delay";
   Network.set_origination_filter t.network (fun pkt ->
       if not (classify pkt) then `Deliver

@@ -30,9 +30,6 @@ val link_up : t -> a:Addr.node_id -> b:Addr.node_id -> unit
 val schedule_link_down :
   t -> at:Engine.Time.t -> a:Addr.node_id -> b:Addr.node_id -> unit
 
-val schedule_link_up :
-  t -> at:Engine.Time.t -> a:Addr.node_id -> b:Addr.node_id -> unit
-
 val schedule_flap :
   t ->
   a:Addr.node_id ->
@@ -93,8 +90,8 @@ val set_control_plane :
     true is silently dropped with probability [drop_fraction], delayed by
     [delay] with probability [delay_fraction], and passed through
     otherwise. Fractions default to 0.
-    @raise Invalid_argument on fractions outside [0,1] or a negative
-    delay. *)
+    @raise Invalid_argument on fractions outside [0,1], on
+    [drop_fraction + delay_fraction > 1] or on a negative delay. *)
 
 val clear_control_plane : t -> unit
 

@@ -50,7 +50,6 @@ type t = {
       (** fired after every administrative link state change *)
   mutable origination_filter :
     (Packet.t -> [ `Deliver | `Drop | `Delay of Time.span ]) option;
-  mutable filtered_drops : int;
   mutable unroutable_drops : int;
 }
 
@@ -123,7 +122,6 @@ let create ~sim topo =
       observers = Dyn.create ();
       topology_observers = Dyn.create ();
       origination_filter = None;
-      filtered_drops = 0;
       unroutable_drops = 0;
     }
   in
@@ -217,7 +215,6 @@ let link_is_up t ~a ~b =
 
 let set_origination_filter t f = t.origination_filter <- Some f
 let clear_origination_filter t = t.origination_filter <- None
-let filtered_drops t = t.filtered_drops
 let unroutable_drops t = t.unroutable_drops
 
 let fault_drops t =
@@ -238,9 +235,7 @@ let inject t ~src pkt =
   | Some f -> (
       match f pkt with
       | `Deliver -> handle t ~node:src ~in_iface:None pkt
-      | `Drop ->
-          t.filtered_drops <- t.filtered_drops + 1;
-          Packet.free t.arena pkt
+      | `Drop -> Packet.free t.arena pkt
       | `Delay span ->
           ignore
             (Sim.schedule_after t.sim span (fun () ->

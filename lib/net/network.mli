@@ -83,14 +83,12 @@ val set_origination_filter :
   t -> (Packet.t -> [ `Deliver | `Drop | `Delay of Engine.Time.span ]) -> unit
 (** Installs a filter consulted for every originated packet before it
     enters the network — the fault-injection layer's hook for a lossy or
-    laggy control plane. [`Drop] silently discards the packet (counted in
-    {!filtered_drops}); [`Delay d] injects it after [d]. At most one
-    filter; installing replaces the previous one. *)
+    laggy control plane. [`Drop] silently discards the packet (the
+    filter counts its own drops, as {!Faults.control_dropped} does);
+    [`Delay d] injects it after [d]. At most one filter; installing
+    replaces the previous one. *)
 
 val clear_origination_filter : t -> unit
-
-val filtered_drops : t -> int
-(** Packets discarded by the origination filter. *)
 
 val unroutable_drops : t -> int
 (** Unicast packets dropped because their destination was unreachable

@@ -81,15 +81,15 @@ let gen ~rng ~faults ~storm_s =
           Lossy_burst
             { at_s; dur_s; drop = Engine.Prng.uniform rng ~lo:0.1 ~hi:0.6 })
 
-let run ~world ~schedule ?(storm_s = 60.0) ?(quiet_s = 30.0) ?(seed = 42L) () =
+(* Seconds from the storm's end to the invariant checks. The
+   re-prescription probe fires 3 intervals + 1 s after the storm (7 s at
+   the 2 s interval) and must land before the freeze, which comes 10 s
+   before the checks so that leave latency expires every kept-alive
+   branch. *)
+let quiet_s = 30.0
+
+let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
   if storm_s < 20.0 then invalid_arg "Chaos.run: storm_s < 20";
-  let params_interval_s =
-    Time.span_to_sec_f Toposense.Params.default.Toposense.Params.interval
-  in
-  (* the re-prescription probe fires at +3 intervals, the freeze at
-     quiet_s - 10; the guard keeps probe < freeze < end *)
-  if quiet_s < (3.0 *. params_interval_s) +. 15.0 then
-    invalid_arg "Chaos.run: quiet_s too short for the invariant probes";
   let sim = Sim.create ~seed () in
   (* ---- build the world ---- *)
   let spec, domains =
@@ -419,53 +419,26 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(quiet_s = 30.0) ?(seed = 42L) () =
           ((source :: List.map (fun (_, n, _) -> n) leaf_ctrls)
           @ List.map (fun (n, _, _) -> n) agents)
     in
-    let bad = ref 0 in
-    List.iter
-      (fun dst ->
-        for from = 0 to nodes - 1 do
-          if
-            from <> dst
-            && (Net.Routing.next_hop_opt routing ~from ~dst
-                  <> Net.Routing.next_hop_opt oracle ~from ~dst
-               || Net.Routing.distance routing ~from ~dst
-                  <> Net.Routing.distance oracle ~from ~dst)
-          then incr bad
-        done)
-      check_dsts;
-    if !bad > 0 then violate "routing: %d (from,dst) pairs differ from fresh compute" !bad;
-    !bad = 0
+    let bad =
+      Recovery.routing_mismatches ~live:routing ~fresh:oracle ~nodes
+        ~dsts:check_dsts
+    in
+    if bad > 0 then
+      violate "routing: %d (from,dst) pairs differ from fresh compute" bad;
+    bad = 0
   in
   let trees_consistent =
-    (* per layer group: the recorded edges must equal the union of the
-       members' reverse paths in a fresh compute — a fresh rebuild *)
-    let layers = Layering.count (Session.layering session) in
     let all_ok = ref true in
-    for layer = 0 to layers - 1 do
-      let group = Session.group_for_layer session ~layer in
-      let members = Multicast.Router.members router ~group in
-      let expected = Hashtbl.create 256 in
-      let rec climb n steps =
-        if n <> source && steps <= nodes then
-          match Net.Routing.next_hop_opt oracle ~from:n ~dst:source with
-          | None -> ()
-          | Some p ->
-              if not (Hashtbl.mem expected (p, n)) then begin
-                Hashtbl.add expected (p, n) ();
-                climb p (steps + 1)
-              end
-      in
-      List.iter (fun m -> climb m 0) members;
-      let expected =
-        List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) expected [])
-      in
-      let live =
-        List.sort compare (Multicast.Router.tree_edges router ~group)
-      in
-      if live <> expected then begin
-        all_ok := false;
-        violate "tree for layer %d: %d live edges vs %d expected" layer
-          (List.length live) (List.length expected)
-      end
+    for layer = 0 to Layering.count (Session.layering session) - 1 do
+      match
+        Recovery.tree_mismatch ~router ~fresh:oracle ~nodes
+          ~group:(Session.group_for_layer session ~layer)
+      with
+      | None -> ()
+      | Some (live, expected) ->
+          all_ok := false;
+          violate "tree for layer %d: %d live edges vs %d expected" layer live
+            expected
     done;
     !all_ok
   in

@@ -113,7 +113,6 @@ val run :
   world:world ->
   schedule:schedule ->
   ?storm_s:float ->
-  ?quiet_s:float ->
   ?seed:int64 ->
   unit ->
   outcome
@@ -123,10 +122,11 @@ val run :
     tamperer silenced, every controller restarted — the final graph is
     the pristine topology, so the oracle is a fresh compute), probes
     re-prescription at [storm_s + 3 intervals + 1 s], freezes agents and
-    controllers 10 s before the end so leave latency expires, and
-    evaluates the invariants at [storm_s + quiet_s] (defaults 60 and
-    30 s). The run is deterministic per [seed] (default [42L]).
-    @raise Invalid_argument if [storm_s < 20] or [quiet_s] is too short
-    for the probe/freeze sequence. *)
+    controllers at [storm_s + 20 s] so leave latency expires, and
+    evaluates the invariants at [storm_s + 30 s] with
+    {!Recovery.routing_mismatches} and {!Recovery.tree_mismatch}.
+    [storm_s] defaults to 60. The run is deterministic per [seed]
+    (default [42L]).
+    @raise Invalid_argument if [storm_s < 20]. *)
 
 val pp : Format.formatter -> outcome -> unit

@@ -19,8 +19,8 @@ type outcome = {
 }
 
 let run ?(receivers_per_set = 4) ?(join_gap_s = 20.0)
-    ?(leave_half_at_s = 400.0) ?(traffic = Experiment.Cbr)
-    ?(duration = Time.of_sec 600) ?(seed = 42L) () =
+    ?(leave_half_at_s = 400.0) ?(duration = Time.of_sec 600) ?(seed = 42L) ()
+    =
   let spec = Builders.topology_a ~receivers_per_set in
   let sim = Sim.create ~seed () in
   let network = Net.Network.create ~sim spec.Builders.topology in
@@ -32,13 +32,8 @@ let run ?(receivers_per_set = 4) ?(join_gap_s = 20.0)
   in
   let session = Traffic.Session.create ~router ~source ~layering ~id:0 in
   Discovery.Service.register_session discovery session;
-  let kind =
-    match traffic with
-    | Experiment.Cbr -> Traffic.Source.Cbr
-    | Experiment.Vbr p -> Traffic.Source.Vbr { peak_to_mean = p }
-  in
   ignore
-    (Traffic.Source.start ~network ~session ~kind
+    (Traffic.Source.start ~network ~session ~kind:Traffic.Source.Cbr
        ~rng:(Sim.rng sim ~label:"source") ());
   let params = Toposense.Params.default in
   let controller =

@@ -32,11 +32,11 @@ val run :
   ?receivers_per_set:int ->
   ?join_gap_s:float ->
   ?leave_half_at_s:float ->
-  ?traffic:Experiment.traffic ->
   ?duration:Engine.Time.t ->
   ?seed:int64 ->
   unit ->
   outcome
-(** Defaults: 4 receivers per set joining [join_gap_s] = 20 s apart
-    (alternating between the fast and slow branches), the odd-indexed
-    half departing at [leave_half_at_s] = 400 s, CBR, 600 s, seed 42. *)
+(** Runs a CBR source. Defaults: 4 receivers per set joining
+    [join_gap_s] = 20 s apart (alternating between the fast and slow
+    branches), the odd-indexed half departing at [leave_half_at_s] =
+    400 s, 600 s, seed 42. *)

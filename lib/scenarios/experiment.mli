@@ -65,6 +65,9 @@ val run :
     [probe_discovery] switches the controller to in-band
     {!Toposense.Probe_discovery} (TopoSense scheme only). *)
 
+val source_kind : traffic -> Traffic.Source.kind
+(** The source model that runs a [traffic] setting. *)
+
 val forwarded_packets_of : Net.Network.t -> int
 (** Total packet transmissions across every simplex link of the network:
     each hop a packet takes counts once, so this tracks forwarding work,

@@ -7,8 +7,7 @@ type stability_row = {
   mean_gap_s : float;
 }
 
-let default_traffics =
-  [ Experiment.Cbr; Experiment.Vbr 3.0; Experiment.Vbr 6.0 ]
+let traffics = [ Experiment.Cbr; Experiment.Vbr 3.0; Experiment.Vbr 6.0 ]
 
 let stability_of_outcome ~x ~traffic (o : Experiment.outcome) =
   let logs =
@@ -25,7 +24,7 @@ let stability_of_outcome ~x ~traffic (o : Experiment.outcome) =
    results are identical for any [jobs]. *)
 
 let fig6 ?(duration = Time.of_sec 1200) ?(set_sizes = [ 1; 2; 4; 8; 16 ])
-    ?(traffics = default_traffics) ?(seed = 42L) ?(jobs = 1) () =
+    ?(seed = 42L) ?(jobs = 1) () =
   let cells =
     List.concat_map
       (fun traffic ->
@@ -44,7 +43,7 @@ let fig6 ?(duration = Time.of_sec 1200) ?(set_sizes = [ 1; 2; 4; 8; 16 ])
     cells
 
 let fig7 ?(duration = Time.of_sec 1200) ?(session_counts = [ 1; 2; 4; 8; 16 ])
-    ?(traffics = default_traffics) ?(seed = 42L) ?(jobs = 1) () =
+    ?(seed = 42L) ?(jobs = 1) () =
   let cells =
     List.concat_map
       (fun traffic ->
@@ -70,7 +69,7 @@ type fairness_row = {
 }
 
 let fig8 ?(duration = Time.of_sec 1200) ?(session_counts = [ 1; 2; 4; 8; 16 ])
-    ?(traffics = default_traffics) ?(seed = 42L) ?seeds ?(jobs = 1) () =
+    ?(seed = 42L) ?seeds ?(jobs = 1) () =
   let seeds = Option.value ~default:[ seed ] seeds in
   let cells =
     List.concat_map

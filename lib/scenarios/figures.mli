@@ -20,23 +20,22 @@ type stability_row = {
 val fig6 :
   ?duration:Engine.Time.t ->
   ?set_sizes:int list ->
-  ?traffics:Experiment.traffic list ->
   ?seed:int64 ->
   ?jobs:int ->
   unit ->
   stability_row list
-(** Stability on Topology A. Defaults: 1200 s; set sizes 1, 2, 4, 8, 16;
-    CBR, VBR P=3, VBR P=6. *)
+(** Stability on Topology A under CBR, VBR P=3 and VBR P=6 (the rows run
+    traffic-major). Defaults: 1200 s; set sizes 1, 2, 4, 8, 16. *)
 
 val fig7 :
   ?duration:Engine.Time.t ->
   ?session_counts:int list ->
-  ?traffics:Experiment.traffic list ->
   ?seed:int64 ->
   ?jobs:int ->
   unit ->
   stability_row list
-(** Stability on Topology B. Defaults: 1200 s; 1, 2, 4, 8, 16 sessions. *)
+(** Stability on Topology B under CBR, VBR P=3 and VBR P=6. Defaults:
+    1200 s; 1, 2, 4, 8, 16 sessions. *)
 
 type fairness_row = {
   sessions : int;
@@ -48,15 +47,14 @@ type fairness_row = {
 val fig8 :
   ?duration:Engine.Time.t ->
   ?session_counts:int list ->
-  ?traffics:Experiment.traffic list ->
   ?seed:int64 ->
   ?seeds:int64 list ->
   ?jobs:int ->
   unit ->
   fairness_row list
-(** Inter-session fairness on Topology B (deviation halves scale with
-    [duration]). [seeds] (overriding [seed]) averages each row over
-    several independent runs. *)
+(** Inter-session fairness on Topology B under CBR, VBR P=3 and VBR P=6
+    (deviation halves scale with [duration]). [seeds] (overriding
+    [seed]) averages each row over several independent runs. *)
 
 type series_point = {
   at_s : float;

@@ -3,8 +3,16 @@ module Time = Engine.Time
 module Layering = Traffic.Layering
 module Session = Traffic.Session
 
+let receivers_per_set = 2
+
+(* Faults strike once the receivers have climbed to their steady
+   levels. *)
+let fault_at_s = 60.0
+let heal_at_s = 90.0
+let failover_at_s = 100.0
+
 (* Shared plumbing: a fully wired Topology-A-style run (session, source,
-   controller, one receiver agent per receiver node) that the three fault
+   controller, one receiver agent per receiver node) that the fault
    experiments specialise.  Unlike [Experiment.run] the pieces stay
    accessible so faults can be injected into them mid-run. *)
 type rig = {
@@ -18,7 +26,7 @@ type rig = {
   spec : Builders.spec;
 }
 
-let make_rig ~spec ~traffic ~params ~seed =
+let make_rig ~spec ~params ~seed =
   let sim = Sim.create ~seed () in
   let network = Net.Network.create ~sim spec.Builders.topology in
   (* The recovery outcomes report damage metrics (routing recomputes,
@@ -35,13 +43,8 @@ let make_rig ~spec ~traffic ~params ~seed =
     Session.create ~router ~source ~layering:Layering.paper_default ~id:0
   in
   Discovery.Service.register_session discovery session;
-  let kind =
-    match traffic with
-    | Experiment.Cbr -> Traffic.Source.Cbr
-    | Experiment.Vbr p -> Traffic.Source.Vbr { peak_to_mean = p }
-  in
   ignore
-    (Traffic.Source.start ~network ~session ~kind
+    (Traffic.Source.start ~network ~session ~kind:Traffic.Source.Cbr
        ~rng:(Sim.rng sim ~label:"source") ());
   let controller =
     Toposense.Controller.create ~network ~discovery ~params
@@ -63,6 +66,13 @@ let make_rig ~spec ~traffic ~params ~seed =
   in
   { sim; network; router; session; source; controller; agents; spec }
 
+(* The oracle's optimum for [node] over the rig's final routes. *)
+let optimal rig node =
+  Baseline.Static_oracle.optimal_level ~topology:rig.spec.Builders.topology
+    ~routing:(Net.Network.routing rig.network)
+    ~layering:(Session.layering rig.session)
+    ~sessions:rig.spec.Builders.sessions ~source:rig.source ~receiver:node
+
 (* Subscription level in effect at [at], given the agent's change log
    (oldest first, initial subscribe included). *)
 let level_at ~changes ~at =
@@ -76,7 +86,19 @@ let min_level_in ~changes ~window:(lo, hi) =
     (level_at ~changes ~at:lo)
     changes
 
-(* ---------- link flap ---------- *)
+(* Seconds after [at] until the subscription was back at [pre]: [Some 0.]
+   if it was not below [pre] at [at], [None] if it never came back. *)
+let back_after ~changes ~pre ~at =
+  if level_at ~changes ~at >= pre then Some 0.0
+  else
+    List.find_map
+      (fun (t, l) ->
+        if Time.(t >= at) && l >= pre then
+          Some (Time.span_to_sec_f (Time.diff t at))
+        else None)
+      changes
+
+(* ---------- link flap and router crash ---------- *)
 
 type flap_receiver = {
   node : Net.Addr.node_id;
@@ -90,6 +112,75 @@ type flap_receiver = {
   goodput_during_bps : float;
   final_level : int;
 }
+
+(* The failure window shared by the flap and the crash: delivered
+   application bytes per receiver from the fault to the heal and in an
+   equally long window before it, then the run, then each receiver's
+   levels around the fault. [fast_during] is the fast set's optimum while
+   the fault lasts. *)
+let run_window rig ~fast_set ~fast_during ~duration =
+  let down_at = Time.of_sec_f fault_at_s in
+  let up_at = Time.of_sec_f heal_at_s in
+  let window_s = heal_at_s -. fault_at_s in
+  let before_start = Time.of_sec_f (Float.max 0.0 (fault_at_s -. window_s)) in
+  let bytes_before = Hashtbl.create 8 in
+  let bytes_during = Hashtbl.create 8 in
+  let bump tbl node size =
+    Hashtbl.replace tbl node
+      (size + Option.value ~default:0 (Hashtbl.find_opt tbl node))
+  in
+  List.iter
+    (fun (node, _) ->
+      Net.Network.add_local_handler rig.network node (fun pkt ->
+          if Net.Packet.is_data (Net.Network.arena rig.network) pkt then begin
+            let size = Net.Packet.size (Net.Network.arena rig.network) pkt in
+            let now = Sim.now rig.sim in
+            if Time.(now >= before_start) && Time.(now < down_at) then
+              bump bytes_before node size
+            else if Time.(now >= down_at) && Time.(now < up_at) then
+              bump bytes_during node size
+          end))
+    rig.agents;
+  Sim.run_until rig.sim duration;
+  List.map
+    (fun (node, agent) ->
+      let fast_branch = List.mem node fast_set in
+      let changes = Toposense.Receiver_agent.changes agent ~session:0 in
+      let optimal = optimal rig node in
+      let pre = level_at ~changes ~at:down_at in
+      let bps tbl =
+        match Hashtbl.find_opt tbl node with
+        | None -> 0.0
+        | Some b -> float_of_int (8 * b) /. window_s
+      in
+      {
+        node;
+        fast_branch;
+        optimal;
+        optimal_during = (if fast_branch then fast_during else optimal);
+        pre_failure_level = pre;
+        floor_level = min_level_in ~changes ~window:(down_at, up_at);
+        recovery_s = back_after ~changes ~pre ~at:up_at;
+        goodput_before_bps = bps bytes_before;
+        goodput_during_bps = bps bytes_during;
+        final_level = Toposense.Receiver_agent.level agent ~session:0;
+      })
+    rig.agents
+
+(* The final overlay is a tree and every edge agrees with the unicast
+   reverse path to the source. *)
+let tree_follows_rpf rig =
+  let routing = Net.Network.routing rig.network in
+  let snap =
+    Discovery.Snapshot.capture ~router:rig.router ~session:rig.session
+      ~at:(Sim.now rig.sim)
+  in
+  Discovery.Snapshot.is_tree snap
+  && List.for_all
+       (fun (e : Discovery.Snapshot.edge) ->
+         Net.Routing.next_hop_opt routing ~from:e.child ~dst:rig.source
+         = Some e.parent)
+       snap.edges
 
 type flap_outcome = {
   receivers : flap_receiver list;
@@ -114,8 +205,7 @@ let detour_bps = Net.Topology.kbps 250.0
 (* Topology A plus a 250 Kbps two-hop detour around the core—fast-branch
    link, so failing that link reroutes (through a narrower pipe, ideal
    level 3) instead of partitioning the fast set. *)
-let flap_spec ~receivers_per_set =
-  if receivers_per_set < 1 then invalid_arg "flap_spec: receivers_per_set < 1";
+let flap_spec () =
   let topo = Net.Topology.create () in
   let add a b bw =
     Net.Topology.add_duplex topo ~a ~b ~bandwidth_bps:bw
@@ -150,109 +240,27 @@ let flap_spec ~receivers_per_set =
     branch_fast,
     fast )
 
-let link_flap ?(receivers_per_set = 2) ?(down_at_s = 60.0) ?(up_at_s = 90.0)
-    ?(duration = Time.of_sec 180) ?(seed = 42L) ?(traffic = Experiment.Cbr) ()
-    =
-  if up_at_s <= down_at_s then invalid_arg "link_flap: up_at_s <= down_at_s";
-  if Time.to_sec_f duration <= up_at_s then
+let link_flap ?(duration = Time.of_sec 180) ?(seed = 42L) () =
+  if Time.to_sec_f duration <= heal_at_s then
     invalid_arg "link_flap: duration must extend past up_at_s";
-  let spec, core, branch_fast, fast_set = flap_spec ~receivers_per_set in
-  let params = Toposense.Params.default in
-  let rig = make_rig ~spec ~traffic ~params ~seed in
+  let spec, core, branch_fast, fast_set = flap_spec () in
+  let rig = make_rig ~spec ~params:Toposense.Params.default ~seed in
   let faults = Net.Faults.create ~network:rig.network () in
-  let down_at = Time.of_sec_f down_at_s in
-  let up_at = Time.of_sec_f up_at_s in
-  Net.Faults.schedule_flap faults ~a:core ~b:branch_fast ~down_at ~up_at;
-  (* Goodput accounting: delivered application bytes per receiver in the
-     failure window and in an equally long pre-failure window. *)
-  let window_s = up_at_s -. down_at_s in
-  let before_start = Time.of_sec_f (Float.max 0.0 (down_at_s -. window_s)) in
-  let bytes_before = Hashtbl.create 8 in
-  let bytes_during = Hashtbl.create 8 in
-  let bump tbl node size =
-    Hashtbl.replace tbl node
-      (size + Option.value ~default:0 (Hashtbl.find_opt tbl node))
-  in
-  List.iter
-    (fun (node, _) ->
-      Net.Network.add_local_handler rig.network node (fun pkt ->
-          if Net.Packet.is_data (Net.Network.arena rig.network) pkt then begin
-            let size = Net.Packet.size (Net.Network.arena rig.network) pkt in
-            let now = Sim.now rig.sim in
-            if Time.(now >= before_start) && Time.(now < down_at) then
-              bump bytes_before node size
-            else if Time.(now >= down_at) && Time.(now < up_at) then
-              bump bytes_during node size
-          end))
-    rig.agents;
-  Sim.run_until rig.sim duration;
-  let routing = Net.Network.routing rig.network in
-  let layering = Session.layering rig.session in
+  Net.Faults.schedule_flap faults ~a:core ~b:branch_fast
+    ~down_at:(Time.of_sec_f fault_at_s) ~up_at:(Time.of_sec_f heal_at_s);
   let receivers =
-    List.map
-      (fun (node, agent) ->
-        let fast_branch = List.mem node fast_set in
-        let changes = Toposense.Receiver_agent.changes agent ~session:0 in
-        let optimal =
-          Baseline.Static_oracle.optimal_level ~topology:spec.Builders.topology
-            ~routing ~layering ~sessions:spec.Builders.sessions
-            ~source:rig.source ~receiver:node
-        in
-        let optimal_during =
-          if fast_branch then
-            Layering.level_for_bandwidth layering ~bps:detour_bps
-          else optimal
-        in
-        let pre = level_at ~changes ~at:down_at in
-        let recovery_s =
-          if level_at ~changes ~at:up_at >= pre then Some 0.0
-          else
-            List.fold_left
-              (fun acc (t, l) ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                    if Time.(t >= up_at) && l >= pre then
-                      Some (Time.span_to_sec_f (Time.diff t up_at))
-                    else None)
-              None changes
-        in
-        let bps tbl =
-          match Hashtbl.find_opt tbl node with
-          | None -> 0.0
-          | Some b -> float_of_int (8 * b) /. window_s
-        in
-        {
-          node;
-          fast_branch;
-          optimal;
-          optimal_during;
-          pre_failure_level = pre;
-          floor_level = min_level_in ~changes ~window:(down_at, up_at);
-          recovery_s;
-          goodput_before_bps = bps bytes_before;
-          goodput_during_bps = bps bytes_during;
-          final_level = Toposense.Receiver_agent.level agent ~session:0;
-        })
-      rig.agents
+    run_window rig ~fast_set ~duration
+      ~fast_during:
+        (Layering.level_for_bandwidth (Session.layering rig.session)
+           ~bps:detour_bps)
   in
-  let tree_consistent =
-    let snap =
-      Discovery.Snapshot.capture ~router:rig.router ~session:rig.session
-        ~at:(Sim.now rig.sim)
-    in
-    Discovery.Snapshot.is_tree snap
-    && List.for_all
-         (fun (e : Discovery.Snapshot.edge) ->
-           Net.Routing.next_hop_opt routing ~from:e.child ~dst:rig.source
-           = Some e.parent)
-         snap.edges
-  in
+  let tree_consistent = tree_follows_rpf rig in
   {
     receivers;
-    down_at_s;
-    up_at_s;
-    routing_recomputes = Net.Routing.recomputes routing;
+    down_at_s = fault_at_s;
+    up_at_s = heal_at_s;
+    routing_recomputes =
+      Net.Routing.recomputes (Net.Network.routing rig.network);
     link_fault_drops = Net.Network.fault_drops rig.network;
     unroutable_drops = Net.Network.unroutable_drops rig.network;
     repair_passes = Multicast.Router.repair_passes rig.router;
@@ -265,8 +273,6 @@ let link_flap ?(receivers_per_set = 2) ?(down_at_s = 60.0) ?(up_at_s = 90.0)
     peak_heap = Sim.max_pending rig.sim;
     peak_live = Sim.max_live_pending rig.sim;
   }
-
-(* ---------- router crash ---------- *)
 
 type crash_outcome = {
   receivers : flap_receiver list;
@@ -297,110 +303,31 @@ type crash_outcome = {
    controller. Recovery restores the links, the wiped forwarding state is
    regrafted from the surviving members' joins, and the next reports
    re-admit the evicted receivers. *)
-let router_crash ?(receivers_per_set = 2) ?(crash_at_s = 60.0)
-    ?(recover_at_s = 90.0) ?(duration = Time.of_sec 200) ?(seed = 42L)
-    ?(traffic = Experiment.Cbr) () =
-  if recover_at_s <= crash_at_s then
-    invalid_arg "router_crash: recover_at_s <= crash_at_s";
-  if Time.to_sec_f duration <= recover_at_s then
+let router_crash ?(duration = Time.of_sec 200) ?(seed = 42L) () =
+  if Time.to_sec_f duration <= heal_at_s then
     invalid_arg "router_crash: duration must extend past recover_at_s";
-  let spec, _core, branch_fast, fast_set = flap_spec ~receivers_per_set in
-  let params = Toposense.Params.default in
-  let rig = make_rig ~spec ~traffic ~params ~seed in
+  let spec, _core, branch_fast, fast_set = flap_spec () in
+  let rig = make_rig ~spec ~params:Toposense.Params.default ~seed in
   let faults = Net.Faults.create ~network:rig.network () in
   (* the net layer cannot name the multicast layer; the observer wires
      crash/recover through to the router's state wipe and rebuild *)
   Net.Faults.add_crash_observer faults (fun node ~up ->
       if up then Multicast.Router.recover_node rig.router ~node
       else Multicast.Router.crash_node rig.router ~node);
-  let crash_at = Time.of_sec_f crash_at_s in
-  let recover_at = Time.of_sec_f recover_at_s in
-  Net.Faults.schedule_crash faults ~at:crash_at ~node:branch_fast;
-  Net.Faults.schedule_recover faults ~at:recover_at ~node:branch_fast;
-  let window_s = recover_at_s -. crash_at_s in
-  let before_start = Time.of_sec_f (Float.max 0.0 (crash_at_s -. window_s)) in
-  let bytes_before = Hashtbl.create 8 in
-  let bytes_during = Hashtbl.create 8 in
-  let bump tbl node size =
-    Hashtbl.replace tbl node
-      (size + Option.value ~default:0 (Hashtbl.find_opt tbl node))
-  in
-  List.iter
-    (fun (node, _) ->
-      Net.Network.add_local_handler rig.network node (fun pkt ->
-          if Net.Packet.is_data (Net.Network.arena rig.network) pkt then begin
-            let size = Net.Packet.size (Net.Network.arena rig.network) pkt in
-            let now = Sim.now rig.sim in
-            if Time.(now >= before_start) && Time.(now < crash_at) then
-              bump bytes_before node size
-            else if Time.(now >= crash_at) && Time.(now < recover_at) then
-              bump bytes_during node size
-          end))
-    rig.agents;
-  Sim.run_until rig.sim duration;
-  let routing = Net.Network.routing rig.network in
-  let layering = Session.layering rig.session in
+  Net.Faults.schedule_crash faults ~at:(Time.of_sec_f fault_at_s)
+    ~node:branch_fast;
+  Net.Faults.schedule_recover faults ~at:(Time.of_sec_f heal_at_s)
+    ~node:branch_fast;
   let receivers =
-    List.map
-      (fun (node, agent) ->
-        let fast_branch = List.mem node fast_set in
-        let changes = Toposense.Receiver_agent.changes agent ~session:0 in
-        let optimal =
-          Baseline.Static_oracle.optimal_level ~topology:spec.Builders.topology
-            ~routing ~layering ~sessions:spec.Builders.sessions
-            ~source:rig.source ~receiver:node
-        in
-        let pre = level_at ~changes ~at:crash_at in
-        let recovery_s =
-          if level_at ~changes ~at:recover_at >= pre then Some 0.0
-          else
-            List.fold_left
-              (fun acc (t, l) ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                    if Time.(t >= recover_at) && l >= pre then
-                      Some (Time.span_to_sec_f (Time.diff t recover_at))
-                    else None)
-              None changes
-        in
-        let bps tbl =
-          match Hashtbl.find_opt tbl node with
-          | None -> 0.0
-          | Some b -> float_of_int (8 * b) /. window_s
-        in
-        {
-          node;
-          fast_branch;
-          optimal;
-          (* the crash partitions the fast set: no detour survives, so
-             the in-failure optimum is 0 (vs the flap's detour level) *)
-          optimal_during = (if fast_branch then 0 else optimal);
-          pre_failure_level = pre;
-          floor_level = min_level_in ~changes ~window:(crash_at, recover_at);
-          recovery_s;
-          goodput_before_bps = bps bytes_before;
-          goodput_during_bps = bps bytes_during;
-          final_level = Toposense.Receiver_agent.level agent ~session:0;
-        })
-      rig.agents
+    (* the crash partitions the fast set: no detour survives, so the
+       in-failure optimum is 0 (vs the flap's detour level) *)
+    run_window rig ~fast_set ~fast_during:0 ~duration
   in
-  let tree_consistent =
-    let snap =
-      Discovery.Snapshot.capture ~router:rig.router ~session:rig.session
-        ~at:(Sim.now rig.sim)
-    in
-    Discovery.Snapshot.is_tree snap
-    && List.for_all
-         (fun (e : Discovery.Snapshot.edge) ->
-           Net.Routing.next_hop_opt routing ~from:e.child ~dst:rig.source
-           = Some e.parent)
-         snap.edges
-  in
+  let tree_consistent = tree_follows_rpf rig in
   {
     receivers;
-    crash_at_s;
-    recover_at_s;
+    crash_at_s = fault_at_s;
+    recover_at_s = heal_at_s;
     crash_drops = Net.Faults.crash_drops faults;
     crash_link_downs = Net.Faults.crash_link_downs faults;
     crash_link_ups = Net.Faults.crash_link_ups faults;
@@ -417,7 +344,8 @@ let router_crash ?(receivers_per_set = 2) ?(crash_at_s = 60.0)
        List.sort compare !acc);
     evictions = Toposense.Controller.evictions rig.controller;
     readmissions = Toposense.Controller.readmissions rig.controller;
-    routing_recomputes = Net.Routing.recomputes routing;
+    routing_recomputes =
+      Net.Routing.recomputes (Net.Network.routing rig.network);
     unroutable_drops = Net.Network.unroutable_drops rig.network;
     repair_passes = Multicast.Router.repair_passes rig.router;
     edges_repaired = Multicast.Router.edges_repaired rig.router;
@@ -450,16 +378,12 @@ type outage_outcome = {
   events_dispatched : int;
 }
 
-let controller_outage ?(receivers_per_set = 2) ?(fail_at_s = 60.0)
-    ?(failover_at_s = 100.0) ?(duration = Time.of_sec 200) ?(seed = 42L)
-    ?(traffic = Experiment.Cbr) () =
-  if failover_at_s <= fail_at_s then
-    invalid_arg "controller_outage: failover_at_s <= fail_at_s";
+let controller_outage ?(duration = Time.of_sec 200) ?(seed = 42L) () =
   if Time.to_sec_f duration <= failover_at_s then
     invalid_arg "controller_outage: duration must extend past failover_at_s";
   let spec = Builders.topology_a ~receivers_per_set in
   let params = Toposense.Params.default in
-  let rig = make_rig ~spec ~traffic ~params ~seed in
+  let rig = make_rig ~spec ~params ~seed in
   (* Standby at the core node (node 1 in Topology A): created cold, its
      interval task only starts at failover. *)
   let standby_node = 1 in
@@ -473,7 +397,7 @@ let controller_outage ?(receivers_per_set = 2) ?(fail_at_s = 60.0)
   in
   Toposense.Controller.add_session standby rig.session;
   Toposense.Controller.stop standby;
-  let fail_at = Time.of_sec_f fail_at_s in
+  let fail_at = Time.of_sec_f fault_at_s in
   let failover_at = Time.of_sec_f failover_at_s in
   ignore
     (Sim.schedule_at rig.sim fail_at (fun () ->
@@ -505,8 +429,6 @@ let controller_outage ?(receivers_per_set = 2) ?(fail_at_s = 60.0)
                  | _ -> ())
              rig.agents));
   Sim.run_until rig.sim duration;
-  let routing = Net.Network.routing rig.network in
-  let layering = Session.layering rig.session in
   let end_t = Sim.now rig.sim in
   let receivers =
     List.map
@@ -514,11 +436,7 @@ let controller_outage ?(receivers_per_set = 2) ?(fail_at_s = 60.0)
         let changes = Toposense.Receiver_agent.changes agent ~session:0 in
         {
           node;
-          optimal =
-            Baseline.Static_oracle.optimal_level
-              ~topology:spec.Builders.topology ~routing ~layering
-              ~sessions:spec.Builders.sessions ~source:rig.source
-              ~receiver:node;
+          optimal = optimal rig node;
           level_at_fail = level_at ~changes ~at:fail_at;
           floor_level = min_level_in ~changes ~window:(fail_at, end_t);
           unilateral_actions = Toposense.Receiver_agent.unilateral_actions agent;
@@ -532,7 +450,7 @@ let controller_outage ?(receivers_per_set = 2) ?(fail_at_s = 60.0)
   in
   {
     receivers;
-    fail_at_s;
+    fail_at_s = fault_at_s;
     failover_at_s;
     primary_suggestions = Toposense.Controller.suggestions_sent rig.controller;
     standby_suggestions = Toposense.Controller.suggestions_sent standby;
@@ -586,31 +504,24 @@ let is_control arena (pkt : Net.Packet.t) =
   | Toposense.Federation.Domain_summary _ -> true
   | _ -> false
 
-let lossy_control ?(receivers_per_set = 2) ?(drop_fraction = 0.3)
-    ?(delay_fraction = 0.0) ?(delay = Time.span_of_ms 500)
-    ?(duration = Time.of_sec 300) ?(seed = 42L) ?(traffic = Experiment.Cbr)
+let lossy_control ?(drop_fraction = 0.3) ?(delay_fraction = 0.0)
+    ?(delay = Time.span_of_ms 500) ?(duration = Time.of_sec 300) ?(seed = 42L)
     ?(reliable = false) () =
   let spec = Builders.topology_a ~receivers_per_set in
   let params =
     { Toposense.Params.default with reliable_prescriptions = reliable }
   in
-  let rig = make_rig ~spec ~traffic ~params ~seed in
+  let rig = make_rig ~spec ~params ~seed in
   let faults = Net.Faults.create ~network:rig.network () in
   Net.Faults.set_control_plane faults
     ~classify:(is_control (Net.Network.arena rig.network)) ~drop_fraction
     ~delay_fraction ~delay ();
   Sim.run_until rig.sim duration;
-  let routing = Net.Network.routing rig.network in
-  let layering = Session.layering rig.session in
   let receivers =
     List.map
       (fun (node, agent) ->
         let changes = Toposense.Receiver_agent.changes agent ~session:0 in
-        let optimal =
-          Baseline.Static_oracle.optimal_level ~topology:spec.Builders.topology
-            ~routing ~layering ~sessions:spec.Builders.sessions
-            ~source:rig.source ~receiver:node
-        in
+        let optimal = optimal rig node in
         {
           node;
           optimal;
@@ -700,7 +611,7 @@ type partition_outcome = {
    plane — reports and prescriptions both die unroutable — while the
    data plane (source → branches) keeps flowing untouched, which is
    exactly the regime the receivers' standalone fallback is for. *)
-let partition_spec ~receivers_per_set =
+let partition_spec () =
   let spec = Builders.topology_a ~receivers_per_set in
   let source = spec.Builders.controller_node in
   let ctrl = Net.Topology.add_node spec.Builders.topology in
@@ -710,13 +621,10 @@ let partition_spec ~receivers_per_set =
     ();
   ({ spec with Builders.controller_node = ctrl }, source, ctrl)
 
-let partition ?(receivers_per_set = 2) ?(down_at_s = 60.0) ?(up_at_s = 90.0)
-    ?(duration = Time.of_sec 180) ?(seed = 42L) ?(traffic = Experiment.Cbr) ()
-    =
-  if up_at_s <= down_at_s then invalid_arg "partition: up_at_s <= down_at_s";
-  if Time.to_sec_f duration <= up_at_s then
+let partition ?(duration = Time.of_sec 180) ?(seed = 42L) () =
+  if Time.to_sec_f duration <= heal_at_s then
     invalid_arg "partition: duration must extend past up_at_s";
-  let spec, source, ctrl = partition_spec ~receivers_per_set in
+  let spec, source, ctrl = partition_spec () in
   (* Reliable prescriptions + the full RLM fallback, and a lease short
      enough (5 × 2 s) that the controller evicts the unreachable
      receivers well inside the 30 s partition and re-admits them after
@@ -729,14 +637,12 @@ let partition ?(receivers_per_set = 2) ?(down_at_s = 60.0) ?(up_at_s = 90.0)
       lease_intervals = 5;
     }
   in
-  let rig = make_rig ~spec ~traffic ~params ~seed in
+  let rig = make_rig ~spec ~params ~seed in
   let faults = Net.Faults.create ~network:rig.network () in
-  let down_at = Time.of_sec_f down_at_s in
-  let up_at = Time.of_sec_f up_at_s in
+  let down_at = Time.of_sec_f fault_at_s in
+  let up_at = Time.of_sec_f heal_at_s in
   Net.Faults.schedule_flap faults ~a:source ~b:ctrl ~down_at ~up_at;
   Sim.run_until rig.sim duration;
-  let routing = Net.Network.routing rig.network in
-  let layering = Session.layering rig.session in
   let end_t = Sim.now rig.sim in
   let three_intervals =
     Time.span_to_sec_f (Time.mul_span params.Toposense.Params.interval 3)
@@ -746,30 +652,13 @@ let partition ?(receivers_per_set = 2) ?(down_at_s = 60.0) ?(up_at_s = 90.0)
       (fun (node, agent) ->
         let changes = Toposense.Receiver_agent.changes agent ~session:0 in
         let pre = level_at ~changes ~at:down_at in
-        let reconverge_s =
-          if level_at ~changes ~at:up_at >= pre then Some 0.0
-          else
-            List.fold_left
-              (fun acc (t, l) ->
-                match acc with
-                | Some _ -> acc
-                | None ->
-                    if Time.(t >= up_at) && l >= pre then
-                      Some (Time.span_to_sec_f (Time.diff t up_at))
-                    else None)
-              None changes
-        in
         {
           node;
-          optimal =
-            Baseline.Static_oracle.optimal_level
-              ~topology:spec.Builders.topology ~routing ~layering
-              ~sessions:spec.Builders.sessions ~source:rig.source
-              ~receiver:node;
+          optimal = optimal rig node;
           pre_failure_level = pre;
           floor_level = min_level_in ~changes ~window:(down_at, end_t);
           fallback_s = Toposense.Receiver_agent.fallback_seconds agent ~session:0;
-          reconverge_s;
+          reconverge_s = back_after ~changes ~pre ~at:up_at;
           unilateral_actions = Toposense.Receiver_agent.unilateral_actions agent;
           final_level = Toposense.Receiver_agent.level agent ~session:0;
         })
@@ -777,8 +666,8 @@ let partition ?(receivers_per_set = 2) ?(down_at_s = 60.0) ?(up_at_s = 90.0)
   in
   {
     receivers;
-    down_at_s;
-    up_at_s;
+    down_at_s = fault_at_s;
+    up_at_s = heal_at_s;
     retransmits = Toposense.Controller.retransmits rig.controller;
     give_ups = Toposense.Controller.give_ups rig.controller;
     evictions = Toposense.Controller.evictions rig.controller;
@@ -801,6 +690,47 @@ let partition ?(receivers_per_set = 2) ?(down_at_s = 60.0) ?(up_at_s = 90.0)
     peak_heap = Sim.max_pending rig.sim;
     peak_live = Sim.max_live_pending rig.sim;
   }
+
+(* ---------- global invariants ---------- *)
+
+let routing_mismatches ~live ~fresh ~nodes ~dsts =
+  List.fold_left
+    (fun bad dst ->
+      let bad = ref bad in
+      for from = 0 to nodes - 1 do
+        if
+          from <> dst
+          && (Net.Routing.next_hop_opt live ~from ~dst
+                <> Net.Routing.next_hop_opt fresh ~from ~dst
+             || Net.Routing.distance live ~from ~dst
+                <> Net.Routing.distance fresh ~from ~dst)
+        then incr bad
+      done;
+      !bad)
+    0 dsts
+
+(* A fresh rebuild of [group]'s tree is the union of its members'
+   reverse paths to the source in [fresh]. *)
+let tree_mismatch ~router ~fresh ~nodes ~group =
+  let source = Multicast.Router.source router ~group in
+  let expected = Hashtbl.create 256 in
+  let rec climb n steps =
+    if n <> source && steps <= nodes then
+      match Net.Routing.next_hop_opt fresh ~from:n ~dst:source with
+      | None -> ()
+      | Some p ->
+          if not (Hashtbl.mem expected (p, n)) then begin
+            Hashtbl.add expected (p, n) ();
+            climb p (steps + 1)
+          end
+  in
+  List.iter (fun m -> climb m 0) (Multicast.Router.members router ~group);
+  let expected =
+    List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) expected [])
+  in
+  let live = List.sort compare (Multicast.Router.tree_edges router ~group) in
+  if live = expected then None
+  else Some (List.length live, List.length expected)
 
 (* ---------- churn storm ---------- *)
 
@@ -900,58 +830,16 @@ let churn_storm ?(fanout = 4) ?(depth = 3) ?(flaps = 60) ?(churners = 24)
   Sim.run_until sim duration;
   let routing = Net.Network.routing network in
   let nodes = Net.Network.node_count network in
-  (* Every link is back up, so the live tables must equal a fresh
-     compute over the pristine topology — next hops and distances, for
-     every (from, dst) pair. *)
+  (* Every link is back up, so the live tables and the tree must equal a
+     fresh compute over the pristine topology. *)
+  let oracle = Net.Routing.compute spec.Builders.topology in
   let tables_consistent =
-    let oracle = Net.Routing.compute spec.Builders.topology in
-    let ok = ref true in
-    for from = 0 to nodes - 1 do
-      for dst = 0 to nodes - 1 do
-        if
-          from <> dst
-          && (Net.Routing.next_hop_opt routing ~from ~dst
-                <> Net.Routing.next_hop_opt oracle ~from ~dst
-             || Net.Routing.distance routing ~from ~dst
-                <> Net.Routing.distance oracle ~from ~dst)
-        then ok := false
-      done
-    done;
-    !ok
+    routing_mismatches ~live:routing ~fresh:oracle ~nodes
+      ~dsts:(List.init nodes Fun.id)
+    = 0
   in
   let tree_consistent =
-    let edges = Multicast.Router.tree_edges router ~group in
-    let parent = Hashtbl.create 256 in
-    let unique =
-      List.for_all
-        (fun (p, c) ->
-          (not (Hashtbl.mem parent c))
-          && begin
-               Hashtbl.add parent c p;
-               true
-             end)
-        edges
-    in
-    let rpf_ok =
-      List.for_all
-        (fun (p, c) ->
-          Net.Routing.next_hop_opt routing ~from:c ~dst:root = Some p)
-        edges
-    in
-    let covered =
-      let rec climb n steps =
-        n = root
-        || steps <= nodes
-           &&
-           match Hashtbl.find_opt parent n with
-           | None -> false
-           | Some p -> climb p (steps + 1)
-      in
-      List.for_all
-        (fun m -> climb m 0)
-        (Multicast.Router.members router ~group)
-    in
-    unique && rpf_ok && covered
+    tree_mismatch ~router ~fresh:oracle ~nodes ~group = None
   in
   let topology_events = Net.Faults.topology_changes faults in
   {

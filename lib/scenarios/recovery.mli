@@ -1,12 +1,14 @@
 (** Failure-recovery experiments.
 
-    Five fault scenarios, each reporting recovery-time and
+    Six fault scenarios, each reporting recovery-time and
     goodput/accuracy metrics:
 
     - {!link_flap} — the core→fast-branch link fails and later heals on a
       topology with a narrower two-hop detour, exercising incremental
       rerouting, multicast tree repair and the control loop's return to
       the pre-failure subscription levels;
+    - {!router_crash} — the fast-branch router of the flap topology
+      fails and recovers, partitioning the fast set meanwhile;
     - {!controller_outage} — the primary controller dies mid-run and a
       standby takes over later; receivers bridge the gap on their
       RLM-style unilateral watchdog;
@@ -25,8 +27,12 @@
       the damage (not events × nodes) while staying exactly consistent
       with a from-scratch computation.
 
-    All runs are deterministic per seed. Without scheduled faults these
-    rigs behave exactly like {!Experiment.run}'s. *)
+    All but {!churn_storm} run two receivers per set under CBR. The
+    flap, the crash and the partition strike at 60 s and heal at 90 s;
+    the outage stops the primary at 60 s and starts the standby at
+    100 s. Each outcome records its instants. All runs are deterministic
+    per seed. Without scheduled faults these rigs behave exactly like
+    {!Experiment.run}'s. *)
 
 (** {1 Link flap} *)
 
@@ -67,21 +73,11 @@ type flap_outcome = {
   peak_live : int;  (** high-water mark of non-cancelled pending events *)
 }
 
-val detour_bps : float
-(** Bandwidth of each detour hop (250 Kbps, ideal level 3). *)
-
-val link_flap :
-  ?receivers_per_set:int ->
-  ?down_at_s:float ->
-  ?up_at_s:float ->
-  ?duration:Engine.Time.t ->
-  ?seed:int64 ->
-  ?traffic:Experiment.traffic ->
-  unit ->
-  flap_outcome
-(** One down/up cycle of the core→fast-branch link under load. Defaults:
-    2+2 receivers, down at 60 s, up at 90 s, 180 s horizon, CBR.
-    @raise Invalid_argument unless [down_at_s < up_at_s < duration]. *)
+val link_flap : ?duration:Engine.Time.t -> ?seed:int64 -> unit -> flap_outcome
+(** One down/up cycle of the core→fast-branch link under load: down at
+    60 s, up at 90 s. The detour's two hops carry 250 Kbps each (ideal
+    level 3). Default horizon 180 s.
+    @raise Invalid_argument unless [duration] extends past 90 s. *)
 
 (** {1 Router crash} *)
 
@@ -114,24 +110,15 @@ type crash_outcome = {
 }
 
 val router_crash :
-  ?receivers_per_set:int ->
-  ?crash_at_s:float ->
-  ?recover_at_s:float ->
-  ?duration:Engine.Time.t ->
-  ?seed:int64 ->
-  ?traffic:Experiment.traffic ->
-  unit ->
-  crash_outcome
-(** Fail-stop crash of the fast-branch router on the flap topology:
-    every incident link (including the detour's second hop) goes down
-    atomically, queued packets drain into {!Net.Faults.crash_drops}, and
-    the router's forwarding state is wiped — recovery restores the links
-    and regrafts the trees from the surviving joins. The default 30 s
+  ?duration:Engine.Time.t -> ?seed:int64 -> unit -> crash_outcome
+(** Fail-stop crash of the fast-branch router on the flap topology at
+    60 s: every incident link (including the detour's second hop) goes
+    down atomically, queued packets drain into {!Net.Faults.crash_drops},
+    and the router's forwarding state is wiped. Recovery at 90 s restores
+    the links and regrafts the trees from the surviving joins. The 30 s
     outage outlives the receivers' liveness leases, so the outcome also
-    shows the eviction/readmission cycle. Defaults: 2+2 receivers, crash
-    at 60 s, recover at 90 s, 200 s horizon, CBR.
-    @raise Invalid_argument unless [crash_at_s < recover_at_s <
-    duration]. *)
+    shows the eviction/readmission cycle. Default horizon 200 s.
+    @raise Invalid_argument unless [duration] extends past 90 s. *)
 
 (** {1 Controller outage and failover} *)
 
@@ -159,19 +146,11 @@ type outage_outcome = {
 }
 
 val controller_outage :
-  ?receivers_per_set:int ->
-  ?fail_at_s:float ->
-  ?failover_at_s:float ->
-  ?duration:Engine.Time.t ->
-  ?seed:int64 ->
-  ?traffic:Experiment.traffic ->
-  unit ->
-  outage_outcome
-(** Primary controller (at the source) stops at [fail_at_s]; a standby at
-    the core node starts at [failover_at_s] and the receivers re-home to
-    it. Defaults: 2+2 receivers, fail at 60 s, failover at 100 s, 200 s
-    horizon, CBR.
-    @raise Invalid_argument unless [fail_at_s < failover_at_s < duration]. *)
+  ?duration:Engine.Time.t -> ?seed:int64 -> unit -> outage_outcome
+(** The primary controller (at the source) stops at 60 s; a standby at
+    the core node starts at 100 s and the receivers re-home to it.
+    Default horizon 200 s.
+    @raise Invalid_argument unless [duration] extends past 100 s. *)
 
 (** {1 Lossy control plane} *)
 
@@ -218,21 +197,20 @@ val is_control : Net.Packet.arena -> Net.Packet.t -> bool
     liveness lease). *)
 
 val lossy_control :
-  ?receivers_per_set:int ->
   ?drop_fraction:float ->
   ?delay_fraction:float ->
   ?delay:Engine.Time.span ->
   ?duration:Engine.Time.t ->
   ?seed:int64 ->
-  ?traffic:Experiment.traffic ->
   ?reliable:bool ->
   unit ->
   lossy_outcome
 (** Runs Topology A with the given fractions of control packets silently
     dropped/delayed. With [reliable] (default false) prescriptions are
     ACKed and retransmitted, so most of what the lossy plane eats is
-    recovered within the backoff cap. Defaults: 2+2 receivers, 30% drop,
-    no delay, 300 s horizon, CBR. *)
+    recovered within the backoff cap. Defaults: 30% drop, no delay
+    (500 ms when [delay_fraction] is set), 300 s horizon.
+    @raise Invalid_argument as {!Net.Faults.set_control_plane} does. *)
 
 (** {1 Controller partition} *)
 
@@ -278,19 +256,39 @@ type partition_outcome = {
 }
 
 val partition :
-  ?receivers_per_set:int ->
-  ?down_at_s:float ->
-  ?up_at_s:float ->
-  ?duration:Engine.Time.t ->
-  ?seed:int64 ->
-  ?traffic:Experiment.traffic ->
-  unit ->
-  partition_outcome
+  ?duration:Engine.Time.t -> ?seed:int64 -> unit -> partition_outcome
 (** Topology A with the controller on a dedicated stub node; its only
-    link fails at [down_at_s] and heals at [up_at_s]. Runs with reliable
-    prescriptions, the RLM fallback and a 5-interval lease. Defaults:
-    2+2 receivers, down at 60 s, up at 90 s, 180 s horizon, CBR.
-    @raise Invalid_argument unless [down_at_s < up_at_s < duration]. *)
+    link fails at 60 s and heals at 90 s. Runs with reliable
+    prescriptions, the RLM fallback and a 5-interval lease. Default
+    horizon 180 s.
+    @raise Invalid_argument unless [duration] extends past 90 s. *)
+
+(** {1 Global invariants}
+
+    The oracles that {!churn_storm} and {!Chaos.run} check a run's end
+    state against. *)
+
+val routing_mismatches :
+  live:Net.Routing.t ->
+  fresh:Net.Routing.t ->
+  nodes:int ->
+  dsts:Net.Addr.node_id list ->
+  int
+(** The number of [(from, dst)] pairs, [dst] in [dsts] and [from <> dst]
+    in [0 .. nodes - 1], whose next hop or distance in [live] differs
+    from [fresh]. Reads destination by destination and reads no column
+    outside [dsts]: on lazy tables, reading a column builds it. *)
+
+val tree_mismatch :
+  router:Multicast.Router.t ->
+  fresh:Net.Routing.t ->
+  nodes:int ->
+  group:Net.Addr.group_id ->
+  (int * int) option
+(** [None] when [group]'s installed tree edges equal a fresh rebuild: the
+    union of every member's reverse path to the group's source in
+    [fresh]. Otherwise [Some (live, expected)], the two edge counts.
+    [nodes] bounds each climb. *)
 
 (** {1 Churn storm} *)
 
@@ -314,10 +312,10 @@ type storm_outcome = {
   tables_consistent : bool;
       (** after the storm (all links restored) the live tables are
           bit-identical to a fresh {!Net.Routing.compute} — next hops
-          and distances for every pair *)
+          and distances for every pair ({!routing_mismatches} is 0) *)
   tree_consistent : bool;
-      (** the final overlay is a tree that reaches every member and
-          every edge agrees with the unicast reverse paths *)
+      (** the final tree's edges equal a fresh rebuild from the final
+          membership ({!tree_mismatch} is [None]) *)
   events_dispatched : int;
   peak_heap : int;  (** backing-store high-water mark, tombstones included *)
   peak_live : int;  (** high-water mark of non-cancelled pending events *)

@@ -121,8 +121,8 @@ type outcome = {
 }
 
 let run ~world ~control ?(traffic = Experiment.Vbr 3.0)
-    ?(params = Toposense.Params.default) ?(duration = Time.of_sec 600)
-    ?(seed = 42L) () =
+    ?(duration = Time.of_sec 600) ?(seed = 42L) () =
+  let params = Toposense.Params.default in
   let sim = Engine.Sim.create ~seed () in
   let spec = world.spec in
   let network = Net.Network.create ~sim spec.Builders.topology in
@@ -136,11 +136,7 @@ let run ~world ~control ?(traffic = Experiment.Vbr 3.0)
       spec.Builders.sessions
   in
   List.iter (Discovery.Service.register_session discovery) sessions;
-  let kind =
-    match traffic with
-    | Experiment.Cbr -> Traffic.Source.Cbr
-    | Experiment.Vbr p -> Traffic.Source.Vbr { peak_to_mean = p }
-  in
+  let kind = Experiment.source_kind traffic in
   List.iter
     (fun session ->
       ignore

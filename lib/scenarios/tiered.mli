@@ -78,12 +78,11 @@ val run :
   world:world ->
   control:control ->
   ?traffic:Experiment.traffic ->
-  ?params:Toposense.Params.t ->
   ?duration:Engine.Time.t ->
   ?seed:int64 ->
   unit ->
   outcome
 (** Full stack on the generated world: one layered session from the
     source to every institution, controllers per [control], receiver
-    agents everywhere. Defaults: VBR P=3, default params, 600 s,
-    seed 42. *)
+    agents everywhere, all on {!Toposense.Params.default}. Defaults:
+    VBR P=3, 600 s, seed 42. *)

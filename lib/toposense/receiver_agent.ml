@@ -441,11 +441,6 @@ let stale_suggestions t = t.stale_suggestions
 let stray_suggestions t = t.stray_suggestions
 let fallback_entries t = t.fallback_entries
 
-let fallback_active t ~session =
-  match Hashtbl.find_opt t.sessions session with
-  | None -> false
-  | Some st -> st.fb_active
-
 let fallback_seconds t ~session =
   match Hashtbl.find_opt t.sessions session with
   | None -> 0.0

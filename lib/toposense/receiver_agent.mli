@@ -107,8 +107,6 @@ val stray_suggestions : t -> int
 val fallback_entries : t -> int
 (** Times any session entered RLM-fallback mode. *)
 
-val fallback_active : t -> session:int -> bool
-
 val fallback_seconds : t -> session:int -> float
 (** Total time the session has spent in fallback mode, including the
     current episode if one is open. *)

@@ -393,7 +393,7 @@ let test_chaos_storm_failovers_bounded () =
             Crash { victim = 29; at_s = 38.0; dur_s = 8.0 };
             Parent_crash { at_s = 44.0; dur_s = 6.0 };
           ]
-      ~storm_s:60.0 ~quiet_s:30.0 ~seed:42L ()
+      ~storm_s:60.0 ~seed:42L ()
   in
   checkb
     ("invariants hold: " ^ String.concat "; " o.Chaos.violations)

@@ -1,7 +1,7 @@
 (* Tests for the extensions beyond the paper's core evaluation: expedited
    group-leave, RED and priority queueing, domain-restricted snapshots,
-   the tiered multi-domain world, the progressive-filling fair allocator,
-   mtrace walks, on/off sources, simulcast sessions and billing. *)
+   the tiered multi-domain world, mtrace walks, on/off sources, simulcast
+   sessions and billing. *)
 
 module Time = Engine.Time
 module Sim = Engine.Sim
@@ -427,76 +427,6 @@ let test_tiered_global_close_to_per_domain () =
     true
     (Float.abs (d.mean_deviation -. g.mean_deviation) < 0.15)
 
-(* ---------- fair allocator ---------- *)
-
-let test_allocator_topology_a () =
-  let spec = Scenarios.Builders.topology_a ~receivers_per_set:2 in
-  let routing = Net.Routing.compute spec.topology in
-  let alloc =
-    Baseline.Fair_allocator.allocate ~topology:spec.topology ~routing
-      ~layering:Layering.paper_default ~sessions:spec.sessions ()
-  in
-  Alcotest.check
-    (Alcotest.list Alcotest.int)
-    "4,4,2,2" [ 4; 4; 2; 2 ]
-    (List.map snd alloc)
-
-let test_allocator_topology_b () =
-  let spec = Scenarios.Builders.topology_b ~session_count:4 in
-  let routing = Net.Routing.compute spec.topology in
-  let alloc =
-    Baseline.Fair_allocator.allocate ~topology:spec.topology ~routing
-      ~layering:Layering.paper_default ~sessions:spec.sessions ()
-  in
-  List.iter (fun (_, lvl) -> checki "all get 4" 4 lvl) alloc
-
-let test_allocator_lexicographic_shape () =
-  (* Two sessions share an 800 Kbps link; session 0 also has a 100 Kbps
-     last hop. Progressive filling gives s0 its 2 layers and lets s1 use
-     the rest (4 layers = 480k; 480+96 <= 800*0.98). *)
-  let topo = Topology.create () in
-  ignore (Topology.add_nodes topo 4);
-  Topology.add_duplex topo ~a:0 ~b:2 ~bandwidth_bps:1e7 ();
-  Topology.add_duplex topo ~a:1 ~b:2 ~bandwidth_bps:1e7 ();
-  Topology.add_duplex topo ~a:2 ~b:3 ~bandwidth_bps:(Topology.kbps 800.0) ();
-  let r0 = Topology.add_node topo in
-  let r1 = Topology.add_node topo in
-  Topology.add_duplex topo ~a:3 ~b:r0 ~bandwidth_bps:(Topology.kbps 100.0) ();
-  Topology.add_duplex topo ~a:3 ~b:r1 ~bandwidth_bps:1e7 ();
-  let routing = Net.Routing.compute topo in
-  let sessions = [ (0, [ r0 ]); (1, [ r1 ]) ] in
-  let alloc =
-    Baseline.Fair_allocator.allocate ~topology:topo ~routing
-      ~layering:Layering.paper_default ~sessions ()
-  in
-  checki "bottlenecked session gets 2" 2 (List.assoc (0, r0) alloc);
-  checki "open session gets 4" 4 (List.assoc (1, r1) alloc)
-
-let test_allocator_feasible_and_maximal () =
-  let spec = Scenarios.Builders.topology_a ~receivers_per_set:3 in
-  let routing = Net.Routing.compute spec.topology in
-  let layering = Layering.paper_default in
-  let alloc =
-    Baseline.Fair_allocator.allocate ~topology:spec.topology ~routing ~layering
-      ~sessions:spec.sessions ()
-  in
-  checkb "feasible" true
-    (Baseline.Fair_allocator.is_feasible ~topology:spec.topology ~routing
-       ~layering ~sessions:spec.sessions ~levels:alloc ());
-  (* Maximality: bumping any receiver by one layer must break
-     feasibility (or exceed the layer count). *)
-  List.iter
-    (fun (key, lvl) ->
-      if lvl < Layering.count layering then begin
-        let bumped =
-          List.map (fun (k, l) -> (k, if k = key then l + 1 else l)) alloc
-        in
-        checkb "no single upgrade fits" false
-          (Baseline.Fair_allocator.is_feasible ~topology:spec.topology
-             ~routing ~layering ~sessions:spec.sessions ~levels:bumped ())
-      end)
-    alloc
-
 (* ---------- mtrace ---------- *)
 
 let mtrace_world () =
@@ -818,15 +748,6 @@ let () =
           Alcotest.test_case "multi-session" `Slow test_tiered_multi_session;
           Alcotest.test_case "global vs per-domain" `Slow
             test_tiered_global_close_to_per_domain;
-        ] );
-      ( "fair-allocator",
-        [
-          Alcotest.test_case "topology A" `Quick test_allocator_topology_a;
-          Alcotest.test_case "topology B" `Quick test_allocator_topology_b;
-          Alcotest.test_case "lexicographic shape" `Quick
-            test_allocator_lexicographic_shape;
-          Alcotest.test_case "feasible and maximal" `Quick
-            test_allocator_feasible_and_maximal;
         ] );
       ( "mtrace",
         [

@@ -258,6 +258,42 @@ let test_domain_summary_is_control () =
   in
   checkb "media" false (Recovery.is_control arena media)
 
+(* The drop and the delay split one uniform draw per packet, so their
+   fractions cannot sum past 1. *)
+let test_control_fractions_sum_at_most_one () =
+  let sim = Sim.create () in
+  let faults = Faults.create ~network:(Network.create ~sim (line 2)) () in
+  Alcotest.check_raises "0.7 drop + 0.5 delay"
+    (Invalid_argument
+       "Faults.set_control_plane: drop_fraction + delay_fraction > 1")
+    (fun () ->
+      Faults.set_control_plane faults ~classify:(fun _ -> true)
+        ~drop_fraction:0.7 ~delay_fraction:0.5 ())
+
+(* A delayed control packet enters the network [delay] late and is
+   otherwise routed as usual: it arrives exactly 500 ms after the
+   unfiltered one, counted as delayed and not as dropped. *)
+let test_control_delay () =
+  let arrival ~delay_fraction =
+    let sim = Sim.create () in
+    let nw = Network.create ~sim (line 3) in
+    let faults = Faults.create ~network:nw () in
+    Faults.set_control_plane faults ~classify:(fun _ -> true) ~delay_fraction
+      ~delay:(Time.span_of_ms 500) ();
+    let at = ref None in
+    Network.add_local_handler nw 2 (fun _ -> at := Some (Sim.now sim));
+    Network.originate nw ~src:0 ~dst:(Net.Addr.Unicast 2) ~size:1000
+      ~payload:(Probe 0);
+    Sim.run_until sim (Time.of_sec 2);
+    (Option.get !at, faults)
+  in
+  let direct, _ = arrival ~delay_fraction:0.0 in
+  let delayed, faults = arrival ~delay_fraction:1.0 in
+  checki "arrives 500 ms later" (Time.span_of_ms 500)
+    (Time.diff delayed direct);
+  checki "counted as delayed" 1 (Faults.control_delayed faults);
+  checki "not dropped" 0 (Faults.control_dropped faults)
+
 (* ---------- controller restart ---------- *)
 
 let test_receivers_recover_after_controller_restart () =
@@ -696,6 +732,9 @@ let () =
         [
           Alcotest.test_case "domain summary is control" `Quick
             test_domain_summary_is_control;
+          Alcotest.test_case "fractions sum to at most 1" `Quick
+            test_control_fractions_sum_at_most_one;
+          Alcotest.test_case "delay" `Quick test_control_delay;
         ] );
       ( "reliable-control",
         [

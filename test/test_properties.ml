@@ -1,6 +1,6 @@
 (* Property tests over randomly generated trees and workloads: invariants
-   of the TopoSense stages, the fair allocator and the simulator that
-   must hold for *every* input, not just the paper's topologies. *)
+   of the TopoSense stages and the simulator that must hold for *every*
+   input, not just the paper's topologies. *)
 
 module Time = Engine.Time
 module Tree = Toposense.Tree
@@ -179,56 +179,6 @@ let prop_step_deterministic =
       in
       run () = run ())
 
-(* Fair allocator on random last-hop capacities over Topology-A shape. *)
-let prop_allocator_feasible_maximal =
-  let gen =
-    QCheck.make
-      QCheck.Gen.(
-        let* k = 1 -- 4 in
-        let* caps = list_size (return (2 * k)) (int_range 40 1500) in
-        return (k, caps))
-  in
-  QCheck.Test.make ~name:"allocator: always feasible, never improvable"
-    ~count:40 gen
-    (fun (k, caps_kbps) ->
-      let topo = Net.Topology.create () in
-      let source = Net.Topology.add_node topo in
-      let hub = Net.Topology.add_node topo in
-      Net.Topology.add_duplex topo ~a:source ~b:hub ~bandwidth_bps:1e7 ();
-      let receivers =
-        List.map
-          (fun kbps ->
-            let r = Net.Topology.add_node topo in
-            Net.Topology.add_duplex topo ~a:hub ~b:r
-              ~bandwidth_bps:(Net.Topology.kbps (float_of_int kbps))
-              ();
-            r)
-          caps_kbps
-      in
-      ignore k;
-      let routing = Net.Routing.compute topo in
-      let layering = Layering.paper_default in
-      let sessions = [ (source, receivers) ] in
-      let alloc =
-        Baseline.Fair_allocator.allocate ~topology:topo ~routing ~layering
-          ~sessions ()
-      in
-      Baseline.Fair_allocator.is_feasible ~topology:topo ~routing ~layering
-        ~sessions ~levels:alloc ()
-      && List.for_all
-           (fun (key, lvl) ->
-             lvl = Layering.count layering
-             ||
-             let bumped =
-               List.map
-                 (fun (k', l) -> (k', if k' = key then l + 1 else l))
-                 alloc
-             in
-             not
-               (Baseline.Fair_allocator.is_feasible ~topology:topo ~routing
-                  ~layering ~sessions ~levels:bumped ()))
-           alloc)
-
 (* Simulator conservation: packets delivered at a multicast member never
    exceed packets sent, and every member sees a prefix-gap-free count
    after settling on a lossless network. *)
@@ -280,9 +230,6 @@ let () =
             prop_step_prescriptions_bounded;
             prop_step_deterministic;
           ] );
-      ( "allocator",
-        List.map QCheck_alcotest.to_alcotest [ prop_allocator_feasible_maximal ]
-      );
       ( "simulator",
         List.map QCheck_alcotest.to_alcotest [ prop_multicast_conservation ] );
     ]
