@@ -3,6 +3,7 @@
    Subcommands mirror the paper's evaluation artefacts:
 
      toposense_sim fig6 | fig7 | fig8 | fig9 | fig10 | table1
+     toposense_sim ablations --duration 600
      toposense_sim run --topology a --receivers 4 --traffic vbr3 \
                         --scheme toposense --duration 600
 
@@ -16,15 +17,27 @@ open Cmdliner
 
 (* ---------- shared options ---------- *)
 
-(* Sizes and durations come from the command line, so a non-positive one
-   is a usage error naming the flag, not a crash inside a builder. *)
-let pos_int_conv =
+(* Sizes, counts, durations and times come from the command line, so an
+   out-of-range one is a usage error naming the flag, not a crash inside
+   a builder or a value silently replaced by another. *)
+let int_conv ~min ~what =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n > 0 -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    | Some n when n >= min -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
+
+let pos_int_conv = int_conv ~min:1 ~what:"positive"
+let nonneg_int_conv = int_conv ~min:0 ~what:"non-negative"
+
+let finite_float_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when Float.is_finite x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "expected a finite number, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let duration_term =
   let doc = "Simulated duration in seconds." in
@@ -41,7 +54,7 @@ let traffic_conv =
     | "cbr" -> Ok Experiment.Cbr
     | s when String.length s > 3 && String.sub s 0 3 = "vbr" -> (
         match float_of_string_opt (String.sub s 3 (String.length s - 3)) with
-        | Some p when p >= 1.0 -> Ok (Experiment.Vbr p)
+        | Some p when Float.is_finite p && p >= 1.0 -> Ok (Experiment.Vbr p)
         | _ -> Error (`Msg "expected vbr<P>, e.g. vbr3"))
     | _ -> Error (`Msg "expected cbr or vbr<P>")
   in
@@ -85,9 +98,9 @@ let jobs_term =
     "Run up to $(docv) sweep cells in parallel domains (clamped to the \
      machine's cores). Results are identical for any value."
   in
-  Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int_conv 1 & info [ "jobs" ] ~docv:"N" ~doc)
 
-let clamp_jobs n = max 1 (min n (Scenarios.Sweep.cores ()))
+let clamp_jobs n = min n (Scenarios.Sweep.cores ())
 
 let print_rows pp rows =
   List.iter (fun r -> Format.printf "%a@." pp r) rows;
@@ -125,10 +138,9 @@ let fig7_cmd =
 
 let runs_term =
   let doc = "Average each row over this many independent seeds." in
-  Arg.(value & opt int 1 & info [ "runs" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int_conv 1 & info [ "runs" ] ~docv:"N" ~doc)
 
-let seeds_of ~seed ~runs =
-  List.init (max 1 runs) (fun i -> Int64.of_int (seed + i))
+let seeds_of ~seed ~runs = List.init runs (fun i -> Int64.of_int (seed + i))
 
 let fig8_cmd =
   let run duration seed jobs runs session_counts =
@@ -191,7 +203,7 @@ let fig10_cmd =
         $ runs_term
         $ Arg.(
             value
-            & opt (list int) [ 2; 6; 10; 14; 18 ]
+            & opt (list nonneg_int_conv) [ 2; 6; 10; 14; 18 ]
             & info [ "staleness" ] ~docv:"S,S,..."
                 ~doc:"Staleness values in seconds.")
         $ sizes_term ~default:[ 1; 2; 4 ] ~name:"sizes"
@@ -202,6 +214,17 @@ let table1_cmd =
   Cmd.v
     (Cmd.info "table1" ~doc:"Dump the Table I decision table, fully enumerated.")
     Term.(ret (const run $ const ()))
+
+let ablations_cmd =
+  let run duration = Ablations.run ~duration:(Time.of_sec duration) in
+  Cmd.v
+    (Cmd.info "ablations"
+       ~doc:
+         "Questions the paper raises beyond its figures: TopoSense vs RLM \
+          vs oracle, capacity re-estimation period, leave latency, queue \
+          discipline, tiered control, simulcast, in-band discovery, TCP \
+          friendliness, bursty loss and interval size.")
+    Term.(const run $ duration_term)
 
 (* ---------- free-form run ---------- *)
 
@@ -231,7 +254,7 @@ let run_cmd =
   in
   let staleness_term =
     Arg.(
-      value & opt int 0
+      value & opt nonneg_int_conv 0
       & info [ "staleness" ] ~docv:"S" ~doc:"Topology staleness in seconds.")
   in
   let run duration seed traffic scheme topology receivers staleness =
@@ -301,10 +324,7 @@ let tiered_cmd =
             ~duration:(Time.of_sec duration) ~seed:(Int64.of_int seed) ()
         in
         Format.printf "%-12s controllers %d, mean deviation %.3f@."
-          (match control with
-          | Scenarios.Tiered.Global -> "global"
-          | Scenarios.Tiered.Per_domain -> "per-domain"
-          | Scenarios.Tiered.Federated -> "federated")
+          (Scenarios.Tiered.control_name control)
           o.controllers o.mean_deviation;
         List.iter
           (fun (r : Scenarios.Tiered.receiver_outcome) ->
@@ -359,7 +379,9 @@ let churn_cmd =
       & info [ "receivers" ] ~docv:"N" ~doc:"Per set.")
   in
   let gap =
-    Arg.(value & opt int 20 & info [ "gap" ] ~docv:"S" ~doc:"Join gap (s).")
+    Arg.(
+      value & opt nonneg_int_conv 20
+      & info [ "gap" ] ~docv:"S" ~doc:"Join gap (s).")
   in
   Cmd.v
     (Cmd.info "churn"
@@ -638,7 +660,7 @@ let faults_cmd =
   in
   let drop_term =
     Arg.(
-      value & opt float 0.3
+      value & opt finite_float_conv 0.3
       & info [ "drop" ] ~docv:"F"
           ~doc:"Control-packet drop fraction for the lossy scenario.")
   in
@@ -758,7 +780,7 @@ let chaos_cmd =
   in
   let storm_term =
     Arg.(
-      value & opt float 60.0
+      value & opt finite_float_conv 60.0
       & info [ "storm" ] ~docv:"SECONDS"
           ~doc:"Fault-injection window; quiescence is measured after it.")
   in
@@ -877,6 +899,7 @@ let () =
             fig9_cmd;
             fig10_cmd;
             table1_cmd;
+            ablations_cmd;
             run_cmd;
             tiered_cmd;
             churn_cmd;

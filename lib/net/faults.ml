@@ -144,6 +144,8 @@ let schedule_recover t ~at ~node =
    sweeping the fraction never re-seeds anything else. *)
 let set_control_plane t ~classify ?(drop_fraction = 0.0) ?(delay_fraction = 0.0)
     ?(delay = Time.span_of_ms 0) () =
+  if not (Float.is_finite drop_fraction && Float.is_finite delay_fraction) then
+    invalid_arg "Faults.set_control_plane: non-finite fraction";
   if drop_fraction < 0.0 || drop_fraction > 1.0 then
     invalid_arg "Faults.set_control_plane: drop_fraction outside [0,1]";
   if delay_fraction < 0.0 || delay_fraction > 1.0 then

@@ -90,7 +90,7 @@ val set_control_plane :
     true is silently dropped with probability [drop_fraction], delayed by
     [delay] with probability [delay_fraction], and passed through
     otherwise. Fractions default to 0.
-    @raise Invalid_argument on fractions outside [0,1], on
+    @raise Invalid_argument on a NaN fraction or one outside [0,1], on
     [drop_fraction + delay_fraction > 1] or on a negative delay. *)
 
 val clear_control_plane : t -> unit

@@ -22,17 +22,22 @@ let queue_limit_for ~bandwidth_bps =
 let default_discipline ~bandwidth_bps =
   Net.Queue_discipline.Drop_tail { limit = queue_limit_for ~bandwidth_bps }
 
-let discipline_ref = ref default_discipline
-
-let with_discipline f body =
-  let saved = !discipline_ref in
-  discipline_ref := f;
-  Fun.protect ~finally:(fun () -> discipline_ref := saved) body
-
 let duplex topo ~a ~b ~bandwidth_bps =
   Topology.add_duplex topo ~a ~b ~bandwidth_bps
-    ~discipline:(!discipline_ref ~bandwidth_bps)
+    ~discipline:(default_discipline ~bandwidth_bps)
     ()
+
+(* Same nodes, same links in the same order: only the queues differ, so
+   a run on the copy differs from one on [spec] by its queues alone. *)
+let map_disciplines f spec =
+  let topo = Topology.create () in
+  ignore (Topology.add_nodes topo (Topology.node_count spec.topology));
+  List.iter
+    (fun (l : Topology.link_spec) ->
+      Topology.add_duplex topo ~a:l.a ~b:l.b ~bandwidth_bps:l.bandwidth_bps
+        ~delay:l.delay ~discipline:(f l.discipline) ())
+    (Topology.links spec.topology);
+  { spec with topology = topo }
 
 let topology_a ~receivers_per_set =
   if receivers_per_set < 1 then invalid_arg "topology_a: receivers_per_set < 1";

@@ -96,8 +96,11 @@ val default_discipline : bandwidth_bps:float -> Net.Queue_discipline.spec
 (** Drop-tail sized near the link's bandwidth-delay product, clamped to
     [10, 100] packets. *)
 
-val with_discipline :
-  (bandwidth_bps:float -> Net.Queue_discipline.spec) -> (unit -> 'a) -> 'a
-(** Build topologies inside the callback with a different per-link
-    discipline (used by the queue-discipline ablation bench):
-    [with_discipline f (fun () -> topology_a ~receivers_per_set:2)]. *)
+val map_disciplines :
+  (Net.Queue_discipline.spec -> Net.Queue_discipline.spec) -> spec -> spec
+(** [map_disciplines f spec] is [spec] on a fresh topology with the same
+    nodes and links, in the same order, where each link's queue
+    discipline [d] becomes [f d]. The queue-discipline ablation uses it
+    to put RED or priority queues in place of drop-tail ones at the same
+    limit. [spec] is left as it was.
+    @raise Invalid_argument if [f] returns an invalid discipline. *)

@@ -89,6 +89,8 @@ let gen ~rng ~faults ~storm_s =
 let quiet_s = 30.0
 
 let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
+  if not (Float.is_finite storm_s) then
+    invalid_arg "Chaos.run: storm_s not finite";
   if storm_s < 20.0 then invalid_arg "Chaos.run: storm_s < 20";
   let sim = Sim.create ~seed () in
   (* ---- build the world ---- *)

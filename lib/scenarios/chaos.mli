@@ -127,6 +127,6 @@ val run :
     {!Recovery.routing_mismatches} and {!Recovery.tree_mismatch}.
     [storm_s] defaults to 60. The run is deterministic per [seed]
     (default [42L]).
-    @raise Invalid_argument if [storm_s < 20]. *)
+    @raise Invalid_argument if [storm_s] is not finite or [storm_s < 20]. *)
 
 val pp : Format.formatter -> outcome -> unit

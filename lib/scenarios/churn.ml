@@ -51,18 +51,21 @@ let run ?(receivers_per_set = 4) ?(join_gap_s = 20.0)
     in
     List.concat (List.map2 (fun a b -> [ a; b ]) fast slow)
   in
+  let horizon_s = Time.to_sec_f duration in
+  (* Only receivers that join before the horizon are planned, so the
+     report covers exactly the receivers that ran. *)
   let plans =
     List.mapi
       (fun i node ->
         let joined_at_s = float_of_int i *. join_gap_s in
         let leaves = i mod 2 = 1 in
         let left_at_s =
-          if leaves && leave_half_at_s < Time.to_sec_f duration then
-            Some leave_half_at_s
+          if leaves && leave_half_at_s < horizon_s then Some leave_half_at_s
           else None
         in
         (node, joined_at_s, left_at_s))
       interleaved
+    |> List.filter (fun (_, joined_at_s, _) -> joined_at_s < horizon_s)
   in
   let agents = Hashtbl.create 16 in
   List.iter

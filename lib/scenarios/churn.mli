@@ -39,4 +39,5 @@ val run :
 (** Runs a CBR source. Defaults: 4 receivers per set joining
     [join_gap_s] = 20 s apart (alternating between the fast and slow
     branches), the odd-indexed half departing at [leave_half_at_s] =
-    400 s, 600 s, seed 42. *)
+    400 s, 600 s, seed 42. A receiver whose join would fall at or after
+    [duration] never joins and is left out of the report. *)

@@ -16,50 +16,35 @@ let stability_of_outcome ~x ~traffic (o : Experiment.outcome) =
   let s = Metrics.Stability.worst ~logs ~window:(Time.zero, o.duration) in
   { x; traffic; max_changes = s.changes; mean_gap_s = s.mean_gap_s }
 
-(* The sweeps below build every topology spec eagerly, in the calling
-   domain, before handing the runs to {!Sweep}: spec construction reads
-   [Builders.discipline_ref], which is process-global state that worker
-   domains must not depend on. The flattened cell list preserves the
-   row-major (traffic-outer) order of the original nested maps, so
-   results are identical for any [jobs]. *)
+(* The sweeps below flatten their grids into one cell list for {!Sweep},
+   outer list first, so rows come back in that order and are identical
+   for any [jobs]. *)
+let grid outer inner =
+  List.concat_map (fun o -> List.map (fun i -> (o, i)) inner) outer
 
 let fig6 ?(duration = Time.of_sec 1200) ?(set_sizes = [ 1; 2; 4; 8; 16 ])
     ?(seed = 42L) ?(jobs = 1) () =
-  let cells =
-    List.concat_map
-      (fun traffic ->
-        List.map
-          (fun size -> (traffic, size, Builders.topology_a ~receivers_per_set:size))
-          set_sizes)
-      traffics
-  in
   Sweep.run ~jobs
-    (fun (traffic, size, spec) ->
+    (fun (traffic, size) ->
+      let spec = Builders.topology_a ~receivers_per_set:size in
       let o =
         Experiment.run ~spec ~traffic ~scheme:Experiment.Toposense ~seed
           ~duration ()
       in
       stability_of_outcome ~x:size ~traffic o)
-    cells
+    (grid traffics set_sizes)
 
 let fig7 ?(duration = Time.of_sec 1200) ?(session_counts = [ 1; 2; 4; 8; 16 ])
     ?(seed = 42L) ?(jobs = 1) () =
-  let cells =
-    List.concat_map
-      (fun traffic ->
-        List.map
-          (fun count -> (traffic, count, Builders.topology_b ~session_count:count))
-          session_counts)
-      traffics
-  in
   Sweep.run ~jobs
-    (fun (traffic, count, spec) ->
+    (fun (traffic, count) ->
+      let spec = Builders.topology_b ~session_count:count in
       let o =
         Experiment.run ~spec ~traffic ~scheme:Experiment.Toposense ~seed
           ~duration ()
       in
       stability_of_outcome ~x:count ~traffic o)
-    cells
+    (grid traffics session_counts)
 
 type fairness_row = {
   sessions : int;
@@ -71,16 +56,9 @@ type fairness_row = {
 let fig8 ?(duration = Time.of_sec 1200) ?(session_counts = [ 1; 2; 4; 8; 16 ])
     ?(seed = 42L) ?seeds ?(jobs = 1) () =
   let seeds = Option.value ~default:[ seed ] seeds in
-  let cells =
-    List.concat_map
-      (fun traffic ->
-        List.map
-          (fun count -> (traffic, count, Builders.topology_b ~session_count:count))
-          session_counts)
-      traffics
-  in
   Sweep.run ~jobs
-    (fun (traffic, count, spec) ->
+    (fun (traffic, count) ->
+          let spec = Builders.topology_b ~session_count:count in
           let halves =
             List.map
               (fun seed ->
@@ -110,7 +88,7 @@ let fig8 ?(duration = Time.of_sec 1200) ?(session_counts = [ 1; 2; 4; 8; 16 ])
             dev_second_half =
               List.fold_left (fun acc (_, b) -> acc +. b) 0.0 halves /. n;
           })
-    cells
+    (grid traffics session_counts)
 
 type series_point = {
   at_s : float;
@@ -149,17 +127,9 @@ let fig10 ?(duration = Time.of_sec 1200)
     ?(staleness_seconds = [ 2; 6; 10; 14; 18 ]) ?(set_sizes = [ 1; 2; 4 ])
     ?(seed = 42L) ?seeds ?(jobs = 1) () =
   let seeds = Option.value ~default:[ seed ] seeds in
-  let cells =
-    List.concat_map
-      (fun staleness_s ->
-        List.map
-          (fun size ->
-            (staleness_s, size, Builders.topology_a ~receivers_per_set:size))
-          set_sizes)
-      staleness_seconds
-  in
   Sweep.run ~jobs
-    (fun (staleness_s, size, spec) ->
+    (fun (staleness_s, size) ->
+          let spec = Builders.topology_a ~receivers_per_set:size in
           let devs =
             List.map
               (fun seed ->
@@ -190,7 +160,7 @@ let fig10 ?(duration = Time.of_sec 1200)
               List.fold_left ( +. ) 0.0 devs
               /. float_of_int (List.length devs);
           })
-    cells
+    (grid staleness_seconds set_sizes)
 
 type table1_row = {
   kind : Toposense.Decision.node_kind;

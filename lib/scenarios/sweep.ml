@@ -11,9 +11,8 @@
    exactly what [map ~jobs:1 f items] does, in the same order.
 
    Thunks must therefore be self-contained: anything read from global
-   mutable state (e.g. Builders.with_discipline's process-wide
-   discipline) must be captured *before* calling [map], in the caller's
-   domain. *)
+   mutable state must be captured *before* calling [map], in the
+   caller's domain. *)
 
 let cores () = Domain.recommended_domain_count ()
 

@@ -8,8 +8,7 @@
     work is handed out through one atomic counter.
 
     Thunks must be self-contained: capture anything read from global
-    mutable state (e.g. {!Builders.with_discipline}'s process-wide
-    discipline) before calling into this module, in the calling
+    mutable state before calling into this module, in the calling
     domain. *)
 
 val cores : unit -> int

@@ -100,6 +100,11 @@ type control =
   | Per_domain
   | Federated
 
+let control_name = function
+  | Global -> "global"
+  | Per_domain -> "per-domain"
+  | Federated -> "federated"
+
 type receiver_outcome = {
   session : int;
   node : Net.Addr.node_id;

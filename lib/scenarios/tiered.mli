@@ -53,6 +53,9 @@ type control =
           per interval and the parent aggregates them with one slot per
           (session, domain) — state O(domains), not O(receivers) *)
 
+val control_name : control -> string
+(** ["global"], ["per-domain"] or ["federated"], as the CLI prints it. *)
+
 type receiver_outcome = {
   session : int;
   node : Net.Addr.node_id;

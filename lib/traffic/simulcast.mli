@@ -6,8 +6,9 @@
     each receiver joining exactly one. This module implements the
     replica model so the bandwidth-efficiency comparison the layered
     literature claims (a shared link carries one copy of the layers vs
-    one copy of every distinct replica in use) can be measured; see the
-    `simulcast` section of `bench/main.exe`.
+    one copy of every distinct replica in use) can be measured; see
+    [Scenarios.Head_to_head.shared_link_bytes] and the simulcast section
+    of [toposense_sim ablations].
 
     Replica [k] (0-based) is quality-equivalent to layered level [k+1]:
     it runs at the layering's cumulative rate for that level. *)

@@ -502,6 +502,25 @@ let test_storm_10k () =
     (o.Chaos.rejoins = o.Chaos.failovers);
   checki "zero lost sessions" 0 o.Chaos.lost_sessions
 
+(* NaN compares false with every bound, so a range check alone lets it
+   through; both entry points name it instead. *)
+let test_nan_rejected () =
+  let sim = Sim.create () in
+  let spec = Builders.kary ~fanout:2 ~depth:1 () in
+  let faults =
+    Net.Faults.create ~network:(Net.Network.create ~sim spec.topology) ()
+  in
+  Alcotest.check_raises "drop fraction"
+    (Invalid_argument "Faults.set_control_plane: non-finite fraction")
+    (fun () ->
+      Net.Faults.set_control_plane faults ~classify:(fun _ -> true)
+        ~drop_fraction:Float.nan ());
+  Alcotest.check_raises "storm window"
+    (Invalid_argument "Chaos.run: storm_s not finite") (fun () ->
+      ignore
+        (Chaos.run ~world:(Chaos.Kary { fanout = 2; depth = 1 }) ~schedule:[]
+           ~storm_s:Float.nan ()))
+
 let () =
   Alcotest.run "chaos"
     [
@@ -539,6 +558,8 @@ let () =
             test_chaos_storm_failovers_bounded;
         ] );
       ("chaos-property", [ QCheck_alcotest.to_alcotest prop_chaos_kary ]);
+      ( "input-gate",
+        [ Alcotest.test_case "NaN rejected" `Quick test_nan_rejected ] );
       ( "chaos-10k",
         [ Alcotest.test_case "seeded 10k storm (heap)" `Slow test_storm_10k ]
       );

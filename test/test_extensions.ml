@@ -588,42 +588,9 @@ let test_simulcast_uses_more_shared_bandwidth () =
   (* Oracle subscriptions on Topology A (1+1 receivers at levels 4 and 2):
      the source->core link carries cum(4) under layering but
      cum(4)+cum(2) under simulcast. *)
-  let run_layered () =
-    let sim = Sim.create () in
-    let spec = Scenarios.Builders.topology_a ~receivers_per_set:1 in
-    let nw = Network.create ~sim spec.topology in
-    let router = Router.create ~network:nw () in
-    let session =
-      Session.create ~router ~source:0 ~layering:Layering.paper_default ~id:0
-    in
-    Session.set_subscription_level session ~router ~node:4 ~level:4;
-    Session.set_subscription_level session ~router ~node:5 ~level:2;
-    Sim.run_until sim (Time.of_sec 2);
-    ignore
-      (Traffic.Source.start ~network:nw ~session ~kind:Traffic.Source.Cbr
-         ~rng:(Sim.rng sim ~label:"src") ());
-    Sim.run_until sim (Time.of_sec 62);
-    Net.Link.tx_bytes (Network.link_on_iface nw ~node:0 ~iface:0)
+  let { Scenarios.Head_to_head.layered; simulcast } =
+    Scenarios.Head_to_head.shared_link_bytes ()
   in
-  let run_simulcast () =
-    let sim = Sim.create () in
-    let spec = Scenarios.Builders.topology_a ~receivers_per_set:1 in
-    let nw = Network.create ~sim spec.topology in
-    let router = Router.create ~network:nw () in
-    let sc =
-      Traffic.Simulcast.create ~router ~source:0
-        ~layering:Layering.paper_default ~id:0
-    in
-    Traffic.Simulcast.select sc ~router ~node:4 ~stream:(Some 3);
-    Traffic.Simulcast.select sc ~router ~node:5 ~stream:(Some 1);
-    Sim.run_until sim (Time.of_sec 2);
-    ignore
-      (Traffic.Simulcast.start_sources ~network:nw sc
-         ~rng:(Sim.rng sim ~label:"sc"));
-    Sim.run_until sim (Time.of_sec 62);
-    Net.Link.tx_bytes (Network.link_on_iface nw ~node:0 ~iface:0)
-  in
-  let layered = run_layered () and simulcast = run_simulcast () in
   (* Expected ratio (480+96)/480 = 1.2. *)
   let ratio = float_of_int simulcast /. float_of_int layered in
   checkb

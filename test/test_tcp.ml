@@ -102,48 +102,8 @@ let test_tcp_vs_toposense_session () =
   (* The Section VI question: a long-lived TCP flow and a TopoSense
      session share a 1 Mbps link. The multicast session holds the layers
      that fit its estimated share; TCP takes the rest. Nobody starves. *)
-  let sim = Sim.create () in
-  let topo = Topology.create () in
-  ignore (Topology.add_nodes topo 6);
-  (* mcast source 0, tcp source 1 - hub 2 - hub 3 - mcast sink 4, tcp sink 5 *)
-  List.iter
-    (fun (a, b, bw) ->
-      Topology.add_duplex topo ~a ~b ~bandwidth_bps:bw
-        ~delay:(Time.span_of_ms 10) ~queue_limit:25 ())
-    [
-      (0, 2, 1e7);
-      (1, 2, 1e7);
-      (2, 3, Topology.kbps 1000.0);
-      (3, 4, 1e7);
-      (3, 5, 1e7);
-    ];
-  let nw = Network.create ~sim topo in
-  let router = Multicast.Router.create ~network:nw () in
-  let discovery = Discovery.Service.create ~sim ~router () in
-  let session =
-    Traffic.Session.create ~router ~source:0
-      ~layering:Traffic.Layering.paper_default ~id:0
-  in
-  Discovery.Service.register_session discovery session;
-  ignore
-    (Traffic.Source.start ~network:nw ~session ~kind:Traffic.Source.Cbr
-       ~rng:(Sim.rng sim ~label:"src") ());
-  let params = Toposense.Params.default in
-  let c =
-    Toposense.Controller.create ~network:nw ~discovery ~params ~node:0 ()
-  in
-  Toposense.Controller.add_session c session;
-  Toposense.Controller.start c;
-  let agent =
-    Toposense.Receiver_agent.create ~network:nw ~router ~params ~node:4
-      ~controller:0 ()
-  in
-  Toposense.Receiver_agent.subscribe agent ~session ~initial_level:1;
-  Toposense.Receiver_agent.start agent;
-  let flow = Tcp.start ~network:nw ~src:1 ~dst:5 () in
-  Sim.run_until sim (Time.of_sec 300);
-  let tcp_goodput = Tcp.throughput_bps flow ~over:(Time.span_of_sec 300) in
-  let mcast_level = Toposense.Receiver_agent.level agent ~session:0 in
+  let o = Scenarios.Head_to_head.tcp_vs_toposense () in
+  let tcp_goodput = o.shared_bps and mcast_level = o.level in
   (* The paper's own admission plays out: the quasi-inelastic layered
      session holds its layers and AIMD retreats — TCP is squeezed but
      not starved outright (it still clears tens of kbps between the
