@@ -31,11 +31,23 @@ let int_conv ~min ~what =
 let pos_int_conv = int_conv ~min:1 ~what:"positive"
 let nonneg_int_conv = int_conv ~min:0 ~what:"non-negative"
 
-let finite_float_conv =
+let parse_finite s =
+  match float_of_string_opt s with
+  | Some x when Float.is_finite x -> Ok x
+  | _ -> Error (`Msg (Printf.sprintf "expected a finite number, got %S" s))
+
+let finite_float_conv = Arg.conv (parse_finite, Format.pp_print_float)
+
+(* Seconds become integer nanoseconds ({!Time.of_sec_f}), so a seconds
+   flag must also fit that range, or the run would go on at wrapped
+   instants. *)
+let seconds_conv =
   let parse s =
-    match float_of_string_opt s with
-    | Some x when Float.is_finite x -> Ok x
-    | _ -> Error (`Msg (Printf.sprintf "expected a finite number, got %S" s))
+    Result.bind (parse_finite s) (fun x ->
+        match Time.span_of_sec_f (Float.abs x) with
+        | _ -> Ok x
+        | exception Invalid_argument _ ->
+            Error (`Msg (Printf.sprintf "seconds out of range, got %S" s)))
   in
   Arg.conv (parse, Format.pp_print_float)
 
@@ -159,26 +171,29 @@ let fig8_cmd =
 
 let fig9_cmd =
   let run duration seed lo hi =
-    let series =
+    if lo > hi then `Error (true, "--from must not be after --to")
+    else begin
       Figures.fig9 ~duration:(Time.of_sec duration)
         ~window:(float_of_int lo, float_of_int hi)
         ~seed:(Int64.of_int seed) ()
-    in
-    List.iter
-      (fun (session, points) ->
-        Format.printf "# session %d@." session;
-        List.iter
-          (fun (p : Figures.series_point) ->
-            Format.printf "%.0f %d %.3f@." p.at_s p.level p.loss)
-          points)
-      series;
-    `Ok ()
+      |> List.iter (fun (session, points) ->
+             Format.printf "# session %d@." session;
+             List.iter
+               (fun (p : Figures.series_point) ->
+                 Format.printf "%.0f %d %.3f@." p.at_s p.level p.loss)
+               points);
+      `Ok ()
+    end
   in
   let lo =
-    Arg.(value & opt int 300 & info [ "from" ] ~docv:"S" ~doc:"Window start (s).")
+    Arg.(
+      value & opt nonneg_int_conv 300
+      & info [ "from" ] ~docv:"S" ~doc:"Window start (s).")
   in
   let hi =
-    Arg.(value & opt int 360 & info [ "to" ] ~docv:"S" ~doc:"Window end (s).")
+    Arg.(
+      value & opt nonneg_int_conv 360
+      & info [ "to" ] ~docv:"S" ~doc:"Window end (s).")
   in
   Cmd.v
     (Cmd.info "fig9"
@@ -353,9 +368,11 @@ let churn_cmd =
         ~join_gap_s:(float_of_int gap) ~duration:(Time.of_sec duration)
         ~seed:(Int64.of_int seed) ()
     in
-    Format.printf
-      "%d/%d receivers reached their optimum; mean time-to-optimum %.1f s@."
-      o.reached o.total o.mean_reach_s;
+    Format.printf "%d/%d receivers reached their optimum%s@." o.reached
+      o.total
+      (match o.mean_reach_s with
+      | Some s -> Printf.sprintf "; mean time-to-optimum %.1f s" s
+      | None -> "");
     List.iter
       (fun (r : Scenarios.Churn.receiver_report) ->
         Format.printf
@@ -780,7 +797,7 @@ let chaos_cmd =
   in
   let storm_term =
     Arg.(
-      value & opt finite_float_conv 60.0
+      value & opt seconds_conv 60.0
       & info [ "storm" ] ~docv:"SECONDS"
           ~doc:"Fault-injection window; quiescence is measured after it.")
   in

@@ -12,13 +12,20 @@ let of_us n = of_ns (n * 1_000)
 let of_ms n = of_ns (n * 1_000_000)
 let of_sec n = of_ns (n * 1_000_000_000)
 
+(* [max_int] rounds up to 2^62 as a float, so a rounded float of
+   nanoseconds converts exactly when it is below this bound (about 146
+   years); [int_of_float] past it is undefined. *)
+let ns_limit = float_of_int max_int
+
 (* [of_sec_f] and [span_of_sec_f] share one body: both round a
    non-negative float of seconds to integer nanoseconds. The argument
    name in the error message is the only per-caller difference. *)
 let ns_of_sec_f ~what s =
   if not (Float.is_finite s) || s < 0.0 then
     invalid_arg (what ^ ": negative or non-finite");
-  int_of_float (Float.round (s *. 1e9))
+  let ns = Float.round (s *. 1e9) in
+  if ns >= ns_limit then invalid_arg (what ^ ": out of range");
+  int_of_float ns
 
 let of_sec_f s = ns_of_sec_f ~what:"Time.of_sec_f" s
 

@@ -25,7 +25,8 @@ val of_sec : int -> t
 
 val of_sec_f : float -> t
 (** [of_sec_f s] rounds [s] seconds to the nearest nanosecond.
-    @raise Invalid_argument if [s] is negative or not finite. *)
+    @raise Invalid_argument if [s] is negative or not finite, or if its
+    nanoseconds do not fit an [int] (about 146 years). *)
 
 val to_ns : t -> int
 val to_sec_f : t -> float
@@ -39,7 +40,8 @@ val diff : t -> t -> span
 
 val span_of_sec_f : float -> span
 (** Rounds a non-negative duration in seconds to nanoseconds.
-    @raise Invalid_argument on negative or non-finite input. *)
+    @raise Invalid_argument on negative or non-finite input, or past
+    the range {!of_sec_f} accepts. *)
 
 val span_of_ms : int -> span
 val span_of_sec : int -> span

@@ -29,7 +29,11 @@ type t = {
   dst : Addr.node_id;
   bandwidth_bps : float;
   prop_delay : Time.span;
-  queue : Queue_discipline.t;
+  discipline : Queue_discipline.spec;
+  (* Built by the first [send] that finds the link busy. Until then the
+     queue would hold nothing and have counted nothing, so [None] reads
+     exactly as an untouched queue does; most links never need one. *)
+  mutable queue : Queue_discipline.t option;
   mutable deliver : Packet.t -> unit;
   mutable busy : bool;
   mutable up : bool;
@@ -49,8 +53,14 @@ type t = {
   mutable ser_span : Time.span;
 }
 
-let create ~sim ~arena ~src ~dst ~bandwidth_bps ~prop_delay ~queue =
-  if bandwidth_bps <= 0.0 then invalid_arg "Link.create: bandwidth <= 0";
+let create ~sim ~arena ~src ~dst ~bandwidth_bps ~prop_delay ~discipline =
+  (* A finite bandwidth also keeps the service time that a queue built
+     on first wait derives from it positive. *)
+  if not (bandwidth_bps > 0.0 && bandwidth_bps < Float.infinity) then
+    invalid_arg "Link.create: bandwidth not positive and finite";
+  (match Queue_discipline.validate_spec discipline with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("Link.create: " ^ msg));
   {
     sim;
     arena;
@@ -58,7 +68,8 @@ let create ~sim ~arena ~src ~dst ~bandwidth_bps ~prop_delay ~queue =
     dst;
     bandwidth_bps;
     prop_delay;
-    queue;
+    discipline;
+    queue = None;
     deliver = no_deliver;
     busy = false;
     up = true;
@@ -73,6 +84,29 @@ let create ~sim ~arena ~src ~dst ~bandwidth_bps ~prop_delay ~queue =
   }
 
 let set_deliver t f = t.deliver <- f
+
+(* Only RED draws from its stream, so only a RED queue splits one. A
+   split does not advance its parent and nothing draws from the root, so
+   the stream does not depend on when the queue is built. *)
+let build_queue t =
+  let rng =
+    match t.discipline with
+    | Queue_discipline.Red _ ->
+        Some (Sim.rng t.sim ~label:(Printf.sprintf "queue-%d-%d" t.src t.dst))
+    | Drop_tail _ | Priority _ -> None
+  in
+  let q =
+    Queue_discipline.create t.discipline ~arena:t.arena ?rng
+      ~clock:(fun () -> Time.to_sec_f (Sim.now t.sim))
+      ~service_time_s:
+        (8.0 *. float_of_int Packet.data_size /. t.bandwidth_bps)
+  in
+  t.queue <- Some q;
+  q
+
+(* Head of the queue, [Packet.none] when it is empty or not built. *)
+let poll t =
+  match t.queue with Some q -> Queue_discipline.poll q | None -> Packet.none
 
 let serialization_span t ~size =
   if size <> t.ser_size then begin
@@ -128,7 +162,7 @@ and fire t c =
            serialization, exactly as the closure pipeline scheduled. *)
         c.stage <- Prop;
         Sim.arm_after t.sim c.tmr t.prop_delay;
-        let next = Queue_discipline.poll t.queue in
+        let next = poll t in
         if next <> Packet.none then transmit t next else t.busy <- false
       end
   | Prop ->
@@ -149,7 +183,8 @@ let send t pkt =
     t.fault_drops <- t.fault_drops + 1
   end
   else if t.busy then begin
-    if not (Queue_discipline.offer t.queue pkt) then Packet.free t.arena pkt
+    let q = match t.queue with Some q -> q | None -> build_queue t in
+    if not (Queue_discipline.offer q pkt) then Packet.free t.arena pkt
   end
   else transmit t pkt
 
@@ -166,7 +201,7 @@ let set_up t up =
       t.busy <- false
     end;
     let rec drain () =
-      let pkt = Queue_discipline.poll t.queue in
+      let pkt = poll t in
       if pkt <> Packet.none then begin
         Packet.free t.arena pkt;
         t.fault_drops <- t.fault_drops + 1;
@@ -185,8 +220,9 @@ let prop_delay t = t.prop_delay
 let tx_packets t = t.tx_packets
 let tx_bytes t = t.tx_bytes
 let fault_drops t = t.fault_drops
-let drops t = Queue_discipline.drops t.queue
-let early_drops t = Queue_discipline.early_drops t.queue
-let queue_length t = Queue_discipline.length t.queue
+let queue_count f t = match t.queue with Some q -> f q | None -> 0
+let drops = queue_count Queue_discipline.drops
+let early_drops = queue_count Queue_discipline.early_drops
+let queue_length = queue_count Queue_discipline.length
 let busy t = t.busy
 let pool_cells t = t.pool_cells

@@ -5,7 +5,14 @@
     after the propagation delay. Packets offered while the link is busy
     wait in the link's queue (any {!Queue_discipline}); the in-service
     packet is held separately from the queue. Duplex links are built as
-    two simplex links by {!Topology}. *)
+    two simplex links by {!Topology}.
+
+    The queue is built the first time a packet has to wait, that is when
+    {!send} finds the link busy; most links of a large world never need
+    one. Until then {!drops}, {!early_drops} and {!queue_length} read 0,
+    exactly what an untouched queue reads. A RED queue then splits its
+    stream from the simulator under the label [queue-<src>-<dst>]; the
+    other disciplines hold no stream. *)
 
 type t
 
@@ -16,9 +23,10 @@ val create :
   dst:Addr.node_id ->
   bandwidth_bps:float ->
   prop_delay:Engine.Time.span ->
-  queue:Queue_discipline.t ->
+  discipline:Queue_discipline.spec ->
   t
-(** @raise Invalid_argument if [bandwidth_bps <= 0]. *)
+(** @raise Invalid_argument if [bandwidth_bps] is not positive and
+    finite, or [discipline] is invalid ({!Queue_discipline.validate_spec}). *)
 
 val set_deliver : t -> (Packet.t -> unit) -> unit
 (** Installs the arrival callback (fired at the destination node,

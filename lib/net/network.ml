@@ -24,9 +24,9 @@ end
 type node = {
   mutable out_links : Link.t array;  (** indexed by interface *)
   mutable neighbors : Addr.node_id array;
-  iface_of_neighbor : (Addr.node_id, int) Hashtbl.t;
-      (** inverse of [neighbors]: O(1) interface lookup on the data path
-          (RPF checks hit this for every packet at every hop) *)
+  mutable by_neighbor : int array;
+      (** the interfaces sorted by neighbor id: the inverse of
+          [neighbors], binary-searched by [find_iface] *)
   local_handlers : (Packet.t -> unit) Dyn.t;  (** run in order *)
   mutable mcast_handler : (Packet.t -> in_iface:int option -> unit) option;
 }
@@ -62,10 +62,27 @@ let fresh_node () =
   {
     out_links = [||];
     neighbors = [||];
-    iface_of_neighbor = Hashtbl.create 8;
+    by_neighbor = [||];
     local_handlers = Dyn.create ();
     mcast_handler = None;
   }
+
+(* The interface of [node] toward [neighbor], or -1 if they are not
+   adjacent: a binary search of [by_neighbor], O(log degree) with no
+   table per node. *)
+let find_iface t ~node ~neighbor =
+  let n = t.nodes.(node) in
+  let rec search lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) lsr 1 in
+      let i = n.by_neighbor.(mid) in
+      let m = n.neighbors.(i) in
+      if m = neighbor then i
+      else if m < neighbor then search (mid + 1) hi
+      else search lo mid
+  in
+  search 0 (Array.length n.by_neighbor)
 
 let deliver_local t n (pkt : Packet.t) =
   let hs = t.nodes.(n).local_handlers in
@@ -104,10 +121,9 @@ let rec handle t ~node ~in_iface (pkt : Packet.t) =
   end
 
 and send_to_neighbor t ~node ~neighbor pkt =
-  let nd = t.nodes.(node) in
-  match Hashtbl.find nd.iface_of_neighbor neighbor with
-  | i -> Link.send nd.out_links.(i) pkt
-  | exception Not_found -> invalid_arg "Network: not adjacent"
+  match find_iface t ~node ~neighbor with
+  | -1 -> invalid_arg "Network: not adjacent"
+  | i -> Link.send t.nodes.(node).out_links.(i) pkt
 
 let create ~sim topo =
   let routing = Routing.compute topo in
@@ -125,7 +141,6 @@ let create ~sim topo =
       unroutable_drops = 0;
     }
   in
-  let clock () = Time.to_sec_f (Sim.now sim) in
   (* Interface arrays are sized up front from the node degrees: growing
      them with [Array.append] per link is O(degree^2) per node, which a
      generated stub router with thousands of receivers turns into the
@@ -139,16 +154,13 @@ let create ~sim topo =
       degree.(spec.b) <- degree.(spec.b) + 1)
     specs;
   let cursor = Array.make (Array.length nodes) 0 in
+  (* Adds the simplex link [src -> dst] as [src]'s next interface and
+     returns that interface. *)
   let attach ~src ~dst (spec : Topology.link_spec) =
-    let queue =
-      Queue_discipline.create spec.discipline ~clock ~arena:t.arena
-        ~service_time_s:
-          (8.0 *. float_of_int Packet.data_size /. spec.bandwidth_bps)
-        ~rng:(Sim.rng sim ~label:(Printf.sprintf "queue-%d-%d" src dst))
-    in
     let link =
       Link.create ~sim ~arena:t.arena ~src ~dst
-        ~bandwidth_bps:spec.bandwidth_bps ~prop_delay:spec.delay ~queue
+        ~bandwidth_bps:spec.bandwidth_bps ~prop_delay:spec.delay
+        ~discipline:spec.discipline
     in
     let n = nodes.(src) in
     if Array.length n.out_links = 0 then begin
@@ -159,22 +171,27 @@ let create ~sim topo =
     cursor.(src) <- i + 1;
     n.out_links.(i) <- link;
     n.neighbors.(i) <- dst;
-    Hashtbl.replace n.iface_of_neighbor dst i;
-    link
+    i
   in
   List.iter
     (fun (spec : Topology.link_spec) ->
-      let ab = attach ~src:spec.a ~dst:spec.b spec in
-      let ba = attach ~src:spec.b ~dst:spec.a spec in
-      (* A packet arriving over a->b comes in on b's interface to a. *)
-      let iface_of n neigh = Hashtbl.find nodes.(n).iface_of_neighbor neigh in
-      let in_b = iface_of spec.b spec.a in
-      let in_a = iface_of spec.a spec.b in
-      Link.set_deliver ab (fun pkt ->
-          handle t ~node:spec.b ~in_iface:(Some in_b) pkt);
-      Link.set_deliver ba (fun pkt ->
-          handle t ~node:spec.a ~in_iface:(Some in_a) pkt))
+      let a = spec.a and b = spec.b in
+      let a_to_b = attach ~src:a ~dst:b spec in
+      let b_to_a = attach ~src:b ~dst:a spec in
+      (* A packet arriving over a->b comes in on b's interface to a. The
+         [Some] is built once per link, not once per delivery. *)
+      let in_b = Some b_to_a and in_a = Some a_to_b in
+      Link.set_deliver nodes.(a).out_links.(a_to_b) (fun pkt ->
+          handle t ~node:b ~in_iface:in_b pkt);
+      Link.set_deliver nodes.(b).out_links.(b_to_a) (fun pkt ->
+          handle t ~node:a ~in_iface:in_a pkt))
     specs;
+  Array.iter
+    (fun n ->
+      let order = Array.init (Array.length n.neighbors) Fun.id in
+      Array.sort (fun i j -> Int.compare n.neighbors.(i) n.neighbors.(j)) order;
+      n.by_neighbor <- order)
+    nodes;
   t
 
 let iface_count t n = Array.length t.nodes.(n).out_links
@@ -182,7 +199,7 @@ let iface_count t n = Array.length t.nodes.(n).out_links
 let neighbor t ~node ~iface = t.nodes.(node).neighbors.(iface)
 
 let iface_to t ~node ~neighbor =
-  Hashtbl.find t.nodes.(node).iface_of_neighbor neighbor
+  match find_iface t ~node ~neighbor with -1 -> raise Not_found | i -> i
 
 let iface_toward t ~node ~dst =
   let nh = Routing.next_hop t.routing ~from:node ~dst in
@@ -194,11 +211,11 @@ let add_topology_observer t f = Dyn.push t.topology_observers f
 
 let set_link_up t ~a ~b up =
   let iface_ab =
-    match Hashtbl.find_opt t.nodes.(a).iface_of_neighbor b with
-    | Some i -> i
-    | None -> invalid_arg "Network.set_link_up: not adjacent"
+    match find_iface t ~node:a ~neighbor:b with
+    | -1 -> invalid_arg "Network.set_link_up: not adjacent"
+    | i -> i
   in
-  let iface_ba = Hashtbl.find t.nodes.(b).iface_of_neighbor a in
+  let iface_ba = find_iface t ~node:b ~neighbor:a in
   Link.set_up t.nodes.(a).out_links.(iface_ab) up;
   Link.set_up t.nodes.(b).out_links.(iface_ba) up;
   let affected = Routing.set_link_enabled t.routing ~a ~b up in
@@ -209,9 +226,9 @@ let set_link_up t ~a ~b up =
   done
 
 let link_is_up t ~a ~b =
-  match Hashtbl.find_opt t.nodes.(a).iface_of_neighbor b with
-  | Some i -> Link.is_up t.nodes.(a).out_links.(i)
-  | None -> invalid_arg "Network.link_is_up: not adjacent"
+  match find_iface t ~node:a ~neighbor:b with
+  | -1 -> invalid_arg "Network.link_is_up: not adjacent"
+  | i -> Link.is_up t.nodes.(a).out_links.(i)
 
 let set_origination_filter t f = t.origination_filter <- Some f
 let clear_origination_filter t = t.origination_filter <- None

@@ -25,7 +25,9 @@ val node_count : t -> int
 val iface_count : t -> Addr.node_id -> int
 val neighbor : t -> node:Addr.node_id -> iface:int -> Addr.node_id
 val iface_to : t -> node:Addr.node_id -> neighbor:Addr.node_id -> int
-(** @raise Not_found if the nodes are not adjacent. *)
+(** The inverse of {!neighbor}, by binary search over [node]'s
+    interfaces sorted by neighbor id.
+    @raise Not_found if the nodes are not adjacent. *)
 
 val iface_toward : t -> node:Addr.node_id -> dst:Addr.node_id -> int
 (** The RPF interface: the interface on the unicast shortest path from

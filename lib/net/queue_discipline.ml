@@ -31,13 +31,20 @@ let validate_spec = function
       else if not (0.0 < wq && wq <= 1.0) then Error "wq must be in (0,1]"
       else Ok ()
 
+(* RED's own state. Only RED draws random numbers or reads the clock, so
+   the other disciplines hold no stream and no clock. *)
+type red = {
+  rng : Engine.Prng.t;  (* drives the random early drops *)
+  clock : unit -> float;  (* seconds; drives the idle decay *)
+  service_s : float;  (* typical packet transmission time, seconds *)
+  mutable avg : float;  (* EWMA of the queue length *)
+  mutable idle_since : float;  (* clock time the queue drained; -1 = busy *)
+}
+
 type t = {
   spec : spec;
-  is_red : bool;  (* gates the idle-time bookkeeping out of poll *)
+  red : red option;  (* [Some] exactly when [spec] is RED *)
   arena : Packet.arena;
-  rng : Engine.Prng.t;
-  clock : unit -> float;  (* seconds; drives RED's idle decay *)
-  service_s : float;  (* typical packet transmission time, seconds *)
   (* Fixed-capacity ring buffer of packet handles: capacity is the
      discipline's [limit], so enqueue and poll are O(1) with no
      allocation per operation. [Packet.none] fills vacated slots. *)
@@ -46,33 +53,35 @@ type t = {
   mutable len : int;
   mutable drops : int;
   mutable early_drops : int;
-  mutable avg : float;  (* RED's EWMA of the queue length *)
-  mutable idle_since : float;  (* clock time the queue drained; -1 = busy *)
 }
 
 let limit_of = function
   | Drop_tail { limit } | Priority { limit } | Red { limit; _ } -> limit
 
-let create ?(clock = fun () -> 0.0) ?(service_time_s = 1e-3) spec ~arena ~rng =
+let create ?(clock = fun () -> 0.0) ?(service_time_s = 1e-3) ?rng spec ~arena =
   (match validate_spec spec with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Queue_discipline.create: " ^ msg));
   if service_time_s <= 0.0 then
     invalid_arg "Queue_discipline.create: service_time_s <= 0";
+  let red =
+    match (spec, rng) with
+    | Red _, Some rng ->
+        Some
+          { rng; clock; service_s = service_time_s; avg = 0.0;
+            idle_since = -1.0 }
+    | Red _, None -> invalid_arg "Queue_discipline.create: RED needs ~rng"
+    | (Drop_tail _ | Priority _), _ -> None
+  in
   {
     spec;
-    is_red = (match spec with Red _ -> true | _ -> false);
+    red;
     arena;
-    rng;
-    clock;
-    service_s = service_time_s;
     buf = Array.make (limit_of spec) Packet.none;
     head = 0;
     len = 0;
     drops = 0;
     early_drops = 0;
-    avg = 0.0;
-    idle_since = -1.0;
   }
 
 let spec t = t.spec
@@ -85,7 +94,7 @@ let slot t i =
 let enqueue t pkt =
   t.buf.(slot t t.len) <- pkt;
   t.len <- t.len + 1;
-  t.idle_since <- -1.0
+  match t.red with Some r -> r.idle_since <- -1.0 | None -> ()
 
 (* Media importance: the base layer matters most; anything that is not
    media (reports, suggestions, probes) outranks all media. Smaller =
@@ -130,30 +139,30 @@ let offer_priority t limit pkt =
     end
   end
 
-let offer_red t ~limit ~min_th ~max_th ~max_p ~wq pkt =
+let offer_red t r ~limit ~min_th ~max_th ~max_p ~wq pkt =
   (* Floyd/Jacobson idle decay: while the queue sat empty the EWMA should
      have decayed once per (virtual) packet-transmission time. *)
-  if t.len = 0 && t.idle_since >= 0.0 then begin
-    let now = t.clock () in
-    let m = (now -. t.idle_since) /. t.service_s in
+  if t.len = 0 && r.idle_since >= 0.0 then begin
+    let now = r.clock () in
+    let m = (now -. r.idle_since) /. r.service_s in
     if m > 0.0 then begin
-      t.avg <- t.avg *. ((1.0 -. wq) ** m);
-      t.idle_since <- now
+      r.avg <- r.avg *. ((1.0 -. wq) ** m);
+      r.idle_since <- now
     end
   end;
-  t.avg <- ((1.0 -. wq) *. t.avg) +. (wq *. float_of_int t.len);
+  r.avg <- ((1.0 -. wq) *. r.avg) +. (wq *. float_of_int t.len);
   if t.len >= limit then begin
     t.drops <- t.drops + 1;
     false
   end
-  else if t.avg >= max_th then begin
+  else if r.avg >= max_th then begin
     t.drops <- t.drops + 1;
     t.early_drops <- t.early_drops + 1;
     false
   end
-  else if t.avg >= min_th then begin
-    let p = max_p *. (t.avg -. min_th) /. (max_th -. min_th) in
-    if Engine.Prng.bool t.rng ~p then begin
+  else if r.avg >= min_th then begin
+    let p = max_p *. (r.avg -. min_th) /. (max_th -. min_th) in
+    if Engine.Prng.bool r.rng ~p then begin
       t.drops <- t.drops + 1;
       t.early_drops <- t.early_drops + 1;
       false
@@ -169,8 +178,8 @@ let offer_red t ~limit ~min_th ~max_th ~max_p ~wq pkt =
   end
 
 let offer t pkt =
-  match t.spec with
-  | Drop_tail { limit } ->
+  match (t.spec, t.red) with
+  | Drop_tail { limit }, _ ->
       if t.len >= limit then begin
         t.drops <- t.drops + 1;
         false
@@ -179,9 +188,10 @@ let offer t pkt =
         enqueue t pkt;
         true
       end
-  | Priority { limit } -> offer_priority t limit pkt
-  | Red { limit; min_th; max_th; max_p; wq } ->
-      offer_red t ~limit ~min_th ~max_th ~max_p ~wq pkt
+  | Priority { limit }, _ -> offer_priority t limit pkt
+  | Red { limit; min_th; max_th; max_p; wq }, Some r ->
+      offer_red t r ~limit ~min_th ~max_th ~max_p ~wq pkt
+  | Red _, None -> assert false (* [create] gives RED its state *)
 
 let poll t =
   if t.len = 0 then Packet.none
@@ -191,7 +201,7 @@ let poll t =
     t.head <- (if t.head + 1 = Array.length t.buf then 0 else t.head + 1);
     t.len <- t.len - 1;
     if t.len = 0 then begin
-      if t.is_red then t.idle_since <- t.clock ();
+      (match t.red with Some r -> r.idle_since <- r.clock () | None -> ());
       t.head <- 0
     end;
     pkt

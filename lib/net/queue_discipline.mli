@@ -37,21 +37,22 @@ type t
 val create :
   ?clock:(unit -> float) ->
   ?service_time_s:float ->
+  ?rng:Engine.Prng.t ->
   spec ->
   arena:Packet.arena ->
-  rng:Engine.Prng.t ->
   t
-(** @raise Invalid_argument on an invalid spec or non-positive
-    [service_time_s]. The [arena] resolves packet importance and frees
-    priority-evicted packets; the [rng] drives RED's random early drops
-    (unused by the other disciplines).
+(** @raise Invalid_argument on an invalid spec, non-positive
+    [service_time_s], or a RED spec without [rng]. The [arena] resolves
+    packet importance and frees priority-evicted packets.
 
-    [clock] (seconds, monotone within a run) and [service_time_s] (the
-    typical packet transmission time on the outgoing link) drive RED's
-    idle decay: after the queue sits empty for [d] seconds the averaged
-    queue length is multiplied by [(1-wq)^(d / service_time_s)] on the
-    next arrival, per Floyd & Jacobson. The default clock is constant,
-    which disables the decay (seed behaviour). *)
+    [rng], [clock] and [service_time_s] are RED's alone, and only a RED
+    queue keeps them. [rng] drives the random early drops. [clock]
+    (seconds, monotone within a run) and [service_time_s] (the typical
+    packet transmission time on the outgoing link) drive the idle decay:
+    after the queue sits empty for [d] seconds the averaged queue length
+    is multiplied by [(1-wq)^(d / service_time_s)] on the next arrival,
+    per Floyd & Jacobson. The default clock is constant, which disables
+    the decay (seed behaviour). *)
 
 val spec : t -> spec
 

@@ -36,15 +36,20 @@ let add_duplex t ~a ~b ~bandwidth_bps ?(delay = default_delay)
   if bandwidth_bps <= 0.0 then invalid_arg "Topology.add_duplex: bandwidth <= 0";
   if Hashtbl.mem t.pairs (min a b, max a b) then
     invalid_arg "Topology.add_duplex: duplicate link";
-  Hashtbl.add t.pairs (min a b, max a b) ();
+  (* Links build their queues on first wait, so a bad queue config has
+     to fail here, naming the argument that carried it. *)
+  let valid arg d =
+    match Queue_discipline.validate_spec d with
+    | Ok () -> d
+    | Error msg -> invalid_arg ("Topology.add_duplex: " ^ arg ^ ": " ^ msg)
+  in
   let discipline =
     match discipline with
-    | Some d ->
-        (match Queue_discipline.validate_spec d with
-        | Ok () -> d
-        | Error msg -> invalid_arg ("Topology.add_duplex: " ^ msg))
-    | None -> Queue_discipline.Drop_tail { limit = queue_limit }
+    | Some d -> valid "discipline" d
+    | None ->
+        valid "queue_limit" (Queue_discipline.Drop_tail { limit = queue_limit })
   in
+  Hashtbl.add t.pairs (min a b, max a b) ();
   t.links_rev <- { a; b; bandwidth_bps; delay; discipline } :: t.links_rev
 
 let node_count t = t.node_count

@@ -13,7 +13,7 @@ type receiver_report = {
 
 type outcome = {
   receivers : receiver_report list;
-  mean_reach_s : float;
+  mean_reach_s : float option;
   reached : int;
   total : int;
 }
@@ -136,12 +136,13 @@ let run ?(receivers_per_set = 4) ?(join_gap_s = 20.0)
     receivers = reports;
     mean_reach_s =
       (match reached with
-      | [] -> nan
+      | [] -> None
       | _ ->
-          List.fold_left
-            (fun acc r -> acc +. Option.get r.reach_s)
-            0.0 reached
-          /. float_of_int (List.length reached));
+          Some
+            (List.fold_left
+               (fun acc r -> acc +. Option.get r.reach_s)
+               0.0 reached
+            /. float_of_int (List.length reached)));
     reached = List.length reached;
     total = List.length reports;
   }

@@ -23,7 +23,8 @@ type receiver_report = {
 
 type outcome = {
   receivers : receiver_report list;
-  mean_reach_s : float;  (** over receivers that reached their optimum *)
+  mean_reach_s : float option;
+      (** over receivers that reached their optimum; [None] if none did *)
   reached : int;
   total : int;
 }

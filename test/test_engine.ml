@@ -31,7 +31,16 @@ let test_time_invalid () =
     (fun () -> ignore (Time.of_ns (-1)));
   Alcotest.check_raises "negative span"
     (Invalid_argument "Time.add: negative span") (fun () ->
-      ignore (Time.add Time.zero (-5)))
+      ignore (Time.add Time.zero (-5)));
+  (* 1e300 s is far past max_int ns: no wrapped or undefined instant. *)
+  Alcotest.check_raises "instant out of range"
+    (Invalid_argument "Time.of_sec_f: out of range") (fun () ->
+      ignore (Time.of_sec_f 1e300));
+  Alcotest.check_raises "span out of range"
+    (Invalid_argument "Time.span_of_sec_f: out of range") (fun () ->
+      ignore (Time.span_of_sec_f 1e300));
+  checki "146 years still fit" 4_600_000_000_000_000_000
+    (Time.to_ns (Time.of_sec_f 4.6e9))
 
 let test_time_compare () =
   checkb "lt" true Time.(of_sec 1 < of_sec 2);

@@ -59,6 +59,24 @@ let test_topology_self_loop_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* Links build their queues on first wait, so a bad queue limit has to
+   fail when the link is added, naming [queue_limit], not in the middle
+   of a run. The failed call registers nothing. *)
+let test_topology_bad_queue_limit () =
+  let topo = Topology.create () in
+  ignore (Topology.add_nodes topo 2);
+  List.iter
+    (fun queue_limit ->
+      Alcotest.check_raises
+        (Printf.sprintf "queue_limit %d" queue_limit)
+        (Invalid_argument "Topology.add_duplex: queue_limit: limit <= 0")
+        (fun () ->
+          Topology.add_duplex topo ~a:0 ~b:1 ~bandwidth_bps:1e6 ~queue_limit
+            ()))
+    [ 0; -1 ];
+  Topology.add_duplex topo ~a:0 ~b:1 ~bandwidth_bps:1e6 ~queue_limit:1 ();
+  checki "then a valid link" 1 (List.length (Topology.links topo))
+
 let test_topology_neighbors () =
   let topo = line 3 in
   check (Alcotest.list Alcotest.int) "middle" [ 0; 2 ]
@@ -524,6 +542,118 @@ let test_iface_mapping () =
   checki "neighbor roundtrip" 0 (Network.neighbor nw ~node:1 ~iface:i0);
   checki "toward 0" i0 (Network.iface_toward nw ~node:1 ~dst:0)
 
+(* Each node finds its interface toward a neighbor by binary search over
+   its interfaces sorted by neighbor id. On random connected graphs, and
+   on stars whose hub has hundreds of interfaces, the search must invert
+   [neighbor] exactly; a pair that is not adjacent (a node and itself,
+   two leaves, an id outside the world) has no interface and no link.
+   Links go in shuffled and randomly oriented, so interface numbers do
+   not follow neighbor ids. *)
+let prop_iface_to_inverts_neighbor =
+  let graph =
+    QCheck.Gen.(
+      let* n = 2 -- 30 in
+      let* tree =
+        flatten_l
+          (List.init (n - 1) (fun i -> map (fun p -> (i + 1, p)) (int_bound i)))
+      in
+      let* extra =
+        list_size (0 -- 30) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+      in
+      return (n, tree @ extra))
+  in
+  let star =
+    QCheck.Gen.(
+      let* leaves = 300 -- 400 in
+      let* hub = int_bound leaves in
+      return
+        ( leaves + 1,
+          List.filter_map
+            (fun i -> if i = hub then None else Some (hub, i))
+            (List.init (leaves + 1) Fun.id) ))
+  in
+  let gen =
+    QCheck.Gen.(
+      let* n, edges = frequency [ (4, graph); (1, star) ] in
+      let* edges = shuffle_l edges in
+      let* edges =
+        flatten_l
+          (List.map
+             (fun (a, b) -> map (fun flip -> if flip then (b, a) else (a, b)) bool)
+             edges)
+      in
+      return (n, edges))
+  in
+  let print (n, edges) =
+    Printf.sprintf "n=%d edges=[%s]" n
+      (String.concat "; "
+         (List.map (fun (a, b) -> Printf.sprintf "%d-%d" a b) edges))
+  in
+  QCheck.Test.make ~name:"iface_to inverts neighbor" ~count:100
+    (QCheck.make ~print gen) (fun (n, edges) ->
+      let topo = Topology.create () in
+      ignore (Topology.add_nodes topo n);
+      let adjacent = Hashtbl.create 64 in
+      List.iter
+        (fun (a, b) ->
+          if a <> b && not (Hashtbl.mem adjacent (a, b)) then begin
+            Hashtbl.replace adjacent (a, b) ();
+            Hashtbl.replace adjacent (b, a) ();
+            Topology.add_duplex topo ~a ~b ~bandwidth_bps:1e6 ()
+          end)
+        edges;
+      let nw = Network.create ~sim:(Sim.create ()) topo in
+      let inverts node =
+        List.for_all
+          (fun iface ->
+            let neighbor = Network.neighbor nw ~node ~iface in
+            Network.iface_to nw ~node ~neighbor = iface
+            && Network.link_is_up nw ~a:node ~b:neighbor)
+          (List.init (Network.iface_count nw node) Fun.id)
+      in
+      let no_link a b =
+        (match Network.iface_to nw ~node:a ~neighbor:b with
+        | _ -> false
+        | exception Not_found -> true)
+        && (match Network.link_is_up nw ~a ~b with
+           | _ -> false
+           | exception Invalid_argument _ -> true)
+        &&
+        match Network.set_link_up nw ~a ~b false with
+        | () -> false
+        | exception Invalid_argument _ -> true
+      in
+      List.for_all
+        (fun a ->
+          inverts a
+          && List.for_all
+               (fun b -> Hashtbl.mem adjacent (a, b) || no_link a b)
+               (List.init (n + 2) (fun i -> i - 1)))
+        (List.init n Fun.id))
+
+(* World build cost per directed link. A link builds its queue (ring,
+   stream, label) only when a packet first waits, and a node keeps one
+   sorted int array in place of a hash table, so a 10k-leaf star builds
+   in about 106 words per directed link. The bound fails if links build
+   their queues up front again, or nodes their tables (321 words). *)
+let test_build_footprint () =
+  let leaves = 10_000 in
+  let topo = Topology.create () in
+  let hub = Topology.add_node topo in
+  for _ = 1 to leaves do
+    let leaf = Topology.add_node topo in
+    Topology.add_duplex topo ~a:hub ~b:leaf ~bandwidth_bps:1e6 ()
+  done;
+  let sim = Sim.create () in
+  let before = Gc.allocated_bytes () in
+  let nw = Network.create ~sim topo in
+  let bytes = Gc.allocated_bytes () -. before in
+  let per_link = bytes /. float_of_int (Sys.word_size / 8 * 2 * leaves) in
+  checki "hub interfaces" leaves (Network.iface_count nw hub);
+  checkb
+    (Printf.sprintf "%.0f words per directed link, at most 200" per_link)
+    true (per_link <= 200.0)
+
 let test_mcast_without_handler_dropped () =
   let sim = Sim.create () in
   let nw = Network.create ~sim (line 2) in
@@ -639,6 +769,8 @@ let () =
           Alcotest.test_case "duplicate link" `Quick
             test_topology_duplicate_rejected;
           Alcotest.test_case "self loop" `Quick test_topology_self_loop_rejected;
+          Alcotest.test_case "bad queue limit" `Quick
+            test_topology_bad_queue_limit;
           Alcotest.test_case "neighbors" `Quick test_topology_neighbors;
           Alcotest.test_case "connectivity" `Quick test_topology_connectivity;
         ] );
@@ -669,6 +801,7 @@ let () =
             test_link_pool_no_resurrection;
         ] );
       qsuite "arena-props" [ prop_arena_no_stale_aliasing ];
+      qsuite "network-props" [ prop_iface_to_inverts_neighbor ];
       ( "network",
         [
           Alcotest.test_case "multihop" `Quick test_unicast_multihop;
@@ -676,6 +809,7 @@ let () =
           Alcotest.test_case "transit nodes silent" `Quick
             test_intermediate_not_delivered;
           Alcotest.test_case "iface mapping" `Quick test_iface_mapping;
+          Alcotest.test_case "build footprint" `Quick test_build_footprint;
           Alcotest.test_case "mcast no handler" `Quick
             test_mcast_without_handler_dropped;
           Alcotest.test_case "packet ids" `Quick test_packet_ids_unique;
