@@ -813,6 +813,9 @@ let chaos_cmd =
   let run seed world faults storm smoke =
     if faults < 0 then `Error (true, "--faults must be >= 0")
     else if storm < 20.0 then `Error (true, "--storm must be >= 20")
+    else if not (Scenarios.Chaos.storm_fits storm) then
+      `Error
+        (true, "--storm must end, with its 30 s of quiet, within the clock's range")
     else begin
       let world, faults, storm =
         if smoke then (`Kary, 8, 40.0) else (world, faults, storm)

@@ -88,10 +88,17 @@ let gen ~rng ~faults ~storm_s =
    branch. *)
 let quiet_s = 30.0
 
+let storm_fits storm_s =
+  match Time.of_sec_f (storm_s +. quiet_s) with
+  | _ -> true
+  | exception Invalid_argument _ -> false
+
 let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
   if not (Float.is_finite storm_s) then
     invalid_arg "Chaos.run: storm_s not finite";
   if storm_s < 20.0 then invalid_arg "Chaos.run: storm_s < 20";
+  if not (storm_fits storm_s) then
+    invalid_arg "Chaos.run: storm_s + 30 s of quiet is past the clock's range";
   let sim = Sim.create ~seed () in
   (* ---- build the world ---- *)
   let spec, domains =

@@ -127,6 +127,12 @@ val run :
     {!Recovery.routing_mismatches} and {!Recovery.tree_mismatch}.
     [storm_s] defaults to 60. The run is deterministic per [seed]
     (default [42L]).
-    @raise Invalid_argument if [storm_s] is not finite or [storm_s < 20]. *)
+    @raise Invalid_argument before building anything if [storm_s] is not
+    finite, [storm_s < 20], or not {!storm_fits}; the message names
+    [storm_s]. *)
+
+val storm_fits : float -> bool
+(** Whether the clock reaches the end of a run with this [storm_s]:
+    {!run} simulates 30 s of quiet past the storm. *)
 
 val pp : Format.formatter -> outcome -> unit

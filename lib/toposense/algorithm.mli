@@ -5,9 +5,11 @@
     and runs them through congestion states ({!Congestion}), shared-link
     capacity ({!Capacity}), fair shares ({!Fair_share}) and demand and
     supply ({!Subscription}) to a subscription-level prescription for
-    every member receiver. The paper's stage 3, path bottlenecks, has no
-    pass of its own: {!Fair_share}'s top-down headroom pass and
-    {!Subscription}'s top-down supply pass compute it where it is used.
+    every member receiver the caller names. The paper's stage 3, path
+    bottlenecks, has no pass of its own: {!Fair_share}'s top-down
+    headroom pass and {!Subscription}'s top-down supply pass compute it
+    where it is used. Every stage keeps its per-node values in arrays
+    indexed by {!Tree}'s BFS numbering.
     All controller-side state that persists across intervals — capacity
     estimates, congestion/bytes/supply histories, back-off timers — lives
     here, so the surrounding {!Controller} stays a thin I/O shim and this
@@ -27,6 +29,12 @@ type session_input = {
       (** per member leaf: (loss rate, bytes received) over the interval *)
   levels : (Net.Addr.node_id * int) list;
       (** current subscription levels (freshest known) *)
+  recipients : Net.Addr.node_id list;
+      (** the receivers to prescribe to: stage 5 ends in a prescription
+          for each of these that is a member leaf of [tree], and for no
+          one else. Stages 1–4 still cover the whole tree, because a
+          silent member's history feeds its ancestors' demands, and its
+          own once it reports. *)
   may_add : Net.Addr.node_id -> bool;
       (** whether a member may probe one layer up this interval (false
           while its last level change is younger than the feedback
@@ -45,13 +53,15 @@ type prescription = {
 
 val step : t -> now:Engine.Time.t -> session_input list -> prescription list
 (** Runs stages 1–5 once. Prescriptions are sorted by (session,
-    receiver). *)
+    receiver). A prescription for a receiver does not depend on which
+    other receivers are recipients. Where [measures] or [levels] list a
+    node twice, the first entry counts. *)
 
 val remove_session : t -> session:int -> unit
 (** Session teardown: prunes the back-off timers and stage-5 per-node
     histories of one session. Capacity estimates are per physical edge,
     shared across sessions, and are kept. *)
 
-val capacity_estimate :
-  t -> edge:(Net.Addr.node_id * Net.Addr.node_id) -> float
-(** Current stage-2 estimate (diagnostics; [infinity] = unknown). *)
+val capacity_estimate : t -> edge:int -> float
+(** Current stage-2 estimate of an edge keyed by {!Tree.edge}
+    (diagnostics; [infinity] = unknown). *)

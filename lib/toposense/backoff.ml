@@ -22,10 +22,12 @@ let active t ~session ~node ~layer ~now =
   | Some deadline -> Time.(now < deadline)
 
 let blocked_on_path t ~session ~tree ~leaf ~layer ~now =
-  active t ~session ~node:leaf ~layer ~now
-  || List.exists
-       (fun node -> active t ~session ~node ~layer ~now)
-       (Tree.ancestors tree leaf)
+  let rec up i =
+    i >= 0
+    && (active t ~session ~node:(Tree.node tree i) ~layer ~now
+       || up (Tree.parent tree i))
+  in
+  up leaf
 
 let clear t = Hashtbl.reset t.deadlines
 

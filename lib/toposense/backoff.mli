@@ -20,15 +20,9 @@ val active :
   t -> session:int -> node:Net.Addr.node_id -> layer:int -> now:Engine.Time.t -> bool
 
 val blocked_on_path :
-  t ->
-  session:int ->
-  tree:Tree.t ->
-  leaf:Net.Addr.node_id ->
-  layer:int ->
-  now:Engine.Time.t ->
-  bool
+  t -> session:int -> tree:Tree.t -> leaf:int -> layer:int -> now:Engine.Time.t -> bool
 (** True when the layer is backed off at the leaf or any of its
-    ancestors in the session tree. *)
+    ancestors in the session tree. [leaf] is a {!Tree} index. *)
 
 val clear : t -> unit
 (** Drops all timers (tests). *)

@@ -7,10 +7,10 @@ type entry = {
 
 type t = {
   params : Params.t;
-  entries : (Net.Addr.node_id * Net.Addr.node_id, entry) Hashtbl.t;
+  entries : entry Int_table.t;  (* keyed by {!Tree.edge} *)
 }
 
-let create ~params = { params; entries = Hashtbl.create 32 }
+let create ~params = { params; entries = Int_table.create 32 }
 
 type link_obs = {
   sessions : (int * float * int) list;
@@ -19,9 +19,9 @@ type link_obs = {
 }
 
 let entry t edge =
-  match Hashtbl.find_opt t.entries edge with
-  | Some e -> e
-  | None ->
+  match Int_table.find t.entries edge with
+  | e -> e
+  | exception Not_found ->
       let e =
         {
           estimate_bps = infinity;
@@ -30,7 +30,7 @@ let entry t edge =
           observed_idx = 0;
         }
       in
-      Hashtbl.add t.entries edge e;
+      Int_table.add t.entries edge e;
       e
 
 let observe t ~edge ~interval_s obs =
@@ -119,18 +119,18 @@ let observe t ~edge ~interval_s obs =
   e.observed_idx <- (e.observed_idx + 1) mod Array.length e.observed_bps
 
 let estimate_bps t ~edge =
-  match Hashtbl.find_opt t.entries edge with
-  | Some e -> e.estimate_bps
-  | None -> infinity
+  match Int_table.find t.entries edge with
+  | e -> e.estimate_bps
+  | exception Not_found -> infinity
 
 let known_edges t =
-  Hashtbl.fold
+  Int_table.fold
     (fun edge e acc -> if Float.is_finite e.estimate_bps then edge :: acc else acc)
     t.entries []
-  |> List.sort compare
+  |> List.sort Int.compare
 
 let reset t ~edge =
-  match Hashtbl.find_opt t.entries edge with
+  match Int_table.find_opt t.entries edge with
   | Some e ->
       e.estimate_bps <- infinity;
       e.intervals_since_set <- 0

@@ -35,21 +35,16 @@ type link_obs = {
           nothing (multi-session agreement is required) *)
 }
 
-val observe :
-  t ->
-  edge:(Net.Addr.node_id * Net.Addr.node_id) ->
-  interval_s:float ->
-  link_obs ->
-  unit
-(** Feed one interval's evidence for one physical edge. Must be called
-    once per edge per interval (it also applies growth/reset). *)
+val observe : t -> edge:int -> interval_s:float -> link_obs -> unit
+(** Feed one interval's evidence for one physical edge, keyed by
+    {!Tree.edge}. Must be called once per edge per interval (it also
+    applies growth/reset). *)
 
-val estimate_bps :
-  t -> edge:(Net.Addr.node_id * Net.Addr.node_id) -> float
+val estimate_bps : t -> edge:int -> float
 (** Current capacity estimate; [infinity] when unknown. *)
 
-val known_edges : t -> (Net.Addr.node_id * Net.Addr.node_id) list
-(** Edges with a finite estimate, sorted. *)
+val known_edges : t -> int list
+(** Edges with a finite estimate, ascending: by parent, then child. *)
 
-val reset : t -> edge:(Net.Addr.node_id * Net.Addr.node_id) -> unit
+val reset : t -> edge:int -> unit
 (** Force an edge back to unknown (used by tests and ablations). *)

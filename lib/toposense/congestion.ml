@@ -1,75 +1,61 @@
-type verdict = {
-  congested : bool;
-  loss : float;
-  max_bytes : int;
-  self_congested : bool;
+type t = {
+  congested : bool array;
+  loss : float array;
+  max_bytes : int array;
+  self_congested : bool array;
 }
 
-let compute ~(params : Params.t) ~tree ~measure =
-  let verdicts = Hashtbl.create 32 in
+let compute ~(params : Params.t) ~tree ~loss:leaf_loss ~bytes =
+  let n = Tree.size tree in
+  let congested = Array.make n false in
+  let loss = Array.make n 0.0 in
+  let max_bytes = Array.make n 0 in
+  let self_congested = Array.make n false in
   (* Bottom-up: losses, subtree byte maxima and self-evidence. *)
-  List.iter
-    (fun node ->
-      let v =
-        match Tree.children tree node with
-        | [] ->
-            let loss, bytes =
-              match measure node with Some m -> m | None -> (0.0, 0)
-            in
-            {
-              congested = false;
-              loss;
-              max_bytes = bytes;
-              self_congested = loss > params.p_threshold;
-            }
-        | children ->
-            let child_verdicts =
-              List.map (fun c -> Hashtbl.find verdicts c) children
-            in
-            let losses = List.map (fun v -> v.loss) child_verdicts in
-            let loss = List.fold_left Float.min infinity losses in
-            let max_bytes =
-              List.fold_left (fun acc v -> max acc v.max_bytes) 0 child_verdicts
-            in
-            (* A single-child node adds no evidence of its own: its child's
-               loss could originate anywhere below, and claiming it here
-               would walk congestion up every chain to the source, where
-               "action at the root of the congested subtree" would halve
-               the whole session. Only sibling-correlated loss localizes a
-               bottleneck to this node's inbound link. *)
-            let self_congested =
-              match losses with
-              | [] | [ _ ] -> false
-              | _ ->
-                  let n = float_of_int (List.length losses) in
-                  let all_above =
-                    List.for_all (fun l -> l > params.p_threshold) losses
-                  in
-                  let mean = List.fold_left ( +. ) 0.0 losses /. n in
-                  let similar =
-                    List.filter
-                      (fun l ->
-                        Float.abs (l -. mean) <= params.similar_band *. mean)
-                      losses
-                  in
-                  let similar_frac = float_of_int (List.length similar) /. n in
-                  all_above && similar_frac >= params.eta_similar
-            in
-            { congested = false; loss; max_bytes; self_congested }
-      in
-      Hashtbl.replace verdicts node v)
-    (Tree.bottom_up tree);
+  for i = n - 1 downto 0 do
+    let first = Tree.first_child tree i and count = Tree.child_count tree i in
+    if count = 0 then begin
+      loss.(i) <- leaf_loss.(i);
+      max_bytes.(i) <- bytes.(i);
+      self_congested.(i) <- leaf_loss.(i) > params.p_threshold
+    end
+    else begin
+      let last = first + count - 1 in
+      let l = ref infinity and b = ref 0 in
+      for c = first to last do
+        l := Float.min !l loss.(c);
+        b := Int.max !b max_bytes.(c)
+      done;
+      loss.(i) <- !l;
+      max_bytes.(i) <- !b;
+      (* A single-child node adds no evidence of its own: its child's
+         loss could originate anywhere below, and claiming it here would
+         walk congestion up every chain to the source, where "action at
+         the root of the congested subtree" would halve the whole
+         session. Only sibling-correlated loss localizes a bottleneck to
+         this node's inbound link. *)
+      if count >= 2 then begin
+        let k = float_of_int count in
+        let all_above = ref true and sum = ref 0.0 in
+        for c = first to last do
+          if not (loss.(c) > params.p_threshold) then all_above := false;
+          sum := !sum +. loss.(c)
+        done;
+        let mean = !sum /. k in
+        let similar = ref 0 in
+        for c = first to last do
+          if Float.abs (loss.(c) -. mean) <= params.similar_band *. mean then
+            incr similar
+        done;
+        self_congested.(i) <-
+          !all_above && float_of_int !similar /. k >= params.eta_similar
+      end
+    end
+  done;
   (* Top-down: a node is congested if it is self-congested or its parent
      ended up congested. *)
-  List.iter
-    (fun node ->
-      let v = Hashtbl.find verdicts node in
-      let parent_congested =
-        match Tree.parent tree node with
-        | None -> false
-        | Some p -> (Hashtbl.find verdicts p).congested
-      in
-      Hashtbl.replace verdicts node
-        { v with congested = v.self_congested || parent_congested })
-    (Tree.top_down tree);
-  verdicts
+  for i = 0 to n - 1 do
+    congested.(i) <-
+      self_congested.(i) || (i > 0 && congested.(Tree.parent tree i))
+  done;
+  { congested; loss; max_bytes; self_congested }

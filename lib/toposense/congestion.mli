@@ -14,20 +14,19 @@
     receiver in the node's subtree — stage 2's estimate of the traffic
     that crossed the node's inbound link. *)
 
-type verdict = {
-  congested : bool;
-  loss : float;  (** leaf: reported; internal: min over children *)
-  max_bytes : int;
+type t = {
+  congested : bool array;
+  loss : float array;  (** leaf: reported; internal: min over children *)
+  max_bytes : int array;
       (** max bytes received by any receiver in the subtree this window *)
-  self_congested : bool;
+  self_congested : bool array;
       (** congested by its own evidence, before parent inheritance *)
 }
+(** The verdicts, one entry per node, indexed as the {!Tree}. *)
 
 val compute :
-  params:Params.t ->
-  tree:Tree.t ->
-  measure:(Net.Addr.node_id -> (float * int) option) ->
-  (Net.Addr.node_id, verdict) Hashtbl.t
-(** [measure node] returns [(loss_rate, bytes_received)] for leaf
-    receivers; leaves without a measurement (no report yet) are treated
-    as lossless with zero bytes. Internal nodes' entries are computed. *)
+  params:Params.t -> tree:Tree.t -> loss:float array -> bytes:int array -> t
+(** [loss.(i)] and [bytes.(i)] are leaf [i]'s (loss rate, bytes received)
+    this interval; a leaf without a report yet reads (0.0, 0), lossless
+    with zero bytes. Internal nodes' entries of both arrays are ignored:
+    their verdicts are computed. *)

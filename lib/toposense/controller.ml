@@ -44,12 +44,12 @@ type t = {
   mutable sessions_rev : Traffic.Session.t list;
       (** newest first; O(1) registration, reversed at each use *)
   receivers : (int * Net.Addr.node_id, receiver_state) Hashtbl.t;
-  known : (int, Util.Bitset.t) Hashtbl.t;
+  known : Util.Bitset.t Int_table.t;
       (** per-session lease book: receivers a report was admitted from.
           Consulted (only) under [prescribe_known_only] so the
           controller's state and suggestion traffic scale with the
           receivers that actually talk to it, not with tree size *)
-  settling_scratch : (int, unit) Hashtbl.t;
+  settling_scratch : unit Int_table.t;
       (** interval-lived scratch behind [session_input]'s [frozen]
           closures, keyed [(node lsl 21) lor session] (node ids stay
           well under 2^42, session ids under 2^21). Shared across the
@@ -74,7 +74,6 @@ type t = {
   mutable suggestions_sent : int;
   mutable self_suppressed : int;
   mutable lease_suppressed : int;
-  mutable unknown_suppressed : int;
   mutable summaries_sent : int;
   mutable invalid_snapshots : int;
   mutable intervals_run : int;
@@ -116,11 +115,11 @@ let cancel_pending t st =
       st.pending <- None
 
 let known_set t ~session =
-  match Hashtbl.find_opt t.known session with
-  | Some s -> s
-  | None ->
+  match Int_table.find t.known session with
+  | s -> s
+  | exception Not_found ->
       let s = Util.Bitset.create () in
-      Hashtbl.add t.known session s;
+      Int_table.add t.known session s;
       s
 
 let on_report t ~session ~receiver ~level ~loss_rate ~bytes ~settling
@@ -205,8 +204,8 @@ let create ~network ~discovery ~params ~node ?domain ?probe ?federation () =
       algorithm = Algorithm.create ~params ~rng:(Sim.rng sim ~label:"toposense");
       sessions_rev = [];
       receivers = Hashtbl.create 64;
-      known = Hashtbl.create 8;
-      settling_scratch = Hashtbl.create 64;
+      known = Int_table.create 8;
+      settling_scratch = Int_table.create 64;
       proto_tx = Protocol.create_tx ();
       proto_rx = Protocol.create_rx ();
       proto_rng = Sim.rng sim ~label:"toposense-protocol";
@@ -217,7 +216,6 @@ let create ~network ~discovery ~params ~node ?domain ?probe ?federation () =
       suggestions_sent = 0;
       self_suppressed = 0;
       lease_suppressed = 0;
-      unknown_suppressed = 0;
       summaries_sent = 0;
       invalid_snapshots = 0;
       intervals_run = 0;
@@ -286,7 +284,7 @@ let remove_session t ~session =
   Hashtbl.filter_map_inplace
     (fun (s, _) st -> if s = session then None else Some st)
     t.receivers;
-  Hashtbl.remove t.known session;
+  Int_table.remove t.known session;
   Protocol.clear_tx_session t.proto_tx ~session;
   Protocol.clear_rx_session t.proto_rx ~session;
   Algorithm.remove_session t.algorithm ~session
@@ -300,23 +298,24 @@ let set_billing t billing = t.billing <- Some billing
    evidence flows back to the survivors. *)
 let session_input t session tree =
   let id = Traffic.Session.id session in
-  let members =
+  (* Under [prescribe_known_only] the lease-book check comes first —
+     before [receiver_state], which would otherwise allocate an entry per
+     tree member and make controller state O(receivers) in worlds where
+     only a sampled subset ever reports. Only these members are
+     prescribed to; an evicted or departed one among them is counted in
+     [lease_suppressed]. *)
+  let candidates =
     let all = Tree.members tree in
-    (* Under [prescribe_known_only] the lease-book check comes first —
-       before [receiver_state], which would otherwise allocate an entry
-       per tree member and make controller state O(receivers) in worlds
-       where only a sampled subset ever reports. *)
-    let all =
-      if not t.params.prescribe_known_only then all
-      else
-        match Hashtbl.find_opt t.known id with
-        | None -> []
-        | Some known ->
-            List.filter (fun (node, _) -> Util.Bitset.mem known node) all
-    in
+    if not t.params.prescribe_known_only then all
+    else
+      match Int_table.find t.known id with
+      | exception Not_found -> []
+      | known -> List.filter (fun (node, _) -> Util.Bitset.mem known node) all
+  in
+  let members =
     List.filter
       (fun (node, _) -> (receiver_state t ~session:id ~node).status = Active)
-      all
+      candidates
   in
   let settling_tbl = t.settling_scratch in
   let settling_key node = (node lsl 21) lor id in
@@ -340,7 +339,7 @@ let session_input t session tree =
               st.fresh <- None;
               st.last_loss <- loss;
               if a.settling then
-                Hashtbl.replace settling_tbl (settling_key node) ();
+                Int_table.replace settling_tbl (settling_key node) ();
               (loss, a.bytes)
           | None -> (st.last_loss, 0)
         in
@@ -357,9 +356,9 @@ let session_input t session tree =
   let may_add node =
     (not t.params.prescribe_known_only
     ||
-    match Hashtbl.find_opt t.known id with
-    | Some known -> Util.Bitset.mem known node
-    | None -> false)
+    match Int_table.find t.known id with
+    | known -> Util.Bitset.mem known node
+    | exception Not_found -> false)
     &&
     let st = receiver_state t ~session:id ~node in
     Time.diff now st.level_changed_at >= Time.mul_span t.params.interval 2
@@ -370,8 +369,9 @@ let session_input t session tree =
     tree;
     measures;
     levels;
+    recipients = List.map fst candidates;
     may_add;
-    frozen = (fun node -> Hashtbl.mem settling_tbl (settling_key node));
+    frozen = (fun node -> Int_table.mem settling_tbl (settling_key node));
   }
 
 (* Expired leases: a receiver silent for [lease_intervals] TopoSense
@@ -429,7 +429,7 @@ let run_interval t =
   sweep_leases t ~now;
   (* Last interval's settling marks are dead — their [frozen] closures
      were only ever consulted inside that interval's [Algorithm.step]. *)
-  Hashtbl.clear t.settling_scratch;
+  Int_table.clear t.settling_scratch;
   let inputs =
     List.filter_map
       (fun session ->
@@ -459,35 +459,22 @@ let run_interval t =
             | None ->
                 t.skipped_no_snapshot <- t.skipped_no_snapshot + 1;
                 None
-            | Some snap when not (Discovery.Snapshot.is_tree snap) ->
-                (* With faults injected the discovery image can be
-                   genuinely wrong, not merely stale — e.g. a child with
-                   two recorded parents mid-repair. Skip the session this
-                   interval rather than acting on a non-tree. *)
-                t.invalid_snapshots <- t.invalid_snapshots + 1;
-                None
-            | Some snap ->
-                let tree = Tree.of_snapshot snap in
-                Some (session_input t session tree)))
+            | Some snap -> (
+                match Tree.of_snapshot snap with
+                | None ->
+                    (* With faults injected the discovery image can be
+                       genuinely wrong, not merely stale — e.g. a child
+                       with two recorded parents mid-repair. Skip the
+                       session this interval rather than acting on a
+                       non-tree. *)
+                    t.invalid_snapshots <- t.invalid_snapshots + 1;
+                    None
+                | Some tree -> Some (session_input t session tree))))
       (List.rev t.sessions_rev)
   in
   let prescriptions = Algorithm.step t.algorithm ~now inputs in
   List.iter
     (fun (p : Algorithm.prescription) ->
-      if
-        t.params.prescribe_known_only
-        && not
-             (match Hashtbl.find_opt t.known p.session with
-             | Some known -> Util.Bitset.mem known p.receiver
-             | None -> false)
-      then
-        (* Never heard from this receiver; prescribing would both waste a
-           unicast and allocate state for it. (Unreachable via
-           [session_input]'s filter today — this is the belt to its
-           braces, and it keeps the counter honest if a future algorithm
-           prescribes outside its input membership.) *)
-        t.unknown_suppressed <- t.unknown_suppressed + 1
-      else
       let st = receiver_state t ~session:p.session ~node:p.receiver in
       if st.status <> Active then
         (* The snapshot (possibly stale) still lists a member the lease
@@ -577,13 +564,12 @@ let reports_received t = t.reports_received
 let suggestions_sent t = t.suggestions_sent
 let self_suppressed t = t.self_suppressed
 let lease_suppressed t = t.lease_suppressed
-let unknown_suppressed t = t.unknown_suppressed
 let summaries_sent t = t.summaries_sent
 
 let known_receivers t ~session =
-  match Hashtbl.find_opt t.known session with
-  | None -> 0
-  | Some s -> Util.Bitset.cardinal s
+  match Int_table.find t.known session with
+  | s -> Util.Bitset.cardinal s
+  | exception Not_found -> 0
 
 let receiver_state_entries t = Hashtbl.length t.receivers
 let invalid_snapshots t = t.invalid_snapshots
@@ -609,9 +595,9 @@ let receiver_active t ~session ~node =
    kept: they must never rewind, or a later failover to the same target
    would have its first suggestions rejected as stale. *)
 let forget_receiver t ~session ~receiver =
-  (match Hashtbl.find_opt t.known session with
-  | Some known -> Util.Bitset.remove known receiver
-  | None -> ());
+  (match Int_table.find t.known session with
+  | known -> Util.Bitset.remove known receiver
+  | exception Not_found -> ());
   match Hashtbl.find_opt t.receivers (session, receiver) with
   | None -> ()
   | Some st ->

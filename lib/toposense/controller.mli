@@ -6,8 +6,13 @@
     session's tree — aged by [params.staleness] — folds in the receiver
     reports that arrived since the previous interval, runs
     {!Algorithm.step}, and unicasts a suggestion packet to every member
-    receiver. Suggestions are real packets: they can be dropped, which is
-    what the receivers' unilateral-fallback timer is for.
+    receiver. A snapshot that is not a tree ({!Tree.of_snapshot} returns
+    [None]) skips its session for the interval. The algorithm covers the
+    whole tree but is asked only for the prescriptions the controller
+    sends: to every member, or under [params.prescribe_known_only] only
+    to the members in the lease book. Suggestions are real packets: they
+    can be dropped, which is what the receivers' unilateral-fallback
+    timer is for.
 
     Control-plane reliability ({!Protocol}): every prescription carries a
     per-(session, receiver) sequence number; incoming reports and
@@ -111,10 +116,6 @@ val self_suppressed : t -> int
 val lease_suppressed : t -> int
 (** Prescriptions suppressed because the (stale) snapshot still listed a
     member whose lease expired or who said goodbye. *)
-
-val unknown_suppressed : t -> int
-(** Prescriptions suppressed under [params.prescribe_known_only] because
-    the receiver never got a report through. *)
 
 val summaries_sent : t -> int
 (** {!Federation.Domain_summary} packets originated (0 without

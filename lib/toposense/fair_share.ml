@@ -6,99 +6,99 @@ type session_ctx = {
   tree : Tree.t;
 }
 
-type edge = Net.Addr.node_id * Net.Addr.node_id
-
-(* (session, edge) -> allowed bandwidth across that edge *)
-type t = (int * edge, float) Hashtbl.t
+(* One edge with a finite estimate, and the (session position, child
+   index) of every session crossing it, newest session first. *)
+type crossing = { cap : float; mutable by : (int * int) list }
 
 let compute ~sessions ~capacity =
-  (* Which sessions cross each physical edge. *)
-  let crossing : (edge, session_ctx list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun ctx ->
-      List.iter
-        (fun e ->
-          let cur = Option.value ~default:[] (Hashtbl.find_opt crossing e) in
-          Hashtbl.replace crossing e (ctx :: cur))
-        (Tree.edges ctx.tree))
+  let sessions = Array.of_list sessions in
+  let base s = Layering.rate_bps sessions.(s).layering ~layer:0 in
+  (* Which sessions cross each estimated edge. Edges without a finite
+     estimate cap nothing, so they are not recorded. *)
+  let crossing = Int_table.create 16 in
+  Array.iteri
+    (fun s ctx ->
+      for i = 1 to Tree.size ctx.tree - 1 do
+        let e = Tree.edge_into ctx.tree i in
+        match Int_table.find crossing e with
+        | c -> c.by <- (s, i) :: c.by
+        | exception Not_found ->
+            let cap = capacity ~edge:e in
+            if Float.is_finite cap then
+              Int_table.add crossing e { cap; by = [ (s, i) ] }
+      done)
     sessions;
-  let base ctx = Layering.rate_bps ctx.layering ~layer:0 in
-  (* Per session: max bandwidth usable at each node if all other sessions
-     took only their base layer (top-down min of headrooms), then the
-     bottom-up max-possible-demand in whole layers. *)
-  let xdem_at : (int * Net.Addr.node_id, float) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun ctx ->
-      let headroom e =
-        let cap = capacity ~edge:e in
-        if not (Float.is_finite cap) then infinity
-        else
-          let others =
-            Option.value ~default:[] (Hashtbl.find_opt crossing e)
-            |> List.filter (fun c -> c.id <> ctx.id)
-          in
-          let reserved = List.fold_left (fun acc c -> acc +. base c) 0.0 others in
-          Float.max 0.0 (cap -. reserved)
-      in
-      let xcap = Hashtbl.create 32 in
+  (* Per session: the most bandwidth usable at each node if every other
+     session took only its base layer (top-down min of headrooms), then
+     the bottom-up max-possible-demand in whole layers. [xcap] starts as
+     each node's inbound headroom. *)
+  let per_node () =
+    Array.map (fun ctx -> Array.make (Tree.size ctx.tree) infinity) sessions
+  in
+  let xcap = per_node () in
+  Int_table.iter
+    (fun _ c ->
       List.iter
-        (fun node ->
-          let v =
-            match Tree.parent ctx.tree node with
-            | None -> infinity
-            | Some p -> Float.min (Hashtbl.find xcap p) (headroom (p, node))
+        (fun (s, i) ->
+          let id = sessions.(s).id in
+          let reserved =
+            List.fold_left
+              (fun acc (o, _) ->
+                if sessions.(o).id <> id then acc +. base o else acc)
+              0.0 c.by
           in
-          Hashtbl.replace xcap node v)
-        (Tree.top_down ctx.tree);
-      List.iter
-        (fun node ->
-          let v =
-            match Tree.children ctx.tree node with
-            | [] ->
-                let c = Hashtbl.find xcap node in
-                if not (Float.is_finite c) then infinity
-                else
-                  (* whole layers, floored at the base layer *)
-                  let lvl = max 1 (Layering.level_for_bandwidth ctx.layering ~bps:c) in
-                  Layering.cumulative_bps ctx.layering ~level:lvl
-            | children ->
-                List.fold_left
-                  (fun acc ch -> Float.max acc (Hashtbl.find xdem_at (ctx.id, ch)))
-                  0.0 children
-          in
-          Hashtbl.replace xdem_at (ctx.id, node) v)
-        (Tree.bottom_up ctx.tree))
-    sessions;
-  (* Proportional split on every estimated edge. *)
-  let caps = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun e ctxs ->
-      let cap = capacity ~edge:e in
-      if Float.is_finite cap then begin
-        let child = snd e in
-        let xs =
-          List.map
-            (fun ctx ->
-              let x = Hashtbl.find xdem_at (ctx.id, child) in
-              (* An infinite x means the session saw no finite cap below;
-                 clamp to the link estimate so the rule stays finite. *)
-              let x = if Float.is_finite x then x else cap in
-              (ctx, Float.max (base ctx) x))
-            ctxs
-        in
-        let total = List.fold_left (fun acc (_, x) -> acc +. x) 0.0 xs in
-        List.iter
-          (fun (ctx, x) ->
-            let share =
-              match ctxs with
-              | [ _ ] -> cap
-              | _ -> Float.max (base ctx) (x *. cap /. total)
-            in
-            Hashtbl.replace caps (ctx.id, e) share)
-          xs
-      end)
+          xcap.(s).(i) <- Float.max 0.0 (c.cap -. reserved))
+        c.by)
     crossing;
-  caps
-
-let cap_bps t ~session ~edge =
-  Option.value ~default:infinity (Hashtbl.find_opt t (session, edge))
+  let xdem =
+    Array.mapi
+      (fun s ctx ->
+        let tree = ctx.tree and xcap = xcap.(s) in
+        let n = Tree.size tree in
+        for i = 1 to n - 1 do
+          xcap.(i) <- Float.min xcap.(Tree.parent tree i) xcap.(i)
+        done;
+        let xdem = Array.make n 0.0 in
+        for i = n - 1 downto 0 do
+          let count = Tree.child_count tree i in
+          xdem.(i) <-
+            (if count = 0 then
+               let c = xcap.(i) in
+               if not (Float.is_finite c) then infinity
+               else
+                 (* whole layers, floored at the base layer *)
+                 let lvl =
+                   max 1 (Layering.level_for_bandwidth ctx.layering ~bps:c)
+                 in
+                 Layering.cumulative_bps ctx.layering ~level:lvl
+             else
+               let first = Tree.first_child tree i in
+               let d = ref 0.0 in
+               for c = first to first + count - 1 do
+                 d := Float.max !d xdem.(c)
+               done;
+               !d)
+        done;
+        xdem)
+      sessions
+  in
+  (* Proportional split on every estimated edge. *)
+  let caps = per_node () in
+  Int_table.iter
+    (fun _ { cap; by } ->
+      (* An infinite x means the session saw no finite cap below; clamp
+         to the link estimate so the rule stays finite. *)
+      let x (s, i) =
+        let x = xdem.(s).(i) in
+        Float.max (base s) (if Float.is_finite x then x else cap)
+      in
+      match by with
+      | [ (s, i) ] -> caps.(s).(i) <- cap
+      | _ ->
+          let total = List.fold_left (fun acc si -> acc +. x si) 0.0 by in
+          List.iter
+            (fun ((s, i) as si) ->
+              caps.(s).(i) <- Float.max (base s) (x si *. cap /. total))
+            by)
+    crossing;
+  Array.to_list caps

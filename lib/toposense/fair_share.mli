@@ -21,15 +21,12 @@ type session_ctx = {
   tree : Tree.t;
 }
 
-type t
-
 val compute :
-  sessions:session_ctx list ->
-  capacity:(edge:(Net.Addr.node_id * Net.Addr.node_id) -> float) ->
-  t
-
-val cap_bps :
-  t -> session:int -> edge:(Net.Addr.node_id * Net.Addr.node_id) -> float
-(** The bandwidth session [session] may push across [edge]: its fair
-    share on estimated shared links, the raw estimate on estimated
-    unshared links, [infinity] otherwise. *)
+  sessions:session_ctx list -> capacity:(edge:int -> float) -> float array list
+(** One cap array per session, in [sessions]' order and indexed as that
+    session's {!Tree}: entry [i] is the bandwidth the session may push
+    across the edge into node [i] — its fair share on an estimated shared
+    edge, the raw estimate on an estimated unshared edge, [infinity]
+    otherwise (and at the source). [capacity] reads the estimate of an
+    edge keyed by {!Tree.edge}. Sums over the sessions crossing an edge
+    run newest session first. *)

@@ -16,26 +16,35 @@ type node_state = {
 type t = {
   params : Params.t;
   backoff : Backoff.t;
-  states : (int * Net.Addr.node_id, node_state) Hashtbl.t;
+  states : node_state Int_table.t Int_table.t;  (* per session, by node id *)
 }
 
-let create ~params ~backoff = { params; backoff; states = Hashtbl.create 64 }
+let create ~params ~backoff = { params; backoff; states = Int_table.create 8 }
 
 type input = {
   session : int;
   layering : Layering.t;
   tree : Tree.t;
-  verdicts : (Net.Addr.node_id, Congestion.verdict) Hashtbl.t;
-  level_of : Net.Addr.node_id -> int;
+  verdicts : Congestion.t;
+  levels : int array;
   may_add : Net.Addr.node_id -> bool;
   frozen : Net.Addr.node_id -> bool;
-  edge_cap : Net.Addr.node_id * Net.Addr.node_id -> float;
+  caps : float array;
+  recipients : Net.Addr.node_id list;
 }
 
-let state t ~session ~node =
-  match Hashtbl.find_opt t.states (session, node) with
-  | Some s -> s
-  | None ->
+let session_states t session =
+  match Int_table.find t.states session with
+  | states -> states
+  | exception Not_found ->
+      let states = Int_table.create 64 in
+      Int_table.add t.states session states;
+      states
+
+let state states node =
+  match Int_table.find states node with
+  | s -> s
+  | exception Not_found ->
       let s =
         {
           hist_older = false;
@@ -49,13 +58,11 @@ let state t ~session ~node =
           initialized = false;
         }
       in
-      Hashtbl.add t.states (session, node) s;
+      Int_table.add states node s;
       s
 
-let parent_congested input node =
-  match Tree.parent input.tree node with
-  | None -> false
-  | Some p -> (Hashtbl.find input.verdicts p).Congestion.congested
+let parent_congested input i =
+  i > 0 && input.verdicts.congested.(Tree.parent input.tree i)
 
 (* With doubling layers "half the supply" lands exactly one level down;
    with general schedules we still convert through whole levels. *)
@@ -63,11 +70,12 @@ let level_of_bw layering bps =
   if Float.is_finite bps then Layering.level_for_bandwidth layering ~bps
   else Layering.count layering
 
-let leaf_demand t ~now input node (st : node_state) =
+let leaf_demand t ~now input i (st : node_state) ~frozen =
   let layering = input.layering in
-  let level = input.level_of node in
+  let node = Tree.node input.tree i in
+  let level = input.levels.(i) in
   let cur = Layering.cumulative_bps layering ~level in
-  let verdict = Hashtbl.find input.verdicts node in
+  let loss = input.verdicts.loss.(i) in
   let base = Layering.rate_bps layering ~layer:0 in
   let supply_of = function
     | Decision.Older -> if st.supply_older > 0.0 then st.supply_older else cur
@@ -79,7 +87,7 @@ let leaf_demand t ~now input node (st : node_state) =
       && input.may_add node
       && not
            (Backoff.blocked_on_path t.backoff ~session:input.session
-              ~tree:input.tree ~leaf:node ~layer:level ~now)
+              ~tree:input.tree ~leaf:i ~layer:level ~now)
     then Layering.cumulative_bps layering ~level:(level + 1)
     else cur
   in
@@ -92,7 +100,7 @@ let leaf_demand t ~now input node (st : node_state) =
     end
     else cur
   in
-  if parent_congested input node || input.frozen node then cur
+  if parent_congested input i || frozen then cur
   else begin
     let history =
       Decision.history_bits ~older:st.hist_older ~middle:st.hist_middle
@@ -105,7 +113,7 @@ let leaf_demand t ~now input node (st : node_state) =
     match Decision.lookup ~kind:Decision.Leaf ~history ~bw with
     | Decision.Add_next_layer -> add_next ()
     | Decision.Drop_layer_if_high_loss ->
-        if verdict.Congestion.loss > t.params.p_high then
+        if loss > t.params.p_high then
           drop_one ~set_backoff:true
         else cur
     | Decision.Maintain_demand -> cur
@@ -115,7 +123,7 @@ let leaf_demand t ~now input node (st : node_state) =
            loss so the residue tail of an already-handled episode (just
            above p_threshold) cannot walk the subscription to the base
            layer. *)
-        if verdict.Congestion.loss <= t.params.p_high then cur
+        if loss <= t.params.p_high then cur
         else begin
           let target = Float.max base (supply_of which /. 2.0) in
           if set_backoff && target < cur then begin
@@ -127,13 +135,13 @@ let leaf_demand t ~now input node (st : node_state) =
           Float.min cur target
         end
     | Decision.Reduce_to_half_supply_if_very_high_loss which ->
-        if verdict.Congestion.loss > t.params.p_very_high then
+        if loss > t.params.p_very_high then
           Float.max base (Float.min cur (supply_of which /. 2.0))
         else cur
     | Decision.Accept_children -> cur (* not produced for leaves *)
   end
 
-let internal_demand t ~now input node (st : node_state) ~aggregate
+let internal_demand t ~now input i (st : node_state) ~aggregate
     ~subtree_settling =
   let layering = input.layering in
   let base = Layering.rate_bps layering ~layer:0 in
@@ -148,7 +156,7 @@ let internal_demand t ~now input node (st : node_state) ~aggregate
      latency, the sibling that has not yet received its suggestion);
      reducing again now is how one congestion event cascades into a crash
      to the base layer. Hold fire until the subtree is quiet. *)
-  if parent_congested input node || subtree_settling then aggregate
+  if parent_congested input i || subtree_settling then aggregate
   else begin
     let history =
       Decision.history_bits ~older:st.hist_older ~middle:st.hist_middle
@@ -163,8 +171,7 @@ let internal_demand t ~now input node (st : node_state) ~aggregate
     | Decision.Maintain_demand ->
         if st.demand > 0.0 then Float.min aggregate st.demand else aggregate
     | Decision.Reduce_to_half_supply _
-      when (Hashtbl.find input.verdicts node).Congestion.loss
-           <= t.params.p_high ->
+      when input.verdicts.loss.(i) <= t.params.p_high ->
         (* Same high-loss gate as at the leaves. *)
         aggregate
     | Decision.Reduce_to_half_supply { which; set_backoff = _ } ->
@@ -176,8 +183,8 @@ let internal_demand t ~now input node (st : node_state) ~aggregate
           let old_level = level_of_bw layering aggregate in
           let new_level = level_of_bw layering reduced in
           if new_level < old_level then
-            Backoff.arm t.backoff ~session:input.session ~node
-              ~layer:(old_level - 1) ~now
+            Backoff.arm t.backoff ~session:input.session
+              ~node:(Tree.node input.tree i) ~layer:(old_level - 1) ~now
         end;
         reduced
     | Decision.Add_next_layer
@@ -188,82 +195,85 @@ let internal_demand t ~now input node (st : node_state) ~aggregate
   end
 
 let step t ~now input =
-  let tree = input.tree in
-  (* 1. Advance histories with this interval's verdicts and bytes. *)
-  List.iter
-    (fun node ->
-      let st = state t ~session:input.session ~node in
-      let verdict = Hashtbl.find input.verdicts node in
-      if not st.initialized then begin
-        st.initialized <- true;
-        st.hist_older <- verdict.Congestion.congested;
-        st.hist_middle <- verdict.Congestion.congested
+  let tree = input.tree and verdicts = input.verdicts in
+  let n = Tree.size tree in
+  let session_states = session_states t input.session in
+  (* 1. Advance histories with this interval's verdicts and bytes; each
+     node's state is looked up once, here. *)
+  let states =
+    Array.init n (fun i ->
+        let st = state session_states (Tree.node tree i) in
+        let congested = verdicts.congested.(i) in
+        if not st.initialized then begin
+          st.initialized <- true;
+          st.hist_older <- congested;
+          st.hist_middle <- congested
+        end
+        else begin
+          st.hist_older <- st.hist_middle;
+          st.hist_middle <- st.hist_current
+        end;
+        st.hist_current <- congested;
+        st.bytes_older <- st.bytes_recent;
+        st.bytes_recent <- float_of_int verdicts.max_bytes.(i);
+        st)
+  in
+  (* 2. Demand, bottom-up (also fold up which subtrees are settling). *)
+  let demands = Array.make n 0.0 in
+  let settling = Array.make n false in
+  for i = n - 1 downto 0 do
+    let st = states.(i) in
+    let count = Tree.child_count tree i in
+    let d =
+      if count = 0 then begin
+        let frozen = input.frozen (Tree.node tree i) in
+        settling.(i) <- frozen;
+        leaf_demand t ~now input i st ~frozen
       end
       else begin
-        st.hist_older <- st.hist_middle;
-        st.hist_middle <- st.hist_current
-      end;
-      st.hist_current <- verdict.Congestion.congested;
-      st.bytes_older <- st.bytes_recent;
-      st.bytes_recent <- float_of_int verdict.Congestion.max_bytes)
-    (Tree.top_down tree);
-  (* 2. Demand, bottom-up (also fold up which subtrees are settling). *)
-  let demands = Hashtbl.create 32 in
-  let settling = Hashtbl.create 32 in
-  List.iter
-    (fun node ->
-      let st = state t ~session:input.session ~node in
-      let d =
-        match Tree.children tree node with
-        | [] ->
-            Hashtbl.replace settling node (input.frozen node);
-            leaf_demand t ~now input node st
-        | children ->
-            let aggregate =
-              List.fold_left
-                (fun acc c -> Float.max acc (Hashtbl.find demands c))
-                0.0 children
-            in
-            let subtree_settling =
-              List.exists (fun c -> Hashtbl.find settling c) children
-            in
-            Hashtbl.replace settling node subtree_settling;
-            internal_demand t ~now input node st ~aggregate ~subtree_settling
-      in
-      st.demand <- d;
-      Hashtbl.replace demands node d)
-    (Tree.bottom_up tree);
+        let first = Tree.first_child tree i in
+        let aggregate = ref 0.0 and subtree_settling = ref false in
+        for c = first to first + count - 1 do
+          aggregate := Float.max !aggregate demands.(c);
+          subtree_settling := !subtree_settling || settling.(c)
+        done;
+        settling.(i) <- !subtree_settling;
+        internal_demand t ~now input i st ~aggregate:!aggregate
+          ~subtree_settling:!subtree_settling
+      end
+    in
+    st.demand <- d;
+    demands.(i) <- d
+  done;
   (* 3. Supply, top-down. *)
-  let supplies = Hashtbl.create 32 in
-  List.iter
-    (fun node ->
-      let s =
-        match Tree.parent tree node with
-        | None -> Hashtbl.find demands node
-        | Some p ->
-            Float.min
-              (Hashtbl.find demands node)
-              (Float.min (Hashtbl.find supplies p) (input.edge_cap (p, node)))
-      in
-      Hashtbl.replace supplies node s;
-      let st = state t ~session:input.session ~node in
-      st.supply_older <- st.supply_recent;
-      st.supply_recent <- s)
-    (Tree.top_down tree);
-  (* 4. Prescriptions for member leaves: at most one new layer per
-     interval, no layer under back-off on the path. *)
+  let supplies = Array.make n 0.0 in
+  for i = 0 to n - 1 do
+    let s =
+      if i = 0 then demands.(0)
+      else
+        Float.min demands.(i)
+          (Float.min supplies.(Tree.parent tree i) input.caps.(i))
+    in
+    supplies.(i) <- s;
+    let st = states.(i) in
+    st.supply_older <- st.supply_recent;
+    st.supply_recent <- s
+  done;
+  (* 4. Prescriptions for the recipients that are member leaves: at most
+     one new layer per interval, no layer under back-off on the path.
+     Only reads state, so skipping the other members changes nothing. *)
   List.filter_map
-    (fun (node, _snapshot_level) ->
-      if not (Tree.is_leaf tree node) then None
+    (fun node ->
+      let i = Tree.index tree node in
+      if i < 0 || not (Tree.is_member tree i && Tree.is_leaf tree i) then None
       else begin
-        let level = input.level_of node in
-        let supply = Hashtbl.find supplies node in
-        let affordable = level_of_bw input.layering supply in
+        let level = input.levels.(i) in
+        let affordable = level_of_bw input.layering supplies.(i) in
         let target =
           if affordable > level then
             if
               Backoff.blocked_on_path t.backoff ~session:input.session ~tree
-                ~leaf:node ~layer:level ~now
+                ~leaf:i ~layer:level ~now
             then level
             else level + 1
           else if affordable < level then max affordable (min level 1)
@@ -271,9 +281,6 @@ let step t ~now input =
         in
         Some (node, target)
       end)
-    (List.sort compare (Tree.members tree))
+    input.recipients
 
-let remove_session t ~session =
-  Hashtbl.filter_map_inplace
-    (fun (s, _) st -> if s = session then None else Some st)
-    t.states
+let remove_session t ~session = Int_table.remove t.states session

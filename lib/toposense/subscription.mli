@@ -27,9 +27,9 @@ type input = {
   session : int;
   layering : Traffic.Layering.t;
   tree : Tree.t;
-  verdicts : (Net.Addr.node_id, Congestion.verdict) Hashtbl.t;
-  level_of : Net.Addr.node_id -> int;
-      (** current subscription level of a member leaf *)
+  verdicts : Congestion.t;
+  levels : int array;
+      (** current subscription level of each member leaf, by tree index *)
   may_add : Net.Addr.node_id -> bool;
       (** false while a leaf's last level change is younger than the
           feedback loop: the loss evidence for the new level has not
@@ -37,14 +37,22 @@ type input = {
   frozen : Net.Addr.node_id -> bool;
       (** settling leaves: loss counts as evidence upstream but must not
           reduce this leaf again *)
-  edge_cap : Net.Addr.node_id * Net.Addr.node_id -> float;
-      (** stage-4 cap for this session on a physical edge, bits/s *)
+  caps : float array;
+      (** stage-4 cap for this session on the edge into each node,
+          bits/s, by tree index *)
+  recipients : Net.Addr.node_id list;
+      (** the member leaves to prescribe to *)
 }
 
 val step :
   t -> now:Engine.Time.t -> input -> (Net.Addr.node_id * int) list
-(** Prescribed subscription levels for the session's member leaves,
-    sorted by node id. Also advances all per-node histories. *)
+(** Prescribed subscription levels for the recipients that are member
+    leaves of the tree, in [recipients]' order. Advances the histories
+    of every node of the tree, recipient or not: a silent node's history
+    feeds its ancestors' demands, and its own once it reports. Each
+    node's persistent state, keyed per session by node id, is looked up
+    once per call. The prescription pass only reads state, so the
+    levels prescribed to one recipient do not depend on the others. *)
 
 val remove_session : t -> session:int -> unit
 (** Drops all per-node state of one session (session teardown). *)

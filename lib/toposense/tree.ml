@@ -1,73 +1,125 @@
 module Addr = Net.Addr
 
 type t = {
-  session : int;
-  source : Addr.node_id;
-  parent : (Addr.node_id, Addr.node_id) Hashtbl.t;
-  children : (Addr.node_id, Addr.node_id list) Hashtbl.t;
-  top_down : Addr.node_id list;
+  node : Addr.node_id array;
+  parent : int array;
+  first_child : int array;
+  child_count : int array;
+  member : bool array;
   members : (Addr.node_id * int) list;
+  index : int Int_table.t;
 }
 
+let edge ~parent ~child = (parent lsl 31) lor child
+
+exception Not_a_tree
+
 let of_snapshot (snap : Discovery.Snapshot.t) =
-  if not (Discovery.Snapshot.is_tree snap) then
-    invalid_arg "Tree.of_snapshot: snapshot is not a tree";
-  let parent = Hashtbl.create 32 and children = Hashtbl.create 32 in
-  List.iter
-    (fun (e : Discovery.Snapshot.edge) ->
-      Hashtbl.replace parent e.child e.parent;
-      let cs = Option.value ~default:[] (Hashtbl.find_opt children e.parent) in
-      Hashtbl.replace children e.parent (e.child :: cs))
-    snap.edges;
-  (* Sibling lists were built by prepending; one reverse each restores
-     snapshot edge order (appending instead is quadratic in fan-out). *)
-  Hashtbl.filter_map_inplace (fun _ cs -> Some (List.rev cs)) children;
-  (* BFS from the source keeps only the reachable component. Two-list
-     queue: pushing on [back] and reversing when [front] drains visits
-     nodes in exactly the order a naive [rest @ cs] would, without the
-     O(frontier) append per node. *)
-  let top_down = ref [] in
-  let rec bfs front back =
-    match (front, back) with
-    | [], [] -> ()
-    | [], back -> bfs (List.rev back) []
-    | n :: rest, back ->
-        top_down := n :: !top_down;
-        let cs = Option.value ~default:[] (Hashtbl.find_opt children n) in
-        bfs rest (List.fold_left (fun b c -> c :: b) back cs)
+  let m = List.length snap.edges in
+  (* A tree has exactly one more node than it has edges. *)
+  let n = m + 1 in
+  (* Provisional numbers, in order of first appearance with the source
+     at 0; [index] is rewritten to BFS indices once the walk succeeds. A
+     node past the [n]th proves the snapshot is not a tree. *)
+  let index = Int_table.create n in
+  let ids = Array.make n snap.source in
+  Int_table.add index snap.source 0;
+  let numbered = ref 1 in
+  let number node =
+    match Int_table.find index node with
+    | k -> k
+    | exception Not_found ->
+        let k = !numbered in
+        if k = n then raise Not_a_tree;
+        Int_table.add index node k;
+        ids.(k) <- node;
+        numbered := k + 1;
+        k
   in
-  bfs [ snap.source ] [];
-  let top_down = List.rev !top_down in
-  let present = Hashtbl.create 32 in
-  List.iter (fun n -> Hashtbl.replace present n ()) top_down;
-  let members =
-    List.filter (fun (m, _) -> Hashtbl.mem present m) snap.members
-  in
-  { session = snap.session; source = snap.source; parent; children; top_down; members }
+  let par = Array.make n (-1) in
+  let kids = Array.make n 0 in
+  let child_of = Array.make m 0 in
+  match
+    List.iteri
+      (fun e (edge : Discovery.Snapshot.edge) ->
+        let p = number edge.parent in
+        let c = number edge.child in
+        (* An edge into the source, or a second parent. *)
+        if c = 0 || par.(c) >= 0 then raise Not_a_tree;
+        par.(c) <- p;
+        kids.(p) <- kids.(p) + 1;
+        child_of.(e) <- c)
+      snap.edges
+  with
+  | exception Not_a_tree -> None
+  | () ->
+      (* Each node's children, in snapshot edge order, as one slice of
+         [slots] starting at [start.(p)]: end offsets first, then a
+         back-to-front fill that leaves each offset at its slice's
+         start. *)
+      let start = Array.make n 0 in
+      let total = ref 0 in
+      for p = 0 to n - 1 do
+        total := !total + kids.(p);
+        start.(p) <- !total
+      done;
+      let slots = Array.make m 0 in
+      for e = m - 1 downto 0 do
+        let p = par.(child_of.(e)) in
+        start.(p) <- start.(p) - 1;
+        slots.(start.(p)) <- child_of.(e)
+      done;
+      (* BFS from the source. With one parent per node and none for the
+         source, no node is queued twice, so the walk ends; it reaches
+         all [n] nodes exactly when every edge hangs below the source. *)
+      let order = Array.make n 0 in
+      let node = Array.make n snap.source in
+      let parent = Array.make n (-1) in
+      let first_child = Array.make n 0 in
+      let child_count = Array.make n 0 in
+      let tail = ref 1 in
+      let head = ref 0 in
+      while !head < !tail do
+        let h = !head in
+        let u = order.(h) in
+        first_child.(h) <- !tail;
+        child_count.(h) <- kids.(u);
+        for s = start.(u) to start.(u) + kids.(u) - 1 do
+          let c = slots.(s) in
+          order.(!tail) <- c;
+          node.(!tail) <- ids.(c);
+          parent.(!tail) <- h;
+          incr tail
+        done;
+        incr head
+      done;
+      if !tail < n then None
+      else begin
+        Array.iteri (fun i id -> Int_table.replace index id i) node;
+        let member = Array.make n false in
+        let members =
+          List.filter
+            (fun (m, _) ->
+              match Int_table.find index m with
+              | i ->
+                  member.(i) <- true;
+                  true
+              | exception Not_found -> false)
+            snap.members
+        in
+        Some { node; parent; first_child; child_count; member; members; index }
+      end
 
-let source t = t.source
-let session t = t.session
+let size t = Array.length t.node
+let node t i = t.node.(i)
 
-let mem t n = List.mem n t.top_down
+let index t n =
+  match Int_table.find t.index n with i -> i | exception Not_found -> -1
 
-let parent t n = if n = t.source then None else Hashtbl.find_opt t.parent n
-
-let children t n = Option.value ~default:[] (Hashtbl.find_opt t.children n)
-
-let is_leaf t n = children t n = []
-
-let top_down t = t.top_down
-let bottom_up t = List.rev t.top_down
-
+let parent t i = t.parent.(i)
+let first_child t i = t.first_child.(i)
+let child_count t i = t.child_count.(i)
+let is_leaf t i = t.child_count.(i) = 0
+let is_member t i = t.member.(i)
 let members t = t.members
-
-let edges t =
-  List.concat_map (fun p -> List.map (fun c -> (p, c)) (children t p)) t.top_down
-
-let ancestors t n =
-  let rec up acc n =
-    match parent t n with None -> List.rev acc | Some p -> up (p :: acc) p
-  in
-  up [] n
-
-let node_count t = List.length t.top_down
+let edge_into t i = edge ~parent:t.node.(t.parent.(i)) ~child:t.node.(i)

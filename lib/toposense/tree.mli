@@ -1,39 +1,52 @@
 (** The controller's internal image of one session topology.
 
-    Built from a discovery {!Discovery.Snapshot}; gives the traversal
-    orders the algorithm stages need (top-down BFS and its reverse) plus
-    parent/child lookups. Nodes are the network node ids that appear in
-    the snapshot. *)
+    Built from a discovery {!Discovery.Snapshot}, the tree numbers its
+    nodes once, in BFS order from the source: the source is index 0,
+    every parent comes before its children, and siblings sit next to
+    each other in snapshot edge order. The algorithm stages keep their
+    per-node values in arrays indexed by that number, so a top-down pass
+    is a loop up from 0 and a bottom-up pass a loop down from
+    [size - 1]. *)
 
 type t
 
-val of_snapshot : Discovery.Snapshot.t -> t
-(** Keeps only the part of the snapshot reachable from the source.
-    @raise Invalid_argument if the snapshot is not a tree. *)
+val of_snapshot : Discovery.Snapshot.t -> t option
+(** Builds the tree and validates it in one pass. [None] exactly when
+    {!Discovery.Snapshot.is_tree} is false: a node with two parents, an
+    edge into the source, or an edge that does not hang below the
+    source. *)
 
-val source : t -> Net.Addr.node_id
-val session : t -> int
+val size : t -> int
+(** Number of nodes, the source included. *)
 
-val mem : t -> Net.Addr.node_id -> bool
-val parent : t -> Net.Addr.node_id -> Net.Addr.node_id option
-(** [None] for the source. *)
+val node : t -> int -> Net.Addr.node_id
+(** The network node at an index; [node t 0] is the source. *)
 
-val children : t -> Net.Addr.node_id -> Net.Addr.node_id list
-val is_leaf : t -> Net.Addr.node_id -> bool
-val top_down : t -> Net.Addr.node_id list
-(** BFS order from the source; parents before children. *)
+val index : t -> Net.Addr.node_id -> int
+(** The index of a network node; [-1] when the node is not in the
+    tree. *)
 
-val bottom_up : t -> Net.Addr.node_id list
-(** Reverse of {!top_down}; children before parents. *)
+val parent : t -> int -> int
+(** Parent index; [-1] for the source. *)
+
+val first_child : t -> int -> int
+val child_count : t -> int -> int
+(** The children of [i] are the indices [first_child t i] to
+    [first_child t i + child_count t i - 1], in snapshot edge order. *)
+
+val is_leaf : t -> int -> bool
+
+val is_member : t -> int -> bool
+(** Whether the node is one of {!members}. *)
 
 val members : t -> (Net.Addr.node_id * int) list
 (** Receivers with subscription levels, as recorded in the snapshot,
-    restricted to nodes present in the tree. *)
+    restricted to nodes present in the tree, in snapshot order. *)
 
-val edges : t -> (Net.Addr.node_id * Net.Addr.node_id) list
-(** (parent, child) pairs, in top-down discovery order. *)
+val edge : parent:Net.Addr.node_id -> child:Net.Addr.node_id -> int
+(** A physical edge packed into one int, [(parent lsl 31) lor child], as
+    {!Discovery.Snapshot.capture} packs it: the key of every per-edge
+    table. *)
 
-val ancestors : t -> Net.Addr.node_id -> Net.Addr.node_id list
-(** Path from the node's parent up to the source. *)
-
-val node_count : t -> int
+val edge_into : t -> int -> int
+(** [edge] of the link from [parent t i] to [i]; [i] must not be 0. *)

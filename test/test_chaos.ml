@@ -503,7 +503,8 @@ let test_storm_10k () =
   checki "zero lost sessions" 0 o.Chaos.lost_sessions
 
 (* NaN compares false with every bound, so a range check alone lets it
-   through; both entry points name it instead. *)
+   through; both entry points name it instead. A finite storm that the
+   clock cannot reach the end of is refused before the world is built. *)
 let test_nan_rejected () =
   let sim = Sim.create () in
   let spec = Builders.kary ~fanout:2 ~depth:1 () in
@@ -519,7 +520,14 @@ let test_nan_rejected () =
     (Invalid_argument "Chaos.run: storm_s not finite") (fun () ->
       ignore
         (Chaos.run ~world:(Chaos.Kary { fanout = 2; depth = 1 }) ~schedule:[]
-           ~storm_s:Float.nan ()))
+           ~storm_s:Float.nan ()));
+  Alcotest.check_raises "storm past the clock"
+    (Invalid_argument
+       "Chaos.run: storm_s + 30 s of quiet is past the clock's range")
+    (fun () ->
+      ignore
+        (Chaos.run ~world:(Chaos.Kary { fanout = 2; depth = 1 }) ~schedule:[]
+           ~storm_s:4611686000.0 ()))
 
 let () =
   Alcotest.run "chaos"

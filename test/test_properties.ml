@@ -50,59 +50,82 @@ let loss_of ~salt node =
 
 let bytes_of node = 1000 * ((node mod 7) + 1)
 
+let tree_of snap = Option.get (Tree.of_snapshot snap)
+
+let children tree i =
+  List.init (Tree.child_count tree i) (fun k -> Tree.first_child tree i + k)
+
+(* Stage 1 with every leaf measured by [loss_of] and [bytes_of]. *)
+let congestion_of ~salt tree =
+  let n = Tree.size tree in
+  let loss = Array.make n 0.0 and bytes = Array.make n 0 in
+  for i = 0 to n - 1 do
+    if Tree.is_leaf tree i then begin
+      loss.(i) <- loss_of ~salt (Tree.node tree i);
+      bytes.(i) <- bytes_of (Tree.node tree i)
+    end
+  done;
+  Congestion.compute ~params ~tree ~loss ~bytes
+
 let prop_congestion_invariants =
   QCheck.Test.make ~name:"congestion: min-loss, max-bytes, inheritance"
     ~count:100
     QCheck.(pair arbitrary_tree (int_bound 1000))
     (fun (spec, salt) ->
-      let snap = snapshot_of spec in
-      let tree = Tree.of_snapshot snap in
-      let measure node =
-        if Tree.is_leaf tree node then
-          Some (loss_of ~salt node, bytes_of node)
-        else None
-      in
-      let v = Congestion.compute ~params ~tree ~measure in
+      let tree = tree_of (snapshot_of spec) in
+      let v = congestion_of ~salt tree in
       List.for_all
-        (fun node ->
-          let verdict = Hashtbl.find v node in
-          let children = Tree.children tree node in
+        (fun i ->
+          let children = children tree i in
           (* (1) internal loss = min of children; bytes = max. *)
           (match children with
           | [] -> true
           | cs ->
-              let closses =
-                List.map (fun c -> (Hashtbl.find v c).Congestion.loss) cs
-              in
-              let cbytes =
-                List.map (fun c -> (Hashtbl.find v c).Congestion.max_bytes) cs
-              in
-              verdict.Congestion.loss = List.fold_left Float.min infinity closses
-              && verdict.Congestion.max_bytes = List.fold_left max 0 cbytes)
+              let closses = List.map (fun c -> v.Congestion.loss.(c)) cs in
+              let cbytes = List.map (fun c -> v.Congestion.max_bytes.(c)) cs in
+              v.Congestion.loss.(i) = List.fold_left Float.min infinity closses
+              && v.Congestion.max_bytes.(i) = List.fold_left max 0 cbytes)
           &&
           (* (2) congested nodes inherit downward. *)
-          (match Tree.parent tree node with
-          | Some p when (Hashtbl.find v p).Congestion.congested ->
-              verdict.Congestion.congested
+          (match Tree.parent tree i with
+          | p when p >= 0 && v.Congestion.congested.(p) ->
+              v.Congestion.congested.(i)
           | _ -> true)
           &&
           (* (3) self-congestion requires >1 child or leaf status. *)
-          ((not verdict.Congestion.self_congested)
-          || List.length children <> 1))
-        (Tree.top_down tree))
+          ((not v.Congestion.self_congested.(i)) || List.length children <> 1))
+        (List.init (Tree.size tree) Fun.id))
 
 let prop_congestion_clean_tree_quiet =
   QCheck.Test.make ~name:"congestion: lossless leaves => nothing congested"
     ~count:50 arbitrary_tree
     (fun spec ->
-      let tree = Tree.of_snapshot (snapshot_of spec) in
+      let tree = tree_of (snapshot_of spec) in
+      let n = Tree.size tree in
       let v =
-        Congestion.compute ~params ~tree ~measure:(fun node ->
-            if Tree.is_leaf tree node then Some (0.0, 1000) else None)
+        Congestion.compute ~params ~tree ~loss:(Array.make n 0.0)
+          ~bytes:
+            (Array.init n (fun i -> if Tree.is_leaf tree i then 1000 else 0))
       in
-      Hashtbl.fold
-        (fun _ verdict ok -> ok && not verdict.Congestion.congested)
-        v true)
+      Array.for_all not v.Congestion.congested)
+
+(* One session's input where every member reports and is prescribed
+   to. *)
+let full_input ~salt tree =
+  let members = Tree.members tree in
+  {
+    Toposense.Algorithm.id = 0;
+    layering = Layering.paper_default;
+    tree;
+    measures =
+      List.map
+        (fun (node, _) -> (node, (loss_of ~salt node, bytes_of node)))
+        members;
+    levels = members;
+    recipients = List.map fst members;
+    may_add = (fun _ -> true);
+    frozen = (fun _ -> false);
+  }
 
 (* Algorithm.step output invariants on random trees and measures. *)
 let prop_step_prescriptions_bounded =
@@ -111,29 +134,15 @@ let prop_step_prescriptions_bounded =
     ~count:60
     QCheck.(pair arbitrary_tree (int_bound 1000))
     (fun (spec, salt) ->
-      let snap = snapshot_of spec in
-      let tree = Tree.of_snapshot snap in
+      let tree = tree_of (snapshot_of spec) in
       let algo =
         Toposense.Algorithm.create ~params
           ~rng:(Engine.Prng.create ~seed:(Int64.of_int salt))
       in
       let members = Tree.members tree in
-      let input =
-        {
-          Toposense.Algorithm.id = 0;
-          layering = Layering.paper_default;
-          tree;
-          measures =
-            List.map
-              (fun (node, _) -> (node, (loss_of ~salt node, bytes_of node)))
-              members;
-          levels = members;
-          may_add = (fun _ -> true);
-          frozen = (fun _ -> false);
-        }
-      in
       let prescriptions =
-        Toposense.Algorithm.step algo ~now:(Time.of_sec 2) [ input ]
+        Toposense.Algorithm.step algo ~now:(Time.of_sec 2)
+          [ full_input ~salt tree ]
       in
       List.length prescriptions = List.length members
       && List.for_all
@@ -148,27 +157,12 @@ let prop_step_deterministic =
     QCheck.(pair arbitrary_tree (int_bound 1000))
     (fun (spec, salt) ->
       let run () =
-        let snap = snapshot_of spec in
-        let tree = Tree.of_snapshot snap in
+        let tree = tree_of (snapshot_of spec) in
         let algo =
           Toposense.Algorithm.create ~params
             ~rng:(Engine.Prng.create ~seed:(Int64.of_int salt))
         in
-        let members = Tree.members tree in
-        let input =
-          {
-            Toposense.Algorithm.id = 0;
-            layering = Layering.paper_default;
-            tree;
-            measures =
-              List.map
-                (fun (node, _) -> (node, (loss_of ~salt node, bytes_of node)))
-                members;
-            levels = members;
-            may_add = (fun _ -> true);
-            frozen = (fun _ -> false);
-          }
-        in
+        let input = full_input ~salt tree in
         List.concat_map
           (fun now ->
             List.map
@@ -178,6 +172,222 @@ let prop_step_deterministic =
           [ Time.of_sec 2; Time.of_sec 4; Time.of_sec 6 ]
       in
       run () = run ())
+
+(* Tree.of_snapshot against Snapshot.is_tree and a reference walk. A
+   random tree over scattered node ids, its edges shuffled, then at most
+   one mutation spliced into the edge list. *)
+type mutation =
+  | Intact
+  | Duplicate_child
+  | Into_source
+  | Detached_cycle
+  | Unreachable_parent
+  | Self_loop
+
+let mutation_name = function
+  | Intact -> "intact"
+  | Duplicate_child -> "duplicate child"
+  | Into_source -> "edge into the source"
+  | Detached_cycle -> "detached cycle"
+  | Unreachable_parent -> "unreachable parent"
+  | Self_loop -> "self-loop"
+
+let mutated_tree_gen =
+  QCheck.Gen.(
+    let* n = 1 -- 25 in
+    let* ids = shuffle_l (List.init n (fun k -> (5 * k) + 2)) in
+    let id = Array.of_list ids in
+    let* parents = list_size (return (n - 1)) nat in
+    let edges =
+      List.mapi (fun k p -> (id.(p mod (k + 1)), id.(k + 1))) parents
+    in
+    let* edges = shuffle_l edges in
+    let* member_mask = list_size (return n) bool in
+    let* levels = list_size (return n) (1 -- 6) in
+    let members =
+      List.filteri (fun k _ -> List.nth member_mask k) (List.combine ids levels)
+      @ [ (999, 1) ]
+      |> List.sort compare
+    in
+    let* mutation =
+      oneofl
+        [
+          Intact;
+          Duplicate_child;
+          Into_source;
+          Detached_cycle;
+          Unreachable_parent;
+          Self_loop;
+        ]
+    in
+    let* a = nat and* b = nat in
+    let extra =
+      match mutation with
+      | Intact -> []
+      | Duplicate_child when n = 1 -> [ (id.(0), 777); (id.(0), 777) ]
+      | Duplicate_child -> [ (id.(a mod n), id.(1 + (b mod (n - 1)))) ]
+      | Into_source -> [ (id.(a mod n), id.(0)) ]
+      | Detached_cycle -> [ (900, 901); (901, 900) ]
+      | Unreachable_parent -> [ (950, 951) ]
+      | Self_loop -> [ (975, 975) ]
+    in
+    let* edges =
+      List.fold_left
+        (fun acc e ->
+          let* edges = acc in
+          let* pos = int_bound (List.length edges) in
+          return
+            (List.filteri (fun i _ -> i < pos) edges
+            @ (e :: List.filteri (fun i _ -> i >= pos) edges)))
+        (return edges) extra
+    in
+    let snap =
+      {
+        Discovery.Snapshot.session = 0;
+        taken_at = Time.zero;
+        source = id.(0);
+        edges =
+          List.map
+            (fun (parent, child) ->
+              { Discovery.Snapshot.parent; child; layers = [ 0 ] })
+            edges;
+        members;
+      }
+    in
+    return (mutation, snap))
+
+let arbitrary_mutated_tree =
+  QCheck.make
+    ~print:(fun (mutation, (snap : Discovery.Snapshot.t)) ->
+      Printf.sprintf "%s: source %d, edges [%s]" (mutation_name mutation)
+        snap.source
+        (String.concat "; "
+           (List.map
+              (fun (e : Discovery.Snapshot.edge) ->
+                Printf.sprintf "%d->%d" e.parent e.child)
+              snap.edges)))
+    mutated_tree_gen
+
+(* The children of [p] in snapshot edge order, and the naive BFS over
+   them; only run on snapshots [is_tree] accepts. *)
+let snapshot_children (snap : Discovery.Snapshot.t) p =
+  List.filter_map
+    (fun (e : Discovery.Snapshot.edge) ->
+      if e.parent = p then Some e.child else None)
+    snap.edges
+
+let reference_bfs (snap : Discovery.Snapshot.t) =
+  let rec walk acc = function
+    | [] -> List.rev acc
+    | n :: rest -> walk (n :: acc) (rest @ snapshot_children snap n)
+  in
+  walk [] [ snap.source ]
+
+let prop_tree_of_snapshot =
+  QCheck.Test.make
+    ~name:"Tree.of_snapshot: Some iff is_tree, BFS order as a reference walk"
+    ~count:500 arbitrary_mutated_tree
+    (fun (_, snap) ->
+      match (Tree.of_snapshot snap, Discovery.Snapshot.is_tree snap) with
+      | None, false -> true
+      | Some _, false | None, true -> false
+      | Some tree, true ->
+          let order = reference_bfs snap in
+          let all = List.init (Tree.size tree) Fun.id in
+          let node = Tree.node tree in
+          let reference_parent i =
+            match
+              List.find_opt
+                (fun (e : Discovery.Snapshot.edge) -> e.child = node i)
+                snap.edges
+            with
+            | None -> -1
+            | Some e -> Option.get (List.find_index (( = ) e.parent) order)
+          in
+          List.map node all = order
+          && List.for_all (fun i -> Tree.parent tree i = reference_parent i) all
+          && List.for_all
+               (fun i ->
+                 List.map node (children tree i)
+                 = snapshot_children snap (node i))
+               all
+          && List.for_all (fun i -> Tree.index tree (node i) = i) all
+          && Tree.members tree
+             = List.filter (fun (m, _) -> List.mem m order) snap.members
+          && List.for_all
+               (fun i ->
+                 Tree.is_member tree i = List.mem_assoc (node i) snap.members)
+               all)
+
+(* Recipients are exact: two algorithms with the same seed see the same
+   two sessions for several intervals, one prescribing to every member,
+   the other to a random subset. Every interval, the subset run's
+   prescriptions are the full run's restricted to the subset. *)
+let prop_recipients_exact =
+  QCheck.Test.make
+    ~name:"Algorithm.step: prescriptions to a subset = full run restricted"
+    ~count:60
+    QCheck.(
+      triple arbitrary_tree (int_bound 1000)
+        (list_of_size Gen.(return 32) bool))
+    (fun (spec, salt, mask) ->
+      let mask = Array.of_list mask in
+      let snap = snapshot_of spec in
+      let trees =
+        [ tree_of snap; tree_of { snap with Discovery.Snapshot.session = 1 } ]
+      in
+      let members = Tree.members (List.hd trees) in
+      let subset = List.filter (fun (node, _) -> mask.(node mod 32)) members in
+      let algo () =
+        Toposense.Algorithm.create ~params
+          ~rng:(Engine.Prng.create ~seed:(Int64.of_int salt))
+      in
+      let full = algo () and part = algo () in
+      let levels = Array.make 2 members in
+      (* A quarter of the reports lossy, the rest clean; bytes as the
+         level delivers them over the 2 s interval. *)
+      let measure ~k ~s (node, level) =
+        let h = ((node * 7919) + (k * 104729) + (s * 31) + salt) land 0xFF in
+        ( node,
+          ( (if h < 64 then float_of_int h /. 128.0 else 0.0),
+            int_of_float
+              (Layering.cumulative_bps Layering.paper_default ~level /. 4.0) ) )
+      in
+      let inputs ~k ~recipients =
+        List.mapi
+          (fun s tree ->
+            {
+              Toposense.Algorithm.id = s;
+              layering = Layering.paper_default;
+              tree;
+              measures = List.map (measure ~k ~s) levels.(s);
+              levels = levels.(s);
+              recipients = List.map fst recipients;
+              may_add = (fun node -> (node + k) mod 4 <> 0);
+              frozen = (fun node -> (node + k + s) mod 7 = 0);
+            })
+          trees
+      in
+      List.for_all
+        (fun k ->
+          let now = Time.of_sec (2 * k) in
+          let step algo recipients =
+            Toposense.Algorithm.step algo ~now (inputs ~k ~recipients)
+          in
+          let all = step full members and some = step part subset in
+          for s = 0 to 1 do
+            levels.(s) <-
+              List.filter_map
+                (fun (p : Toposense.Algorithm.prescription) ->
+                  if p.session = s then Some (p.receiver, p.level) else None)
+                all
+          done;
+          some
+          = List.filter
+              (fun (p : Toposense.Algorithm.prescription) ->
+                List.mem_assoc p.receiver subset)
+              all)
+        (List.init 8 succ))
 
 (* Simulator conservation: packets delivered at a multicast member never
    exceed packets sent, and every member sees a prefix-gap-free count
@@ -229,6 +439,8 @@ let () =
             prop_congestion_clean_tree_quiet;
             prop_step_prescriptions_bounded;
             prop_step_deterministic;
+            prop_tree_of_snapshot;
+            prop_recipients_exact;
           ] );
       ( "simulator",
         List.map QCheck_alcotest.to_alcotest [ prop_multicast_conservation ] );

@@ -35,6 +35,16 @@ let snapshot ?(session = 0) ?(source = 0) ~edges ~members () =
     members;
   }
 
+let tree_of snap = Option.get (Tree.of_snapshot snap)
+
+(* Indices of a node's children and of its ancestors (parent up to the
+   source). *)
+let children tree i =
+  List.init (Tree.child_count tree i) (fun k -> Tree.first_child tree i + k)
+
+let rec ancestors tree i =
+  match Tree.parent tree i with -1 -> [] | p -> p :: ancestors tree p
+
 (* The Fig. 1-ish shape used throughout:
    0 -> 1 -> {2 -> {4, 5}, 3 -> {6, 7}} with members 4..7. *)
 let two_branch ?(levels = [ (4, 4); (5, 4); (6, 2); (7, 2) ]) () =
@@ -211,43 +221,46 @@ let test_classify_bw () =
 (* ---------- Tree ---------- *)
 
 let test_tree_structure () =
-  let tree = Tree.of_snapshot (two_branch ()) in
-  checki "node count" 8 (Tree.node_count tree);
-  checki "source" 0 (Tree.source tree);
-  checkb "source parent" true (Tree.parent tree 0 = None);
-  checkb "parent of 4" true (Tree.parent tree 4 = Some 2);
+  let tree = tree_of (two_branch ()) in
+  let node = Tree.node tree and ix = Tree.index tree in
+  checki "node count" 8 (Tree.size tree);
+  checki "source" 0 (node 0);
+  checki "source parent" (-1) (Tree.parent tree 0);
+  checki "parent of 4" 2 (node (Tree.parent tree (ix 4)));
   Alcotest.check (Alcotest.list Alcotest.int) "children of 1" [ 2; 3 ]
-    (Tree.children tree 1);
-  checkb "leaf" true (Tree.is_leaf tree 7);
-  checkb "internal" false (Tree.is_leaf tree 3);
+    (List.map node (children tree (ix 1)));
+  checkb "leaf" true (Tree.is_leaf tree (ix 7));
+  checkb "internal" false (Tree.is_leaf tree (ix 3));
   Alcotest.check (Alcotest.list Alcotest.int) "ancestors of 5" [ 2; 1; 0 ]
-    (Tree.ancestors tree 5)
+    (List.map node (ancestors tree (ix 5)));
+  checki "absent node" (-1) (ix 99)
 
 let test_tree_orders () =
-  let tree = Tree.of_snapshot (two_branch ()) in
-  let td = Tree.top_down tree in
-  checki "top-down starts at source" 0 (List.hd td);
-  (* Every parent appears before its children. *)
-  let pos n =
-    let rec find i = function
-      | [] -> -1
-      | x :: rest -> if x = n then i else find (i + 1) rest
-    in
-    find 0 td
-  in
-  List.iter
-    (fun (p, c) -> checkb "parent first" true (pos p < pos c))
-    (Tree.edges tree);
-  Alcotest.check (Alcotest.list Alcotest.int) "bottom-up reverses" (List.rev td)
-    (Tree.bottom_up tree)
+  let tree = tree_of (two_branch ()) in
+  let n = Tree.size tree in
+  checki "top-down starts at source" 0 (Tree.node tree 0);
+  Alcotest.check (Alcotest.list Alcotest.int) "BFS, siblings in edge order"
+    [ 0; 1; 2; 3; 4; 5; 6; 7 ] (List.init n (Tree.node tree));
+  (* Every parent appears before its children, so a walk down the
+     indices (bottom-up) reaches every child before its parent. *)
+  for i = 1 to n - 1 do
+    checkb "parent first" true (Tree.parent tree i < i)
+  done;
+  for i = 0 to n - 1 do
+    List.iter
+      (fun c -> checkb "bottom-up reaches children first" true (c > i))
+      (children tree i)
+  done
 
 let test_tree_members_restricted () =
   (* A member not attached to the tree is dropped. *)
   let snap = two_branch ~levels:[ (4, 3); (99, 1) ] () in
-  let tree = Tree.of_snapshot snap in
+  let tree = tree_of snap in
   Alcotest.check
     (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "ghost member dropped" [ (4, 3) ] (Tree.members tree)
+    "ghost member dropped" [ (4, 3) ] (Tree.members tree);
+  checkb "member flag" true (Tree.is_member tree (Tree.index tree 4));
+  checkb "non-member flag" false (Tree.is_member tree (Tree.index tree 5))
 
 let test_tree_rejects_non_tree () =
   let snap =
@@ -255,11 +268,7 @@ let test_tree_rejects_non_tree () =
       ~edges:[ (0, 1, [ 0 ]); (0, 2, [ 0 ]); (1, 2, [ 0 ]) ]
       ~members:[] ()
   in
-  checkb "two parents rejected" true
-    (try
-       ignore (Tree.of_snapshot snap);
-       false
-     with Invalid_argument _ -> true)
+  checkb "two parents rejected" true (Tree.of_snapshot snap = None)
 
 (* ---------- Backoff ---------- *)
 
@@ -286,18 +295,19 @@ let test_backoff_lifecycle () =
 let test_backoff_blocks_path () =
   let rng = Engine.Prng.create ~seed:1L in
   let b = Backoff.create ~params ~rng in
-  let tree = Tree.of_snapshot (two_branch ()) in
+  let tree = tree_of (two_branch ()) in
+  let leaf = Tree.index tree in
   let now = Time.zero in
   Backoff.arm b ~session:0 ~node:2 ~layer:4 ~now;
   checkb "ancestor blocks leaf 4" true
-    (Backoff.blocked_on_path b ~session:0 ~tree ~leaf:4 ~layer:4 ~now);
+    (Backoff.blocked_on_path b ~session:0 ~tree ~leaf:(leaf 4) ~layer:4 ~now);
   checkb "ancestor blocks leaf 5" true
-    (Backoff.blocked_on_path b ~session:0 ~tree ~leaf:5 ~layer:4 ~now);
+    (Backoff.blocked_on_path b ~session:0 ~tree ~leaf:(leaf 5) ~layer:4 ~now);
   checkb "other branch clear" false
-    (Backoff.blocked_on_path b ~session:0 ~tree ~leaf:6 ~layer:4 ~now);
+    (Backoff.blocked_on_path b ~session:0 ~tree ~leaf:(leaf 6) ~layer:4 ~now);
   Backoff.clear b;
   checkb "cleared" false
-    (Backoff.blocked_on_path b ~session:0 ~tree ~leaf:4 ~layer:4 ~now)
+    (Backoff.blocked_on_path b ~session:0 ~tree ~leaf:(leaf 4) ~layer:4 ~now)
 
 (* A deeper chain: 0 -> 1 -> 2 -> 3 -> {8 -> 4, 9 -> 5}. Arming at each
    depth must block exactly the leaves whose root-path crosses the armed
@@ -306,7 +316,7 @@ let test_backoff_multi_level_tree () =
   let rng = Engine.Prng.create ~seed:7L in
   let b = Backoff.create ~params ~rng in
   let tree =
-    Tree.of_snapshot
+    tree_of
       (snapshot
          ~edges:
            [
@@ -322,7 +332,8 @@ let test_backoff_multi_level_tree () =
   in
   let now = Time.zero in
   let blocked leaf layer =
-    Backoff.blocked_on_path b ~session:0 ~tree ~leaf ~layer ~now
+    Backoff.blocked_on_path b ~session:0 ~tree ~leaf:(Tree.index tree leaf)
+      ~layer ~now
   in
   (* Root-armed: every leaf is behind it. *)
   Backoff.arm b ~session:0 ~node:0 ~layer:2 ~now;
@@ -362,55 +373,62 @@ let test_backoff_clear_session () =
 
 (* ---------- Congestion ---------- *)
 
+(* Stage 1 with measures given by node id. *)
 let verdicts_of ~measures snap =
-  let tree = Tree.of_snapshot snap in
-  (tree, Congestion.compute ~params ~tree
-           ~measure:(fun node -> List.assoc_opt node measures))
+  let tree = tree_of snap in
+  let n = Tree.size tree in
+  let loss = Array.make n 0.0 and bytes = Array.make n 0 in
+  List.iter
+    (fun (node, (l, b)) ->
+      let i = Tree.index tree node in
+      loss.(i) <- l;
+      bytes.(i) <- b)
+    measures;
+  (tree, Congestion.compute ~params ~tree ~loss ~bytes)
 
 let test_congestion_clean () =
-  let _, v =
+  let tree, v =
     verdicts_of
       ~measures:[ (4, (0.0, 100)); (5, (0.0, 90)); (6, (0.0, 50)); (7, (0.0, 40)) ]
       (two_branch ())
   in
-  Hashtbl.iter
-    (fun node verdict ->
-      checkb
-        (Printf.sprintf "n%d clear" node)
-        false verdict.Congestion.congested)
-    v
+  Array.iteri
+    (fun i congested ->
+      checkb (Printf.sprintf "n%d clear" (Tree.node tree i)) false congested)
+    v.Congestion.congested
 
 let test_congestion_leaf_threshold () =
-  let _, v =
+  let tree, v =
     verdicts_of
       ~measures:[ (4, (0.05, 10)); (5, (0.0, 10)); (6, (0.0, 10)); (7, (0.0, 10)) ]
       (two_branch ())
   in
-  checkb "lossy leaf congested" true (Hashtbl.find v 4).Congestion.congested;
-  checkb "clean sibling not" false (Hashtbl.find v 5).Congestion.congested;
+  checkb "lossy leaf congested" true v.Congestion.congested.(Tree.index tree 4);
+  checkb "clean sibling not" false v.Congestion.congested.(Tree.index tree 5);
   checkb "parent not congested (dissimilar)" false
-    (Hashtbl.find v 2).Congestion.congested
+    v.Congestion.congested.(Tree.index tree 2)
 
 let test_congestion_similar_siblings () =
-  let _, v =
+  let tree, v =
     verdicts_of
       ~measures:
         [ (4, (0.40, 10)); (5, (0.45, 12)); (6, (0.0, 10)); (7, (0.0, 10)) ]
       (two_branch ())
   in
-  checkb "shared parent congested" true (Hashtbl.find v 2).Congestion.congested;
-  checkb "self evidence" true (Hashtbl.find v 2).Congestion.self_congested;
-  checkb "other branch clear" false (Hashtbl.find v 3).Congestion.congested
+  checkb "shared parent congested" true
+    v.Congestion.congested.(Tree.index tree 2);
+  checkb "self evidence" true v.Congestion.self_congested.(Tree.index tree 2);
+  checkb "other branch clear" false v.Congestion.congested.(Tree.index tree 3)
 
 let test_congestion_dissimilar_siblings () =
-  let _, v =
+  let tree, v =
     verdicts_of
       ~measures:
         [ (4, (0.10, 10)); (5, (0.90, 12)); (6, (0.0, 10)); (7, (0.0, 10)) ]
       (two_branch ())
   in
   checkb "dissimilar: parent not self-congested" false
-    (Hashtbl.find v 2).Congestion.self_congested
+    v.Congestion.self_congested.(Tree.index tree 2)
 
 let test_congestion_single_child_chain () =
   (* 0 -> 1 -> 2 -> 3(leaf, lossy): no chain node may self-detect. *)
@@ -419,149 +437,157 @@ let test_congestion_single_child_chain () =
       ~edges:[ (0, 1, [ 0 ]); (1, 2, [ 0 ]); (2, 3, [ 0 ]) ]
       ~members:[ (3, 2) ] ()
   in
-  let _, v = verdicts_of ~measures:[ (3, (0.5, 10)) ] snap in
-  checkb "leaf congested" true (Hashtbl.find v 3).Congestion.congested;
-  checkb "chain parent not" false (Hashtbl.find v 2).Congestion.congested;
-  checkb "source not" false (Hashtbl.find v 0).Congestion.congested
+  let tree, v = verdicts_of ~measures:[ (3, (0.5, 10)) ] snap in
+  checkb "leaf congested" true v.Congestion.congested.(Tree.index tree 3);
+  checkb "chain parent not" false v.Congestion.congested.(Tree.index tree 2);
+  checkb "source not" false v.Congestion.congested.(Tree.index tree 0)
 
 let test_congestion_min_loss_propagation () =
-  let _, v =
+  let tree, v =
     verdicts_of
       ~measures:
         [ (4, (0.40, 10)); (5, (0.45, 12)); (6, (0.30, 10)); (7, (0.20, 10)) ]
       (two_branch ())
   in
-  checkf "min at 2" 0.40 (Hashtbl.find v 2).Congestion.loss;
-  checkf "min at 3" 0.20 (Hashtbl.find v 3).Congestion.loss;
-  checkf "min at 1" 0.20 (Hashtbl.find v 1).Congestion.loss
+  checkf "min at 2" 0.40 v.Congestion.loss.(Tree.index tree 2);
+  checkf "min at 3" 0.20 v.Congestion.loss.(Tree.index tree 3);
+  checkf "min at 1" 0.20 v.Congestion.loss.(Tree.index tree 1)
 
 let test_congestion_parent_inheritance () =
-  let _, v =
+  let tree, v =
     verdicts_of
       ~measures:
         [ (4, (0.40, 10)); (5, (0.45, 12)); (6, (0.0, 10)); (7, (0.0, 10)) ]
       (two_branch ())
   in
   (* 2 is self-congested; its children inherit. *)
-  checkb "leaf 4 congested" true (Hashtbl.find v 4).Congestion.congested;
-  checkb "leaf 5 congested" true (Hashtbl.find v 5).Congestion.congested;
+  checkb "leaf 4 congested" true v.Congestion.congested.(Tree.index tree 4);
+  checkb "leaf 5 congested" true v.Congestion.congested.(Tree.index tree 5);
   (* 5's loss was 0.45 > threshold -> also self. 4 likewise. *)
   checkb "inheritance does not leak across branches" false
-    (Hashtbl.find v 6).Congestion.congested
+    v.Congestion.congested.(Tree.index tree 6)
 
 let test_congestion_max_bytes () =
-  let _, v =
+  let tree, v =
     verdicts_of
       ~measures:
         [ (4, (0.0, 100)); (5, (0.0, 300)); (6, (0.0, 50)); (7, (0.0, 70)) ]
       (two_branch ())
   in
-  checki "subtree max at 2" 300 (Hashtbl.find v 2).Congestion.max_bytes;
-  checki "subtree max at 3" 70 (Hashtbl.find v 3).Congestion.max_bytes;
-  checki "root sees global max" 300 (Hashtbl.find v 0).Congestion.max_bytes
+  checki "subtree max at 2" 300 v.Congestion.max_bytes.(Tree.index tree 2);
+  checki "subtree max at 3" 70 v.Congestion.max_bytes.(Tree.index tree 3);
+  checki "root sees global max" 300 v.Congestion.max_bytes.(Tree.index tree 0)
 
 let test_congestion_missing_measure () =
-  let _, v = verdicts_of ~measures:[] (two_branch ()) in
-  checkb "no reports -> lossless" false (Hashtbl.find v 4).Congestion.congested;
-  checki "no bytes" 0 (Hashtbl.find v 1).Congestion.max_bytes
+  let tree, v = verdicts_of ~measures:[] (two_branch ()) in
+  checkb "no reports -> lossless" false
+    v.Congestion.congested.(Tree.index tree 4);
+  checki "no bytes" 0 v.Congestion.max_bytes.(Tree.index tree 1)
 
 (* ---------- Capacity ---------- *)
+
+let e01 = Tree.edge ~parent:0 ~child:1
 
 let obs ?(dest_internal = true) ?(dest_self_congested = true) sessions =
   { Capacity.sessions; dest_internal; dest_self_congested }
 
 let test_capacity_starts_unknown () =
   let c = Capacity.create ~params in
-  checkb "infinite" true (Capacity.estimate_bps c ~edge:(0, 1) = infinity)
+  checkb "infinite" true (Capacity.estimate_bps c ~edge:e01 = infinity)
 
 let test_capacity_pins_on_evidence () =
   let c = Capacity.create ~params in
   (* 25_000 bytes over 2 s = 100 kbit/s. *)
-  Capacity.observe c ~edge:(0, 1) ~interval_s:2.0 (obs [ (0, 0.5, 25_000) ]);
-  checkf "pinned at observed" 100_000.0 (Capacity.estimate_bps c ~edge:(0, 1));
-  Alcotest.check
-    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int))
-    "known edges" [ (0, 1) ]
+  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.5, 25_000) ]);
+  checkf "pinned at observed" 100_000.0 (Capacity.estimate_bps c ~edge:e01);
+  Alcotest.check (Alcotest.list Alcotest.int) "known edges" [ e01 ]
     (Capacity.known_edges c)
 
 let test_capacity_needs_all_sessions_lossy () =
   let c = Capacity.create ~params in
-  Capacity.observe c ~edge:(0, 1) ~interval_s:2.0
+  Capacity.observe c ~edge:e01 ~interval_s:2.0
     (obs [ (0, 0.5, 25_000); (1, 0.0, 30_000) ]);
   checkb "one clean session blocks" true
-    (Capacity.estimate_bps c ~edge:(0, 1) = infinity)
+    (Capacity.estimate_bps c ~edge:e01 = infinity)
 
 let test_capacity_leaf_dest_never_pins () =
   let c = Capacity.create ~params in
-  Capacity.observe c ~edge:(0, 1) ~interval_s:2.0
+  Capacity.observe c ~edge:e01 ~interval_s:2.0
     (obs ~dest_internal:false [ (0, 0.5, 25_000) ]);
   checkb "single-session leaf edge unpinned" true
-    (Capacity.estimate_bps c ~edge:(0, 1) = infinity);
+    (Capacity.estimate_bps c ~edge:e01 = infinity);
   (* Two sessions losing together at the same leaf DO measure the link. *)
-  Capacity.observe c ~edge:(0, 1) ~interval_s:2.0
+  Capacity.observe c ~edge:e01 ~interval_s:2.0
     (obs ~dest_internal:false ~dest_self_congested:false
        [ (0, 0.5, 12_000); (1, 0.4, 13_000) ]);
-  checkf "multi-session leaf pin" 100_000.0 (Capacity.estimate_bps c ~edge:(0, 1))
+  checkf "multi-session leaf pin" 100_000.0 (Capacity.estimate_bps c ~edge:e01)
 
 let test_capacity_localization () =
   let c = Capacity.create ~params in
   (* Single session, dest not self-congested: no pin. *)
-  Capacity.observe c ~edge:(0, 1) ~interval_s:2.0
+  Capacity.observe c ~edge:e01 ~interval_s:2.0
     (obs ~dest_self_congested:false [ (0, 0.5, 25_000) ]);
   checkb "unlocalized single session" true
-    (Capacity.estimate_bps c ~edge:(0, 1) = infinity);
+    (Capacity.estimate_bps c ~edge:e01 = infinity);
   (* Two lossy sessions pin even without self-congestion. *)
-  Capacity.observe c ~edge:(0, 1) ~interval_s:2.0
+  Capacity.observe c ~edge:e01 ~interval_s:2.0
     (obs ~dest_self_congested:false [ (0, 0.5, 25_000); (1, 0.4, 25_000) ]);
-  checkf "multi-session pin" 200_000.0 (Capacity.estimate_bps c ~edge:(0, 1))
+  checkf "multi-session pin" 200_000.0 (Capacity.estimate_bps c ~edge:e01)
 
 let test_capacity_growth_and_reset () =
   let c = Capacity.create ~params in
-  Capacity.observe c ~edge:(0, 1) ~interval_s:2.0 (obs [ (0, 0.5, 25_000) ]);
+  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.5, 25_000) ]);
   (* One clean low-usage interval: slow growth. *)
-  Capacity.observe c ~edge:(0, 1) ~interval_s:2.0 (obs [ (0, 0.0, 1_000) ]);
-  checkf "2% growth" (100_000.0 *. 1.02) (Capacity.estimate_bps c ~edge:(0, 1));
+  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.0, 1_000) ]);
+  checkf "2% growth" (100_000.0 *. 1.02) (Capacity.estimate_bps c ~edge:e01);
   (* Saturating and loss-free: fast growth. *)
-  Capacity.observe c ~edge:(0, 1) ~interval_s:2.0 (obs [ (0, 0.0, 25_000) ]);
+  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.0, 25_000) ]);
   checkf "15% growth" (100_000.0 *. 1.02 *. 1.15)
-    (Capacity.estimate_bps c ~edge:(0, 1));
+    (Capacity.estimate_bps c ~edge:e01);
   (* After capacity_reset_intervals quiet intervals, back to unknown. *)
   for _ = 1 to params.Params.capacity_reset_intervals do
-    Capacity.observe c ~edge:(0, 1) ~interval_s:2.0 (obs [ (0, 0.0, 1_000) ])
+    Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.0, 1_000) ])
   done;
-  checkb "reset" true (Capacity.estimate_bps c ~edge:(0, 1) = infinity)
+  checkb "reset" true (Capacity.estimate_bps c ~edge:e01 = infinity)
 
 let test_capacity_pin_uses_recent_best () =
   let c = Capacity.create ~params in
   (* Clean interval at 200 kbit/s, then a lossy one measured at only
      100 kbit/s: the pin must remember the better recent throughput. *)
-  Capacity.observe c ~edge:(0, 1) ~interval_s:2.0 (obs [ (0, 0.0, 50_000) ]);
-  Capacity.observe c ~edge:(0, 1) ~interval_s:2.0 (obs [ (0, 0.5, 25_000) ]);
-  checkf "pin at best recent" 200_000.0 (Capacity.estimate_bps c ~edge:(0, 1))
+  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.0, 50_000) ]);
+  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.5, 25_000) ]);
+  checkf "pin at best recent" 200_000.0 (Capacity.estimate_bps c ~edge:e01)
 
 let test_capacity_manual_reset () =
   let c = Capacity.create ~params in
-  Capacity.observe c ~edge:(0, 1) ~interval_s:2.0 (obs [ (0, 0.5, 25_000) ]);
-  Capacity.reset c ~edge:(0, 1);
-  checkb "manual reset" true (Capacity.estimate_bps c ~edge:(0, 1) = infinity)
+  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.5, 25_000) ]);
+  Capacity.reset c ~edge:e01;
+  checkb "manual reset" true (Capacity.estimate_bps c ~edge:e01 = infinity)
 
 (* ---------- Fair share ---------- *)
+
+(* Session [session]'s cap on the edge into [child], read from
+   [Fair_share.compute]'s per-session arrays. *)
+let cap_into ~trees caps ~session ~child =
+  (List.nth caps session).(Tree.index (List.nth trees session) child)
 
 (* Two chain sessions sharing edge (1,2); session 0 has a 250 Kbps
    bottleneck below, session 1 is open-ended. This is the paper's
    motivating example for the proportional rule. *)
 let fair_world ~shared_cap =
   let lay = Layering.paper_default in
-  let tree_of ~session leaf_edge_cap_marker =
-    ignore leaf_edge_cap_marker;
-    Tree.of_snapshot
+  let tree_of ~session =
+    tree_of
       (snapshot ~session
          ~edges:[ (0, 1, [ 0 ]); (1, 2, [ 0 ]); (2, 30 + session, [ 0 ]) ]
          ~members:[ (30 + session, 1) ] ())
   in
-  let t0 = tree_of ~session:0 () and t1 = tree_of ~session:1 () in
+  let t0 = tree_of ~session:0 and t1 = tree_of ~session:1 in
   let caps =
-    [ ((1, 2), shared_cap); ((2, 30), 250_000.0) ]
+    [
+      (Tree.edge ~parent:1 ~child:2, shared_cap);
+      (Tree.edge ~parent:2 ~child:30, 250_000.0);
+    ]
     (* session 1's last hop unconstrained *)
   in
   let capacity ~edge =
@@ -576,14 +602,14 @@ let fair_world ~shared_cap =
         ]
       ~capacity
   in
-  shares
+  cap_into ~trees:[ t0; t1 ] shares
 
 let test_fair_share_proportional () =
   (* Shared capacity 1.25 Mbps; x0 is capped by its 250 Kbps downstream
      bottleneck (224 Kbps in whole layers), x1 by the shared headroom. *)
   let shares = fair_world ~shared_cap:1_250_000.0 in
-  let c0 = Fair_share.cap_bps shares ~session:0 ~edge:(1, 2) in
-  let c1 = Fair_share.cap_bps shares ~session:1 ~edge:(1, 2) in
+  let c0 = shares ~session:0 ~child:2 in
+  let c1 = shares ~session:1 ~child:2 in
   checkb "session 1 gets much more" true (c1 > (2.0 *. c0));
   checkb "session 0 at least its bottleneck-worth" true (c0 >= 224_000.0 *. 0.8);
   checkb "caps within capacity" true (c0 <= 1_250_000.0 && c1 <= 1_250_000.0)
@@ -591,26 +617,24 @@ let test_fair_share_proportional () =
 let test_fair_share_single_session_gets_link () =
   let lay = Layering.paper_default in
   let t0 =
-    Tree.of_snapshot
+    tree_of
       (snapshot ~edges:[ (0, 1, [ 0 ]); (1, 2, [ 0 ]) ] ~members:[ (2, 1) ] ())
   in
-  let capacity ~edge = if edge = (0, 1) then 400_000.0 else infinity in
+  let capacity ~edge = if edge = e01 then 400_000.0 else infinity in
   let shares =
-    Fair_share.compute
-      ~sessions:[ { Fair_share.id = 0; layering = lay; tree = t0 } ]
-      ~capacity
+    cap_into ~trees:[ t0 ]
+      (Fair_share.compute
+         ~sessions:[ { Fair_share.id = 0; layering = lay; tree = t0 } ]
+         ~capacity)
   in
-  checkf "whole link" 400_000.0 (Fair_share.cap_bps shares ~session:0 ~edge:(0, 1));
-  checkb "unknown edge uncapped" true
-    (Fair_share.cap_bps shares ~session:0 ~edge:(1, 2) = infinity)
+  checkf "whole link" 400_000.0 (shares ~session:0 ~child:1);
+  checkb "unknown edge uncapped" true (shares ~session:0 ~child:2 = infinity)
 
 let test_fair_share_base_floor () =
   (* Tiny shared link: every session still gets at least the base rate. *)
   let shares = fair_world ~shared_cap:40_000.0 in
-  checkb "floor s0" true
-    (Fair_share.cap_bps shares ~session:0 ~edge:(1, 2) >= 32_000.0);
-  checkb "floor s1" true
-    (Fair_share.cap_bps shares ~session:1 ~edge:(1, 2) >= 32_000.0)
+  checkb "floor s0" true (shares ~session:0 ~child:2 >= 32_000.0);
+  checkb "floor s1" true (shares ~session:1 ~child:2 >= 32_000.0)
 
 (* ---------- Algorithm (stage 5 behaviour through the public API) ---------- *)
 
@@ -620,7 +644,7 @@ let mk_algorithm () =
 let chain_input ?(loss = 0.0) ?(bytes = 8_000) ?(level = 1)
     ?(may_add = fun _ -> true) ?(frozen = fun _ -> false) () =
   let tree =
-    Tree.of_snapshot
+    tree_of
       (snapshot
          ~edges:[ (0, 1, [ 0 ]); (1, 2, [ 0 ]); (1, 3, [ 0 ]) ]
          ~members:[ (2, level); (3, level) ]
@@ -632,6 +656,7 @@ let chain_input ?(loss = 0.0) ?(bytes = 8_000) ?(level = 1)
     tree;
     measures = [ (2, (loss, bytes)); (3, (loss, bytes)) ];
     levels = [ (2, level); (3, level) ];
+    recipients = [ 2; 3 ];
     may_add;
     frozen;
   }
@@ -704,16 +729,69 @@ let test_algorithm_capacity_estimate_appears () =
     (prescriptions_for algo ~now:(Time.of_sec 2)
        (chain_input ~level:4 ~bytes:120_000 ~may_add:(fun _ -> false) ()));
   checkb "no estimate while clean" true
-    (Algorithm.capacity_estimate algo ~edge:(0, 1) = infinity);
+    (Algorithm.capacity_estimate algo ~edge:e01 = infinity);
   ignore
     (prescriptions_for algo ~now:(Time.of_sec 4)
        (chain_input ~level:4 ~loss:0.5 ~bytes:60_000 ~may_add:(fun _ -> false)
           ()));
   (* Edge (0,1): dest 1 is internal with two similar lossy children. *)
-  let e = Algorithm.capacity_estimate algo ~edge:(0, 1) in
+  let e = Algorithm.capacity_estimate algo ~edge:e01 in
   checkb "estimate pinned" true (Float.is_finite e);
   (* best recent observation: 120000 B over 2 s = 480 kbit/s *)
   checkf "value from best recent" 480_000.0 e
+
+(* Controller interval cost per tree node. A source, 20 routers and
+   10,000 leaves, 3 of them reporting and prescribed to: after 3 warm-up
+   intervals, building the tree and running one step allocates about 71
+   words per node, on arrays indexed by the tree's BFS numbering. The
+   bound fails if the stages go back to tuple-keyed polymorphic tables
+   (413 words per node) or if stage 5 prescribes to every silent member
+   (140). *)
+let test_interval_footprint () =
+  let routers = 20 and per_router = 500 in
+  let leaf r k = 1 + routers + (r * per_router) + k in
+  let edges =
+    List.init routers (fun r -> (0, 1 + r, [ 0 ]))
+    @ List.concat
+        (List.init routers (fun r ->
+             List.init per_router (fun k -> (1 + r, leaf r k, [ 0 ]))))
+  in
+  let members =
+    List.concat
+      (List.init routers (fun r ->
+           List.init per_router (fun k -> (leaf r k, 1))))
+  in
+  let snap = snapshot ~edges ~members () in
+  let reporting = [ leaf 0 0; leaf 7 250; leaf 19 499 ] in
+  let algo = mk_algorithm () in
+  let interval k =
+    let tree = tree_of snap in
+    ignore
+      (Algorithm.step algo ~now:(Time.of_sec (2 * k))
+         [
+           {
+             Algorithm.id = 0;
+             layering = Layering.paper_default;
+             tree;
+             measures = List.map (fun n -> (n, (0.01, 8_000))) reporting;
+             levels = List.map (fun n -> (n, 1)) reporting;
+             recipients = reporting;
+             may_add = (fun n -> List.mem n reporting);
+             frozen = (fun _ -> false);
+           };
+         ])
+  in
+  for k = 1 to 3 do
+    interval k
+  done;
+  let before = Gc.allocated_bytes () in
+  interval 4;
+  let bytes = Gc.allocated_bytes () -. before in
+  let nodes = 1 + routers + (routers * per_router) in
+  let per_node = bytes /. float_of_int (Sys.word_size / 8 * nodes) in
+  checkb
+    (Printf.sprintf "%.0f words per tree node, at most 120" per_node)
+    true (per_node <= 120.0)
 
 let () =
   Alcotest.run "toposense"
@@ -797,5 +875,7 @@ let () =
           Alcotest.test_case "frozen holds" `Quick test_algorithm_frozen_leaf_holds;
           Alcotest.test_case "capacity estimate" `Quick
             test_algorithm_capacity_estimate_appears;
+          Alcotest.test_case "interval footprint" `Quick
+            test_interval_footprint;
         ] );
     ]
