@@ -31,6 +31,22 @@ let int_conv ~min ~what =
 let pos_int_conv = int_conv ~min:1 ~what:"positive"
 let nonneg_int_conv = int_conv ~min:0 ~what:"non-negative"
 
+(* Whole seconds become integer nanoseconds ({!Time.of_sec}), so a
+   seconds flag must also fit the clock; past it the run would die on an
+   exception that names no flag. *)
+let whole_seconds_conv ~min ~what =
+  let parse s =
+    Result.bind (Arg.conv_parser (int_conv ~min ~what) s) (fun n ->
+        match Time.span_of_sec n with
+        | _ -> Ok n
+        | exception Invalid_argument _ ->
+            Error (`Msg (Printf.sprintf "seconds out of range, got %S" s)))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let pos_seconds_conv = whole_seconds_conv ~min:1 ~what:"positive"
+let nonneg_seconds_conv = whole_seconds_conv ~min:0 ~what:"non-negative"
+
 let parse_finite s =
   match float_of_string_opt s with
   | Some x when Float.is_finite x -> Ok x
@@ -54,7 +70,9 @@ let seconds_conv =
 let duration_term =
   let doc = "Simulated duration in seconds." in
   Arg.(
-    value & opt pos_int_conv 1200 & info [ "duration" ] ~docv:"SECONDS" ~doc)
+    value
+    & opt pos_seconds_conv 1200
+    & info [ "duration" ] ~docv:"SECONDS" ~doc)
 
 let seed_term =
   let doc = "PRNG seed; runs are deterministic per seed." in
@@ -218,7 +236,7 @@ let fig10_cmd =
         $ runs_term
         $ Arg.(
             value
-            & opt (list nonneg_int_conv) [ 2; 6; 10; 14; 18 ]
+            & opt (list nonneg_seconds_conv) [ 2; 6; 10; 14; 18 ]
             & info [ "staleness" ] ~docv:"S,S,..."
                 ~doc:"Staleness values in seconds.")
         $ sizes_term ~default:[ 1; 2; 4 ] ~name:"sizes"
@@ -269,7 +287,7 @@ let run_cmd =
   in
   let staleness_term =
     Arg.(
-      value & opt nonneg_int_conv 0
+      value & opt nonneg_seconds_conv 0
       & info [ "staleness" ] ~docv:"S" ~doc:"Topology staleness in seconds.")
   in
   let run duration seed traffic scheme topology receivers staleness =
@@ -890,7 +908,7 @@ let scale_cmd =
   let duration =
     Arg.(
       value
-      & opt (some pos_int_conv) None
+      & opt (some pos_seconds_conv) None
       & info [ "duration" ] ~docv:"SECONDS"
           ~doc:"Simulated seconds (default: the preset's).")
   in

@@ -23,7 +23,7 @@ type t = {
   mutable failed : int;
   mutable succeeded : int;
   mutable last_loss : float;
-  mutable tasks : Sim.handle list;
+  mutable started : bool;
 }
 
 let sim t = Net.Network.sim t.network
@@ -78,7 +78,7 @@ let create ~network ~router ~node ~session
       failed = 0;
       succeeded = 0;
       last_loss = 0.0;
-      tasks = [];
+      started = false;
     }
   in
   let arena = Net.Network.arena network in
@@ -151,14 +151,11 @@ let tick t =
       end)
 
 let start t =
-  if t.tasks = [] then begin
+  if not t.started then begin
+    t.started <- true;
     schedule_next_join t;
-    t.tasks <- [ Sim.every (sim t) ~period:(Time.span_of_sec 1) (fun () -> tick t) ]
+    ignore (Sim.every (sim t) ~period:(Time.span_of_sec 1) (fun () -> tick t))
   end
-
-let stop t =
-  List.iter (Sim.cancel (sim t)) t.tasks;
-  t.tasks <- []
 
 let changes t = List.rev t.changes
 let last_window_loss t = t.last_loss

@@ -30,7 +30,8 @@ val create :
     2× up to 120 s, loss threshold 0.15. *)
 
 val start : t -> unit
-val stop : t -> unit
+(** Starts the receiver's join experiments; it runs until the run ends.
+    Idempotent. *)
 
 val level : t -> int
 val changes : t -> (Engine.Time.t * int) list

@@ -10,7 +10,8 @@ let path_edges routing ~from ~dst =
 
 let same_edge (a, b) (c, d) = (a = c && b = d) || (a = d && b = c)
 
-let sessions_crossing ~topology:_ ~routing ~sessions edge =
+(* [sessions] are (source, receivers); edges are undirected here. *)
+let sessions_crossing ~routing ~sessions edge =
   List.length
     (List.filter
        (fun (source, receivers) ->
@@ -36,7 +37,7 @@ let optimal_level ~topology ~routing ~layering ~sessions ~source ~receiver =
     let fair_bottleneck =
       List.fold_left
         (fun acc edge ->
-          let k = max 1 (sessions_crossing ~topology ~routing ~sessions edge) in
+          let k = max 1 (sessions_crossing ~routing ~sessions edge) in
           Float.min acc (link_capacity topology edge /. float_of_int k))
         infinity
         (path_edges routing ~from:source ~dst:receiver)

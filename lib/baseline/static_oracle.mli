@@ -9,16 +9,6 @@
     sessions crossing it. With a small headroom discount for packetization
     this matches the paper's stated optima (e.g. 4 layers ≈ 500 Kbps). *)
 
-val sessions_crossing :
-  topology:Net.Topology.t ->
-  routing:Net.Routing.t ->
-  sessions:(Net.Addr.node_id * Net.Addr.node_id list) list ->
-  (Net.Addr.node_id * Net.Addr.node_id) ->
-  int
-(** [sessions] are (source, receivers); an edge is crossed by a session
-    when it lies on the routed path from the source to one of its
-    receivers. Edges are undirected here ((a,b) ≡ (b,a)). *)
-
 val optimal_level :
   topology:Net.Topology.t ->
   routing:Net.Routing.t ->
@@ -27,4 +17,7 @@ val optimal_level :
   source:Net.Addr.node_id ->
   receiver:Net.Addr.node_id ->
   int
-(** The optimum for one receiver of the session rooted at [source]. *)
+(** The optimum for one receiver of the session rooted at [source].
+    [sessions] are (source, receivers); a link is crossed by a session
+    when it lies on the routed path from the source to one of its
+    receivers, in either direction. *)

@@ -60,13 +60,3 @@ let trace_latency ~network ~querier ~path =
       in
       let back = distance network ~from:last.node ~dst:querier in
       to_receiver + up_tree + back
-
-let full_discovery_latency ~network ~router ~session ~querier =
-  let base = Session.group_for_layer session ~layer:0 in
-  List.fold_left
-    (fun acc receiver ->
-      match trace ~router ~session ~receiver with
-      | Error _ -> acc
-      | Ok path -> max acc (trace_latency ~network ~querier ~path))
-    0
-    (Router.members router ~group:base)

@@ -31,14 +31,3 @@ val trace_latency :
     travels to the receiver, is forwarded hop-by-hop up the tree, and the
     response returns from the source — one propagation across each
     segment, i.e. querier→receiver + receiver→…→source + source→querier. *)
-
-val full_discovery_latency :
-  network:Net.Network.t ->
-  router:Multicast.Router.t ->
-  session:Traffic.Session.t ->
-  querier:Net.Addr.node_id ->
-  Engine.Time.span
-(** Latency to discover the whole session tree: traces to all members run
-    in parallel, so this is the maximum single-trace latency — the
-    quantity the paper compares staleness against. 0 for an empty
-    session. *)

@@ -33,7 +33,6 @@ type t = {
   slots : (domain, slot) Hashtbl.t;
   memos : (int, memo) Hashtbl.t;
   mutable partitions : int;
-  mutable task : Sim.handle option;
 }
 
 let create ~sim ~router ?(period = Time.span_of_sec 1) ?(history = 64) () =
@@ -49,7 +48,6 @@ let create ~sim ~router ?(period = Time.span_of_sec 1) ?(history = 64) () =
     slots = Hashtbl.create 8;
     memos = Hashtbl.create 8;
     partitions = 0;
-    task = None;
   }
 
 let sessions t = List.rev t.sessions_rev
@@ -69,11 +67,11 @@ let register_session t session =
     invalid_arg "Discovery.Service.register_session: duplicate session";
   Hashtbl.add t.entries id
     { session; buffer = Engine.Trace.create ~capacity:t.history };
+  let first = t.sessions_rev = [] in
   t.sessions_rev <- session :: t.sessions_rev;
-  if t.task = None then begin
+  if first then begin
     capture_all t;
-    t.task <-
-      Some (Sim.every t.sim ~period:t.period (fun () -> capture_all t))
+    ignore (Sim.every t.sim ~period:t.period (fun () -> capture_all t))
   end
 
 let query t ~session ~staleness =
@@ -137,10 +135,3 @@ let restrict t domain (snap : Snapshot.t) =
   Snapshot.part_view parts.(domain)
 
 let partitions t = t.partitions
-
-let stop t =
-  match t.task with
-  | Some h ->
-      Sim.cancel t.sim h;
-      t.task <- None
-  | None -> ()

@@ -25,7 +25,8 @@ val create :
 val register_session : t -> Traffic.Session.t -> unit
 
 val sessions : t -> Traffic.Session.t list
-(** Registered sessions, in registration order. *)
+(** Registered sessions, in registration order, which is the order they
+    are captured in. Test-only: the service tests check that order. *)
 
 val query :
   t -> session:int -> staleness:Engine.Time.span -> Snapshot.t option
@@ -63,6 +64,3 @@ val restrict : t -> domain -> Snapshot.t -> Snapshot.t option
 val partitions : t -> int
 (** Partition passes made so far (one per snapshot and session, however
     many controllers query it). *)
-
-val stop : t -> unit
-(** Stops periodic capturing. *)

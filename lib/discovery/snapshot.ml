@@ -77,22 +77,6 @@ let capture ~router ~session ~at =
     members;
   }
 
-let children t node =
-  List.filter_map
-    (fun e -> if e.parent = node then Some e.child else None)
-    t.edges
-  |> List.sort Int.compare
-
-let nodes t =
-  let module S = Set.Make (Int) in
-  let s =
-    List.fold_left
-      (fun s e -> S.add e.parent (S.add e.child s))
-      (S.singleton t.source) t.edges
-  in
-  let s = List.fold_left (fun s (m, _) -> S.add m s) s t.members in
-  S.elements s
-
 let is_tree t =
   (* each child has exactly one parent *)
   let childs = List.map (fun e -> e.child) t.edges in
@@ -185,43 +169,3 @@ let restrict t ~domain =
   List.iter (fun n -> Hashtbl.replace dom n ()) domain;
   let slot_of n = if Hashtbl.mem dom n then 0 else -1 in
   part_view (partition t ~slots:1 ~slot_of).(0)
-
-let divergence t ~router ~session =
-  let module ES = Set.Make (struct
-    type t = Addr.node_id * Addr.node_id
-
-    let compare = compare
-  end) in
-  let live =
-    let layering = Traffic.Session.layering session in
-    let acc = ref ES.empty in
-    for layer = 0 to Traffic.Layering.count layering - 1 do
-      let group = Traffic.Session.group_for_layer session ~layer in
-      List.iter
-        (fun e -> acc := ES.add e !acc)
-        (Multicast.Router.tree_edges router ~group)
-    done;
-    !acc
-  in
-  let pictured =
-    List.fold_left (fun s e -> ES.add (e.parent, e.child) s) ES.empty t.edges
-  in
-  ES.cardinal (ES.diff live pictured) + ES.cardinal (ES.diff pictured live)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>session %d @ %a (source %a)@," t.session
-    Engine.Time.pp t.taken_at Addr.pp_node t.source;
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "  %a -> %a layers=%a@," Addr.pp_node e.parent
-        Addr.pp_node e.child
-        (Format.pp_print_list
-           ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-           Format.pp_print_int)
-        e.layers)
-    t.edges;
-  List.iter
-    (fun (m, lvl) ->
-      Format.fprintf ppf "  member %a level=%d@," Addr.pp_node m lvl)
-    t.members;
-  Format.fprintf ppf "@]"

@@ -28,12 +28,6 @@ val capture :
   t
 (** Reads the router's current forwarding and membership state. *)
 
-val children : t -> Net.Addr.node_id -> Net.Addr.node_id list
-(** Children of a node in the overlay tree, sorted. *)
-
-val nodes : t -> Net.Addr.node_id list
-(** All nodes appearing in the snapshot (source, interior, members). *)
-
 val is_tree : t -> bool
 (** Sanity: every non-source node has at most one parent and the edge set
     is acyclic and reachable from the source. *)
@@ -65,13 +59,3 @@ val part_view : part -> t option
 (** The domain's restricted snapshot, exactly as {!restrict} returns it
     for that domain's node list, and raising the same [Invalid_argument]
     when the session enters the domain more than once. *)
-
-val divergence :
-  t -> router:Multicast.Router.t -> session:Traffic.Session.t -> int
-(** How wrong the snapshot is right now: the symmetric difference between
-    its edge set and the session's live overlay tree in [router], in
-    edges. 0 means the image is exact (whatever its age); under failures a
-    stale image diverges — it pictures edges that no longer exist and
-    misses the repaired ones. *)
-
-val pp : Format.formatter -> t -> unit

@@ -18,9 +18,6 @@ val split : t -> label:string -> t
     future output; use distinct labels for distinct components. The parent
     generator is not advanced. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val int : t -> bound:int -> int
 (** Uniform in [0, bound). @raise Invalid_argument if [bound <= 0]. *)
 

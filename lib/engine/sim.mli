@@ -58,14 +58,17 @@ val arm_at : t -> timer -> Time.t -> unit
     already armed supersedes the pending firing (equivalent to {!cancel}
     followed by a fresh schedule, including its effect on the dispatch
     counters and tombstone population).
-    @raise Invalid_argument if the instant is in the past. *)
+    @raise Invalid_argument if the instant is in the past. Test-only: the
+    timer tests and the reusable-timer property arm at absolute
+    instants. *)
 
 val arm_after : t -> timer -> Time.span -> unit
 (** Arm the timer to fire [span] after the current time. *)
 
 val disarm : t -> timer -> unit
 (** Cancel the pending firing, if any. Disarming an unarmed timer is a
-    no-op. The timer can be re-armed afterwards. *)
+    no-op. The timer can be re-armed afterwards. Test-only: the timer
+    tests pin these semantics for the scheduler's reusable timers. *)
 
 val every :
   t -> ?start:Time.t -> ?jitter:(Prng.t * float) -> period:Time.span ->

@@ -8,9 +8,20 @@ let of_ns n =
   if n < 0 then invalid_arg "Time.of_ns: negative";
   n
 
-let of_us n = of_ns (n * 1_000)
 let of_ms n = of_ns (n * 1_000_000)
-let of_sec n = of_ns (n * 1_000_000_000)
+
+(* Whole seconds below 0 or past [max_int / 10^9] (about 146 years)
+   would wrap the nanosecond product, even to a positive instant, so they
+   are refused before the multiplication, as {!ns_of_sec_f} refuses their
+   floats. *)
+let ns_per_sec = 1_000_000_000
+
+let ns_of_sec ~what n =
+  if n < 0 then invalid_arg (what ^ ": negative");
+  if n > max_int / ns_per_sec then invalid_arg (what ^ ": out of range");
+  n * ns_per_sec
+
+let of_sec n = ns_of_sec ~what:"Time.of_sec" n
 
 (* [max_int] rounds up to 2^62 as a float, so a rounded float of
    nanoseconds converts exactly when it is below this bound (about 146
@@ -49,9 +60,7 @@ let span_of_ms n =
   if n < 0 then invalid_arg "Time.span_of_ms: negative";
   n * 1_000_000
 
-let span_of_sec n =
-  if n < 0 then invalid_arg "Time.span_of_sec: negative";
-  n * 1_000_000_000
+let span_of_sec n = ns_of_sec ~what:"Time.span_of_sec" n
 
 let span_to_sec_f d = float_of_int d /. 1e9
 

@@ -19,9 +19,14 @@ val of_ns : int -> t
 (** [of_ns n] is the instant [n] nanoseconds after the epoch.
     @raise Invalid_argument if [n] is negative. *)
 
-val of_us : int -> t
 val of_ms : int -> t
+(** Test-only: the scheduler property tests draw their instants in
+    milliseconds. *)
+
 val of_sec : int -> t
+(** @raise Invalid_argument if [n] is negative, or past
+    [max_int / 10^9] seconds (about 146 years) where the nanoseconds
+    would wrap. *)
 
 val of_sec_f : float -> t
 (** [of_sec_f s] rounds [s] seconds to the nearest nanosecond.
@@ -44,7 +49,11 @@ val span_of_sec_f : float -> span
     the range {!of_sec_f} accepts. *)
 
 val span_of_ms : int -> span
+
 val span_of_sec : int -> span
+(** @raise Invalid_argument on a negative [n], or past the range
+    {!of_sec} accepts. *)
+
 val span_to_sec_f : span -> float
 
 val mul_span : span -> int -> span

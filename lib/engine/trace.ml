@@ -3,12 +3,11 @@ type 'a t = {
   mutable data : (Time.t * 'a) array;
   mutable start : int;
   mutable len : int;
-  mutable total : int;
 }
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Trace.create: capacity <= 0";
-  { capacity; data = [||]; start = 0; len = 0; total = 0 }
+  { capacity; data = [||]; start = 0; len = 0 }
 
 let record t at x =
   if Array.length t.data = 0 then t.data <- Array.make t.capacity (at, x);
@@ -19,15 +18,9 @@ let record t at x =
   else begin
     t.data.(t.start) <- (at, x);
     t.start <- (t.start + 1) mod t.capacity
-  end;
-  t.total <- t.total + 1
-
-let length t = t.len
-let total t = t.total
+  end
 
 let get t i = t.data.((t.start + i) mod t.capacity)
-
-let to_list t = List.init t.len (get t)
 
 let find_last t ~f =
   let rec loop i =
@@ -37,9 +30,3 @@ let find_last t ~f =
       if f x then Some (at, x) else loop (i - 1)
   in
   loop (t.len - 1)
-
-let iter t ~f =
-  for i = 0 to t.len - 1 do
-    let (at, x) = get t i in
-    f at x
-  done

@@ -13,16 +13,5 @@ val create : capacity:int -> 'a t
 val record : 'a t -> Time.t -> 'a -> unit
 (** Appends, evicting the oldest record when full. *)
 
-val length : 'a t -> int
-(** Records currently held (≤ capacity). *)
-
-val total : 'a t -> int
-(** Records ever written, including evicted ones. *)
-
-val to_list : 'a t -> (Time.t * 'a) list
-(** Oldest first. *)
-
 val find_last : 'a t -> f:('a -> bool) -> (Time.t * 'a) option
-
-val iter : 'a t -> f:(Time.t -> 'a -> unit) -> unit
-(** Oldest first. *)
+(** The newest held record that satisfies [f]. *)

@@ -10,19 +10,6 @@ let time_to_first_reach ~changes ~joined_at ~target =
   in
   find changes
 
-let settled_after ~changes ~target ~tolerance =
-  let ok level = abs (level - target) <= tolerance in
-  (* Walk from the end backwards: the settle point is just after the last
-     out-of-band level. *)
-  let rec scan settled = function
-    | [] -> settled
-    | (at, level) :: rest ->
-        if ok level then
-          scan (match settled with None -> Some at | s -> s) rest
-        else scan None rest
-  in
-  scan None changes
-
 let disruption ~changes ~window:(w0, w1) ~baseline =
   let rec count prev acc = function
     | [] -> acc

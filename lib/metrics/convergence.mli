@@ -1,9 +1,8 @@
 (** Convergence-time metrics.
 
-    How long a receiver takes, from its join, to first reach (and to
-    finally settle at) its optimal subscription — the cost of TopoSense's
-    one-layer-per-interval exploration, and the disruption metric for the
-    churn experiments. *)
+    How long a receiver takes, from its join, to first reach its optimal
+    subscription — the cost of TopoSense's one-layer-per-interval
+    exploration — and the disruption metric for the churn experiments. *)
 
 val time_to_first_reach :
   changes:(Engine.Time.t * int) list ->
@@ -12,15 +11,6 @@ val time_to_first_reach :
   Engine.Time.span option
 (** Seconds (as a span) from [joined_at] until the trace first reaches a
     level ≥ [target]; [None] if it never does. *)
-
-val settled_after :
-  changes:(Engine.Time.t * int) list ->
-  target:int ->
-  tolerance:int ->
-  Engine.Time.t option
-(** The earliest instant after which the level never strays more than
-    [tolerance] layers from [target]; [None] when even the final level is
-    outside the band. *)
 
 val disruption :
   changes:(Engine.Time.t * int) list ->

@@ -232,9 +232,6 @@ let handle t node (pkt : Net.Packet.t) ~in_iface =
     end
   end
 
-let leave_latency t = t.leave_latency
-let expedited_leave t = t.expedited_leave
-
 let fresh_group t ~source =
   let g = t.next_group in
   t.next_group <- t.next_group + 1;

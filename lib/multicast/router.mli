@@ -47,10 +47,6 @@ val create :
     receivers downstream"): a leave prunes immediately instead of waiting
     out the IGMP leave latency. Default false. *)
 
-val expedited_leave : t -> bool
-
-val leave_latency : t -> Engine.Time.span
-
 val fresh_group : t -> source:Net.Addr.node_id -> Net.Addr.group_id
 (** Allocates a group address rooted at [source]. *)
 

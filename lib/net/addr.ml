@@ -6,8 +6,3 @@ type dest =
   | Multicast of group_id
 
 let pp_node ppf n = Format.fprintf ppf "n%d" n
-let pp_group ppf g = Format.fprintf ppf "g%d" g
-
-let pp_dest ppf = function
-  | Unicast n -> pp_node ppf n
-  | Multicast g -> pp_group ppf g

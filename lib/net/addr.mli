@@ -15,4 +15,3 @@ type dest =
   | Multicast of group_id
 
 val pp_node : Format.formatter -> node_id -> unit
-val pp_dest : Format.formatter -> dest -> unit

@@ -22,13 +22,15 @@ val create : network:Network.t -> unit -> t
 
 val link_down : t -> a:Addr.node_id -> b:Addr.node_id -> unit
 (** Immediately fails the duplex link (no-op if already down).
-    @raise Invalid_argument if the nodes are not adjacent. *)
+    @raise Invalid_argument if the nodes are not adjacent. Test-only: the
+    fault tests inject directly; scenarios go through {!schedule_flap}. *)
 
 val link_up : t -> a:Addr.node_id -> b:Addr.node_id -> unit
 (** Immediately restores the duplex link (no-op if already up). *)
 
 val schedule_link_down :
   t -> at:Engine.Time.t -> a:Addr.node_id -> b:Addr.node_id -> unit
+(** Test-only: the link tests schedule an outage that never heals. *)
 
 val schedule_flap :
   t ->
@@ -58,7 +60,8 @@ val schedule_flap :
     by a flap) are not touched. *)
 
 val crash_node : t -> node:Addr.node_id -> unit
-(** No-op if the node is already crashed. *)
+(** No-op if the node is already crashed. Test-only: the crash tests
+    inject directly; scenarios go through {!schedule_crash}. *)
 
 val recover_node : t -> node:Addr.node_id -> unit
 (** No-op if the node is not crashed. A claimed link whose far endpoint
@@ -67,6 +70,7 @@ val recover_node : t -> node:Addr.node_id -> unit
     when its last crashed endpoint recovers. *)
 
 val node_is_crashed : t -> Addr.node_id -> bool
+(** Test-only: the crash tests read a node's state through it. *)
 
 val schedule_crash : t -> at:Engine.Time.t -> node:Addr.node_id -> unit
 val schedule_recover : t -> at:Engine.Time.t -> node:Addr.node_id -> unit

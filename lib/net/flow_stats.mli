@@ -19,18 +19,18 @@ type window = {
   queue_length : int;  (** at sampling time *)
 }
 
-val sample : t -> unit
-(** Record one window for every link (delta since the previous call). *)
-
 val attach : t -> period:Engine.Time.span -> Engine.Sim.handle
-(** Call {!sample} periodically. *)
+(** Records one window for every link each [period] (the delta since the
+    previous window). *)
 
 val windows :
   t -> node:Addr.node_id -> iface:int -> window list
-(** Oldest first; empty if never sampled. *)
+(** Oldest first; empty if never sampled. Test-only: the flow-stats tests
+    read the per-window samples. *)
 
 val peak_utilization : t -> node:Addr.node_id -> iface:int -> float
-val mean_utilization : t -> node:Addr.node_id -> iface:int -> float
+(** Test-only: the flow-stats tests check an idle direction through it. *)
+
 val total_drops : t -> node:Addr.node_id -> iface:int -> int
 
 val busiest_links :

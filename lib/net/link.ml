@@ -224,5 +224,4 @@ let queue_count f t = match t.queue with Some q -> f q | None -> 0
 let drops = queue_count Queue_discipline.drops
 let early_drops = queue_count Queue_discipline.early_drops
 let queue_length = queue_count Queue_discipline.length
-let busy t = t.busy
 let pool_cells t = t.pool_cells

@@ -71,8 +71,6 @@ val early_drops : t -> int
 val queue_length : t -> int
 (** Packets waiting, excluding the one in service. *)
 
-val busy : t -> bool
-
 val pool_cells : t -> int
 (** Number of in-flight transmission cells ever created for this link.
     Cells (and their reusable timers) are recycled through a free list,

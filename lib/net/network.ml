@@ -43,7 +43,6 @@ type t = {
   arena : Packet.arena;
   routing : Routing.t;
   nodes : node array;
-  mutable next_packet_id : int;
   observers :
     (Packet.t -> at:Addr.node_id -> in_iface:int option -> unit) Dyn.t;
   topology_observers : (topology_event -> unit) Dyn.t;
@@ -134,7 +133,6 @@ let create ~sim topo =
       arena = Packet.create_arena ();
       routing;
       nodes;
-      next_packet_id = 0;
       observers = Dyn.create ();
       topology_observers = Dyn.create ();
       origination_filter = None;
@@ -260,26 +258,15 @@ let inject t ~src pkt =
 
 let originate t ~src ~dst ~size ~payload =
   if size <= 0 then invalid_arg "Network.originate: size <= 0";
-  let pkt =
-    Packet.alloc t.arena ~id:t.next_packet_id ~src ~dst ~size
-      ~sent_at:(Sim.now t.sim) ~payload
-  in
-  t.next_packet_id <- t.next_packet_id + 1;
-  inject t ~src pkt
+  inject t ~src (Packet.alloc t.arena ~src ~dst ~size ~payload)
 
 (* The media fast path: no boxed payload, no [Addr.dest], no packet
    record — three array writes and an immediate handle. *)
 let originate_data t ~src ~group ~size ~session ~layer ~seq =
-  let pkt =
-    Packet.alloc_data t.arena ~id:t.next_packet_id ~src ~group ~size
-      ~sent_at:(Sim.now t.sim) ~session ~layer ~seq
-  in
-  t.next_packet_id <- t.next_packet_id + 1;
-  inject t ~src pkt
+  inject t ~src
+    (Packet.alloc_data t.arena ~src ~group ~size ~session ~layer ~seq)
 
 let send_on_iface t ~node ~iface pkt =
   Link.send t.nodes.(node).out_links.(iface) pkt
 
 let link_on_iface t ~node ~iface = t.nodes.(node).out_links.(iface)
-
-let packets_created t = t.next_packet_id

@@ -31,13 +31,15 @@ val iface_to : t -> node:Addr.node_id -> neighbor:Addr.node_id -> int
 
 val iface_toward : t -> node:Addr.node_id -> dst:Addr.node_id -> int
 (** The RPF interface: the interface on the unicast shortest path from
-    [node] toward [dst]. @raise Invalid_argument if [node = dst]. *)
+    [node] toward [dst]. @raise Invalid_argument if [node = dst].
+    Test-only: the network tests check the RPF mapping through it. *)
 
 val set_local_handler : t -> Addr.node_id -> (Packet.t -> unit) -> unit
 (** Called for every packet whose final destination is this node —
     unicast packets addressed to it, and multicast packets the multicast
     handler chooses to deliver locally. Replaces ALL handlers previously
-    installed on the node. *)
+    installed on the node. Test-only: tests replace a node's handlers
+    with a probe of their own. *)
 
 val add_local_handler : t -> Addr.node_id -> (Packet.t -> unit) -> unit
 (** Installs an additional handler without disturbing the existing ones
@@ -141,5 +143,3 @@ val send_on_iface : t -> node:Addr.node_id -> iface:int -> Packet.t -> unit
 
 val link_on_iface : t -> node:Addr.node_id -> iface:int -> Link.t
 (** The outgoing simplex link on an interface (for tests and metrics). *)
-
-val packets_created : t -> int

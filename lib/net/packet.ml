@@ -26,11 +26,9 @@ let generation h = h land gen_mask
 type arena = {
   mutable gens : int array;
   mutable tag : int array;
-  mutable ids : int array;
   mutable srcs : int array;
   mutable dsts : int array;
   mutable sizes : int array;
-  mutable sent_ats : Engine.Time.t array;
   mutable p0 : int array;  (* Data.session *)
   mutable p1 : int array;  (* Data.layer *)
   mutable p2 : int array;  (* Data.seq *)
@@ -46,11 +44,9 @@ let create_arena ?(initial = 256) () =
   {
     gens = Array.make cap 0;
     tag = Array.make cap 0;
-    ids = Array.make cap 0;
     srcs = Array.make cap 0;
     dsts = Array.make cap 0;
     sizes = Array.make cap 0;
-    sent_ats = Array.make cap Engine.Time.zero;
     p0 = Array.make cap 0;
     p1 = Array.make cap 0;
     p2 = Array.make cap 0;
@@ -70,11 +66,9 @@ let grow a =
   in
   a.gens <- gi a.gens 0;
   a.tag <- gi a.tag 0;
-  a.ids <- gi a.ids 0;
   a.srcs <- gi a.srcs 0;
   a.dsts <- gi a.dsts 0;
   a.sizes <- gi a.sizes 0;
-  a.sent_ats <- gi a.sent_ats Engine.Time.zero;
   a.p0 <- gi a.p0 0;
   a.p1 <- gi a.p1 0;
   a.p2 <- gi a.p2 0;
@@ -100,29 +94,25 @@ let enc_multicast g = (g lsl 1) lor 1
 
 let handle_of a s = (s lsl gen_bits) lor a.gens.(s)
 
-let alloc_data a ~id ~src ~group ~size ~sent_at ~session ~layer ~seq =
+let alloc_data a ~src ~group ~size ~session ~layer ~seq =
   let s = alloc_slot a in
   a.tag.(s) <- 1;
-  a.ids.(s) <- id;
   a.srcs.(s) <- src;
   a.dsts.(s) <- enc_multicast group;
   a.sizes.(s) <- size;
-  a.sent_ats.(s) <- sent_at;
   a.p0.(s) <- session;
   a.p1.(s) <- layer;
   a.p2.(s) <- seq;
   handle_of a s
 
-let alloc a ~id ~src ~dst ~size ~sent_at ~payload =
+let alloc a ~src ~dst ~size ~payload =
   let s = alloc_slot a in
-  a.ids.(s) <- id;
   a.srcs.(s) <- src;
   a.dsts.(s) <-
     (match dst with
     | Addr.Unicast n -> enc_unicast n
     | Addr.Multicast g -> enc_multicast g);
   a.sizes.(s) <- size;
-  a.sent_ats.(s) <- sent_at;
   (match payload with
   | Data { session; layer; seq } ->
       a.tag.(s) <- 1;
@@ -160,11 +150,9 @@ let copy a h =
   let s = slot h in
   let n = alloc_slot a in
   a.tag.(n) <- a.tag.(s);
-  a.ids.(n) <- a.ids.(s);
   a.srcs.(n) <- a.srcs.(s);
   a.dsts.(n) <- a.dsts.(s);
   a.sizes.(n) <- a.sizes.(s);
-  a.sent_ats.(n) <- a.sent_ats.(s);
   a.p0.(n) <- a.p0.(s);
   a.p1.(n) <- a.p1.(s);
   a.p2.(n) <- a.p2.(s);
@@ -177,18 +165,12 @@ let is_live a h =
 
 let live_count a = a.live
 
-let id a h = a.ids.(slot h)
 let src a h = a.srcs.(slot h)
 let size a h = a.sizes.(slot h)
-let sent_at a h = a.sent_ats.(slot h)
 
 let dst_is_multicast a h = a.dsts.(slot h) land 1 = 1
 let dst_node a h = a.dsts.(slot h) lsr 1
 let dst_group a h = a.dsts.(slot h) lsr 1
-
-let dst a h =
-  let e = a.dsts.(slot h) in
-  if e land 1 = 1 then Addr.Multicast (e lsr 1) else Addr.Unicast (e lsr 1)
 
 let is_data a h = a.tag.(slot h) = 1
 
@@ -203,12 +185,3 @@ let payload a h =
   else a.boxed.(s)
 
 let data_size = 1000
-
-let pp a ppf h =
-  let kind =
-    if is_data a h then
-      Format.asprintf "data s%d/l%d #%d" (session a h) (layer a h) (seq a h)
-    else "ctrl"
-  in
-  Format.fprintf ppf "[pkt %d %a->%a %dB %s]" (id a h) Addr.pp_node (src a h)
-    Addr.pp_dest (dst a h) (size a h) kind

@@ -3,7 +3,7 @@
     A packet is an [int] handle — slot index in the high bits, a
     generation stamp in the low {!gen_bits} — into a struct-of-arrays
     {!arena} holding the per-packet fields ([src], [dst], [size],
-    [sent_at], payload tag and payload ints) in growable flat arrays.
+    payload tag and payload ints) in growable flat arrays.
     The hot path (media traffic) therefore allocates nothing per packet:
     {!alloc_data} writes ints into arrays and returns an immediate.
 
@@ -43,24 +43,15 @@ type arena
 val create_arena : ?initial:int -> unit -> arena
 
 val alloc :
-  arena ->
-  id:int ->
-  src:Addr.node_id ->
-  dst:Addr.dest ->
-  size:int ->
-  sent_at:Engine.Time.t ->
-  payload:payload ->
-  t
+  arena -> src:Addr.node_id -> dst:Addr.dest -> size:int -> payload:payload -> t
 (** General allocation. A [Data] payload is destructured into the flat
     arrays; any other payload is kept boxed in the side table. *)
 
 val alloc_data :
   arena ->
-  id:int ->
   src:Addr.node_id ->
   group:Addr.group_id ->
   size:int ->
-  sent_at:Engine.Time.t ->
   session:int ->
   layer:int ->
   seq:int ->
@@ -68,28 +59,23 @@ val alloc_data :
 (** Allocation-free fast path for media packets addressed to a group. *)
 
 val copy : arena -> t -> t
-(** Duplicate a live packet into a fresh slot (same [id] — a copy is the
-    same wire packet on another branch of the multicast tree). *)
+(** Duplicate a live packet into a fresh slot (a copy is the same wire
+    packet on another branch of the multicast tree). *)
 
 val free : arena -> t -> unit
 (** Return the slot to the free list and bump its generation. Raises
     [Invalid_argument] on a stale or double free. *)
 
 val is_live : arena -> t -> bool
+(** Whether the handle names its slot's current tenant. Test-only: the
+    arena property test checks the generation guard through it. *)
+
 val live_count : arena -> int
-val slot : t -> int
-val generation : t -> int
 
 (** {1 Field accessors} — unchecked; the handle must be live. *)
 
-val id : arena -> t -> int
 val src : arena -> t -> Addr.node_id
 val size : arena -> t -> int
-val sent_at : arena -> t -> Engine.Time.t
-
-val dst : arena -> t -> Addr.dest
-(** Allocates the [Addr.dest]; keep off hot paths — use the unboxed
-    accessors below instead. *)
 
 val dst_is_multicast : arena -> t -> bool
 
@@ -113,5 +99,3 @@ val payload : arena -> t -> payload
 
 val data_size : int
 (** Size of a media packet in bytes (paper Section IV: 1000). *)
-
-val pp : arena -> Format.formatter -> t -> unit

@@ -69,6 +69,7 @@ val next_hop_opt :
     @raise Invalid_argument on [from = dst]. *)
 
 val reachable : t -> from:Addr.node_id -> dst:Addr.node_id -> bool
+(** Test-only: the partition tests check reachability through it. *)
 
 val path : t -> from:Addr.node_id -> dst:Addr.node_id -> Addr.node_id list
 (** The full node sequence [from; ...; dst].

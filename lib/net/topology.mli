@@ -47,7 +47,8 @@ val links : t -> link_spec list
 (** In insertion order. *)
 
 val neighbors : t -> Addr.node_id -> Addr.node_id list
-(** Sorted by node id. *)
+(** Sorted by node id. Test-only: the network property test checks the
+    interface mapping against it. *)
 
 val is_connected : t -> bool
 
@@ -55,7 +56,8 @@ val default_delay : Engine.Time.span
 (** 200 ms (paper Section IV). *)
 
 val default_queue_limit : int
-(** 50 packets (the ns DropTail default). *)
+(** 50 packets (the ns DropTail default). Test-only: the network tests
+    build links at the default explicitly. *)
 
 val kbps : float -> float
 (** [kbps x] is [x] kilobits per second in bits per second. *)

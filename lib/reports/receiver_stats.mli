@@ -42,8 +42,9 @@ val take_window : t -> session:int -> window
     a new window. *)
 
 val layer_loss : t -> session:int -> layer:int -> float
-(** Loss rate of one layer over the *current* (unfinished) window; for
-    receiver-local decisions. 0 when nothing expected. *)
+(** Loss rate of one layer over the *current* (unfinished) window; 0
+    when nothing expected. Test-only: the receiver-stats tests read the
+    per-layer accounting through it. *)
 
 val total_bytes : t -> session:int -> int
 (** Bytes received for the session since creation. *)

@@ -27,9 +27,7 @@ type Net.Packet.payload +=
               or reordered-stale reports and to refresh the sender's
               liveness lease *)
     }
-
-val report_size : int
-(** Bytes on the wire for a report packet (RTCP RR-sized: 100). *)
+      (** 100 bytes on the wire (RTCP RR-sized). *)
 
 val send_report :
   network:Net.Network.t ->

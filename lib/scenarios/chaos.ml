@@ -259,9 +259,9 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
       Federation.start_failover parent
         ~check_period:params.Toposense.Params.interval
         ~silence:(Time.mul_span params.Toposense.Params.interval 3)
-        ~on_degraded:(fun ~domain ~target ->
+        ~on_degraded:(fun ~domain ->
           List.iter
-            (fun (_, a, _) -> Agent.set_controller a ~controller:target)
+            (fun (_, a, _) -> Agent.set_controller a ~controller:source)
             (agents_of_domain domain))
         ~on_rejoined:(fun ~domain ->
           List.iter

@@ -2,6 +2,7 @@ module Sim = Engine.Sim
 module Time = Engine.Time
 module Layering = Traffic.Layering
 module Session = Traffic.Session
+module Deviation = Metrics.Deviation
 
 let receivers_per_set = 2
 
@@ -73,23 +74,16 @@ let optimal rig node =
     ~layering:(Session.layering rig.session)
     ~sessions:rig.spec.Builders.sessions ~source:rig.source ~receiver:node
 
-(* Subscription level in effect at [at], given the agent's change log
-   (oldest first, initial subscribe included). *)
-let level_at ~changes ~at =
-  List.fold_left
-    (fun acc (t, l) -> if Time.(t <= at) then l else acc)
-    0 changes
-
 let min_level_in ~changes ~window:(lo, hi) =
   List.fold_left
     (fun acc (t, l) -> if Time.(t > lo) && Time.(t <= hi) then min acc l else acc)
-    (level_at ~changes ~at:lo)
+    (Deviation.level_at changes lo)
     changes
 
 (* Seconds after [at] until the subscription was back at [pre]: [Some 0.]
    if it was not below [pre] at [at], [None] if it never came back. *)
 let back_after ~changes ~pre ~at =
-  if level_at ~changes ~at >= pre then Some 0.0
+  if Deviation.level_at changes at >= pre then Some 0.0
   else
     List.find_map
       (fun (t, l) ->
@@ -147,7 +141,7 @@ let run_window rig ~fast_set ~fast_during ~duration =
       let fast_branch = List.mem node fast_set in
       let changes = Toposense.Receiver_agent.changes agent ~session:0 in
       let optimal = optimal rig node in
-      let pre = level_at ~changes ~at:down_at in
+      let pre = Deviation.level_at changes down_at in
       let bps tbl =
         match Hashtbl.find_opt tbl node with
         | None -> 0.0
@@ -437,7 +431,7 @@ let controller_outage ?(duration = Time.of_sec 200) ?(seed = 42L) () =
         {
           node;
           optimal = optimal rig node;
-          level_at_fail = level_at ~changes ~at:fail_at;
+          level_at_fail = Deviation.level_at changes fail_at;
           floor_level = min_level_in ~changes ~window:(fail_at, end_t);
           unilateral_actions = Toposense.Receiver_agent.unilateral_actions agent;
           resync_s =
@@ -489,7 +483,7 @@ type lossy_outcome = {
 }
 
 (* The control plane, as the net layer cannot name it itself: receiver
-   reports, controller suggestions, protocol ACKs/goodbyes, discovery
+   reports, controller suggestions, protocol ACKs, discovery
    probe traffic and the federation's domain summaries. *)
 let is_control arena (pkt : Net.Packet.t) =
   (not (Net.Packet.is_data arena pkt))
@@ -497,7 +491,7 @@ let is_control arena (pkt : Net.Packet.t) =
   match Net.Packet.payload arena pkt with
   | Reports.Rtcp.Report _ -> true
   | Toposense.Controller.Suggestion _ -> true
-  | Toposense.Protocol.Ack _ | Toposense.Protocol.Goodbye _ -> true
+  | Toposense.Protocol.Ack _ -> true
   | Toposense.Probe_discovery.Probe_query _
   | Toposense.Probe_discovery.Probe_response _ ->
       true
@@ -527,7 +521,7 @@ let lossy_control ?(drop_fraction = 0.3) ?(delay_fraction = 0.0)
           optimal;
           final_level = Toposense.Receiver_agent.level agent ~session:0;
           deviation =
-            Metrics.Deviation.relative_deviation ~changes ~optimal
+            Deviation.relative_deviation ~changes ~optimal
               ~window:(Time.zero, duration);
           suggestions_received =
             Toposense.Receiver_agent.suggestions_received agent;
@@ -651,7 +645,7 @@ let partition ?(duration = Time.of_sec 180) ?(seed = 42L) () =
     List.map
       (fun (node, agent) ->
         let changes = Toposense.Receiver_agent.changes agent ~session:0 in
-        let pre = level_at ~changes ~at:down_at in
+        let pre = Deviation.level_at changes down_at in
         {
           node;
           optimal = optimal rig node;

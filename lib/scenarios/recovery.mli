@@ -191,7 +191,7 @@ type lossy_outcome = {
 val is_control : Net.Packet.arena -> Net.Packet.t -> bool
 (** The classifier handed to {!Net.Faults.set_control_plane} (partially
     applied to the network's arena): receiver reports, controller
-    suggestions, protocol ACKs/goodbyes, discovery probe traffic and the
+    suggestions, protocol ACKs, discovery probe traffic and the
     federation's {!Toposense.Federation.Domain_summary} packets (so a
     lossy burst in a federated world can also starve the parent's
     liveness lease). *)
@@ -338,4 +338,5 @@ val churn_storm :
     Defaults: fanout 4, depth 3 (85 nodes), 60 flaps, 24 churners,
     600 s horizon. Deterministic per seed.
     @raise Invalid_argument on negative counts or a horizon under
-    60 s. *)
+    60 s. Test-only: the storm tests pin its recompute bounds and
+    determinism at sizes no subcommand runs. *)

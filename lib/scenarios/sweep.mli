@@ -23,7 +23,8 @@ val map : ?jobs:int -> (int -> 'a -> 'b) -> 'a list -> 'b list
     with no spawns at all. If any [f] raises, the sweep completes the
     remaining items, then re-raises the exception of the lowest-indexed
     failure with its original backtrace.
-    @raise Invalid_argument if [jobs < 1]. *)
+    @raise Invalid_argument if [jobs < 1]. Test-only: the sweep tests
+    check the index it passes; callers use {!run}. *)
 
 val run : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map] without the index. *)

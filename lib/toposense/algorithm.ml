@@ -16,7 +16,6 @@ let create ~params ~rng =
     subscription = Subscription.create ~params ~backoff;
   }
 
-let params t = t.params
 
 type session_input = {
   id : int;
@@ -143,9 +142,5 @@ let step t ~now inputs =
                 { session = input.id; receiver; level }))
        staged caps)
   |> List.sort compare
-
-let remove_session t ~session =
-  Backoff.clear_session t.backoff ~session;
-  Subscription.remove_session t.subscription ~session
 
 let capacity_estimate t ~edge = Capacity.estimate_bps t.capacity ~edge

@@ -19,8 +19,6 @@ type t
 
 val create : params:Params.t -> rng:Engine.Prng.t -> t
 
-val params : t -> Params.t
-
 type session_input = {
   id : int;
   layering : Traffic.Layering.t;
@@ -57,11 +55,7 @@ val step : t -> now:Engine.Time.t -> session_input list -> prescription list
     other receivers are recipients. Where [measures] or [levels] list a
     node twice, the first entry counts. *)
 
-val remove_session : t -> session:int -> unit
-(** Session teardown: prunes the back-off timers and stage-5 per-node
-    histories of one session. Capacity estimates are per physical edge,
-    shared across sessions, and are kept. *)
-
 val capacity_estimate : t -> edge:int -> float
 (** Current stage-2 estimate of an edge keyed by {!Tree.edge}
-    (diagnostics; [infinity] = unknown). *)
+    ([infinity] = unknown). Test-only: the algorithm tests read stage 2's
+    output through it. *)

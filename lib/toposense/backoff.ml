@@ -28,10 +28,3 @@ let blocked_on_path t ~session ~tree ~leaf ~layer ~now =
        || up (Tree.parent tree i))
   in
   up leaf
-
-let clear t = Hashtbl.reset t.deadlines
-
-let clear_session t ~session =
-  Hashtbl.filter_map_inplace
-    (fun (s, _, _) deadline -> if s = session then None else Some deadline)
-    t.deadlines

@@ -23,11 +23,3 @@ val blocked_on_path :
   t -> session:int -> tree:Tree.t -> leaf:int -> layer:int -> now:Engine.Time.t -> bool
 (** True when the layer is backed off at the leaf or any of its
     ancestors in the session tree. [leaf] is a {!Tree} index. *)
-
-val clear : t -> unit
-(** Drops all timers (tests). *)
-
-val clear_session : t -> session:int -> unit
-(** Drops every timer of one session. Long-running controllers call this
-    on session teardown so timers for departed sessions do not accumulate
-    forever. *)

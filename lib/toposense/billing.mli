@@ -22,15 +22,6 @@ val record :
   unit
 (** Fold in one receiver report. *)
 
-val bytes : t -> session:int -> receiver:Net.Addr.node_id -> int
-(** Total bytes reported delivered. *)
-
-val layer_seconds : t -> session:int -> receiver:Net.Addr.node_id -> float
-(** Integral of the subscription level over reported windows. *)
-
-val receivers : t -> session:int -> Net.Addr.node_id list
-(** Receivers with any usage on record, sorted. *)
-
 type invoice_line = {
   receiver : Net.Addr.node_id;
   megabytes : float;
@@ -44,4 +35,6 @@ val invoice :
   price_per_megabyte:float ->
   price_per_layer_hour:float ->
   invoice_line list
-(** One line per receiver, sorted by receiver. *)
+(** One line per receiver with any usage on record, sorted by receiver:
+    the bytes reported delivered, and the integral of the subscription
+    level over the reported windows. *)

@@ -128,10 +128,3 @@ let known_edges t =
     (fun edge e acc -> if Float.is_finite e.estimate_bps then edge :: acc else acc)
     t.entries []
   |> List.sort Int.compare
-
-let reset t ~edge =
-  match Int_table.find_opt t.entries edge with
-  | Some e ->
-      e.estimate_bps <- infinity;
-      e.intervals_since_set <- 0
-  | None -> ()

@@ -44,7 +44,5 @@ val estimate_bps : t -> edge:int -> float
 (** Current capacity estimate; [infinity] when unknown. *)
 
 val known_edges : t -> int list
-(** Edges with a finite estimate, ascending: by parent, then child. *)
-
-val reset : t -> edge:int -> unit
-(** Force an edge back to unknown (used by tests and ablations). *)
+(** Edges with a finite estimate, ascending: by parent, then child.
+    Test-only: the capacity tests check which edges got an estimate. *)

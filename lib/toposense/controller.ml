@@ -16,7 +16,7 @@ type acc = {
   mutable any_sustained : bool;
 }
 
-type status = Active | Evicted | Departed
+type status = Active | Evicted
 
 (* An unACKed prescription awaiting retransmission (only with
    [reliable_prescriptions]). *)
@@ -58,7 +58,7 @@ type t = {
           the per-session [Hashtbl.create] is off the steady-state
           allocation profile. *)
   proto_tx : Protocol.tx;  (* prescription seq, per (session, receiver) *)
-  proto_rx : Protocol.rx;  (* report/goodbye seq, per (session, receiver) *)
+  proto_rx : Protocol.rx;  (* report seq, per (session, receiver) *)
   proto_rng : Engine.Prng.t;
       (* dedicated stream: retransmission jitter must not perturb the
          algorithm's or the receivers' randomness *)
@@ -84,7 +84,6 @@ type t = {
   mutable give_ups : int;
   mutable stale_rejected : int;
   mutable acks_received : int;
-  mutable goodbyes_received : int;
   mutable billing : Billing.t option;
 }
 
@@ -130,9 +129,9 @@ let on_report t ~session ~receiver ~level ~loss_rate ~bytes ~settling
   let now = Sim.now (Net.Network.sim t.network) in
   (match st.status with
   | Active -> ()
-  | Evicted | Departed ->
-      (* Soft-state re-admission: the lease expired (or the receiver said
-         goodbye) and this is a genuinely new report — start clean.
+  | Evicted ->
+      (* Soft-state re-admission: the lease expired and this is a
+         genuinely new report — start clean.
          Rebase the level-change clock on the reported level rather than
          resetting it: the receiver has been holding that level on its
          own, and charging it the full post-change settling hold here
@@ -169,14 +168,6 @@ let on_report t ~session ~receiver ~level ~loss_rate ~bytes ~settling
      as in the paper — that is exactly the lever Fig. 10 studies. The
      reported level is only consulted at re-admission, above. *)
   ()
-
-let on_goodbye t ~session ~receiver =
-  t.goodbyes_received <- t.goodbyes_received + 1;
-  let st = receiver_state t ~session ~node:receiver in
-  st.status <- Departed;
-  st.fresh <- None;
-  st.last_loss <- 0.0;
-  cancel_pending t st
 
 let on_ack t ~session ~receiver ~seq =
   t.acks_received <- t.acks_received + 1;
@@ -226,7 +217,6 @@ let create ~network ~discovery ~params ~node ?domain ?probe ?federation () =
       give_ups = 0;
       stale_rejected = 0;
       acks_received = 0;
-      goodbyes_received = 0;
       billing = None;
     }
   in
@@ -252,14 +242,6 @@ let create ~network ~discovery ~params ~node ?domain ?probe ?federation () =
               on_report t ~session:r.session ~receiver:r.receiver
                 ~level:r.level ~loss_rate:r.loss_rate ~bytes:r.bytes
                 ~settling:r.settling ~sustained:r.sustained)
-      | Protocol.Goodbye { session; receiver; seq } -> (
-          (* Goodbyes ride the receiver's report sequence space, so a
-             straggling report reordered behind the goodbye is Stale and
-             cannot resurrect the membership. *)
-          match Protocol.admit t.proto_rx ~session ~node:receiver ~seq with
-          | Protocol.Duplicate | Protocol.Stale ->
-              t.stale_rejected <- t.stale_rejected + 1
-          | Protocol.Fresh -> on_goodbye t ~session ~receiver)
       | Protocol.Ack { session; receiver; seq } ->
           on_ack t ~session ~receiver ~seq
       | _ -> ()
@@ -271,38 +253,20 @@ let create ~network ~discovery ~params ~node ?domain ?probe ?federation () =
    the reversal happens at use, not here. *)
 let add_session t session = t.sessions_rev <- session :: t.sessions_rev
 
-let sessions t = List.rev t.sessions_rev
-
-let remove_session t ~session =
-  t.sessions_rev <-
-    List.filter
-      (fun s -> Traffic.Session.id s <> session)
-      t.sessions_rev;
-  Hashtbl.iter
-    (fun (s, _) st -> if s = session then cancel_pending t st)
-    t.receivers;
-  Hashtbl.filter_map_inplace
-    (fun (s, _) st -> if s = session then None else Some st)
-    t.receivers;
-  Int_table.remove t.known session;
-  Protocol.clear_tx_session t.proto_tx ~session;
-  Protocol.clear_rx_session t.proto_rx ~session;
-  Algorithm.remove_session t.algorithm ~session
-
 let set_billing t billing = t.billing <- Some billing
 
 (* Fold the accumulated reports into per-member measures for one session
    tree; receivers whose reports were all lost keep their last loss and
-   contribute zero fresh bytes. Evicted and departed members are left
-   out entirely: their share of the session's demand and capacity
-   evidence flows back to the survivors. *)
+   contribute zero fresh bytes. Evicted members are left out entirely:
+   their share of the session's demand and capacity evidence flows back
+   to the survivors. *)
 let session_input t session tree =
   let id = Traffic.Session.id session in
   (* Under [prescribe_known_only] the lease-book check comes first —
      before [receiver_state], which would otherwise allocate an entry per
      tree member and make controller state O(receivers) in worlds where
      only a sampled subset ever reports. Only these members are
-     prescribed to; an evicted or departed one among them is counted in
+     prescribed to; an evicted one among them is counted in
      [lease_suppressed]. *)
   let candidates =
     let all = Tree.members tree in
@@ -478,8 +442,7 @@ let run_interval t =
       let st = receiver_state t ~session:p.session ~node:p.receiver in
       if st.status <> Active then
         (* The snapshot (possibly stale) still lists a member the lease
-           or a goodbye already removed; prescribing to it would undo the
-           removal. *)
+           already removed; prescribing to it would undo the removal. *)
         t.lease_suppressed <- t.lease_suppressed + 1
       else if p.receiver = t.node then
         (* No self-suggestions; count separately so [suggestions_sent]
@@ -501,35 +464,17 @@ let run_interval t =
       end)
     prescriptions;
   (* Federated leaf: one fixed-size per-session summary to the parent
-     per interval, describing the receivers this interval's algorithm
-     run actually saw. The parent's state is one slot per
+     per interval, for every session this interval's algorithm run saw —
+     a liveness beat. The parent's state is one slot per
      (session, domain) — O(domains) however many receivers sit here. *)
   match t.federation with
   | None -> ()
   | Some leaf ->
       List.iter
         (fun (input : Algorithm.session_input) ->
-          (* One pass per list, with the loss total in a float array
-             cell: unboxed storage, where three separate
-             [List.fold_left]s re-boxed a float accumulator per
-             element. *)
-          let n = ref 0 and congested = ref 0 in
-          let loss_sum = [| 0.0 |] in
-          List.iter
-            (fun (_, (loss, _)) ->
-              incr n;
-              loss_sum.(0) <- loss_sum.(0) +. loss;
-              if loss >= t.params.p_threshold then incr congested)
-            input.measures;
-          let level_sum = ref 0 in
-          List.iter (fun (_, lvl) -> level_sum := !level_sum + lvl) input.levels;
-          let n = !n and congested = !congested in
-          let fn = float_of_int (max 1 n) in
           t.summaries_sent <- t.summaries_sent + 1;
           Federation.send_summary leaf ~network:t.network ~src:t.node
-            ~session:input.Algorithm.id ~receivers:n
-            ~mean_level:(float_of_int !level_sum /. fn)
-            ~mean_loss:(loss_sum.(0) /. fn) ~congested)
+            ~session:input.Algorithm.id)
         inputs
 
 let start t =
@@ -559,18 +504,11 @@ let stop t =
   | None -> ()
 
 let running t = t.running
-let algorithm t = t.algorithm
 let reports_received t = t.reports_received
 let suggestions_sent t = t.suggestions_sent
 let self_suppressed t = t.self_suppressed
 let lease_suppressed t = t.lease_suppressed
 let summaries_sent t = t.summaries_sent
-
-let known_receivers t ~session =
-  match Int_table.find t.known session with
-  | s -> Util.Bitset.cardinal s
-  | exception Not_found -> 0
-
 let receiver_state_entries t = Hashtbl.length t.receivers
 let invalid_snapshots t = t.invalid_snapshots
 let intervals_run t = t.intervals_run
@@ -581,7 +519,6 @@ let retransmits t = t.retransmits
 let give_ups t = t.give_ups
 let stale_rejected t = t.stale_rejected
 let acks_received t = t.acks_received
-let goodbyes_received t = t.goodbyes_received
 
 let receiver_active t ~session ~node =
   match Hashtbl.find_opt t.receivers (session, node) with

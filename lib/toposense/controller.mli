@@ -15,8 +15,8 @@
     timer is for.
 
     Control-plane reliability ({!Protocol}): every prescription carries a
-    per-(session, receiver) sequence number; incoming reports and
-    goodbyes are admitted through the matching dup/stale filter. Receiver
+    per-(session, receiver) sequence number; incoming reports are
+    admitted through the matching dup/stale filter. Receiver
     membership is a soft-state lease — a receiver silent for
     [params.lease_intervals] intervals is evicted (left out of the
     algorithm input and never prescribed to) and re-admitted cleanly by
@@ -27,9 +27,7 @@
 
 type Net.Packet.payload +=
   | Suggestion of { session : int; level : int; seq : int }
-
-val suggestion_size : int
-(** Bytes on the wire for a suggestion packet (60). *)
+      (** 60 bytes on the wire. *)
 
 type t
 
@@ -64,21 +62,12 @@ val create :
 
     With [federation], this controller is a leaf in a two-level
     hierarchy: each interval it additionally unicasts one
-    {!Federation.Domain_summary} per session to the federation parent,
-    describing the receivers it manages. Combine with [domain] and
+    {!Federation.Domain_summary} per session it ran to the federation
+    parent, a fixed-size liveness beat. Combine with [domain] and
     [params.prescribe_known_only] for scaled worlds. *)
 
 val add_session : t -> Traffic.Session.t -> unit
 (** The session must also be registered with the discovery service. *)
-
-val sessions : t -> Traffic.Session.t list
-(** Registered sessions, in registration order. *)
-
-val remove_session : t -> session:int -> unit
-(** Session teardown: unregisters the session, drops its receiver
-    states (cancelling pending retransmissions), clears its
-    {!Protocol} sequence spaces and calls {!Algorithm.remove_session}
-    (which prunes the session's back-off timers and histories). *)
 
 val set_billing : t -> Billing.t -> unit
 (** Every receiver report is additionally folded into the billing
@@ -99,9 +88,7 @@ val stop : t -> unit
     deaf to incoming reports until {!start} is called again. *)
 
 val running : t -> bool
-
-val algorithm : t -> Algorithm.t
-(** The underlying algorithm state (diagnostics, tests, benches). *)
+(** Test-only: the outage tests check the stop and restart state. *)
 
 val reports_received : t -> int
 
@@ -115,15 +102,11 @@ val self_suppressed : t -> int
 
 val lease_suppressed : t -> int
 (** Prescriptions suppressed because the (stale) snapshot still listed a
-    member whose lease expired or who said goodbye. *)
+    member whose lease expired. *)
 
 val summaries_sent : t -> int
 (** {!Federation.Domain_summary} packets originated (0 without
     [federation]). *)
-
-val known_receivers : t -> session:int -> int
-(** Size of the session's known-receiver lease book (receivers an
-    admitted report has ever arrived from). *)
 
 val receiver_state_entries : t -> int
 (** Per-receiver state entries currently allocated, across sessions —
@@ -144,7 +127,7 @@ val evictions : t -> int
 (** Receivers whose liveness lease expired. *)
 
 val readmissions : t -> int
-(** Evicted or departed receivers re-admitted by a fresh report. *)
+(** Evicted receivers re-admitted by a fresh report. *)
 
 val retransmits : t -> int
 (** Prescription retransmissions (0 unless
@@ -155,14 +138,13 @@ val give_ups : t -> int
     retransmissions without an ACK. *)
 
 val stale_rejected : t -> int
-(** Reports and goodbyes dropped as duplicates or stale reorderings. *)
+(** Reports dropped as duplicates or stale reorderings. *)
 
 val acks_received : t -> int
-val goodbyes_received : t -> int
 
 val receiver_active : t -> session:int -> node:Net.Addr.node_id -> bool
 (** Whether the receiver currently holds an active lease for the session
-    (false if unknown, evicted or departed). *)
+    (false if unknown or evicted). *)
 
 val forget_receiver : t -> session:int -> receiver:Net.Addr.node_id -> unit
 (** Drops the receiver from the lease book and releases its per-receiver

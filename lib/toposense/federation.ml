@@ -7,16 +7,10 @@ type Net.Packet.payload +=
       session : int;
       epoch : int;
       seq : int;
-      receivers : int;
-      mean_level : float;
-      mean_loss : float;
-      congested : int;
     }
 
-(* The epoch rides in the summary header's former padding, so the wire
-   size is unchanged — a run that never restarts a leaf is byte-identical
-   with the field present (same discipline as the always-on report
-   seqs). *)
+(* A summary is sized as a per-domain report, whatever the parent reads
+   of it: the control traffic a run measures includes these bytes. *)
 let summary_size = 56
 
 type leaf = {
@@ -34,52 +28,35 @@ let rebase leaf =
   leaf.epoch <- leaf.epoch + 1;
   leaf.next_seq <- 0
 
-let leaf_epoch leaf = leaf.epoch
-
 (* Latest summary for one (session, domain) pair. Overwritten in place:
    the parent's footprint is exactly one slot per pair, independent of
    how many receivers live behind the leaf. *)
 type slot = {
   mutable epoch : int;
   mutable seq : int;
-  mutable receivers : int;
-  mutable mean_level : float;
-  mutable mean_loss : float;
-  mutable congested : int;
   mutable updated_at : Time.t;
 }
 
 type parent = {
   network : Net.Network.t;
-  node : Net.Addr.node_id;
   slots : (int * int, slot) Hashtbl.t;  (* (session, domain) -> latest *)
   mutable summaries_received : int;
   mutable stale_dropped : int;
   (* Failover state — all inert until [start_failover] arms the
      monitor. *)
   degraded : (int, unit) Hashtbl.t;  (* domains currently degraded *)
-  standby : (int, Net.Addr.node_id) Hashtbl.t;  (* domain -> standby leaf *)
   monitor_scratch : (int, Time.t) Hashtbl.t;
       (* tick-lived freshest-summary-per-domain map, cleared and refilled
          on every monitor firing rather than reallocated *)
   mutable rehome_sent : (unit -> int) option;
   mutable rehome_last : int;
   mutable monitor : Sim.handle option;
-  mutable on_degraded :
-    (domain:int -> target:Net.Addr.node_id -> unit) option;
+  mutable on_degraded : (domain:int -> unit) option;
   mutable on_rejoined : (domain:int -> unit) option;
   mutable domains_degraded : int;
   mutable failovers : int;
   mutable rejoins : int;
   mutable rehomed_prescriptions : int;
-}
-
-type aggregate = {
-  domains : int;
-  receivers : int;
-  mean_level : float;
-  mean_loss : float;
-  congested_domains : int;
 }
 
 (* Prescriptions the re-home target issued while at least one domain was
@@ -103,8 +80,7 @@ let note_alive t ~domain =
     match t.on_rejoined with Some f -> f ~domain | None -> ()
   end
 
-let on_summary t ~domain ~session ~epoch ~seq ~receivers ~mean_level
-    ~mean_loss ~congested =
+let on_summary t ~domain ~session ~epoch ~seq =
   t.summaries_received <- t.summaries_received + 1;
   let now = Sim.now (Net.Network.sim t.network) in
   match Hashtbl.find_opt t.slots (session, domain) with
@@ -121,35 +97,20 @@ let on_summary t ~domain ~session ~epoch ~seq ~receivers ~mean_level
          restarted leaf's stream is accepted whatever its seq. *)
       slot.epoch <- epoch;
       slot.seq <- seq;
-      slot.receivers <- receivers;
-      slot.mean_level <- mean_level;
-      slot.mean_loss <- mean_loss;
-      slot.congested <- congested;
       slot.updated_at <- now;
       note_alive t ~domain
   | None ->
-      Hashtbl.add t.slots (session, domain)
-        {
-          epoch;
-          seq;
-          receivers;
-          mean_level;
-          mean_loss;
-          congested;
-          updated_at = now;
-        };
+      Hashtbl.add t.slots (session, domain) { epoch; seq; updated_at = now };
       note_alive t ~domain
 
 let create_parent ~network ~node =
   let t =
     {
       network;
-      node;
       slots = Hashtbl.create 16;
       summaries_received = 0;
       stale_dropped = 0;
       degraded = Hashtbl.create 8;
-      standby = Hashtbl.create 8;
       monitor_scratch = Hashtbl.create 8;
       rehome_sent = None;
       rehome_last = 0;
@@ -167,23 +128,10 @@ let create_parent ~network ~node =
       if Net.Packet.is_data arena pkt then ()
       else
       match Net.Packet.payload arena pkt with
-      | Domain_summary
-          {
-            domain;
-            session;
-            epoch;
-            seq;
-            receivers;
-            mean_level;
-            mean_loss;
-            congested;
-          } ->
-          on_summary t ~domain ~session ~epoch ~seq ~receivers ~mean_level
-            ~mean_loss ~congested
+      | Domain_summary { domain; session; epoch; seq } ->
+          on_summary t ~domain ~session ~epoch ~seq
       | _ -> ());
   t
-
-let set_standby t ~domain ~node = Hashtbl.replace t.standby domain node
 
 let set_rehome_counter t sent =
   t.rehome_sent <- Some sent;
@@ -225,13 +173,8 @@ let start_failover t ~check_period ~silence ?on_degraded ?on_rejoined () =
                     Hashtbl.replace t.degraded domain ();
                     t.domains_degraded <- t.domains_degraded + 1;
                     t.failovers <- t.failovers + 1;
-                    let target =
-                      match Hashtbl.find_opt t.standby domain with
-                      | Some n -> n
-                      | None -> t.node
-                    in
                     match t.on_degraded with
-                    | Some f -> f ~domain ~target
+                    | Some f -> f ~domain
                     | None -> ()
                   end)))
 
@@ -242,9 +185,7 @@ let stop_failover t =
       t.monitor <- None
   | None -> ()
 
-let domain_is_degraded t ~domain = Hashtbl.mem t.degraded domain
 let degraded_now t = Hashtbl.length t.degraded
-let parent_node t = t.node
 let summaries_received t = t.summaries_received
 let stale_dropped t = t.stale_dropped
 let state_entries t = Hashtbl.length t.slots
@@ -253,67 +194,11 @@ let failovers t = t.failovers
 let rejoins t = t.rejoins
 let rehomed_prescriptions t = t.rehomed_prescriptions
 
-let sessions t =
-  Hashtbl.fold (fun (session, _) _ acc -> session :: acc) t.slots []
-  |> List.sort_uniq Int.compare
-
-let aggregate t ~session =
-  let slots : (int * slot) list =
-    Hashtbl.fold
-      (fun (s, domain) slot acc ->
-        (* A degraded domain's slot is whatever it last said before going
-           silent; folding it in would weight the aggregate with data the
-           liveness lease has already declared dead. *)
-        if s = session && not (Hashtbl.mem t.degraded domain) then
-          (domain, slot) :: acc
-        else acc)
-      t.slots []
-  in
-  match slots with
-  | [] -> None
-  | _ ->
-      let domains = List.length slots in
-      let receivers =
-        List.fold_left (fun acc ((_, s) : int * slot) -> acc + s.receivers) 0 slots
-      in
-      (* Receiver-weighted means, so a 10-receiver stub does not count as
-         much as a 10k-receiver one; domains that reported zero active
-         receivers contribute nothing. *)
-      let wsum f =
-        List.fold_left
-          (fun acc ((_, s) : int * slot) ->
-            acc +. (float_of_int s.receivers *. f s))
-          0.0 slots
-      in
-      let mean_level, mean_loss =
-        if receivers = 0 then (0.0, 0.0)
-        else
-          ( wsum (fun s -> s.mean_level) /. float_of_int receivers,
-            wsum (fun s -> s.mean_loss) /. float_of_int receivers )
-      in
-      let congested_domains =
-        List.fold_left
-          (fun acc ((_, s) : int * slot) ->
-            if s.congested > 0 then acc + 1 else acc)
-          0 slots
-      in
-      Some { domains; receivers; mean_level; mean_loss; congested_domains }
-
-let send_summary leaf ~network ~src ~session ~receivers ~mean_level ~mean_loss
-    ~congested =
+let send_summary leaf ~network ~src ~session =
   let seq = leaf.next_seq in
   leaf.next_seq <- seq + 1;
   Net.Network.originate network ~src ~dst:(Net.Addr.Unicast leaf.parent)
     ~size:summary_size
     ~payload:
       (Domain_summary
-         {
-           domain = leaf.domain_id;
-           session;
-           epoch = leaf.epoch;
-           seq;
-           receivers;
-           mean_level;
-           mean_loss;
-           congested;
-         })
+         { domain = leaf.domain_id; session; epoch = leaf.epoch; seq })

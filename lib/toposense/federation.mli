@@ -11,13 +11,14 @@
     traffic it absorbs are O(domains), independent of receiver count
     (pinned by a counter test).
 
-    The parent additionally holds a {e liveness lease} on every domain's
-    summary stream: a domain silent longer than the lease is marked
-    degraded and handed to a failover target (a configured standby leaf,
-    or the parent itself for direct prescriptions from the unrestricted
-    snapshot); a leaf that comes back rejoins by rebasing its sequence
-    space under a higher epoch. All of it is inert until
-    {!start_failover} arms the monitor. *)
+    A summary is a fixed-size liveness beat: the parent reads only who
+    sent it and its place in the stream, and holds a {e liveness lease}
+    on every domain's summaries. A domain silent longer than the lease
+    is marked degraded and handed to the parent, the only failover
+    target, which prescribes directly from the unrestricted snapshot; a
+    leaf that comes back rejoins by rebasing its sequence space under a
+    higher epoch. All of it is inert until {!start_failover} arms the
+    monitor. *)
 
 type Net.Packet.payload +=
   | Domain_summary of {
@@ -27,16 +28,8 @@ type Net.Packet.payload +=
           (** bumped by {!rebase} when the leaf restarts; lets the
               parent tell a rebased stream from reordered stragglers *)
       seq : int;  (** per-leaf per-epoch, for dropping reordered stragglers *)
-      receivers : int;  (** active receivers the leaf is managing *)
-      mean_level : float;
-      mean_loss : float;
-      congested : int;  (** receivers at/above [p_threshold] loss *)
     }
-
-val summary_size : int
-(** Wire size of one summary packet (bytes). The epoch rides in the
-    header's former padding — adding it did not change the size, so
-    runs without leaf restarts stay byte-identical. *)
+      (** 56 bytes on the wire, whatever the parent reads of it. *)
 
 (** {1 Leaf side} *)
 
@@ -54,21 +47,10 @@ val rebase : leaf -> unit
     {!Controller.start} calls this when restarting a stopped federated
     controller. *)
 
-val leaf_epoch : leaf -> int
-
 val send_summary :
-  leaf ->
-  network:Net.Network.t ->
-  src:Net.Addr.node_id ->
-  session:int ->
-  receivers:int ->
-  mean_level:float ->
-  mean_loss:float ->
-  congested:int ->
-  unit
+  leaf -> network:Net.Network.t -> src:Net.Addr.node_id -> session:int -> unit
 (** Originates one summary to the leaf's parent (self-addressed works:
-    the network delivers locally). Used by {!Controller}; exposed for
-    tests. *)
+    the network delivers locally). Used by {!Controller}. *)
 
 (** {1 Parent side} *)
 
@@ -80,25 +62,6 @@ val create_parent :
     packets. Coexists with other local handlers (e.g. a leaf controller
     on the same node). *)
 
-type aggregate = {
-  domains : int;  (** healthy domains that have reported this session *)
-  receivers : int;  (** sum of the latest per-domain receiver counts *)
-  mean_level : float;  (** receiver-weighted *)
-  mean_loss : float;  (** receiver-weighted *)
-  congested_domains : int;  (** domains with at least one congested receiver *)
-}
-
-val aggregate : parent -> session:int -> aggregate option
-(** Session-wide picture folded from the latest per-domain slots;
-    [None] if no domain has reported yet. Degraded domains are excluded
-    — their slots hold data the liveness lease already declared dead, so
-    the receiver-weighted means stay consistent while a domain is dark
-    mid-interval. O(domains). *)
-
-val sessions : parent -> int list
-(** Sessions with at least one slot, ascending. *)
-
-val parent_node : parent -> Net.Addr.node_id
 val summaries_received : parent -> int
 
 val stale_dropped : parent -> int
@@ -116,25 +79,21 @@ val start_failover :
   parent ->
   check_period:Engine.Time.span ->
   silence:Engine.Time.span ->
-  ?on_degraded:(domain:int -> target:Net.Addr.node_id -> unit) ->
+  ?on_degraded:(domain:int -> unit) ->
   ?on_rejoined:(domain:int -> unit) ->
   unit ->
   unit
 (** Arms the liveness monitor: every [check_period] it sweeps the slots,
     and a domain whose freshest summary is older than [silence] is
-    marked degraded. [on_degraded] fires once per degradation with the
-    failover target — the domain's configured standby
-    ({!set_standby}), or the parent's own node for direct re-homing —
-    and the scenario layer re-points the domain's receiver agents at it
-    (they ride the RLM fallback until prescriptions resume).
+    marked degraded. [on_degraded] fires once per degradation, and the
+    scenario layer re-points the domain's receiver agents at the
+    parent's node for direct re-homing (they ride the RLM fallback until
+    prescriptions resume).
     [on_rejoined] fires when a degraded domain's summaries return.
     @raise Invalid_argument if already armed or on a non-positive
     period/silence. *)
 
 val stop_failover : parent -> unit
-
-val set_standby : parent -> domain:int -> node:Net.Addr.node_id -> unit
-(** Configures a standby leaf node as [domain]'s failover target. *)
 
 val set_rehome_counter : parent -> (unit -> int) -> unit
 (** Registers the suggestion counter of the controller that serves
@@ -143,8 +102,6 @@ val set_rehome_counter : parent -> (unit -> int) -> unit
     controller). The monitor samples it as a delta while at least one
     domain is degraded, attributing those prescriptions to
     {!rehomed_prescriptions}. *)
-
-val domain_is_degraded : parent -> domain:int -> bool
 
 val degraded_now : parent -> int
 (** Domains currently degraded (gauge). *)
@@ -155,8 +112,8 @@ val domains_degraded : parent -> int
 (** Degradation events: silent-domain detections by the monitor. *)
 
 val failovers : parent -> int
-(** Degradations for which a failover target was engaged (all of them —
-    the parent itself is the target of last resort). *)
+(** Degradations handed to the parent (all of them: it is the only
+    failover target). *)
 
 val rejoins : parent -> int
 (** Degraded domains whose summary stream came back. *)

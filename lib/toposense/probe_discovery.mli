@@ -64,3 +64,4 @@ val latest : t -> session:int -> Discovery.Snapshot.t option
 val queries_sent : t -> int
 val responses_received : t -> int
 val known_receivers : t -> session:int -> Net.Addr.node_id list
+(** Test-only: the probe tests check registration from reports. *)

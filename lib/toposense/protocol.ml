@@ -2,10 +2,8 @@ module Time = Engine.Time
 
 type Net.Packet.payload +=
   | Ack of { session : int; receiver : Net.Addr.node_id; seq : int }
-  | Goodbye of { session : int; receiver : Net.Addr.node_id; seq : int }
 
 let ack_size = 40
-let goodbye_size = 40
 
 type tx = (int * Net.Addr.node_id, int) Hashtbl.t
 
@@ -18,11 +16,6 @@ let next_seq (t : tx) ~session ~node =
   let seq = last_sent t ~session ~node + 1 in
   Hashtbl.replace t (session, node) seq;
   seq
-
-let clear_tx_session (t : tx) ~session =
-  Hashtbl.filter_map_inplace
-    (fun (s, _) seq -> if s = session then None else Some seq)
-    t
 
 type rx = (int * Net.Addr.node_id, int) Hashtbl.t
 
@@ -41,11 +34,6 @@ let admit (t : rx) ~session ~node ~seq =
   end
   else if seq = high then Duplicate
   else Stale
-
-let clear_rx_session (t : rx) ~session =
-  Hashtbl.filter_map_inplace
-    (fun (s, _) seq -> if s = session then None else Some seq)
-    t
 
 let backoff_span ~(params : Params.t) ~rng ~attempt =
   let base =

@@ -24,16 +24,9 @@ type Net.Packet.payload +=
   | Ack of { session : int; receiver : Net.Addr.node_id; seq : int }
         (** Receiver → controller: prescription [seq] for [session] was
             received (fresh or duplicate) at [receiver]. *)
-  | Goodbye of { session : int; receiver : Net.Addr.node_id; seq : int }
-        (** Receiver → controller: [receiver] has unsubscribed from
-            [session]; stop prescribing to it. Stamped from the
-            receiver's report sequence space. *)
 
 val ack_size : int
 (** Bytes on the wire for an ACK packet (40). *)
-
-val goodbye_size : int
-(** Bytes on the wire for a goodbye packet (40). *)
 
 (** {1 Send side: sequence stamping} *)
 
@@ -46,10 +39,8 @@ val next_seq : tx -> session:int -> node:Net.Addr.node_id -> int
 (** Allocates the next sequence number for the stream (1, 2, 3, …). *)
 
 val last_sent : tx -> session:int -> node:Net.Addr.node_id -> int
-(** Last allocated number (0 before any send). *)
-
-val clear_tx_session : tx -> session:int -> unit
-(** Drops every stream of one session (session teardown). *)
+(** Last allocated number (0 before any send). Test-only: the protocol
+    tests read a stream's high-water mark through it. *)
 
 (** {1 Receive side: dup/stale rejection} *)
 
@@ -70,10 +61,8 @@ val admit : rx -> session:int -> node:Net.Addr.node_id -> seq:int -> verdict
     duplication and reordering. *)
 
 val last_accepted : rx -> session:int -> node:Net.Addr.node_id -> int
-(** Current high-water mark (0 before any accept). *)
-
-val clear_rx_session : rx -> session:int -> unit
-(** Drops every stream of one session (session teardown). *)
+(** Current high-water mark (0 before any accept). Test-only: the
+    protocol tests read a stream's high-water mark through it. *)
 
 (** {1 Retransmission backoff} *)
 

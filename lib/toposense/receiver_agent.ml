@@ -9,8 +9,6 @@ type session_state = {
   mutable probe_deadline : Time.t;  (* unilateral add no earlier than this *)
   mutable deaf_until : Time.t;  (* suppress loss after a drop *)
   mutable changes : (Time.t * int) list;  (* newest first *)
-  mutable unsubscribed : bool;
-      (* departed: no reports, no watchdog, stray suggestions ignored *)
   (* RLM-fallback machine (only driven when [params.rlm_fallback]) *)
   mutable fb_active : bool;
   mutable fb_since : Time.t;
@@ -33,7 +31,7 @@ type t = {
       (* fallback randomness is a separate stream so enabling the
          fallback machine cannot perturb the legacy watchdog draws *)
   fb_backoff : Backoff.t;
-  proto_tx : Protocol.tx;  (* report/goodbye seq, keyed (session, self) *)
+  proto_tx : Protocol.tx;  (* report seq, keyed (session, self) *)
   proto_rx : Protocol.rx;  (* prescription seq, keyed (session, controller) *)
   sessions : (int, session_state) Hashtbl.t;
   mutable tasks : Sim.handle list;
@@ -42,7 +40,6 @@ type t = {
   mutable acks_sent : int;
   mutable dup_suggestions : int;
   mutable stale_suggestions : int;
-  mutable stray_suggestions : int;
   mutable fallback_entries : int;
 }
 
@@ -189,7 +186,6 @@ let on_packet t (pkt : Net.Packet.t) =
            way back to the controller. *)
         match Hashtbl.find_opt t.sessions session with
         | None -> ()
-        | Some st when st.unsubscribed -> ()
         | Some _ ->
             Net.Network.originate t.network ~src:t.node
               ~dst:(Net.Addr.Unicast (Net.Packet.src t.arena pkt))
@@ -206,11 +202,6 @@ let on_packet t (pkt : Net.Packet.t) =
     | Controller.Suggestion { session; level = suggested; seq } -> (
         match Hashtbl.find_opt t.sessions session with
         | None -> ()
-        | Some st when st.unsubscribed ->
-            (* A lingering prescription computed from a stale snapshot
-               after we said goodbye; obeying it would resurrect the
-               membership. *)
-            t.stray_suggestions <- t.stray_suggestions + 1
         | Some st -> (
             t.suggestions_received <- t.suggestions_received + 1;
             let from = Net.Packet.src t.arena pkt in
@@ -266,7 +257,6 @@ let create ~network ~router ~params ~node ~controller () =
       acks_sent = 0;
       dup_suggestions = 0;
       stale_suggestions = 0;
-      stray_suggestions = 0;
       fallback_entries = 0;
     }
   in
@@ -282,7 +272,6 @@ let fresh_session_state t session ~now =
     probe_deadline = now;
     deaf_until = now;
     changes = [];
-    unsubscribed = false;
     fb_active = false;
     fb_since = now;
     fb_total = 0;
@@ -293,60 +282,28 @@ let fresh_session_state t session ~now =
 
 let subscribe t ~session ~initial_level =
   let id = Traffic.Session.id session in
-  let now = Sim.now (sim t) in
-  (match Hashtbl.find_opt t.sessions id with
-  | Some st when st.unsubscribed ->
-      (* Re-subscribe after a goodbye: keep the change log, restart the
-         control machinery clean. The report sequence space keeps
-         counting up, so the controller's dup/stale filter re-admits us
-         on the first new report. *)
-      st.unsubscribed <- false;
-      st.last_suggestion <- now;
-      st.last_window_loss <- 0.0;
-      st.probe_deadline <- now;
-      st.deaf_until <- now;
-      st.fb_active <- false;
-      st.experiment <- None;
-      st.next_join_at <- now
-  | Some _ -> invalid_arg "Receiver_agent.subscribe: already subscribed"
-  | None -> Hashtbl.add t.sessions id (fresh_session_state t session ~now));
+  if Hashtbl.mem t.sessions id then
+    invalid_arg "Receiver_agent.subscribe: already subscribed";
+  Hashtbl.add t.sessions id
+    (fresh_session_state t session ~now:(Sim.now (sim t)));
   set_level t ~session:id ~level:initial_level
-
-let unsubscribe t ~session =
-  match Hashtbl.find_opt t.sessions session with
-  | None -> invalid_arg "Receiver_agent.unsubscribe: unknown session"
-  | Some st ->
-      if not st.unsubscribed then begin
-        let now = Sim.now (sim t) in
-        close_fallback st ~now;
-        set_level t ~session ~level:0;
-        st.unsubscribed <- true;
-        (* The goodbye rides the report sequence space: any report of
-           ours still in flight is older and lands as stale. *)
-        let seq = Protocol.next_seq t.proto_tx ~session ~node:t.node in
-        Net.Network.originate t.network ~src:t.node
-          ~dst:(Net.Addr.Unicast t.controller) ~size:Protocol.goodbye_size
-          ~payload:(Protocol.Goodbye { session; receiver = t.node; seq })
-      end
 
 let send_reports t =
   let now = Sim.now (sim t) in
   Hashtbl.iter
     (fun id st ->
-      if not st.unsubscribed then begin
-        let w = Stats.take_window t.stats ~session:id in
-        (* Loss measured while the network is still draining a drop we just
-           made is reported truthfully (the controller needs it to correlate
-           siblings and estimate capacities) but flagged as settling so it
-           does not trigger a further reduction of this receiver. *)
-        let settling = Time.(now < st.deaf_until) in
-        st.last_window_loss <- w.loss_rate;
-        Reports.Rtcp.send_report ~network:t.network ~receiver:t.node
-          ~controller:t.controller ~session:id ~level:(level t ~session:id)
-          ~window:t.params.report_interval ~settling
-          ~seq:(Protocol.next_seq t.proto_tx ~session:id ~node:t.node)
-          w
-      end)
+      let w = Stats.take_window t.stats ~session:id in
+      (* Loss measured while the network is still draining a drop we just
+         made is reported truthfully (the controller needs it to correlate
+         siblings and estimate capacities) but flagged as settling so it
+         does not trigger a further reduction of this receiver. *)
+      let settling = Time.(now < st.deaf_until) in
+      st.last_window_loss <- w.loss_rate;
+      Reports.Rtcp.send_report ~network:t.network ~receiver:t.node
+        ~controller:t.controller ~session:id ~level:(level t ~session:id)
+        ~window:t.params.report_interval ~settling
+        ~seq:(Protocol.next_seq t.proto_tx ~session:id ~node:t.node)
+        w)
     t.sessions
 
 (* Unilateral fallback: the controller has gone quiet for this session —
@@ -359,8 +316,7 @@ let watchdog t =
   let timeout = Time.mul_span t.params.interval t.params.suggestion_timeout_intervals in
   Hashtbl.iter
     (fun id st ->
-      if st.unsubscribed then ()
-      else if t.params.rlm_fallback then begin
+      if t.params.rlm_fallback then begin
         if Time.diff now st.last_suggestion > timeout then begin
           if not st.fb_active then enter_fallback t id st ~now;
           fallback_tick t id st ~now
@@ -431,14 +387,12 @@ let last_suggestion_at t ~session =
     (Hashtbl.find_opt t.sessions session)
 
 let set_controller t ~controller = t.controller <- controller
-let controller t = t.controller
 
 let suggestions_received t = t.suggestions_received
 let unilateral_actions t = t.unilateral_actions
 let acks_sent t = t.acks_sent
 let dup_suggestions t = t.dup_suggestions
 let stale_suggestions t = t.stale_suggestions
-let stray_suggestions t = t.stray_suggestions
 let fallback_entries t = t.fallback_entries
 
 let fallback_seconds t ~session =
@@ -451,9 +405,3 @@ let fallback_seconds t ~session =
       Time.span_to_sec_f (st.fb_total + open_span)
 
 let node t = t.node
-
-let sessions t =
-  Hashtbl.fold
-    (fun _ st acc ->
-      if st.unsubscribed then acc else st.session :: acc)
-    t.sessions []

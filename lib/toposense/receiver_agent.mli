@@ -39,16 +39,9 @@ val create :
 
 val subscribe : t -> session:Traffic.Session.t -> initial_level:int -> unit
 (** Joins the session at [initial_level] and starts reporting on it.
-    Re-subscribing after {!unsubscribe} is allowed and resumes cleanly
-    (the report sequence space keeps counting up, so the controller's
-    dup/stale filter re-admits the receiver at once). *)
-
-val unsubscribe : t -> session:int -> unit
-(** Leaves all of the session's layer groups, stops reporting on it, and
-    sends a goodbye so the controller removes this receiver from the
-    session instead of keeping it on the books forever. Suggestions that
-    still arrive for the session (computed from stale topology images)
-    are ignored rather than re-joining the groups. *)
+    A receiver leaves by dropping to level 0 ({!set_level}) and
+    {!stop}ping; the controller's lease then evicts it.
+    @raise Invalid_argument if already subscribed to the session. *)
 
 val start : t -> unit
 (** Starts the periodic report and watchdog tasks. *)
@@ -83,12 +76,9 @@ val set_controller : t -> controller:Net.Addr.node_id -> unit
     unaffected; the watchdog keeps covering the gap until the new
     controller's suggestions arrive. *)
 
-val controller : t -> Net.Addr.node_id
-
 val suggestions_received : t -> int
 (** Suggestion packets heard for subscribed sessions (fresh, duplicate
-    and stale alike; strays for unsubscribed sessions are counted in
-    {!stray_suggestions} instead). *)
+    and stale alike). *)
 
 val unilateral_actions : t -> int
 
@@ -101,9 +91,6 @@ val dup_suggestions : t -> int
 val stale_suggestions : t -> int
 (** Reordered-stale prescriptions dropped. *)
 
-val stray_suggestions : t -> int
-(** Suggestions ignored because the session was unsubscribed. *)
-
 val fallback_entries : t -> int
 (** Times any session entered RLM-fallback mode. *)
 
@@ -112,6 +99,3 @@ val fallback_seconds : t -> session:int -> float
     current episode if one is open. *)
 
 val node : t -> Net.Addr.node_id
-
-val sessions : t -> Traffic.Session.t list
-(** Currently subscribed sessions (unsubscribed ones excluded). *)

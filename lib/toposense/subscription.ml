@@ -283,4 +283,3 @@ let step t ~now input =
       end)
     input.recipients
 
-let remove_session t ~session = Int_table.remove t.states session

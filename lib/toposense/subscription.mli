@@ -54,5 +54,3 @@ val step :
     once per call. The prescription pass only reads state, so the
     levels prescribed to one recipient do not depend on the others. *)
 
-val remove_session : t -> session:int -> unit
-(** Drops all per-node state of one session (session teardown). *)

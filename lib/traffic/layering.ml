@@ -4,9 +4,6 @@ type t = {
 }
 
 let create ~base_bps ~multiplier ~count =
-  if base_bps <= 0.0 then invalid_arg "Layering.create: base_bps <= 0";
-  if multiplier < 1.0 then invalid_arg "Layering.create: multiplier < 1";
-  if count < 1 then invalid_arg "Layering.create: count < 1";
   let rates =
     Array.init count (fun i -> base_bps *. (multiplier ** float_of_int i))
   in
@@ -36,10 +33,3 @@ let level_for_bandwidth t ~bps =
     else loop (k - 1)
   in
   loop (count t)
-
-let pp ppf t =
-  Format.fprintf ppf "layers[%a]"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-       (fun ppf r -> Format.fprintf ppf "%.0fk" (r /. 1000.0)))
-    (Array.to_list t.rates)

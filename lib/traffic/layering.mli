@@ -9,10 +9,6 @@
 
 type t
 
-val create : base_bps:float -> multiplier:float -> count:int -> t
-(** @raise Invalid_argument unless [base_bps > 0], [multiplier >= 1] and
-    [count >= 1]. *)
-
 val paper_default : t
 (** 6 layers, 32 Kbps base, doubling: 32, 64, 128, 256, 512, 1024 Kbps. *)
 
@@ -29,5 +25,3 @@ val cumulative_bps : t -> level:int -> float
 
 val level_for_bandwidth : t -> bps:float -> int
 (** The largest level whose cumulative bandwidth fits in [bps]. *)
-
-val pp : Format.formatter -> t -> unit

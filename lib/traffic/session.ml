@@ -23,14 +23,6 @@ let group_for_layer t ~layer =
     invalid_arg "Session.group_for_layer: layer";
   t.groups.(layer)
 
-let layer_of_group t ~group =
-  let rec find i =
-    if i >= Array.length t.groups then None
-    else if t.groups.(i) = group then Some i
-    else find (i + 1)
-  in
-  find 0
-
 let subscription_level t ~router ~node =
   let rec loop k =
     if k >= Array.length t.groups then k

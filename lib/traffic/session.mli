@@ -18,8 +18,6 @@ val id : t -> int
 val source : t -> Net.Addr.node_id
 val layering : t -> Layering.t
 val group_for_layer : t -> layer:int -> Net.Addr.group_id
-val layer_of_group : t -> group:Net.Addr.group_id -> int option
-
 val subscription_level :
   t -> router:Multicast.Router.t -> node:Net.Addr.node_id -> int
 (** The node's current level: the number of consecutive layer groups it is

@@ -15,7 +15,6 @@ let create ~router ~source ~layering ~id =
   in
   { id; source; layering; groups }
 
-let id t = t.id
 let stream_count t = Array.length t.groups
 
 let rate_bps t ~stream =
@@ -47,16 +46,13 @@ let select t ~router ~node ~stream =
       Option.iter (fun s -> Router.leave router ~node ~group:t.groups.(s)) cur;
       Option.iter (fun s -> Router.join router ~node ~group:t.groups.(s)) want
 
-type sender = {
-  mutable running : bool;
-  mutable sent : int;
-}
+type sender = { mutable sent : int }
 
 (* Each replica is an independent always-on CBR flow at its full rate on
    its own group; a random initial phase desynchronizes replicas. *)
 let start_sources ~network t ~rng =
   List.init (stream_count t) (fun stream ->
-      let sender = { running = true; sent = 0 } in
+      let sender = { sent = 0 } in
       let sim = Net.Network.sim network in
       let gap_s =
         float_of_int (Net.Packet.data_size * 8) /. rate_bps t ~stream
@@ -64,18 +60,15 @@ let start_sources ~network t ~rng =
       let gap = Engine.Time.span_of_sec_f gap_s in
       let seq = ref 0 in
       let rec tick () =
-        if sender.running then begin
-          Net.Network.originate_data network ~src:t.source
-            ~group:t.groups.(stream) ~size:Net.Packet.data_size
-            ~session:t.id ~layer:stream ~seq:!seq;
-          incr seq;
-          sender.sent <- sender.sent + 1;
-          ignore (Engine.Sim.schedule_after sim gap tick)
-        end
+        Net.Network.originate_data network ~src:t.source
+          ~group:t.groups.(stream) ~size:Net.Packet.data_size ~session:t.id
+          ~layer:stream ~seq:!seq;
+        incr seq;
+        sender.sent <- sender.sent + 1;
+        ignore (Engine.Sim.schedule_after sim gap tick)
       in
       let phase = Engine.Time.span_of_sec_f (Engine.Prng.float rng *. gap_s) in
       ignore (Engine.Sim.schedule_after sim phase tick);
       sender)
 
-let stop sender = sender.running <- false
 let packets_sent sender = sender.sent

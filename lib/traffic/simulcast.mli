@@ -23,17 +23,13 @@ val create :
   t
 (** Allocates one group per replica; replica count = layer count. *)
 
-val id : t -> int
-val stream_count : t -> int
-val rate_bps : t -> stream:int -> float
 val group_for_stream : t -> stream:int -> Net.Addr.group_id
+(** @raise Invalid_argument outside [0, replica count). Test-only: the
+    simulcast tests check group membership through it. *)
 
 val select :
   t -> router:Multicast.Router.t -> node:Net.Addr.node_id -> stream:int option -> unit
 (** Switch the node to one replica (leaving any other), or to none. *)
-
-val selected :
-  t -> router:Multicast.Router.t -> node:Net.Addr.node_id -> int option
 
 type sender
 (** One replica's CBR emitter. *)
@@ -42,7 +38,7 @@ val start_sources :
   network:Net.Network.t -> t -> rng:Engine.Prng.t -> sender list
 (** One always-on CBR sender per replica (replicas are pruned by the
     multicast tree exactly like layers). Packets are tagged
-    [Data {session = id; layer = stream; _}]. *)
+    [Data {session = id; layer = stream; _}]; a sender sends until the
+    run ends. *)
 
-val stop : sender -> unit
 val packets_sent : sender -> int

@@ -14,7 +14,6 @@ type t = {
   seq : int array;  (* next sequence number per layer *)
   sent : int array;
   mutable bytes : int;
-  mutable running : bool;
 }
 
 let packet_bits = Net.Packet.data_size * 8
@@ -42,10 +41,8 @@ let cbr_start t ~layer ~gap ~phase =
   let sim = Net.Network.sim t.network in
   let tmr = ref (Sim.timer sim ignore) in
   let tick () =
-    if t.running then begin
-      emit t ~layer;
-      Sim.arm_after sim !tmr gap
-    end
+    emit t ~layer;
+    Sim.arm_after sim !tmr gap
   in
   tmr := Sim.timer sim tick;
   Sim.arm_after sim !tmr phase
@@ -84,7 +81,7 @@ let vbr_start t ~layer ~avg ~peak_to_mean ~phase =
     in
     lane.l_tmr <-
       Sim.timer sim (fun () ->
-          if t.running && lane.l_k < lane.l_count then begin
+          if lane.l_k < lane.l_count then begin
             emit t ~layer;
             lane.l_k <- lane.l_k + 1;
             Sim.arm_after sim lane.l_tmr lane.l_gap
@@ -100,19 +97,17 @@ let vbr_start t ~layer ~avg ~peak_to_mean ~phase =
   in
   let tmr = ref (Sim.timer sim ignore) in
   let interval_tick () =
-    if t.running then begin
-      let n = vbr_interval_count t ~avg ~peak_to_mean in
-      let count = int_of_float (Float.round n) in
-      let gap = Time.span_of_sec_f (1.0 /. float_of_int count) in
-      emit t ~layer;
-      let lane = acquire () in
-      lane.l_k <- 1;
-      lane.l_count <- count;
-      lane.l_gap <- gap;
-      lane.l_active <- true;
-      Sim.arm_after sim lane.l_tmr gap;
-      Sim.arm_after sim !tmr (Time.span_of_sec 1)
-    end
+    let n = vbr_interval_count t ~avg ~peak_to_mean in
+    let count = int_of_float (Float.round n) in
+    let gap = Time.span_of_sec_f (1.0 /. float_of_int count) in
+    emit t ~layer;
+    let lane = acquire () in
+    lane.l_k <- 1;
+    lane.l_count <- count;
+    lane.l_gap <- gap;
+    lane.l_active <- true;
+    Sim.arm_after sim lane.l_tmr gap;
+    Sim.arm_after sim !tmr (Time.span_of_sec 1)
   in
   tmr := Sim.timer sim interval_tick;
   Sim.arm_after sim !tmr phase
@@ -126,38 +121,44 @@ let onoff_start t ~layer ~gap ~mean_on_s ~mean_off_s ~phase =
   let in_off = ref true in
   let tmr = ref (Sim.timer sim ignore) in
   let tick () =
-    if t.running then begin
-      if !in_off then begin
-        until :=
-          Time.add (Sim.now sim)
-            (Time.span_of_sec_f
-               (Engine.Prng.exponential t.rng ~mean:mean_on_s));
-        in_off := false
-      end;
-      if Time.(Sim.now sim < !until) then begin
-        emit t ~layer;
-        Sim.arm_after sim !tmr gap
-      end
-      else begin
-        let off =
-          Time.span_of_sec_f (Engine.Prng.exponential t.rng ~mean:mean_off_s)
-        in
-        in_off := true;
-        Sim.arm_after sim !tmr off
-      end
+    if !in_off then begin
+      until :=
+        Time.add (Sim.now sim)
+          (Time.span_of_sec_f (Engine.Prng.exponential t.rng ~mean:mean_on_s));
+      in_off := false
+    end;
+    if Time.(Sim.now sim < !until) then begin
+      emit t ~layer;
+      Sim.arm_after sim !tmr gap
+    end
+    else begin
+      let off =
+        Time.span_of_sec_f (Engine.Prng.exponential t.rng ~mean:mean_off_s)
+      in
+      in_off := true;
+      Sim.arm_after sim !tmr off
     end
   in
   tmr := Sim.timer sim tick;
   Sim.arm_after sim !tmr phase
 
 let start ~network ~session ~kind ~rng ?start_at () =
+  (* Written so that nan fails each test: a nan or infinite parameter
+     would otherwise pass and send one packet per interval, or die
+     mid-run converting a nan draw into a time. *)
+  let positive name v =
+    if not (Float.is_finite v && v > 0.0) then
+      invalid_arg
+        (Printf.sprintf "Source.start: %s must be finite and positive" name)
+  in
   (match kind with
-  | Vbr { peak_to_mean } when peak_to_mean < 1.0 ->
-      invalid_arg "Source.start: peak_to_mean < 1"
-  | On_off { mean_on_s; mean_off_s }
-    when mean_on_s <= 0.0 || mean_off_s <= 0.0 ->
-      invalid_arg "Source.start: on/off means must be positive"
-  | Vbr _ | Cbr | On_off _ -> ());
+  | Vbr { peak_to_mean } ->
+      if not (Float.is_finite peak_to_mean && peak_to_mean >= 1.0) then
+        invalid_arg "Source.start: peak_to_mean must be finite and >= 1"
+  | On_off { mean_on_s; mean_off_s } ->
+      positive "mean_on_s" mean_on_s;
+      positive "mean_off_s" mean_off_s
+  | Cbr -> ());
   let layering = Session.layering session in
   let layers = Layering.count layering in
   let t =
@@ -169,7 +170,6 @@ let start ~network ~session ~kind ~rng ?start_at () =
       seq = Array.make layers 0;
       sent = Array.make layers 0;
       bytes = 0;
-      running = true;
     }
   in
   let sim = Net.Network.sim network in
@@ -207,8 +207,6 @@ let start ~network ~session ~kind ~rng ?start_at () =
   if Time.(begin_at <= Sim.now sim) then kickoff ()
   else ignore (Sim.schedule_at sim begin_at kickoff);
   t
-
-let stop t = t.running <- false
 
 let packets_sent t ~layer = t.sent.(layer)
 let bytes_sent t = t.bytes

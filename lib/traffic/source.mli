@@ -31,11 +31,11 @@ val start :
   ?start_at:Engine.Time.t ->
   unit ->
   t
-(** Begins transmission of every layer at [start_at] (default: now).
-    The [rng] drives VBR draws (unused for CBR). *)
-
-val stop : t -> unit
-(** Ceases all transmission. Idempotent. *)
+(** Begins transmission of every layer at [start_at] (default: now); a
+    source sends until the run ends. The [rng] drives VBR draws (unused
+    for CBR). @raise Invalid_argument naming the parameter when a VBR
+    [peak_to_mean] is not a finite number >= 1, or an on/off mean is
+    not finite and positive. *)
 
 val packets_sent : t -> layer:int -> int
 (** Packets originated so far on a layer. *)

@@ -14,7 +14,6 @@ type t = {
   dst : Net.Addr.node_id;
   flow_id : int;
   (* sender state *)
-  mutable running : bool;
   mutable next_seq : int;  (* next new segment to send *)
   mutable send_base : int;  (* oldest unacked *)
   mutable cwnd : float;  (* in segments *)
@@ -47,7 +46,7 @@ let inflight t = t.next_seq - t.send_base
 
 (* Fill the window with new segments. *)
 let rec pump t =
-  if t.running && inflight t < int_of_float t.cwnd then begin
+  if inflight t < int_of_float t.cwnd then begin
     send_segment t t.next_seq;
     t.next_seq <- t.next_seq + 1;
     pump t
@@ -150,7 +149,6 @@ let start ~network ~src ~dst ?(flow_id = 0) ?(initial_ssthresh = 64.0) () =
       src;
       dst;
       flow_id;
-      running = true;
       next_seq = 0;
       send_base = 0;
       cwnd = 2.0;
@@ -184,13 +182,10 @@ let start ~network ~src ~dst ?(flow_id = 0) ?(initial_ssthresh = 64.0) () =
         match Net.Packet.payload arena pkt with
         | Tcp_ack { flow; ack } when flow = flow_id -> on_ack t ack
         | _ -> ());
-  t.rto_tmr <- Sim.timer (Net.Network.sim network) (fun () ->
-      if t.running then on_timeout t);
+  t.rto_tmr <- Sim.timer (Net.Network.sim network) (fun () -> on_timeout t);
   pump t;
   arm_rto t;
   t
-
-let stop t = t.running <- false
 
 let bytes_acked t = t.bytes_acked
 

@@ -22,11 +22,9 @@ val start :
   ?initial_ssthresh:float ->
   unit ->
   t
-(** Begins a greedy transfer immediately. [flow_id] distinguishes
-    concurrent flows (default 0); @raise Invalid_argument if
-    [src = dst]. *)
-
-val stop : t -> unit
+(** Begins a greedy transfer immediately; it runs until the run ends.
+    [flow_id] distinguishes concurrent flows (default 0);
+    @raise Invalid_argument if [src = dst]. *)
 
 val bytes_acked : t -> int
 (** Payload bytes acknowledged so far. *)
@@ -35,7 +33,8 @@ val throughput_bps : t -> over:Engine.Time.span -> float
 (** [bytes_acked]·8 / [over] — mean goodput across a known window. *)
 
 val cwnd : t -> float
-(** Current congestion window, in segments. *)
+(** Current congestion window, in segments. Test-only: the TCP tests
+    bound the window through it. *)
 
 val retransmissions : t -> int
 val timeouts : t -> int

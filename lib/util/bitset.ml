@@ -50,8 +50,6 @@ let clear t =
 
 let is_empty t = t.count = 0
 let cardinal t = t.count
-let copy t = { words = Array.copy t.words; count = t.count }
-
 let popcount w =
   let c = ref 0 and w = ref w in
   while !w <> 0 do
@@ -104,12 +102,10 @@ let fill_into t buf =
   done;
   !n
 
-let fold f t acc =
-  let acc = ref acc in
-  iter (fun i -> acc := f i !acc) t;
-  !acc
-
-let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
+let elements t =
+  let acc = ref [] in
+  iter (fun i -> acc := i :: !acc) t;
+  List.rev !acc
 
 let of_list xs =
   let t = create () in

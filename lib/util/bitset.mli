@@ -24,8 +24,6 @@ val remove : t -> int -> unit
 val clear : t -> unit
 val is_empty : t -> bool
 val cardinal : t -> int
-val copy : t -> t
-
 val union_into : into:t -> t -> unit
 (** Adds every element of the second set to [into]. *)
 
@@ -37,9 +35,6 @@ val fill_into : t -> int array -> int
     and returns the count. The array must have room for [cardinal t].
     Lets a hot loop (the multicast fan-out) iterate a set into a
     reusable scratch buffer without allocating an iteration closure. *)
-
-val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
-(** Ascending order. *)
 
 val elements : t -> int list
 (** Ascending order. *)

@@ -1,0 +1,43 @@
+#!/bin/sh
+# Lists, sorted, each `val` of lib/**/*.mli that nothing outside its own
+# module refers to in lib/, bin/, examples/ or bench/: the public names
+# that only tests reach. Run from the repository root, or pass the root
+# as the first argument.
+#
+# A reference to `val name` of module M (file lib/<lib>/<m>.mli) is
+#   - `M.name`, also as the tail of a longer path (`Net.M.name`);
+#   - `X.name` where some file aliases `module X = ...M`;
+#   - a bare `name` in a file that opens M (`open M`, `let open M in`)
+#     or uses a local open `M.( ... )`.
+# The test over-counts (a record field, a local or another module's name
+# spelt the same counts as a caller) but never misses a caller written in
+# one of these forms. Operators (`val ( < )`) are not listed.
+set -eu
+cd "${1:-.}"
+files=$(find lib bin examples bench -name '*.ml' -o -name '*.mli' | LC_ALL=C sort)
+id="[A-Z][A-Za-z0-9_']*"
+capitalize() {
+  echo "$(printf %s "$1" | cut -c1 | tr a-z A-Z)$(printf %s "$1" | cut -c2-)"
+}
+for mli in $(find lib -name '*.mli' | LC_ALL=C sort); do
+  base=${mli%.mli}
+  M=$(capitalize "$(basename "$base")")
+  L=$(capitalize "$(basename "$(dirname "$base")")")
+  # Only files that name the module can refer to it.
+  users=$(echo "$files" | grep -v -x -e "$base.ml" -e "$mli" |
+    xargs grep -lw "$M" || true)
+  aliases=""
+  openers=""
+  if [ -n "$users" ]; then
+    aliases=$(grep -ohE "module +$id *= *($id\.)*$M\b" $users |
+      sed 's/module *\([^ =]*\).*/\1/' | LC_ALL=C sort -u | tr '\n' '|')
+    openers=$(grep -lE "open!? +($id\.)*$M\b|\b$M\.\(" $users || true)
+  fi
+  for name in $(sed -n "s/^ *val \([a-z_][A-Za-z0-9_']*\).*/\1/p" "$mli"); do
+    if [ -n "$users" ] && grep -qE "\b(${aliases}$M)\.$name\b" $users; then
+      continue
+    fi
+    if [ -n "$openers" ] && grep -qw "$name" $openers; then continue; fi
+    echo "$L.$M.$name"
+  done
+done | LC_ALL=C sort

@@ -64,21 +64,44 @@ let test_oracle_figure1 () =
      node 5's subtree is unconstrained. *)
   Alcotest.check (Alcotest.list Alcotest.int) "1;2;6;6" [ 1; 2; 6; 6 ] optima
 
+(* The oracle divides a link among the sessions crossing it: topology
+   B's shared link (500 kbit/s per session) fits 4 layers each when all
+   three sessions cross it, and 5 when only one does. *)
 let test_oracle_sessions_crossing () =
   let spec = Scenarios.Builders.topology_b ~session_count:3 in
   let routing = Net.Routing.compute spec.topology in
-  (* The shared link (nodes 0-1) is crossed by all three sessions. *)
-  checki "shared" 3
-    (Oracle.sessions_crossing ~topology:spec.topology ~routing
-       ~sessions:spec.sessions (0, 1));
-  checki "orientation-insensitive" 3
-    (Oracle.sessions_crossing ~topology:spec.topology ~routing
-       ~sessions:spec.sessions (1, 0));
-  (* A private source link is crossed by exactly one session. *)
-  let source, _ = List.hd spec.sessions in
-  checki "private" 1
-    (Oracle.sessions_crossing ~topology:spec.topology ~routing
-       ~sessions:spec.sessions (source, 0))
+  let optimum sessions =
+    let source, receivers = List.hd sessions in
+    Oracle.optimal_level ~topology:spec.topology ~routing
+      ~layering:Layering.paper_default ~sessions ~source
+      ~receiver:(List.hd receivers)
+  in
+  checki "shared by three" 4 (optimum spec.sessions);
+  checki "crossed by one" 5 (optimum [ List.hd spec.sessions ]);
+  (* A crossing counts in either direction, and a private link belongs
+     to its one session. Session 2 -> 3 runs left (0) to right (1) and
+     session 4 -> 5 right to left over a 1.5 Mbit/s link: 750 kbit/s each
+     fits 4 layers, where the whole link would fit 5. Session 2's own
+     300 kbit/s access link fits 3, where half of it would fit only 2. *)
+  let topo = Topology.create () in
+  ignore (Topology.add_nodes topo 6);
+  let link a b kbps =
+    Topology.add_duplex topo ~a ~b ~bandwidth_bps:(Topology.kbps kbps) ()
+  in
+  link 0 1 1500.0;
+  link 2 0 300.0;
+  link 1 3 10_000.0;
+  link 4 1 10_000.0;
+  link 0 5 10_000.0;
+  let routing = Net.Routing.compute topo in
+  let optimum' source receiver =
+    Oracle.optimal_level ~topology:topo ~routing
+      ~layering:Layering.paper_default
+      ~sessions:[ (2, [ 3 ]); (4, [ 5 ]) ]
+      ~source ~receiver
+  in
+  checki "shared with a reverse crossing" 4 (optimum' 4 5);
+  checki "private access link" 3 (optimum' 2 3)
 
 let test_oracle_source_is_max () =
   let spec = Scenarios.Builders.topology_a ~receivers_per_set:1 in

@@ -35,8 +35,9 @@ let test_observer_sees_every_hop () =
   let sim, nw = line () in
   let seen = ref [] in
   Network.add_transit_observer nw (fun pkt ~at ~in_iface ->
-      if Packet.id (Network.arena nw) pkt = 0 then
-        seen := (at, in_iface = None) :: !seen);
+      match Packet.payload (Network.arena nw) pkt with
+      | Probe_pay 1 -> seen := (at, in_iface = None) :: !seen
+      | _ -> ());
   Network.originate nw ~src:0 ~dst:(Addr.Unicast 3) ~size:100
     ~payload:(Probe_pay 1);
   Sim.run_until sim (Time.of_sec 1);

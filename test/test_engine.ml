@@ -4,7 +4,6 @@
 module Time = Engine.Time
 module Sim = Engine.Sim
 module Prng = Engine.Prng
-module Stats = Engine.Stats
 module Trace = Engine.Trace
 
 let check = Alcotest.check
@@ -17,7 +16,6 @@ let checkf msg = check (Alcotest.float 1e-9) msg
 let test_time_units () =
   checki "ms" 1_000_000 (Time.to_ns (Time.of_ms 1));
   checki "sec" 1_000_000_000 (Time.to_ns (Time.of_sec 1));
-  checki "us" 1_000 (Time.to_ns (Time.of_us 1));
   checkf "roundtrip" 1.5 (Time.to_sec_f (Time.of_sec_f 1.5))
 
 let test_time_add_diff () =
@@ -40,7 +38,21 @@ let test_time_invalid () =
     (Invalid_argument "Time.span_of_sec_f: out of range") (fun () ->
       ignore (Time.span_of_sec_f 1e300));
   checki "146 years still fit" 4_600_000_000_000_000_000
-    (Time.to_ns (Time.of_sec_f 4.6e9))
+    (Time.to_ns (Time.of_sec_f 4.6e9));
+  (* Whole seconds past max_int / 10^9 would wrap the nanoseconds: to a
+     negative instant, or (2e10 s) to a positive one 49 years out. *)
+  Alcotest.check_raises "whole seconds out of range"
+    (Invalid_argument "Time.of_sec: out of range") (fun () ->
+      ignore (Time.of_sec 5_000_000_000));
+  Alcotest.check_raises "whole-second span out of range"
+    (Invalid_argument "Time.span_of_sec: out of range") (fun () ->
+      ignore (Time.span_of_sec 20_000_000_000));
+  (* -5e9 s would wrap to a positive instant about 134 years out. *)
+  Alcotest.check_raises "negative whole seconds"
+    (Invalid_argument "Time.of_sec: negative") (fun () ->
+      ignore (Time.of_sec (-5_000_000_000)));
+  checki "the last whole second fits" 4_611_686_018_000_000_000
+    (Time.to_ns (Time.of_sec (max_int / 1_000_000_000)))
 
 let test_time_compare () =
   checkb "lt" true Time.(of_sec 1 < of_sec 2);
@@ -504,18 +516,18 @@ let test_scheduler_label () =
 let test_prng_deterministic () =
   let a = Prng.create ~seed:7L and b = Prng.create ~seed:7L in
   for _ = 1 to 100 do
-    checkb "same" true (Prng.bits64 a = Prng.bits64 b)
+    checkb "same" true (Prng.float a = Prng.float b)
   done
 
 let test_prng_streams_differ () =
   let root = Prng.create ~seed:7L in
   let a = Prng.split root ~label:"a" and b = Prng.split root ~label:"b" in
-  checkb "streams differ" true (Prng.bits64 a <> Prng.bits64 b)
+  checkb "streams differ" true (Prng.float a <> Prng.float b)
 
 let test_prng_split_stable () =
   let r1 = Prng.create ~seed:9L and r2 = Prng.create ~seed:9L in
   let a = Prng.split r1 ~label:"x" and b = Prng.split r2 ~label:"x" in
-  checkb "same stream" true (Prng.bits64 a = Prng.bits64 b)
+  checkb "same stream" true (Prng.float a = Prng.float b)
 
 let test_prng_bounds () =
   let g = Prng.create ~seed:1L in
@@ -528,11 +540,12 @@ let test_prng_bounds () =
 
 let test_prng_uniform_mean () =
   let g = Prng.create ~seed:3L in
-  let s = Stats.create () in
-  for _ = 1 to 20_000 do
-    Stats.add s (Prng.uniform g ~lo:2.0 ~hi:4.0)
+  let n = 20_000 in
+  let sum = ref 0.0 in
+  for _ = 1 to n do
+    sum := !sum +. Prng.uniform g ~lo:2.0 ~hi:4.0
   done;
-  checkb "mean near 3" true (Float.abs (Stats.mean s -. 3.0) < 0.02)
+  checkb "mean near 3" true (Float.abs ((!sum /. float_of_int n) -. 3.0) < 0.02)
 
 let test_prng_bernoulli () =
   let g = Prng.create ~seed:4L in
@@ -858,44 +871,6 @@ let prop_sim_events_in_time_order =
       && List.for_all2 ( = ) f (List.stable_sort Int.compare times)
       && run_ops ops = model_ops ops)
 
-(* ---------- Stats ---------- *)
-
-let test_stats_basic () =
-  let s = Stats.create () in
-  List.iter (Stats.add s) [ 1.0; 2.0; 3.0; 4.0 ];
-  checki "count" 4 (Stats.count s);
-  checkf "mean" 2.5 (Stats.mean s);
-  checkf "sum" 10.0 (Stats.sum s);
-  checkf "min" 1.0 (Stats.min s);
-  checkf "max" 4.0 (Stats.max s);
-  check (Alcotest.float 1e-9) "variance" (5.0 /. 3.0) (Stats.variance s)
-
-let test_stats_empty () =
-  let s = Stats.create () in
-  checkf "mean 0" 0.0 (Stats.mean s);
-  checkf "var 0" 0.0 (Stats.variance s)
-
-let test_stats_merge () =
-  let a = Stats.create () and b = Stats.create () and whole = Stats.create () in
-  let xs = [ 1.0; 5.0; 2.0 ] and ys = [ 9.0; 3.0; 7.0; 4.0 ] in
-  List.iter (Stats.add a) xs;
-  List.iter (Stats.add b) ys;
-  List.iter (Stats.add whole) (xs @ ys);
-  let m = Stats.merge a b in
-  checki "count" (Stats.count whole) (Stats.count m);
-  check (Alcotest.float 1e-9) "mean" (Stats.mean whole) (Stats.mean m);
-  check (Alcotest.float 1e-9) "variance" (Stats.variance whole)
-    (Stats.variance m)
-
-let prop_stats_mean_matches_naive =
-  QCheck.Test.make ~name:"online mean equals naive mean" ~count:200
-    QCheck.(list_of_size Gen.(1 -- 50) (float_bound_exclusive 1000.0))
-    (fun xs ->
-      let s = Stats.create () in
-      List.iter (Stats.add s) xs;
-      let naive = List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs) in
-      Float.abs (Stats.mean s -. naive) < 1e-6)
-
 (* ---------- Trace ---------- *)
 
 let test_trace_ring () =
@@ -903,10 +878,11 @@ let test_trace_ring () =
   for i = 1 to 5 do
     Trace.record tr (Time.of_sec i) i
   done;
-  checki "len capped" 3 (Trace.length tr);
-  checki "total" 5 (Trace.total tr);
-  check (Alcotest.list Alcotest.int) "keeps newest" [ 3; 4; 5 ]
-    (List.map snd (Trace.to_list tr))
+  let last f = Option.map snd (Trace.find_last tr ~f) in
+  let check_last = check (Alcotest.option Alcotest.int) in
+  check_last "newest first" (Some 5) (last (fun _ -> true));
+  check_last "keeps the third newest" (Some 3) (last (fun x -> x < 4));
+  check_last "evicted the two oldest" None (last (fun x -> x < 3))
 
 let test_trace_find_last () =
   let tr = Trace.create ~capacity:10 in
@@ -914,13 +890,6 @@ let test_trace_find_last () =
   checkb "finds newest even" true
     (Trace.find_last tr ~f:(fun x -> x mod 2 = 0) = Some (Time.of_sec 4, 4));
   checkb "none" true (Trace.find_last tr ~f:(fun x -> x > 10) = None)
-
-let test_trace_iter_order () =
-  let tr = Trace.create ~capacity:2 in
-  List.iter (fun i -> Trace.record tr (Time.of_sec i) i) [ 1; 2; 3 ];
-  let acc = ref [] in
-  Trace.iter tr ~f:(fun _ x -> acc := x :: !acc);
-  check (Alcotest.list Alcotest.int) "oldest first" [ 2; 3 ] (List.rev !acc)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -982,17 +951,9 @@ let () =
         ] );
       qsuite "sim-props"
         [ prop_sim_events_in_time_order; prop_timers_equivalent ];
-      ( "stats",
-        [
-          Alcotest.test_case "basic" `Quick test_stats_basic;
-          Alcotest.test_case "empty" `Quick test_stats_empty;
-          Alcotest.test_case "merge" `Quick test_stats_merge;
-        ] );
-      qsuite "stats-props" [ prop_stats_mean_matches_naive ];
       ( "trace",
         [
           Alcotest.test_case "ring" `Quick test_trace_ring;
           Alcotest.test_case "find_last" `Quick test_trace_find_last;
-          Alcotest.test_case "iter order" `Quick test_trace_iter_order;
         ] );
     ]

@@ -25,9 +25,9 @@ type Packet.payload += Probe of int
    leaked here; the arena is test-local. *)
 let arena = Packet.create_arena ()
 
+(* [id] rides in the source field, which no discipline reads. *)
 let mk_pkt ?(payload = Probe 0) ?(size = 1000) id =
-  Packet.alloc arena ~id ~src:0 ~dst:(Addr.Unicast 1) ~size
-    ~sent_at:Time.zero ~payload
+  Packet.alloc arena ~src:id ~dst:(Addr.Unicast 1) ~size ~payload
 
 let media ~layer seq = Packet.Data { session = 0; layer; seq }
 
@@ -42,7 +42,7 @@ let test_drop_tail_still_works () =
   checkb "2 in" true (Qd.offer q (mk_pkt 2));
   checkb "3 rejected" false (Qd.offer q (mk_pkt 3));
   checki "drops" 1 (Qd.drops q);
-  checki "fifo head" 1 (Packet.id arena (Qd.poll q))
+  checki "fifo head" 1 (Packet.src arena (Qd.poll q))
 
 let test_red_early_drops () =
   let q =
@@ -467,19 +467,6 @@ let test_mtrace_off_tree () =
     | Error _ -> true
     | Ok _ -> false)
 
-let test_mtrace_full_discovery () =
-  let sim, nw, router, session = mtrace_world () in
-  Session.set_subscription_level session ~router ~node:4 ~level:1;
-  Session.set_subscription_level session ~router ~node:5 ~level:1;
-  Sim.run_until sim (Time.of_sec 2);
-  let latency =
-    Discovery.Mtrace.full_discovery_latency ~network:nw ~router ~session
-      ~querier:0
-  in
-  (* Both receivers are 3 hops deep: max single trace = 1200 ms; well
-     under the staleness values Fig. 10 explores, as the paper argues. *)
-  checki "max over members" (Time.to_ns (Time.of_ms 1200)) latency
-
 (* ---------- on/off sources ---------- *)
 
 let test_onoff_mean_rate () =
@@ -498,13 +485,11 @@ let test_onoff_mean_rate () =
   Network.set_local_handler nw 1 (fun pkt ->
       let a = Network.arena nw in
       if Packet.is_data a pkt && Packet.layer a pkt = 0 then incr count);
-  let src =
-    Traffic.Source.start ~network:nw ~session
-      ~kind:(Traffic.Source.On_off { mean_on_s = 2.0; mean_off_s = 2.0 })
-      ~rng:(Sim.rng sim ~label:"src") ()
-  in
+  ignore
+    (Traffic.Source.start ~network:nw ~session
+       ~kind:(Traffic.Source.On_off { mean_on_s = 2.0; mean_off_s = 2.0 })
+       ~rng:(Sim.rng sim ~label:"src") ());
   Sim.run_until sim (Time.of_sec 602);
-  Traffic.Source.stop src;
   (* Base layer nominal 4 pkt/s at 50% duty cycle over 600 s ~ 1200. *)
   let expected = 1200.0 in
   let ratio = float_of_int !count /. expected in
@@ -546,22 +531,30 @@ let simulcast_world () =
   (sim, nw, router, sc)
 
 let test_simulcast_selection () =
-  let sim, _, router, sc = simulcast_world () in
-  checki "six replicas" 6 (Traffic.Simulcast.stream_count sc);
-  checkf "replica 3 rate = level 4 bandwidth" 480_000.0
-    (Traffic.Simulcast.rate_bps sc ~stream:3);
-  checkb "none selected" true
-    (Traffic.Simulcast.selected sc ~router ~node:4 = None);
+  let sim, nw, router, sc = simulcast_world () in
+  let group stream = Traffic.Simulcast.group_for_stream sc ~stream in
+  let selected () =
+    List.filter
+      (fun stream -> Router.is_member router ~node:4 ~group:(group stream))
+      (List.init 6 Fun.id)
+  in
+  checkb "six replicas" true
+    (match group 6 with _ -> false | exception Invalid_argument _ -> true);
+  Alcotest.(check (list int)) "none selected" [] (selected ());
   Traffic.Simulcast.select sc ~router ~node:4 ~stream:(Some 2);
-  checkb "stream 2" true (Traffic.Simulcast.selected sc ~router ~node:4 = Some 2);
+  Alcotest.(check (list int)) "stream 2" [ 2 ] (selected ());
   Traffic.Simulcast.select sc ~router ~node:4 ~stream:(Some 4);
-  checkb "switched" true (Traffic.Simulcast.selected sc ~router ~node:4 = Some 4);
-  checkb "only one group" false
-    (Router.is_member router ~node:4
-       ~group:(Traffic.Simulcast.group_for_stream sc ~stream:2));
+  Alcotest.(check (list int)) "switched, only one group" [ 4 ] (selected ());
   Traffic.Simulcast.select sc ~router ~node:4 ~stream:None;
-  checkb "off" true (Traffic.Simulcast.selected sc ~router ~node:4 = None);
-  Sim.run_until sim (Time.of_sec 1)
+  Alcotest.(check (list int)) "off" [] (selected ());
+  (* Replica 3 runs at level 4's 480 kbit/s: 60 packets/s for 10 s. *)
+  let senders =
+    Traffic.Simulcast.start_sources ~network:nw sc
+      ~rng:(Sim.rng sim ~label:"sc")
+  in
+  Sim.run_until sim (Time.of_sec 10);
+  checkb "replica 3 rate = level 4 bandwidth" true
+    (abs (Traffic.Simulcast.packets_sent (List.nth senders 3) - 600) <= 1)
 
 let test_simulcast_delivery () =
   let sim, nw, router, sc = simulcast_world () in
@@ -572,12 +565,10 @@ let test_simulcast_delivery () =
       let a = Network.arena nw in
       if Packet.is_data a pkt && Packet.session a pkt = 7 && Packet.layer a pkt = 1
       then incr count);
-  let senders =
-    Traffic.Simulcast.start_sources ~network:nw sc
-      ~rng:(Sim.rng sim ~label:"sc")
-  in
+  ignore
+    (Traffic.Simulcast.start_sources ~network:nw sc
+       ~rng:(Sim.rng sim ~label:"sc"));
   Sim.run_until sim (Time.of_sec 22);
-  List.iter Traffic.Simulcast.stop senders;
   (* Replica 1 = 96 kbit/s = 12 pkt/s over 20 s ~ 240. *)
   checkb
     (Printf.sprintf "replica delivered (%d)" !count)
@@ -606,12 +597,17 @@ let test_billing_accumulates () =
     ~window:(Time.span_of_sec 1);
   Toposense.Billing.record b ~session:0 ~receiver:4 ~bytes:2_000 ~level:4
     ~window:(Time.span_of_sec 2);
-  checki "bytes" 3_000 (Toposense.Billing.bytes b ~session:0 ~receiver:4);
-  checkf "layer seconds" 11.0
-    (Toposense.Billing.layer_seconds b ~session:0 ~receiver:4);
-  checki "unknown receiver" 0 (Toposense.Billing.bytes b ~session:0 ~receiver:9);
-  Alcotest.check (Alcotest.list Alcotest.int) "receivers" [ 4 ]
-    (Toposense.Billing.receivers b ~session:0)
+  (* Read back through the invoice at unit prices: megabytes and
+     layer-hours carry the raw sums. *)
+  match
+    Toposense.Billing.invoice b ~session:0 ~price_per_megabyte:1.0
+      ~price_per_layer_hour:1.0
+  with
+  | [ line ] ->
+      checki "only the receiver on record" 4 line.receiver;
+      checkf "bytes" 3_000.0 (line.megabytes *. 1_000_000.0);
+      checkf "layer seconds" 11.0 (line.layer_hours *. 3600.0)
+  | _ -> Alcotest.fail "one line expected"
 
 let test_billing_invoice () =
   let b = Toposense.Billing.create () in
@@ -662,16 +658,21 @@ let test_billing_via_controller () =
       Toposense.Receiver_agent.start a)
     [ 4; 5 ];
   Sim.run_until sim (Time.of_sec 120);
+  let lines =
+    Toposense.Billing.invoice billing ~session:0 ~price_per_megabyte:1.0
+      ~price_per_layer_hour:1.0
+  in
+  Alcotest.(check (list int))
+    "both receivers billed" [ 4; 5 ]
+    (List.map (fun (l : Toposense.Billing.invoice_line) -> l.receiver) lines);
   List.iter
-    (fun node ->
+    (fun (l : Toposense.Billing.invoice_line) ->
       checkb
-        (Printf.sprintf "n%d billed for bytes" node)
+        (Printf.sprintf "n%d billed for bytes" l.receiver)
         true
-        (Toposense.Billing.bytes billing ~session:0 ~receiver:node > 100_000);
-      checkb "billed layer-seconds" true
-        (Toposense.Billing.layer_seconds billing ~session:0 ~receiver:node
-        > 50.0))
-    [ 4; 5 ]
+        (l.megabytes *. 1_000_000.0 > 100_000.0);
+      checkb "billed layer-seconds" true (l.layer_hours *. 3600.0 > 50.0))
+    lines
 
 let () =
   Alcotest.run "extensions"
@@ -720,7 +721,6 @@ let () =
         [
           Alcotest.test_case "path" `Quick test_mtrace_path;
           Alcotest.test_case "off tree" `Quick test_mtrace_off_tree;
-          Alcotest.test_case "full discovery" `Quick test_mtrace_full_discovery;
         ] );
       ( "on-off",
         [

@@ -664,20 +664,6 @@ let test_mcast_without_handler_dropped () =
   Sim.run_until sim (Time.of_sec 1);
   checkb "dropped" false !got
 
-let test_packet_ids_unique () =
-  let sim = Sim.create () in
-  let nw = Network.create ~sim (line 2) in
-  let ids = ref [] in
-  Network.set_local_handler nw 1 (fun pkt ->
-      ids := Packet.id (Network.arena nw) pkt :: !ids);
-  for i = 1 to 5 do
-    Network.originate nw ~src:0 ~dst:(Addr.Unicast 1) ~size:100
-      ~payload:(Probe i)
-  done;
-  Sim.run_until sim (Time.of_sec 1);
-  checki "unique ids" 5 (List.length (List.sort_uniq Int.compare !ids));
-  checki "counter" 5 (Network.packets_created nw)
-
 (* ---------- packet arena ---------- *)
 
 (* Random alloc/copy/free interleavings against a model: a handle freed
@@ -730,9 +716,8 @@ let prop_arena_no_stale_aliasing =
           match op with
           | A_alloc ->
               fresh
-                (Packet.alloc_data arena ~id:!next_id ~src:0 ~group:7
-                   ~size:Packet.data_size ~sent_at:Time.zero ~session:0
-                   ~layer:0 ~seq:!next_id)
+                (Packet.alloc_data arena ~src:0 ~group:7
+                   ~size:Packet.data_size ~session:0 ~layer:0 ~seq:!next_id)
           | A_copy k -> (
               match !live with
               | [] -> ()
@@ -812,6 +797,5 @@ let () =
           Alcotest.test_case "build footprint" `Quick test_build_footprint;
           Alcotest.test_case "mcast no handler" `Quick
             test_mcast_without_handler_dropped;
-          Alcotest.test_case "packet ids" `Quick test_packet_ids_unique;
         ] );
     ]

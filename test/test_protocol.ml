@@ -26,17 +26,6 @@ let test_tx_monotonic_per_stream () =
     (Protocol.next_seq tx ~session:0 ~node:4);
   checki "last_sent tracks" 3 (Protocol.last_sent tx ~session:0 ~node:4)
 
-let test_tx_clear_session () =
-  let tx = Protocol.create_tx () in
-  ignore (Protocol.next_seq tx ~session:0 ~node:4);
-  ignore (Protocol.next_seq tx ~session:0 ~node:5);
-  ignore (Protocol.next_seq tx ~session:1 ~node:4);
-  ignore (Protocol.next_seq tx ~session:1 ~node:4);
-  Protocol.clear_tx_session tx ~session:0;
-  checki "cleared stream restarts" 1 (Protocol.next_seq tx ~session:0 ~node:4);
-  checki "other session keeps counting" 3
-    (Protocol.next_seq tx ~session:1 ~node:4)
-
 (* ---------- rx: admission verdicts ---------- *)
 
 let test_rx_verdicts () =
@@ -52,16 +41,6 @@ let test_rx_verdicts () =
   (* Other streams are unaffected by all of the above. *)
   checkb "other node fresh at 1" true
     (Protocol.admit rx ~session:0 ~node:5 ~seq:1 = Protocol.Fresh)
-
-let test_rx_clear_session () =
-  let rx = Protocol.create_rx () in
-  ignore (Protocol.admit rx ~session:0 ~node:4 ~seq:9);
-  ignore (Protocol.admit rx ~session:2 ~node:4 ~seq:9);
-  Protocol.clear_rx_session rx ~session:0;
-  checkb "cleared stream re-admits low seqs" true
-    (Protocol.admit rx ~session:0 ~node:4 ~seq:1 = Protocol.Fresh);
-  checkb "other session still filters" true
-    (Protocol.admit rx ~session:2 ~node:4 ~seq:1 = Protocol.Stale)
 
 (* ---------- at-most-once under dup/reorder (QCheck) ---------- *)
 
@@ -164,12 +143,10 @@ let () =
         [
           Alcotest.test_case "monotonic per stream" `Quick
             test_tx_monotonic_per_stream;
-          Alcotest.test_case "clear session" `Quick test_tx_clear_session;
         ] );
       ( "rx",
         [
           Alcotest.test_case "verdicts" `Quick test_rx_verdicts;
-          Alcotest.test_case "clear session" `Quick test_rx_clear_session;
         ] );
       qsuite "props" [ prop_at_most_once; prop_streams_independent ];
       ( "backoff",

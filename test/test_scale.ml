@@ -123,42 +123,24 @@ let two_node_net () =
   Net.Topology.add_duplex topo ~a ~b ~bandwidth_bps:(Net.Topology.mbps 10.0) ();
   (sim, Net.Network.create ~sim topo, a, b)
 
-let test_parent_slots_and_aggregate () =
+let test_parent_slots () =
   let sim, network, parent_node, leaf_node = two_node_net () in
   let parent = Federation.create_parent ~network ~node:parent_node in
   let leaf_a = Federation.leaf ~parent:parent_node ~domain_id:0 in
   let leaf_b = Federation.leaf ~parent:parent_node ~domain_id:1 in
-  let send leaf ~session ~receivers ~mean_level ~mean_loss ~congested =
-    Federation.send_summary leaf ~network ~src:leaf_node ~session ~receivers
-      ~mean_level ~mean_loss ~congested
+  let send leaf ~session =
+    Federation.send_summary leaf ~network ~src:leaf_node ~session
   in
-  send leaf_a ~session:0 ~receivers:10 ~mean_level:2.0 ~mean_loss:0.0
-    ~congested:0;
-  send leaf_b ~session:0 ~receivers:30 ~mean_level:4.0 ~mean_loss:0.1
-    ~congested:3;
-  send leaf_a ~session:1 ~receivers:5 ~mean_level:1.0 ~mean_loss:0.0
-    ~congested:0;
-  (* Refresh leaf_a's session-0 picture: same slot, newer seq. *)
-  send leaf_a ~session:0 ~receivers:12 ~mean_level:3.0 ~mean_loss:0.0
-    ~congested:0;
+  send leaf_a ~session:0;
+  send leaf_b ~session:0;
+  send leaf_a ~session:1;
+  (* Refresh leaf_a's session-0 slot: same slot, newer seq. *)
+  send leaf_a ~session:0;
   Sim.run_until sim (Time.of_sec 5);
   checki "summaries" 4 (Federation.summaries_received parent);
   (* Slots are per (session, domain): refreshes overwrite in place. *)
   checki "state entries" 3 (Federation.state_entries parent);
-  Alcotest.(check (list int)) "sessions" [ 0; 1 ] (Federation.sessions parent);
-  (match Federation.aggregate parent ~session:0 with
-  | None -> Alcotest.fail "expected an aggregate"
-  | Some a ->
-      checki "domains" 2 a.Federation.domains;
-      checki "receivers" 42 a.Federation.receivers;
-      checki "congested domains" 1 a.Federation.congested_domains;
-      (* receiver-weighted: (12*3 + 30*4) / 42 *)
-      Alcotest.(check (float 1e-6))
-        "weighted level"
-        (((12.0 *. 3.0) +. (30.0 *. 4.0)) /. 42.0)
-        a.Federation.mean_level);
-  checkb "no aggregate for unknown session" true
-    (Federation.aggregate parent ~session:9 = None)
+  checki "nothing stale" 0 (Federation.stale_dropped parent)
 
 let test_parent_drops_stale_seq () =
   let sim, network, parent_node, leaf_node = two_node_net () in
@@ -166,18 +148,22 @@ let test_parent_drops_stale_seq () =
   (* Two leaf handles for the same domain model a reordered duplicate:
      the second handle restarts its seq at 0, below the slot's. *)
   let fresh = Federation.leaf ~parent:parent_node ~domain_id:0 in
-  Federation.send_summary fresh ~network ~src:leaf_node ~session:0
-    ~receivers:10 ~mean_level:2.0 ~mean_loss:0.0 ~congested:0;
-  Federation.send_summary fresh ~network ~src:leaf_node ~session:0
-    ~receivers:20 ~mean_level:2.0 ~mean_loss:0.0 ~congested:0;
+  let send leaf =
+    Federation.send_summary leaf ~network ~src:leaf_node ~session:0
+  in
+  send fresh;
+  send fresh;
   let straggler = Federation.leaf ~parent:parent_node ~domain_id:0 in
-  Federation.send_summary straggler ~network ~src:leaf_node ~session:0
-    ~receivers:99 ~mean_level:9.0 ~mean_loss:0.9 ~congested:9;
+  send straggler;
   Sim.run_until sim (Time.of_sec 5);
   checki "stale dropped" 1 (Federation.stale_dropped parent);
-  match Federation.aggregate parent ~session:0 with
-  | Some a -> checki "newest kept" 20 a.Federation.receivers
-  | None -> Alcotest.fail "expected an aggregate"
+  (* The slot kept the newest seq (1): the straggler's seq 1 is a
+     duplicate, the fresh stream's seq 2 is admitted. *)
+  send straggler;
+  send fresh;
+  Sim.run_until sim (Time.of_sec 6);
+  checki "newest kept" 2 (Federation.stale_dropped parent);
+  checki "one slot" 1 (Federation.state_entries parent)
 
 (* ---------- the scale scenario's state invariants ---------- *)
 
@@ -297,8 +283,8 @@ let () =
         ] );
       ( "federation",
         [
-          Alcotest.test_case "slots + weighted aggregate" `Quick
-            test_parent_slots_and_aggregate;
+          Alcotest.test_case "slots" `Quick
+            test_parent_slots;
           Alcotest.test_case "stale summaries dropped" `Quick
             test_parent_drops_stale_seq;
         ] );

@@ -26,7 +26,6 @@ let test_tcp_fills_clean_link () =
   let sim, nw = world () in
   let flow = Tcp.start ~network:nw ~src:0 ~dst:2 () in
   Sim.run_until sim (Time.of_sec 30);
-  Tcp.stop flow;
   let goodput = Tcp.throughput_bps flow ~over:(Time.span_of_sec 30) in
   (* 1 Mbps bottleneck; expect at least 70% utilization. *)
   checkb
@@ -38,7 +37,6 @@ let test_tcp_adapts_to_loss () =
   let sim, nw = world ~bottleneck_kbps:300.0 () in
   let flow = Tcp.start ~network:nw ~src:0 ~dst:2 () in
   Sim.run_until sim (Time.of_sec 30);
-  Tcp.stop flow;
   checkb "lost and retransmitted" true (Tcp.retransmissions flow > 0);
   (* cwnd bounded by AIMD around the BDP, not runaway. *)
   checkb
@@ -50,14 +48,6 @@ let test_tcp_adapts_to_loss () =
     (Printf.sprintf "goodput %.0f kbps of 300" (goodput /. 1000.0))
     true
     (goodput > 180_000.0 && goodput < 310_000.0)
-
-let test_tcp_no_data_no_bytes () =
-  let sim, nw = world () in
-  let flow = Tcp.start ~network:nw ~src:0 ~dst:2 () in
-  Tcp.stop flow;
-  Sim.run_until sim (Time.of_sec 5);
-  (* Stopped immediately: only the initial window could complete. *)
-  checkb "few bytes" true (Tcp.bytes_acked flow <= 4 * 1000)
 
 let test_tcp_rejects_self_flow () =
   let _, nw = world () in
@@ -131,7 +121,6 @@ let test_tcp_timeout_recovery () =
   let sim, nw = world ~bottleneck_kbps:64.0 () in
   let flow = Tcp.start ~network:nw ~src:0 ~dst:2 () in
   Sim.run_until sim (Time.of_sec 60);
-  Tcp.stop flow;
   checkb "made progress" true (Tcp.bytes_acked flow > 100_000);
   checkb "bounded cwnd" true (Tcp.cwnd flow < 32.0)
 
@@ -142,7 +131,6 @@ let () =
         [
           Alcotest.test_case "fills clean link" `Slow test_tcp_fills_clean_link;
           Alcotest.test_case "adapts to loss" `Slow test_tcp_adapts_to_loss;
-          Alcotest.test_case "stop stops" `Quick test_tcp_no_data_no_bytes;
           Alcotest.test_case "rejects self" `Quick test_tcp_rejects_self_flow;
           Alcotest.test_case "timeout recovery" `Slow test_tcp_timeout_recovery;
         ] );

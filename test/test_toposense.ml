@@ -304,17 +304,16 @@ let test_backoff_blocks_path () =
   checkb "ancestor blocks leaf 5" true
     (Backoff.blocked_on_path b ~session:0 ~tree ~leaf:(leaf 5) ~layer:4 ~now);
   checkb "other branch clear" false
-    (Backoff.blocked_on_path b ~session:0 ~tree ~leaf:(leaf 6) ~layer:4 ~now);
-  Backoff.clear b;
-  checkb "cleared" false
-    (Backoff.blocked_on_path b ~session:0 ~tree ~leaf:(leaf 4) ~layer:4 ~now)
+    (Backoff.blocked_on_path b ~session:0 ~tree ~leaf:(leaf 6) ~layer:4 ~now)
 
 (* A deeper chain: 0 -> 1 -> 2 -> 3 -> {8 -> 4, 9 -> 5}. Arming at each
    depth must block exactly the leaves whose root-path crosses the armed
    node, and only for the armed layer. *)
 let test_backoff_multi_level_tree () =
   let rng = Engine.Prng.create ~seed:7L in
-  let b = Backoff.create ~params ~rng in
+  (* Each phase arms one node on a fresh set of timers. *)
+  let b = ref (Backoff.create ~params ~rng) in
+  let fresh () = b := Backoff.create ~params ~rng in
   let tree =
     tree_of
       (snapshot
@@ -332,44 +331,29 @@ let test_backoff_multi_level_tree () =
   in
   let now = Time.zero in
   let blocked leaf layer =
-    Backoff.blocked_on_path b ~session:0 ~tree ~leaf:(Tree.index tree leaf)
+    Backoff.blocked_on_path !b ~session:0 ~tree ~leaf:(Tree.index tree leaf)
       ~layer ~now
   in
   (* Root-armed: every leaf is behind it. *)
-  Backoff.arm b ~session:0 ~node:0 ~layer:2 ~now;
+  Backoff.arm !b ~session:0 ~node:0 ~layer:2 ~now;
   checkb "root blocks leaf 4" true (blocked 4 2);
   checkb "root blocks leaf 5" true (blocked 5 2);
   checkb "but only the armed layer" false (blocked 4 3);
-  Backoff.clear b;
+  fresh ();
   (* Armed three levels down, above the split: still blocks both. *)
-  Backoff.arm b ~session:0 ~node:3 ~layer:2 ~now;
+  Backoff.arm !b ~session:0 ~node:3 ~layer:2 ~now;
   checkb "mid-chain blocks leaf 4" true (blocked 4 2);
   checkb "mid-chain blocks leaf 5" true (blocked 5 2);
-  Backoff.clear b;
+  fresh ();
   (* Armed below the split: blocks only the leaf behind it. *)
-  Backoff.arm b ~session:0 ~node:8 ~layer:2 ~now;
+  Backoff.arm !b ~session:0 ~node:8 ~layer:2 ~now;
   checkb "deep parent blocks its leaf" true (blocked 4 2);
   checkb "sibling subtree stays clear" false (blocked 5 2);
-  Backoff.clear b;
+  fresh ();
   (* Armed at the leaf itself. *)
-  Backoff.arm b ~session:0 ~node:5 ~layer:2 ~now;
+  Backoff.arm !b ~session:0 ~node:5 ~layer:2 ~now;
   checkb "leaf blocks itself" true (blocked 5 2);
   checkb "cousin leaf clear" false (blocked 4 2)
-
-let test_backoff_clear_session () =
-  let rng = Engine.Prng.create ~seed:1L in
-  let b = Backoff.create ~params ~rng in
-  let now = Time.zero in
-  Backoff.arm b ~session:0 ~node:4 ~layer:2 ~now;
-  Backoff.arm b ~session:0 ~node:5 ~layer:1 ~now;
-  Backoff.arm b ~session:7 ~node:4 ~layer:2 ~now;
-  Backoff.clear_session b ~session:0;
-  checkb "session 0 node 4 gone" false
-    (Backoff.active b ~session:0 ~node:4 ~layer:2 ~now);
-  checkb "session 0 node 5 gone" false
-    (Backoff.active b ~session:0 ~node:5 ~layer:1 ~now);
-  checkb "session 7 untouched" true
-    (Backoff.active b ~session:7 ~node:4 ~layer:2 ~now)
 
 (* ---------- Congestion ---------- *)
 
@@ -557,12 +541,6 @@ let test_capacity_pin_uses_recent_best () =
   Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.0, 50_000) ]);
   Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.5, 25_000) ]);
   checkf "pin at best recent" 200_000.0 (Capacity.estimate_bps c ~edge:e01)
-
-let test_capacity_manual_reset () =
-  let c = Capacity.create ~params in
-  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.5, 25_000) ]);
-  Capacity.reset c ~edge:e01;
-  checkb "manual reset" true (Capacity.estimate_bps c ~edge:e01 = infinity)
 
 (* ---------- Fair share ---------- *)
 
@@ -825,7 +803,6 @@ let () =
           Alcotest.test_case "path blocking" `Quick test_backoff_blocks_path;
           Alcotest.test_case "multi-level tree" `Quick
             test_backoff_multi_level_tree;
-          Alcotest.test_case "clear session" `Quick test_backoff_clear_session;
         ] );
       ( "congestion",
         [
@@ -857,7 +834,6 @@ let () =
             test_capacity_growth_and_reset;
           Alcotest.test_case "recent best" `Quick
             test_capacity_pin_uses_recent_best;
-          Alcotest.test_case "manual reset" `Quick test_capacity_manual_reset;
         ] );
       ( "fair-share",
         [

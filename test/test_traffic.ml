@@ -34,29 +34,13 @@ let test_level_for_bandwidth () =
   checki "tiny" 0 (Layering.level_for_bandwidth l ~bps:1_000.0);
   checki "huge" 6 (Layering.level_for_bandwidth l ~bps:1e9)
 
-let test_layering_invalid () =
-  checkb "bad base" true
-    (try
-       ignore (Layering.create ~base_bps:0.0 ~multiplier:2.0 ~count:3);
-       false
-     with Invalid_argument _ -> true);
-  checkb "bad count" true
-    (try
-       ignore (Layering.create ~base_bps:1.0 ~multiplier:2.0 ~count:0);
-       false
-     with Invalid_argument _ -> true)
-
 let prop_cumulative_monotone =
+  let l = Layering.paper_default in
   QCheck.Test.make ~name:"cumulative is strictly monotone" ~count:100
-    QCheck.(pair (float_range 1.0 100_000.0) (int_range 1 10))
-    (fun (base, count) ->
-      let l = Layering.create ~base_bps:base ~multiplier:1.5 ~count in
-      let ok = ref true in
-      for k = 0 to count - 1 do
-        if Layering.cumulative_bps l ~level:(k + 1) <= Layering.cumulative_bps l ~level:k
-        then ok := false
-      done;
-      !ok)
+    QCheck.(int_range 0 (Layering.count l - 1))
+    (fun k ->
+      Layering.cumulative_bps l ~level:(k + 1)
+      > Layering.cumulative_bps l ~level:k)
 
 let prop_level_for_bandwidth_tight =
   QCheck.Test.make ~name:"level_for_bandwidth is the tight fit" ~count:100
@@ -86,10 +70,7 @@ let test_session_groups_distinct () =
   let _, _, router = harness () in
   let s = Session.create ~router ~source:0 ~layering:Layering.paper_default ~id:0 in
   let gs = List.init 6 (fun layer -> Session.group_for_layer s ~layer) in
-  checki "distinct" 6 (List.length (List.sort_uniq Int.compare gs));
-  checki "layer_of_group" 3
-    (Option.get (Session.layer_of_group s ~group:(Session.group_for_layer s ~layer:3)));
-  checkb "unknown group" true (Session.layer_of_group s ~group:999 = None)
+  checki "distinct" 6 (List.length (List.sort_uniq Int.compare gs))
 
 let test_subscription_level_changes () =
   let sim, _, router = harness () in
@@ -133,7 +114,6 @@ let run_source ~kind ~layer ~seconds =
   let rng = Sim.rng sim ~label:"source" in
   let src = Source.start ~network:nw ~session:s ~kind ~rng () in
   Sim.run_until sim (Time.add (Sim.now sim) (Time.span_of_sec seconds));
-  Source.stop src;
   (!count, !bytes, src)
 
 let test_cbr_base_rate () =
@@ -176,35 +156,44 @@ let test_vbr_is_bursty () =
           (1 + Option.value ~default:0 (Hashtbl.find_opt per_second sec))
       end);
   let rng = Sim.rng sim ~label:"source" in
-  let src =
-    Source.start ~network:nw ~session:s
-      ~kind:(Source.Vbr { peak_to_mean = 6.0 })
-      ~rng ()
-  in
+  ignore
+    (Source.start ~network:nw ~session:s
+       ~kind:(Source.Vbr { peak_to_mean = 6.0 })
+       ~rng ());
   Sim.run_until sim (Time.of_sec 120);
-  Source.stop src;
   let counts = Hashtbl.fold (fun _ v acc -> v :: acc) per_second [] in
   let lo = List.fold_left min max_int counts
   and hi = List.fold_left max 0 counts in
   checkb "has quiet seconds" true (lo <= 2);
   checkb "has bursts" true (hi >= 20)
 
-let test_source_stop_stops () =
-  let sim, nw, router = harness () in
+(* A nan or infinite parameter fails no ordering test, so each must be
+   rejected by name before the source sends anything. *)
+let test_source_rejects_non_finite () =
+  let _, nw, router = harness () in
   let s = Session.create ~router ~source:0 ~layering:Layering.paper_default ~id:0 in
-  Session.set_subscription_level s ~router ~node:2 ~level:1;
-  Sim.run_until sim (Time.of_sec 1);
-  let count = ref 0 in
-  let arena = Network.arena nw in
-  Network.set_local_handler nw 2 (fun pkt ->
-      if Packet.is_data arena pkt then incr count);
-  let rng = Sim.rng sim ~label:"source" in
-  let src = Source.start ~network:nw ~session:s ~kind:Source.Cbr ~rng () in
-  Sim.run_until sim (Time.of_sec 5);
-  Source.stop src;
-  let frozen = !count in
-  Sim.run_until sim (Time.of_sec 10);
-  checkb "no packets after stop (±1 in flight)" true (!count - frozen <= 1)
+  let rejects name kind =
+    match
+      Source.start ~network:nw ~session:s ~kind
+        ~rng:(Engine.Prng.create ~seed:1L) ()
+    with
+    | _ -> Alcotest.failf "%s accepted" name
+    | exception Invalid_argument msg ->
+        let n = String.length name in
+        let rec named i =
+          i + n <= String.length msg
+          && (String.sub msg i n = name || named (i + 1))
+        in
+        checkb (Printf.sprintf "%S names %s" msg name) true (named 0)
+  in
+  rejects "peak_to_mean" (Source.Vbr { peak_to_mean = Float.nan });
+  rejects "peak_to_mean" (Source.Vbr { peak_to_mean = Float.infinity });
+  rejects "peak_to_mean" (Source.Vbr { peak_to_mean = 0.5 });
+  rejects "mean_on_s"
+    (Source.On_off { mean_on_s = Float.nan; mean_off_s = 1.0 });
+  rejects "mean_off_s"
+    (Source.On_off { mean_on_s = 1.0; mean_off_s = Float.infinity });
+  rejects "mean_off_s" (Source.On_off { mean_on_s = 1.0; mean_off_s = 0.0 })
 
 let test_source_counters () =
   let sim, nw, router = harness () in
@@ -212,7 +201,6 @@ let test_source_counters () =
   let rng = Sim.rng sim ~label:"source" in
   let src = Source.start ~network:nw ~session:s ~kind:Source.Cbr ~rng () in
   Sim.run_until sim (Time.of_sec 10);
-  Source.stop src;
   checkb "base sent ~40" true (abs (Source.packets_sent src ~layer:0 - 40) <= 1);
   let total = List.init 6 (fun l -> Source.packets_sent src ~layer:l) in
   let sum = List.fold_left ( + ) 0 total in
@@ -229,9 +217,8 @@ let test_seq_numbers_dense () =
       if Packet.is_data arena pkt && Packet.layer arena pkt = 0 then
         seqs := Packet.seq arena pkt :: !seqs);
   let rng = Sim.rng sim ~label:"source" in
-  let src = Source.start ~network:nw ~session:s ~kind:Source.Cbr ~rng () in
+  ignore (Source.start ~network:nw ~session:s ~kind:Source.Cbr ~rng ());
   Sim.run_until sim (Time.of_sec 6);
-  Source.stop src;
   let got = List.rev !seqs in
   checkb "nonempty" true (got <> []);
   let rec consecutive = function
@@ -250,7 +237,6 @@ let () =
           Alcotest.test_case "paper rates" `Quick test_paper_rates;
           Alcotest.test_case "level for bandwidth" `Quick
             test_level_for_bandwidth;
-          Alcotest.test_case "invalid args" `Quick test_layering_invalid;
         ] );
       qsuite "layering-props"
         [ prop_cumulative_monotone; prop_level_for_bandwidth_tight ];
@@ -270,7 +256,8 @@ let () =
             test_cbr_layer_rates_double;
           Alcotest.test_case "vbr mean" `Slow test_vbr_mean_rate;
           Alcotest.test_case "vbr bursty" `Slow test_vbr_is_bursty;
-          Alcotest.test_case "stop" `Quick test_source_stop_stops;
+          Alcotest.test_case "rejects non-finite" `Quick
+            test_source_rejects_non_finite;
           Alcotest.test_case "counters" `Quick test_source_counters;
           Alcotest.test_case "dense seq" `Quick test_seq_numbers_dense;
         ] );
