@@ -20,23 +20,37 @@ open Cmdliner
 (* Sizes, counts, durations and times come from the command line, so an
    out-of-range one is a usage error naming the flag, not a crash inside
    a builder or a value silently replaced by another. *)
-let int_conv ~min ~what =
+let int_conv ?(max = max_int) ~min ~what () =
   let parse s =
     match int_of_string_opt s with
-    | Some n when n >= min -> Ok n
+    | Some n when n >= min && n <= max -> Ok n
+    | Some n when n > max ->
+        Error (`Msg (Printf.sprintf "expected at most %d, got %S" max s))
     | _ -> Error (`Msg (Printf.sprintf "expected a %s integer, got %S" what s))
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let pos_int_conv = int_conv ~min:1 ~what:"positive"
-let nonneg_int_conv = int_conv ~min:0 ~what:"non-negative"
+let pos_int_conv = int_conv ~min:1 ~what:"positive" ()
+let nonneg_int_conv = int_conv ~min:0 ~what:"non-negative" ()
+
+(* Receiver and session counts size the world a run builds, and its
+   memory grows with the square of the node count: 1,000 sessions on
+   topology B peak at about 200 MB in one second of [run], 10,000 passed
+   2 GB within 15 s. Population flags refuse more before anything is
+   built. *)
+let max_population = 1_000
+
+let population_conv =
+  int_conv ~min:1 ~max:max_population ~what:"positive" ()
+
+let population_doc doc = Printf.sprintf "%s At most %d." doc max_population
 
 (* Whole seconds become integer nanoseconds ({!Time.of_sec}), so a
    seconds flag must also fit the clock; past it the run would die on an
    exception that names no flag. *)
 let whole_seconds_conv ~min ~what =
   let parse s =
-    Result.bind (Arg.conv_parser (int_conv ~min ~what) s) (fun n ->
+    Result.bind (Arg.conv_parser (int_conv ~min ~what ()) s) (fun n ->
         match Time.span_of_sec n with
         | _ -> Ok n
         | exception Invalid_argument _ ->
@@ -118,8 +132,8 @@ let scheme_term =
 let sizes_term ~default ~name ~doc =
   Arg.(
     value
-    & opt (list pos_int_conv) default
-    & info [ name ] ~docv:"N,N,..." ~doc)
+    & opt (list population_conv) default
+    & info [ name ] ~docv:"N,N,..." ~doc:(population_doc doc))
 
 (* Figure sweeps fan their independent cells across domains; the count
    is clamped to what the machine can actually run in parallel. *)
@@ -279,11 +293,16 @@ let run_cmd =
       value & opt topology_conv `A
       & info [ "topology" ] ~docv:"a|b|fig1" ~doc:"Which paper topology.")
   in
+  (* Only the bound here: fig1 ignores the count, and [run] below
+     refuses a non-positive one for topologies a and b. *)
   let receivers_term =
     Arg.(
-      value & opt int 2
+      value
+      & opt (int_conv ~min:min_int ~max:max_population ~what:"" ()) 2
       & info [ "receivers" ] ~docv:"N"
-          ~doc:"Receivers per set (topology a) / sessions (topology b).")
+          ~doc:
+            (population_doc
+               "Receivers per set (topology a) / sessions (topology b)."))
   in
   let staleness_term =
     Arg.(
@@ -410,8 +429,8 @@ let churn_cmd =
   in
   let receivers =
     Arg.(
-      value & opt pos_int_conv 4
-      & info [ "receivers" ] ~docv:"N" ~doc:"Per set.")
+      value & opt population_conv 4
+      & info [ "receivers" ] ~docv:"N" ~doc:(population_doc "Per set."))
   in
   let gap =
     Arg.(

@@ -11,10 +11,14 @@ type entry = {
    node that registered them (named when a later domain overlaps it). *)
 type slot = { nodes : Addr.node_id list; owner : Addr.node_id }
 
-(* The last partition of one session's snapshot, valid while [snap] is
-   the snapshot asked about and no domain has been registered since. *)
+(* The last partition of one session's image, valid while a snapshot
+   asked about carries the same [edges] and [members] lists (physically:
+   [Snapshot.capture ~prev] shares them while the tree stands still), the
+   same source, and no domain has been registered since. *)
 type memo = {
-  snap : Snapshot.t;
+  source : Addr.node_id;
+  edges : Snapshot.edge list;
+  members : (Addr.node_id * int) list;
   slot_count : int;
   parts : Snapshot.part array;
 }
@@ -52,12 +56,17 @@ let create ~sim ~router ?(period = Time.span_of_sec 1) ?(history = 64) () =
 
 let sessions t = List.rev t.sessions_rev
 
+let newest e =
+  Option.map snd (Engine.Trace.find_last e.buffer ~f:(fun _ -> true))
+
 let capture_all t =
   let at = Sim.now t.sim in
   List.iter
     (fun session ->
-      let snap = Snapshot.capture ~router:t.router ~session ~at in
       let e = Hashtbl.find t.entries (Traffic.Session.id session) in
+      let snap =
+        Snapshot.capture ?prev:(newest e) ~router:t.router ~session ~at ()
+      in
       Engine.Trace.record e.buffer at snap)
     (sessions t)
 
@@ -81,8 +90,8 @@ let query t ~session ~staleness =
   | Some e ->
       if staleness = 0 then
         Some
-          (Snapshot.capture ~router:t.router ~session:e.session
-             ~at:(Sim.now t.sim))
+          (Snapshot.capture ?prev:(newest e) ~router:t.router
+             ~session:e.session ~at:(Sim.now t.sim) ())
       else
         let cutoff = Time.to_ns (Sim.now t.sim) - staleness in
         Engine.Trace.find_last e.buffer ~f:(fun (snap : Snapshot.t) ->
@@ -123,15 +132,30 @@ let restrict t domain (snap : Snapshot.t) =
   let slot_count = Hashtbl.length t.slots in
   let parts =
     match Hashtbl.find_opt t.memos snap.session with
-    | Some m when m.snap == snap && m.slot_count = slot_count -> m.parts
+    | Some m
+      when m.edges == snap.edges && m.members == snap.members
+           && m.source = snap.source && m.slot_count = slot_count ->
+        m.parts
     | _ ->
         t.partitions <- t.partitions + 1;
         let parts =
           Snapshot.partition snap ~slots:slot_count ~slot_of:(slot_of t)
         in
-        Hashtbl.replace t.memos snap.session { snap; slot_count; parts };
+        Hashtbl.replace t.memos snap.session
+          {
+            source = snap.source;
+            edges = snap.edges;
+            members = snap.members;
+            slot_count;
+            parts;
+          };
         parts
   in
-  Snapshot.part_view parts.(domain)
+  (* A memo hit from an earlier snapshot of the same image carries that
+     snapshot's time; the view is of this one. *)
+  match Snapshot.part_view parts.(domain) with
+  | Some v when v.taken_at <> snap.taken_at ->
+      Some { v with taken_at = snap.taken_at }
+  | view -> view
 
 let partitions t = t.partitions

@@ -20,7 +20,10 @@ val create :
   t
 (** Snapshots every [period] (default 1 s), keeping the last [history]
     (default 64) snapshots per session. Capturing starts when the first
-    session is registered. *)
+    session is registered. Each capture is read with the session's
+    newest snapshot as {!Snapshot.capture}'s [prev], so a tree that did
+    not move since costs one version check per layer and shares that
+    snapshot's lists. *)
 
 val register_session : t -> Traffic.Session.t -> unit
 
@@ -32,7 +35,8 @@ val query :
   t -> session:int -> staleness:Engine.Time.span -> Snapshot.t option
 (** The newest snapshot taken at or before [now - staleness]; [None] when
     no old-enough snapshot exists yet. [staleness = 0] captures and
-    returns the live state. *)
+    returns the live state (read against the newest held snapshot, as
+    the periodic captures are). *)
 
 (** {1 Domain registry}
 
@@ -56,11 +60,16 @@ val restrict : t -> domain -> Snapshot.t -> Snapshot.t option
 (** [Snapshot.restrict snap ~domain:nodes] for the domain's node set,
     with the same result and the same [Invalid_argument]. The first
     lookup on a snapshot partitions it across every registered domain in
-    one O(edges + members) pass ({!Snapshot.partition}); later lookups on
-    the same (physically equal) snapshot are array reads, until another
-    snapshot of the session or a newly registered domain forces a new
-    pass. *)
+    one O(edges + members) pass ({!Snapshot.partition}). Later lookups
+    on any snapshot of the session with the same source and the same
+    [edges] and [members] lists (physically equal, as captures of an
+    unchanged tree share them) are array reads, until the image moves or
+    a newly registered domain forces a new pass. A view served from an
+    earlier snapshot's pass carries this snapshot's [taken_at], and its
+    [edges] and [members] are the lists that pass cut, so a controller
+    sees an unchanged domain as unchanged in constant time. *)
 
 val partitions : t -> int
-(** Partition passes made so far (one per snapshot and session, however
-    many controllers query it). *)
+(** Partition passes made so far (one per distinct image of a session,
+    however many controllers query it and however many snapshots share
+    it). *)

@@ -12,6 +12,7 @@ type t = {
   source : Addr.node_id;
   edges : edge list;
   members : (Addr.node_id * int) list;
+  versions : int array;
 }
 
 (* A (parent, child) edge packed into one int, parent above child, so
@@ -19,29 +20,48 @@ type t = {
    array indices, far below 2^31. *)
 let key_bits = 31
 let child_mask = (1 lsl key_bits) - 1
+let key (e : edge) = (e.parent lsl key_bits) lor e.child
 
-let capture ~router ~session ~at =
-  let layering = Traffic.Session.layering session in
-  let layer_count = Traffic.Layering.count layering in
-  (* Overlay: union of the per-layer trees, tagging edges with layers.
-     Each layer's edges become a sorted array of packed keys; merging the
-     arrays from the largest key down builds the (parent, child)-sorted
-     edge list front-first, each edge's layers ascending. *)
-  let keys =
-    Array.init layer_count (fun layer ->
-        let group = Traffic.Session.group_for_layer session ~layer in
-        let pairs = Multicast.Router.tree_edges router ~group in
-        let a = Array.make (List.length pairs) 0 in
-        List.iteri
-          (fun i (parent, child) -> a.(i) <- (parent lsl key_bits) lor child)
-          pairs;
-        Array.stable_sort Int.compare a;
-        a)
-  in
+(* One layer's tree as read from the router: its packed keys, ascending
+   because the router lists the edges by (parent, child). *)
+let read_layer router group =
+  let pairs = Multicast.Router.tree_edges router ~group in
+  let a = Array.make (List.length pairs) 0 in
+  List.iteri
+    (fun i (parent, child) -> a.(i) <- (parent lsl key_bits) lor child)
+    pairs;
+  a
+
+(* Each layer's sorted keys as recorded in [edges]: the inverse of
+   [merge]. *)
+let split_layers edges layer_count =
+  let counts = Array.make layer_count 0 in
+  List.iter
+    (fun e -> List.iter (fun l -> counts.(l) <- counts.(l) + 1) e.layers)
+    edges;
+  let keys = Array.map (fun n -> Array.make n 0) counts in
+  Array.fill counts 0 layer_count 0;
+  List.iter
+    (fun e ->
+      let k = key e in
+      List.iter
+        (fun l ->
+          keys.(l).(counts.(l)) <- k;
+          counts.(l) <- counts.(l) + 1)
+        e.layers)
+    edges;
+  keys
+
+(* Overlay: union of the per-layer trees, tagging edges with layers.
+   Merging the layers' sorted key arrays from the largest key down
+   builds the (parent, child)-sorted edge list front-first, each edge's
+   layers ascending. *)
+let merge keys =
+  let layer_count = Array.length keys in
   (* [left.(l)]: keys of layer [l] not merged yet; its largest is the
      last of them. *)
   let left = Array.map Array.length keys in
-  let rec merge acc =
+  let rec go acc =
     let top = ref (-1) in
     for l = 0 to layer_count - 1 do
       let n = left.(l) in
@@ -57,25 +77,68 @@ let capture ~router ~session ~at =
           left.(l) <- left.(l) - 1
         done
       done;
-      merge
+      go
         ({ parent = key lsr key_bits; child = key land child_mask; layers = !layers }
         :: acc)
     end
   in
-  let edges = merge [] in
+  go []
+
+let read_members router session =
   let base_group = Traffic.Session.group_for_layer session ~layer:0 in
-  let members =
-    Multicast.Router.members router ~group:base_group
-    |> List.map (fun node ->
-           (node, Traffic.Session.subscription_level session ~router ~node))
+  Multicast.Router.members router ~group:base_group
+  |> List.map (fun node ->
+         (node, Traffic.Session.subscription_level session ~router ~node))
+
+let capture ?prev ~router ~session ~at () =
+  let layer_count = Traffic.Layering.count (Traffic.Session.layering session) in
+  let groups =
+    Array.init layer_count (fun layer ->
+        Traffic.Session.group_for_layer session ~layer)
   in
-  {
-    session = Traffic.Session.id session;
-    taken_at = at;
-    source = Traffic.Session.source session;
-    edges;
-    members;
-  }
+  let versions =
+    Array.map (fun group -> Multicast.Router.version router ~group) groups
+  in
+  let id = Traffic.Session.id session
+  and source = Traffic.Session.source session in
+  (* [prev] is reusable when it was read from this session's groups;
+     a layer whose version did not move reads as it did then. *)
+  match prev with
+  | Some p
+    when p.session = id && p.source = source
+         && Array.length p.versions = layer_count ->
+      if p.versions = versions then { p with taken_at = at }
+      else begin
+        let before = split_layers p.edges layer_count in
+        let edges_moved = ref false in
+        let keys =
+          Array.mapi
+            (fun l group ->
+              if versions.(l) = p.versions.(l) then before.(l)
+              else begin
+                let now = read_layer router group in
+                if now <> before.(l) then edges_moved := true;
+                now
+              end)
+            groups
+        in
+        let edges = if !edges_moved then merge keys else p.edges in
+        let members =
+          let now = read_members router session in
+          let same (n, l) (n', l') = Int.equal n n' && Int.equal l l' in
+          if List.equal same now p.members then p.members else now
+        in
+        { session = id; taken_at = at; source; edges; members; versions }
+      end
+  | _ ->
+      {
+        session = id;
+        taken_at = at;
+        source;
+        edges = merge (Array.map (read_layer router) groups);
+        members = read_members router session;
+        versions;
+      }
 
 let is_tree t =
   (* each child has exactly one parent *)
@@ -143,7 +206,13 @@ let partition t ~slots ~slot_of =
       | [] -> Outside
       | [ ingress ] ->
           Inside
-            { t with source = ingress; edges = edges_in.(s); members = members.(s) }
+            {
+              t with
+              source = ingress;
+              edges = edges_in.(s);
+              members = members.(s);
+              versions = [||];
+            }
       | _ :: _ :: _ -> Multi_ingress { session = t.session; ingresses })
 
 let part_view = function

@@ -19,14 +19,30 @@ type t = {
   edges : edge list;  (** sorted by (parent, child) *)
   members : (Net.Addr.node_id * int) list;
       (** receivers with their subscription level, sorted by node *)
+  versions : int array;
+      (** the {!Multicast.Router.version} of each layer's group when
+          {!capture} read it; [[||]] for a snapshot not read from a
+          router (a {!restrict}ed view, a probe image, a test's own) *)
 }
 
 val capture :
+  ?prev:t ->
   router:Multicast.Router.t ->
   session:Traffic.Session.t ->
   at:Engine.Time.t ->
+  unit ->
   t
-(** Reads the router's current forwarding and membership state. *)
+(** Reads the router's current forwarding and membership state.
+
+    [prev], an earlier capture of the same session from the same
+    router, lets the read skip what has not moved since: a layer whose
+    group version equals [prev]'s is taken from [prev]'s edges instead
+    of the router's tables. When no version moved the result is [prev]
+    re-stamped [at]. Either way [edges] and [members] that read the
+    same as [prev]'s are [prev]'s lists, physically, so consumers can
+    tell an unchanged image in constant time. The result equals a
+    capture without [prev] field for field. A [prev] of another
+    session, or with [versions = [||]], is ignored. *)
 
 val is_tree : t -> bool
 (** Sanity: every non-source node has at most one parent and the edge set

@@ -75,8 +75,11 @@ let rng t ~label = Prng.split t.root_rng ~label
    store per array per level instead of a swap. The unsafe accesses are
    bounds-proven — every heap index is < size <= capacity, and every
    slot id is < capacity. Keys are unique, so the pop order does not
-   depend on the heap's shape. A tie on the instant is rare, so a
-   record's [seq] is read only then. *)
+   depend on the heap's shape. A record's [seq] is read only on a tie
+   on the instant, and ties are common: a multicast wave fans one packet
+   out over links of equal timing and timer chains share their periods,
+   so 94% to 99.8% of pushes land at the previous push's instant on
+   three of the four benchmark workloads (under 1% on topoB-vbr). *)
 let[@inline] seq_at t i =
   (Array.unsafe_get t.evs (Array.unsafe_get t.ids i)).seq
 

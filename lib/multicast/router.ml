@@ -41,6 +41,9 @@ type t = {
   mutable src_of : Addr.node_id array;  (* -1 = unknown group *)
   mutable state_rows : gstate option array array;
   mutable delivered_by_group : int array;
+  mutable versions : int array;
+      (** per group, bumped on every change to its recorded edges or
+          local membership: what a topology capture reads *)
   (* Derived views maintained incrementally on join/leave/graft/prune so
      [members] and [tree_edges] — queried every TopoSense decision epoch —
      don't fold the whole (node, group) table. Node and group ids are
@@ -87,12 +90,26 @@ let grow_groups t g =
     t.state_rows <- nrows;
     let ndel = Array.make ncap 0 in
     Array.blit t.delivered_by_group 0 ndel 0 cap;
-    t.delivered_by_group <- ndel
+    t.delivered_by_group <- ndel;
+    let nver = Array.make ncap 0 in
+    Array.blit t.versions 0 nver 0 cap;
+    t.versions <- nver
   end
 
-let add_member t ~group ~node = Bitset.add (get_set t.members_by_group group) node
+(* Every change to what [members] and [tree_edges] return, and to the
+   [local] flags that [join], [leave] and [crash_node] flip together
+   with membership, goes through [add_member], [remove_member],
+   [add_edge] or [remove_edge]; each bumps the group's version. *)
+let bump t group =
+  grow_groups t group;
+  t.versions.(group) <- t.versions.(group) + 1
+
+let add_member t ~group ~node =
+  bump t group;
+  Bitset.add (get_set t.members_by_group group) node
 
 let remove_member t ~group ~node =
+  bump t group;
   match Hashtbl.find_opt t.members_by_group group with
   | None -> ()
   | Some cur -> Bitset.remove cur node
@@ -139,6 +156,7 @@ let tree_of t group =
       tr
 
 let add_edge t ~group ~parent ~child =
+  bump t group;
   let tr = tree_of t group in
   let ps = tr.parents.(child) in
   if not (List.mem parent ps) then begin
@@ -151,6 +169,7 @@ let add_edge t ~group ~parent ~child =
   detached_remove t ~group ~node:child
 
 let remove_edge t ~group ~parent ~child =
+  bump t group;
   match Hashtbl.find_opt t.edges_by_group group with
   | None -> ()
   | Some tr ->
@@ -340,7 +359,10 @@ let edges_snapshot tr =
   for c = Array.length tr.parents - 1 downto 0 do
     List.iter (fun p -> acc := (p, c) :: !acc) tr.parents.(c)
   done;
-  List.sort compare !acc
+  List.sort
+    (fun (p, c) (p', c') ->
+      if p <> p' then Int.compare p p' else Int.compare c c')
+    !acc
 
 (* Sweep 1 of tree repair: cut every recorded edge of [group] that no
    longer lies on the child's reverse path toward the source (the
@@ -465,6 +487,7 @@ let create ~network ?(leave_latency = Time.span_of_sec 1)
       src_of = [||];
       state_rows = [||];
       delivered_by_group = [||];
+      versions = [||];
       members_by_group = Hashtbl.create 64;
       edges_by_group = Hashtbl.create 64;
       groups_by_src = Hashtbl.create 64;
@@ -593,6 +616,10 @@ let tree_edges t ~group =
   | Some tr -> edges_snapshot tr
 
 let on_tree t ~node ~group = (state t node group).on_tree
+
+let version t ~group =
+  if group < 0 || group >= Array.length t.versions then 0
+  else t.versions.(group)
 
 let delivered t ~group =
   if group < 0 || group >= Array.length t.delivered_by_group then 0

@@ -89,11 +89,19 @@ val members : t -> group:Net.Addr.group_id -> Net.Addr.node_id list
 
 val tree_edges :
   t -> group:Net.Addr.group_id -> (Net.Addr.node_id * Net.Addr.node_id) list
-(** Installed forwarding edges as (parent, child) pairs — the actual
-    distribution tree, including branches kept alive by leave latency.
-    Used by the topology-discovery tool. *)
+(** Installed forwarding edges as (parent, child) pairs, sorted by
+    parent, then child — the actual distribution tree, including
+    branches kept alive by leave latency. Used by the topology-discovery
+    tool. *)
 
 val on_tree : t -> node:Net.Addr.node_id -> group:Net.Addr.group_id -> bool
+
+val version : t -> group:Net.Addr.group_id -> int
+(** A counter for the group that moves whenever its {!members}, its
+    {!tree_edges} or any node's {!is_member} for it may have changed:
+    every recorded edge added or removed and every local membership
+    gained or lost bumps it. Equal versions at two instants mean all
+    three read the same at both. 0 for a group never touched. *)
 
 val delivered : t -> group:Net.Addr.group_id -> int
 (** Packets delivered to local members of [group] (all nodes), for tests. *)

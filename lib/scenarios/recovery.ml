@@ -167,7 +167,7 @@ let tree_follows_rpf rig =
   let routing = Net.Network.routing rig.network in
   let snap =
     Discovery.Snapshot.capture ~router:rig.router ~session:rig.session
-      ~at:(Sim.now rig.sim)
+      ~at:(Sim.now rig.sim) ()
   in
   Discovery.Snapshot.is_tree snap
   && List.for_all

@@ -13,7 +13,16 @@
     All controller-side state that persists across intervals — capacity
     estimates, congestion/bytes/supply histories, back-off timers — lives
     here, so the surrounding {!Controller} stays a thin I/O shim and this
-    module is directly unit-testable. *)
+    module is directly unit-testable.
+
+    Each session also keeps a view across intervals: the {!Capacity}
+    entry of every tree edge, the {!Subscription} state of every tree
+    node, and the stage arrays, all indexed by the tree's numbering. A
+    step whose tree has {!Tree.same_numbering} with the session's last
+    one reuses the view, so an unchanged tree is neither re-hashed nor
+    re-allocated; any other tree gets a new view, built exactly as on the
+    session's first interval. Both paths give the same prescriptions and
+    estimates. *)
 
 type t
 
@@ -53,7 +62,10 @@ val step : t -> now:Engine.Time.t -> session_input list -> prescription list
 (** Runs stages 1–5 once. Prescriptions are sorted by (session,
     receiver). A prescription for a receiver does not depend on which
     other receivers are recipients. Where [measures] or [levels] list a
-    node twice, the first entry counts. *)
+    node twice, the first entry counts. Pass each session's tree from
+    {!Tree.of_snapshot} with the session's previous tree as [prev] to
+    reuse its view; a session listed twice in one step gets a second
+    view for that step only. *)
 
 val capacity_estimate : t -> edge:int -> float
 (** Current stage-2 estimate of an edge keyed by {!Tree.edge}

@@ -1,8 +1,11 @@
 type entry = {
   mutable estimate_bps : float;  (* infinity = unknown *)
   mutable intervals_since_set : int;
-  mutable observed_bps : float array;  (* ring of recent throughputs *)
+  observed_bps : float array;  (* ring of recent throughputs *)
   mutable observed_idx : int;
+  mutable pooled : (int * float * int) list;
+      (* this interval's evidence, newest session first; [] once observed *)
+  mutable dest : int;  (* bit 0: some session internal; bit 1: self-congested *)
 }
 
 type t = {
@@ -12,13 +15,14 @@ type t = {
 
 let create ~params = { params; entries = Int_table.create 32 }
 
+(* One interval's evidence for one physical edge. *)
 type link_obs = {
-  sessions : (int * float * int) list;
+  sessions : (int * float * int) list;  (* newest session first *)
   dest_internal : bool;
   dest_self_congested : bool;
 }
 
-let entry t edge =
+let entry t ~edge =
   match Int_table.find t.entries edge with
   | e -> e
   | exception Not_found ->
@@ -28,14 +32,19 @@ let entry t edge =
           intervals_since_set = 0;
           observed_bps = Array.make 3 0.0;
           observed_idx = 0;
+          pooled = [];
+          dest = 0;
         }
       in
       Int_table.add t.entries edge e;
       e
 
-let observe t ~edge ~interval_s obs =
-  if interval_s <= 0.0 then invalid_arg "Capacity.observe: interval <= 0";
-  let e = entry t edge in
+let pool e ~session ~loss ~bytes ~internal ~self_congested =
+  e.pooled <- (session, loss, bytes) :: e.pooled;
+  if internal then
+    e.dest <- e.dest lor (if self_congested then 3 else 1)
+
+let observe t e ~interval_s obs =
   let total_bytes =
     List.fold_left (fun acc (_, _, b) -> acc + b) 0 obs.sessions
   in
@@ -117,6 +126,25 @@ let observe t ~edge ~interval_s obs =
       end);
   e.observed_bps.(e.observed_idx) <- usage_bps;
   e.observed_idx <- (e.observed_idx + 1) mod Array.length e.observed_bps
+
+let observe_pooled t e ~interval_s =
+  if interval_s <= 0.0 then
+    invalid_arg "Capacity.observe_pooled: interval <= 0";
+  match e.pooled with
+  | [] -> ()
+  | sessions ->
+      let obs =
+        {
+          sessions;
+          dest_internal = e.dest land 1 <> 0;
+          dest_self_congested = e.dest land 2 <> 0;
+        }
+      in
+      e.pooled <- [];
+      e.dest <- 0;
+      observe t e ~interval_s obs
+
+let estimate e = e.estimate_bps
 
 let estimate_bps t ~edge =
   match Int_table.find t.entries edge with

@@ -5,20 +5,23 @@ type t = {
   self_congested : bool array;
 }
 
-let compute ~(params : Params.t) ~tree ~loss:leaf_loss ~bytes =
+let create n =
+  {
+    congested = Array.make n false;
+    loss = Array.make n 0.0;
+    max_bytes = Array.make n 0;
+    self_congested = Array.make n false;
+  }
+
+let compute ~(params : Params.t) ~tree
+    { congested; loss; max_bytes; self_congested } =
   let n = Tree.size tree in
-  let congested = Array.make n false in
-  let loss = Array.make n 0.0 in
-  let max_bytes = Array.make n 0 in
-  let self_congested = Array.make n false in
-  (* Bottom-up: losses, subtree byte maxima and self-evidence. *)
+  (* Bottom-up: losses, subtree byte maxima and self-evidence. A leaf's
+     own entries are its report; a parent's are overwritten only after
+     all its children's, which sit at higher indices. *)
   for i = n - 1 downto 0 do
     let first = Tree.first_child tree i and count = Tree.child_count tree i in
-    if count = 0 then begin
-      loss.(i) <- leaf_loss.(i);
-      max_bytes.(i) <- bytes.(i);
-      self_congested.(i) <- leaf_loss.(i) > params.p_threshold
-    end
+    if count = 0 then self_congested.(i) <- loss.(i) > params.p_threshold
     else begin
       let last = first + count - 1 in
       let l = ref infinity and b = ref 0 in
@@ -34,7 +37,8 @@ let compute ~(params : Params.t) ~tree ~loss:leaf_loss ~bytes =
          the root of the congested subtree" would halve the whole
          session. Only sibling-correlated loss localizes a bottleneck to
          this node's inbound link. *)
-      if count >= 2 then begin
+      if count = 1 then self_congested.(i) <- false
+      else begin
         let k = float_of_int count in
         let all_above = ref true and sum = ref 0.0 in
         for c = first to last do
@@ -57,5 +61,4 @@ let compute ~(params : Params.t) ~tree ~loss:leaf_loss ~bytes =
   for i = 0 to n - 1 do
     congested.(i) <-
       self_congested.(i) || (i > 0 && congested.(Tree.parent tree i))
-  done;
-  { congested; loss; max_bytes; self_congested }
+  done

@@ -22,11 +22,19 @@ type t = {
   self_congested : bool array;
       (** congested by its own evidence, before parent inheritance *)
 }
-(** The verdicts, one entry per node, indexed as the {!Tree}. *)
+(** The verdicts, one entry per node, indexed as the {!Tree}. The
+    arrays may be longer than the tree: entries past its size are
+    neither read nor written. *)
 
-val compute :
-  params:Params.t -> tree:Tree.t -> loss:float array -> bytes:int array -> t
-(** [loss.(i)] and [bytes.(i)] are leaf [i]'s (loss rate, bytes received)
-    this interval; a leaf without a report yet reads (0.0, 0), lossless
-    with zero bytes. Internal nodes' entries of both arrays are ignored:
-    their verdicts are computed. *)
+val create : int -> t
+(** Verdict arrays for trees of up to [n] nodes, every entry zero or
+    false. The algorithm keeps one per session tree and reuses it every
+    interval. *)
+
+val compute : params:Params.t -> tree:Tree.t -> t -> unit
+(** Computes the verdicts in place. On entry, [loss.(i)] and
+    [max_bytes.(i)] hold leaf [i]'s loss rate and bytes received this
+    interval (a leaf without a report yet reads 0.0 and 0: lossless,
+    with zero bytes); internal nodes' entries of both are ignored. On
+    return every array holds the verdicts for indices [0] to
+    [Tree.size tree - 1]. *)

@@ -41,6 +41,9 @@ type t = {
   probe : Probe_discovery.t option;
   federation : Federation.leaf option;
   algorithm : Algorithm.t;
+  trees : Tree.t Int_table.t;
+      (** per session, the last tree built: the next snapshot of an
+          unchanged shape keeps its numbering *)
   mutable sessions_rev : Traffic.Session.t list;
       (** newest first; O(1) registration, reversed at each use *)
   receivers : (int * Net.Addr.node_id, receiver_state) Hashtbl.t;
@@ -193,6 +196,7 @@ let create ~network ~discovery ~params ~node ?domain ?probe ?federation () =
       probe;
       federation;
       algorithm = Algorithm.create ~params ~rng:(Sim.rng sim ~label:"toposense");
+      trees = Int_table.create 8;
       sessions_rev = [];
       receivers = Hashtbl.create 64;
       known = Int_table.create 8;
@@ -424,7 +428,8 @@ let run_interval t =
                 t.skipped_no_snapshot <- t.skipped_no_snapshot + 1;
                 None
             | Some snap -> (
-                match Tree.of_snapshot snap with
+                let prev = Int_table.find_opt t.trees id in
+                match Tree.of_snapshot ?prev snap with
                 | None ->
                     (* With faults injected the discovery image can be
                        genuinely wrong, not merely stale — e.g. a child
@@ -433,7 +438,9 @@ let run_interval t =
                        non-tree. *)
                     t.invalid_snapshots <- t.invalid_snapshots + 1;
                     None
-                | Some tree -> Some (session_input t session tree))))
+                | Some tree ->
+                    Int_table.replace t.trees id tree;
+                    Some (session_input t session tree))))
       (List.rev t.sessions_rev)
   in
   let prescriptions = Algorithm.step t.algorithm ~now inputs in

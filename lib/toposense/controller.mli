@@ -7,7 +7,10 @@
     reports that arrived since the previous interval, runs
     {!Algorithm.step}, and unicasts a suggestion packet to every member
     receiver. A snapshot that is not a tree ({!Tree.of_snapshot} returns
-    [None]) skips its session for the interval. The algorithm covers the
+    [None]) skips its session for the interval. Each session's last tree
+    is kept and handed to {!Tree.of_snapshot} as [prev], so while the
+    session's shape stands still the tree, and the algorithm's view of
+    it, carry over from interval to interval. The algorithm covers the
     whole tree but is asked only for the prescriptions the controller
     sends: to every member, or under [params.prescribe_known_only] only
     to the members in the lease book. Suggestions are real packets: they

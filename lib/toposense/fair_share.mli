@@ -19,14 +19,21 @@ type session_ctx = {
   id : int;
   layering : Traffic.Layering.t;
   tree : Tree.t;
+  capacity : int -> float;
+      (** the stage-2 estimate of the edge into tree index [i], for
+          [i >= 1] ([infinity] = unknown) *)
+  caps : float array;
+      (** filled by {!compute}: entry [i], for [i] below the tree's
+          size, is the bandwidth the session may push across the edge
+          into node [i]. Longer arrays are fine; entries past the size
+          are not touched. *)
 }
 
-val compute :
-  sessions:session_ctx list -> capacity:(edge:int -> float) -> float array list
-(** One cap array per session, in [sessions]' order and indexed as that
-    session's {!Tree}: entry [i] is the bandwidth the session may push
-    across the edge into node [i] — its fair share on an estimated shared
-    edge, the raw estimate on an estimated unshared edge, [infinity]
-    otherwise (and at the source). [capacity] reads the estimate of an
-    edge keyed by {!Tree.edge}. Sums over the sessions crossing an edge
-    run newest session first. *)
+val compute : session_ctx list -> unit
+(** Fills every session's [caps], indexed as that session's {!Tree}:
+    its fair share on an estimated shared edge, the raw estimate on an
+    estimated unshared edge, [infinity] otherwise (and at the source).
+    Two sessions share an edge when their trees hold the same
+    {!Tree.edge}. Sums over the sessions crossing an edge run newest
+    session (last in the list) first. Only edges with a finite estimate
+    are looked up by key. *)

@@ -180,6 +180,7 @@ let latest t ~session =
           source = t.node;
           edges;
           members;
+          versions = [||];
         }
 
 let queries_sent t = t.queries_sent

@@ -1,25 +1,42 @@
 module Time = Engine.Time
 module Layering = Traffic.Layering
 
-type node_state = {
-  mutable hist_older : bool;  (* congestion state at T0 *)
-  mutable hist_middle : bool;  (* at T1 *)
-  mutable hist_current : bool;  (* at T2 = the state just computed *)
+(* A node's amounts apart from its flags: an all-float record is stored
+   flat, so the per-interval updates allocate nothing. *)
+type amounts = {
   mutable bytes_older : float;  (* bytes received in [T0,T1] *)
   mutable bytes_recent : float;  (* in [T1,T2] *)
   mutable supply_older : float;  (* supply granted for [T0,T1] *)
   mutable supply_recent : float;  (* granted for [T1,T2] *)
   mutable demand : float;  (* last computed demand *)
+}
+
+type node_state = {
+  mutable hist_older : bool;  (* congestion state at T0 *)
+  mutable hist_middle : bool;  (* at T1 *)
+  mutable hist_current : bool;  (* at T2 = the state just computed *)
   mutable initialized : bool;
+  amounts : amounts;
 }
 
 type t = {
   params : Params.t;
   backoff : Backoff.t;
   states : node_state Int_table.t Int_table.t;  (* per session, by node id *)
+  mutable flow : float array;
+      (* one step's scratch, by tree index: demands bottom-up, then
+         supplies top-down in place *)
+  mutable settling : Bytes.t;  (* one step's scratch: subtree settling *)
 }
 
-let create ~params ~backoff = { params; backoff; states = Int_table.create 8 }
+let create ~params ~backoff =
+  {
+    params;
+    backoff;
+    states = Int_table.create 8;
+    flow = [||];
+    settling = Bytes.empty;
+  }
 
 type input = {
   session : int;
@@ -27,13 +44,14 @@ type input = {
   tree : Tree.t;
   verdicts : Congestion.t;
   levels : int array;
+  states : node_state array;
   may_add : Net.Addr.node_id -> bool;
   frozen : Net.Addr.node_id -> bool;
   caps : float array;
   recipients : Net.Addr.node_id list;
 }
 
-let session_states t session =
+let session_states (t : t) session =
   match Int_table.find t.states session with
   | states -> states
   | exception Not_found ->
@@ -41,7 +59,8 @@ let session_states t session =
       Int_table.add t.states session states;
       states
 
-let state states node =
+let node_state t ~session ~node =
+  let states = session_states t session in
   match Int_table.find states node with
   | s -> s
   | exception Not_found ->
@@ -50,12 +69,15 @@ let state states node =
           hist_older = false;
           hist_middle = false;
           hist_current = false;
-          bytes_older = 0.0;
-          bytes_recent = 0.0;
-          supply_older = 0.0;
-          supply_recent = 0.0;
-          demand = 0.0;
           initialized = false;
+          amounts =
+            {
+              bytes_older = 0.0;
+              bytes_recent = 0.0;
+              supply_older = 0.0;
+              supply_recent = 0.0;
+              demand = 0.0;
+            };
         }
       in
       Int_table.add states node s;
@@ -70,6 +92,14 @@ let level_of_bw layering bps =
   if Float.is_finite bps then Layering.level_for_bandwidth layering ~bps
   else Layering.count layering
 
+(* The supply granted for the named window, or [fallback] when none
+   was. A function of its own, not a closure over [fallback]: stage 5
+   would otherwise allocate one per node per interval. *)
+let supply_of (a : amounts) ~fallback = function
+  | Decision.Older -> if a.supply_older > 0.0 then a.supply_older else fallback
+  | Decision.Recent ->
+      if a.supply_recent > 0.0 then a.supply_recent else fallback
+
 let leaf_demand t ~now input i (st : node_state) ~frozen =
   let layering = input.layering in
   let node = Tree.node input.tree i in
@@ -77,10 +107,7 @@ let leaf_demand t ~now input i (st : node_state) ~frozen =
   let cur = Layering.cumulative_bps layering ~level in
   let loss = input.verdicts.loss.(i) in
   let base = Layering.rate_bps layering ~layer:0 in
-  let supply_of = function
-    | Decision.Older -> if st.supply_older > 0.0 then st.supply_older else cur
-    | Decision.Recent -> if st.supply_recent > 0.0 then st.supply_recent else cur
-  in
+  let a = st.amounts in
   let add_next () =
     if
       level < Layering.count layering
@@ -108,7 +135,7 @@ let leaf_demand t ~now input i (st : node_state) ~frozen =
     in
     let bw =
       Decision.classify_bw ~tolerance:t.params.bw_equal_tolerance
-        ~older:st.bytes_older ~recent:st.bytes_recent
+        ~older:a.bytes_older ~recent:a.bytes_recent
     in
     match Decision.lookup ~kind:Decision.Leaf ~history ~bw with
     | Decision.Add_next_layer -> add_next ()
@@ -117,7 +144,8 @@ let leaf_demand t ~now input i (st : node_state) ~frozen =
           drop_one ~set_backoff:true
         else cur
     | Decision.Maintain_demand -> cur
-    | Decision.Reduce_to_supply which -> Float.max base (Float.min cur (supply_of which))
+    | Decision.Reduce_to_supply which ->
+        Float.max base (Float.min cur (supply_of a ~fallback:cur which))
     | Decision.Reduce_to_half_supply { which; set_backoff } ->
         (* Halving is the drastic response; reserve it for genuinely high
            loss so the residue tail of an already-handled episode (just
@@ -125,7 +153,9 @@ let leaf_demand t ~now input i (st : node_state) ~frozen =
            layer. *)
         if loss <= t.params.p_high then cur
         else begin
-          let target = Float.max base (supply_of which /. 2.0) in
+          let target =
+            Float.max base (supply_of a ~fallback:cur which /. 2.0)
+          in
           if set_backoff && target < cur then begin
             let new_level = level_of_bw layering target in
             let dropped_top = max new_level (level - 1) in
@@ -136,7 +166,8 @@ let leaf_demand t ~now input i (st : node_state) ~frozen =
         end
     | Decision.Reduce_to_half_supply_if_very_high_loss which ->
         if loss > t.params.p_very_high then
-          Float.max base (Float.min cur (supply_of which /. 2.0))
+          Float.max base
+            (Float.min cur (supply_of a ~fallback:cur which /. 2.0))
         else cur
     | Decision.Accept_children -> cur (* not produced for leaves *)
   end
@@ -145,12 +176,7 @@ let internal_demand t ~now input i (st : node_state) ~aggregate
     ~subtree_settling =
   let layering = input.layering in
   let base = Layering.rate_bps layering ~layer:0 in
-  let supply_of = function
-    | Decision.Older ->
-        if st.supply_older > 0.0 then st.supply_older else aggregate
-    | Decision.Recent ->
-        if st.supply_recent > 0.0 then st.supply_recent else aggregate
-  in
+  let a = st.amounts in
   (* While some descendant is still settling a drop, the subtree's loss
      evidence is contaminated by that adjustment (queue drain, leave
      latency, the sibling that has not yet received its suggestion);
@@ -164,18 +190,20 @@ let internal_demand t ~now input i (st : node_state) ~aggregate
     in
     let bw =
       Decision.classify_bw ~tolerance:t.params.bw_equal_tolerance
-        ~older:st.bytes_older ~recent:st.bytes_recent
+        ~older:a.bytes_older ~recent:a.bytes_recent
     in
     match Decision.lookup ~kind:Decision.Internal ~history ~bw with
     | Decision.Accept_children -> aggregate
     | Decision.Maintain_demand ->
-        if st.demand > 0.0 then Float.min aggregate st.demand else aggregate
+        if a.demand > 0.0 then Float.min aggregate a.demand else aggregate
     | Decision.Reduce_to_half_supply _
       when input.verdicts.loss.(i) <= t.params.p_high ->
         (* Same high-loss gate as at the leaves. *)
         aggregate
     | Decision.Reduce_to_half_supply { which; set_backoff = _ } ->
-        let target = Float.max base (supply_of which /. 2.0) in
+        let target =
+          Float.max base (supply_of a ~fallback:aggregate which /. 2.0)
+        in
         let reduced = Float.min aggregate target in
         if reduced < aggregate then begin
           (* The root of the congested subtree drops: back off the highest
@@ -197,37 +225,38 @@ let internal_demand t ~now input i (st : node_state) ~aggregate
 let step t ~now input =
   let tree = input.tree and verdicts = input.verdicts in
   let n = Tree.size tree in
-  let session_states = session_states t input.session in
-  (* 1. Advance histories with this interval's verdicts and bytes; each
-     node's state is looked up once, here. *)
-  let states =
-    Array.init n (fun i ->
-        let st = state session_states (Tree.node tree i) in
-        let congested = verdicts.congested.(i) in
-        if not st.initialized then begin
-          st.initialized <- true;
-          st.hist_older <- congested;
-          st.hist_middle <- congested
-        end
-        else begin
-          st.hist_older <- st.hist_middle;
-          st.hist_middle <- st.hist_current
-        end;
-        st.hist_current <- congested;
-        st.bytes_older <- st.bytes_recent;
-        st.bytes_recent <- float_of_int verdicts.max_bytes.(i);
-        st)
-  in
+  if Array.length t.flow < n then begin
+    t.flow <- Array.make n 0.0;
+    t.settling <- Bytes.make n '\000'
+  end;
+  (* 1. Advance histories with this interval's verdicts and bytes. *)
+  let states = input.states in
+  for i = 0 to n - 1 do
+    let st = states.(i) in
+    let congested = verdicts.congested.(i) in
+    if not st.initialized then begin
+      st.initialized <- true;
+      st.hist_older <- congested;
+      st.hist_middle <- congested
+    end
+    else begin
+      st.hist_older <- st.hist_middle;
+      st.hist_middle <- st.hist_current
+    end;
+    st.hist_current <- congested;
+    let a = st.amounts in
+    a.bytes_older <- a.bytes_recent;
+    a.bytes_recent <- float_of_int verdicts.max_bytes.(i)
+  done;
   (* 2. Demand, bottom-up (also fold up which subtrees are settling). *)
-  let demands = Array.make n 0.0 in
-  let settling = Array.make n false in
+  let demands = t.flow and settling = t.settling in
   for i = n - 1 downto 0 do
     let st = states.(i) in
     let count = Tree.child_count tree i in
     let d =
       if count = 0 then begin
         let frozen = input.frozen (Tree.node tree i) in
-        settling.(i) <- frozen;
+        Bytes.set settling i (if frozen then '\001' else '\000');
         leaf_demand t ~now input i st ~frozen
       end
       else begin
@@ -235,18 +264,21 @@ let step t ~now input =
         let aggregate = ref 0.0 and subtree_settling = ref false in
         for c = first to first + count - 1 do
           aggregate := Float.max !aggregate demands.(c);
-          subtree_settling := !subtree_settling || settling.(c)
+          subtree_settling :=
+            !subtree_settling || Bytes.get settling c <> '\000'
         done;
-        settling.(i) <- !subtree_settling;
+        Bytes.set settling i
+          (if !subtree_settling then '\001' else '\000');
         internal_demand t ~now input i st ~aggregate:!aggregate
           ~subtree_settling:!subtree_settling
       end
     in
-    st.demand <- d;
+    st.amounts.demand <- d;
     demands.(i) <- d
   done;
-  (* 3. Supply, top-down. *)
-  let supplies = Array.make n 0.0 in
+  (* 3. Supply, top-down, over the demands: a parent's supply is in
+     place before its children read it. *)
+  let supplies = demands in
   for i = 0 to n - 1 do
     let s =
       if i = 0 then demands.(0)
@@ -255,9 +287,9 @@ let step t ~now input =
           (Float.min supplies.(Tree.parent tree i) input.caps.(i))
     in
     supplies.(i) <- s;
-    let st = states.(i) in
-    st.supply_older <- st.supply_recent;
-    st.supply_recent <- s
+    let a = states.(i).amounts in
+    a.supply_older <- a.supply_recent;
+    a.supply_recent <- s
   done;
   (* 4. Prescriptions for the recipients that are member leaves: at most
      one new layer per interval, no layer under back-off on the path.

@@ -23,6 +23,16 @@ type t
 
 val create : params:Params.t -> backoff:Backoff.t -> t
 
+type node_state
+(** One node's histories in one session: congestion states, bytes,
+    granted supply and last demand. *)
+
+val node_state : t -> session:int -> node:Net.Addr.node_id -> node_state
+(** The node's state, created (blank) on first use. It lives as long as
+    [t], so a handle taken once serves every later interval: the
+    algorithm keeps one per node of each session tree and looks the
+    node up again only when the tree changes shape. *)
+
 type input = {
   session : int;
   layering : Traffic.Layering.t;
@@ -30,6 +40,9 @@ type input = {
   verdicts : Congestion.t;
   levels : int array;
       (** current subscription level of each member leaf, by tree index *)
+  states : node_state array;
+      (** [node_state t ~session ~node:(Tree.node tree i)] at each index
+          [i] *)
   may_add : Net.Addr.node_id -> bool;
       (** false while a leaf's last level change is younger than the
           feedback loop: the loss evidence for the new level has not
@@ -50,7 +63,9 @@ val step :
     leaves of the tree, in [recipients]' order. Advances the histories
     of every node of the tree, recipient or not: a silent node's history
     feeds its ancestors' demands, and its own once it reports. Each
-    node's persistent state, keyed per session by node id, is looked up
-    once per call. The prescription pass only reads state, so the
-    levels prescribed to one recipient do not depend on the others. *)
+    node's persistent state is read through [states], with no lookup;
+    the demand and supply passes run on scratch arrays that [t] keeps
+    and grows to the largest tree seen. The prescription pass only
+    reads state, so the levels prescribed to one recipient do not
+    depend on the others. *)
 

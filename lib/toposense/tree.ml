@@ -5,16 +5,33 @@ type t = {
   parent : int array;
   first_child : int array;
   child_count : int array;
-  member : bool array;
+  member : Bytes.t;  (* '\001' at a member's index *)
   members : (Addr.node_id * int) list;
   index : int Int_table.t;
+  edges : Discovery.Snapshot.edge list;  (* the snapshot's, as built from *)
+  snap_members : (Addr.node_id * int) list;  (* likewise *)
 }
 
 let edge ~parent ~child = (parent lsl 31) lor child
 
+(* The member flags and list of [snap]'s members, on a numbering. *)
+let mark_members index n (snap : Discovery.Snapshot.t) =
+  let member = Bytes.make n '\000' in
+  let members =
+    List.filter
+      (fun (m, _) ->
+        match Int_table.find index m with
+        | i ->
+            Bytes.set member i '\001';
+            true
+        | exception Not_found -> false)
+      snap.members
+  in
+  (member, members)
+
 exception Not_a_tree
 
-let of_snapshot (snap : Discovery.Snapshot.t) =
+let build (snap : Discovery.Snapshot.t) =
   let m = List.length snap.edges in
   (* A tree has exactly one more node than it has edges. *)
   let n = m + 1 in
@@ -96,19 +113,49 @@ let of_snapshot (snap : Discovery.Snapshot.t) =
       if !tail < n then None
       else begin
         Array.iteri (fun i id -> Int_table.replace index id i) node;
-        let member = Array.make n false in
-        let members =
-          List.filter
-            (fun (m, _) ->
-              match Int_table.find index m with
-              | i ->
-                  member.(i) <- true;
-                  true
-              | exception Not_found -> false)
-            snap.members
-        in
-        Some { node; parent; first_child; child_count; member; members; index }
+        let member, members = mark_members index n snap in
+        Some
+          {
+            node;
+            parent;
+            first_child;
+            child_count;
+            member;
+            members;
+            index;
+            edges = snap.edges;
+            snap_members = snap.members;
+          }
       end
+
+(* Whether two edge lists name the same (parent, child) sequence. *)
+let rec same_pairs (a : Discovery.Snapshot.edge list)
+    (b : Discovery.Snapshot.edge list) =
+  a == b
+  ||
+  match (a, b) with
+  | [], [] -> true
+  | x :: a, y :: b -> x.parent = y.parent && x.child = y.child && same_pairs a b
+  | _ -> false
+
+let of_snapshot ?prev (snap : Discovery.Snapshot.t) =
+  match prev with
+  | Some p when p.node.(0) = snap.source && same_pairs p.edges snap.edges ->
+      (* Same shape: the numbering stands; only membership can differ. *)
+      if p.snap_members == snap.members then
+        Some
+          (if p.edges == snap.edges then p else { p with edges = snap.edges })
+      else
+        let member, members = mark_members p.index (Array.length p.node) snap in
+        Some
+          {
+            p with
+            member;
+            members;
+            edges = snap.edges;
+            snap_members = snap.members;
+          }
+  | _ -> build snap
 
 let size t = Array.length t.node
 let node t i = t.node.(i)
@@ -120,6 +167,7 @@ let parent t i = t.parent.(i)
 let first_child t i = t.first_child.(i)
 let child_count t i = t.child_count.(i)
 let is_leaf t i = t.child_count.(i) = 0
-let is_member t i = t.member.(i)
+let is_member t i = Bytes.get t.member i <> '\000'
 let members t = t.members
 let edge_into t i = edge ~parent:t.node.(t.parent.(i)) ~child:t.node.(i)
+let same_numbering a b = a.node == b.node

@@ -10,11 +10,21 @@
 
 type t
 
-val of_snapshot : Discovery.Snapshot.t -> t option
+val of_snapshot : ?prev:t -> Discovery.Snapshot.t -> t option
 (** Builds the tree and validates it in one pass. [None] exactly when
     {!Discovery.Snapshot.is_tree} is false: a node with two parents, an
     edge into the source, or an edge that does not hang below the
-    source. *)
+    source.
+
+    With [prev], the tree an earlier snapshot of the same session gave,
+    a snapshot with [prev]'s source and the same (parent, child) edge
+    sequence keeps [prev]'s numbering, parents, child ranges and index
+    table: the result has {!same_numbering} with [prev], and only its
+    members and member flags are read from the snapshot. An edge list
+    physically equal to [prev]'s (as {!Discovery.Snapshot.capture}
+    shares it) is recognised in constant time, any other in one walk.
+    When the members list is [prev]'s too, the result is [prev]. Any
+    other snapshot is built afresh, exactly as without [prev]. *)
 
 val size : t -> int
 (** Number of nodes, the source included. *)
@@ -50,3 +60,9 @@ val edge : parent:Net.Addr.node_id -> child:Net.Addr.node_id -> int
 
 val edge_into : t -> int -> int
 (** [edge] of the link from [parent t i] to [i]; [i] must not be 0. *)
+
+val same_numbering : t -> t -> bool
+(** Whether one tree was made from the other by {!of_snapshot}'s
+    [prev] path on an unchanged shape, so that an index means the same
+    node, parent and children in both. Constant time: two trees built
+    apart answer [false] even when they are equal. *)

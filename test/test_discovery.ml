@@ -39,7 +39,7 @@ let test_snapshot_structure () =
   Session.set_subscription_level session ~router ~node:2 ~level:2;
   Session.set_subscription_level session ~router ~node:3 ~level:4;
   settle sim 1.0;
-  let snap = Snapshot.capture ~router ~session ~at:(Sim.now sim) in
+  let snap = Snapshot.capture ~router ~session ~at:(Sim.now sim) () in
   checkb "is tree" true (Snapshot.is_tree snap);
   checki "source" 0 snap.source;
   Alcotest.check
@@ -55,7 +55,7 @@ let test_snapshot_edge_layers () =
   Session.set_subscription_level session ~router ~node:2 ~level:1;
   Session.set_subscription_level session ~router ~node:3 ~level:3;
   settle sim 1.0;
-  let snap = Snapshot.capture ~router ~session ~at:(Sim.now sim) in
+  let snap = Snapshot.capture ~router ~session ~at:(Sim.now sim) () in
   let edge p c =
     List.find (fun (e : Snapshot.edge) -> e.parent = p && e.child = c) snap.edges
   in
@@ -68,7 +68,7 @@ let test_snapshot_edge_layers () =
 
 let test_snapshot_empty_session () =
   let sim, _, router, session = harness () in
-  let snap = Snapshot.capture ~router ~session ~at:(Sim.now sim) in
+  let snap = Snapshot.capture ~router ~session ~at:(Sim.now sim) () in
   checkb "tree (trivially)" true (Snapshot.is_tree snap);
   checki "no members" 0 (List.length snap.members);
   checki "no edges" 0 (List.length snap.edges)
@@ -125,7 +125,7 @@ let test_leave_latency_visible_in_snapshot () =
   settle sim 1.0;
   Session.set_subscription_level session ~router ~node:2 ~level:0;
   settle sim 0.2;
-  let snap = Snapshot.capture ~router ~session ~at:(Sim.now sim) in
+  let snap = Snapshot.capture ~router ~session ~at:(Sim.now sim) () in
   checki "no members" 0 (List.length snap.members);
   checkb "branch still installed" true
     (List.exists (fun (e : Snapshot.edge) -> e.child = 2) snap.edges)
@@ -196,7 +196,7 @@ let random_world rng ~transit_stub ~a ~b ~c =
       if level > 0 then Session.set_subscription_level session ~router ~node ~level)
     receivers;
   settle sim 2.0;
-  let snap = Snapshot.capture ~router ~session ~at:(Sim.now sim) in
+  let snap = Snapshot.capture ~router ~session ~at:(Sim.now sim) () in
   (sim, router, session, spec, world_domains, snap)
 
 (* Disjoint node sets: every node lands in one of [k] domains or in none. *)
@@ -304,7 +304,8 @@ let chain_world () =
   let svc = Service.create ~sim ~router () in
   (sim, nw, router, session, svc)
 
-let capture sim router session = Snapshot.capture ~router ~session ~at:(Sim.now sim)
+let capture sim router session =
+  Snapshot.capture ~router ~session ~at:(Sim.now sim) ()
 
 let test_memo_one_pass_for_many () =
   let sim, _, router, session, svc = chain_world () in

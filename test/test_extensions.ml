@@ -305,6 +305,7 @@ let snap ~edges ~members =
         (fun (parent, child) -> { Discovery.Snapshot.parent; child; layers = [ 0 ] })
         edges;
     members;
+    versions = [||];
   }
 
 let full_tree =

@@ -35,6 +35,7 @@ let snapshot_of (n, levels) =
     source = 0;
     edges;
     members;
+    versions = [||];
   }
 
 let arbitrary_tree =
@@ -58,14 +59,15 @@ let children tree i =
 (* Stage 1 with every leaf measured by [loss_of] and [bytes_of]. *)
 let congestion_of ~salt tree =
   let n = Tree.size tree in
-  let loss = Array.make n 0.0 and bytes = Array.make n 0 in
+  let v = Congestion.create n in
   for i = 0 to n - 1 do
     if Tree.is_leaf tree i then begin
-      loss.(i) <- loss_of ~salt (Tree.node tree i);
-      bytes.(i) <- bytes_of (Tree.node tree i)
+      v.loss.(i) <- loss_of ~salt (Tree.node tree i);
+      v.max_bytes.(i) <- bytes_of (Tree.node tree i)
     end
   done;
-  Congestion.compute ~params ~tree ~loss ~bytes
+  Congestion.compute ~params ~tree v;
+  v
 
 let prop_congestion_invariants =
   QCheck.Test.make ~name:"congestion: min-loss, max-bytes, inheritance"
@@ -102,11 +104,11 @@ let prop_congestion_clean_tree_quiet =
     (fun spec ->
       let tree = tree_of (snapshot_of spec) in
       let n = Tree.size tree in
-      let v =
-        Congestion.compute ~params ~tree ~loss:(Array.make n 0.0)
-          ~bytes:
-            (Array.init n (fun i -> if Tree.is_leaf tree i then 1000 else 0))
-      in
+      let v = Congestion.create n in
+      for i = 0 to n - 1 do
+        if Tree.is_leaf tree i then v.max_bytes.(i) <- 1000
+      done;
+      Congestion.compute ~params ~tree v;
       Array.for_all not v.Congestion.congested)
 
 (* One session's input where every member reports and is prescribed
@@ -252,6 +254,7 @@ let mutated_tree_gen =
               { Discovery.Snapshot.parent; child; layers = [ 0 ] })
             edges;
         members;
+        versions = [||];
       }
     in
     return (mutation, snap))
@@ -429,6 +432,241 @@ let prop_multicast_conservation =
       List.for_all (fun node -> counts.(node) = packets) members
       && Array.for_all (fun c -> c = 0 || c = packets) counts)
 
+(* ---------- views kept across intervals ---------- *)
+
+(* One step of a random control-plane history on a k-ary world with
+   cross links: a receiver's level moves, a link flaps, a node crashes
+   or recovers. Grafts, prunes and repairs follow on their own as the
+   step's time passes, and a capture can land mid-way through any of
+   them. *)
+type world_op =
+  | Set_level of int * int  (* receiver position, level *)
+  | Toggle_link of int  (* link position *)
+  | Toggle_crash of int  (* node *)
+
+let world_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun r l -> Set_level (r, l)) (0 -- 7) (0 -- 6));
+        (2, map (fun k -> Toggle_link k) (0 -- 40));
+        (1, map (fun n -> Toggle_crash n) (1 -- 14));
+      ])
+
+let world_op_print = function
+  | Set_level (r, l) -> Printf.sprintf "level r%d=%d" r l
+  | Toggle_link k -> Printf.sprintf "flap link %d" k
+  | Toggle_crash n -> Printf.sprintf "crash/recover %d" n
+
+let prop_capture_prev_is_fresh =
+  QCheck.Test.make
+    ~name:"Snapshot.capture ?prev equals a fresh capture after every step"
+    ~count:200
+    QCheck.(
+      make
+        ~print:
+          Print.(list (pair world_op_print int))
+        Gen.(list_size (5 -- 25) (pair world_op_gen (0 -- 1500))))
+    (fun steps ->
+      let spec = Scenarios.Builders.kary ~fanout:2 ~depth:3 () in
+      let sim = Engine.Sim.create ~seed:5L () in
+      let network = Net.Network.create ~sim spec.Scenarios.Builders.topology in
+      let router = Multicast.Router.create ~network () in
+      let faults = Net.Faults.create ~network () in
+      Net.Faults.add_crash_observer faults (fun node ~up ->
+          if up then Multicast.Router.recover_node router ~node
+          else Multicast.Router.crash_node router ~node);
+      let source, receivers =
+        match spec.Scenarios.Builders.sessions with
+        | [ s ] -> s
+        | _ -> assert false
+      in
+      let receivers = Array.of_list receivers in
+      let links = Array.of_list (Net.Topology.links spec.topology) in
+      let session =
+        Traffic.Session.create ~router ~source ~layering:Layering.paper_default
+          ~id:4
+      in
+      let down = Hashtbl.create 8 in
+      let capture ?prev () =
+        Discovery.Snapshot.capture ?prev ~router ~session
+          ~at:(Engine.Sim.now sim) ()
+      in
+      let same (a : Discovery.Snapshot.t) (b : Discovery.Snapshot.t) =
+        a.session = b.session && a.taken_at = b.taken_at
+        && a.source = b.source && a.edges = b.edges && a.members = b.members
+        && a.versions = b.versions
+      in
+      let prev = ref (capture ()) in
+      List.for_all
+        (fun (op, wait_ms) ->
+          (match op with
+          | Set_level (r, level) ->
+              let node = receivers.(r mod Array.length receivers) in
+              if not (Net.Faults.node_is_crashed faults node) then
+                Traffic.Session.set_subscription_level session ~router ~node
+                  ~level
+          | Toggle_link k ->
+              let { Net.Topology.a; b; _ } = links.(k mod Array.length links) in
+              if Hashtbl.mem down k then begin
+                Hashtbl.remove down k;
+                Net.Faults.link_up faults ~a ~b
+              end
+              else begin
+                Hashtbl.add down k ();
+                Net.Faults.link_down faults ~a ~b
+              end
+          | Toggle_crash node ->
+              if Net.Faults.node_is_crashed faults node then
+                Net.Faults.recover_node faults ~node
+              else Net.Faults.crash_node faults ~node);
+          Engine.Sim.run_until sim
+            (Time.add (Engine.Sim.now sim) (Time.span_of_ms wait_ms));
+          let kept = capture ~prev:!prev () in
+          prev := kept;
+          same kept (capture ()))
+        steps)
+
+(* Two algorithms, one seed, fed the same snapshots: one builds each
+   tree from the last ([?prev], so its views keep their handles while
+   the shape stands still), the other builds every tree afresh. Every
+   interval a random change hits each session's image: none (the
+   capture shared its lists), members only, a structurally equal but
+   rebuilt edge list, or a grown or shrunk tree. Sessions share their
+   heap-numbered edges, so stage 2 pools and stage 4 splits across
+   them. *)
+type image_change = Unchanged | New_members | Rebuilt | Grown | Shrunk
+
+let image_change_gen =
+  QCheck.Gen.frequencyl
+    [ (4, Unchanged); (2, New_members); (1, Rebuilt); (1, Grown); (1, Shrunk) ]
+
+let heap_edges n =
+  List.init (n - 1) (fun i ->
+      let child = i + 1 in
+      { Discovery.Snapshot.parent = (child - 1) / 2; child; layers = [ 0 ] })
+
+let heap_members n ~salt =
+  List.filter_map
+    (fun v ->
+      if v > 0 && (2 * v) + 1 >= n then Some (v, 1 + ((v + salt) mod 6))
+      else None)
+    (List.init n Fun.id)
+
+let prop_step_views_match_fresh =
+  QCheck.Test.make
+    ~name:"Algorithm.step over kept views = over fresh trees, every interval"
+    ~count:200
+    QCheck.(
+      make
+        ~print:(fun (sizes, _, seed) ->
+          Printf.sprintf "sizes [%s] seed %d"
+            (String.concat "; " (List.map string_of_int sizes))
+            seed)
+        Gen.(
+          triple
+            (list_size (1 -- 3) (2 -- 24))
+            (list_size (4 -- 10) (pair image_change_gen (0 -- 1000)))
+            (0 -- 1000)))
+    (fun (sizes, changes, seed) ->
+      let rng () = Engine.Prng.create ~seed:(Int64.of_int seed) in
+      let kept = Toposense.Algorithm.create ~params ~rng:(rng ())
+      and fresh = Toposense.Algorithm.create ~params ~rng:(rng ()) in
+      let sessions =
+        List.mapi
+          (fun id n ->
+            let snap =
+              {
+                Discovery.Snapshot.session = id;
+                taken_at = Time.zero;
+                source = 0;
+                edges = heap_edges n;
+                members = heap_members n ~salt:id;
+                versions = [||];
+              }
+            in
+            (id, ref n, ref snap, ref (tree_of snap)))
+          sizes
+      in
+      let edges_seen = Hashtbl.create 64 in
+      let clock = ref 0 in
+      List.for_all
+        (fun (change, salt) ->
+          incr clock;
+          let now = Time.of_sec (2 * !clock) in
+          List.iter
+            (fun (_, size, snap, _) ->
+              let (s : Discovery.Snapshot.t) = !snap and n = !size in
+              snap :=
+                match change with
+                | Unchanged -> { s with taken_at = now }
+                | New_members ->
+                    { s with taken_at = now; members = heap_members n ~salt }
+                | Rebuilt -> { s with taken_at = now; edges = heap_edges n }
+                | Grown | Shrunk ->
+                    let n =
+                      if change = Grown then min 30 (n + 1 + (salt mod 3))
+                      else max 2 (n - 1 - (salt mod 3))
+                    in
+                    size := n;
+                    {
+                      s with
+                      taken_at = now;
+                      edges = heap_edges n;
+                      members = heap_members n ~salt;
+                    })
+            sessions;
+          let inputs tree_of_session =
+            List.map
+              (fun (id, _, snap, prev_tree) ->
+                let tree = tree_of_session !snap prev_tree in
+                for i = 1 to Tree.size tree - 1 do
+                  Hashtbl.replace edges_seen (Tree.edge_into tree i) ()
+                done;
+                (* Losses from a small set, so siblings often agree and
+                   capacities get pinned. *)
+                let loss node =
+                  match (node + salt + id) mod 4 with
+                  | 0 -> 0.0
+                  | 1 -> 0.2
+                  | _ -> 0.21
+                in
+                let members = Tree.members tree in
+                {
+                  Toposense.Algorithm.id;
+                  layering = Layering.paper_default;
+                  tree;
+                  measures =
+                    List.filter_map
+                      (fun (node, _) ->
+                        (* some members stay silent this interval *)
+                        if (node + salt) mod 5 = 0 then None
+                        else Some (node, (loss node, bytes_of node)))
+                      members;
+                  levels = members;
+                  recipients = List.map fst members;
+                  may_add = (fun node -> (node + salt) mod 3 <> 0);
+                  frozen = (fun node -> (node + salt) mod 7 = 0);
+                })
+              sessions
+          in
+          let kept_inputs =
+            inputs (fun s prev ->
+                let tree = Option.get (Tree.of_snapshot ~prev:!prev s) in
+                prev := tree;
+                tree)
+          in
+          let fresh_inputs = inputs (fun s _ -> tree_of s) in
+          Toposense.Algorithm.step kept ~now kept_inputs
+          = Toposense.Algorithm.step fresh ~now fresh_inputs
+          && Hashtbl.fold
+               (fun edge () ok ->
+                 ok
+                 && Toposense.Algorithm.capacity_estimate kept ~edge
+                    = Toposense.Algorithm.capacity_estimate fresh ~edge)
+               edges_seen true)
+        changes)
+
 let () =
   Alcotest.run "properties"
     [
@@ -444,4 +682,7 @@ let () =
           ] );
       ( "simulator",
         List.map QCheck_alcotest.to_alcotest [ prop_multicast_conservation ] );
+      ( "kept-views",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_capture_prev_is_fresh; prop_step_views_match_fresh ] );
     ]

@@ -104,6 +104,7 @@ let test_restrict_error_names_ingresses () =
             { Discovery.Snapshot.parent; child; layers = [ 0 ] })
           [ (0, 1); (1, 2); (1, 3); (2, 4); (3, 6) ];
       members = [ (4, 2); (6, 1) ];
+      versions = [||];
     }
   in
   match Discovery.Snapshot.restrict snap ~domain:[ 4; 6 ] with

@@ -33,6 +33,7 @@ let snapshot ?(session = 0) ?(source = 0) ~edges ~members () =
           { Discovery.Snapshot.parent; child; layers })
         edges;
     members;
+    versions = [||];
   }
 
 let tree_of snap = Option.get (Tree.of_snapshot snap)
@@ -360,15 +361,15 @@ let test_backoff_multi_level_tree () =
 (* Stage 1 with measures given by node id. *)
 let verdicts_of ~measures snap =
   let tree = tree_of snap in
-  let n = Tree.size tree in
-  let loss = Array.make n 0.0 and bytes = Array.make n 0 in
+  let v = Congestion.create (Tree.size tree) in
   List.iter
     (fun (node, (l, b)) ->
       let i = Tree.index tree node in
-      loss.(i) <- l;
-      bytes.(i) <- b)
+      v.loss.(i) <- l;
+      v.max_bytes.(i) <- b)
     measures;
-  (tree, Congestion.compute ~params ~tree ~loss ~bytes)
+  Congestion.compute ~params ~tree v;
+  (tree, v)
 
 let test_congestion_clean () =
   let tree, v =
@@ -472,8 +473,17 @@ let test_congestion_missing_measure () =
 
 let e01 = Tree.edge ~parent:0 ~child:1
 
-let obs ?(dest_internal = true) ?(dest_self_congested = true) sessions =
-  { Capacity.sessions; dest_internal; dest_self_congested }
+(* One interval's evidence for an edge: [sessions] as (session, loss,
+   bytes), newest first, pooled and observed. *)
+let observe c ~edge ?(dest_internal = true) ?(dest_self_congested = true)
+    sessions =
+  let e = Capacity.entry c ~edge in
+  List.iter
+    (fun (session, loss, bytes) ->
+      Capacity.pool e ~session ~loss ~bytes ~internal:dest_internal
+        ~self_congested:dest_self_congested)
+    (List.rev sessions);
+  Capacity.observe_pooled c e ~interval_s:2.0
 
 let test_capacity_starts_unknown () =
   let c = Capacity.create ~params in
@@ -482,55 +492,51 @@ let test_capacity_starts_unknown () =
 let test_capacity_pins_on_evidence () =
   let c = Capacity.create ~params in
   (* 25_000 bytes over 2 s = 100 kbit/s. *)
-  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.5, 25_000) ]);
+  observe c ~edge:e01 [ (0, 0.5, 25_000) ];
   checkf "pinned at observed" 100_000.0 (Capacity.estimate_bps c ~edge:e01);
   Alcotest.check (Alcotest.list Alcotest.int) "known edges" [ e01 ]
     (Capacity.known_edges c)
 
 let test_capacity_needs_all_sessions_lossy () =
   let c = Capacity.create ~params in
-  Capacity.observe c ~edge:e01 ~interval_s:2.0
-    (obs [ (0, 0.5, 25_000); (1, 0.0, 30_000) ]);
+  observe c ~edge:e01 [ (0, 0.5, 25_000); (1, 0.0, 30_000) ];
   checkb "one clean session blocks" true
     (Capacity.estimate_bps c ~edge:e01 = infinity)
 
 let test_capacity_leaf_dest_never_pins () =
   let c = Capacity.create ~params in
-  Capacity.observe c ~edge:e01 ~interval_s:2.0
-    (obs ~dest_internal:false [ (0, 0.5, 25_000) ]);
+  observe c ~edge:e01 ~dest_internal:false [ (0, 0.5, 25_000) ];
   checkb "single-session leaf edge unpinned" true
     (Capacity.estimate_bps c ~edge:e01 = infinity);
   (* Two sessions losing together at the same leaf DO measure the link. *)
-  Capacity.observe c ~edge:e01 ~interval_s:2.0
-    (obs ~dest_internal:false ~dest_self_congested:false
-       [ (0, 0.5, 12_000); (1, 0.4, 13_000) ]);
+  observe c ~edge:e01 ~dest_internal:false ~dest_self_congested:false
+    [ (0, 0.5, 12_000); (1, 0.4, 13_000) ];
   checkf "multi-session leaf pin" 100_000.0 (Capacity.estimate_bps c ~edge:e01)
 
 let test_capacity_localization () =
   let c = Capacity.create ~params in
   (* Single session, dest not self-congested: no pin. *)
-  Capacity.observe c ~edge:e01 ~interval_s:2.0
-    (obs ~dest_self_congested:false [ (0, 0.5, 25_000) ]);
+  observe c ~edge:e01 ~dest_self_congested:false [ (0, 0.5, 25_000) ];
   checkb "unlocalized single session" true
     (Capacity.estimate_bps c ~edge:e01 = infinity);
   (* Two lossy sessions pin even without self-congestion. *)
-  Capacity.observe c ~edge:e01 ~interval_s:2.0
-    (obs ~dest_self_congested:false [ (0, 0.5, 25_000); (1, 0.4, 25_000) ]);
+  observe c ~edge:e01 ~dest_self_congested:false
+    [ (0, 0.5, 25_000); (1, 0.4, 25_000) ];
   checkf "multi-session pin" 200_000.0 (Capacity.estimate_bps c ~edge:e01)
 
 let test_capacity_growth_and_reset () =
   let c = Capacity.create ~params in
-  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.5, 25_000) ]);
+  observe c ~edge:e01 [ (0, 0.5, 25_000) ];
   (* One clean low-usage interval: slow growth. *)
-  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.0, 1_000) ]);
+  observe c ~edge:e01 [ (0, 0.0, 1_000) ];
   checkf "2% growth" (100_000.0 *. 1.02) (Capacity.estimate_bps c ~edge:e01);
   (* Saturating and loss-free: fast growth. *)
-  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.0, 25_000) ]);
+  observe c ~edge:e01 [ (0, 0.0, 25_000) ];
   checkf "15% growth" (100_000.0 *. 1.02 *. 1.15)
     (Capacity.estimate_bps c ~edge:e01);
   (* After capacity_reset_intervals quiet intervals, back to unknown. *)
   for _ = 1 to params.Params.capacity_reset_intervals do
-    Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.0, 1_000) ])
+    observe c ~edge:e01 [ (0, 0.0, 1_000) ]
   done;
   checkb "reset" true (Capacity.estimate_bps c ~edge:e01 = infinity)
 
@@ -538,11 +544,29 @@ let test_capacity_pin_uses_recent_best () =
   let c = Capacity.create ~params in
   (* Clean interval at 200 kbit/s, then a lossy one measured at only
      100 kbit/s: the pin must remember the better recent throughput. *)
-  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.0, 50_000) ]);
-  Capacity.observe c ~edge:e01 ~interval_s:2.0 (obs [ (0, 0.5, 25_000) ]);
+  observe c ~edge:e01 [ (0, 0.0, 50_000) ];
+  observe c ~edge:e01 [ (0, 0.5, 25_000) ];
   checkf "pin at best recent" 200_000.0 (Capacity.estimate_bps c ~edge:e01)
 
 (* ---------- Fair share ---------- *)
+
+(* [Fair_share.compute] over paper-layered sessions with estimates
+   keyed by edge: the caps arrays, in session order. *)
+let fair_caps ~capacity sessions =
+  let ctxs =
+    List.map
+      (fun (id, tree) ->
+        {
+          Fair_share.id;
+          layering = Layering.paper_default;
+          tree;
+          capacity = (fun i -> capacity ~edge:(Tree.edge_into tree i));
+          caps = Array.make (Tree.size tree) nan;
+        })
+      sessions
+  in
+  Fair_share.compute ctxs;
+  List.map (fun (c : Fair_share.session_ctx) -> c.caps) ctxs
 
 (* Session [session]'s cap on the edge into [child], read from
    [Fair_share.compute]'s per-session arrays. *)
@@ -553,7 +577,6 @@ let cap_into ~trees caps ~session ~child =
    bottleneck below, session 1 is open-ended. This is the paper's
    motivating example for the proportional rule. *)
 let fair_world ~shared_cap =
-  let lay = Layering.paper_default in
   let tree_of ~session =
     tree_of
       (snapshot ~session
@@ -571,15 +594,7 @@ let fair_world ~shared_cap =
   let capacity ~edge =
     Option.value ~default:infinity (List.assoc_opt edge caps)
   in
-  let shares =
-    Fair_share.compute
-      ~sessions:
-        [
-          { Fair_share.id = 0; layering = lay; tree = t0 };
-          { Fair_share.id = 1; layering = lay; tree = t1 };
-        ]
-      ~capacity
-  in
+  let shares = fair_caps ~capacity [ (0, t0); (1, t1) ] in
   cap_into ~trees:[ t0; t1 ] shares
 
 let test_fair_share_proportional () =
@@ -593,17 +608,13 @@ let test_fair_share_proportional () =
   checkb "caps within capacity" true (c0 <= 1_250_000.0 && c1 <= 1_250_000.0)
 
 let test_fair_share_single_session_gets_link () =
-  let lay = Layering.paper_default in
   let t0 =
     tree_of
       (snapshot ~edges:[ (0, 1, [ 0 ]); (1, 2, [ 0 ]) ] ~members:[ (2, 1) ] ())
   in
   let capacity ~edge = if edge = e01 then 400_000.0 else infinity in
   let shares =
-    cap_into ~trees:[ t0 ]
-      (Fair_share.compute
-         ~sessions:[ { Fair_share.id = 0; layering = lay; tree = t0 } ]
-         ~capacity)
+    cap_into ~trees:[ t0 ] (fair_caps ~capacity [ (0, t0) ])
   in
   checkf "whole link" 400_000.0 (shares ~session:0 ~child:1);
   checkb "unknown edge uncapped" true (shares ~session:0 ~child:2 = infinity)
@@ -719,12 +730,19 @@ let test_algorithm_capacity_estimate_appears () =
   checkf "value from best recent" 480_000.0 e
 
 (* Controller interval cost per tree node. A source, 20 routers and
-   10,000 leaves, 3 of them reporting and prescribed to: after 3 warm-up
-   intervals, building the tree and running one step allocates about 71
-   words per node, on arrays indexed by the tree's BFS numbering. The
-   bound fails if the stages go back to tuple-keyed polymorphic tables
-   (413 words per node) or if stage 5 prescribes to every silent member
-   (140). *)
+   10,000 leaves, 3 of them reporting and prescribed to, after 3
+   warm-up intervals.
+   - Built afresh, as for a snapshot whose shape changed: building the
+     tree and its view and running one step allocates 47 to 71 words per
+     node (the figure moves with the tests run before it), on arrays
+     indexed by the tree's BFS numbering. The bound fails if the stages
+     go back to tuple-keyed polymorphic tables (413 words per node) or
+     if stage 5 prescribes to every silent member (140).
+   - Kept, as for an unchanged snapshot: the tree and the view stand, so
+     one step allocates 26 words per node, half of it the per-edge
+     evidence stage 2 pools and most of the rest boxed floats in stage
+     5. The bound fails if a kept interval goes back to building the
+     tree, its index table and the view's handles (22 more). *)
 let test_interval_footprint () =
   let routers = 20 and per_router = 500 in
   let leaf r k = 1 + routers + (r * per_router) + k in
@@ -741,35 +759,48 @@ let test_interval_footprint () =
   in
   let snap = snapshot ~edges ~members () in
   let reporting = [ leaf 0 0; leaf 7 250; leaf 19 499 ] in
-  let algo = mk_algorithm () in
-  let interval k =
-    let tree = tree_of snap in
-    ignore
-      (Algorithm.step algo ~now:(Time.of_sec (2 * k))
-         [
-           {
-             Algorithm.id = 0;
-             layering = Layering.paper_default;
-             tree;
-             measures = List.map (fun n -> (n, (0.01, 8_000))) reporting;
-             levels = List.map (fun n -> (n, 1)) reporting;
-             recipients = reporting;
-             may_add = (fun n -> List.mem n reporting);
-             frozen = (fun _ -> false);
-           };
-         ])
-  in
-  for k = 1 to 3 do
-    interval k
-  done;
-  let before = Gc.allocated_bytes () in
-  interval 4;
-  let bytes = Gc.allocated_bytes () -. before in
   let nodes = 1 + routers + (routers * per_router) in
-  let per_node = bytes /. float_of_int (Sys.word_size / 8 * nodes) in
+  let words_per_node ~tree_of =
+    let algo = mk_algorithm () in
+    let interval k =
+      let tree = tree_of () in
+      ignore
+        (Algorithm.step algo ~now:(Time.of_sec (2 * k))
+           [
+             {
+               Algorithm.id = 0;
+               layering = Layering.paper_default;
+               tree;
+               measures = List.map (fun n -> (n, (0.01, 8_000))) reporting;
+               levels = List.map (fun n -> (n, 1)) reporting;
+               recipients = reporting;
+               may_add = (fun n -> List.mem n reporting);
+               frozen = (fun _ -> false);
+             };
+           ])
+    in
+    for k = 1 to 3 do
+      interval k
+    done;
+    let before = Gc.allocated_bytes () in
+    interval 4;
+    let bytes = Gc.allocated_bytes () -. before in
+    bytes /. float_of_int (Sys.word_size / 8 * nodes)
+  in
+  let fresh = words_per_node ~tree_of:(fun () -> tree_of snap) in
   checkb
-    (Printf.sprintf "%.0f words per tree node, at most 120" per_node)
-    true (per_node <= 120.0)
+    (Printf.sprintf "built afresh: %.0f words per tree node, at most 120" fresh)
+    true (fresh <= 120.0);
+  let kept =
+    let prev = ref None in
+    words_per_node ~tree_of:(fun () ->
+        let tree = Option.get (Tree.of_snapshot ?prev:!prev snap) in
+        prev := Some tree;
+        tree)
+  in
+  checkb
+    (Printf.sprintf "kept: %.0f words per tree node, at most 30" kept)
+    true (kept <= 30.0)
 
 let () =
   Alcotest.run "toposense"
