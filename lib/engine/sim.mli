@@ -1,15 +1,30 @@
 (** The discrete-event simulation loop.
 
-    A simulator owns a clock, a binary min-heap of pending events and
-    the run's root PRNG. The heap moves only ints: an entry is its
-    instant and the slot of its event record in a slot table, and the
-    record carries the scheduling sequence number, so ordering reads a
-    record only when two instants tie. Events are thunks scheduled at
-    absolute instants and dispatch in [(time, seq)] order: events at the
-    same instant fire in scheduling order (FIFO), which makes runs fully
-    deterministic for a given seed. Cancellation is lazy — a cancelled
-    event stays in the heap as a tombstone until it surfaces or until
-    tombstones outnumber live events, when one O(n) sweep drops them.
+    A simulator owns a clock, the pending events and the run's root
+    PRNG. Events are thunks scheduled at absolute instants and dispatch
+    in [(time, seq)] order: events at the same instant fire in
+    scheduling order (FIFO), which makes runs fully deterministic for a
+    given seed.
+
+    The pending events are a binary min-heap of runs. A run is a FIFO of
+    events at one instant, linked slot to slot through the event
+    records, and a heap entry is two ints: the run's instant and the
+    slot of its head. A push at the instant of the push before it
+    appends to that push's run while that event is still queued,
+    without touching the heap; any other push starts a run. A pop from
+    a run that still holds events moves its next event to the head in
+    place, without a sift.
+    A run grows only while it is the newest, so the runs at one instant
+    hold disjoint ranges of sequence numbers and the heap orders them
+    by their heads. Most pushes of a multicast wave or of timer chains
+    that share a period land at the instant of the push before, so
+    most of their events never reach the heap's sifts.
+
+    Cancellation is lazy — a cancelled event stays in its run as a
+    tombstone until it surfaces or until tombstones outnumber live
+    events, when one O(n) sweep drops them. The event counts
+    ({!pending}, {!max_pending} and the live ones) count events, not
+    runs.
 
     Each simulator instance is single-threaded by design: the workloads
     in this project are bound by event dispatch, not by per-event

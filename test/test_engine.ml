@@ -66,13 +66,25 @@ let test_time_compare () =
 (* Random interleavings of the whole Sim API, checked against a
    reference model by [prop_sim_events_in_time_order]. Each op runs in
    its own scheduled event; Burst + Bulk push the tombstone population
-   past the compaction threshold so the lazy-deletion sweep runs. *)
+   past the compaction threshold so the lazy-deletion sweep runs. Tie
+   builds same-instant runs: its one-shots share an instant with each
+   other and often with other ops' events, and its echo schedules at
+   the current instant from inside a callback, so it joins a run that
+   is being dispatched, starts one right after a run has emptied, or
+   starts one behind runs still queued at that instant. Mid cancels
+   inside a run, and a sweep that fires while a Bulk is half done
+   filters runs that keep some of their events. *)
 type sim_op =
   | Sched of int  (* one-shot, ms after the driver fires *)
   | Every of int  (* periodic, period in ms *)
   | Cancel of int  (* cancel the (i mod n)-th handle issued so far *)
   | Burst  (* 80 one-shots spread ahead, all handles retained *)
   | Bulk  (* cancel every handle issued so far *)
+  | Tie of int * int * int
+      (* k one-shots at one instant, ms after the op runs (0: the op's
+         own instant); the e-th, if e < k, schedules a one-shot at its
+         own instant when it fires *)
+  | Mid of int  (* cancel the middle one-shot of the (j mod n)-th Tie *)
 
 let sim_op_gen =
   QCheck.Gen.(
@@ -83,6 +95,10 @@ let sim_op_gen =
         (3, map (fun i -> Cancel i) (int_bound 1000));
         (1, return Burst);
         (1, return Bulk);
+        ( 4,
+          int_range 1 8 >>= fun k ->
+          map2 (fun ms e -> Tie (k, ms, e)) (int_bound 20) (int_bound k) );
+        (2, map (fun j -> Mid j) (int_bound 1000));
       ])
 
 let pp_sim_op ppf = function
@@ -91,6 +107,8 @@ let pp_sim_op ppf = function
   | Cancel i -> Format.fprintf ppf "Cancel %d" i
   | Burst -> Format.fprintf ppf "Burst"
   | Bulk -> Format.fprintf ppf "Bulk"
+  | Tie (k, ms, e) -> Format.fprintf ppf "Tie (%d, %d, %d)" k ms e
+  | Mid j -> Format.fprintf ppf "Mid %d" j
 
 let sim_op_arb =
   QCheck.make
@@ -98,38 +116,60 @@ let sim_op_arb =
     QCheck.Gen.(list_size (1 -- 30) sim_op_gen)
 
 (* Op [i] runs at [i] ms; the run ends 1.5 s after the last op. Marks
-   record (instant in ns, id); Burst ids are 1000 + 100i + j. *)
+   record (instant in ns, id); Burst ids are 1000 + 100i + j, the
+   one-shots of a Tie 100_000 + 100i + j and its echo 200_000 + i. *)
 let ops_horizon_ms ops = List.length ops + 1500
+
+let nth_mod l k = List.nth l (k mod List.length l)
 
 let run_ops ops =
   let sim = Sim.create () in
   let trace = ref [] in
   let mark id () = trace := (Time.to_ns (Sim.now sim), id) :: !trace in
-  let handles = ref [] in
+  let handles = ref [] and ties = ref [] in
   let keep h = handles := h :: !handles in
+  let schedule_after ms f =
+    let h = Sim.schedule_after sim (Time.span_of_ms ms) f in
+    keep h;
+    h
+  in
   List.iteri
     (fun i op ->
       ignore
         (Sim.schedule_at sim (Time.of_ms i) (fun () ->
              match op with
-             | Sched ms ->
-                 keep (Sim.schedule_after sim (Time.span_of_ms ms) (mark i))
+             | Sched ms -> ignore (schedule_after ms (mark i))
              | Every p -> keep (Sim.every sim ~period:(Time.span_of_ms p) (mark i))
              | Cancel k -> (
                  match !handles with
                  | [] -> ()
-                 | hs -> Sim.cancel sim (List.nth hs (k mod List.length hs)))
+                 | hs -> Sim.cancel sim (nth_mod hs k))
              | Burst ->
                  for j = 0 to 79 do
-                   keep
-                     (Sim.schedule_after sim
-                        (Time.span_of_ms (500 + j))
-                        (mark (1000 + (100 * i) + j)))
+                   ignore (schedule_after (500 + j) (mark (1000 + (100 * i) + j)))
                  done
-             | Bulk -> List.iter (Sim.cancel sim) !handles)))
+             | Bulk -> List.iter (Sim.cancel sim) !handles
+             | Tie (k, ms, e) ->
+                 let group =
+                   List.init k (fun j ->
+                       schedule_after ms (fun () ->
+                           mark (100_000 + (100 * i) + j) ();
+                           if j = e then
+                             ignore (schedule_after 0 (mark (200_000 + i)))))
+                 in
+                 ties := group :: !ties
+             | Mid j -> (
+                 match !ties with
+                 | [] -> ()
+                 | gs ->
+                     let g = nth_mod gs j in
+                     Sim.cancel sim (List.nth g (List.length g / 2))))))
     ops;
   Sim.run_until sim (Time.of_ms (ops_horizon_ms ops));
-  (List.rev !trace, Sim.events_dispatched sim, Sim.live_pending sim)
+  ( List.rev !trace,
+    Sim.events_dispatched sim,
+    Sim.live_pending sim,
+    Sim.max_live_pending sim )
 
 (* The same program on a reference scheduler: pending entries in a
    stdlib map keyed by (instant, scheduling sequence number), so the
@@ -138,57 +178,89 @@ let run_ops ops =
    cancelled one-shot never fires, and an [every] chain fires at each
    period until its flag is set. Sequence numbers are drawn in the
    order Sim draws them — a chain's next firing is scheduled after its
-   callback runs. The live count is the number of pending entries whose
-   flag is still clear. *)
+   callback runs. An entry is live while its flag is clear; the live
+   count is kept as entries are added, popped and cancelled, and its
+   peak is taken after every add, where Sim takes its own. *)
 module Model_queue = Map.Make (struct
   type t = int * int
 
   let compare = compare
 end)
 
+type model_handle = { mutable cancelled : bool; mutable queued : bool }
+
 let model_ops ops =
   let pending = ref Model_queue.empty and next_seq = ref 0 in
   let now = ref 0 and fired = ref 0 and trace = ref [] in
-  let add at cancelled act =
-    pending := Model_queue.add (at, !next_seq) (cancelled, act) !pending;
-    incr next_seq
+  let live = ref 0 and peak = ref 0 in
+  let add at h act =
+    pending := Model_queue.add (at, !next_seq) (h, act) !pending;
+    incr next_seq;
+    h.queued <- true;
+    incr live;
+    peak := max !peak !live
+  in
+  let cancel h =
+    if not h.cancelled then begin
+      h.cancelled <- true;
+      if h.queued then decr live
+    end
   in
   let mark id () = trace := (!now * 1_000_000, id) :: !trace in
-  let handles = ref [] in
+  let handles = ref [] and ties = ref [] in
   let handle () =
-    let cancelled = ref false in
-    handles := cancelled :: !handles;
-    cancelled
+    let h = { cancelled = false; queued = false } in
+    handles := h :: !handles;
+    h
   in
-  let one_shot at id = add at (handle ()) (mark id) in
-  let rec chain cancelled ~period at id =
-    add at cancelled (fun () ->
+  let one_shot at act =
+    let h = handle () in
+    add at h act;
+    h
+  in
+  let rec chain h ~period at id =
+    add at h (fun () ->
         mark id ();
-        if not !cancelled then chain cancelled ~period (at + period) id)
+        if not h.cancelled then chain h ~period (at + period) id)
   in
   List.iteri
     (fun i op ->
-      add i (ref false) (fun () ->
+      add i { cancelled = false; queued = false } (fun () ->
           match op with
-          | Sched ms -> one_shot (i + ms) i
+          | Sched ms -> ignore (one_shot (i + ms) (mark i))
           | Every p -> chain (handle ()) ~period:p (i + p) i
           | Cancel k -> (
-              match !handles with
-              | [] -> ()
-              | hs -> List.nth hs (k mod List.length hs) := true)
+              match !handles with [] -> () | hs -> cancel (nth_mod hs k))
           | Burst ->
               for j = 0 to 79 do
-                one_shot (i + 500 + j) (1000 + (100 * i) + j)
+                ignore (one_shot (i + 500 + j) (mark (1000 + (100 * i) + j)))
               done
-          | Bulk -> List.iter (fun c -> c := true) !handles))
+          | Bulk -> List.iter cancel !handles
+          | Tie (k, ms, e) ->
+              let group =
+                List.init k (fun j ->
+                    one_shot (i + ms) (fun () ->
+                        mark (100_000 + (100 * i) + j) ();
+                        if j = e then
+                          ignore (one_shot !now (mark (200_000 + i)))))
+              in
+              ties := group :: !ties
+          | Mid j -> (
+              match !ties with
+              | [] -> ()
+              | gs ->
+                  let g = nth_mod gs j in
+                  cancel (List.nth g (List.length g / 2)))))
     ops;
   let horizon = ops_horizon_ms ops in
   let rec loop () =
     match Model_queue.min_binding_opt !pending with
-    | Some (((at, _) as key), (cancelled, act)) when at <= horizon ->
+    | Some (((at, _) as key), (h, act)) when at <= horizon ->
         pending := Model_queue.remove key !pending;
         now := at;
-        if not !cancelled then begin
+        h.queued <- false;
+        if not h.cancelled then begin
+          decr live;
           incr fired;
           act ()
         end;
@@ -196,12 +268,7 @@ let model_ops ops =
     | _ -> ()
   in
   loop ();
-  let live =
-    Model_queue.fold
-      (fun _ (cancelled, _) n -> if !cancelled then n else n + 1)
-      !pending 0
-  in
-  (List.rev !trace, !fired, live)
+  (List.rev !trace, !fired, !live, !peak)
 
 (* ---------- reusable timers ---------- *)
 
@@ -397,8 +464,9 @@ let collected_after_gc collected =
 
 (* The queue never retains a thunk it is done with, on each of the three
    paths that free a slot: dispatch, the tombstone sweep, and a shrink
-   that renumbers the live slots. A value captured by a thunk the queue
-   still holds must stay live. Each simulator is used after the last
+   that renumbers the live slots, also when the event sat in the middle
+   of a same-instant run. A value captured by a thunk the queue still
+   holds must stay live. Each simulator is used after the last
    collection, so it is live throughout. *)
 let test_sim_slots_release_thunks () =
   let sim = Sim.create () in
@@ -439,7 +507,37 @@ let test_sim_slots_release_thunks () =
     (collected_after_gc renumbered);
   checki "all dispatched" 200 (Sim.events_dispatched small);
   checki "queued thunk kept" 0 (collected_after_gc queued);
-  checki "41 live events" 41 (Sim.live_pending sim)
+  checki "41 live events" 41 (Sim.live_pending sim);
+  (* mid-run dispatch: four events at 3 s form one run; the third reads
+     the collection of the second's thunk while the fourth is queued *)
+  let runs = Sim.create () in
+  let t3 = Time.of_sec 3 in
+  let mid = ref 0 and seen = ref (-1) in
+  ignore (Sim.schedule_at runs t3 ignore : Sim.handle);
+  schedule_tracked runs mid t3;
+  ignore
+    (Sim.schedule_at runs t3 (fun () -> seen := collected_after_gc mid)
+      : Sim.handle);
+  ignore (Sim.schedule_at runs t3 ignore : Sim.handle);
+  Sim.run_until runs t3;
+  checki "mid-run thunk collected after its dispatch" 1 !seen;
+  (* mid-run sweep: a tracked tombstone between two events at 5 s; the
+     64th of 65 cancelled fillers passes the threshold, and the sweep
+     drops it with them while the events around it stay in their run *)
+  let t5 = Time.of_sec 5 in
+  let dropped = ref 0 and order = ref [] in
+  ignore (Sim.schedule_at runs t5 (fun () -> order := 1 :: !order) : Sim.handle);
+  cancel_tracked runs dropped 1 t5;
+  ignore (Sim.schedule_at runs t5 (fun () -> order := 3 :: !order) : Sim.handle);
+  let fillers = List.init 65 (fun _ -> Sim.schedule_at runs far ignore) in
+  checki "mid-run tombstone held until the sweep" 0
+    (collected_after_gc dropped);
+  List.iter (Sim.cancel runs) fillers;
+  check Alcotest.(pair int int) "swept mid-run" (3, 2)
+    (Sim.pending runs, Sim.live_pending runs);
+  checki "mid-run swept thunk collected" 1 (collected_after_gc dropped);
+  Sim.run_until runs t5;
+  check Alcotest.(list int) "run kept around the sweep" [ 1; 3 ] (List.rev !order)
 
 (* Slots are recycled across every resize. A run that grows the table,
    sweeps it, pushes into the slots the sweep freed, shrinks it, grows
@@ -502,7 +600,41 @@ let test_sim_slot_recycling () =
     @ [ ("timer", 150) ]
     @ List.init 90 (fun k -> once (200 + k)))
     (List.rev !log);
-  checki "dispatched" 126 (Sim.events_dispatched sim)
+  checki "dispatched" 126 (Sim.events_dispatched sim);
+  (* shrink over runs: twelve events at each of 1,100 .. 1,109 ms,
+     latest instant first, then three more at 1,109 ms, which start a
+     second run there (the newest). The table grows 16 -> 128; at 32
+     pending it halves while the run at 1,107 ms is half dispatched and
+     three runs wait behind it, renumbering every slot. One more event
+     at 1,109 ms then fires after the fifteen queued there. *)
+  log := [];
+  let tag ms j = Printf.sprintf "%d.%d" ms j in
+  let at_j ms j =
+    ignore
+      (Sim.schedule_at sim (Time.of_ms ms) (mark (tag ms j)) : Sim.handle)
+  in
+  for ms = 1109 downto 1100 do
+    for j = 0 to 11 do
+      at_j ms j
+    done
+  done;
+  List.iter (at_j 1109) [ 12; 13; 14 ];
+  check counts_t "runs queued" (123, 123, 123) (counts ());
+  Sim.run_until sim (Time.of_ms 1107);
+  check counts_t "shrunk over runs" (27, 27, 123) (counts ());
+  at_j 1109 15;
+  check counts_t "pushed after the shrink" (28, 28, 123) (counts ());
+  Sim.run_until sim (Time.of_sec 2);
+  let expected =
+    List.concat_map
+      (fun ms ->
+        List.init (if ms = 1109 then 16 else 12) (fun j ->
+            (tag ms j, ms)))
+      (List.init 10 (fun k -> 1100 + k))
+  in
+  check Alcotest.(list (pair string int)) "dispatch order over runs" expected
+    (List.rev !log);
+  check counts_t "drained again" (0, 0, 123) (counts ())
 
 (* ---------- Event_queue ---------- *)
 
@@ -850,8 +982,8 @@ let test_sim_jitter_instants_pinned () =
 
 (* Two inputs, two models: instants scheduled up front must fire as
    their stable sort, and a random Sim-API program ([run_ops]) must
-   produce exactly the reference scheduler's trace, dispatch count and
-   final live count ([model_ops]). *)
+   produce exactly the reference scheduler's trace, dispatch count,
+   final live count and peak live count ([model_ops]). *)
 let prop_sim_events_in_time_order =
   QCheck.Test.make ~name:"events dispatch in nondecreasing time order"
     ~count:100
