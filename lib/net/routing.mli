@@ -6,32 +6,45 @@
     reverse-path forwarding reuses the same tables: the RPF interface
     toward a source is the unicast next hop toward it.
 
-    A destination's [(next, dist)] column is computed on the first query
-    that routes toward it and cached in a sparse slot, so memory is
-    proportional to destinations actually routed to rather than
-    [node_count ** 2] — a multicast workload only materializes columns
-    for sources and control-plane endpoints, which is what lets 10k–1M
-    receiver topologies route at all. Answers are bit-identical to an
-    eagerly computed table: a column materialized late is computed
-    against the live link set, and both leave the unique canonical
-    table for that topology (see DESIGN.md, "Scaling state").
+    Columns cover the core only. A {e pendant} is a node with one link
+    whose neighbour has more than one (every receiver of a transit-stub
+    world); every other node is {e core}. No shortest path between two
+    other nodes crosses a pendant, so it never enters a Dijkstra pass
+    or a column: it is answered from its link. Its next hop is its
+    neighbour while that link is up and the neighbour is the
+    destination or reaches it, and its distance is the link's delay
+    plus the neighbour's. A pendant destination's column is seeded at
+    its neighbour, one link's delay out, and is all-unreachable while
+    its link is down. Answers are those of full per-node columns,
+    bit for bit.
 
-    The adjacency is held in compressed sparse rows with one up/down
-    byte per directed entry, and every Dijkstra pass over a table reuses
-    its one [(distance, node)] heap of two int arrays, so a pass
-    allocates only the columns it fills.
+    A destination's [(next, dist)] column is computed on the first query
+    that routes toward it and cached in a sparse slot, so routing memory
+    is materialized columns × core nodes: a multicast workload only
+    materializes columns for sources and control-plane endpoints, and a
+    transit-stub world's core is its routers, not its receivers. Answers
+    are bit-identical to an eagerly computed table: a column
+    materialized late is computed against the live link set, and both
+    leave the unique canonical table for that topology (see DESIGN.md,
+    "Scaling state").
+
+    The core adjacency is held in compressed sparse rows with one
+    up/down byte per directed entry, and every Dijkstra pass over a
+    table reuses its one [(distance, node)] heap of two int arrays, so a
+    pass allocates only the columns it fills.
 
     Links can be administratively disabled (the fault-injection layer's
     link failures) and re-enabled. Recomputation is incremental in both
-    directions and confined to materialized columns: taking a link down
-    rebuilds only the destinations whose shortest-path tree crossed it;
-    restoring one splices the edge back in per destination — seeding
+    directions and confined to materialized columns: taking a core link
+    down rebuilds only the destinations whose shortest-path tree crossed
+    it; restoring one splices the edge back in per destination — seeding
     from whichever endpoint it improves and relaxing outward, or
     skipping the destination entirely — yielding exactly the tables a
-    fresh computation would produce, preserved tie-breaks included (see
-    DESIGN.md, "Incremental maintenance"). With links down the graph may
-    be partitioned, in which case the affected entries report the
-    destination as unreachable. *)
+    fresh computation would produce, preserved tie-breaks included. A
+    pendant's link changes no core entry: flipping it refills only the
+    pendant's own column (see DESIGN.md, "Incremental maintenance").
+    With links down the graph may be partitioned, in which case the
+    affected entries report the destination as unreachable. *)
 
 type t
 
@@ -45,18 +58,21 @@ val prefetch_all : t -> unit
     damage-accounting tests call this so {!recomputes} and the
     affected-destination lists of {!set_link_enabled} are measured over
     the full table set, comparable with the historically eager tables.
-    Quadratic state — do not call on generated large worlds. *)
+    State is nodes × core nodes and one Dijkstra per node — do not call
+    on generated large worlds whose core is large. *)
 
 val materialized_columns : t -> int
 (** Number of destination columns currently materialized. Memory spent
-    on routing state is proportional to this, not to [node_count]²; the
-    scale scenarios assert it stays O(control-plane endpoints). *)
+    on routing state is this times the core node count, not
+    [node_count]²; the scale scenarios assert it stays
+    O(control-plane endpoints). *)
 
 val heap_pushes : t -> int
 (** Total priority-queue pushes performed by full-column Dijkstras since
-    creation (materializations and link-down recomputes). Exposed for
-    the regression test pinning that equality-only tie-break rewrites do
-    not re-push. *)
+    creation (materializations and link-down recomputes). Only core
+    nodes are pushed; pendants never enter the heap. Exposed for the
+    regression test pinning that equality-only tie-break rewrites do not
+    re-push. *)
 
 val next_hop : t -> from:Addr.node_id -> dst:Addr.node_id -> Addr.node_id
 (** The neighbor to forward to, or [-1] when [dst] is currently
@@ -95,8 +111,10 @@ val set_link_enabled :
 val recomputes : t -> int
 (** Destination tables updated by {!set_link_enabled} since creation: one
     per full per-destination Dijkstra on a link-down, one per destination
-    spliced by the bounded link-up update. Destinations skipped because
-    the change could not affect them — including columns that were never
-    materialized — are not counted, so under churn this grows with the
-    damage done, not with [events x node_count] (materializations are
-    creation, not damage, and are not counted either). *)
+    spliced by the bounded link-up update, and one per destination whose
+    table a pendant's link flip changed (its own, and each one its
+    neighbour reaches). Destinations skipped because the change could
+    not affect them — including columns that were never materialized —
+    are not counted, so under churn this grows with the damage done, not
+    with [events x node_count] (materializations are creation, not
+    damage, and are not counted either). *)

@@ -34,6 +34,11 @@ let add_duplex t ~a ~b ~bandwidth_bps ?(delay = default_delay)
     invalid_arg "Topology.add_duplex: unknown node";
   if a = b then invalid_arg "Topology.add_duplex: self-loop";
   if bandwidth_bps <= 0.0 then invalid_arg "Topology.add_duplex: bandwidth <= 0";
+  (* Over a zero delay two nodes can tie on distance, and the tie-break
+     can then route each through the other, so a packet bounces between
+     them at one instant. Routing also answers a single-link node from
+     its link on the premise that the link adds distance. *)
+  if delay <= 0 then invalid_arg "Topology.add_duplex: delay must be positive";
   if Hashtbl.mem t.pairs (min a b, max a b) then
     invalid_arg "Topology.add_duplex: duplicate link";
   (* Links build their queues on first wait, so a bad queue config has

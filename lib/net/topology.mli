@@ -38,8 +38,8 @@ val add_duplex :
     [queue_limit] selects a drop-tail queue of that many packets (the
     default); [discipline] overrides it with any {!Queue_discipline.spec}.
     @raise Invalid_argument on unknown nodes, self-loops, duplicates, a
-    non-positive [queue_limit] (when no [discipline] is given) or an
-    invalid discipline. Links build their queues on first wait, so this
+    non-positive [delay], a non-positive [queue_limit] (when no
+    [discipline] is given) or an invalid discipline. Links build their queues on first wait, so this
     is where a bad queue config fails. *)
 
 val node_count : t -> int

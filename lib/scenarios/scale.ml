@@ -219,12 +219,14 @@ let execute (p : prepared) =
   let run_cpu_s = Sys.time () -. run_t0 in
   let routing = Net.Network.routing p.network in
   let materialized_columns = Net.Routing.materialized_columns routing in
-  (* Routing memory is proportional to materialized columns, and only
-     unicast actually used in this world materializes one: reports to
-     the [active_domains] stub routers, suggestions to the sampled
-     agents, plus the source column shared by joins and summaries. The
-     bound is derived from the config alone — receiver count does not
-     appear in it. *)
+  (* Routing memory is materialized columns × core nodes. A column holds
+     entries for the transit and stub routers only: every receiver, and
+     the source, is a pendant answered from its one link. Only unicast
+     actually used in this world materializes a column: reports to the
+     [active_domains] stub routers, suggestions to the sampled agents,
+     plus the source column shared by joins and summaries. The bound is
+     derived from the config alone — receiver count does not appear in
+     it. *)
   let column_bound =
     (p.config.active_domains * (p.config.active_per_domain + 1)) + 2
   in

@@ -77,6 +77,30 @@ let test_topology_bad_queue_limit () =
   Topology.add_duplex topo ~a:0 ~b:1 ~bandwidth_bps:1e6 ~queue_limit:1 ();
   checki "then a valid link" 1 (List.length (Topology.links topo))
 
+(* Links 0-3, 3-1 and 3-2 at 10 ms with 1-2 at 0 ms would route 1 -> 0
+   via 2 and 2 -> 0 via 1: both tie at 20 ms and the tie-break picks the
+   other. A non-positive delay is refused where the link is added, and
+   the failed call registers nothing. *)
+let test_topology_bad_delay () =
+  let topo = Topology.create () in
+  ignore (Topology.add_nodes topo 4);
+  let link a b ms =
+    Topology.add_duplex topo ~a ~b ~bandwidth_bps:1e6
+      ~delay:(Time.span_of_ms ms) ()
+  in
+  link 0 3 10;
+  link 3 1 10;
+  link 3 2 10;
+  List.iter
+    (fun delay ->
+      Alcotest.check_raises
+        (Printf.sprintf "delay %d ns" delay)
+        (Invalid_argument "Topology.add_duplex: delay must be positive")
+        (fun () ->
+          Topology.add_duplex topo ~a:1 ~b:2 ~bandwidth_bps:1e6 ~delay ()))
+    [ Time.span_of_ms 0; -1 ];
+  checki "only the three valid links" 3 (List.length (Topology.links topo))
+
 let test_topology_neighbors () =
   let topo = line 3 in
   check (Alcotest.list Alcotest.int) "middle" [ 0; 2 ]
@@ -219,25 +243,65 @@ let prop_routing_distance_symmetric =
       done;
       !ok)
 
+(* Floyd-Warshall over the links that are up: every pair's distance, and
+   the smallest-id neighbor on a shortest path ([None] when unreachable,
+   and from a node to itself). *)
+let floyd_warshall nodes links up =
+  let inf = max_int in
+  let w = Array.make_matrix nodes nodes inf in
+  Array.iteri
+    (fun i (a, b, ms) ->
+      if up.(i) then begin
+        w.(a).(b) <- Time.span_of_ms ms;
+        w.(b).(a) <- Time.span_of_ms ms
+      end)
+    links;
+  let d =
+    Array.init nodes (fun i ->
+        Array.init nodes (fun j -> if i = j then 0 else w.(i).(j)))
+  in
+  for k = 0 to nodes - 1 do
+    for i = 0 to nodes - 1 do
+      for j = 0 to nodes - 1 do
+        if
+          d.(i).(k) < inf
+          && d.(k).(j) < inf
+          && d.(i).(k) + d.(k).(j) < d.(i).(j)
+        then d.(i).(j) <- d.(i).(k) + d.(k).(j)
+      done
+    done
+  done;
+  let hop from dst =
+    if from = dst then None
+    else
+      List.find_opt
+        (fun m ->
+          w.(from).(m) < inf && d.(m).(dst) < inf
+          && w.(from).(m) + d.(m).(dst) = d.(from).(dst))
+        (List.init nodes Fun.id)
+  in
+  (d, Array.init nodes (fun from -> Array.init nodes (fun dst -> hop from dst)))
+
 (* Routing against an independent oracle: Floyd-Warshall over the links
    that are up. Delays of 1-3 ms make equal-length paths common, so the
    tie-break is exercised: the next hop must be the smallest-id neighbor
-   on a shortest path. Columns named in [early] are materialized before
-   any link goes down, so the link-down recompute and the link-up splice
-   run on them; every other column is computed lazily against the live
-   link set. *)
-type fate = Stays_up | Goes_down | Flaps
+   on a shortest path. A hub with 0-8 extra single-link nodes makes
+   pendants common, whose routes are answered from their link. Links
+   flip one call at a time, and columns are materialized before the
+   first flip and between flips, so the link-down recompute, the link-up
+   splice and the pendant-link rule all run on them. After every
+   [set_link_enabled], its list must be the materialized destinations
+   whose table (next hop and distance from every node) changed, in
+   ascending order; [recomputes] must have grown by the list's length;
+   and every materialized column must equal the oracle. At the end every
+   column is computed and compared. *)
+type op = Flip of int * bool | Materialize of int
 
 let prop_routing_matches_floyd_warshall =
   let gen =
     QCheck.Gen.(
       let* n = 2 -- 12 in
-      let edge a b =
-        map2
-          (fun ms fate -> (a, b, ms, fate))
-          (1 -- 3)
-          (frequencyl [ (5, Stays_up); (2, Goes_down); (1, Flaps) ])
-      in
+      let edge a b = map (fun ms -> (a, b, ms)) (1 -- 3) in
       (* a random spanning tree keeps the topology connected *)
       let* tree =
         flatten_l (List.init (n - 1) (fun i -> int_bound i >>= edge (i + 1)))
@@ -247,97 +311,142 @@ let prop_routing_matches_floyd_warshall =
           (pair (int_bound (n - 1)) (int_bound (n - 1)) >>= fun (a, b) ->
            edge a b)
       in
-      let* early = list_size (0 -- 4) (int_bound (n - 1)) in
-      return (n, tree @ extra, early))
+      let* hub = int_bound (n - 1) in
+      let* spokes = 0 -- 8 in
+      let* pendants = flatten_l (List.init spokes (fun i -> edge hub (n + i))) in
+      let nodes = n + spokes in
+      let* early = list_size (0 -- 4) (int_bound (nodes - 1)) in
+      let* ops =
+        list_size (0 -- 16)
+          (frequency
+             [
+               (3, map2 (fun i on -> Flip (i, on)) (int_bound 1000) bool);
+               (1, map (fun d -> Materialize d) (int_bound (nodes - 1)));
+             ])
+      in
+      return (nodes, tree @ extra @ pendants, early, ops))
   in
-  let print (n, edges, early) =
-    let fate = function
-      | Stays_up -> "up"
-      | Goes_down -> "down"
-      | Flaps -> "flap"
+  let print (nodes, edges, early, ops) =
+    let op = function
+      | Flip (i, on) -> Printf.sprintf "%s#%d" (if on then "up" else "down") i
+      | Materialize d -> Printf.sprintf "col%d" d
     in
-    Printf.sprintf "n=%d edges=[%s] early=[%s]" n
+    Printf.sprintf "nodes=%d edges=[%s] early=[%s] ops=[%s]" nodes
       (String.concat "; "
-         (List.map
-            (fun (a, b, ms, f) ->
-              Printf.sprintf "%d-%d %dms %s" a b ms (fate f))
-            edges))
+         (List.map (fun (a, b, ms) -> Printf.sprintf "%d-%d %dms" a b ms) edges))
       (String.concat "; " (List.map string_of_int early))
+      (String.concat "; " (List.map op ops))
   in
   QCheck.Test.make ~name:"routing equals Floyd-Warshall with links down"
-    ~count:300 (QCheck.make ~print gen)
-    (fun (n, edges, early) ->
+    ~count:1000 (QCheck.make ~print gen)
+    (fun (nodes, edges, early, ops) ->
       let topo = Topology.create () in
-      ignore (Topology.add_nodes topo n);
+      ignore (Topology.add_nodes topo nodes);
       let present = Hashtbl.create 16 in
       let links =
-        List.filter
-          (fun (a, b, _, _) ->
-            let key = (min a b, max a b) in
-            a <> b
-            && (not (Hashtbl.mem present key))
-            && (Hashtbl.add present key ();
-                true))
-          edges
+        Array.of_list
+          (List.filter
+             (fun (a, b, _) ->
+               let key = (min a b, max a b) in
+               a <> b
+               && (not (Hashtbl.mem present key))
+               && (Hashtbl.add present key ();
+                   true))
+             edges)
       in
-      List.iter
-        (fun (a, b, ms, _) ->
+      Array.iter
+        (fun (a, b, ms) ->
           Topology.add_duplex topo ~a ~b ~bandwidth_bps:1e6
             ~delay:(Time.span_of_ms ms) ())
         links;
+      let up = Array.make (Array.length links) true in
       let r = Routing.compute topo in
-      List.iter (fun d -> ignore (Routing.distance r ~from:d ~dst:d)) early;
-      List.iter
-        (fun (a, b, _, fate) ->
-          if fate <> Stays_up then
-            ignore (Routing.set_link_enabled r ~a ~b false))
-        links;
-      List.iter
-        (fun (a, b, _, fate) ->
-          if fate = Flaps then ignore (Routing.set_link_enabled r ~a ~b true))
-        links;
-      let inf = max_int in
-      let w = Array.make_matrix n n inf in
-      List.iter
-        (fun (a, b, ms, fate) ->
-          if fate <> Goes_down then begin
-            w.(a).(b) <- Time.span_of_ms ms;
-            w.(b).(a) <- Time.span_of_ms ms
-          end)
-        links;
-      let d =
-        Array.init n (fun i ->
-            Array.init n (fun j -> if i = j then 0 else w.(i).(j)))
+      let materialized = Array.make nodes false in
+      let materialize d =
+        materialized.(d) <- true;
+        ignore (Routing.distance r ~from:d ~dst:d)
       in
-      for k = 0 to n - 1 do
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            if
-              d.(i).(k) < inf
-              && d.(k).(j) < inf
-              && d.(i).(k) + d.(k).(j) < d.(i).(j)
-            then d.(i).(j) <- d.(i).(k) + d.(k).(j)
-          done
-        done
-      done;
-      let expected_hop from dst =
-        List.find_opt
-          (fun m ->
-            w.(from).(m) < inf && d.(m).(dst) < inf
-            && w.(from).(m) + d.(m).(dst) = d.(from).(dst))
-          (List.init n Fun.id)
+      let all = List.init nodes Fun.id in
+      let matches (d, hop) dst =
+        List.for_all
+          (fun from ->
+            from = dst
+            || Routing.distance r ~from ~dst = d.(from).(dst)
+               && Routing.next_hop_opt r ~from ~dst = hop.(from).(dst))
+          all
       in
+      List.iter materialize early;
+      let oracle = ref (floyd_warshall nodes links up) in
       let ok = ref true in
-      for from = 0 to n - 1 do
-        for dst = 0 to n - 1 do
-          if from <> dst then
-            ok :=
-              !ok
-              && Routing.distance r ~from ~dst = d.(from).(dst)
-              && Routing.next_hop_opt r ~from ~dst = expected_hop from dst
-        done
-      done;
-      !ok)
+      List.iter
+        (function
+          | Materialize d -> materialize d
+          | Flip (i, on) ->
+              let i = i mod Array.length links in
+              let a, b, _ = links.(i) in
+              let recomputes = Routing.recomputes r in
+              let got = Routing.set_link_enabled r ~a ~b on in
+              up.(i) <- on;
+              let (d0, hop0), (d1, hop1) =
+                (!oracle, floyd_warshall nodes links up)
+              in
+              oracle := (d1, hop1);
+              let changed dst =
+                List.exists
+                  (fun from ->
+                    d0.(from).(dst) <> d1.(from).(dst)
+                    || hop0.(from).(dst) <> hop1.(from).(dst))
+                  all
+              in
+              let materialized_list =
+                List.filter (fun d -> materialized.(d)) all
+              in
+              ok :=
+                !ok
+                && got = List.filter changed materialized_list
+                && Routing.recomputes r = recomputes + List.length got
+                && List.for_all (matches !oracle) materialized_list
+                && Routing.materialized_columns r
+                   = List.length materialized_list)
+        ops;
+      !ok && List.for_all (matches !oracle) all)
+
+(* A column holds entries for core nodes only. On a star of one hub and
+   10,000 single-link nodes the core is the hub alone, so a column costs
+   a few words however many pendants hang off the hub. Over 20 columns
+   (the hub's and 19 pendants') this reads 6.5 words allocated per
+   column: two one-entry arrays and the pass heap's first growth. It
+   read 23,281 words when every column held a 10,001-word distance and
+   next-hop array and every pass pushed every node. *)
+let test_routing_column_footprint () =
+  let topo = Topology.create () in
+  let hub = Topology.add_node topo in
+  for _ = 1 to 10_000 do
+    let p = Topology.add_node topo in
+    Topology.add_duplex topo ~a:hub ~b:p ~bandwidth_bps:1e6 ()
+  done;
+  let r = Routing.compute topo in
+  let columns = hub :: List.init 19 (fun i -> 1 + (i * 500)) in
+  (* On OCaml 5.1 [Gc.allocated_bytes] counts the minor heap exactly
+     only right after a minor collection. *)
+  let allocated () =
+    Gc.minor ();
+    Gc.allocated_bytes ()
+  in
+  let before = allocated () in
+  List.iter (fun d -> ignore (Routing.distance r ~from:d ~dst:d)) columns;
+  let words =
+    (allocated () -. before) /. float_of_int (Sys.word_size / 8 * 20)
+  in
+  checki "20 columns materialized" 20 (Routing.materialized_columns r);
+  checkb
+    (Printf.sprintf "%.1f words per column <= 64" words)
+    true (words <= 64.0);
+  checki "a pendant routes over the hub" hub
+    (Routing.next_hop r ~from:9_999 ~dst:1);
+  checki "two links' delay apart"
+    (2 * Topology.default_delay)
+    (Routing.distance r ~from:9_999 ~dst:1)
 
 (* ---------- Link timing and queueing ---------- *)
 
@@ -756,6 +865,7 @@ let () =
           Alcotest.test_case "self loop" `Quick test_topology_self_loop_rejected;
           Alcotest.test_case "bad queue limit" `Quick
             test_topology_bad_queue_limit;
+          Alcotest.test_case "bad delay" `Quick test_topology_bad_delay;
           Alcotest.test_case "neighbors" `Quick test_topology_neighbors;
           Alcotest.test_case "connectivity" `Quick test_topology_connectivity;
         ] );
@@ -767,6 +877,8 @@ let () =
             test_routing_disconnected_rejected;
           Alcotest.test_case "set_link_enabled arguments" `Quick
             test_routing_set_link_enabled_args;
+          Alcotest.test_case "column footprint" `Quick
+            test_routing_column_footprint;
         ] );
       qsuite "routing-props"
         [
