@@ -7,37 +7,19 @@
 module Time = Engine.Time
 
 let () =
-  let sim = Engine.Sim.create ~seed:42L () in
   let spec = Scenarios.Builders.topology_a ~receivers_per_set:2 in
-  let network = Net.Network.create ~sim spec.topology in
-  let router = Multicast.Router.create ~network () in
-  let discovery = Discovery.Service.create ~sim ~router () in
-  let layering = Traffic.Layering.paper_default in
-  let source, receivers = List.hd spec.sessions in
-  let session = Traffic.Session.create ~router ~source ~layering ~id:0 in
-  Discovery.Service.register_session discovery session;
-  ignore
-    (Traffic.Source.start ~network ~session ~kind:Traffic.Source.Cbr
-       ~rng:(Engine.Sim.rng sim ~label:"source") ());
-  let params = Toposense.Params.default in
-  let controller =
-    Toposense.Controller.create ~network ~discovery ~params
-      ~node:spec.controller_node ()
+  let world =
+    Scenarios.World.build ~spec ~source_label:(fun _ -> "source")
+      ~control:(Scenarios.World.Flat { probe = false })
+      ~agents:Scenarios.World.Every_receiver ()
   in
-  (* Billing rides on the reports the controller already receives. *)
+  let { Scenarios.World.sim; network; router; _ } = world in
+  let session = List.hd world.sessions in
+  let _, receivers = List.hd spec.sessions in
+  (* Billing rides on the reports the controller already receives; none
+     arrives before the run starts. *)
   let billing = Toposense.Billing.create () in
-  Toposense.Controller.set_billing controller billing;
-  Toposense.Controller.add_session controller session;
-  Toposense.Controller.start controller;
-  List.iter
-    (fun node ->
-      let a =
-        Toposense.Receiver_agent.create ~network ~router ~params ~node
-          ~controller:spec.controller_node ()
-      in
-      Toposense.Receiver_agent.subscribe a ~session ~initial_level:1;
-      Toposense.Receiver_agent.start a)
-    receivers;
+  Toposense.Controller.set_billing (Option.get world.flat) billing;
   (* Link monitoring, sampled once per second. *)
   let flows = Net.Flow_stats.create ~network () in
   ignore (Net.Flow_stats.attach flows ~period:(Time.span_of_sec 1));

@@ -4,7 +4,8 @@
 
    This walks the public API at the lowest level — simulator, topology,
    network, multicast, sources, controller, receiver agents — the same
-   stack the `Scenarios.Experiment` harness wires up for you.
+   stack `Scenarios.World` builds for every scenario; it is the one place
+   that wires it by hand.
 
      dune exec examples/quickstart.exe *)
 

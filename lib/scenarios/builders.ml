@@ -127,7 +127,6 @@ let kary ~fanout ~depth ?(cross_links = true) () =
 type world = {
   spec : spec;
   domains : (int * Net.Addr.node_id list) list;
-  transit_nodes : Net.Addr.node_id list;
 }
 
 (* One administrative domain must meet the rest of the topology at a
@@ -207,8 +206,7 @@ let transit_stub ~transits ~stubs_per_transit ~receivers_per_stub
   let topo = Topology.create () in
   let core_bps = fast_bps *. 10.0 in
   let source = Topology.add_node topo in
-  let transit_nodes = Topology.add_nodes topo transits in
-  let transit = Array.of_list transit_nodes in
+  let transit = Array.of_list (Topology.add_nodes topo transits) in
   duplex topo ~a:source ~b:transit.(0) ~bandwidth_bps:core_bps;
   for i = 0 to transits - 2 do
     duplex topo ~a:transit.(i) ~b:transit.(i + 1) ~bandwidth_bps:core_bps
@@ -250,7 +248,6 @@ let transit_stub ~transits ~stubs_per_transit ~receivers_per_stub
         sessions = [ (source, List.rev !receivers) ];
       };
     domains;
-    transit_nodes;
   }
 
 let figure1 () =

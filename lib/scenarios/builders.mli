@@ -40,11 +40,11 @@ val kary : fanout:int -> depth:int -> ?cross_links:bool -> unit -> spec
 type world = {
   spec : spec;
   domains : (int * Net.Addr.node_id list) list;
-      (** (domain_id, member nodes) — one domain per stub: its stub
-          router plus its receivers. Dense ids, build order. *)
-  transit_nodes : Net.Addr.node_id list;
-      (** backbone ring; together with the source, the federation
-          parent's turf (no leaf domain claims them) *)
+      (** (domain_id, member nodes): dense ids in build order. The first
+          member is where the domain's controller sits: the stub router
+          in {!transit_stub}, the regional node in [Tiered.generate].
+          Nodes outside every domain (the backbone and the source) are
+          the federation parent's turf. *)
 }
 
 val transit_stub :

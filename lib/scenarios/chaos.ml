@@ -99,25 +99,8 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
   if storm_s < 20.0 then invalid_arg "Chaos.run: storm_s < 20";
   if not (storm_fits storm_s) then
     invalid_arg "Chaos.run: storm_s + 30 s of quiet is past the clock's range";
-  let sim = Sim.create ~seed () in
   (* ---- build the world ---- *)
-  let spec, domains =
-    match world with
-    | Kary { fanout; depth } -> (Builders.kary ~fanout ~depth (), [])
-    | Transit_stub { transits; stubs_per_transit; receivers_per_stub; _ } ->
-        let w =
-          Builders.transit_stub ~transits ~stubs_per_transit
-            ~receivers_per_stub ()
-        in
-        (w.Builders.spec, w.Builders.domains)
-  in
-  let network = Net.Network.create ~sim spec.Builders.topology in
   let is_kary = match world with Kary _ -> true | _ -> false in
-  (* kary rigs are paper-sized and checked all-pairs, so materialize the
-     tables; generated transit-stub worlds stay lazy and are checked over
-     the destinations the run actually used. *)
-  if is_kary then Net.Routing.prefetch_all (Net.Network.routing network);
-  let router = Multicast.Router.create ~network () in
   let params =
     {
       Toposense.Params.default with
@@ -131,126 +114,58 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
     }
   in
   let interval_s = Time.span_to_sec_f params.Toposense.Params.interval in
-  let discovery =
-    Discovery.Service.create ~sim ~router ~period:params.interval ~history:4 ()
+  (* kary rigs are paper-sized and checked all-pairs, so they materialize
+     the tables; generated transit-stub worlds stay lazy and are checked
+     over the destinations the run actually used. *)
+  let spec, domains, control, agents =
+    match world with
+    | Kary { fanout; depth } ->
+        ( Builders.kary ~fanout ~depth (),
+          [],
+          World.Flat { probe = false },
+          World.Every_receiver )
+    | Transit_stub t ->
+        let w =
+          Builders.transit_stub ~transits:t.transits
+            ~stubs_per_transit:t.stubs_per_transit
+            ~receivers_per_stub:t.receivers_per_stub ()
+        in
+        ( w.Builders.spec,
+          w.Builders.domains,
+          World.Federated { rehome = true },
+          World.Sampled
+            {
+              active_domains = t.active_domains;
+              active_per_domain = t.active_per_domain;
+            } )
   in
-  let source, receivers =
-    match spec.Builders.sessions with [ s ] -> s | _ -> assert false
+  let w =
+    World.build ~spec ~domains ~seed ~params ~eager_routing:is_kary
+      ~discovery_period:params.interval ~discovery_history:4
+      ~source_label:(fun _ -> "source") ~control ~agents ()
   in
-  let session =
-    Session.create ~router ~source ~layering:Layering.paper_default ~id:0
-  in
-  Discovery.Service.register_session discovery session;
-  ignore
-    (Traffic.Source.start ~network ~session ~kind:Traffic.Source.Cbr
-       ~rng:(Sim.rng sim ~label:"source") ());
+  let { World.sim; network; router; parent; agents; _ } = w in
+  let session = List.hd w.sessions in
+  let source, receivers = List.hd spec.Builders.sessions in
+  (* the flat controller at the source: the kary world's only one, the
+     transit world's re-home target *)
+  let rehome = Option.get w.flat in
   let faults = Net.Faults.create ~network () in
-  (* ---- controllers and agents ---- *)
-  let parent, leaf_ctrls, rehome, agents =
-    if is_kary then begin
-      (* one flat controller at the root; every leaf runs an agent *)
-      let c =
-        Controller.create ~network ~discovery ~params ~node:source ()
-      in
-      Controller.add_session c session;
-      Controller.start c;
-      let agents =
-        List.map
-          (fun node ->
-            let a =
-              Agent.create ~network ~router ~params ~node ~controller:source
-                ()
-            in
-            Agent.subscribe a ~session ~initial_level:1;
-            Agent.start a;
-            (node, a, source))
-          receivers
-      in
-      (None, [ (-1, source, c) ], c, agents)
-    end
-    else begin
-      let active_domains, active_per_domain =
-        match world with
-        | Transit_stub { active_domains; active_per_domain; _ } ->
-            (active_domains, active_per_domain)
-        | Kary _ -> assert false
-      in
-      let parent = Federation.create_parent ~network ~node:source in
-      let leaf_ctrls =
-        List.map
-          (fun (domain_id, members) ->
-            let ctrl_node = List.hd members in
-            let c =
-              Controller.create ~network ~discovery ~params ~node:ctrl_node
-                ~domain:members
-                ~federation:(Federation.leaf ~parent:source ~domain_id)
-                ()
-            in
-            Controller.add_session c session;
-            Controller.start c;
-            (domain_id, ctrl_node, c))
-          domains
-      in
-      (* the re-home controller: direct parent prescriptions from the
-         unrestricted snapshot for whatever domains are degraded *)
-      let rehome =
-        Controller.create ~network ~discovery ~params ~node:source ()
-      in
-      Controller.add_session rehome session;
-      Controller.start rehome;
-      Federation.set_rehome_counter parent (fun () ->
-          Controller.suggestions_sent rehome);
-      let agents =
-        List.concat_map
-          (fun (domain_id, members) ->
-            match members with
-            | [] -> []
-            | ctrl_node :: rs ->
-                if domain_id >= active_domains then []
-                else
-                  List.filteri (fun i _ -> i < active_per_domain) rs
-                  |> List.map (fun node ->
-                         let a =
-                           Agent.create ~network ~router ~params ~node
-                             ~controller:ctrl_node ()
-                         in
-                         Agent.subscribe a ~session ~initial_level:1;
-                         Agent.start a;
-                         (node, a, ctrl_node)))
-          domains
-      in
-      (* the rest of the population joins the base layer passively *)
-      let agent_nodes =
-        Util.Bitset.of_list (List.map (fun (n, _, _) -> n) agents)
-      in
-      let base_group = Session.group_for_layer session ~layer:0 in
-      List.iter
-        (fun node ->
-          if not (Util.Bitset.mem agent_nodes node) then
-            Multicast.Router.join router ~node ~group:base_group)
-        receivers;
-      (Some parent, leaf_ctrls, rehome, agents)
-    end
+  (* what a Ctrl_crash fault and a node crash stop: the per-domain
+     controllers, or in the kary world the flat one *)
+  let leaf_ctrls =
+    match w.controllers with [] -> [ (source, rehome) ] | l -> l
   in
-  let all_ctrls =
-    (* dedup by identity: in the kary world the flat controller doubles
-       as the re-home target (Controller.t holds closures, so no
-       structural compare) *)
-    List.fold_left
-      (fun acc c -> if List.memq c acc then acc else c :: acc)
-      []
-      (rehome :: List.map (fun (_, _, c) -> c) leaf_ctrls)
-  in
+  let all_ctrls = List.rev (rehome :: List.map snd w.controllers) in
   let ctrls_at node =
-    List.filter_map
-      (fun (_, n, c) -> if n = node then Some c else None)
-      leaf_ctrls
+    List.filter_map (fun (n, c) -> if n = node then Some c else None) leaf_ctrls
   in
+  (* a domain's agents, and the node of the controller they report to *)
   let agents_of_domain d =
     match List.find_opt (fun (d', _) -> d' = d) domains with
-    | None -> []
+    | None -> ([], source)
     | Some (_, members) ->
-        List.filter (fun (n, _, _) -> List.mem n members) agents
+        (List.filter (fun (n, _) -> List.mem n members) agents, List.hd members)
   in
   (* ---- failover monitor (federated worlds only) ---- *)
   (match parent with
@@ -261,18 +176,19 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
         ~silence:(Time.mul_span params.Toposense.Params.interval 3)
         ~on_degraded:(fun ~domain ->
           List.iter
-            (fun (_, a, _) -> Agent.set_controller a ~controller:source)
-            (agents_of_domain domain))
+            (fun (_, a) -> Agent.set_controller a ~controller:source)
+            (fst (agents_of_domain domain)))
         ~on_rejoined:(fun ~domain ->
+          let agents, home = agents_of_domain domain in
           List.iter
-            (fun (node, a, home) ->
+            (fun (node, a) ->
               Agent.set_controller a ~controller:home;
               Controller.forget_receiver rehome ~session:0 ~receiver:node)
-            (agents_of_domain domain))
+            agents)
         ());
   (* ---- crash observers: fail-stop of co-located processes ---- *)
   let agent_at = Hashtbl.create 64 in
-  List.iter (fun (n, a, _) -> Hashtbl.replace agent_at n a) agents;
+  List.iter (fun (n, a) -> Hashtbl.replace agent_at n a) agents;
   Net.Faults.add_crash_observer faults (fun node ~up ->
       if up then begin
         Multicast.Router.recover_node router ~node;
@@ -312,8 +228,7 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
     | [] -> None
     | l ->
         let n = List.length l in
-        let _, _, c = List.nth l (((d mod n) + n) mod n) in
-        Some c
+        Some (snd (List.nth l (((d mod n) + n) mod n)))
   in
   List.iter
     (fun fault ->
@@ -387,7 +302,7 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
   schedule_at_s
     (storm_s +. quiet_s -. 10.0)
     (fun () ->
-      List.iter (fun (_, a, _) -> Agent.stop a) agents;
+      List.iter (fun (_, a) -> Agent.stop a) agents;
       List.iter Controller.stop all_ctrls;
       (* the monitor must die with the controllers, or the frozen
          summary streams read as every domain failing at once *)
@@ -406,7 +321,7 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
     (storm_s +. (3.0 *. interval_s) +. 1.0)
     (fun () ->
       List.iter
-        (fun (node, a, _) ->
+        (fun (node, a) ->
           match Agent.last_suggestion_at a ~session:0 with
           | Some t when Time.(t >= storm_end_t) -> ()
           | _ ->
@@ -425,8 +340,7 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
         (* lazy world: the columns this run can have materialized — every
            unicast destination the control plane used *)
         List.sort_uniq compare
-          ((source :: List.map (fun (_, n, _) -> n) leaf_ctrls)
-          @ List.map (fun (n, _, _) -> n) agents)
+          ((source :: List.map fst leaf_ctrls) @ List.map fst agents)
     in
     let bad =
       Recovery.routing_mismatches ~live:routing ~fresh:oracle ~nodes
@@ -455,7 +369,7 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
   let leases_consistent =
     let all_ok = ref true in
     List.iter
-      (fun (node, a, _) ->
+      (fun (node, a) ->
         let level = Agent.level a ~session:0 in
         if level < 1 then begin
           incr lost_sessions;

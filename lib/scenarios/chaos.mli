@@ -129,7 +129,10 @@ val run :
     (default [42L]).
     @raise Invalid_argument before building anything if [storm_s] is not
     finite, [storm_s < 20], or not {!storm_fits}; the message names
-    [storm_s]. *)
+    [storm_s]. Also, before the simulation starts, if a [Transit_stub]
+    world's [active_domains] or [active_per_domain] is below 1, or
+    [active_domains] exceeds its domain count; the message names the
+    knob. *)
 
 val storm_fits : float -> bool
 (** Whether the clock reaches the end of a run with this [storm_s]:

@@ -22,26 +22,14 @@ let run ?(receivers_per_set = 4) ?(join_gap_s = 20.0)
     ?(leave_half_at_s = 400.0) ?(duration = Time.of_sec 600) ?(seed = 42L) ()
     =
   let spec = Builders.topology_a ~receivers_per_set in
-  let sim = Sim.create ~seed () in
-  let network = Net.Network.create ~sim spec.Builders.topology in
-  let router = Multicast.Router.create ~network () in
-  let discovery = Discovery.Service.create ~sim ~router () in
-  let layering = Traffic.Layering.paper_default in
+  let w =
+    World.build ~spec ~seed ~source_label:(fun _ -> "source")
+      ~control:(World.Flat { probe = false }) ~agents:World.No_agents ()
+  in
+  let sim = w.sim in
   let source, receivers =
     match spec.Builders.sessions with [ s ] -> s | _ -> assert false
   in
-  let session = Traffic.Session.create ~router ~source ~layering ~id:0 in
-  Discovery.Service.register_session discovery session;
-  ignore
-    (Traffic.Source.start ~network ~session ~kind:Traffic.Source.Cbr
-       ~rng:(Sim.rng sim ~label:"source") ());
-  let params = Toposense.Params.default in
-  let controller =
-    Toposense.Controller.create ~network ~discovery ~params
-      ~node:spec.Builders.controller_node ()
-  in
-  Toposense.Controller.add_session controller session;
-  Toposense.Controller.start controller;
   (* Interleave the two branches in join order so each branch sees
      arrivals while its earlier members are established. *)
   let interleaved =
@@ -72,13 +60,9 @@ let run ?(receivers_per_set = 4) ?(join_gap_s = 20.0)
     (fun (node, joined_at_s, left_at_s) ->
       ignore
         (Sim.schedule_at sim (Time.of_sec_f joined_at_s) (fun () ->
-             let a =
-               Toposense.Receiver_agent.create ~network ~router ~params ~node
-                 ~controller:spec.Builders.controller_node ()
-             in
-             Toposense.Receiver_agent.subscribe a ~session ~initial_level:1;
-             Toposense.Receiver_agent.start a;
-             Hashtbl.replace agents node a));
+             Hashtbl.replace agents node
+               (World.add_agent w ~node
+                  ~controller:spec.Builders.controller_node)));
       Option.iter
         (fun at_s ->
           ignore
@@ -91,7 +75,7 @@ let run ?(receivers_per_set = 4) ?(join_gap_s = 20.0)
         left_at_s)
     plans;
   Sim.run_until sim duration;
-  let routing = Net.Network.routing network in
+  let routing = Net.Network.routing w.network in
   let reports =
     List.map
       (fun (node, joined_at_s, left_at_s) ->
@@ -99,8 +83,8 @@ let run ?(receivers_per_set = 4) ?(join_gap_s = 20.0)
         let changes = Toposense.Receiver_agent.changes a ~session:0 in
         let optimal =
           Baseline.Static_oracle.optimal_level ~topology:spec.Builders.topology
-            ~routing ~layering ~sessions:spec.Builders.sessions ~source
-            ~receiver:node
+            ~routing ~layering:Traffic.Layering.paper_default
+            ~sessions:spec.Builders.sessions ~source ~receiver:node
         in
         let joined_at = Time.of_sec_f joined_at_s in
         let reach =

@@ -1,7 +1,6 @@
 module Sim = Engine.Sim
 module Time = Engine.Time
 module Network = Net.Network
-module Router = Multicast.Router
 module Session = Traffic.Session
 module Layering = Traffic.Layering
 
@@ -66,57 +65,24 @@ let run ~spec ~traffic ~scheme ?(params = Toposense.Params.default)
     ?(seed = 42L) ?(duration = Time.of_sec 1200) ?sample_period
     ?(leave_latency = Time.span_of_sec 1) ?(expedited_leave = false)
     ?(probe_discovery = false) () =
-  (match Toposense.Params.validate params with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Experiment.run: " ^ msg));
-  let sim = Sim.create ~seed () in
-  let network = Network.create ~sim spec.Builders.topology in
-  let router = Router.create ~network ~leave_latency ~expedited_leave () in
-  let discovery = Discovery.Service.create ~sim ~router () in
-  let layering = Layering.paper_default in
-  let routing = Network.routing network in
-  let sessions =
-    List.mapi
-      (fun id (source, _) -> Session.create ~router ~source ~layering ~id)
-      spec.Builders.sessions
-  in
-  List.iter (Discovery.Service.register_session discovery) sessions;
-  (* Sources: all layers, always on. *)
-  let _sources =
-    List.map
-      (fun session ->
-        Traffic.Source.start ~network ~session ~kind:(source_kind traffic)
-          ~rng:
-            (Sim.rng sim
-               ~label:(Printf.sprintf "source-%d" (Session.id session)))
-          ())
-      sessions
-  in
-  let optimal ~source ~receiver =
-    Baseline.Static_oracle.optimal_level ~topology:spec.Builders.topology
-      ~routing ~layering ~sessions:spec.Builders.sessions ~source ~receiver
-  in
-  (* Control plane. *)
-  let controller =
+  let control, agents =
     match scheme with
     | Toposense ->
-        let probe =
-          if probe_discovery then
-            Some
-              (Toposense.Probe_discovery.create ~network
-                 ~node:spec.Builders.controller_node ~period:params.interval ())
-          else None
-        in
-        let c =
-          Toposense.Controller.create ~network ~discovery ~params
-            ~node:spec.Builders.controller_node ?probe ()
-        in
-        List.iter (Toposense.Controller.add_session c) sessions;
-        Toposense.Controller.start c;
-        Some c
-    | Rlm | Oracle -> None
+        (World.Flat { probe = probe_discovery }, World.Every_receiver)
+    | Rlm | Oracle -> (World.No_control, World.No_agents)
   in
-  (* One agent per (session, receiver). *)
+  let w =
+    World.build ~spec ~seed ~params ~leave_latency ~expedited_leave
+      ~traffic:(source_kind traffic) ~control ~agents ()
+  in
+  let sim = w.sim and network = w.network and router = w.router in
+  let layering = Layering.paper_default in
+  let optimal ~source ~receiver =
+    Baseline.Static_oracle.optimal_level ~topology:spec.Builders.topology
+      ~routing:(Network.routing network) ~layering
+      ~sessions:spec.Builders.sessions ~source ~receiver
+  in
+  (* One agent per (session, receiver): the world's for TopoSense. *)
   let agents =
     List.concat
       (List.map2
@@ -125,15 +91,7 @@ let run ~spec ~traffic ~scheme ?(params = Toposense.Params.default)
              (fun node ->
                let agent =
                  match scheme with
-                 | Toposense ->
-                     let a =
-                       Toposense.Receiver_agent.create ~network ~router ~params
-                         ~node ~controller:spec.Builders.controller_node ()
-                     in
-                     Toposense.Receiver_agent.subscribe a ~session
-                       ~initial_level:1;
-                     Toposense.Receiver_agent.start a;
-                     Topo_agent a
+                 | Toposense -> Topo_agent (List.assoc node w.agents)
                  | Rlm ->
                      let a =
                        Baseline.Rlm.create ~network ~router ~node ~session ()
@@ -148,7 +106,7 @@ let run ~spec ~traffic ~scheme ?(params = Toposense.Params.default)
                in
                (session, source, node, agent))
              receivers)
-         sessions spec.Builders.sessions)
+         w.sessions spec.Builders.sessions)
   in
   (* Optional per-second sampling for the Fig. 9 style series. *)
   let series_acc = Hashtbl.create 16 in
@@ -211,14 +169,12 @@ let run ~spec ~traffic ~scheme ?(params = Toposense.Params.default)
     receivers;
     series;
     reports_received =
-      Option.fold ~none:0 ~some:Toposense.Controller.reports_received
-        controller;
+      Option.fold ~none:0 ~some:Toposense.Controller.reports_received w.flat;
     suggestions_sent =
-      Option.fold ~none:0 ~some:Toposense.Controller.suggestions_sent
-        controller;
+      Option.fold ~none:0 ~some:Toposense.Controller.suggestions_sent w.flat;
     skipped_no_snapshot =
       Option.fold ~none:0 ~some:Toposense.Controller.skipped_no_snapshot
-        controller;
+        w.flat;
     events_dispatched = Sim.events_dispatched sim;
     forwarded_packets = forwarded_packets_of network;
     peak_heap = Sim.max_pending sim;

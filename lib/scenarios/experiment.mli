@@ -1,11 +1,12 @@
 (** One simulation run: topology + traffic + control scheme → outcome.
 
-    Wires the full stack (network, multicast, sources, discovery,
-    controller/receivers or a baseline) on a fresh simulator, runs it for
-    the paper's 1200 simulated seconds (configurable) and extracts the
-    quantities the figures need: per-receiver subscription change logs
-    against the oracle optimum, and optional per-second samples of level
-    and loss for the Fig. 9 time-series plot. *)
+    Builds the stack with {!World.build} (network, multicast, sources,
+    discovery, and the controller and receivers or a baseline's
+    receivers), runs it for the paper's 1200 simulated seconds
+    (configurable) and extracts the quantities the figures need:
+    per-receiver subscription change logs against the oracle optimum,
+    and optional per-second samples of level and loss for the Fig. 9
+    time-series plot. *)
 
 type traffic =
   | Cbr

@@ -4,10 +4,13 @@ module Time = Engine.Time
 type shared_bytes = { layered : int; simulcast : int }
 
 let source_link_bytes ~layered =
-  let sim = Sim.create () in
   let spec = Builders.topology_a ~receivers_per_set:1 in
-  let network = Net.Network.create ~sim spec.Builders.topology in
-  let router = Multicast.Router.create ~network () in
+  (* No session in the world: each branch makes its own below. *)
+  let { World.sim; network; router; _ } =
+    World.build
+      ~spec:{ spec with Builders.sessions = [] }
+      ~control:World.No_control ~agents:World.No_agents ()
+  in
   let layering = Traffic.Layering.paper_default in
   (* Subscribe at once; start the sources at 2 s, once the grafts have
      settled, so the count holds only steady-state traffic. *)
@@ -39,8 +42,9 @@ let shared_link_bytes () =
 type tcp_outcome = { alone_bps : float; shared_bps : float; level : int }
 
 (* Multicast source 0 and TCP source 1 behind hub 2; the 1 Mbps
-   bottleneck 2-3; multicast receiver 4 and TCP sink 5 behind hub 3. *)
-let tcp_world sim =
+   bottleneck 2-3; multicast receiver 4 and TCP sink 5 behind hub 3. The
+   controller sits at the multicast source. *)
+let tcp_spec sessions =
   let topo = Net.Topology.create () in
   ignore (Net.Topology.add_nodes topo 6);
   List.iter
@@ -48,40 +52,27 @@ let tcp_world sim =
       Net.Topology.add_duplex topo ~a ~b ~bandwidth_bps:bw
         ~delay:(Time.span_of_ms 10) ~queue_limit:25 ())
     [ (0, 2, 1e7); (1, 2, 1e7); (2, 3, 1e6); (3, 4, 1e7); (3, 5, 1e7) ];
-  Net.Network.create ~sim topo
+  { Builders.topology = topo; controller_node = 0; sessions }
 
-let tcp_goodput sim network =
-  let flow = Traffic.Tcp_flow.start ~network ~src:1 ~dst:5 () in
-  Sim.run_until sim (Time.of_sec 300);
+let tcp_goodput (w : World.t) =
+  let flow = Traffic.Tcp_flow.start ~network:w.network ~src:1 ~dst:5 () in
+  Sim.run_until w.sim (Time.of_sec 300);
   Traffic.Tcp_flow.throughput_bps flow ~over:(Time.span_of_sec 300)
 
 let tcp_vs_toposense () =
   let alone_bps =
-    let sim = Sim.create () in
-    tcp_goodput sim (tcp_world sim)
+    tcp_goodput
+      (World.build ~spec:(tcp_spec []) ~control:World.No_control
+         ~agents:World.No_agents ())
   in
-  let sim = Sim.create () in
-  let network = tcp_world sim in
-  let router = Multicast.Router.create ~network () in
-  let discovery = Discovery.Service.create ~sim ~router () in
-  let session =
-    Traffic.Session.create ~router ~source:0
-      ~layering:Traffic.Layering.paper_default ~id:0
+  let w =
+    World.build
+      ~spec:(tcp_spec [ (0, [ 4 ]) ])
+      ~source_label:(fun _ -> "src")
+      ~control:(World.Flat { probe = false }) ~agents:World.Every_receiver ()
   in
-  Discovery.Service.register_session discovery session;
-  ignore
-    (Traffic.Source.start ~network ~session ~kind:Traffic.Source.Cbr
-       ~rng:(Sim.rng sim ~label:"src") ());
-  let params = Toposense.Params.default in
-  let c = Toposense.Controller.create ~network ~discovery ~params ~node:0 () in
-  Toposense.Controller.add_session c session;
-  Toposense.Controller.start c;
-  let agent =
-    Toposense.Receiver_agent.create ~network ~router ~params ~node:4
-      ~controller:0 ()
+  let shared_bps = tcp_goodput w in
+  let level =
+    Toposense.Receiver_agent.level (List.assoc 4 w.agents) ~session:0
   in
-  Toposense.Receiver_agent.subscribe agent ~session ~initial_level:1;
-  Toposense.Receiver_agent.start agent;
-  let shared_bps = tcp_goodput sim network in
-  let level = Toposense.Receiver_agent.level agent ~session:0 in
   { alone_bps; shared_bps; level }

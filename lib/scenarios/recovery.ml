@@ -12,67 +12,42 @@ let fault_at_s = 60.0
 let heal_at_s = 90.0
 let failover_at_s = 100.0
 
-(* Shared plumbing: a fully wired Topology-A-style run (session, source,
-   controller, one receiver agent per receiver node) that the fault
-   experiments specialise.  Unlike [Experiment.run] the pieces stay
+(* Shared plumbing: a fully wired Topology-A-style world (session,
+   source, controller, one receiver agent per receiver node) that the
+   fault experiments specialise.  Unlike [Experiment.run] the pieces stay
    accessible so faults can be injected into them mid-run. *)
 type rig = {
-  sim : Sim.t;
-  network : Net.Network.t;
-  router : Multicast.Router.t;
+  world : World.t;
   session : Session.t;
-  source : Net.Addr.node_id;
   controller : Toposense.Controller.t;
-  agents : (Net.Addr.node_id * Toposense.Receiver_agent.t) list;
   spec : Builders.spec;
 }
 
+(* The recovery outcomes report damage metrics (routing recomputes,
+   affected destinations) defined over the full table set; these rigs are
+   paper-sized, so every column is materialized up front to keep the
+   numbers comparable across versions. Generated large worlds stay
+   lazy. *)
 let make_rig ~spec ~params ~seed =
-  let sim = Sim.create ~seed () in
-  let network = Net.Network.create ~sim spec.Builders.topology in
-  (* The recovery outcomes report damage metrics (routing recomputes,
-     affected destinations) defined over the full table set; these rigs
-     are paper-sized, so materialize every column up front to keep the
-     numbers comparable across PRs. Generated large worlds stay lazy. *)
-  Net.Routing.prefetch_all (Net.Network.routing network);
-  let router = Multicast.Router.create ~network () in
-  let discovery = Discovery.Service.create ~sim ~router () in
-  let source, receivers =
-    match spec.Builders.sessions with [ s ] -> s | _ -> assert false
+  let world =
+    World.build ~spec ~seed ~params ~eager_routing:true
+      ~source_label:(fun _ -> "source")
+      ~control:(World.Flat { probe = false }) ~agents:World.Every_receiver ()
   in
-  let session =
-    Session.create ~router ~source ~layering:Layering.paper_default ~id:0
-  in
-  Discovery.Service.register_session discovery session;
-  ignore
-    (Traffic.Source.start ~network ~session ~kind:Traffic.Source.Cbr
-       ~rng:(Sim.rng sim ~label:"source") ());
-  let controller =
-    Toposense.Controller.create ~network ~discovery ~params
-      ~node:spec.Builders.controller_node ()
-  in
-  Toposense.Controller.add_session controller session;
-  Toposense.Controller.start controller;
-  let agents =
-    List.map
-      (fun node ->
-        let a =
-          Toposense.Receiver_agent.create ~network ~router ~params ~node
-            ~controller:spec.Builders.controller_node ()
-        in
-        Toposense.Receiver_agent.subscribe a ~session ~initial_level:1;
-        Toposense.Receiver_agent.start a;
-        (node, a))
-      receivers
-  in
-  { sim; network; router; session; source; controller; agents; spec }
+  {
+    world;
+    session = List.hd world.sessions;
+    controller = Option.get world.flat;
+    spec;
+  }
 
 (* The oracle's optimum for [node] over the rig's final routes. *)
 let optimal rig node =
   Baseline.Static_oracle.optimal_level ~topology:rig.spec.Builders.topology
-    ~routing:(Net.Network.routing rig.network)
+    ~routing:(Net.Network.routing rig.world.network)
     ~layering:(Session.layering rig.session)
-    ~sessions:rig.spec.Builders.sessions ~source:rig.source ~receiver:node
+    ~sessions:rig.spec.Builders.sessions
+    ~source:(Session.source rig.session) ~receiver:node
 
 let min_level_in ~changes ~window:(lo, hi) =
   List.fold_left
@@ -125,17 +100,18 @@ let run_window rig ~fast_set ~fast_during ~duration =
   in
   List.iter
     (fun (node, _) ->
-      Net.Network.add_local_handler rig.network node (fun pkt ->
-          if Net.Packet.is_data (Net.Network.arena rig.network) pkt then begin
-            let size = Net.Packet.size (Net.Network.arena rig.network) pkt in
-            let now = Sim.now rig.sim in
+      let arena = Net.Network.arena rig.world.network in
+      Net.Network.add_local_handler rig.world.network node (fun pkt ->
+          if Net.Packet.is_data arena pkt then begin
+            let size = Net.Packet.size arena pkt in
+            let now = Sim.now rig.world.sim in
             if Time.(now >= before_start) && Time.(now < down_at) then
               bump bytes_before node size
             else if Time.(now >= down_at) && Time.(now < up_at) then
               bump bytes_during node size
           end))
-    rig.agents;
-  Sim.run_until rig.sim duration;
+    rig.world.agents;
+  Sim.run_until rig.world.sim duration;
   List.map
     (fun (node, agent) ->
       let fast_branch = List.mem node fast_set in
@@ -159,20 +135,21 @@ let run_window rig ~fast_set ~fast_during ~duration =
         goodput_during_bps = bps bytes_during;
         final_level = Toposense.Receiver_agent.level agent ~session:0;
       })
-    rig.agents
+    rig.world.agents
 
 (* The final overlay is a tree and every edge agrees with the unicast
    reverse path to the source. *)
 let tree_follows_rpf rig =
-  let routing = Net.Network.routing rig.network in
+  let routing = Net.Network.routing rig.world.network in
   let snap =
-    Discovery.Snapshot.capture ~router:rig.router ~session:rig.session
-      ~at:(Sim.now rig.sim) ()
+    Discovery.Snapshot.capture ~router:rig.world.router ~session:rig.session
+      ~at:(Sim.now rig.world.sim) ()
   in
   Discovery.Snapshot.is_tree snap
   && List.for_all
        (fun (e : Discovery.Snapshot.edge) ->
-         Net.Routing.next_hop_opt routing ~from:e.child ~dst:rig.source
+         Net.Routing.next_hop_opt routing ~from:e.child
+           ~dst:(Session.source rig.session)
          = Some e.parent)
        snap.edges
 
@@ -239,7 +216,7 @@ let link_flap ?(duration = Time.of_sec 180) ?(seed = 42L) () =
     invalid_arg "link_flap: duration must extend past up_at_s";
   let spec, core, branch_fast, fast_set = flap_spec () in
   let rig = make_rig ~spec ~params:Toposense.Params.default ~seed in
-  let faults = Net.Faults.create ~network:rig.network () in
+  let faults = Net.Faults.create ~network:rig.world.network () in
   Net.Faults.schedule_flap faults ~a:core ~b:branch_fast
     ~down_at:(Time.of_sec_f fault_at_s) ~up_at:(Time.of_sec_f heal_at_s);
   let receivers =
@@ -254,18 +231,18 @@ let link_flap ?(duration = Time.of_sec 180) ?(seed = 42L) () =
     down_at_s = fault_at_s;
     up_at_s = heal_at_s;
     routing_recomputes =
-      Net.Routing.recomputes (Net.Network.routing rig.network);
-    link_fault_drops = Net.Network.fault_drops rig.network;
-    unroutable_drops = Net.Network.unroutable_drops rig.network;
-    repair_passes = Multicast.Router.repair_passes rig.router;
-    edges_repaired = Multicast.Router.edges_repaired rig.router;
+      Net.Routing.recomputes (Net.Network.routing rig.world.network);
+    link_fault_drops = Net.Network.fault_drops rig.world.network;
+    unroutable_drops = Net.Network.unroutable_drops rig.world.network;
+    repair_passes = Multicast.Router.repair_passes rig.world.router;
+    edges_repaired = Multicast.Router.edges_repaired rig.world.router;
     tree_consistent;
     invalid_snapshots = Toposense.Controller.invalid_snapshots rig.controller;
     suggestions_sent = Toposense.Controller.suggestions_sent rig.controller;
-    events_dispatched = Sim.events_dispatched rig.sim;
-    forwarded_packets = Experiment.forwarded_packets_of rig.network;
-    peak_heap = Sim.max_pending rig.sim;
-    peak_live = Sim.max_live_pending rig.sim;
+    events_dispatched = Sim.events_dispatched rig.world.sim;
+    forwarded_packets = Experiment.forwarded_packets_of rig.world.network;
+    peak_heap = Sim.max_pending rig.world.sim;
+    peak_live = Sim.max_live_pending rig.world.sim;
   }
 
 type crash_outcome = {
@@ -302,12 +279,12 @@ let router_crash ?(duration = Time.of_sec 200) ?(seed = 42L) () =
     invalid_arg "router_crash: duration must extend past recover_at_s";
   let spec, _core, branch_fast, fast_set = flap_spec () in
   let rig = make_rig ~spec ~params:Toposense.Params.default ~seed in
-  let faults = Net.Faults.create ~network:rig.network () in
+  let faults = Net.Faults.create ~network:rig.world.network () in
   (* the net layer cannot name the multicast layer; the observer wires
      crash/recover through to the router's state wipe and rebuild *)
   Net.Faults.add_crash_observer faults (fun node ~up ->
-      if up then Multicast.Router.recover_node rig.router ~node
-      else Multicast.Router.crash_node rig.router ~node);
+      if up then Multicast.Router.recover_node rig.world.router ~node
+      else Multicast.Router.crash_node rig.world.router ~node);
   Net.Faults.schedule_crash faults ~at:(Time.of_sec_f fault_at_s)
     ~node:branch_fast;
   Net.Faults.schedule_recover faults ~at:(Time.of_sec_f heal_at_s)
@@ -327,9 +304,11 @@ let router_crash ?(duration = Time.of_sec 200) ?(seed = 42L) () =
     crash_link_ups = Net.Faults.crash_link_ups faults;
     per_link_fault_drops =
       (let acc = ref [] in
-       for n = Net.Network.node_count rig.network - 1 downto 0 do
-         for i = Net.Network.iface_count rig.network n - 1 downto 0 do
-           let link = Net.Network.link_on_iface rig.network ~node:n ~iface:i in
+       for n = Net.Network.node_count rig.world.network - 1 downto 0 do
+         for i = Net.Network.iface_count rig.world.network n - 1 downto 0 do
+           let link =
+             Net.Network.link_on_iface rig.world.network ~node:n ~iface:i
+           in
            let d = Net.Link.fault_drops link in
            if d > 0 then
              acc := ((Net.Link.src link, Net.Link.dst link), d) :: !acc
@@ -339,15 +318,15 @@ let router_crash ?(duration = Time.of_sec 200) ?(seed = 42L) () =
     evictions = Toposense.Controller.evictions rig.controller;
     readmissions = Toposense.Controller.readmissions rig.controller;
     routing_recomputes =
-      Net.Routing.recomputes (Net.Network.routing rig.network);
-    unroutable_drops = Net.Network.unroutable_drops rig.network;
-    repair_passes = Multicast.Router.repair_passes rig.router;
-    edges_repaired = Multicast.Router.edges_repaired rig.router;
+      Net.Routing.recomputes (Net.Network.routing rig.world.network);
+    unroutable_drops = Net.Network.unroutable_drops rig.world.network;
+    repair_passes = Multicast.Router.repair_passes rig.world.router;
+    edges_repaired = Multicast.Router.edges_repaired rig.world.router;
     tree_consistent;
     suggestions_sent = Toposense.Controller.suggestions_sent rig.controller;
-    events_dispatched = Sim.events_dispatched rig.sim;
-    peak_heap = Sim.max_pending rig.sim;
-    peak_live = Sim.max_live_pending rig.sim;
+    events_dispatched = Sim.events_dispatched rig.world.sim;
+    peak_heap = Sim.max_pending rig.world.sim;
+    peak_live = Sim.max_live_pending rig.world.sim;
   }
 
 (* ---------- controller outage + failover ---------- *)
@@ -381,37 +360,29 @@ let controller_outage ?(duration = Time.of_sec 200) ?(seed = 42L) () =
   (* Standby at the core node (node 1 in Topology A): created cold, its
      interval task only starts at failover. *)
   let standby_node = 1 in
-  let discovery =
-    Discovery.Service.create ~sim:rig.sim ~router:rig.router ()
-  in
-  Discovery.Service.register_session discovery rig.session;
-  let standby =
-    Toposense.Controller.create ~network:rig.network ~discovery ~params
-      ~node:standby_node ()
-  in
-  Toposense.Controller.add_session standby rig.session;
+  let standby = World.add_controller rig.world ~node:standby_node in
   Toposense.Controller.stop standby;
   let fail_at = Time.of_sec_f fault_at_s in
   let failover_at = Time.of_sec_f failover_at_s in
   ignore
-    (Sim.schedule_at rig.sim fail_at (fun () ->
+    (Sim.schedule_at rig.world.sim fail_at (fun () ->
          Toposense.Controller.stop rig.controller));
   let counts_at_failover = Hashtbl.create 8 in
   ignore
-    (Sim.schedule_at rig.sim failover_at (fun () ->
+    (Sim.schedule_at rig.world.sim failover_at (fun () ->
          Toposense.Controller.start standby;
          List.iter
            (fun (node, a) ->
              Hashtbl.replace counts_at_failover node
                (Toposense.Receiver_agent.suggestions_received a);
              Toposense.Receiver_agent.set_controller a ~controller:standby_node)
-           rig.agents));
+           rig.world.agents));
   (* Resync probe: the first time each receiver hears a suggestion again
      after failover, at 500 ms resolution. *)
   let resynced_at = Hashtbl.create 8 in
   ignore
-    (Sim.every rig.sim ~period:(Time.span_of_ms 500) (fun () ->
-         let now = Sim.now rig.sim in
+    (Sim.every rig.world.sim ~period:(Time.span_of_ms 500) (fun () ->
+         let now = Sim.now rig.world.sim in
          if Time.(now >= failover_at) then
            List.iter
              (fun (node, a) ->
@@ -421,9 +392,9 @@ let controller_outage ?(duration = Time.of_sec 200) ?(seed = 42L) () =
                    when Toposense.Receiver_agent.suggestions_received a > c0 ->
                      Hashtbl.replace resynced_at node now
                  | _ -> ())
-             rig.agents));
-  Sim.run_until rig.sim duration;
-  let end_t = Sim.now rig.sim in
+             rig.world.agents));
+  Sim.run_until rig.world.sim duration;
+  let end_t = Sim.now rig.world.sim in
   let receivers =
     List.map
       (fun (node, agent) ->
@@ -440,7 +411,7 @@ let controller_outage ?(duration = Time.of_sec 200) ?(seed = 42L) () =
               (Hashtbl.find_opt resynced_at node);
           final_level = Toposense.Receiver_agent.level agent ~session:0;
         })
-      rig.agents
+      rig.world.agents
   in
   {
     receivers;
@@ -449,7 +420,7 @@ let controller_outage ?(duration = Time.of_sec 200) ?(seed = 42L) () =
     primary_suggestions = Toposense.Controller.suggestions_sent rig.controller;
     standby_suggestions = Toposense.Controller.suggestions_sent standby;
     none_starved = List.for_all (fun r -> r.floor_level >= 1) receivers;
-    events_dispatched = Sim.events_dispatched rig.sim;
+    events_dispatched = Sim.events_dispatched rig.world.sim;
   }
 
 (* ---------- lossy control plane ---------- *)
@@ -506,11 +477,11 @@ let lossy_control ?(drop_fraction = 0.3) ?(delay_fraction = 0.0)
     { Toposense.Params.default with reliable_prescriptions = reliable }
   in
   let rig = make_rig ~spec ~params ~seed in
-  let faults = Net.Faults.create ~network:rig.network () in
+  let faults = Net.Faults.create ~network:rig.world.network () in
   Net.Faults.set_control_plane faults
-    ~classify:(is_control (Net.Network.arena rig.network)) ~drop_fraction
+    ~classify:(is_control (Net.Network.arena rig.world.network)) ~drop_fraction
     ~delay_fraction ~delay ();
-  Sim.run_until rig.sim duration;
+  Sim.run_until rig.world.sim duration;
   let receivers =
     List.map
       (fun (node, agent) ->
@@ -527,7 +498,7 @@ let lossy_control ?(drop_fraction = 0.3) ?(delay_fraction = 0.0)
             Toposense.Receiver_agent.suggestions_received agent;
           unilateral_actions = Toposense.Receiver_agent.unilateral_actions agent;
         })
-      rig.agents
+      rig.world.agents
   in
   let mean_deviation =
     match receivers with
@@ -545,7 +516,7 @@ let lossy_control ?(drop_fraction = 0.3) ?(delay_fraction = 0.0)
         ( h + Toposense.Receiver_agent.suggestions_received agent,
           d + Toposense.Receiver_agent.dup_suggestions agent,
           s + Toposense.Receiver_agent.stale_suggestions agent ))
-      (0, 0, 0) rig.agents
+      (0, 0, 0) rig.world.agents
   in
   {
     receivers;
@@ -556,7 +527,7 @@ let lossy_control ?(drop_fraction = 0.3) ?(delay_fraction = 0.0)
     reports_received = Toposense.Controller.reports_received rig.controller;
     suggestions_sent = Toposense.Controller.suggestions_sent rig.controller;
     mean_deviation;
-    events_dispatched = Sim.events_dispatched rig.sim;
+    events_dispatched = Sim.events_dispatched rig.world.sim;
     reliable;
     prescriptions_delivered = heard - dups - stales;
     retransmits = Toposense.Controller.retransmits rig.controller;
@@ -632,12 +603,12 @@ let partition ?(duration = Time.of_sec 180) ?(seed = 42L) () =
     }
   in
   let rig = make_rig ~spec ~params ~seed in
-  let faults = Net.Faults.create ~network:rig.network () in
+  let faults = Net.Faults.create ~network:rig.world.network () in
   let down_at = Time.of_sec_f fault_at_s in
   let up_at = Time.of_sec_f heal_at_s in
   Net.Faults.schedule_flap faults ~a:source ~b:ctrl ~down_at ~up_at;
-  Sim.run_until rig.sim duration;
-  let end_t = Sim.now rig.sim in
+  Sim.run_until rig.world.sim duration;
+  let end_t = Sim.now rig.world.sim in
   let three_intervals =
     Time.span_to_sec_f (Time.mul_span params.Toposense.Params.interval 3)
   in
@@ -656,7 +627,7 @@ let partition ?(duration = Time.of_sec 180) ?(seed = 42L) () =
           unilateral_actions = Toposense.Receiver_agent.unilateral_actions agent;
           final_level = Toposense.Receiver_agent.level agent ~session:0;
         })
-      rig.agents
+      rig.world.agents
   in
   {
     receivers;
@@ -670,7 +641,7 @@ let partition ?(duration = Time.of_sec 180) ?(seed = 42L) () =
     stale_rejected = Toposense.Controller.stale_rejected rig.controller;
     lease_suppressed = Toposense.Controller.lease_suppressed rig.controller;
     suggestions_sent = Toposense.Controller.suggestions_sent rig.controller;
-    unroutable_drops = Net.Network.unroutable_drops rig.network;
+    unroutable_drops = Net.Network.unroutable_drops rig.world.network;
     none_starved = List.for_all (fun r -> r.floor_level >= 1) receivers;
     all_reconverged =
       List.for_all
@@ -679,10 +650,10 @@ let partition ?(duration = Time.of_sec 180) ?(seed = 42L) () =
           | Some s -> s <= three_intervals
           | None -> false)
         receivers;
-    events_dispatched = Sim.events_dispatched rig.sim;
-    forwarded_packets = Experiment.forwarded_packets_of rig.network;
-    peak_heap = Sim.max_pending rig.sim;
-    peak_live = Sim.max_live_pending rig.sim;
+    events_dispatched = Sim.events_dispatched rig.world.sim;
+    forwarded_packets = Experiment.forwarded_packets_of rig.world.network;
+    peak_heap = Sim.max_pending rig.world.sim;
+    peak_live = Sim.max_live_pending rig.world.sim;
   }
 
 (* ---------- global invariants ---------- *)
@@ -761,14 +732,17 @@ let churn_storm ?(fanout = 4) ?(depth = 3) ?(flaps = 60) ?(churners = 24)
   let horizon_s = Time.to_sec_f duration in
   if horizon_s < 60.0 then invalid_arg "churn_storm: duration < 60 s";
   let spec = Builders.kary ~fanout ~depth () in
-  let sim = Sim.create ~seed () in
-  let network = Net.Network.create ~sim spec.Builders.topology in
   (* The storm measures incremental table maintenance, which needs the
      tables to exist: with lazy columns, almost nothing would be
      materialized (no unicast traffic runs here) and the recompute
-     counters would measure an empty table set. *)
-  Net.Routing.prefetch_all (Net.Network.routing network);
-  let router = Multicast.Router.create ~network () in
+     counters would measure an empty table set. The world carries no
+     session: the storm joins one bare group itself. *)
+  let { World.sim; network; router; _ } =
+    World.build
+      ~spec:{ spec with Builders.sessions = [] }
+      ~seed ~eager_routing:true ~control:World.No_control
+      ~agents:World.No_agents ()
+  in
   let faults = Net.Faults.create ~network () in
   let root, leaf_nodes =
     match spec.Builders.sessions with [ s ] -> s | _ -> assert false

@@ -90,33 +90,17 @@ let peak_rss_kb () =
 type prepared = {
   config : config;
   world : Builders.world;
-  receivers : Net.Addr.node_id list;
-  sim : Sim.t;
-  network : Net.Network.t;
-  parent : Toposense.Federation.parent;
-  controllers : Toposense.Controller.t list;
-  agents : Toposense.Receiver_agent.t list;
+  built : World.t;
   build_cpu_s : float;
 }
 
-let validate config =
-  if config.active_domains < 1 || config.active_per_domain < 1 then
-    invalid_arg "Scale.run: active knobs must be positive";
-  if config.active_domains > domains_of config then
-    invalid_arg "Scale.run: active_domains exceeds domain count"
-
 let prepare ?(config = config_10k) () =
-  validate config;
   let build_t0 = Sys.time () in
   let world =
     Builders.transit_stub ~transits:config.transits
       ~stubs_per_transit:config.stubs_per_transit
       ~receivers_per_stub:config.receivers_per_stub ()
   in
-  let spec = world.Builders.spec in
-  let sim = Sim.create ~seed:config.seed () in
-  let network = Net.Network.create ~sim spec.Builders.topology in
-  let router = Multicast.Router.create ~network () in
   let params =
     {
       Toposense.Params.default with
@@ -129,95 +113,30 @@ let prepare ?(config = config_10k) () =
       prescribe_known_only = true;
     }
   in
-  let discovery =
-    Discovery.Service.create ~sim ~router ~period:params.interval ~history:4 ()
-  in
-  let source, receivers =
-    match spec.Builders.sessions with
-    | [ (source, receivers) ] -> (source, receivers)
-    | _ -> invalid_arg "Scale.run: expected exactly one session"
-  in
-  let session =
-    Traffic.Session.create ~router ~source
-      ~layering:Traffic.Layering.paper_default ~id:0
-  in
-  Discovery.Service.register_session discovery session;
-  ignore
-    (Traffic.Source.start ~network ~session ~kind:Traffic.Source.Cbr
-       ~rng:(Sim.rng sim ~label:"source-0") ());
   (* Federation parent at the source; one leaf controller per stub
      domain, stationed at the stub router. Every leaf summarizes every
      interval, so the parent's slot table fills to sessions x domains
-     regardless of how many receivers (or reporters) sit below. *)
-  let parent = Toposense.Federation.create_parent ~network ~node:source in
-  let controllers =
-    List.map
-      (fun (domain_id, members) ->
-        let ctrl_node = List.hd members in
-        let c =
-          Toposense.Controller.create ~network ~discovery ~params
-            ~node:ctrl_node ~domain:members
-            ~federation:(Toposense.Federation.leaf ~parent:source ~domain_id)
-            ()
-        in
-        Toposense.Controller.add_session c session;
-        Toposense.Controller.start c;
-        c)
-      world.Builders.domains
+     regardless of how many receivers (or reporters) sit below. The full
+     population joins the base layer (bitset membership at scale); only
+     a sampled handful per domain — the first [active_per_domain]
+     receivers of the first [active_domains] domains — runs a real
+     reporting/prescription agent. The rest are passive listeners,
+     exactly the receivers [prescribe_known_only] exists for. *)
+  let { active_domains; active_per_domain; _ } = config in
+  let built =
+    World.build ~spec:world.Builders.spec ~domains:world.Builders.domains
+      ~seed:config.seed ~params ~discovery_period:params.interval
+      ~discovery_history:4 ~control:(World.Federated { rehome = false })
+      ~agents:(World.Sampled { active_domains; active_per_domain })
+      ()
   in
-  (* The full population joins the base layer (bitset membership at
-     scale); only a sampled handful per domain — the first
-     [active_per_domain] receivers of the first [active_domains] domains
-     — runs a real reporting/prescription agent. The rest are passive
-     listeners, exactly the receivers [prescribe_known_only] exists
-     for. *)
-  let base_group = Traffic.Session.group_for_layer session ~layer:0 in
-  let agents =
-    List.concat_map
-      (fun (domain_id, members) ->
-        match members with
-        | [] -> []
-        | ctrl_node :: rs ->
-            if domain_id >= config.active_domains then []
-            else
-              List.filteri (fun i _ -> i < config.active_per_domain) rs
-              |> List.map (fun node ->
-                     let a =
-                       Toposense.Receiver_agent.create ~network ~router
-                         ~params ~node ~controller:ctrl_node ()
-                     in
-                     Toposense.Receiver_agent.subscribe a ~session
-                       ~initial_level:1;
-                     Toposense.Receiver_agent.start a;
-                     a))
-      world.Builders.domains
-  in
-  let agent_nodes =
-    Util.Bitset.of_list (List.map Toposense.Receiver_agent.node agents)
-  in
-  List.iter
-    (fun node ->
-      if not (Util.Bitset.mem agent_nodes node) then
-        Multicast.Router.join router ~node ~group:base_group)
-    receivers;
-  let build_cpu_s = Sys.time () -. build_t0 in
-  {
-    config;
-    world;
-    receivers;
-    sim;
-    network;
-    parent;
-    controllers;
-    agents;
-    build_cpu_s;
-  }
+  { config; world; built; build_cpu_s = Sys.time () -. build_t0 }
 
 let execute (p : prepared) =
   let run_t0 = Sys.time () in
-  Sim.run_until p.sim p.config.duration;
+  Sim.run_until p.built.sim p.config.duration;
   let run_cpu_s = Sys.time () -. run_t0 in
-  let routing = Net.Network.routing p.network in
+  let routing = Net.Network.routing p.built.network in
   let materialized_columns = Net.Routing.materialized_columns routing in
   (* Routing memory is materialized columns × core nodes. A column holds
      entries for the transit and stub routers only: every receiver, and
@@ -236,14 +155,17 @@ let execute (p : prepared) =
        is leaking table state"
       materialized_columns column_bound;
   let topology = p.world.Builders.spec.Builders.topology in
-  let sum_ctrl f = List.fold_left (fun acc c -> acc + f c) 0 p.controllers in
-  let events = Sim.events_dispatched p.sim in
+  let sum_ctrl f =
+    List.fold_left (fun acc (_, c) -> acc + f c) 0 p.built.controllers
+  in
+  let parent = Option.get p.built.parent in
+  let events = Sim.events_dispatched p.built.sim in
   {
     nodes = Net.Topology.node_count topology;
     links = List.length (Net.Topology.links topology);
-    receivers = List.length p.receivers;
+    receivers = receivers_of p.config;
     domains = List.length p.world.Builders.domains;
-    active_agents = List.length p.agents;
+    active_agents = List.length p.built.agents;
     events_dispatched = events;
     events_per_sec =
       (if run_cpu_s > 0.0 then float_of_int events /. run_cpu_s else 0.0);
@@ -252,8 +174,8 @@ let execute (p : prepared) =
     peak_rss_kb = peak_rss_kb ();
     materialized_columns;
     column_bound;
-    parent_state_entries = Toposense.Federation.state_entries p.parent;
-    summaries_received = Toposense.Federation.summaries_received p.parent;
+    parent_state_entries = Toposense.Federation.state_entries parent;
+    summaries_received = Toposense.Federation.summaries_received parent;
     suggestions_sent = sum_ctrl Toposense.Controller.suggestions_sent;
     reports_received = sum_ctrl Toposense.Controller.reports_received;
     controller_state_entries =

@@ -31,11 +31,6 @@ let default_config =
       ];
   }
 
-type world = {
-  spec : Builders.spec;
-  domains : (Net.Addr.node_id * Net.Addr.node_id list) list;
-}
-
 let generate ?(config = default_config) ~seed () =
   if config.regions < 1 then invalid_arg "Tiered.generate: regions < 1";
   if config.locals_per_region < 1 || config.institutions_per_local < 1 then
@@ -82,17 +77,17 @@ let generate ?(config = default_config) ~seed () =
                receivers := inst :: !receivers
              done
            done;
-           ((region, List.rev !members), List.rev !receivers)))
+           (List.rev !members, List.rev !receivers)))
   in
   let receivers = List.concat receivers in
   {
-    spec =
+    Builders.spec =
       {
-        Builders.topology = topo;
+        topology = topo;
         controller_node = List.hd sources;
         sessions = List.map (fun source -> (source, receivers)) sources;
       };
-    domains;
+    domains = List.mapi (fun id members -> (id, members)) domains;
   }
 
 type control =
@@ -125,125 +120,43 @@ type outcome = {
   parent_state_entries : int;
 }
 
-let run ~world ~control ?(traffic = Experiment.Vbr 3.0)
+let run ~(world : Builders.world) ~control ?(traffic = Experiment.Vbr 3.0)
     ?(duration = Time.of_sec 600) ?(seed = 42L) () =
-  let params = Toposense.Params.default in
-  let sim = Engine.Sim.create ~seed () in
   let spec = world.spec in
-  let network = Net.Network.create ~sim spec.Builders.topology in
-  let router = Multicast.Router.create ~network () in
-  let discovery = Discovery.Service.create ~sim ~router () in
-  let layering = Traffic.Layering.paper_default in
-  let sessions =
-    List.mapi
-      (fun id (source, _) ->
-        Traffic.Session.create ~router ~source ~layering ~id)
-      spec.Builders.sessions
-  in
-  List.iter (Discovery.Service.register_session discovery) sessions;
-  let kind = Experiment.source_kind traffic in
-  List.iter
-    (fun session ->
-      ignore
-        (Traffic.Source.start ~network ~session ~kind
-           ~rng:
-             (Engine.Sim.rng sim
-                ~label:
-                  (Printf.sprintf "source-%d" (Traffic.Session.id session)))
-           ()))
-    sessions;
   (* Controllers: either one global agent at the first source, or one per
-     regional domain, stationed at the regional node. Every controller
-     manages every session (the paper: "the topology of different
-     multicast sessions in that domain"). *)
-  let parent =
-    match control with
-    | Global | Per_domain -> None
-    | Federated ->
-        (* Two-level hierarchy: the per-domain controllers additionally
-           summarize up to a parent stationed at the first source. The
-           parent holds one slot per (session, domain) — its state never
-           grows with the receiver population. *)
-        Some
-          (Toposense.Federation.create_parent ~network
-             ~node:spec.Builders.controller_node)
+     regional domain, stationed at the regional node. Federated, the
+     per-domain controllers also summarize up to a parent at the first
+     source, which holds one slot per (session, domain), so its state
+     never grows with the receiver population. Every controller manages
+     every session (the paper: "the topology of different multicast
+     sessions in that domain"), and every receiver runs one agent
+     subscribed to every session, reporting to its domain's controller
+     (or the global one). *)
+  let w =
+    World.build ~spec ~domains:world.domains ~seed
+      ~traffic:(Experiment.source_kind traffic)
+      ~control:
+        (match control with
+        | Global -> World.Flat { probe = false }
+        | Per_domain -> World.Per_domain
+        | Federated -> World.Federated { rehome = false })
+      ~agents:World.Every_receiver ()
   in
-  let controllers =
-    match control with
-    | Global ->
-        [
-          Toposense.Controller.create ~network ~discovery ~params
-            ~node:spec.Builders.controller_node ();
-        ]
-    | Per_domain ->
-        List.map
-          (fun (ctrl_node, members) ->
-            Toposense.Controller.create ~network ~discovery ~params
-              ~node:ctrl_node ~domain:members ())
-          world.domains
-    | Federated ->
-        List.mapi
-          (fun domain_id (ctrl_node, members) ->
-            Toposense.Controller.create ~network ~discovery ~params
-              ~node:ctrl_node ~domain:members
-              ~federation:
-                (Toposense.Federation.leaf
-                   ~parent:spec.Builders.controller_node ~domain_id)
-              ())
-          world.domains
-  in
-  List.iter
-    (fun c ->
-      List.iter (Toposense.Controller.add_session c) sessions;
-      Toposense.Controller.start c)
-    controllers;
-  (* One agent per receiver node, subscribed to every session and
-     reporting to its domain controller (or the global one). *)
-  let controller_for node =
-    match control with
-    | Global -> spec.Builders.controller_node
-    | Per_domain | Federated -> (
-        match
-          List.find_opt (fun (_, members) -> List.mem node members)
-            world.domains
-        with
-        | Some (ctrl, _) -> ctrl
-        | None -> spec.Builders.controller_node)
-  in
-  let receivers =
-    match spec.Builders.sessions with
-    | (_, rs) :: _ -> rs
-    | [] -> invalid_arg "Tiered.run: no sessions"
-  in
-  let agents =
-    List.map
-      (fun node ->
-        let a =
-          Toposense.Receiver_agent.create ~network ~router ~params ~node
-            ~controller:(controller_for node) ()
-        in
-        List.iter
-          (fun session ->
-            Toposense.Receiver_agent.subscribe a ~session ~initial_level:1)
-          sessions;
-        Toposense.Receiver_agent.start a;
-        a)
-      receivers
-  in
+  let sim = w.sim and sessions = w.sessions in
+  let controllers = Option.to_list w.flat @ List.map snd w.controllers in
+  let layering = Traffic.Layering.paper_default in
   Engine.Sim.run_until sim duration;
-  let routing = Net.Network.routing network in
+  let routing = Net.Network.routing w.network in
   let domain_of node =
-    let rec find i = function
-      | [] -> -1
-      | (_, members) :: rest ->
-          if List.mem node members then i else find (i + 1) rest
-    in
-    find 0 world.domains
+    match
+      List.find_opt (fun (_, members) -> List.mem node members) world.domains
+    with
+    | Some (id, _) -> id
+    | None -> -1
   in
   let outcomes =
     List.concat_map
-      (fun a ->
-        let node = Toposense.Receiver_agent.node a in
+      (fun (node, a) ->
         List.map
           (fun session ->
             let id = Traffic.Session.id session in
@@ -267,7 +180,7 @@ let run ~world ~control ?(traffic = Experiment.Vbr 3.0)
               changes = List.length changes;
             })
           sessions)
-      agents
+      w.agents
   in
   let mean_deviation =
     List.fold_left (fun acc r -> acc +. r.deviation) 0.0 outcomes
@@ -283,11 +196,8 @@ let run ~world ~control ?(traffic = Experiment.Vbr 3.0)
         0 controllers;
     events_dispatched = Engine.Sim.events_dispatched sim;
     summaries_received =
-      (match parent with
-      | None -> 0
-      | Some p -> Toposense.Federation.summaries_received p);
+      Option.fold ~none:0 ~some:Toposense.Federation.summaries_received
+        w.parent;
     parent_state_entries =
-      (match parent with
-      | None -> 0
-      | Some p -> Toposense.Federation.state_entries p);
+      Option.fold ~none:0 ~some:Toposense.Federation.state_entries w.parent;
   }

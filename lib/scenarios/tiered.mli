@@ -32,17 +32,11 @@ val default_config : config
     100 Mbps core, 20 Mbps regional, 3 Mbps local; last hops drawn from
     {64, 150, 300, 600, 1200} Kbps. *)
 
-type world = {
-  spec : Builders.spec;
-      (** one session per configured source, all rooted at core stubs,
-          every institution a receiver of every session *)
-  domains : (Net.Addr.node_id * Net.Addr.node_id list) list;
-      (** (controller node, domain members) — one per region; the
-          controller node is the regional ISP node itself *)
-}
-
-val generate : ?config:config -> seed:int64 -> unit -> world
-(** Deterministic for a given seed. *)
+val generate : ?config:config -> seed:int64 -> unit -> Builders.world
+(** Deterministic for a given seed. One session per configured source,
+    all rooted at core stubs, every institution a receiver of every
+    session; one domain per region, whose first member is the regional
+    ISP node, where its controller sits. *)
 
 type control =
   | Global  (** one controller for the whole tree, at the source *)
@@ -59,7 +53,7 @@ val control_name : control -> string
 type receiver_outcome = {
   session : int;
   node : Net.Addr.node_id;
-  domain : int;  (** index into [world.domains]; -1 when outside any *)
+  domain : int;  (** the receiver's domain id; -1 when outside any *)
   optimal : int;
   final_level : int;
   deviation : float;  (** relative deviation over the whole run *)
@@ -78,7 +72,7 @@ type outcome = {
 }
 
 val run :
-  world:world ->
+  world:Builders.world ->
   control:control ->
   ?traffic:Experiment.traffic ->
   ?duration:Engine.Time.t ->

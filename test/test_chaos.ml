@@ -500,6 +500,31 @@ let test_nan_rejected () =
         (Chaos.run ~world:(Chaos.Kary { fanout = 2; depth = 1 }) ~schedule:[]
            ~storm_s:4611686000.0 ()))
 
+(* A transit world with no agent, or with more active domains than it
+   has, would pass every invariant without checking a receiver; the
+   world refuses such knobs before it runs, naming each. *)
+let test_sampled_knobs_rejected () =
+  List.iter
+    (fun (active_domains, active_per_domain, msg) ->
+      let world =
+        Chaos.Transit_stub
+          {
+            transits = 2;
+            stubs_per_transit = 2;
+            receivers_per_stub = 3;
+            active_domains;
+            active_per_domain;
+          }
+      in
+      Alcotest.check_raises msg (Invalid_argument ("World.build: " ^ msg))
+        (fun () -> ignore (Chaos.run ~world ~schedule:[] ~storm_s:20.0 ())))
+    [
+      (0, 3, "active_domains 0 must be positive");
+      (-1, 3, "active_domains -1 must be positive");
+      (2, 0, "active_per_domain 0 must be positive");
+      (99, 3, "active_domains 99 exceeds the 4 domains");
+    ]
+
 let () =
   Alcotest.run "chaos"
     [
@@ -536,7 +561,11 @@ let () =
         ] );
       ("chaos-property", [ QCheck_alcotest.to_alcotest prop_chaos_kary ]);
       ( "input-gate",
-        [ Alcotest.test_case "NaN rejected" `Quick test_nan_rejected ] );
+        [
+          Alcotest.test_case "NaN rejected" `Quick test_nan_rejected;
+          Alcotest.test_case "sampled knobs rejected" `Quick
+            test_sampled_knobs_rejected;
+        ] );
       ( "chaos-10k",
         [ Alcotest.test_case "seeded 10k storm (heap)" `Slow test_storm_10k ]
       );

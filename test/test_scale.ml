@@ -30,7 +30,11 @@ let test_transit_stub_shape () =
   in
   checki "receivers" 24 (List.length receivers);
   checki "domains" 6 (List.length w.Builders.domains);
-  checki "transits" 3 (List.length w.Builders.transit_nodes);
+  (* every node outside the domains but the source is a transit *)
+  checki "transits" 3
+    (Net.Topology.node_count w.Builders.spec.Builders.topology
+    - 1
+    - List.length (List.concat_map snd w.Builders.domains));
   (* source + transits + stub routers + receivers *)
   checki "nodes" (1 + 3 + 6 + 24)
     (Net.Topology.node_count w.Builders.spec.Builders.topology);

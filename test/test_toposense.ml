@@ -733,16 +733,16 @@ let test_algorithm_capacity_estimate_appears () =
    10,000 leaves, 3 of them reporting and prescribed to, after 3
    warm-up intervals.
    - Built afresh, as for a snapshot whose shape changed: building the
-     tree and its view and running one step allocates 47 to 71 words per
-     node (the figure moves with the tests run before it), on arrays
-     indexed by the tree's BFS numbering. The bound fails if the stages
-     go back to tuple-keyed polymorphic tables (413 words per node) or
-     if stage 5 prescribes to every silent member (140).
+     tree and its view and running one step allocates 48.8 words per
+     node, on arrays indexed by the tree's BFS numbering. The bound
+     fails if the stages go back to tuple-keyed polymorphic tables (413
+     words per node) or if stage 5 prescribes to every silent member
+     (140).
    - Kept, as for an unchanged snapshot: the tree and the view stand, so
-     one step allocates 26 words per node, half of it the per-edge
-     evidence stage 2 pools and most of the rest boxed floats in stage
-     5. The bound fails if a kept interval goes back to building the
-     tree, its index table and the view's handles (22 more). *)
+     one step allocates 21.1 words per node, most of it the per-edge
+     evidence stage 2 pools and boxed floats in stage 5. The bound fails
+     if a kept interval goes back to building the tree, its index table
+     and the view's handles (22 more). *)
 let test_interval_footprint () =
   let routers = 20 and per_router = 500 in
   let leaf r k = 1 + routers + (r * per_router) + k in
@@ -782,9 +782,14 @@ let test_interval_footprint () =
     for k = 1 to 3 do
       interval k
     done;
-    let before = Gc.allocated_bytes () in
+    (* counts the minor heap exactly only right after a minor collection *)
+    let allocated () =
+      Gc.minor ();
+      Gc.allocated_bytes ()
+    in
+    let before = allocated () in
     interval 4;
-    let bytes = Gc.allocated_bytes () -. before in
+    let bytes = allocated () -. before in
     bytes /. float_of_int (Sys.word_size / 8 * nodes)
   in
   let fresh = words_per_node ~tree_of:(fun () -> tree_of snap) in
