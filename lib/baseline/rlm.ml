@@ -4,15 +4,19 @@ module Stats = Reports.Receiver_stats
 
 type experiment = { layer_added : int; until : Time.t }
 
+(* McCanne et al.'s settings: a join experiment is judged over a 2 s
+   detection window; join timers start at 5 s and double on each failed
+   experiment up to 120 s; loss above 15% is congestion. *)
+let detection_window = Time.span_of_sec 2
+let join_timer_initial = Time.span_of_sec 5
+let join_timer_max = Time.span_of_sec 120
+let loss_threshold = 0.15
+
 type t = {
   network : Net.Network.t;
   router : Multicast.Router.t;
   node : Net.Addr.node_id;
   session : Traffic.Session.t;
-  detection_window : Time.span;
-  join_timer_initial : Time.span;
-  join_timer_max : Time.span;
-  loss_threshold : float;
   stats : Stats.t;
   rng : Engine.Prng.t;
   join_timers : Time.span array;  (* per target level, multiplicative *)
@@ -51,11 +55,7 @@ let set_level t target =
     t.changes <- (Sim.now (sim t), target) :: t.changes
   end
 
-let create ~network ~router ~node ~session
-    ?(detection_window = Time.span_of_sec 2)
-    ?(join_timer_initial = Time.span_of_sec 5)
-    ?(join_timer_max = Time.span_of_sec 120) ?(loss_threshold = 0.15)
-    ?(initial_level = 1) () =
+let create ~network ~router ~node ~session () =
   let layers = Traffic.Layering.count (Traffic.Session.layering session) in
   let t =
     {
@@ -63,10 +63,6 @@ let create ~network ~router ~node ~session
       router;
       node;
       session;
-      detection_window;
-      join_timer_initial;
-      join_timer_max;
-      loss_threshold;
       stats = Stats.create ();
       rng =
         Sim.rng (Net.Network.sim network) ~label:(Printf.sprintf "rlm-%d" node);
@@ -91,7 +87,7 @@ let create ~network ~router ~node ~session
             ~seq:(Net.Packet.seq arena pkt)
             ~size:(Net.Packet.size arena pkt)
       end);
-  set_level t initial_level;
+  set_level t 1;
   t
 
 let schedule_next_join t =
@@ -104,7 +100,7 @@ let schedule_next_join t =
     in
     t.next_join_at <- Time.add (Sim.now (sim t)) (Time.span_of_sec_f jitter)
   end
-  else t.next_join_at <- Time.add (Sim.now (sim t)) t.join_timer_max
+  else t.next_join_at <- Time.add (Sim.now (sim t)) join_timer_max
 
 (* One tick per second: settle running experiments, shed layers on
    sustained loss, and launch join experiments when the timer fires. *)
@@ -118,13 +114,13 @@ let tick t =
   t.last_loss <- loss;
   (match t.experiment with
   | Some e ->
-      if loss > t.loss_threshold then begin
+      if loss > loss_threshold then begin
         (* Failed experiment: back out and back off this layer. *)
         t.failed <- t.failed + 1;
         set_level t (e.layer_added - 1);
         t.deaf_until <- Time.add now (Time.span_of_ms 2_500);
         t.join_timers.(e.layer_added) <-
-          min t.join_timer_max (2 * t.join_timers.(e.layer_added));
+          min join_timer_max (2 * t.join_timers.(e.layer_added));
         t.experiment <- None;
         schedule_next_join t
       end
@@ -134,7 +130,7 @@ let tick t =
         schedule_next_join t
       end
   | None ->
-      if loss > t.loss_threshold && level t > 1 then begin
+      if loss > loss_threshold && level t > 1 then begin
         set_level t (level t - 1);
         t.deaf_until <- Time.add now (Time.span_of_ms 2_500);
         schedule_next_join t
@@ -142,12 +138,12 @@ let tick t =
       else if
         Time.(now >= t.next_join_at)
         && level t < Traffic.Layering.count (layering t)
-        && loss <= t.loss_threshold
+        && loss <= loss_threshold
       then begin
         let target = level t + 1 in
         set_level t target;
         t.experiment <-
-          Some { layer_added = target; until = Time.add now t.detection_window }
+          Some { layer_added = target; until = Time.add now detection_window }
       end)
 
 let start t =

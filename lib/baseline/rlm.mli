@@ -18,16 +18,12 @@ val create :
   router:Multicast.Router.t ->
   node:Net.Addr.node_id ->
   session:Traffic.Session.t ->
-  ?detection_window:Engine.Time.span ->
-  ?join_timer_initial:Engine.Time.span ->
-  ?join_timer_max:Engine.Time.span ->
-  ?loss_threshold:float ->
-  ?initial_level:int ->
   unit ->
   t
-(** Installs the packet handler on [node] and joins at [initial_level]
-    (default 1). Defaults: detection window 2 s, join timer 5 s growing
-    2× up to 120 s, loss threshold 0.15. *)
+(** Installs the packet handler on [node] and joins at level 1. Join
+    experiments are judged over a 2 s detection window; join timers
+    start at 5 s and grow 2× per failure up to 120 s; loss above 0.15 is
+    congestion. *)
 
 val start : t -> unit
 (** Starts the receiver's join experiments; it runs until the run ends.

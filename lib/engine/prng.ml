@@ -46,8 +46,3 @@ let uniform g ~lo ~hi =
 let bool g ~p =
   let p = Float.max 0.0 (Float.min 1.0 p) in
   float g < p
-
-let exponential g ~mean =
-  if mean <= 0.0 then invalid_arg "Prng.exponential: mean <= 0";
-  let u = 1.0 -. float g in
-  -.mean *. Float.log u

@@ -29,7 +29,3 @@ val uniform : t -> lo:float -> hi:float -> float
 
 val bool : t -> p:float -> bool
 (** Bernoulli draw: [true] with probability [p] (clamped to [0,1]). *)
-
-val exponential : t -> mean:float -> float
-(** Exponentially distributed with the given mean.
-    @raise Invalid_argument if [mean <= 0]. *)

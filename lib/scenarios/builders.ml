@@ -89,14 +89,14 @@ let topology_b ~session_count =
   { topology = topo; controller_node; sessions }
 
 (* Complete k-ary tree of internal fan-out [fanout] and [depth] levels
-   below the root, every link at [fast_bps]. With [cross_links], each
-   internal node's consecutive children are also chained sibling-to-
-   sibling: those links are off every shortest path while the tree is
-   intact (one hop up beats two hops sideways at equal delay), but give a
-   failed tree link a detour, so churn exercises rerouting and bounded
-   tree repair rather than only partition and reattachment. The session
-   is rooted at the root with every leaf a receiver. *)
-let kary ~fanout ~depth ?(cross_links = true) () =
+   below the root, every link at [fast_bps]. Each internal node's
+   consecutive children are also chained sibling-to-sibling: those links
+   are off every shortest path while the tree is intact (one hop up
+   beats two hops sideways at equal delay), but give a failed tree link
+   a detour, so churn exercises rerouting and bounded tree repair rather
+   than only partition and reattachment. The session is rooted at the
+   root with every leaf a receiver. *)
+let kary ~fanout ~depth () =
   if fanout < 2 then invalid_arg "kary: fanout < 2";
   if depth < 1 then invalid_arg "kary: depth < 1";
   let topo = Topology.create () in
@@ -109,11 +109,10 @@ let kary ~fanout ~depth ?(cross_links = true) () =
           List.iter
             (fun kid -> duplex topo ~a:parent ~b:kid ~bandwidth_bps:fast_bps)
             kids;
-          if cross_links then
-            List.iter2
-              (fun a b -> duplex topo ~a ~b ~bandwidth_bps:fast_bps)
-              (List.filteri (fun i _ -> i < fanout - 1) kids)
-              (List.tl kids);
+          List.iter2
+            (fun a b -> duplex topo ~a ~b ~bandwidth_bps:fast_bps)
+            (List.filteri (fun i _ -> i < fanout - 1) kids)
+            (List.tl kids);
           kids)
         parents
     in
@@ -191,13 +190,8 @@ let validate_domains ~topology ~domains =
    heterogeneity (ideal 4 vs 2 layers); everything else is fast. One
    session from a source behind transit 0 to every receiver. Each stub
    (router + its receivers) is one controller domain; transits and the
-   source belong to the federation parent's turf.
-
-   [multi_homed] additionally links each stub's first receiver straight
-   to the transit — deliberately mis-drawn domains (two attachment
-   points) for exercising the validation failure path. *)
-let transit_stub ~transits ~stubs_per_transit ~receivers_per_stub
-    ?(multi_homed = false) ?(validate = true) () =
+   source belong to the federation parent's turf. *)
+let transit_stub ~transits ~stubs_per_transit ~receivers_per_stub () =
   if transits < 1 then invalid_arg "transit_stub: transits < 1";
   if stubs_per_transit < 1 then
     invalid_arg "transit_stub: stubs_per_transit < 1";
@@ -228,18 +222,14 @@ let transit_stub ~transits ~stubs_per_transit ~receivers_per_stub
       List.iter
         (fun r -> duplex topo ~a:stub_router ~b:r ~bandwidth_bps:fast_bps)
         rs;
-      if multi_homed then
-        duplex topo ~a:transit.(i) ~b:(List.hd rs) ~bandwidth_bps:fast_bps;
       domains := (stub_id, stub_router :: rs) :: !domains;
       receivers := List.rev_append rs !receivers
     done
   done;
   let domains = List.rev !domains in
-  if validate then begin
-    match validate_domains ~topology:topo ~domains with
-    | Ok () -> ()
-    | Error msg -> invalid_arg ("transit_stub: " ^ msg)
-  end;
+  (match validate_domains ~topology:topo ~domains with
+  | Ok () -> ()
+  | Error msg -> invalid_arg ("transit_stub: " ^ msg));
   {
     spec =
       {

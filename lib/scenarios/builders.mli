@@ -27,13 +27,13 @@ val topology_a : receivers_per_set:int -> spec
 val topology_b : session_count:int -> spec
 (** @raise Invalid_argument if [session_count < 1]. *)
 
-val kary : fanout:int -> depth:int -> ?cross_links:bool -> unit -> spec
+val kary : fanout:int -> depth:int -> unit -> spec
 (** Complete k-ary tree: a root, [depth] levels of [fanout]-way fan-out
     below it ([(fanout^(depth+1) - 1) / (fanout - 1)] nodes), every link
-    fast. One session from the root to every leaf. With [cross_links]
-    (default true) consecutive siblings are also linked: off every
-    shortest path while the tree is intact, they turn a failed tree link
-    into a reroute instead of a partition. Built for the churn-storm
+    fast. One session from the root to every leaf. Consecutive siblings
+    are also linked: off every shortest path while the tree is intact,
+    they turn a failed tree link into a reroute instead of a
+    partition. Built for the churn-storm
     scenario and the large incremental-maintenance tests.
     @raise Invalid_argument if [fanout < 2] or [depth < 1]. *)
 
@@ -51,8 +51,6 @@ val transit_stub :
   transits:int ->
   stubs_per_transit:int ->
   receivers_per_stub:int ->
-  ?multi_homed:bool ->
-  ?validate:bool ->
   unit ->
   world
 (** Generated transit-stub world for the 10k–1M-receiver scale runs: a
@@ -64,14 +62,9 @@ val transit_stub :
     per stub.
 
     Domain assignments are checked with {!validate_domains} before the
-    world is returned (disable with [validate:false]).
-
-    [multi_homed] (default false) adds a second uplink from each stub's
-    first receiver straight to the transit, making every domain
-    two-homed — the shape {!validate_domains} exists to reject; used to
-    test the failure path.
-    @raise Invalid_argument on non-positive knobs or (unless
-    [validate:false]) an invalid domain drawing. *)
+    world is returned.
+    @raise Invalid_argument on non-positive knobs or an invalid domain
+    drawing. *)
 
 val validate_domains :
   topology:Net.Topology.t ->

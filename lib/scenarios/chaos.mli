@@ -81,8 +81,8 @@ type outcome = {
   crash_drops : int;  (** packets lost to crash queue drains *)
   evictions : int;  (** summed over every controller *)
   readmissions : int;
-  domains_degraded : int;
   failovers : int;
+      (** domains the federation parent saw degrade and took over *)
   rehomed_prescriptions : int;
   rejoins : int;
   routing_consistent : bool;

@@ -41,4 +41,6 @@ val run :
     [join_gap_s] = 20 s apart (alternating between the fast and slow
     branches), the odd-indexed half departing at [leave_half_at_s] =
     400 s, 600 s, seed 42. A receiver whose join would fall at or after
-    [duration] never joins and is left out of the report. *)
+    [duration] never joins and is left out of the report. Test-only
+    [leave_half_at_s]: the churn test moves the departures into its
+    shorter run. *)

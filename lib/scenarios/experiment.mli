@@ -69,10 +69,5 @@ val run :
 val source_kind : traffic -> Traffic.Source.kind
 (** The source model that runs a [traffic] setting. *)
 
-val forwarded_packets_of : Net.Network.t -> int
-(** Total packet transmissions across every simplex link of the network:
-    each hop a packet takes counts once, so this tracks forwarding work,
-    not originations. *)
-
 val pp_traffic : Format.formatter -> traffic -> unit
 val pp_scheme : Format.formatter -> scheme -> unit

@@ -54,8 +54,7 @@ type fairness_row = {
 }
 
 let fig8 ?(duration = Time.of_sec 1200) ?(session_counts = [ 1; 2; 4; 8; 16 ])
-    ?(seed = 42L) ?seeds ?(jobs = 1) () =
-  let seeds = Option.value ~default:[ seed ] seeds in
+    ?(seeds = [ 42L ]) ?(jobs = 1) () =
   Sweep.run ~jobs
     (fun (traffic, count) ->
           let spec = Builders.topology_b ~session_count:count in
@@ -125,8 +124,7 @@ type staleness_row = {
 
 let fig10 ?(duration = Time.of_sec 1200)
     ?(staleness_seconds = [ 2; 6; 10; 14; 18 ]) ?(set_sizes = [ 1; 2; 4 ])
-    ?(seed = 42L) ?seeds ?(jobs = 1) () =
-  let seeds = Option.value ~default:[ seed ] seeds in
+    ?(seeds = [ 42L ]) ?(jobs = 1) () =
   Sweep.run ~jobs
     (fun (staleness_s, size) ->
           let spec = Builders.topology_a ~receivers_per_set:size in

@@ -47,14 +47,13 @@ type fairness_row = {
 val fig8 :
   ?duration:Engine.Time.t ->
   ?session_counts:int list ->
-  ?seed:int64 ->
   ?seeds:int64 list ->
   ?jobs:int ->
   unit ->
   fairness_row list
 (** Inter-session fairness on Topology B under CBR, VBR P=3 and VBR P=6
-    (deviation halves scale with [duration]). [seeds] (overriding
-    [seed]) averages each row over several independent runs. *)
+    (deviation halves scale with [duration]). Each row averages one run
+    per seed of [seeds] (default [[42]]). *)
 
 type series_point = {
   at_s : float;
@@ -82,14 +81,13 @@ val fig10 :
   ?duration:Engine.Time.t ->
   ?staleness_seconds:int list ->
   ?set_sizes:int list ->
-  ?seed:int64 ->
   ?seeds:int64 list ->
   ?jobs:int ->
   unit ->
   staleness_row list
 (** Impact of stale topology information on Topology A with VBR P=3.
-    Defaults: staleness 2–18 s step 4; 1, 2, 4 receivers per set.
-    [seeds] (overriding [seed]) averages each row over several runs. *)
+    Defaults: staleness 2–18 s step 4; 1, 2, 4 receivers per set. Each
+    row averages one run per seed of [seeds] (default [[42]]). *)
 
 type table1_row = {
   kind : Toposense.Decision.node_kind;

@@ -159,16 +159,9 @@ type flap_outcome = {
   up_at_s : float;
   routing_recomputes : int;
   link_fault_drops : int;
-  unroutable_drops : int;
   repair_passes : int;
   edges_repaired : int;
   tree_consistent : bool;
-  invalid_snapshots : int;
-  suggestions_sent : int;
-  events_dispatched : int;
-  forwarded_packets : int;
-  peak_heap : int;
-  peak_live : int;
 }
 
 let detour_bps = Net.Topology.kbps 250.0
@@ -233,16 +226,9 @@ let link_flap ?(duration = Time.of_sec 180) ?(seed = 42L) () =
     routing_recomputes =
       Net.Routing.recomputes (Net.Network.routing rig.world.network);
     link_fault_drops = Net.Network.fault_drops rig.world.network;
-    unroutable_drops = Net.Network.unroutable_drops rig.world.network;
     repair_passes = Multicast.Router.repair_passes rig.world.router;
     edges_repaired = Multicast.Router.edges_repaired rig.world.router;
     tree_consistent;
-    invalid_snapshots = Toposense.Controller.invalid_snapshots rig.controller;
-    suggestions_sent = Toposense.Controller.suggestions_sent rig.controller;
-    events_dispatched = Sim.events_dispatched rig.world.sim;
-    forwarded_packets = Experiment.forwarded_packets_of rig.world.network;
-    peak_heap = Sim.max_pending rig.world.sim;
-    peak_live = Sim.max_live_pending rig.world.sim;
   }
 
 type crash_outcome = {
@@ -256,14 +242,9 @@ type crash_outcome = {
   evictions : int;
   readmissions : int;
   routing_recomputes : int;
-  unroutable_drops : int;
   repair_passes : int;
   edges_repaired : int;
   tree_consistent : bool;
-  suggestions_sent : int;
-  events_dispatched : int;
-  peak_heap : int;
-  peak_live : int;
 }
 
 (* Fail-stop crash of the fast-branch router on the flap topology. Unlike
@@ -319,14 +300,9 @@ let router_crash ?(duration = Time.of_sec 200) ?(seed = 42L) () =
     readmissions = Toposense.Controller.readmissions rig.controller;
     routing_recomputes =
       Net.Routing.recomputes (Net.Network.routing rig.world.network);
-    unroutable_drops = Net.Network.unroutable_drops rig.world.network;
     repair_passes = Multicast.Router.repair_passes rig.world.router;
     edges_repaired = Multicast.Router.edges_repaired rig.world.router;
     tree_consistent;
-    suggestions_sent = Toposense.Controller.suggestions_sent rig.controller;
-    events_dispatched = Sim.events_dispatched rig.world.sim;
-    peak_heap = Sim.max_pending rig.world.sim;
-    peak_live = Sim.max_live_pending rig.world.sim;
   }
 
 (* ---------- controller outage + failover ---------- *)
@@ -348,7 +324,6 @@ type outage_outcome = {
   primary_suggestions : int;
   standby_suggestions : int;
   none_starved : bool;
-  events_dispatched : int;
 }
 
 let controller_outage ?(duration = Time.of_sec 200) ?(seed = 42L) () =
@@ -420,7 +395,6 @@ let controller_outage ?(duration = Time.of_sec 200) ?(seed = 42L) () =
     primary_suggestions = Toposense.Controller.suggestions_sent rig.controller;
     standby_suggestions = Toposense.Controller.suggestions_sent standby;
     none_starved = List.for_all (fun r -> r.floor_level >= 1) receivers;
-    events_dispatched = Sim.events_dispatched rig.world.sim;
   }
 
 (* ---------- lossy control plane ---------- *)
@@ -443,7 +417,6 @@ type lossy_outcome = {
   reports_received : int;
   suggestions_sent : int;
   mean_deviation : float;
-  events_dispatched : int;
   reliable : bool;
   prescriptions_delivered : int;
   retransmits : int;
@@ -527,7 +500,6 @@ let lossy_control ?(drop_fraction = 0.3) ?(delay_fraction = 0.0)
     reports_received = Toposense.Controller.reports_received rig.controller;
     suggestions_sent = Toposense.Controller.suggestions_sent rig.controller;
     mean_deviation;
-    events_dispatched = Sim.events_dispatched rig.world.sim;
     reliable;
     prescriptions_delivered = heard - dups - stales;
     retransmits = Toposense.Controller.retransmits rig.controller;
@@ -558,17 +530,11 @@ type partition_outcome = {
   give_ups : int;
   evictions : int;
   readmissions : int;
-  acks_received : int;
   stale_rejected : int;
   lease_suppressed : int;
-  suggestions_sent : int;
   unroutable_drops : int;
   none_starved : bool;
   all_reconverged : bool;
-  events_dispatched : int;
-  forwarded_packets : int;
-  peak_heap : int;
-  peak_live : int;
 }
 
 (* Topology A with the controller moved to a dedicated node hanging off
@@ -637,10 +603,8 @@ let partition ?(duration = Time.of_sec 180) ?(seed = 42L) () =
     give_ups = Toposense.Controller.give_ups rig.controller;
     evictions = Toposense.Controller.evictions rig.controller;
     readmissions = Toposense.Controller.readmissions rig.controller;
-    acks_received = Toposense.Controller.acks_received rig.controller;
     stale_rejected = Toposense.Controller.stale_rejected rig.controller;
     lease_suppressed = Toposense.Controller.lease_suppressed rig.controller;
-    suggestions_sent = Toposense.Controller.suggestions_sent rig.controller;
     unroutable_drops = Net.Network.unroutable_drops rig.world.network;
     none_starved = List.for_all (fun r -> r.floor_level >= 1) receivers;
     all_reconverged =
@@ -650,10 +614,6 @@ let partition ?(duration = Time.of_sec 180) ?(seed = 42L) () =
           | Some s -> s <= three_intervals
           | None -> false)
         receivers;
-    events_dispatched = Sim.events_dispatched rig.world.sim;
-    forwarded_packets = Experiment.forwarded_packets_of rig.world.network;
-    peak_heap = Sim.max_pending rig.world.sim;
-    peak_live = Sim.max_live_pending rig.world.sim;
   }
 
 (* ---------- global invariants ---------- *)

@@ -59,18 +59,11 @@ type flap_outcome = {
   up_at_s : float;
   routing_recomputes : int;  (** incremental Dijkstra runs *)
   link_fault_drops : int;  (** packets lost to the dead link *)
-  unroutable_drops : int;
   repair_passes : int;
   edges_repaired : int;
   tree_consistent : bool;
       (** final overlay is a tree and every edge agrees with unicast
           reverse paths *)
-  invalid_snapshots : int;
-  suggestions_sent : int;
-  events_dispatched : int;
-  forwarded_packets : int;
-  peak_heap : int;  (** backing-store high-water mark, tombstones included *)
-  peak_live : int;  (** high-water mark of non-cancelled pending events *)
 }
 
 val link_flap : ?duration:Engine.Time.t -> ?seed:int64 -> unit -> flap_outcome
@@ -99,14 +92,9 @@ type crash_outcome = {
       (** receivers whose liveness lease expired while partitioned *)
   readmissions : int;  (** evicted receivers re-admitted after recovery *)
   routing_recomputes : int;
-  unroutable_drops : int;
   repair_passes : int;
   edges_repaired : int;
   tree_consistent : bool;
-  suggestions_sent : int;
-  events_dispatched : int;
-  peak_heap : int;
-  peak_live : int;
 }
 
 val router_crash :
@@ -142,7 +130,6 @@ type outage_outcome = {
   standby_suggestions : int;
   none_starved : bool;
       (** no receiver fell to level 0 while the controller was away *)
-  events_dispatched : int;
 }
 
 val controller_outage :
@@ -173,7 +160,6 @@ type lossy_outcome = {
   suggestions_sent : int;
       (** prescriptions issued (first transmissions only) *)
   mean_deviation : float;
-  events_dispatched : int;
   reliable : bool;  (** whether reliable prescriptions were on *)
   prescriptions_delivered : int;
       (** prescriptions whose effect was applied at a receiver: fresh
@@ -236,11 +222,9 @@ type partition_outcome = {
   give_ups : int;  (** prescriptions abandoned after the backoff cap *)
   evictions : int;  (** leases expired during the partition *)
   readmissions : int;  (** receivers re-admitted after the heal *)
-  acks_received : int;
   stale_rejected : int;
   lease_suppressed : int;
       (** prescriptions withheld from evicted receivers *)
-  suggestions_sent : int;
   unroutable_drops : int;
       (** control packets that died for want of a route to or from the
           isolated controller *)
@@ -249,10 +233,6 @@ type partition_outcome = {
   all_reconverged : bool;
       (** every receiver was back at its pre-partition level within
           three TopoSense intervals of the heal *)
-  events_dispatched : int;
-  forwarded_packets : int;
-  peak_heap : int;  (** backing-store high-water mark, tombstones included *)
-  peak_live : int;  (** high-water mark of non-cancelled pending events *)
 }
 
 val partition :
@@ -338,5 +318,5 @@ val churn_storm :
     Defaults: fanout 4, depth 3 (85 nodes), 60 flaps, 24 churners,
     600 s horizon. Deterministic per seed.
     @raise Invalid_argument on negative counts or a horizon under
-    60 s. Test-only: the storm tests pin its recompute bounds and
-    determinism at sizes no subcommand runs. *)
+    60 s. Test-only, with [flaps] and [churners]: the storm tests pin
+    its recompute bounds and determinism at sizes no subcommand runs. *)

@@ -3,41 +3,32 @@ module Topology = Net.Topology
 
 type config = {
   regions : int;
-  locals_per_region : int;
-  institutions_per_local : int;
   sessions : int;
-  backbone_bps : float;
-  regional_bps : float;
-  local_bps : float;
-  institution_bps_choices : float list;
 }
 
-let default_config =
-  {
-    regions = 3;
-    locals_per_region = 2;
-    institutions_per_local = 3;
-    sessions = 1;
-    backbone_bps = Topology.mbps 100.0;
-    regional_bps = Topology.mbps 20.0;
-    local_bps = Topology.mbps 3.0;
-    institution_bps_choices =
-      [
-        Topology.kbps 64.0;
-        Topology.kbps 150.0;
-        Topology.kbps 300.0;
-        Topology.kbps 600.0;
-        Topology.kbps 1200.0;
-      ];
-  }
+let default_config = { regions = 3; sessions = 1 }
+
+(* The tiers under each region, and each tier's bandwidth, falling
+   toward the edge. *)
+let locals_per_region = 2
+let institutions_per_local = 3
+let backbone_bps = Topology.mbps 100.0
+let regional_bps = Topology.mbps 20.0
+let local_bps = Topology.mbps 3.0
+
+(* Last-hop capacities, drawn uniformly per institution. *)
+let institution_bps =
+  [|
+    Topology.kbps 64.0;
+    Topology.kbps 150.0;
+    Topology.kbps 300.0;
+    Topology.kbps 600.0;
+    Topology.kbps 1200.0;
+  |]
 
 let generate ?(config = default_config) ~seed () =
   if config.regions < 1 then invalid_arg "Tiered.generate: regions < 1";
-  if config.locals_per_region < 1 || config.institutions_per_local < 1 then
-    invalid_arg "Tiered.generate: empty tiers";
   if config.sessions < 1 then invalid_arg "Tiered.generate: sessions < 1";
-  if config.institution_bps_choices = [] then
-    invalid_arg "Tiered.generate: no institution bandwidths";
   let rng = Engine.Prng.create ~seed in
   let topo = Topology.create () in
   let queue_for bw = max 10 (min 100 (int_of_float (bw *. 0.2 /. 8000.0))) in
@@ -51,26 +42,26 @@ let generate ?(config = default_config) ~seed () =
   let sources =
     List.init config.sessions (fun _ ->
         let s = Topology.add_node topo in
-        duplex ~a:s ~b:core ~bw:config.backbone_bps;
+        duplex ~a:s ~b:core ~bw:backbone_bps;
         s)
   in
   (* Tiers 2-4: regions -> locals -> institutions (the receivers). *)
-  let choices = Array.of_list config.institution_bps_choices in
   let domains, receivers =
     List.split
       (List.init config.regions (fun _ ->
            let region = Topology.add_node topo in
-           duplex ~a:core ~b:region ~bw:config.regional_bps;
+           duplex ~a:core ~b:region ~bw:regional_bps;
            let members = ref [ region ] in
            let receivers = ref [] in
-           for _ = 1 to config.locals_per_region do
+           for _ = 1 to locals_per_region do
              let local = Topology.add_node topo in
-             duplex ~a:region ~b:local ~bw:config.local_bps;
+             duplex ~a:region ~b:local ~bw:local_bps;
              members := local :: !members;
-             for _ = 1 to config.institutions_per_local do
+             for _ = 1 to institutions_per_local do
                let inst = Topology.add_node topo in
                let bw =
-                 choices.(Engine.Prng.int rng ~bound:(Array.length choices))
+                 let n = Array.length institution_bps in
+                 institution_bps.(Engine.Prng.int rng ~bound:n)
                in
                duplex ~a:local ~b:inst ~bw;
                members := inst :: !members;

@@ -13,24 +13,18 @@
 
 type config = {
   regions : int;
-  locals_per_region : int;
-  institutions_per_local : int;
   sessions : int;
       (** concurrent layered sessions; every institution subscribes to
           all of them, so regional and local links carry competing
           sessions and the stage-4 fair share is exercised across
           domains *)
-  backbone_bps : float;
-  regional_bps : float;
-  local_bps : float;
-  institution_bps_choices : float list;
-      (** last-hop capacities, drawn uniformly per institution *)
 }
+(** Every region holds 2 locals of 3 institutions each, behind a
+    100 Mbps core, 20 Mbps regional and 3 Mbps local links; last hops
+    are drawn from {64, 150, 300, 600, 1200} Kbps. *)
 
 val default_config : config
-(** 3 regions x 2 locals x 3 institutions (18 receivers), 1 session;
-    100 Mbps core, 20 Mbps regional, 3 Mbps local; last hops drawn from
-    {64, 150, 300, 600, 1200} Kbps. *)
+(** 3 regions (18 receivers), 1 session. *)
 
 val generate : ?config:config -> seed:int64 -> unit -> Builders.world
 (** Deterministic for a given seed. One session per configured source,

@@ -83,8 +83,10 @@ let build ~spec ?(domains = []) ?seed ?(params = Toposense.Params.default)
       listed
   in
   (* Registering starts discovery's capture chain: every session is
-     registered before any source pushes its first event. *)
-  List.iter (Discovery.Service.register_session discovery) sessions;
+     registered before any source pushes its first event. Without a
+     control plane nothing reads the captures. *)
+  if control <> No_control then
+    List.iter (Discovery.Service.register_session discovery) sessions;
   List.iter
     (fun session ->
       let rng = Sim.rng sim ~label:(source_label (Session.id session)) in

@@ -8,8 +8,9 @@
 
     The build order fixes the order of same-instant events: simulator,
     network, eager routing, router, discovery, sessions (all registered
-    with discovery before any source starts), sources in session order,
-    control plane, agents, passive joins. *)
+    with discovery before any source starts, unless the world has no
+    control plane), sources in session order, control plane, agents,
+    passive joins. *)
 
 type control =
   | Flat of { probe : bool }
@@ -23,6 +24,7 @@ type control =
           them, that degraded domains fail over to and whose
           prescriptions the parent counts as re-homed *)
   | No_control
+      (** no controller; discovery captures no session *)
 
 type agents =
   | Every_receiver

@@ -25,12 +25,12 @@ type t = {
 }
 
 let create ~params ~rng =
-  let backoff = Backoff.create ~params ~rng in
+  let backoff = Backoff.create ~rng in
   {
     params;
     capacity = Capacity.create ~params;
     backoff;
-    subscription = Subscription.create ~params ~backoff;
+    subscription = Subscription.create ~backoff;
     views = Int_table.create 8;
     step = 0;
     seen = Bytes.empty;
@@ -120,7 +120,7 @@ let step t ~now inputs =
             verdicts.max_bytes.(i) <- b);
         Array.fill v.levels 0 n 0;
         by_index t tree input.levels (fun i l -> v.levels.(i) <- l);
-        Congestion.compute ~params:t.params ~tree verdicts;
+        Congestion.compute ~tree verdicts;
         (input, v))
       inputs
   in

@@ -1,18 +1,16 @@
 module Time = Engine.Time
 
 type t = {
-  params : Params.t;
   rng : Engine.Prng.t;
   deadlines : (int * Net.Addr.node_id * int, Time.t) Hashtbl.t;
 }
 
-let create ~params ~rng = { params; rng; deadlines = Hashtbl.create 64 }
+let create ~rng = { rng; deadlines = Hashtbl.create 64 }
 
 let arm t ~session ~node ~layer ~now =
   let span =
-    Engine.Prng.int t.rng
-      ~bound:(t.params.backoff_max - t.params.backoff_min + 1)
-    + t.params.backoff_min
+    Engine.Prng.int t.rng ~bound:(Params.backoff_max - Params.backoff_min + 1)
+    + Params.backoff_min
   in
   Hashtbl.replace t.deadlines (session, node, layer) (Time.add now span)
 

@@ -9,12 +9,12 @@
 
 type t
 
-val create : params:Params.t -> rng:Engine.Prng.t -> t
+val create : rng:Engine.Prng.t -> t
 
 val arm :
   t -> session:int -> node:Net.Addr.node_id -> layer:int -> now:Engine.Time.t -> unit
 (** Starts (or restarts) a timer of random length in
-    [backoff_min, backoff_max]. *)
+    [{!Params.backoff_min}, {!Params.backoff_max}]. *)
 
 val active :
   t -> session:int -> node:Net.Addr.node_id -> layer:int -> now:Engine.Time.t -> bool

@@ -65,13 +65,13 @@ let observe t e ~interval_s obs =
       let loss_free =
         obs.sessions <> []
         && List.for_all
-             (fun (_, loss, _) -> loss <= t.params.p_threshold)
+             (fun (_, loss, _) -> loss <= Params.p_threshold)
              obs.sessions
       in
       let growth =
         if loss_free && usage_bps >= 0.8 *. e.estimate_bps then
-          Float.max t.params.capacity_growth 0.15
-        else t.params.capacity_growth
+          Float.max Params.capacity_growth 0.15
+        else Params.capacity_growth
       in
       e.estimate_bps <- e.estimate_bps *. (1.0 +. growth)
     end
@@ -90,7 +90,7 @@ let observe t e ~interval_s obs =
       ()
   | sessions ->
       let all_lossy =
-        List.for_all (fun (_, loss, _) -> loss > t.params.p_threshold) sessions
+        List.for_all (fun (_, loss, _) -> loss > Params.p_threshold) sessions
       in
       let overall_loss =
         (* Bytes-weighted mean of per-session losses at the destination;
@@ -114,7 +114,7 @@ let observe t e ~interval_s obs =
       in
       if
         localized && all_lossy
-        && overall_loss > t.params.p_threshold
+        && overall_loss > Params.p_threshold
         && total_bytes > 0
       then begin
         (* Windows measured during a loss episode undershoot the link

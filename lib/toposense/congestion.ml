@@ -13,15 +13,14 @@ let create n =
     self_congested = Array.make n false;
   }
 
-let compute ~(params : Params.t) ~tree
-    { congested; loss; max_bytes; self_congested } =
+let compute ~tree { congested; loss; max_bytes; self_congested } =
   let n = Tree.size tree in
   (* Bottom-up: losses, subtree byte maxima and self-evidence. A leaf's
      own entries are its report; a parent's are overwritten only after
      all its children's, which sit at higher indices. *)
   for i = n - 1 downto 0 do
     let first = Tree.first_child tree i and count = Tree.child_count tree i in
-    if count = 0 then self_congested.(i) <- loss.(i) > params.p_threshold
+    if count = 0 then self_congested.(i) <- loss.(i) > Params.p_threshold
     else begin
       let last = first + count - 1 in
       let l = ref infinity and b = ref 0 in
@@ -42,17 +41,17 @@ let compute ~(params : Params.t) ~tree
         let k = float_of_int count in
         let all_above = ref true and sum = ref 0.0 in
         for c = first to last do
-          if not (loss.(c) > params.p_threshold) then all_above := false;
+          if not (loss.(c) > Params.p_threshold) then all_above := false;
           sum := !sum +. loss.(c)
         done;
         let mean = !sum /. k in
         let similar = ref 0 in
         for c = first to last do
-          if Float.abs (loss.(c) -. mean) <= params.similar_band *. mean then
+          if Float.abs (loss.(c) -. mean) <= Params.similar_band *. mean then
             incr similar
         done;
         self_congested.(i) <-
-          !all_above && float_of_int !similar /. k >= params.eta_similar
+          !all_above && float_of_int !similar /. k >= Params.eta_similar
       end
     end
   done;

@@ -3,9 +3,10 @@
     Loss rates are only known at leaf receivers; an internal node's loss
     is the *minimum* of its children's (the paper's conservative choice: a
     parent need only cover the least-demanding child). States are then
-    assigned: a leaf is congested when its loss exceeds [p_threshold]; an
-    internal node when all children exceed the threshold and at least
-    [eta_similar] of them sit within [similar_band] of the mean child loss
+    assigned: a leaf is congested when its loss exceeds
+    {!Params.p_threshold}; an internal node when all children exceed the
+    threshold and at least {!Params.eta_similar} of them sit within
+    {!Params.similar_band} of the mean child loss
     — correlated loss across siblings is the signature of a shared
     bottleneck just above them. Finally congestion is inherited downward:
     every descendant of a congested node is marked congested.
@@ -31,7 +32,7 @@ val create : int -> t
     false. The algorithm keeps one per session tree and reuses it every
     interval. *)
 
-val compute : params:Params.t -> tree:Tree.t -> t -> unit
+val compute : tree:Tree.t -> t -> unit
 (** Computes the verdicts in place. On entry, [loss.(i)] and
     [max_bytes.(i)] hold leaf [i]'s loss rate and bytes received this
     interval (a leaf without a report yet reads 0.0 and 0: lossless,

@@ -78,7 +78,6 @@ type t = {
   mutable self_suppressed : int;
   mutable lease_suppressed : int;
   mutable summaries_sent : int;
-  mutable invalid_snapshots : int;
   mutable intervals_run : int;
   mutable skipped_no_snapshot : int;
   mutable evictions : int;
@@ -212,7 +211,6 @@ let create ~network ~discovery ~params ~node ?domain ?probe ?federation () =
       self_suppressed = 0;
       lease_suppressed = 0;
       summaries_sent = 0;
-      invalid_snapshots = 0;
       intervals_run = 0;
       skipped_no_snapshot = 0;
       evictions = 0;
@@ -368,16 +366,14 @@ let send_suggestion t ~session ~receiver ~level ~seq =
    number of retransmissions already made when the timer fires. *)
 let rec arm_retransmit t st ~session ~receiver ~seq ~level ~attempt =
   let sim = Net.Network.sim t.network in
-  let span =
-    Protocol.backoff_span ~params:t.params ~rng:t.proto_rng ~attempt
-  in
+  let span = Protocol.backoff_span ~rng:t.proto_rng ~attempt in
   let handle =
     Sim.schedule_after sim span (fun () ->
         match st.pending with
         | Some p when p.seq = seq ->
             st.pending <- None;
             if t.running && st.status = Active then begin
-              if attempt >= t.params.retransmit_attempts then
+              if attempt >= Params.retransmit_attempts then
                 t.give_ups <- t.give_ups + 1
               else begin
                 t.retransmits <- t.retransmits + 1;
@@ -436,7 +432,6 @@ let run_interval t =
                        with two recorded parents mid-repair. Skip the
                        session this interval rather than acting on a
                        non-tree. *)
-                    t.invalid_snapshots <- t.invalid_snapshots + 1;
                     None
                 | Some tree ->
                     Int_table.replace t.trees id tree;
@@ -517,7 +512,6 @@ let self_suppressed t = t.self_suppressed
 let lease_suppressed t = t.lease_suppressed
 let summaries_sent t = t.summaries_sent
 let receiver_state_entries t = Hashtbl.length t.receivers
-let invalid_snapshots t = t.invalid_snapshots
 let intervals_run t = t.intervals_run
 let skipped_no_snapshot t = t.skipped_no_snapshot
 let evictions t = t.evictions

@@ -26,7 +26,7 @@
     its next report. With [params.reliable_prescriptions], unACKed
     prescriptions are retransmitted with exponential backoff and jitter
     from a dedicated PRNG stream until ACKed, superseded by a newer
-    prescription, or given up after [params.retransmit_attempts]. *)
+    prescription, or given up after {!Params.retransmit_attempts}. *)
 
 type Net.Packet.payload +=
   | Suggestion of { session : int; level : int; seq : int }
@@ -116,10 +116,6 @@ val receiver_state_entries : t -> int
     the controller's footprint. Under [prescribe_known_only] this stays
     O(reporting receivers) however large the tree is. *)
 
-val invalid_snapshots : t -> int
-(** Intervals skipped because the discovery image was not a tree (only
-    possible while faults corrupt the topology image). *)
-
 val intervals_run : t -> int
 val skipped_no_snapshot : t -> int
 (** Intervals where a session had no old-enough snapshot yet. *)
@@ -137,7 +133,7 @@ val retransmits : t -> int
     [params.reliable_prescriptions]). *)
 
 val give_ups : t -> int
-(** Prescriptions abandoned after [params.retransmit_attempts]
+(** Prescriptions abandoned after {!Params.retransmit_attempts}
     retransmissions without an ACK. *)
 
 val stale_rejected : t -> int

@@ -53,7 +53,6 @@ type parent = {
   mutable monitor : Sim.handle option;
   mutable on_degraded : (domain:int -> unit) option;
   mutable on_rejoined : (domain:int -> unit) option;
-  mutable domains_degraded : int;
   mutable failovers : int;
   mutable rejoins : int;
   mutable rehomed_prescriptions : int;
@@ -117,7 +116,6 @@ let create_parent ~network ~node =
       monitor = None;
       on_degraded = None;
       on_rejoined = None;
-      domains_degraded = 0;
       failovers = 0;
       rejoins = 0;
       rehomed_prescriptions = 0;
@@ -171,7 +169,6 @@ let start_failover t ~check_period ~silence ?on_degraded ?on_rejoined () =
                     (* the lease on the summary stream expired: the
                        domain's leaf has gone silent *)
                     Hashtbl.replace t.degraded domain ();
-                    t.domains_degraded <- t.domains_degraded + 1;
                     t.failovers <- t.failovers + 1;
                     match t.on_degraded with
                     | Some f -> f ~domain
@@ -189,7 +186,6 @@ let degraded_now t = Hashtbl.length t.degraded
 let summaries_received t = t.summaries_received
 let stale_dropped t = t.stale_dropped
 let state_entries t = Hashtbl.length t.slots
-let domains_degraded t = t.domains_degraded
 let failovers t = t.failovers
 let rejoins t = t.rejoins
 let rehomed_prescriptions t = t.rehomed_prescriptions

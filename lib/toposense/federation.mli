@@ -108,12 +108,9 @@ val degraded_now : parent -> int
 
 (** Failover counters (cumulative). *)
 
-val domains_degraded : parent -> int
-(** Degradation events: silent-domain detections by the monitor. *)
-
 val failovers : parent -> int
-(** Degradations handed to the parent (all of them: it is the only
-    failover target). *)
+(** Degradation events: silent-domain detections by the monitor, each
+    handed to the parent (the only failover target). *)
 
 val rejoins : parent -> int
 (** Degraded domains whose summary stream came back. *)

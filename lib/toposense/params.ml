@@ -2,26 +2,11 @@ module Time = Engine.Time
 
 type t = {
   interval : Time.span;
-  report_interval : Time.span;
-  p_threshold : float;
-  p_high : float;
-  p_very_high : float;
-  eta_similar : float;
-  similar_band : float;
-  bw_equal_tolerance : float;
-  capacity_growth : float;
   capacity_reset_intervals : int;
-  backoff_min : Time.span;
-  backoff_max : Time.span;
-  suggestion_timeout_intervals : int;
   staleness : Time.span;
-  deaf_period : Time.span;
   require_sustained_loss : bool;
   lease_intervals : int;
   reliable_prescriptions : bool;
-  retransmit_initial : Time.span;
-  retransmit_max : Time.span;
-  retransmit_attempts : int;
   rlm_fallback : bool;
   prescribe_known_only : bool;
 }
@@ -29,54 +14,36 @@ type t = {
 let default =
   {
     interval = Time.span_of_sec 2;
-    report_interval = Time.span_of_sec 1;
-    p_threshold = 0.03;
-    p_high = 0.15;
-    p_very_high = 0.30;
-    eta_similar = 0.7;
-    similar_band = 0.25;
-    bw_equal_tolerance = 0.10;
-    capacity_growth = 0.02;
     capacity_reset_intervals = 15;
-    backoff_min = Time.span_of_sec 10;
-    backoff_max = Time.span_of_sec 30;
-    suggestion_timeout_intervals = 3;
     staleness = 0;
-    deaf_period = Time.span_of_ms 2_500;
     require_sustained_loss = false;
     lease_intervals = 10;
     reliable_prescriptions = false;
-    retransmit_initial = Time.span_of_ms 250;
-    retransmit_max = Time.span_of_sec 8;
-    retransmit_attempts = 6;
     rlm_fallback = false;
     prescribe_known_only = false;
   }
 
+let report_interval = Time.span_of_sec 1
+let p_threshold = 0.03
+let p_high = 0.15
+let p_very_high = 0.30
+let eta_similar = 0.7
+let similar_band = 0.25
+let bw_equal_tolerance = 0.10
+let capacity_growth = 0.02
+let backoff_min = Time.span_of_sec 10
+let backoff_max = Time.span_of_sec 30
+let suggestion_timeout_intervals = 3
+let deaf_period = Time.span_of_ms 2_500
+let retransmit_initial = Time.span_of_ms 250
+let retransmit_max = Time.span_of_sec 8
+let retransmit_attempts = 6
+
 let validate t =
   let err fmt = Format.kasprintf (fun s -> Error s) fmt in
   if t.interval <= 0 then err "interval must be positive"
-  else if t.report_interval <= 0 then err "report_interval must be positive"
-  else if not (t.p_threshold > 0.0 && t.p_threshold < 1.0) then
-    err "p_threshold must be in (0,1)"
-  else if t.p_high < t.p_threshold then err "p_high below p_threshold"
-  else if t.p_very_high < t.p_high then err "p_very_high below p_high"
-  else if not (t.eta_similar > 0.0 && t.eta_similar <= 1.0) then
-    err "eta_similar must be in (0,1]"
-  else if t.similar_band < 0.0 then err "similar_band must be >= 0"
-  else if t.bw_equal_tolerance < 0.0 then err "bw_equal_tolerance must be >= 0"
-  else if t.capacity_growth < 0.0 then err "capacity_growth must be >= 0"
   else if t.capacity_reset_intervals <= 0 then
     err "capacity_reset_intervals must be positive"
-  else if t.backoff_min <= 0 || t.backoff_max < t.backoff_min then
-    err "backoff bounds must satisfy 0 < min <= max"
-  else if t.suggestion_timeout_intervals <= 0 then
-    err "suggestion_timeout_intervals must be positive"
   else if t.staleness < 0 then err "staleness must be >= 0"
-  else if t.deaf_period < 0 then err "deaf_period must be >= 0"
   else if t.lease_intervals <= 0 then err "lease_intervals must be positive"
-  else if t.retransmit_initial <= 0 || t.retransmit_max < t.retransmit_initial
-  then err "retransmit bounds must satisfy 0 < initial <= max"
-  else if t.retransmit_attempts < 0 then
-    err "retransmit_attempts must be >= 0"
   else Ok ()

@@ -23,7 +23,6 @@ type t = {
   network : Net.Network.t;
   node : Net.Addr.node_id;
   period : Time.span;
-  expiry : Time.span;
   registered : (int * Net.Addr.node_id, Time.t) Hashtbl.t;
   chains : (int * Net.Addr.node_id, chain) Hashtbl.t;
   mutable next_probe_id : int;
@@ -32,14 +31,15 @@ type t = {
   mutable responses_received : int;
 }
 
-let create ~network ~node ?(period = Time.span_of_sec 2)
-    ?(expiry = Time.span_of_sec 10) () =
+(* Registrations and chains older than this are forgotten. *)
+let expiry = Time.span_of_sec 10
+
+let create ~network ~node ?(period = Time.span_of_sec 2) () =
   let t =
     {
       network;
       node;
       period;
-      expiry;
       registered = Hashtbl.create 32;
       chains = Hashtbl.create 32;
       next_probe_id = 0;
@@ -62,7 +62,7 @@ let create ~network ~node ?(period = Time.span_of_sec 2)
 
 let now t = Sim.now (Net.Network.sim t.network)
 
-let fresh t at = Time.diff (now t) at <= t.expiry
+let fresh t at = Time.diff (now t) at <= expiry
 
 let handle_packet t (pkt : Net.Packet.t) =
   match Net.Packet.payload (Net.Network.arena t.network) pkt with
@@ -80,7 +80,7 @@ let send_queries t =
   let current = now t in
   Hashtbl.iter
     (fun (session, receiver) registered_at ->
-      if Time.diff current registered_at <= t.expiry && receiver <> t.node
+      if Time.diff current registered_at <= expiry && receiver <> t.node
       then begin
         t.queries_sent <- t.queries_sent + 1;
         let probe_id = t.next_probe_id in

@@ -39,12 +39,11 @@ val create :
   network:Net.Network.t ->
   node:Net.Addr.node_id ->
   ?period:Engine.Time.span ->
-  ?expiry:Engine.Time.span ->
   unit ->
   t
 (** [node] is the querying controller's node. Queries go out every
     [period] (default 2 s); member registrations and chains older than
-    [expiry] (default 10 s) are forgotten. Installs the hop-recording
+    10 s are forgotten. Installs the hop-recording
     transit observer. Call {!start} to begin probing. *)
 
 val handle_packet : t -> Net.Packet.t -> unit

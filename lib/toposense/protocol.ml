@@ -35,12 +35,13 @@ let admit (t : rx) ~session ~node ~seq =
   else if seq = high then Duplicate
   else Stale
 
-let backoff_span ~(params : Params.t) ~rng ~attempt =
+let backoff_span ~rng ~attempt =
   let base =
     (* Doubling in integer ns overflows past attempt ~60; clamp the shift
        well before that. *)
     let shift = min attempt 30 in
-    min params.retransmit_max (Int.shift_left 1 shift * params.retransmit_initial)
+    min Params.retransmit_max
+      (Int.shift_left 1 shift * Params.retransmit_initial)
   in
   let jittered =
     Time.span_to_sec_f base *. Engine.Prng.uniform rng ~lo:0.5 ~hi:1.5

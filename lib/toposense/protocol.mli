@@ -66,10 +66,10 @@ val last_accepted : rx -> session:int -> node:Net.Addr.node_id -> int
 
 (** {1 Retransmission backoff} *)
 
-val backoff_span :
-  params:Params.t -> rng:Engine.Prng.t -> attempt:int -> Engine.Time.span
+val backoff_span : rng:Engine.Prng.t -> attempt:int -> Engine.Time.span
 (** Delay before retransmission number [attempt] (0-based):
-    [retransmit_initial * 2^attempt], capped at [retransmit_max], then
+    [{!Params.retransmit_initial} * 2^attempt], capped at
+    {!Params.retransmit_max}, then
     jittered by a uniform factor in [0.5, 1.5] drawn from [rng] — the
     caller passes the dedicated protocol stream. Always at least 1 ns so
     a retransmission never fires in the same instant it was armed. *)

@@ -73,7 +73,7 @@ let set_level t ~session ~level:target =
           ~node:t.node ~level:target;
         let now = Sim.now (sim t) in
         if target < current then
-          st.deaf_until <- Time.add now t.params.deaf_period;
+          st.deaf_until <- Time.add now Params.deaf_period;
         st.changes <- (now, target) :: st.changes
       end
 
@@ -81,14 +81,14 @@ let set_level t ~session ~level:target =
 
 (* Ceiling on the multiplicative join timers; also the re-probe period
    once all layers are held (RLM uses 120 s against a 10–30 s initial). *)
-let fb_join_max t = Time.mul_span t.params.backoff_max 4
+let fb_join_max = Time.mul_span Params.backoff_max 4
 
 let schedule_next_join t id st ~now =
   let count = Traffic.Layering.count (Traffic.Session.layering st.session) in
   let target = level t ~session:id + 1 in
   let timer =
     if target >= 1 && target <= count then st.join_timers.(target)
-    else fb_join_max t
+    else fb_join_max
   in
   (* Randomize ±50% to desynchronize receivers (RLM's jitter). *)
   let jitter =
@@ -119,15 +119,14 @@ let fallback_tick t id st ~now =
   let loss = if Time.(now < st.deaf_until) then 0.0 else st.last_window_loss in
   match st.experiment with
   | Some (added, settle_at) ->
-      if loss > t.params.p_high then begin
+      if loss > Params.p_high then begin
         (* Failed experiment: back out, back off the layer, double its
            join timer (RLM's multiplicative backoff). *)
         t.unilateral_actions <- t.unilateral_actions + 1;
         set_level t ~session:id ~level:(added - 1);
         Backoff.arm t.fb_backoff ~session:id ~node:t.node ~layer:(added - 1)
           ~now;
-        st.join_timers.(added) <-
-          min (fb_join_max t) (2 * st.join_timers.(added));
+        st.join_timers.(added) <- min fb_join_max (2 * st.join_timers.(added));
         st.experiment <- None;
         schedule_next_join t id st ~now
       end
@@ -136,7 +135,7 @@ let fallback_tick t id st ~now =
         schedule_next_join t id st ~now
       end
   | None ->
-      if loss > t.params.p_high && current > 1 then begin
+      if loss > Params.p_high && current > 1 then begin
         t.unilateral_actions <- t.unilateral_actions + 1;
         set_level t ~session:id ~level:(current - 1);
         Backoff.arm t.fb_backoff ~session:id ~node:t.node ~layer:(current - 1)
@@ -146,7 +145,7 @@ let fallback_tick t id st ~now =
       else if
         Time.(now >= st.next_join_at)
         && current < count
-        && loss <= t.params.p_threshold
+        && loss <= Params.p_threshold
         && Time.(now >= st.deaf_until)
         && not
              (Backoff.active t.fb_backoff ~session:id ~node:t.node
@@ -246,7 +245,7 @@ let create ~network ~router ~params ~node ~controller () =
       rng = Sim.rng sim ~label:(Printf.sprintf "receiver-%d" node);
       fb_rng = Sim.rng sim ~label:(Printf.sprintf "fallback-%d" node);
       fb_backoff =
-        Backoff.create ~params
+        Backoff.create
           ~rng:(Sim.rng sim ~label:(Printf.sprintf "fallback-backoff-%d" node));
       proto_tx = Protocol.create_tx ();
       proto_rx = Protocol.create_rx ();
@@ -263,7 +262,7 @@ let create ~network ~router ~params ~node ~controller () =
   Net.Network.add_local_handler network node (fun pkt -> on_packet t pkt);
   t
 
-let fresh_session_state t session ~now =
+let fresh_session_state session ~now =
   let layers = Traffic.Layering.count (Traffic.Session.layering session) in
   {
     session;
@@ -276,7 +275,7 @@ let fresh_session_state t session ~now =
     fb_since = now;
     fb_total = 0;
     experiment = None;
-    join_timers = Array.make (layers + 1) t.params.backoff_min;
+    join_timers = Array.make (layers + 1) Params.backoff_min;
     next_join_at = now;
   }
 
@@ -285,7 +284,7 @@ let subscribe t ~session ~initial_level =
   if Hashtbl.mem t.sessions id then
     invalid_arg "Receiver_agent.subscribe: already subscribed";
   Hashtbl.add t.sessions id
-    (fresh_session_state t session ~now:(Sim.now (sim t)));
+    (fresh_session_state session ~now:(Sim.now (sim t)));
   set_level t ~session:id ~level:initial_level
 
 let send_reports t =
@@ -301,7 +300,7 @@ let send_reports t =
       st.last_window_loss <- w.loss_rate;
       Reports.Rtcp.send_report ~network:t.network ~receiver:t.node
         ~controller:t.controller ~session:id ~level:(level t ~session:id)
-        ~window:t.params.report_interval ~settling
+        ~window:Params.report_interval ~settling
         ~seq:(Protocol.next_seq t.proto_tx ~session:id ~node:t.node)
         w)
     t.sessions
@@ -311,9 +310,15 @@ let send_reports t =
    standalone join-experiment machine takes over; otherwise the legacy
    probe/shed watchdog: sustained high loss sheds the top layer, clean
    reception probes one layer up at a randomized period. *)
+let probe_gap t =
+  Engine.Prng.int t.rng ~bound:(Params.backoff_max - Params.backoff_min + 1)
+  + Params.backoff_min
+
 let watchdog t =
   let now = Sim.now (sim t) in
-  let timeout = Time.mul_span t.params.interval t.params.suggestion_timeout_intervals in
+  let timeout =
+    Time.mul_span t.params.interval Params.suggestion_timeout_intervals
+  in
   Hashtbl.iter
     (fun id st ->
       if t.params.rlm_fallback then begin
@@ -325,20 +330,16 @@ let watchdog t =
       else if Time.diff now st.last_suggestion > timeout then begin
         let current = level t ~session:id in
         if
-          st.last_window_loss > t.params.p_high
+          st.last_window_loss > Params.p_high
           && current > 1
           && Time.(now >= st.deaf_until)
         then begin
           t.unilateral_actions <- t.unilateral_actions + 1;
           set_level t ~session:id ~level:(current - 1);
-          st.probe_deadline <-
-            Time.add now
-              (Engine.Prng.int t.rng
-                 ~bound:(t.params.backoff_max - t.params.backoff_min + 1)
-              + t.params.backoff_min)
+          st.probe_deadline <- Time.add now (probe_gap t)
         end
         else if
-          st.last_window_loss <= t.params.p_threshold
+          st.last_window_loss <= Params.p_threshold
           && Time.(now >= st.probe_deadline)
           (* Same deaf guard as the shed branch: a join experiment while
              the network is still draining a drop we just made would read
@@ -348,11 +349,7 @@ let watchdog t =
         then begin
           t.unilateral_actions <- t.unilateral_actions + 1;
           set_level t ~session:id ~level:(current + 1);
-          st.probe_deadline <-
-            Time.add now
-              (Engine.Prng.int t.rng
-                 ~bound:(t.params.backoff_max - t.params.backoff_min + 1)
-              + t.params.backoff_min)
+          st.probe_deadline <- Time.add now (probe_gap t)
         end
       end)
     t.sessions
@@ -362,7 +359,7 @@ let start t =
     let s = sim t in
     t.tasks <-
       [
-        Sim.every s ~period:t.params.report_interval (fun () -> send_reports t);
+        Sim.every s ~period:Params.report_interval (fun () -> send_reports t);
         Sim.every s ~period:t.params.interval (fun () -> watchdog t);
       ]
   end

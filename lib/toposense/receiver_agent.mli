@@ -9,7 +9,7 @@
     admitted prescription is ACKed back to its sender.
 
     When no valid in-sequence suggestion has arrived for
-    [suggestion_timeout_intervals] TopoSense intervals (suggestions are
+    {!Params.suggestion_timeout_intervals} TopoSense intervals (suggestions are
     droppable packets), the receiver makes unilateral decisions, as the
     paper's architecture prescribes. Two fallback machines exist:
 

@@ -20,7 +20,6 @@ type node_state = {
 }
 
 type t = {
-  params : Params.t;
   backoff : Backoff.t;
   states : node_state Int_table.t Int_table.t;  (* per session, by node id *)
   mutable flow : float array;
@@ -29,9 +28,8 @@ type t = {
   mutable settling : Bytes.t;  (* one step's scratch: subtree settling *)
 }
 
-let create ~params ~backoff =
+let create ~backoff =
   {
-    params;
     backoff;
     states = Int_table.create 8;
     flow = [||];
@@ -134,13 +132,13 @@ let leaf_demand t ~now input i (st : node_state) ~frozen =
         ~current:st.hist_current
     in
     let bw =
-      Decision.classify_bw ~tolerance:t.params.bw_equal_tolerance
+      Decision.classify_bw ~tolerance:Params.bw_equal_tolerance
         ~older:a.bytes_older ~recent:a.bytes_recent
     in
     match Decision.lookup ~kind:Decision.Leaf ~history ~bw with
     | Decision.Add_next_layer -> add_next ()
     | Decision.Drop_layer_if_high_loss ->
-        if loss > t.params.p_high then
+        if loss > Params.p_high then
           drop_one ~set_backoff:true
         else cur
     | Decision.Maintain_demand -> cur
@@ -151,7 +149,7 @@ let leaf_demand t ~now input i (st : node_state) ~frozen =
            loss so the residue tail of an already-handled episode (just
            above p_threshold) cannot walk the subscription to the base
            layer. *)
-        if loss <= t.params.p_high then cur
+        if loss <= Params.p_high then cur
         else begin
           let target =
             Float.max base (supply_of a ~fallback:cur which /. 2.0)
@@ -165,7 +163,7 @@ let leaf_demand t ~now input i (st : node_state) ~frozen =
           Float.min cur target
         end
     | Decision.Reduce_to_half_supply_if_very_high_loss which ->
-        if loss > t.params.p_very_high then
+        if loss > Params.p_very_high then
           Float.max base
             (Float.min cur (supply_of a ~fallback:cur which /. 2.0))
         else cur
@@ -189,7 +187,7 @@ let internal_demand t ~now input i (st : node_state) ~aggregate
         ~current:st.hist_current
     in
     let bw =
-      Decision.classify_bw ~tolerance:t.params.bw_equal_tolerance
+      Decision.classify_bw ~tolerance:Params.bw_equal_tolerance
         ~older:a.bytes_older ~recent:a.bytes_recent
     in
     match Decision.lookup ~kind:Decision.Internal ~history ~bw with
@@ -197,7 +195,7 @@ let internal_demand t ~now input i (st : node_state) ~aggregate
     | Decision.Maintain_demand ->
         if a.demand > 0.0 then Float.min aggregate a.demand else aggregate
     | Decision.Reduce_to_half_supply _
-      when input.verdicts.loss.(i) <= t.params.p_high ->
+      when input.verdicts.loss.(i) <= Params.p_high ->
         (* Same high-loss gate as at the leaves. *)
         aggregate
     | Decision.Reduce_to_half_supply { which; set_backoff = _ } ->

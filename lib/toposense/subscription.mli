@@ -21,7 +21,7 @@
 
 type t
 
-val create : params:Params.t -> backoff:Backoff.t -> t
+val create : backoff:Backoff.t -> t
 
 type node_state
 (** One node's histories in one session: congestion states, bytes,

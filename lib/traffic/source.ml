@@ -4,7 +4,6 @@ module Time = Engine.Time
 type kind =
   | Cbr
   | Vbr of { peak_to_mean : float }
-  | On_off of { mean_on_s : float; mean_off_s : float }
 
 type t = {
   network : Net.Network.t;
@@ -112,52 +111,13 @@ let vbr_start t ~layer ~avg ~peak_to_mean ~phase =
   tmr := Sim.timer sim interval_tick;
   Sim.arm_after sim !tmr phase
 
-(* On/off: CBR ticks during an exponentially-long on-phase, silence
-   during the off-phase. One timer serves both phases; [in_off] says
-   whether the pending firing opens a fresh on-phase. *)
-let onoff_start t ~layer ~gap ~mean_on_s ~mean_off_s ~phase =
-  let sim = Net.Network.sim t.network in
-  let until = ref Time.zero in
-  let in_off = ref true in
-  let tmr = ref (Sim.timer sim ignore) in
-  let tick () =
-    if !in_off then begin
-      until :=
-        Time.add (Sim.now sim)
-          (Time.span_of_sec_f (Engine.Prng.exponential t.rng ~mean:mean_on_s));
-      in_off := false
-    end;
-    if Time.(Sim.now sim < !until) then begin
-      emit t ~layer;
-      Sim.arm_after sim !tmr gap
-    end
-    else begin
-      let off =
-        Time.span_of_sec_f (Engine.Prng.exponential t.rng ~mean:mean_off_s)
-      in
-      in_off := true;
-      Sim.arm_after sim !tmr off
-    end
-  in
-  tmr := Sim.timer sim tick;
-  Sim.arm_after sim !tmr phase
-
-let start ~network ~session ~kind ~rng ?start_at () =
-  (* Written so that nan fails each test: a nan or infinite parameter
-     would otherwise pass and send one packet per interval, or die
-     mid-run converting a nan draw into a time. *)
-  let positive name v =
-    if not (Float.is_finite v && v > 0.0) then
-      invalid_arg
-        (Printf.sprintf "Source.start: %s must be finite and positive" name)
-  in
+let start ~network ~session ~kind ~rng () =
+  (* Written so that nan fails the test: a nan or infinite peak-to-mean
+     ratio would otherwise pass and send one packet per interval. *)
   (match kind with
   | Vbr { peak_to_mean } ->
       if not (Float.is_finite peak_to_mean && peak_to_mean >= 1.0) then
         invalid_arg "Source.start: peak_to_mean must be finite and >= 1"
-  | On_off { mean_on_s; mean_off_s } ->
-      positive "mean_on_s" mean_on_s;
-      positive "mean_off_s" mean_off_s
   | Cbr -> ());
   let layering = Session.layering session in
   let layers = Layering.count layering in
@@ -172,40 +132,24 @@ let start ~network ~session ~kind ~rng ?start_at () =
       bytes = 0;
     }
   in
-  let sim = Net.Network.sim network in
-  let begin_at = match start_at with Some s -> s | None -> Sim.now sim in
-  let kickoff () =
-    (* Each layer starts at a random phase within its own period so
-       co-located sessions do not emit in lockstep — synchronized phases
-       make drop-tail deterministically discriminate against whichever
-       source happens to enqueue last. *)
-    for layer = 0 to layers - 1 do
-      let rate = Layering.rate_bps layering ~layer in
-      match kind with
-      | Cbr ->
-          let gap = Time.span_of_sec_f (float_of_int packet_bits /. rate) in
-          let phase =
-            Time.span_of_sec_f
-              (Engine.Prng.float rng *. Time.span_to_sec_f gap)
-          in
-          cbr_start t ~layer ~gap ~phase
-      | Vbr { peak_to_mean } ->
-          let avg = rate /. float_of_int packet_bits in
-          let phase = Time.span_of_sec_f (Engine.Prng.float rng) in
-          vbr_start t ~layer ~avg ~peak_to_mean ~phase
-      | On_off { mean_on_s; mean_off_s } ->
-          (* During the on phase the layer runs at its nominal rate, so
-             the long-run average is rate x on/(on+off). *)
-          let gap = Time.span_of_sec_f (float_of_int packet_bits /. rate) in
-          let phase =
-            Time.span_of_sec_f
-              (Engine.Prng.float rng *. Time.span_to_sec_f gap)
-          in
-          onoff_start t ~layer ~gap ~mean_on_s ~mean_off_s ~phase
-    done
-  in
-  if Time.(begin_at <= Sim.now sim) then kickoff ()
-  else ignore (Sim.schedule_at sim begin_at kickoff);
+  (* Each layer starts at a random phase within its own period so
+     co-located sessions do not emit in lockstep — synchronized phases
+     make drop-tail deterministically discriminate against whichever
+     source happens to enqueue last. *)
+  for layer = 0 to layers - 1 do
+    let rate = Layering.rate_bps layering ~layer in
+    match kind with
+    | Cbr ->
+        let gap = Time.span_of_sec_f (float_of_int packet_bits /. rate) in
+        let phase =
+          Time.span_of_sec_f (Engine.Prng.float rng *. Time.span_to_sec_f gap)
+        in
+        cbr_start t ~layer ~gap ~phase
+    | Vbr { peak_to_mean } ->
+        let avg = rate /. float_of_int packet_bits in
+        let phase = Time.span_of_sec_f (Engine.Prng.float rng) in
+        vbr_start t ~layer ~avg ~peak_to_mean ~phase
+  done;
   t
 
 let packets_sent t ~layer = t.sent.(layer)

@@ -15,11 +15,6 @@
 type kind =
   | Cbr
   | Vbr of { peak_to_mean : float }  (** P in [2, 10] per the paper *)
-  | On_off of { mean_on_s : float; mean_off_s : float }
-      (** exponential on/off per layer: CBR at the layer's nominal rate
-          while on, silent while off — the classic bursty-source model,
-          used by the burstiness ablation (paper Section V worries about
-          "bursty losses vs sustained congestion") *)
 
 type t
 
@@ -28,14 +23,12 @@ val start :
   session:Session.t ->
   kind:kind ->
   rng:Engine.Prng.t ->
-  ?start_at:Engine.Time.t ->
   unit ->
   t
-(** Begins transmission of every layer at [start_at] (default: now); a
-    source sends until the run ends. The [rng] drives VBR draws (unused
-    for CBR). @raise Invalid_argument naming the parameter when a VBR
-    [peak_to_mean] is not a finite number >= 1, or an on/off mean is
-    not finite and positive. *)
+(** Begins transmission of every layer now; a source sends until the run
+    ends. The [rng] draws each layer's phase and the VBR packet counts.
+    @raise Invalid_argument naming the parameter when a VBR
+    [peak_to_mean] is not a finite number >= 1. *)
 
 val packets_sent : t -> layer:int -> int
 (** Packets originated so far on a layer. *)

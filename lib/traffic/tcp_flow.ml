@@ -141,7 +141,7 @@ let on_data t seq =
     ~size:ack_size
     ~payload:(Tcp_ack { flow = t.flow_id; ack = t.rcv_next })
 
-let start ~network ~src ~dst ?(flow_id = 0) ?(initial_ssthresh = 64.0) () =
+let start ~network ~src ~dst ?(flow_id = 0) () =
   if src = dst then invalid_arg "Tcp_flow.start: src = dst";
   let t =
     {
@@ -152,7 +152,7 @@ let start ~network ~src ~dst ?(flow_id = 0) ?(initial_ssthresh = 64.0) () =
       next_seq = 0;
       send_base = 0;
       cwnd = 2.0;
-      ssthresh = initial_ssthresh;
+      ssthresh = 64.0;
       dup_acks = 0;
       recovery_until = 0;
       srtt_s = 0.0;

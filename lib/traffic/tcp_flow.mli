@@ -19,11 +19,13 @@ val start :
   src:Net.Addr.node_id ->
   dst:Net.Addr.node_id ->
   ?flow_id:int ->
-  ?initial_ssthresh:float ->
   unit ->
   t
-(** Begins a greedy transfer immediately; it runs until the run ends.
-    [flow_id] distinguishes concurrent flows (default 0);
+(** Begins a greedy transfer immediately, in slow start with a
+    congestion window of 2 segments up to a threshold of 64; it runs
+    until the run ends. [flow_id] distinguishes concurrent flows
+    (default 0). Test-only [flow_id]: the TCP tests run two flows from
+    one host.
     @raise Invalid_argument if [src = dst]. *)
 
 val bytes_acked : t -> int

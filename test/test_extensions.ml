@@ -468,56 +468,6 @@ let test_mtrace_off_tree () =
     | Error _ -> true
     | Ok _ -> false)
 
-(* ---------- on/off sources ---------- *)
-
-let test_onoff_mean_rate () =
-  let sim = Sim.create () in
-  let topo = Topology.create () in
-  ignore (Topology.add_nodes topo 2);
-  Topology.add_duplex topo ~a:0 ~b:1 ~bandwidth_bps:1e8 ();
-  let nw = Network.create ~sim topo in
-  let router = Router.create ~network:nw () in
-  let session =
-    Session.create ~router ~source:0 ~layering:Layering.paper_default ~id:0
-  in
-  Session.set_subscription_level session ~router ~node:1 ~level:1;
-  Sim.run_until sim (Time.of_sec 2);
-  let count = ref 0 in
-  Network.set_local_handler nw 1 (fun pkt ->
-      let a = Network.arena nw in
-      if Packet.is_data a pkt && Packet.layer a pkt = 0 then incr count);
-  ignore
-    (Traffic.Source.start ~network:nw ~session
-       ~kind:(Traffic.Source.On_off { mean_on_s = 2.0; mean_off_s = 2.0 })
-       ~rng:(Sim.rng sim ~label:"src") ());
-  Sim.run_until sim (Time.of_sec 602);
-  (* Base layer nominal 4 pkt/s at 50% duty cycle over 600 s ~ 1200. *)
-  let expected = 1200.0 in
-  let ratio = float_of_int !count /. expected in
-  checkb
-    (Printf.sprintf "duty-cycled mean (got %d, expected ~%.0f)" !count expected)
-    true
-    (ratio > 0.75 && ratio < 1.25)
-
-let test_onoff_validation () =
-  let sim = Sim.create () in
-  let topo = Topology.create () in
-  ignore (Topology.add_nodes topo 2);
-  Topology.add_duplex topo ~a:0 ~b:1 ~bandwidth_bps:1e8 ();
-  let nw = Network.create ~sim topo in
-  let router = Router.create ~network:nw () in
-  let session =
-    Session.create ~router ~source:0 ~layering:Layering.paper_default ~id:0
-  in
-  checkb "bad means rejected" true
-    (try
-       ignore
-         (Traffic.Source.start ~network:nw ~session
-            ~kind:(Traffic.Source.On_off { mean_on_s = 0.0; mean_off_s = 1.0 })
-            ~rng:(Sim.rng sim ~label:"src") ());
-       false
-     with Invalid_argument _ -> true)
-
 (* ---------- simulcast ---------- *)
 
 let simulcast_world () =
@@ -722,11 +672,6 @@ let () =
         [
           Alcotest.test_case "path" `Quick test_mtrace_path;
           Alcotest.test_case "off tree" `Quick test_mtrace_off_tree;
-        ] );
-      ( "on-off",
-        [
-          Alcotest.test_case "mean rate" `Slow test_onoff_mean_rate;
-          Alcotest.test_case "validation" `Quick test_onoff_validation;
         ] );
       ( "simulcast",
         [

@@ -86,6 +86,21 @@ let test_rlm_scheme_runs () =
         (r.final_level >= 1 && r.final_level <= r.optimal + 2))
     o.receivers
 
+(* Nothing reads discovery's captures without a control plane, so the
+   RLM and Oracle worlds register no session and capture nothing. *)
+let test_no_control_captures_nothing () =
+  let spec = Builders.topology_a ~receivers_per_set:2 in
+  let registered control =
+    let w =
+      Scenarios.World.build ~spec ~control ~agents:Scenarios.World.No_agents ()
+    in
+    List.length (Discovery.Service.sessions w.Scenarios.World.discovery)
+  in
+  checki "no control plane, no session" 0
+    (registered Scenarios.World.No_control);
+  checki "a controller's session" 1
+    (registered (Scenarios.World.Flat { probe = false }))
+
 let test_vbr_still_converges () =
   let o = run ~traffic:(Experiment.Vbr 3.0) (Builders.topology_a ~receivers_per_set:2) in
   List.iter
@@ -260,6 +275,8 @@ let () =
         [
           Alcotest.test_case "oracle lossless" `Slow test_oracle_scheme_lossless;
           Alcotest.test_case "rlm runs" `Slow test_rlm_scheme_runs;
+          Alcotest.test_case "no discovery capture" `Quick
+            test_no_control_captures_nothing;
         ] );
       ( "harness",
         [

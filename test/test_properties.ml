@@ -66,7 +66,7 @@ let congestion_of ~salt tree =
       v.max_bytes.(i) <- bytes_of (Tree.node tree i)
     end
   done;
-  Congestion.compute ~params ~tree v;
+  Congestion.compute ~tree v;
   v
 
 let prop_congestion_invariants =
@@ -108,7 +108,7 @@ let prop_congestion_clean_tree_quiet =
       for i = 0 to n - 1 do
         if Tree.is_leaf tree i then v.max_bytes.(i) <- 1000
       done;
-      Congestion.compute ~params ~tree v;
+      Congestion.compute ~tree v;
       Array.for_all not v.Congestion.congested)
 
 (* One session's input where every member reports and is prescribed

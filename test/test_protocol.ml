@@ -104,15 +104,12 @@ let prop_streams_independent =
 (* ---------- retransmission backoff ---------- *)
 
 let test_backoff_span_doubles_and_caps () =
-  let params = Params.default in
   let rng = Engine.Prng.create ~seed:42L in
-  let base = Time.span_to_sec_f params.Params.retransmit_initial in
-  let cap = Time.span_to_sec_f params.Params.retransmit_max in
+  let base = Time.span_to_sec_f Params.retransmit_initial in
+  let cap = Time.span_to_sec_f Params.retransmit_max in
   for attempt = 0 to 40 do
     let ideal = Float.min cap (base *. (2.0 ** float_of_int attempt)) in
-    let span =
-      Time.span_to_sec_f (Protocol.backoff_span ~params ~rng ~attempt)
-    in
+    let span = Time.span_to_sec_f (Protocol.backoff_span ~rng ~attempt) in
     checkb
       (Printf.sprintf "attempt %d within +/-50%% of %.3fs (got %.3fs)" attempt
          ideal span)
@@ -123,11 +120,8 @@ let test_backoff_span_doubles_and_caps () =
 let test_backoff_span_jitters () =
   (* Distinct draws for the same attempt: the jitter actually consumes
      randomness, so synchronized retransmission storms decorrelate. *)
-  let params = Params.default in
   let rng = Engine.Prng.create ~seed:42L in
-  let spans =
-    List.init 16 (fun _ -> Protocol.backoff_span ~params ~rng ~attempt:0)
-  in
+  let spans = List.init 16 (fun _ -> Protocol.backoff_span ~rng ~attempt:0) in
   checkb "not all equal" true
     (List.exists (fun s -> s <> List.hd spans) (List.tl spans));
   List.iter

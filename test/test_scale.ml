@@ -49,31 +49,53 @@ let test_transit_stub_shape () =
     = Ok ())
 
 let test_multi_homed_rejected () =
-  (* The deliberately mis-drawn world: each stub's first receiver also
-     links to the transit, so every domain has two attachment points and
-     world construction must die with a message naming them. *)
-  match
-    Builders.transit_stub ~transits:2 ~stubs_per_transit:1
-      ~receivers_per_stub:3 ~multi_homed:true ()
-  with
-  | _ -> Alcotest.fail "multi-homed domains must be rejected"
-  | exception Invalid_argument msg ->
+  (* A mis-drawn domain: stub router 1 and its receivers 2 and 3, with
+     receiver 2 also linked straight to transit 0, so the domain meets
+     the rest of the topology at two nodes. This is the check
+     [transit_stub] runs on every world before returning it; the error
+     names the domain and the count and points at the fix. *)
+  let topology = Net.Topology.create () in
+  ignore (Net.Topology.add_nodes topology 4);
+  List.iter
+    (fun (a, b) ->
+      Net.Topology.add_duplex topology ~a ~b ~bandwidth_bps:Builders.fast_bps
+        ())
+    [ (0, 1); (1, 2); (1, 3); (0, 2) ];
+  match Builders.validate_domains ~topology ~domains:[ (0, [ 1; 2; 3 ]) ] with
+  | Ok () -> Alcotest.fail "multi-homed domains must be rejected"
+  | Error msg ->
       checkb "names the domain" true (contains msg "domain 0");
+      checkb "mentions attachment count" true (contains msg "2 nodes");
       checkb "points at the fix" true (contains msg "single node")
 
 let test_multi_homed_buildable_unvalidated () =
-  (* validate:false builds the same world, and validate_domains reports
-     the defect as a value instead of an exception. *)
+  (* A built transit-stub world, then each stub's first receiver also
+     linked straight to its stub's transit: every domain now has two
+     attachment points. validate_domains reports the defect as a value
+     instead of an exception. *)
   let w =
     Builders.transit_stub ~transits:2 ~stubs_per_transit:1
-      ~receivers_per_stub:3 ~multi_homed:true ~validate:false ()
+      ~receivers_per_stub:3 ()
   in
-  match
-    Builders.validate_domains ~topology:w.Builders.spec.Builders.topology
-      ~domains:w.Builders.domains
-  with
+  let topology = w.Builders.spec.Builders.topology in
+  List.iter
+    (fun (_, members) ->
+      match members with
+      | stub_router :: first :: _ ->
+          let transit =
+            List.find
+              (fun n -> not (List.mem n members))
+              (Net.Topology.neighbors topology stub_router)
+          in
+          Net.Topology.add_duplex topology ~a:transit ~b:first
+            ~bandwidth_bps:Builders.fast_bps ()
+      | _ -> Alcotest.fail "expected a stub router and its receivers")
+    w.Builders.domains;
+  match Builders.validate_domains ~topology ~domains:w.Builders.domains with
   | Ok () -> Alcotest.fail "expected a validation error"
-  | Error msg -> checkb "mentions attachment count" true (contains msg "2 nodes")
+  | Error msg ->
+      checkb "names the domain" true (contains msg "domain 0");
+      checkb "mentions attachment count" true (contains msg "2 nodes")
 
 let test_validate_rejects_overlap_and_empty () =
   let w =

@@ -71,15 +71,9 @@ let test_params_rejections () =
   let bad =
     [
       { params with Params.interval = 0 };
-      { params with Params.p_threshold = 0.0 };
-      { params with Params.p_high = 0.001 };
-      { params with Params.p_very_high = 0.05 };
-      { params with Params.eta_similar = 1.5 };
-      { params with Params.backoff_max = params.Params.backoff_min - 1 };
       { params with Params.capacity_reset_intervals = 0 };
-      { params with Params.suggestion_timeout_intervals = 0 };
       { params with Params.staleness = -1 };
-      { params with Params.deaf_period = -1 };
+      { params with Params.lease_intervals = 0 };
     ]
   in
   List.iteri
@@ -275,7 +269,7 @@ let test_tree_rejects_non_tree () =
 
 let test_backoff_lifecycle () =
   let rng = Engine.Prng.create ~seed:1L in
-  let b = Backoff.create ~params ~rng in
+  let b = Backoff.create ~rng in
   let now = Time.of_sec 100 in
   checkb "inactive" false (Backoff.active b ~session:0 ~node:4 ~layer:2 ~now);
   Backoff.arm b ~session:0 ~node:4 ~layer:2 ~now;
@@ -285,17 +279,17 @@ let test_backoff_lifecycle () =
   checkb "other session inactive" false
     (Backoff.active b ~session:1 ~node:4 ~layer:2 ~now);
   (* Expires within backoff_max. *)
-  let later = Time.add now (params.Params.backoff_max + 1) in
+  let later = Time.add now (Params.backoff_max + 1) in
   checkb "expired" false
     (Backoff.active b ~session:0 ~node:4 ~layer:2 ~now:later);
   (* Still active at backoff_min - epsilon. *)
-  let soon = Time.add now (params.Params.backoff_min - 1) in
+  let soon = Time.add now (Params.backoff_min - 1) in
   checkb "still before min" true
     (Backoff.active b ~session:0 ~node:4 ~layer:2 ~now:soon)
 
 let test_backoff_blocks_path () =
   let rng = Engine.Prng.create ~seed:1L in
-  let b = Backoff.create ~params ~rng in
+  let b = Backoff.create ~rng in
   let tree = tree_of (two_branch ()) in
   let leaf = Tree.index tree in
   let now = Time.zero in
@@ -313,8 +307,8 @@ let test_backoff_blocks_path () =
 let test_backoff_multi_level_tree () =
   let rng = Engine.Prng.create ~seed:7L in
   (* Each phase arms one node on a fresh set of timers. *)
-  let b = ref (Backoff.create ~params ~rng) in
-  let fresh () = b := Backoff.create ~params ~rng in
+  let b = ref (Backoff.create ~rng) in
+  let fresh () = b := Backoff.create ~rng in
   let tree =
     tree_of
       (snapshot
@@ -368,7 +362,7 @@ let verdicts_of ~measures snap =
       v.loss.(i) <- l;
       v.max_bytes.(i) <- b)
     measures;
-  Congestion.compute ~params ~tree v;
+  Congestion.compute ~tree v;
   (tree, v)
 
 let test_congestion_clean () =
