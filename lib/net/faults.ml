@@ -173,9 +173,6 @@ let clear_control_plane t = Network.clear_origination_filter t.network
 let link_downs t = t.link_downs
 let link_ups t = t.link_ups
 
-let topology_changes t =
-  t.link_downs + t.link_ups + t.crash_link_downs + t.crash_link_ups
-
 let control_dropped t = t.control_dropped
 let control_delayed t = t.control_delayed
 let node_crashes t = t.node_crashes

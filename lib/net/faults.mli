@@ -78,9 +78,9 @@ val schedule_recover : t -> at:Engine.Time.t -> node:Addr.node_id -> unit
 val add_crash_observer : t -> (Addr.node_id -> up:bool -> unit) -> unit
 (** Observers run (in registration order) after a crash has downed the
     node's links ([up = false]) and after a recovery has restored them
-    ([up = true]). The scenario layer uses this to wipe/rebuild the
-    node's multicast group state and to stop/restart co-located
-    controller processes. *)
+    ([up = true]). The scenario layer's world registers the one
+    observer, which wipes/rebuilds the node's multicast group state and
+    stops/restarts co-located controllers and agents. *)
 
 val set_control_plane :
   t ->
@@ -103,12 +103,6 @@ val clear_control_plane : t -> unit
 
 val link_downs : t -> int
 val link_ups : t -> int
-
-val topology_changes : t -> int
-(** [link_downs + link_ups + crash_link_downs + crash_link_ups]: every
-    fault event that fired a topology observer. The churn-storm scenario
-    divides the routing work done by this to show it is bounded by
-    damage, not by events × nodes. *)
 
 val control_dropped : t -> int
 val control_delayed : t -> int

@@ -40,7 +40,7 @@ type arena = {
 }
 
 let create_arena ?(initial = 256) () =
-  let cap = max 16 initial in
+  let cap = max 1 initial in
   {
     gens = Array.make cap 0;
     tag = Array.make cap 0;

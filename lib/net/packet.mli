@@ -42,8 +42,9 @@ type arena
 
 val create_arena : ?initial:int -> unit -> arena
 (** An empty arena with room for [initial] packets (default 256, at
-    least 16); it grows on demand. Test-only [initial]: the arena
-    property starts small so that slot reuse and growth both happen. *)
+    least 1); it grows on demand, doubling. Test-only [initial]: the
+    arena property starts at 2 slots so that slot reuse and growth both
+    happen. *)
 
 val alloc :
   arena -> src:Addr.node_id -> dst:Addr.dest -> size:int -> payload:payload -> t

@@ -92,6 +92,50 @@ let storm_fits storm_s =
   | _ -> true
   | exception Invalid_argument _ -> false
 
+(* The global oracles. [routing_mismatches] counts the [(from, dst)]
+   pairs, [dst] in [dsts], whose next hop or distance in [live] differs
+   from [fresh]; it reads no column outside [dsts], since on lazy tables
+   reading a column builds it. *)
+let routing_mismatches ~live ~fresh ~nodes ~dsts =
+  List.fold_left
+    (fun bad dst ->
+      let bad = ref bad in
+      for from = 0 to nodes - 1 do
+        if
+          from <> dst
+          && (Net.Routing.next_hop_opt live ~from ~dst
+                <> Net.Routing.next_hop_opt fresh ~from ~dst
+             || Net.Routing.distance live ~from ~dst
+                <> Net.Routing.distance fresh ~from ~dst)
+        then incr bad
+      done;
+      !bad)
+    0 dsts
+
+(* [None] when [group]'s installed tree edges equal a fresh rebuild, the
+   union of its members' reverse paths to the source in [fresh];
+   otherwise the two edge counts. [nodes] bounds each climb. *)
+let tree_mismatch ~router ~fresh ~nodes ~group =
+  let source = Multicast.Router.source router ~group in
+  let expected = Hashtbl.create 256 in
+  let rec climb n steps =
+    if n <> source && steps <= nodes then
+      match Net.Routing.next_hop_opt fresh ~from:n ~dst:source with
+      | None -> ()
+      | Some p ->
+          if not (Hashtbl.mem expected (p, n)) then begin
+            Hashtbl.add expected (p, n) ();
+            climb p (steps + 1)
+          end
+  in
+  List.iter (fun m -> climb m 0) (Multicast.Router.members router ~group);
+  let expected =
+    List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) expected [])
+  in
+  let live = List.sort compare (Multicast.Router.tree_edges router ~group) in
+  if live = expected then None
+  else Some (List.length live, List.length expected)
+
 let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
   if not (Float.is_finite storm_s) then
     invalid_arg "Chaos.run: storm_s not finite";
@@ -149,16 +193,13 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
   (* the flat controller at the source: the kary world's only one, the
      transit world's re-home target *)
   let rehome = Option.get w.flat in
-  let faults = Net.Faults.create ~network () in
-  (* what a Ctrl_crash fault and a node crash stop: the per-domain
-     controllers, or in the kary world the flat one *)
+  let faults = Lazy.force w.faults in
+  (* what a Ctrl_crash fault stops: the per-domain controllers, or in the
+     kary world the flat one *)
   let leaf_ctrls =
     match w.controllers with [] -> [ (source, rehome) ] | l -> l
   in
   let all_ctrls = List.rev (rehome :: List.map snd w.controllers) in
-  let ctrls_at node =
-    List.filter_map (fun (n, c) -> if n = node then Some c else None) leaf_ctrls
-  in
   (* a domain's agents, and the node of the controller they report to *)
   let agents_of_domain d =
     match List.find_opt (fun (d', _) -> d' = d) domains with
@@ -185,20 +226,6 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
               Controller.forget_receiver rehome ~session:0 ~receiver:node)
             agents)
         ());
-  (* ---- crash observers: fail-stop of co-located processes ---- *)
-  let agent_at = Hashtbl.create 64 in
-  List.iter (fun (n, a) -> Hashtbl.replace agent_at n a) agents;
-  Net.Faults.add_crash_observer faults (fun node ~up ->
-      if up then begin
-        Multicast.Router.recover_node router ~node;
-        List.iter Controller.start (ctrls_at node);
-        Option.iter Agent.start (Hashtbl.find_opt agent_at node)
-      end
-      else begin
-        Multicast.Router.crash_node router ~node;
-        List.iter Controller.stop (ctrls_at node);
-        Option.iter Agent.stop (Hashtbl.find_opt agent_at node)
-      end);
   (* ---- resolve and arm the schedule ---- *)
   let pairs =
     Array.of_list
@@ -274,7 +301,7 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
           schedule_at_s at (fun () ->
               incr burst_depth;
               Net.Faults.set_control_plane faults
-                ~classify:(Recovery.is_control (Net.Network.arena network))
+                ~classify:(World.is_control (Net.Network.arena network))
                 ~drop_fraction:drop ());
           schedule_at_s end_at (fun () ->
               decr burst_depth;
@@ -342,7 +369,7 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
           ((source :: List.map fst leaf_ctrls) @ List.map fst agents)
     in
     let bad =
-      Recovery.routing_mismatches ~live:routing ~fresh:oracle ~nodes
+      routing_mismatches ~live:routing ~fresh:oracle ~nodes
         ~dsts:check_dsts
     in
     if bad > 0 then
@@ -353,7 +380,7 @@ let run ~world ~schedule ?(storm_s = 60.0) ?(seed = 42L) () =
     let all_ok = ref true in
     for layer = 0 to Layering.count (Session.layering session) - 1 do
       match
-        Recovery.tree_mismatch ~router ~fresh:oracle ~nodes
+        tree_mismatch ~router ~fresh:oracle ~nodes
           ~group:(Session.group_for_layer session ~layer)
       with
       | None -> ()

@@ -123,10 +123,10 @@ val run :
     the pristine topology, so the oracle is a fresh compute), probes
     re-prescription at [storm_s + 3 intervals + 1 s], freezes agents and
     controllers at [storm_s + 20 s] so leave latency expires, and
-    evaluates the invariants at [storm_s + 30 s] with
-    {!Recovery.routing_mismatches} and {!Recovery.tree_mismatch}.
-    [storm_s] defaults to 60. The run is deterministic per [seed]
-    (default [42L]).
+    evaluates the invariants at [storm_s + 30 s]. Faults go through the
+    world's [faults] handle ({!World.t}), whose crash observer stops and
+    restarts the crashed node's processes. [storm_s] defaults to 60.
+    The run is deterministic per [seed] (default [42L]).
     @raise Invalid_argument before building anything if [storm_s] is not
     finite, [storm_s < 20], or not {!storm_fits}; the message names
     [storm_s]. Also, before the simulation starts, if a [Transit_stub]

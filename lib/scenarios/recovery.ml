@@ -209,7 +209,7 @@ let link_flap ?(duration = Time.of_sec 180) ?(seed = 42L) () =
     invalid_arg "link_flap: duration must extend past up_at_s";
   let spec, core, branch_fast, fast_set = flap_spec () in
   let rig = make_rig ~spec ~params:Toposense.Params.default ~seed in
-  let faults = Net.Faults.create ~network:rig.world.network () in
+  let faults = Lazy.force rig.world.faults in
   Net.Faults.schedule_flap faults ~a:core ~b:branch_fast
     ~down_at:(Time.of_sec_f fault_at_s) ~up_at:(Time.of_sec_f heal_at_s);
   let receivers =
@@ -260,12 +260,7 @@ let router_crash ?(duration = Time.of_sec 200) ?(seed = 42L) () =
     invalid_arg "router_crash: duration must extend past recover_at_s";
   let spec, _core, branch_fast, fast_set = flap_spec () in
   let rig = make_rig ~spec ~params:Toposense.Params.default ~seed in
-  let faults = Net.Faults.create ~network:rig.world.network () in
-  (* the net layer cannot name the multicast layer; the observer wires
-     crash/recover through to the router's state wipe and rebuild *)
-  Net.Faults.add_crash_observer faults (fun node ~up ->
-      if up then Multicast.Router.recover_node rig.world.router ~node
-      else Multicast.Router.crash_node rig.world.router ~node);
+  let faults = Lazy.force rig.world.faults in
   Net.Faults.schedule_crash faults ~at:(Time.of_sec_f fault_at_s)
     ~node:branch_fast;
   Net.Faults.schedule_recover faults ~at:(Time.of_sec_f heal_at_s)
@@ -426,22 +421,6 @@ type lossy_outcome = {
   stale_suppressed : int;
 }
 
-(* The control plane, as the net layer cannot name it itself: receiver
-   reports, controller suggestions, protocol ACKs, discovery
-   probe traffic and the federation's domain summaries. *)
-let is_control arena (pkt : Net.Packet.t) =
-  (not (Net.Packet.is_data arena pkt))
-  &&
-  match Net.Packet.payload arena pkt with
-  | Reports.Rtcp.Report _ -> true
-  | Toposense.Controller.Suggestion _ -> true
-  | Toposense.Protocol.Ack _ -> true
-  | Toposense.Probe_discovery.Probe_query _
-  | Toposense.Probe_discovery.Probe_response _ ->
-      true
-  | Toposense.Federation.Domain_summary _ -> true
-  | _ -> false
-
 let lossy_control ?(drop_fraction = 0.3) ?(delay_fraction = 0.0)
     ?(delay = Time.span_of_ms 500) ?(duration = Time.of_sec 300) ?(seed = 42L)
     ?(reliable = false) () =
@@ -450,10 +429,10 @@ let lossy_control ?(drop_fraction = 0.3) ?(delay_fraction = 0.0)
     { Toposense.Params.default with reliable_prescriptions = reliable }
   in
   let rig = make_rig ~spec ~params ~seed in
-  let faults = Net.Faults.create ~network:rig.world.network () in
+  let faults = Lazy.force rig.world.faults in
   Net.Faults.set_control_plane faults
-    ~classify:(is_control (Net.Network.arena rig.world.network)) ~drop_fraction
-    ~delay_fraction ~delay ();
+    ~classify:(World.is_control (Net.Network.arena rig.world.network))
+    ~drop_fraction ~delay_fraction ~delay ();
   Sim.run_until rig.world.sim duration;
   let receivers =
     List.map
@@ -569,7 +548,7 @@ let partition ?(duration = Time.of_sec 180) ?(seed = 42L) () =
     }
   in
   let rig = make_rig ~spec ~params ~seed in
-  let faults = Net.Faults.create ~network:rig.world.network () in
+  let faults = Lazy.force rig.world.faults in
   let down_at = Time.of_sec_f fault_at_s in
   let up_at = Time.of_sec_f heal_at_s in
   Net.Faults.schedule_flap faults ~a:source ~b:ctrl ~down_at ~up_at;
@@ -614,176 +593,4 @@ let partition ?(duration = Time.of_sec 180) ?(seed = 42L) () =
           | Some s -> s <= three_intervals
           | None -> false)
         receivers;
-  }
-
-(* ---------- global invariants ---------- *)
-
-let routing_mismatches ~live ~fresh ~nodes ~dsts =
-  List.fold_left
-    (fun bad dst ->
-      let bad = ref bad in
-      for from = 0 to nodes - 1 do
-        if
-          from <> dst
-          && (Net.Routing.next_hop_opt live ~from ~dst
-                <> Net.Routing.next_hop_opt fresh ~from ~dst
-             || Net.Routing.distance live ~from ~dst
-                <> Net.Routing.distance fresh ~from ~dst)
-        then incr bad
-      done;
-      !bad)
-    0 dsts
-
-(* A fresh rebuild of [group]'s tree is the union of its members'
-   reverse paths to the source in [fresh]. *)
-let tree_mismatch ~router ~fresh ~nodes ~group =
-  let source = Multicast.Router.source router ~group in
-  let expected = Hashtbl.create 256 in
-  let rec climb n steps =
-    if n <> source && steps <= nodes then
-      match Net.Routing.next_hop_opt fresh ~from:n ~dst:source with
-      | None -> ()
-      | Some p ->
-          if not (Hashtbl.mem expected (p, n)) then begin
-            Hashtbl.add expected (p, n) ();
-            climb p (steps + 1)
-          end
-  in
-  List.iter (fun m -> climb m 0) (Multicast.Router.members router ~group);
-  let expected =
-    List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) expected [])
-  in
-  let live = List.sort compare (Multicast.Router.tree_edges router ~group) in
-  if live = expected then None
-  else Some (List.length live, List.length expected)
-
-(* ---------- churn storm ---------- *)
-
-type storm_outcome = {
-  nodes : int;
-  links : int;
-  flaps : int;
-  topology_events : int;
-  joins : int;
-  leaves : int;
-  routing_recomputes : int;
-  full_recompute_equiv : int;
-  repair_passes : int;
-  edges_repaired : int;
-  tables_consistent : bool;
-  tree_consistent : bool;
-  events_dispatched : int;
-  peak_heap : int;
-  peak_live : int;
-}
-
-(* Pure control-plane stress: no traffic, no TopoSense loop — just the
-   routing tables and one multicast tree under sustained link flaps and
-   membership churn on a k-ary topology with sibling detours.  Every flap
-   finishes before [storm_end]; a restore-all sweep there guarantees the
-   final graph is the pristine topology, so the end-of-run oracle is
-   simply a fresh [Routing.compute] with nothing disabled.  The last
-   30 s are quiet, long enough for every in-flight graft (hop delays)
-   and leave timer (1 s) to land before the consistency checks. *)
-let churn_storm ?(fanout = 4) ?(depth = 3) ?(flaps = 60) ?(churners = 24)
-    ?(duration = Time.of_sec 600) ?(seed = 7L) () =
-  if flaps < 0 then invalid_arg "churn_storm: flaps < 0";
-  if churners < 0 then invalid_arg "churn_storm: churners < 0";
-  let horizon_s = Time.to_sec_f duration in
-  if horizon_s < 60.0 then invalid_arg "churn_storm: duration < 60 s";
-  let spec = Builders.kary ~fanout ~depth () in
-  (* The storm measures incremental table maintenance, which needs the
-     tables to exist: with lazy columns, almost nothing would be
-     materialized (no unicast traffic runs here) and the recompute
-     counters would measure an empty table set. The world carries no
-     session: the storm joins one bare group itself. *)
-  let { World.sim; network; router; _ } =
-    World.build
-      ~spec:{ spec with Builders.sessions = [] }
-      ~seed ~eager_routing:true ~control:World.No_control
-      ~agents:World.No_agents ()
-  in
-  let faults = Net.Faults.create ~network () in
-  let root, leaf_nodes =
-    match spec.Builders.sessions with [ s ] -> s | _ -> assert false
-  in
-  let group = Multicast.Router.fresh_group router ~source:root in
-  List.iter (fun n -> Multicast.Router.join router ~node:n ~group) leaf_nodes;
-  let join_count = ref (List.length leaf_nodes) in
-  let leave_count = ref 0 in
-  let rng = Sim.rng sim ~label:"churn-storm" in
-  let schedule_at_s s f = ignore (Sim.schedule_at sim (Time.of_sec_f s) f) in
-  let storm_end = horizon_s -. 30.0 in
-  (* Membership churners: a subset of leaves that repeatedly leave and
-     re-join a few seconds later.  Every cycle ends in a re-join before
-     [storm_end], so the final membership is all leaves again. *)
-  List.iteri
-    (fun _ node ->
-      let t = ref (Engine.Prng.uniform rng ~lo:5.0 ~hi:20.0) in
-      let continue = ref true in
-      while !continue do
-        let gap = Engine.Prng.uniform rng ~lo:2.0 ~hi:6.0 in
-        if !t +. gap >= storm_end then continue := false
-        else begin
-          let off = !t in
-          schedule_at_s off (fun () ->
-              incr leave_count;
-              Multicast.Router.leave router ~node ~group);
-          schedule_at_s (off +. gap) (fun () ->
-              incr join_count;
-              Multicast.Router.join router ~node ~group);
-          t := !t +. gap +. Engine.Prng.uniform rng ~lo:10.0 ~hi:25.0
-        end
-      done)
-    (List.filteri (fun i _ -> i < churners) leaf_nodes);
-  (* Link flaps over the whole link set (tree links and sibling
-     detours); overlapping flaps of one link are fine — [Faults]'s
-     down/up are guarded no-ops, and the counters track only effective
-     transitions. *)
-  let pairs =
-    Array.of_list
-      (List.map
-         (fun (l : Net.Topology.link_spec) -> (l.a, l.b))
-         (Net.Topology.links spec.Builders.topology))
-  in
-  for _ = 1 to flaps do
-    let a, b = pairs.(Engine.Prng.int rng ~bound:(Array.length pairs)) in
-    let down = Engine.Prng.uniform rng ~lo:5.0 ~hi:(storm_end -. 10.0) in
-    let up = down +. Engine.Prng.uniform rng ~lo:2.0 ~hi:8.0 in
-    Net.Faults.schedule_flap faults ~a ~b ~down_at:(Time.of_sec_f down)
-      ~up_at:(Time.of_sec_f up)
-  done;
-  schedule_at_s storm_end (fun () ->
-      Array.iter (fun (a, b) -> Net.Faults.link_up faults ~a ~b) pairs);
-  Sim.run_until sim duration;
-  let routing = Net.Network.routing network in
-  let nodes = Net.Network.node_count network in
-  (* Every link is back up, so the live tables and the tree must equal a
-     fresh compute over the pristine topology. *)
-  let oracle = Net.Routing.compute spec.Builders.topology in
-  let tables_consistent =
-    routing_mismatches ~live:routing ~fresh:oracle ~nodes
-      ~dsts:(List.init nodes Fun.id)
-    = 0
-  in
-  let tree_consistent =
-    tree_mismatch ~router ~fresh:oracle ~nodes ~group = None
-  in
-  let topology_events = Net.Faults.topology_changes faults in
-  {
-    nodes;
-    links = Array.length pairs;
-    flaps;
-    topology_events;
-    joins = !join_count;
-    leaves = !leave_count;
-    routing_recomputes = Net.Routing.recomputes routing;
-    full_recompute_equiv = topology_events * nodes;
-    repair_passes = Multicast.Router.repair_passes router;
-    edges_repaired = Multicast.Router.edges_repaired router;
-    tables_consistent;
-    tree_consistent;
-    events_dispatched = Sim.events_dispatched sim;
-    peak_heap = Sim.max_pending sim;
-    peak_live = Sim.max_live_pending sim;
   }

@@ -1,7 +1,7 @@
 (** Failure-recovery experiments.
 
-    Six fault scenarios, each reporting recovery-time and
-    goodput/accuracy metrics:
+    Five scripted fault scenarios, the [faults] subcommand's, each
+    reporting recovery-time and goodput/accuracy metrics:
 
     - {!link_flap} — the core→fast-branch link fails and later heals on a
       topology with a narrower two-hop detour, exercising incremental
@@ -20,18 +20,14 @@
       link fails: the control plane is severed while the data plane keeps
       flowing; leases evict the unreachable receivers, the standalone
       RLM fallback keeps them adapting, and both ends reconverge after
-      the heal;
-    - {!churn_storm} — sustained random link flaps interleaved with
-      membership churn on a large k-ary topology, measuring that the
-      incremental route and tree maintenance does work proportional to
-      the damage (not events × nodes) while staying exactly consistent
-      with a from-scratch computation.
+      the heal.
 
-    All but {!churn_storm} run two receivers per set under CBR. The
-    flap, the crash and the partition strike at 60 s and heal at 90 s;
-    the outage stops the primary at 60 s and starts the standby at
-    100 s. Each outcome records its instants. All runs are deterministic
-    per seed. Without scheduled faults these rigs behave exactly like
+    All run two receivers per set under CBR, and inject their faults
+    through the world's [faults] handle ({!World.t}). The flap, the
+    crash and the partition strike at 60 s and heal at 90 s; the outage
+    stops the primary at 60 s and starts the standby at 100 s. Each
+    outcome records its instants. All runs are deterministic per seed.
+    Without scheduled faults these rigs behave exactly like
     {!Experiment.run}'s. *)
 
 (** {1 Link flap} *)
@@ -174,14 +170,6 @@ type lossy_outcome = {
   stale_suppressed : int;
 }
 
-val is_control : Net.Packet.arena -> Net.Packet.t -> bool
-(** The classifier handed to {!Net.Faults.set_control_plane} (partially
-    applied to the network's arena): receiver reports, controller
-    suggestions, protocol ACKs, discovery probe traffic and the
-    federation's {!Toposense.Federation.Domain_summary} packets (so a
-    lossy burst in a federated world can also starve the parent's
-    liveness lease). *)
-
 val lossy_control :
   ?drop_fraction:float ->
   ?delay_fraction:float ->
@@ -242,81 +230,3 @@ val partition :
     prescriptions, the RLM fallback and a 5-interval lease. Default
     horizon 180 s.
     @raise Invalid_argument unless [duration] extends past 90 s. *)
-
-(** {1 Global invariants}
-
-    The oracles that {!churn_storm} and {!Chaos.run} check a run's end
-    state against. *)
-
-val routing_mismatches :
-  live:Net.Routing.t ->
-  fresh:Net.Routing.t ->
-  nodes:int ->
-  dsts:Net.Addr.node_id list ->
-  int
-(** The number of [(from, dst)] pairs, [dst] in [dsts] and [from <> dst]
-    in [0 .. nodes - 1], whose next hop or distance in [live] differs
-    from [fresh]. Reads destination by destination and reads no column
-    outside [dsts]: on lazy tables, reading a column builds it. *)
-
-val tree_mismatch :
-  router:Multicast.Router.t ->
-  fresh:Net.Routing.t ->
-  nodes:int ->
-  group:Net.Addr.group_id ->
-  (int * int) option
-(** [None] when [group]'s installed tree edges equal a fresh rebuild: the
-    union of every member's reverse path to the group's source in
-    [fresh]. Otherwise [Some (live, expected)], the two edge counts.
-    [nodes] bounds each climb. *)
-
-(** {1 Churn storm} *)
-
-type storm_outcome = {
-  nodes : int;
-  links : int;  (** duplex links in the topology *)
-  flaps : int;  (** flap cycles requested *)
-  topology_events : int;
-      (** effective link-down/link-up transitions that fired topology
-          observers (overlapping flaps collapse; the final restore-all
-          sweep is included) *)
-  joins : int;  (** join calls, initial subscriptions included *)
-  leaves : int;  (** leave calls *)
-  routing_recomputes : int;
-      (** per-destination routing-table updates actually performed; a
-          non-incremental implementation would need
-          [full_recompute_equiv] of them *)
-  full_recompute_equiv : int;  (** [topology_events * nodes] *)
-  repair_passes : int;  (** one per topology event *)
-  edges_repaired : int;  (** tree edges cut by the bounded repair *)
-  tables_consistent : bool;
-      (** after the storm (all links restored) the live tables are
-          bit-identical to a fresh {!Net.Routing.compute} — next hops
-          and distances for every pair ({!routing_mismatches} is 0) *)
-  tree_consistent : bool;
-      (** the final tree's edges equal a fresh rebuild from the final
-          membership ({!tree_mismatch} is [None]) *)
-  events_dispatched : int;
-  peak_heap : int;  (** backing-store high-water mark, tombstones included *)
-  peak_live : int;  (** high-water mark of non-cancelled pending events *)
-}
-
-val churn_storm :
-  ?fanout:int ->
-  ?depth:int ->
-  ?flaps:int ->
-  ?churners:int ->
-  ?duration:Engine.Time.t ->
-  ?seed:int64 ->
-  unit ->
-  storm_outcome
-(** Pure control-plane churn stress on {!Builders.kary}: [flaps] random
-    link down/up cycles and [churners] leaves repeatedly leaving and
-    re-joining, all completing 30 s before the horizon so in-flight
-    grafts and leave timers settle; a restore-all sweep guarantees the
-    final graph is pristine before the consistency checks run.
-    Defaults: fanout 4, depth 3 (85 nodes), 60 flaps, 24 churners,
-    600 s horizon. Deterministic per seed.
-    @raise Invalid_argument on negative counts or a horizon under
-    60 s. Test-only, with [flaps] and [churners]: the storm tests pin
-    its recompute bounds and determinism at sizes no subcommand runs. *)

@@ -26,29 +26,75 @@ type t = {
   controllers : (Net.Addr.node_id * Controller.t) list;
   flat : Controller.t option;
   agents : (Net.Addr.node_id * Agent.t) list;
+  faults : Net.Faults.t Lazy.t;
 }
 
-let new_agent t ~node ~controller sessions =
-  let a =
-    Agent.create ~network:t.network ~router:t.router ~params:t.params ~node
-      ~controller ()
-  in
+let new_agent ~network ~router ~params ~node ~controller sessions =
+  let a = Agent.create ~network ~router ~params ~node ~controller () in
   List.iter (fun s -> Agent.subscribe a ~session:s ~initial_level:1) sessions;
   Agent.start a;
   (node, a)
 
 let add_agent t ~node ~controller =
-  snd (new_agent t ~node ~controller t.sessions)
+  snd
+    (new_agent ~network:t.network ~router:t.router ~params:t.params ~node
+       ~controller t.sessions)
 
-let new_controller t ~node ?domain ?probe ?federation () =
+let new_controller ~network ~discovery ~params ~sessions ~node ?domain ?probe
+    ?federation () =
   let c =
-    Controller.create ~network:t.network ~discovery:t.discovery
-      ~params:t.params ~node ?domain ?probe ?federation ()
+    Controller.create ~network ~discovery ~params ~node ?domain ?probe
+      ?federation ()
   in
-  List.iter (Controller.add_session c) t.sessions;
+  List.iter (Controller.add_session c) sessions;
   c
 
-let add_controller t ~node = new_controller t ~node ()
+let add_controller t ~node =
+  new_controller ~network:t.network ~discovery:t.discovery ~params:t.params
+    ~sessions:t.sessions ~node ()
+
+(* The control plane, as the net layer cannot name it itself: receiver
+   reports, controller suggestions, protocol ACKs, discovery
+   probe traffic and the federation's domain summaries. *)
+let is_control arena (pkt : Net.Packet.t) =
+  (not (Net.Packet.is_data arena pkt))
+  &&
+  match Net.Packet.payload arena pkt with
+  | Reports.Rtcp.Report _ -> true
+  | Controller.Suggestion _ -> true
+  | Toposense.Protocol.Ack _ -> true
+  | Toposense.Probe_discovery.Probe_query _
+  | Toposense.Probe_discovery.Probe_response _ ->
+      true
+  | Federation.Domain_summary _ -> true
+  | _ -> false
+
+(* The world's fault handle and its one crash observer, which runs once
+   [Net.Faults] has downed or restored the node's links: a crash wipes
+   the node's multicast state and stops the controllers and agents
+   [build] placed there; recovery rebuilds the state and restarts them,
+   in the same order. [root] is the flat controller's node. *)
+let crash_managed w ~root =
+  let faults = Net.Faults.create ~network:w.network () in
+  let controllers =
+    w.controllers @ List.map (fun c -> (root, c)) (Option.to_list w.flat)
+  in
+  let at node l =
+    List.filter_map (fun (n, x) -> if n = node then Some x else None) l
+  in
+  Net.Faults.add_crash_observer faults (fun node ~up ->
+      let ctrls = at node controllers and agents = at node w.agents in
+      if up then begin
+        Multicast.Router.recover_node w.router ~node;
+        List.iter Controller.start ctrls;
+        List.iter Agent.start agents
+      end
+      else begin
+        Multicast.Router.crash_node w.router ~node;
+        List.iter Controller.stop ctrls;
+        List.iter Agent.stop agents
+      end);
+  faults
 
 let build ~spec ?(domains = []) ?seed ?(params = Toposense.Params.default)
     ?(eager_routing = false) ?leave_latency ?expedited_leave ?discovery_period
@@ -92,15 +138,14 @@ let build ~spec ?(domains = []) ?seed ?(params = Toposense.Params.default)
       let rng = Sim.rng sim ~label:(source_label (Session.id session)) in
       ignore (Traffic.Source.start ~network ~session ~kind:traffic ~rng ()))
     sessions;
-  (* the stack so far, which the control plane and the agents complete *)
-  let t =
-    { sim; network; router; discovery; params; sessions; parent = None;
-      controllers = []; flat = None; agents = [] }
-  in
+  let new_agent = new_agent ~network ~router ~params in
   (* Creating a controller pushes no event, so starting each before the
      next is built keeps the event order of building them all first. *)
   let started ~node ?domain ?probe ?federation () =
-    let c = new_controller t ~node ?domain ?probe ?federation () in
+    let c =
+      new_controller ~network ~discovery ~params ~sessions ~node ?domain ?probe
+        ?federation ()
+    in
     Controller.start c;
     c
   in
@@ -163,7 +208,7 @@ let build ~spec ?(domains = []) ?seed ?(params = Toposense.Params.default)
           let controller =
             Option.value ~default:root (Hashtbl.find_opt homes node)
           in
-          new_agent t ~node ~controller sessions
+          new_agent ~node ~controller sessions
         in
         List.concat_map snd listed
         |> List.filter_map (fun n ->
@@ -175,7 +220,7 @@ let build ~spec ?(domains = []) ?seed ?(params = Toposense.Params.default)
                  List.tl members
                  |> List.filteri (fun i _ -> i < active_per_domain)
                  |> List.map (fun node ->
-                        new_agent t ~node ~controller:(home members) sessions))
+                        new_agent ~node ~controller:(home members) sessions))
         in
         let active = Util.Bitset.of_list (List.map fst sampled) in
         List.iter2
@@ -190,4 +235,8 @@ let build ~spec ?(domains = []) ?seed ?(params = Toposense.Params.default)
         sampled
     | No_agents -> []
   in
-  { t with parent; controllers; flat; agents }
+  let rec world =
+    { sim; network; router; discovery; params; sessions; parent; controllers;
+      flat; agents; faults = lazy (crash_managed world ~root) }
+  in
+  world

@@ -49,6 +49,14 @@ type t = {
   flat : Toposense.Controller.t option;
       (** the controller at [spec.controller_node] *)
   agents : (Net.Addr.node_id * Toposense.Receiver_agent.t) list;
+  faults : Net.Faults.t Lazy.t;
+      (** the world's one fault injector, made when first forced, so a
+          world that injects nothing allocates none. Its crash observer
+          wipes a crashed node's multicast state and stops the
+          controllers and agents {!build} placed there; recovery
+          rebuilds the state and restarts them. Controllers and agents
+          added later ({!add_controller}, {!add_agent}) are not
+          crash-managed: no caller crashes their nodes. *)
 }
 
 val build :
@@ -87,3 +95,11 @@ val add_agent :
 val add_controller : t -> node:Net.Addr.node_id -> Toposense.Controller.t
 (** A controller at [node] managing every session, not started: a cold
     standby that {!Toposense.Controller.start} brings up. *)
+
+val is_control : Net.Packet.arena -> Net.Packet.t -> bool
+(** The classifier handed to {!Net.Faults.set_control_plane} (partially
+    applied to the network's arena): receiver reports, controller
+    suggestions, protocol ACKs, discovery probe traffic and the
+    federation's {!Toposense.Federation.Domain_summary} packets (so a
+    lossy burst in a federated world can also starve the parent's
+    liveness lease). *)

@@ -8,7 +8,6 @@ type kind =
 type t = {
   network : Net.Network.t;
   session : Session.t;
-  kind : kind;
   rng : Engine.Prng.t;
   seq : int array;  (* next sequence number per layer *)
   sent : int array;
@@ -125,7 +124,6 @@ let start ~network ~session ~kind ~rng () =
     {
       network;
       session;
-      kind;
       rng;
       seq = Array.make layers 0;
       sent = Array.make layers 0;

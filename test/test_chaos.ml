@@ -6,6 +6,8 @@ module Sim = Engine.Sim
 module Builders = Scenarios.Builders
 module Chaos = Scenarios.Chaos
 module Recovery = Scenarios.Recovery
+module World = Scenarios.World
+module Controller = Toposense.Controller
 module Federation = Toposense.Federation
 module Session = Traffic.Session
 
@@ -206,6 +208,58 @@ let test_router_crash_experiment () =
        (fun (r : Recovery.flap_receiver) ->
          (not r.Recovery.fast_branch) || r.Recovery.goodput_during_bps = 0.0)
        o.Recovery.receivers)
+
+(* ---------- the world's crash observer ---------- *)
+
+(* A crash stops what the world built at the node and recovery restarts
+   it. A receiver's agent sends no report while its node is down,
+   counted where reports originate, before a dead link could drop them;
+   a controller runs no interval and sends no prescription. After
+   recovery both resume. The controller sits at an interior node, so
+   crashing it leaves the source up. *)
+let test_world_crash_observer () =
+  let spec =
+    { (Builders.kary ~fanout:3 ~depth:2 ()) with Builders.controller_node = 1 }
+  in
+  let w =
+    World.build ~spec ~control:(World.Flat { probe = false })
+      ~agents:World.Every_receiver ()
+  in
+  let faults = Lazy.force w.faults in
+  let arena = Net.Network.arena w.network in
+  let victim, _ = List.hd w.agents in
+  let reports = ref 0 in
+  Net.Network.set_origination_filter w.network (fun pkt ->
+      (if (not (Net.Packet.is_data arena pkt)) && Net.Packet.src arena pkt = victim
+       then
+         match Net.Packet.payload arena pkt with
+         | Reports.Rtcp.Report _ -> incr reports
+         | _ -> ());
+      `Deliver);
+  let run_to s = Sim.run_until w.sim (Time.of_sec s) in
+  run_to 10;
+  let before = !reports in
+  checkb "the agent reports" true (before > 0);
+  Net.Faults.crash_node faults ~node:victim;
+  run_to 20;
+  checki "no report from a crashed node" before !reports;
+  Net.Faults.recover_node faults ~node:victim;
+  run_to 30;
+  checkb "reports resume after recovery" true (!reports > before);
+  let ctrl = Option.get w.flat in
+  let intervals = Controller.intervals_run ctrl in
+  let sent = Controller.suggestions_sent ctrl in
+  checkb "the controller prescribes" true (sent > 0);
+  Net.Faults.crash_node faults ~node:spec.controller_node;
+  checkb "the crash stops the controller" false (Controller.running ctrl);
+  run_to 40;
+  checki "no interval while crashed" intervals (Controller.intervals_run ctrl);
+  checki "no prescription while crashed" sent (Controller.suggestions_sent ctrl);
+  Net.Faults.recover_node faults ~node:spec.controller_node;
+  checkb "recovery restarts the controller" true (Controller.running ctrl);
+  run_to 50;
+  checkb "intervals resume" true (Controller.intervals_run ctrl > intervals);
+  checkb "prescriptions resume" true (Controller.suggestions_sent ctrl > sent)
 
 (* ---------- federation: epochs, degraded domains, failover ---------- *)
 
@@ -541,6 +595,8 @@ let () =
             `Quick test_crash_skips_independently_failed_links;
           Alcotest.test_case "router-crash experiment" `Slow
             test_router_crash_experiment;
+          Alcotest.test_case "world crash observer stops and restarts"
+            `Quick test_world_crash_observer;
         ] );
       ( "federation-failover",
         [

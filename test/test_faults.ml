@@ -13,6 +13,7 @@ module Packet = Net.Packet
 module Faults = Net.Faults
 module Router = Multicast.Router
 module Recovery = Scenarios.Recovery
+module World = Scenarios.World
 
 let check = Alcotest.check
 let checki = check Alcotest.int
@@ -217,13 +218,13 @@ let test_domain_summary_is_control () =
       (Toposense.Federation.Domain_summary
          { domain = 0; session = 0; epoch = 0; seq = 0 })
   in
-  checkb "domain summary" true (Recovery.is_control arena summary);
-  checkb "other payload" false (Recovery.is_control arena (unicast (Probe 0)));
+  checkb "domain summary" true (World.is_control arena summary);
+  checkb "other payload" false (World.is_control arena (unicast (Probe 0)));
   let media =
     Packet.alloc_data arena ~src:0 ~group:0 ~size:100 ~session:0 ~layer:0
       ~seq:0
   in
-  checkb "media" false (Recovery.is_control arena media)
+  checkb "media" false (World.is_control arena media)
 
 (* The drop and the delay split one uniform draw per packet, so their
    fractions cannot sum past 1. *)
@@ -506,7 +507,7 @@ let test_reliable_recovers_99pct_under_20pct_drop () =
   in
   let faults = Faults.create ~network:nw () in
   Faults.set_control_plane faults
-    ~classify:(Recovery.is_control (Network.arena nw))
+    ~classify:(World.is_control (Network.arena nw))
     ~drop_fraction:0.2 ();
   Sim.run_until sim (Time.of_sec 300);
   let sent = Toposense.Controller.suggestions_sent c in

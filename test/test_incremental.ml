@@ -11,7 +11,6 @@ module Routing = Net.Routing
 module Network = Net.Network
 module Faults = Net.Faults
 module Router = Multicast.Router
-module Recovery = Scenarios.Recovery
 module Builders = Scenarios.Builders
 
 let check = Alcotest.check
@@ -105,12 +104,12 @@ let arbitrary_case =
       Printf.sprintf "n=%d ops=%d" n (List.length ops))
     case_gen
 
-(* Apply the op sequence one step at a time, settling 5 s after each
-   (graft hops, the 1 s leave latency and prune propagation all land
-   well inside that), and demand exact table and tree equality with the
-   from-scratch oracles after every step. *)
-let run_case ((spec, ops) : (int * int list * (int * int) list) * op list) =
-  let topo = build_topo spec in
+(* Apply the op sequence to [topo] one step at a time, settling 5 s
+   after each (graft hops, the 1 s leave latency and prune propagation
+   all land well inside that), and demand exact table and tree equality
+   with the from-scratch oracles after every step. The group's source is
+   node 0. *)
+let run_case topo ops =
   let n = Topology.node_count topo in
   let sim = Sim.create ~seed:1L () in
   let nw = Network.create ~sim topo in
@@ -173,64 +172,35 @@ let run_case ((spec, ops) : (int * int list * (int * int) list) * op list) =
 
 let prop_churn_matches_fresh_compute =
   QCheck.Test.make ~name:"churn == fresh compute (heap backend)" ~count:60
-    arbitrary_case run_case
+    arbitrary_case (fun (spec, ops) -> run_case (build_topo spec) ops)
 
 (* ---------- deterministic large case ---------- *)
 
-(* 585-node 8-ary tree (1 + 8 + 64 + 512) under a storm: the final
-   tables and tree must equal a from-scratch computation, and the
-   routing work must be far below the events x nodes a full recompute
-   per event would cost. *)
-let test_kary_storm_consistent () =
-  let o =
-    Recovery.churn_storm ~fanout:8 ~depth:3 ~flaps:20 ~churners:10
-      ~duration:(Time.of_sec 300) ()
+(* One fixed input at 585 nodes: the 8-ary tree of depth 3 (1 + 8 + 64
+   + 512) with its sibling links, the source at the root. Every 32nd
+   leaf joins, then 32 steps flip links (tree links and sibling detours
+   alike), make members leave and make nodes join, with the tables and
+   the tree checked against a fresh compute after every step. *)
+let test_kary_churn () =
+  let spec = Builders.kary ~fanout:8 ~depth:3 () in
+  let topo = spec.Builders.topology in
+  checki "1 + 8 + 64 + 512 nodes" 585 (Topology.node_count topo);
+  let members =
+    List.filteri (fun i _ -> i mod 32 = 0) (snd (List.hd spec.sessions))
   in
-  checki "1 + 8 + 64 + 512 nodes" 585 o.nodes;
-  checkb "storm produced topology events" true (o.topology_events > 0);
-  checkb "tables equal a fresh compute" true o.tables_consistent;
-  checkb "tree equals the reverse-path union" true o.tree_consistent;
-  (* A pure tree topology is the worst case for the per-destination
-     counter — every tree link lies in every destination's shortest-path
-     tree — so the count-level saving here comes from the redundant
-     sibling links (roughly half the link set) costing nothing. The
-     dramatic skip is pinned exactly in the redundant-link test below;
-     here we pin that the damage-proportional counter stays clearly
-     under the full-recompute equivalent even in the worst case. *)
-  checkb
-    (Printf.sprintf "recomputes bounded by damage (%d vs %d)"
-       o.routing_recomputes o.full_recompute_equiv)
-    true
-    (o.routing_recomputes * 4 < o.full_recompute_equiv * 3)
-
-(* The storm is deterministic per seed: two runs agree exactly. *)
-let test_storm_deterministic () =
-  let run () =
-    Recovery.churn_storm ~fanout:3 ~depth:2 ~flaps:12 ~churners:4
-      ~duration:(Time.of_sec 120) ()
+  (* [Join v] and [Leave v] act on node [1 + v mod 584] *)
+  let joins = List.map (fun m -> Join (m - 1)) members in
+  let rng = Engine.Prng.create ~seed:585L in
+  let draw () = Engine.Prng.int rng ~bound:10_000 in
+  let churn =
+    List.init 32 (fun i ->
+        match i mod 4 with
+        | 0 | 1 -> Flip (draw ())
+        | 2 -> Leave (List.nth members (draw () mod List.length members) - 1)
+        | _ -> Join (draw ()))
   in
-  let a = run () in
-  checkb "identical outcomes on repeat" true (a = run ());
-  checkb "tables consistent" true a.tables_consistent;
-  checkb "tree consistent" true a.tree_consistent
-
-(* The fixed 259-node churn storm (a 6-ary tree of depth 3, 60 flaps, 32
-   churners over 300 s) fires 120 topology events; a full recompute per
-   event would count 31080 table rebuilds and the incremental path counts
-   15530. The bound sits between the two, so the full-recompute path
-   cannot silently return, and the storm must end consistent. *)
-let test_churn_storm_recomputes_bounded () =
-  let o =
-    Recovery.churn_storm ~fanout:6 ~depth:3 ~flaps:60 ~churners:32
-      ~duration:(Time.of_sec 300) ()
-  in
-  checkb "tables equal a fresh compute" true o.tables_consistent;
-  checkb "tree equals the reverse-path union" true o.tree_consistent;
-  checkb
-    (Printf.sprintf "recomputes %d <= 20000 (full recompute: %d)"
-       o.routing_recomputes o.full_recompute_equiv)
-    true
-    (o.routing_recomputes <= 20_000)
+  checkb "tables and tree equal a fresh compute after every step" true
+    (run_case topo (joins @ churn))
 
 (* Flapping a redundant link is nearly free end to end: a leaf-level
    sibling link carries only the two leaves' mutual traffic, so the
@@ -501,15 +471,9 @@ let () =
   Alcotest.run "incremental"
     [
       ( "property",
-        [ QCheck_alcotest.to_alcotest prop_churn_matches_fresh_compute ] );
-      ( "storm",
         [
-          Alcotest.test_case "585-node k-ary storm" `Slow
-            test_kary_storm_consistent;
-          Alcotest.test_case "deterministic per seed" `Slow
-            test_storm_deterministic;
-          Alcotest.test_case "259-node churn storm recomputes bounded" `Slow
-            test_churn_storm_recomputes_bounded;
+          QCheck_alcotest.to_alcotest prop_churn_matches_fresh_compute;
+          Alcotest.test_case "585-node k-ary churn" `Slow test_kary_churn;
         ] );
       ( "routing-api",
         [
