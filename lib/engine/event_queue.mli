@@ -7,10 +7,12 @@
     benchmark definition. Delete it together with the suite's
     ["scheduler"] field. *)
 
-type backend = Heap
+type backend
+(** Abstract: nothing outside this stub names its one value, the binary
+    heap. *)
 
 val backend_to_string : backend -> string
 (** ["heap"]. *)
 
 val default : unit -> backend
-(** {!Heap}, the only backend. *)
+(** The binary heap, the only backend. *)

@@ -3,8 +3,16 @@
     One [Router.t] manages the multicast state of every node in a network:
     per-(group) outgoing-interface lists, local membership, and join/prune
     propagation toward the group's source along the unicast reverse path.
-    Creating the router installs the multicast forwarding handler on every
-    node.
+    It keeps one record per group, in an array indexed by group id: the
+    source, a node-indexed row of per-node state (interfaces, membership,
+    the node's recorded parents), the member and detached sets, and the
+    group's counters. Creating the router installs the multicast
+    forwarding handler on every node.
+
+    Group ids come from {!fresh_group}. Every function taking [~group]
+    except {!version} and {!delivered} raises
+    [Invalid_argument "Multicast.Router: unknown group"] on an id that
+    {!fresh_group} never returned; those two read 0 for it.
 
     Control-plane model (documented substitution — see DESIGN.md): join and
     prune messages propagate hop-by-hop with each link's propagation delay
@@ -20,17 +28,18 @@
 
     Tree repair: every {!Net.Network.set_link_up} reaches the router
     through a topology observer carrying the changed link and the
-    destinations whose routing tables moved, and the router repairs only
-    the groups that evidence can have touched — those rooted at an
-    affected destination (their reverse paths crossed the link) or with
-    a recorded tree edge on the link. Within such a group, edges whose
-    upstream interface died or moved off the reverse path are cut
-    immediately; the severed subtree roots and graft-pending nodes that
-    still want traffic re-graft along the new reverse path (with hop
-    delays, so recovery takes network time); severed branches with no
-    remaining interest are pruned. Groups with no source, and idle groups
-    (no members, no recorded edges, no node awaiting a graft), are
-    skipped — their sweeps could not do anything. *)
+    destinations whose routing tables moved. The router walks its groups
+    in id order and repairs only those that evidence can have touched:
+    the groups rooted at an affected destination (their reverse paths
+    crossed the link) or recording a tree edge, in either direction, on
+    the link. Within such a group, edges whose upstream interface died
+    or moved off the reverse path are cut immediately; the severed
+    subtree roots and graft-pending nodes that still want traffic
+    re-graft along the new reverse path (with hop delays, so recovery
+    takes network time); severed branches with no remaining interest
+    are pruned. Idle groups (no members, no recorded edges, no node
+    awaiting a graft) are skipped: their sweeps could not do
+    anything. *)
 
 type t
 
@@ -51,7 +60,6 @@ val fresh_group : t -> source:Net.Addr.node_id -> Net.Addr.group_id
 (** Allocates a group address rooted at [source]. *)
 
 val source : t -> group:Net.Addr.group_id -> Net.Addr.node_id
-(** @raise Invalid_argument on an unknown group. *)
 
 val join : t -> node:Net.Addr.node_id -> group:Net.Addr.group_id -> unit
 (** Local membership at [node]; grafts the node onto the tree (propagating
@@ -101,10 +109,12 @@ val version : t -> group:Net.Addr.group_id -> int
     {!tree_edges} or any node's {!is_member} for it may have changed:
     every recorded edge added or removed and every local membership
     gained or lost bumps it. Equal versions at two instants mean all
-    three read the same at both. 0 for a group never touched. *)
+    three read the same at both. 0 for a group never touched, and for
+    an unknown group. *)
 
 val delivered : t -> group:Net.Addr.group_id -> int
-(** Packets delivered to local members of [group] (all nodes), for tests. *)
+(** Packets delivered to local members of [group] (all nodes), for
+    tests; 0 for an unknown group. *)
 
 val repair_passes : t -> int
 (** Repair passes run since creation: one per topology event delivered by

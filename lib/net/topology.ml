@@ -39,14 +39,22 @@ let add_duplex t ~a ~b ~bandwidth_bps ?(delay = default_delay)
      them at one instant. Routing also answers a single-link node from
      its link on the premise that the link adds distance. *)
   if delay <= 0 then invalid_arg "Topology.add_duplex: delay must be positive";
-  if Hashtbl.mem t.pairs (min a b, max a b) then
+  (* One hash per link: [replace] records the pair, and an unchanged
+     size says it was there already. A link refused below takes its
+     pair back out. *)
+  let pair = (min a b, max a b) in
+  let known = Hashtbl.length t.pairs in
+  Hashtbl.replace t.pairs pair ();
+  if Hashtbl.length t.pairs = known then
     invalid_arg "Topology.add_duplex: duplicate link";
   (* Links build their queues on first wait, so a bad queue config has
      to fail here, naming the argument that carried it. *)
   let valid arg d =
     match Queue_discipline.validate_spec d with
     | Ok () -> d
-    | Error msg -> invalid_arg ("Topology.add_duplex: " ^ arg ^ ": " ^ msg)
+    | Error msg ->
+        Hashtbl.remove t.pairs pair;
+        invalid_arg ("Topology.add_duplex: " ^ arg ^ ": " ^ msg)
   in
   let discipline =
     match discipline with
@@ -54,7 +62,6 @@ let add_duplex t ~a ~b ~bandwidth_bps ?(delay = default_delay)
     | None ->
         valid "queue_limit" (Queue_discipline.Drop_tail { limit = queue_limit })
   in
-  Hashtbl.add t.pairs (min a b, max a b) ();
   t.links_rev <- { a; b; bandwidth_bps; delay; discipline } :: t.links_rev
 
 let node_count t = t.node_count

@@ -84,12 +84,10 @@ let generate ?(config = default_config) ~seed () =
 type control =
   | Global
   | Per_domain
-  | Federated
 
 let control_name = function
   | Global -> "global"
   | Per_domain -> "per-domain"
-  | Federated -> "federated"
 
 type receiver_outcome = {
   session : int;
@@ -105,32 +103,24 @@ type outcome = {
   receivers : receiver_outcome list;
   mean_deviation : float;
   controllers : int;
-  suggestions_sent : int;
-  events_dispatched : int;
-  summaries_received : int;
-  parent_state_entries : int;
 }
 
 let run ~(world : Builders.world) ~control ?(traffic = Experiment.Vbr 3.0)
     ?(duration = Time.of_sec 600) ?(seed = 42L) () =
   let spec = world.spec in
   (* Controllers: either one global agent at the first source, or one per
-     regional domain, stationed at the regional node. Federated, the
-     per-domain controllers also summarize up to a parent at the first
-     source, which holds one slot per (session, domain), so its state
-     never grows with the receiver population. Every controller manages
-     every session (the paper: "the topology of different multicast
-     sessions in that domain"), and every receiver runs one agent
-     subscribed to every session, reporting to its domain's controller
-     (or the global one). *)
+     regional domain, stationed at the regional node. Every controller
+     manages every session (the paper: "the topology of different
+     multicast sessions in that domain"), and every receiver runs one
+     agent subscribed to every session, reporting to its domain's
+     controller (or the global one). *)
   let w =
     World.build ~spec ~domains:world.domains ~seed
       ~traffic:(Experiment.source_kind traffic)
       ~control:
         (match control with
         | Global -> World.Flat { probe = false }
-        | Per_domain -> World.Per_domain
-        | Federated -> World.Federated { rehome = false })
+        | Per_domain -> World.Per_domain)
       ~agents:World.Every_receiver ()
   in
   let sim = w.sim and sessions = w.sessions in
@@ -177,18 +167,4 @@ let run ~(world : Builders.world) ~control ?(traffic = Experiment.Vbr 3.0)
     List.fold_left (fun acc r -> acc +. r.deviation) 0.0 outcomes
     /. float_of_int (max 1 (List.length outcomes))
   in
-  {
-    receivers = outcomes;
-    mean_deviation;
-    controllers = List.length controllers;
-    suggestions_sent =
-      List.fold_left
-        (fun acc c -> acc + Toposense.Controller.suggestions_sent c)
-        0 controllers;
-    events_dispatched = Engine.Sim.events_dispatched sim;
-    summaries_received =
-      Option.fold ~none:0 ~some:Toposense.Federation.summaries_received
-        w.parent;
-    parent_state_entries =
-      Option.fold ~none:0 ~some:Toposense.Federation.state_entries w.parent;
-  }
+  { receivers = outcomes; mean_deviation; controllers = List.length controllers }

@@ -35,14 +35,9 @@ val generate : ?config:config -> seed:int64 -> unit -> Builders.world
 type control =
   | Global  (** one controller for the whole tree, at the source *)
   | Per_domain  (** one controller per regional domain (the paper's model) *)
-  | Federated
-      (** Per_domain plus a {!Toposense.Federation} parent at the first
-          source: each domain controller sends one per-session summary
-          per interval and the parent aggregates them with one slot per
-          (session, domain) — state O(domains), not O(receivers) *)
 
 val control_name : control -> string
-(** ["global"], ["per-domain"] or ["federated"], as the CLI prints it. *)
+(** ["global"] or ["per-domain"], as the CLI prints it. *)
 
 type receiver_outcome = {
   session : int;
@@ -58,11 +53,6 @@ type outcome = {
   receivers : receiver_outcome list;
   mean_deviation : float;
   controllers : int;
-  suggestions_sent : int;
-  events_dispatched : int;
-  summaries_received : int;  (** at the federation parent (0 unless Federated) *)
-  parent_state_entries : int;
-      (** live (session, domain) slots at the parent (0 unless Federated) *)
 }
 
 val run :

@@ -69,10 +69,6 @@ type t = {
   mutable running : bool;
       (** between {!start}/{!stop}; a stopped controller is deaf, so a
           restart resumes from state no fresher than the outage *)
-  mutable was_stopped : bool;
-      (** a restart after a stop models a process coming back: the
-          federation leaf's summary stream is rebased so the parent can
-          tell the new incarnation from old stragglers *)
   mutable reports_received : int;
   mutable suggestions_sent : int;
   mutable self_suppressed : int;
@@ -205,7 +201,6 @@ let create ~network ~discovery ~params ~node ?domain ?probe ?federation () =
       proto_rng = Sim.rng sim ~label:"toposense-protocol";
       task = None;
       running = true;
-      was_stopped = false;
       reports_received = 0;
       suggestions_sent = 0;
       self_suppressed = 0;
@@ -481,12 +476,6 @@ let run_interval t =
 
 let start t =
   t.running <- true;
-  if t.was_stopped then begin
-    t.was_stopped <- false;
-    (* restart of a federated leaf: rebase the summary stream so the
-       parent admits the new incarnation past its old high-water seq *)
-    Option.iter Federation.rebase t.federation
-  end;
   Option.iter Probe_discovery.start t.probe;
   if t.task = None then begin
     let sim = Net.Network.sim t.network in
@@ -496,7 +485,6 @@ let start t =
 
 let stop t =
   t.running <- false;
-  t.was_stopped <- true;
   Option.iter Probe_discovery.stop t.probe;
   Hashtbl.iter (fun _ st -> cancel_pending t st) t.receivers;
   match t.task with

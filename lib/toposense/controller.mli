@@ -81,9 +81,9 @@ val start : t -> unit
     now). Also restarts a stopped controller: reports are heard again and
     intervals resume, picking up from whatever stale state survived the
     outage — receivers meanwhile fall back to their unilateral
-    watchdog. A restart of a federated leaf also calls
-    {!Federation.rebase} on its summary stream, so the parent admits the
-    new incarnation and drops pre-restart stragglers. *)
+    watchdog. A federated leaf's summaries keep their sequence numbers
+    across the outage, so the parent admits the restarted stream and
+    drops pre-stop stragglers. *)
 
 val stop : t -> unit
 (** Models a controller outage (or failover away from this instance):

@@ -5,7 +5,6 @@ type Net.Packet.payload +=
   | Domain_summary of {
       domain : int;
       session : int;
-      epoch : int;
       seq : int;
     }
 
@@ -16,23 +15,17 @@ let summary_size = 56
 type leaf = {
   parent : Net.Addr.node_id;
   domain_id : int;
-  mutable epoch : int;
   mutable next_seq : int;
 }
 
 let leaf ~parent ~domain_id =
   if domain_id < 0 then invalid_arg "Federation.leaf: negative domain_id";
-  { parent; domain_id; epoch = 0; next_seq = 0 }
-
-let rebase leaf =
-  leaf.epoch <- leaf.epoch + 1;
-  leaf.next_seq <- 0
+  { parent; domain_id; next_seq = 0 }
 
 (* Latest summary for one (session, domain) pair. Overwritten in place:
    the parent's footprint is exactly one slot per pair, independent of
    how many receivers live behind the leaf. *)
 type slot = {
-  mutable epoch : int;
   mutable seq : int;
   mutable updated_at : Time.t;
 }
@@ -79,27 +72,23 @@ let note_alive t ~domain =
     match t.on_rejoined with Some f -> f ~domain | None -> ()
   end
 
-let on_summary t ~domain ~session ~epoch ~seq =
+let on_summary t ~domain ~session ~seq =
   t.summaries_received <- t.summaries_received + 1;
   let now = Sim.now (Net.Network.sim t.network) in
   match Hashtbl.find_opt t.slots (session, domain) with
-  | Some slot when epoch < slot.epoch || (epoch = slot.epoch && seq <= slot.seq)
-    ->
+  | Some slot when seq <= slot.seq ->
       (* A reroute can reorder unicast summaries; the newer picture
          already landed, so the straggler is dropped rather than rolling
-         the domain's state backwards. A lower epoch is a straggler from
-         before the leaf's restart — the rebased stream has already
-         superseded it. *)
+         the domain's state backwards. A leaf's seq survives its
+         controller's stop and start, so a summary sent before a restart
+         is a straggler here too. *)
       t.stale_dropped <- t.stale_dropped + 1
   | Some slot ->
-      (* [epoch > slot.epoch] is the seq rebase: the first summary of a
-         restarted leaf's stream is accepted whatever its seq. *)
-      slot.epoch <- epoch;
       slot.seq <- seq;
       slot.updated_at <- now;
       note_alive t ~domain
   | None ->
-      Hashtbl.add t.slots (session, domain) { epoch; seq; updated_at = now };
+      Hashtbl.add t.slots (session, domain) { seq; updated_at = now };
       note_alive t ~domain
 
 let create_parent ~network ~node =
@@ -126,8 +115,8 @@ let create_parent ~network ~node =
       if Net.Packet.is_data arena pkt then ()
       else
       match Net.Packet.payload arena pkt with
-      | Domain_summary { domain; session; epoch; seq } ->
-          on_summary t ~domain ~session ~epoch ~seq
+      | Domain_summary { domain; session; seq } ->
+          on_summary t ~domain ~session ~seq
       | _ -> ());
   t
 
@@ -195,6 +184,4 @@ let send_summary leaf ~network ~src ~session =
   leaf.next_seq <- seq + 1;
   Net.Network.originate network ~src ~dst:(Net.Addr.Unicast leaf.parent)
     ~size:summary_size
-    ~payload:
-      (Domain_summary
-         { domain = leaf.domain_id; session; epoch = leaf.epoch; seq })
+    ~payload:(Domain_summary { domain = leaf.domain_id; session; seq })

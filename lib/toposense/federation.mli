@@ -16,18 +16,19 @@
     on every domain's summaries. A domain silent longer than the lease
     is marked degraded and handed to the parent, the only failover
     target, which prescribes directly from the unrestricted snapshot; a
-    leaf that comes back rejoins by rebasing its sequence space under a
-    higher epoch. All of it is inert until {!start_failover} arms the
-    monitor. *)
+    leaf that comes back rejoins with its next summary. A leaf's sequence
+    numbers only grow, across its controller's stops and restarts, so one
+    rule serves reordering and restarts alike: the parent drops a summary
+    whose seq is not above its slot's. All of it is inert until
+    {!start_failover} arms the monitor. *)
 
 type Net.Packet.payload +=
   | Domain_summary of {
       domain : int;
       session : int;
-      epoch : int;
-          (** bumped by {!rebase} when the leaf restarts; lets the
-              parent tell a rebased stream from reordered stragglers *)
-      seq : int;  (** per-leaf per-epoch, for dropping reordered stragglers *)
+      seq : int;
+          (** per leaf, growing across its controller's restarts: a
+              summary at or below the slot's seq is a straggler *)
     }
       (** 56 bytes on the wire, whatever the parent reads of it. *)
 
@@ -39,13 +40,6 @@ val leaf : parent:Net.Addr.node_id -> domain_id:int -> leaf
 (** Handed to {!Controller.create} via [?federation]; the controller
     then emits one summary per session per interval.
     @raise Invalid_argument on a negative [domain_id]. *)
-
-val rebase : leaf -> unit
-(** Restart recovery: bumps the epoch and restarts the sequence space at
-    0. The parent accepts the first summary of the new epoch whatever
-    its seq, and drops any straggler from the old one.
-    {!Controller.start} calls this when restarting a stopped federated
-    controller. *)
 
 val send_summary :
   leaf -> network:Net.Network.t -> src:Net.Addr.node_id -> session:int -> unit
@@ -66,7 +60,7 @@ val summaries_received : parent -> int
 
 val stale_dropped : parent -> int
 (** Reordered or pre-restart summaries dropped by the per-leaf
-    epoch/sequence check. *)
+    sequence check. *)
 
 val state_entries : parent -> int
 (** Live (session, domain) slots — the parent's entire footprint. The

@@ -19,6 +19,11 @@
 # any `~arg` or `?arg` in one of them counts as passing it, so this too
 # over-counts callers and can only hide an unused option, never list a
 # used one.
+#
+# With `variants`: each constructor of a variant type (extensible ones
+# included) that no user of its module, as above, mentions: any word
+# spelt like the constructor counts, so this is the `options` rule for
+# constructors, with the same over-count.
 set -eu
 cd "${1:-.}"
 mode=${2:-vals}
@@ -41,6 +46,42 @@ optional_args() {
       }
     }' "$1"
 }
+# The constructors of the variant types in the given .mli: a capitalised
+# name after a `|`, or right after the `=` of a `type` line (a type path
+# such as `= Foo.t` is not one). Comments are skipped; a type ends at the
+# next item.
+constructors() {
+  awk '
+    {
+      line = ""
+      for (i = 1; i <= length($0); i++) {
+        two = substr($0, i, 2)
+        if (two == "(*") { depth++; i++ }
+        else if (depth > 0 && two == "*)") { depth--; i++ }
+        else if (depth == 0) line = line substr($0, i, 1)
+      }
+    }
+    line ~ /^ *(val|module|exception|external|end|include|class|open) / {
+      in_type = 0
+    }
+    line ~ /^ *(type|and) / {
+      in_type = 1
+      if (match(line, /= *[A-Z][A-Za-z0-9_]*[^A-Za-z0-9_.]/) ||
+          match(line, /= *[A-Z][A-Za-z0-9_]*$/)) {
+        c = substr(line, RSTART, RLENGTH)
+        gsub(/[^A-Za-z0-9_]/, "", c)
+        print c
+      }
+    }
+    in_type {
+      while (match(line, /\| *[A-Z][A-Za-z0-9_]*/)) {
+        c = substr(line, RSTART, RLENGTH)
+        sub(/^\| */, "", c)
+        print c
+        line = substr(line, RSTART + RLENGTH)
+      }
+    }' "$1"
+}
 for mli in $(find lib -name '*.mli' | LC_ALL=C sort); do
   base=${mli%.mli}
   M=$(capitalize "$(basename "$base")")
@@ -48,6 +89,13 @@ for mli in $(find lib -name '*.mli' | LC_ALL=C sort); do
   # Only files that name the module can refer to it.
   users=$(echo "$files" | grep -v -x -e "$base.ml" -e "$mli" |
     xargs grep -lw "$M" || true)
+  if [ "$mode" = variants ]; then
+    for c in $(constructors "$mli"); do
+      if [ -n "$users" ] && grep -qw "$c" $users; then continue; fi
+      echo "$L.$M.$c"
+    done
+    continue
+  fi
   if [ "$mode" = options ]; then
     optional_args "$mli" | while read -r name arg; do
       if [ -n "$users" ] && grep -qE "[~?]$arg\b" $users; then continue; fi

@@ -261,7 +261,7 @@ let test_world_crash_observer () =
   checkb "intervals resume" true (Controller.intervals_run ctrl > intervals);
   checkb "prescriptions resume" true (Controller.suggestions_sent ctrl > sent)
 
-(* ---------- federation: epochs, degraded domains, failover ---------- *)
+(* ---------- federation: restarts, degraded domains, failover ---------- *)
 
 let two_node_net () =
   let sim = Sim.create ~seed:7L () in
@@ -274,34 +274,52 @@ let two_node_net () =
 let send leaf ~network ~src () =
   Federation.send_summary leaf ~network ~src ~session:0
 
+(* A leaf's seq survives its controller's stop and start: the restarted
+   stream's next summary is admitted, and a summary sent before the stop
+   that a laggy path delays past it is dropped. *)
 let test_pre_restart_straggler_dropped () =
   let sim, network, parent_node, leaf_node = two_node_net () in
+  let router = Multicast.Router.create ~network () in
+  let discovery = Discovery.Service.create ~sim ~router () in
   let parent = Federation.create_parent ~network ~node:parent_node in
-  let leaf = Federation.leaf ~parent:parent_node ~domain_id:0 in
-  send leaf ~network ~src:leaf_node ();
-  send leaf ~network ~src:leaf_node ();
-  Sim.run_until sim (Time.of_sec 2);
-  (* restart: the new incarnation rebasing outruns an old-incarnation
-     packet still in flight *)
-  Federation.rebase leaf;
-  send leaf ~network ~src:leaf_node ();
-  (* the straggler: a fresh handle for the same domain still in epoch 0,
-     with a seq the slot already admitted *)
-  let straggler = Federation.leaf ~parent:parent_node ~domain_id:0 in
-  send straggler ~network ~src:leaf_node ();
-  Sim.run_until sim (Time.of_sec 4);
-  checki "rebased summary admitted, straggler dropped" 1
-    (Federation.stale_dropped parent);
-  (* the slot now holds epoch 1: even an epoch-0 seq above anything the
-     old incarnation sent is a straggler *)
-  for _ = 1 to 3 do
-    send straggler ~network ~src:leaf_node ()
-  done;
-  Sim.run_until sim (Time.of_sec 6);
-  checki "slot kept the rebased epoch" 4 (Federation.stale_dropped parent);
+  let ctrl =
+    Controller.create ~network ~discovery ~params:Toposense.Params.default
+      ~node:leaf_node
+      ~federation:(Federation.leaf ~parent:parent_node ~domain_id:0)
+      ()
+  in
+  let session =
+    Session.create ~router ~source:leaf_node
+      ~layering:Traffic.Layering.paper_default ~id:0
+  in
+  Discovery.Service.register_session discovery session;
+  Session.set_subscription_level session ~router ~node:parent_node ~level:1;
+  Controller.add_session ctrl session;
+  Controller.start ctrl;
+  (* intervals every 2 s: summaries at 2 and 4 s *)
+  Sim.run_until sim (Time.of_sec_f 4.5);
+  let before = Federation.summaries_received parent in
+  checki "two summaries before the stop" 2 before;
+  (* the last summary before the stop (6 s) lands only at 16 s *)
+  let arena = Net.Network.arena network in
+  Net.Network.set_origination_filter network (fun pkt ->
+      match Net.Packet.payload arena pkt with
+      | Federation.Domain_summary _ -> `Delay (Time.span_of_sec 10)
+      | _ -> `Deliver);
+  Sim.run_until sim (Time.of_sec_f 6.5);
+  Net.Network.clear_origination_filter network;
+  Controller.stop ctrl;
+  Controller.start ctrl;
+  (* the restarted controller's first interval, at 8.5 s *)
+  Sim.run_until sim (Time.of_sec 9);
+  checki "restarted stream's summary heard" (before + 1)
+    (Federation.summaries_received parent);
+  checki "and admitted" 0 (Federation.stale_dropped parent);
+  Sim.run_until sim (Time.of_sec 17);
+  checki "pre-stop straggler dropped" 1 (Federation.stale_dropped parent);
   checki "one slot" 1 (Federation.state_entries parent)
 
-let test_degrade_and_rejoin_via_rebase () =
+let test_degrade_and_rejoin () =
   let sim, network, parent_node, leaf_node = two_node_net () in
   let parent = Federation.create_parent ~network ~node:parent_node in
   let leaf = Federation.leaf ~parent:parent_node ~domain_id:0 in
@@ -318,8 +336,7 @@ let test_degrade_and_rejoin_via_rebase () =
   Alcotest.(check (list int)) "degraded once" [ 0 ] !degraded;
   checki "one failover" 1 (Federation.failovers parent);
   checki "degraded gauge" 1 (Federation.degraded_now parent);
-  (* the leaf restarts and rebases; its first summary is the rejoin *)
-  Federation.rebase leaf;
+  (* the leaf comes back; its next summary is the rejoin *)
   send leaf ~network ~src:leaf_node ();
   Sim.run_until sim (Time.of_sec 10);
   checki "one rejoin" 1 (Federation.rejoins parent);
@@ -353,7 +370,6 @@ let test_silent_domain_degrades_alone () =
   Alcotest.(check (list int)) "only the dark domain degraded" [ 1 ] !degraded;
   checki "one domain degraded" 1 (Federation.degraded_now parent);
   (* the dark domain comes back *)
-  Federation.rebase leaf_b;
   send leaf_b ~network ~src:leaf_node ();
   Sim.run_until sim (Time.of_sec 10);
   Alcotest.(check (list int)) "the dark domain rejoined" [ 1 ] !rejoined;
@@ -602,8 +618,8 @@ let () =
         [
           Alcotest.test_case "pre-restart straggler dropped" `Quick
             test_pre_restart_straggler_dropped;
-          Alcotest.test_case "degrade + rejoin via rebase" `Quick
-            test_degrade_and_rejoin_via_rebase;
+          Alcotest.test_case "degrade + rejoin" `Quick
+            test_degrade_and_rejoin;
           Alcotest.test_case "silent domain degrades alone" `Quick
             test_silent_domain_degrades_alone;
           Alcotest.test_case "leaf-controller crash end to end" `Slow

@@ -216,7 +216,7 @@ let test_domain_summary_is_control () =
   let summary =
     unicast
       (Toposense.Federation.Domain_summary
-         { domain = 0; session = 0; epoch = 0; seq = 0 })
+         { domain = 0; session = 0; seq = 0 })
   in
   checkb "domain summary" true (World.is_control arena summary);
   checkb "other payload" false (World.is_control arena (unicast (Probe 0)));

@@ -217,6 +217,65 @@ let test_source_local_member () =
   settle sim 1.0;
   checki "source hears itself" 2 !c0
 
+(* An id [fresh_group] never returned names no group: every [~group]
+   function but the two counters raises on it, where [leave], [is_member],
+   [on_tree], [members] and [tree_edges] used to answer for it (and grow
+   the tables to fit it). *)
+let test_unknown_group_raises () =
+  let _sim, _nw, router = star () in
+  let g = Router.fresh_group router ~source:0 in
+  List.iter
+    (fun group ->
+      let raises name f =
+        Alcotest.check_raises
+          (Printf.sprintf "%s on group %d" name group)
+          (Invalid_argument "Multicast.Router: unknown group")
+          (fun () -> ignore (f ()))
+      in
+      raises "source" (fun () -> Router.source router ~group);
+      raises "join" (fun () -> Router.join router ~node:2 ~group);
+      raises "leave" (fun () -> Router.leave router ~node:2 ~group);
+      raises "is_member" (fun () -> Router.is_member router ~node:2 ~group);
+      raises "on_tree" (fun () -> Router.on_tree router ~node:2 ~group);
+      raises "members" (fun () -> Router.members router ~group);
+      raises "tree_edges" (fun () -> Router.tree_edges router ~group);
+      checki "version" 0 (Router.version router ~group);
+      checki "delivered" 0 (Router.delivered router ~group))
+    [ g + 1; -1; 1_000 ];
+  checki "the allocated group" 0 (Router.source router ~group:g)
+
+(* Words allocated per grafted edge while the 512 leaves of an 8-ary,
+   depth-3 tree join one group and the 584-edge tree settles: group and
+   per-node state, graft events, recorded parents. With one record per
+   group this reads 85.0 words per edge; with nine per-group tables,
+   among them a per-link index that every graft updated, it read
+   107.0. *)
+let test_graft_footprint () =
+  let spec = Scenarios.Builders.kary ~fanout:8 ~depth:3 () in
+  let sim = Sim.create () in
+  let nw = Network.create ~sim spec.topology in
+  Net.Routing.prefetch_all (Network.routing nw);
+  let router = Router.create ~network:nw () in
+  let source, leaves =
+    match spec.sessions with [ s ] -> s | _ -> assert false
+  in
+  (* counts the minor heap exactly only right after a minor collection *)
+  let allocated () =
+    Gc.minor ();
+    Gc.allocated_bytes ()
+  in
+  let before = allocated () in
+  let group = Router.fresh_group router ~source in
+  List.iter (fun node -> Router.join router ~node ~group) leaves;
+  settle sim 1.0;
+  let bytes = allocated () -. before in
+  let edges = List.length (Router.tree_edges router ~group) in
+  let words = bytes /. float_of_int (Sys.word_size / 8 * edges) in
+  checki "every node on the tree" 584 edges;
+  checkb
+    (Printf.sprintf "%.1f words per grafted edge, at most 90" words)
+    true (words <= 90.0)
+
 (* Random-tree property: after settling, every member gets every packet
    exactly once; non-members get nothing. *)
 let prop_delivery_matches_membership =
@@ -292,6 +351,9 @@ let () =
         [
           Alcotest.test_case "tree edges" `Quick test_tree_edges;
           Alcotest.test_case "members listing" `Quick test_members_listing;
+          Alcotest.test_case "unknown group raises" `Quick
+            test_unknown_group_raises;
+          Alcotest.test_case "graft footprint" `Quick test_graft_footprint;
         ] );
       qsuite "props" [ prop_delivery_matches_membership ];
     ]

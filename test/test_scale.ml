@@ -277,18 +277,6 @@ let prop_runs_deterministic =
       untimed first = untimed again
       && first.Scale.materialized_columns <= first.Scale.column_bound)
 
-let test_tiered_federated () =
-  let world = Scenarios.Tiered.generate ~seed:11L () in
-  let o =
-    Scenarios.Tiered.run ~world ~control:Scenarios.Tiered.Federated
-      ~traffic:Scenarios.Experiment.Cbr ~duration:(Time.of_sec 60) ()
-  in
-  checki "one controller per region" 3 o.Scenarios.Tiered.controllers;
-  checkb "parent heard the leaves" true
-    (o.Scenarios.Tiered.summaries_received > 0);
-  (* 1 session x 3 regional domains. *)
-  checki "parent state O(domains)" 3 o.Scenarios.Tiered.parent_state_entries
-
 let () =
   Alcotest.run "scale"
     [
@@ -319,8 +307,6 @@ let () =
         [
           Alcotest.test_case "state independent of population" `Slow
             test_scale_state_independent_of_population;
-          Alcotest.test_case "tiered federated control" `Slow
-            test_tiered_federated;
         ] );
       ( "determinism",
         List.map QCheck_alcotest.to_alcotest [ prop_runs_deterministic ] );
